@@ -1,7 +1,8 @@
 #!/bin/bash
 # Minimal CI gate: release build, full test suite, lint-clean clippy,
-# and a smoke run of the overhead benchmark (regenerates
-# BENCH_overhead.json, checked in).
+# a smoke run of the overhead benchmark (regenerates
+# BENCH_overhead.json, checked in), and the repo benchmark's own smoke
+# gate (benchmark/check.sh).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -20,6 +21,11 @@ echo "=== clippy (portable clock path) ==="
 RUSTFLAGS="--cfg taskprof_portable_clock" \
     cargo clippy -p pomp --all-targets -- -D warnings
 
+echo "=== tests (portable clock path) ==="
+# The workspace tests above ran pomp's clock tests on the TSC path; run
+# them on the fallback too, so a change to `now()` is exercised on both.
+RUSTFLAGS="--cfg taskprof_portable_clock" cargo test -q -p pomp
+
 echo "=== overhead bench smoke (test scale) ==="
 BENCH_SCALE="${BENCH_SCALE:-test}" BENCH_REPS="${BENCH_REPS:-1}" \
     cargo run --release -p bench --bin overhead_json -- /tmp/BENCH_overhead.smoke.json
@@ -29,6 +35,12 @@ grep -q '"server_json_profiles_per_sec"' /tmp/BENCH_overhead.smoke.json
 grep -q '"server_bin_profiles_per_sec"' /tmp/BENCH_overhead.smoke.json
 grep -q '"server_bin_profiles_per_sec"' BENCH_overhead.json
 echo "(full run: BENCH_SCALE=small cargo run --release -p bench --bin overhead_json)"
+
+echo "=== repo benchmark smoke gate ==="
+# BENCHMARK.json must be what the benchmark declares, and a --quick run
+# of every workload, traced and untraced, must print exactly those
+# metrics with every checked operation correct.
+benchmark/check.sh
 
 echo "=== live telemetry smoke ==="
 # Polls the lock-free gauges while nqueens runs, then asserts both

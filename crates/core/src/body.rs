@@ -51,11 +51,23 @@ impl Frame {
 impl TaskBody {
     /// A body positioned at `root` with no open frames.
     pub fn new(root: NodeId) -> Self {
+        Self::with_stack(root, Vec::new())
+    }
+
+    /// Like [`TaskBody::new`] but keeping its frames in `stack` (emptied
+    /// first), so a recycled stack's capacity serves the next instance.
+    pub(crate) fn with_stack(root: NodeId, mut stack: Vec<Frame>) -> Self {
+        stack.clear();
         Self {
             root,
-            stack: Vec::new(),
+            stack,
             paused: false,
         }
+    }
+
+    /// Give the frame storage back for recycling.
+    pub(crate) fn into_stack(self) -> Vec<Frame> {
+        self.stack
     }
 
     /// The open frames, innermost last.
@@ -206,6 +218,23 @@ mod tests {
         b.resume(7);
         let (_, d) = b.pop(7);
         assert_eq!(d, 0);
+    }
+
+    #[test]
+    fn recycled_stack_keeps_capacity_and_starts_empty() {
+        let (mut a, root) = arena_with_root();
+        let c = a.child_of(root, NodeKind::Region(RegionId(1)));
+        let mut b = TaskBody::new(root);
+        b.push(root, 0);
+        b.push(c, 1);
+        let stack = b.into_stack();
+        let cap = stack.capacity();
+        assert!(cap >= 2);
+        let b = TaskBody::with_stack(c, stack);
+        assert_eq!(b.depth(), 0, "leftover frames are dropped");
+        assert_eq!(b.current_node(), c);
+        assert!(!b.is_paused());
+        assert_eq!(b.into_stack().capacity(), cap);
     }
 
     #[test]

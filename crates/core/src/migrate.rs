@@ -58,8 +58,7 @@ impl ThreadProfile {
             "cannot migrate the currently executing task"
         );
         let inst = self
-            .instances_mut()
-            .remove(&id)
+            .remove_instance(id)
             .expect("detach of unknown task instance");
         assert!(inst.body.is_paused(), "detach of a running task instance");
         let root = inst.body.root;
@@ -85,10 +84,7 @@ impl ThreadProfile {
     /// # Panics
     /// If `id` is already active on this thread.
     pub fn attach_instance(&mut self, id: TaskId, detached: DetachedInstance) {
-        assert!(
-            !self.instances_ref().contains_key(&id),
-            "attach over an active instance"
-        );
+        assert!(!self.has_instance(id), "attach over an active instance");
         let root = self.rebuild_tree(&detached.tree, None);
         let frames: Vec<Frame> = detached
             .stack
@@ -229,6 +225,55 @@ mod tests {
         let _d = a.detach_instance(id);
         assert!(a.live_nodes() < live_before);
         assert_eq!(a.live_instance_trees(), 0);
+    }
+
+    #[test]
+    fn detaching_below_the_current_instance_keeps_the_current_one_current() {
+        // Table [t1, t2, t3]: t1 and t2 suspended, t3 current and last.
+        // Taking t1 out moves t3 into its place; events must keep landing
+        // on t3, and t1 must come back intact.
+        let ids = TaskIdAllocator::new();
+        let (t1, t2, t3) = (ids.alloc(), ids.alloc(), ids.alloc());
+        let mut a = ThreadProfile::new(PAR, 0, AssignPolicy::Executing);
+        a.enter(BARRIER, 0);
+        a.task_begin(TASK, t1, 0);
+        a.enter(FOO, 1);
+        a.enter(TW, 2);
+        a.task_begin(TASK, t2, 4);
+        a.enter(TW, 5);
+        a.task_begin(TASK, t3, 6);
+        let detached = a.detach_instance(t1);
+        assert_eq!(a.current_task(), TaskRef::Explicit(t3));
+        assert_eq!(a.live_instance_trees(), 2);
+        a.enter(FOO, 7); // lands on t3, not on whatever sits last now
+        a.exit(FOO, 9);
+        a.attach_instance(t1, detached);
+        a.task_end(TASK, t3, 10);
+        a.task_switch(TaskRef::Explicit(t1), 12);
+        a.exit(TW, 13);
+        a.exit(FOO, 14);
+        a.task_end(TASK, t1, 15);
+        a.task_switch(TaskRef::Explicit(t2), 16);
+        a.exit(TW, 17);
+        a.task_end(TASK, t2, 18);
+        a.exit(BARRIER, 19);
+        a.finish(20);
+        assert!(a.diagnostics().is_empty(), "{:?}", a.diagnostics());
+        let snap = a.snapshot(0);
+        let tree = snap.task_tree(TASK).unwrap();
+        assert_eq!(tree.stats.samples, 3);
+        // t1: 0..4 + 12..15 = 7; t2: 4..6 + 16..18 = 4; t3: 6..10 = 4.
+        assert_eq!(tree.stats.sum_ns, 15);
+        assert_eq!((tree.stats.min_ns, tree.stats.max_ns), (4, 7));
+        // foo: t1's 1..4 + 12..14 = 5 and t3's 7..9 = 2.
+        let foo = tree.child(NodeKind::Region(FOO)).unwrap();
+        assert_eq!(foo.stats.visits, 2);
+        assert_eq!(foo.stats.sum_ns, 7);
+        assert_eq!((foo.stats.min_ns, foo.stats.max_ns), (2, 5));
+        // t1's taskwait under foo 2..4 + 12..13, t2's under the root
+        // 5..6 + 16..17.
+        assert_eq!(foo.child(NodeKind::Region(TW)).unwrap().stats.sum_ns, 3);
+        assert_eq!(tree.child(NodeKind::Region(TW)).unwrap().stats.sum_ns, 2);
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! * a table of *active* explicit task instances, each with a private,
 //!   detached instance tree and a frame stack whose timers stop across
 //!   suspension (paper Section IV-B3),
-//! * the *current task* pointer,
+//! * the *current task* pointer, resolved to its table slot once per task
+//!   switch so that every event in between indexes instead of searching,
 //! * *stub nodes* under the implicit task's scheduling points recording the
 //!   time the thread spent executing task fragments there (Section IV-B4),
 //! * per-construct aggregate task trees, sitting beside the main tree, into
@@ -20,7 +21,7 @@
 //! paper's event-stream figures with exact numbers). The
 //! [`crate::monitor::ProfMonitor`] adapter supplies real clock readings.
 
-use crate::body::TaskBody;
+use crate::body::{Frame, TaskBody};
 use crate::snapshot::{SnapNode, ThreadSnapshot};
 use crate::tree::{Arena, NodeId, NodeKind};
 use pomp::{ParamId, RegionId, TaskId, TaskRef};
@@ -46,8 +47,21 @@ pub enum AssignPolicy {
 /// An active explicit task instance (started but not completed).
 #[derive(Debug)]
 pub(crate) struct Instance {
+    id: TaskId,
     pub(crate) region: RegionId,
     pub(crate) body: TaskBody,
+}
+
+/// Whose frame stack the current task's events go to.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Slot {
+    /// The implicit task.
+    Implicit,
+    /// The live instance at this index of `ThreadProfile::instances`.
+    Live(usize),
+    /// A shed (counting-only) instance: it has no frames, its events are
+    /// dropped.
+    Shed,
 }
 
 /// Per-thread call-path profile under construction.
@@ -57,13 +71,25 @@ pub struct ThreadProfile {
     parallel_region: RegionId,
     root: NodeId,
     implicit: TaskBody,
-    instances: HashMap<TaskId, Instance>,
+    /// Live instances in begin order. Tied tasks suspend and resume LIFO,
+    /// so the instance a switch names is almost always the last one and
+    /// [`ThreadProfile::index_of`] scans from the back.
+    instances: Vec<Instance>,
     current: TaskRef,
+    /// `current` resolved to its frame stack. Set where `current` is set
+    /// (`switch_to`) and kept valid by `remove_at`, so the per-event hooks
+    /// never look an id up.
+    slot: Slot,
+    /// Frame stacks of completed instances, handed to the next ones: in
+    /// steady state an instance allocates nothing.
+    spare_stacks: Vec<Vec<Frame>>,
     policy: AssignPolicy,
     /// Aggregate task-tree roots in order of first completion.
     task_roots: Vec<NodeId>,
-    /// Creation-site node per not-yet-started instance (used by the
-    /// `Creating` policy and pruned at task begin).
+    /// Creation-site node per created, not-yet-started instance. Only the
+    /// `Creating` policy reads it, so only that policy fills it; an entry
+    /// goes at the instance's `task_begin`, or at `finish` for instances
+    /// another thread ran.
     creation_nodes: HashMap<TaskId, NodeId>,
     live_trees: usize,
     max_live_trees: usize,
@@ -75,7 +101,7 @@ pub struct ThreadProfile {
     /// it, new instances degrade to counting-only (no private tree).
     max_live_limit: Option<usize>,
     /// Currently live *shed* (counting-only) instances and their construct
-    /// regions. Disjoint from `instances`.
+    /// regions. Disjoint from `instances`; empty unless the cap was hit.
     shed_live: HashMap<TaskId, RegionId>,
     /// Total instances shed so far (monotonic; shown in the profile).
     shed_total: u64,
@@ -106,8 +132,10 @@ impl ThreadProfile {
             parallel_region,
             root,
             implicit,
-            instances: HashMap::new(),
+            instances: Vec::new(),
             current: TaskRef::Implicit,
+            slot: Slot::Implicit,
+            spare_stacks: Vec::new(),
             policy,
             task_roots: Vec::new(),
             creation_nodes: HashMap::new(),
@@ -151,11 +179,6 @@ impl ThreadProfile {
         &self.diagnostics
     }
 
-    /// True when the current task is a shed (counting-only) instance.
-    fn current_is_shed(&self) -> bool {
-        matches!(self.current, TaskRef::Explicit(id) if self.shed_live.contains_key(&id))
-    }
-
     /// The attribution policy in effect.
     pub fn policy(&self) -> AssignPolicy {
         self.policy
@@ -194,33 +217,29 @@ impl ThreadProfile {
         self.arena.capacity_nodes()
     }
 
+    /// The frame stack `slot` stands for; `None` for a shed instance,
+    /// which has none. Takes the two fields rather than `self` so callers
+    /// can keep using the arena next to the returned borrow.
     #[inline]
-    fn enter_kind(&mut self, kind: NodeKind, t: u64) {
-        if self.current_is_shed() {
-            return; // counting-only: inner structure is dropped
-        }
-        let max_depth = self.max_depth;
-        match self.current {
-            TaskRef::Implicit => {
-                Self::enter_on(&mut self.arena, &mut self.implicit, kind, t, max_depth)
-            }
-            TaskRef::Explicit(id) => {
-                let inst = self
-                    .instances
-                    .get_mut(&id)
-                    .expect("enter on unknown task instance");
-                Self::enter_on(&mut self.arena, &mut inst.body, kind, t, max_depth)
-            }
+    fn body_at<'a>(
+        slot: Slot,
+        implicit: &'a mut TaskBody,
+        instances: &'a mut [Instance],
+    ) -> Option<&'a mut TaskBody> {
+        match slot {
+            Slot::Implicit => Some(implicit),
+            Slot::Live(i) => Some(&mut instances[i].body),
+            Slot::Shed => None,
         }
     }
 
-    fn enter_on(
-        arena: &mut Arena,
-        body: &mut TaskBody,
-        kind: NodeKind,
-        t: u64,
-        max_depth: Option<usize>,
-    ) {
+    #[inline]
+    fn enter_kind(&mut self, kind: NodeKind, t: u64) {
+        let max_depth = self.max_depth;
+        let Some(body) = Self::body_at(self.slot, &mut self.implicit, &mut self.instances) else {
+            return;
+        };
+        let arena = &mut self.arena;
         let cur = body.current_node();
         let node = if max_depth.is_some_and(|d| body.depth() >= d) {
             // Collapse: alias all deeper frames onto one truncated node.
@@ -236,40 +255,26 @@ impl ThreadProfile {
         body.push(node, t);
     }
 
+    /// Close the current task's innermost frame. Returns the kind of the
+    /// node it timed, for the callers' nesting checks — `None` when there
+    /// is nothing to check: the current task is shed, or the frame was a
+    /// collapsed `<truncated>` one.
     #[inline]
-    fn exit_kind(&mut self, kind: NodeKind, t: u64) {
-        if self.current_is_shed() {
-            return;
-        }
-        let (node, dur, after_top) = match self.current {
-            TaskRef::Implicit => {
-                let (n, d) = self.implicit.pop(t);
-                (n, d, self.implicit.current_node())
-            }
-            TaskRef::Explicit(id) => {
-                let inst = self
-                    .instances
-                    .get_mut(&id)
-                    .expect("exit on unknown task instance");
-                let (n, d) = inst.pop_frame(t);
-                (n, d, inst.body.current_node())
-            }
-        };
-        if self.arena.node(node).kind == NodeKind::Truncated {
+    fn close_frame(&mut self, t: u64) -> Option<NodeKind> {
+        let body = Self::body_at(self.slot, &mut self.implicit, &mut self.instances)?;
+        let (id, dur) = body.pop(t);
+        let node = self.arena.node_mut(id);
+        if node.kind == NodeKind::Truncated {
             // Aliased truncated frames: only the outermost records a
             // sample, otherwise the collapsed node would double-count
             // its own inclusive time.
-            if after_top != node {
-                self.arena.node_mut(node).stats.record(dur);
+            if body.current_node() != id {
+                node.stats.record(dur);
             }
-            return;
+            return None;
         }
-        debug_assert_eq!(
-            self.arena.node(node).kind,
-            kind,
-            "exit event does not match innermost open region"
-        );
-        self.arena.node_mut(node).stats.record(dur);
+        node.stats.record(dur);
+        Some(node.kind)
     }
 
     /// Region enter event on the current task.
@@ -279,7 +284,11 @@ impl ThreadProfile {
 
     /// Region exit event on the current task.
     pub fn exit(&mut self, region: RegionId, t: u64) {
-        self.exit_kind(NodeKind::Region(region), t);
+        let closed = self.close_frame(t);
+        debug_assert!(
+            closed.is_none_or(|k| k == NodeKind::Region(region)),
+            "exit event does not match innermost open region"
+        );
     }
 
     /// Enter a parameter scope (paper Section VI): children recorded under
@@ -290,38 +299,15 @@ impl ThreadProfile {
 
     /// Leave the innermost parameter scope.
     pub fn parameter_end(&mut self, param: ParamId, t: u64) {
-        if self.current_is_shed() {
-            return;
-        }
-        let (node, dur, after_top) = match self.current {
-            TaskRef::Implicit => {
-                let (n, d) = self.implicit.pop(t);
-                (n, d, self.implicit.current_node())
-            }
-            TaskRef::Explicit(id) => {
-                let inst = self
-                    .instances
-                    .get_mut(&id)
-                    .expect("parameter_end on unknown task instance");
-                let (n, d) = inst.pop_frame(t);
-                (n, d, inst.body.current_node())
-            }
-        };
-        if self.arena.node(node).kind == NodeKind::Truncated {
-            if after_top != node {
-                self.arena.node_mut(node).stats.record(dur);
-            }
-            return;
-        }
+        let closed = self.close_frame(t);
         debug_assert!(
-            matches!(self.arena.node(node).kind, NodeKind::Param(p, _) if p == param),
+            closed.is_none_or(|k| matches!(k, NodeKind::Param(p, _) if p == param)),
             "parameter_end does not match innermost open scope"
         );
-        self.arena.node_mut(node).stats.record(dur);
     }
 
-    /// Task creation begins: enter the creation region and remember the
-    /// creation site of `new_task`.
+    /// Task creation begins: enter the creation region and, under the
+    /// `Creating` policy, remember the creation site of `new_task`.
     pub fn task_create_begin(
         &mut self,
         create_region: RegionId,
@@ -330,19 +316,23 @@ impl ThreadProfile {
         t: u64,
     ) {
         self.enter(create_region, t);
-        if self.current_is_shed() {
-            return; // no creation site to remember: the creator has no tree
+        if self.policy == AssignPolicy::Creating {
+            // A shed creator has no tree, hence no site to remember.
+            if let Some(body) = Self::body_at(self.slot, &mut self.implicit, &mut self.instances) {
+                self.creation_nodes.insert(new_task, body.current_node());
+            }
         }
-        let site = match self.current {
-            TaskRef::Implicit => self.implicit.current_node(),
-            TaskRef::Explicit(id) => self.instances[&id].body.current_node(),
-        };
-        self.creation_nodes.insert(new_task, site);
     }
 
     /// Task creation finished.
     pub fn task_create_end(&mut self, create_region: RegionId, _new_task: TaskId, t: u64) {
         self.exit(create_region, t);
+    }
+
+    /// Table index of the live (non-shed) instance `id`.
+    #[inline]
+    fn index_of(&self, id: TaskId) -> Option<usize> {
+        self.instances.iter().rposition(|inst| inst.id == id)
     }
 
     /// `TaskSwitch` (paper Fig. 12): the thread's current task changes to
@@ -352,46 +342,52 @@ impl ThreadProfile {
         if self.current == resumed {
             return;
         }
+        let slot = match resumed {
+            TaskRef::Implicit => Slot::Implicit,
+            TaskRef::Explicit(id)
+                if !self.shed_live.is_empty() && self.shed_live.contains_key(&id) =>
+            {
+                Slot::Shed
+            }
+            TaskRef::Explicit(id) => {
+                Slot::Live(self.index_of(id).expect("switch to unknown task instance"))
+            }
+        };
+        self.switch_to(resumed, slot, t);
+    }
+
+    /// [`ThreadProfile::task_switch`] with the target already resolved to
+    /// its `slot`.
+    fn switch_to(&mut self, resumed: TaskRef, slot: Slot, t: u64) {
         // "if current task is an explicit task { Exit(implicit, root region
         // of current task); stop time measurement on all open regions }"
         // Shed (counting-only) instances have no body and no stub frame.
-        if let TaskRef::Explicit(id) = self.current {
-            if !self.shed_live.contains_key(&id) {
-                let inst = self
-                    .instances
-                    .get_mut(&id)
-                    .expect("switch away from unknown task instance");
-                inst.body.pause(t);
-                if self.policy == AssignPolicy::Executing {
-                    let (node, dur) = self.implicit.pop(t);
-                    debug_assert!(
-                        matches!(self.arena.node(node).kind, NodeKind::Stub(_)),
-                        "implicit task's top frame must be the suspended task's stub"
-                    );
-                    self.arena.node_mut(node).stats.record(dur);
-                }
+        if let Slot::Live(i) = self.slot {
+            self.instances[i].body.pause(t);
+            if self.policy == AssignPolicy::Executing {
+                let (node, dur) = self.implicit.pop(t);
+                debug_assert!(
+                    matches!(self.arena.node(node).kind, NodeKind::Stub(_)),
+                    "implicit task's top frame must be the suspended task's stub"
+                );
+                self.arena.node_mut(node).stats.record(dur);
             }
         }
         self.current = resumed;
+        self.slot = slot;
         // "if task instance is an explicit task { resume time measurement;
         // Enter(implicit, root region of task instance) }"
-        if let TaskRef::Explicit(id) = resumed {
-            if !self.shed_live.contains_key(&id) {
-                let inst = self
-                    .instances
-                    .get_mut(&id)
-                    .expect("switch to unknown task instance");
-                if inst.body.is_paused() {
-                    inst.body.resume(t);
-                }
-                if self.policy == AssignPolicy::Executing {
-                    let region = inst.region;
-                    let stub = self
-                        .arena
-                        .child_of(self.implicit.current_node(), NodeKind::Stub(region));
-                    self.arena.node_mut(stub).stats.add_visit();
-                    self.implicit.push(stub, t);
-                }
+        if let Slot::Live(i) = slot {
+            let inst = &mut self.instances[i];
+            if inst.body.is_paused() {
+                inst.body.resume(t);
+            }
+            if self.policy == AssignPolicy::Executing {
+                let stub = self
+                    .arena
+                    .child_of(self.implicit.current_node(), NodeKind::Stub(inst.region));
+                self.arena.node_mut(stub).stats.add_visit();
+                self.implicit.push(stub, t);
             }
         }
     }
@@ -400,10 +396,11 @@ impl ThreadProfile {
     /// `id` of construct `task_region`. Creates the instance-specific data,
     /// switches to the instance, and enters its root region.
     pub fn task_begin(&mut self, task_region: RegionId, id: TaskId, t: u64) {
-        debug_assert!(
-            !self.instances.contains_key(&id),
-            "task instance began twice"
-        );
+        debug_assert!(self.index_of(id).is_none(), "task instance began twice");
+        let creation_site = match self.policy {
+            AssignPolicy::Executing => None,
+            AssignPolicy::Creating => self.creation_nodes.remove(&id),
+        };
         if self.max_live_limit.is_some_and(|cap| self.live_trees >= cap) {
             // Overload shedding: the cap on concurrently live instance
             // trees is reached. Degrade this instance to counting-only —
@@ -414,8 +411,7 @@ impl ThreadProfile {
             self.shed_live.insert(id, task_region);
             let agg = self.aggregate_root(task_region);
             self.arena.node_mut(agg).stats.add_visit();
-            self.task_switch(TaskRef::Explicit(id), t);
-            self.creation_nodes.remove(&id);
+            self.switch_to(TaskRef::Explicit(id), Slot::Shed, t);
             return;
         }
         let root = match self.policy {
@@ -427,27 +423,21 @@ impl ThreadProfile {
                 // Hang the instance under the node where it was created
                 // (falling back to the implicit task's position for
                 // instances whose creation was not observed).
-                let parent = self
-                    .creation_nodes
-                    .get(&id)
-                    .copied()
-                    .unwrap_or_else(|| self.implicit.current_node());
+                let parent = creation_site.unwrap_or_else(|| self.implicit.current_node());
                 self.arena.child_of(parent, NodeKind::Region(task_region))
             }
         };
-        self.instances.insert(
+        let stack = self.spare_stacks.pop().unwrap_or_default();
+        self.instances.push(Instance {
             id,
-            Instance {
-                region: task_region,
-                body: TaskBody::new(root),
-            },
-        );
-        self.live_trees += 1;
-        self.max_live_trees = self.max_live_trees.max(self.live_trees);
-        self.task_switch(TaskRef::Explicit(id), t);
-        let inst = self.instances.get_mut(&id).expect("just inserted");
+            region: task_region,
+            body: TaskBody::with_stack(root, stack),
+        });
+        self.inc_live_trees();
+        let i = self.instances.len() - 1;
+        self.switch_to(TaskRef::Explicit(id), Slot::Live(i), t);
         self.arena.node_mut(root).stats.add_visit();
-        inst.body.push(root, t);
+        self.instances[i].body.push(root, t);
     }
 
     /// `TaskEnd` (paper Fig. 12): instance `id` completed. Exits its root
@@ -460,27 +450,20 @@ impl ThreadProfile {
             TaskRef::Explicit(id),
             "task_end for a task that is not current"
         );
-        if self.shed_live.contains_key(&id) {
+        let Slot::Live(i) = self.slot else {
             self.end_shed(id, t, false);
             return;
-        }
+        };
         // Exit(task instance, task region)
-        let inst = self.instances.get_mut(&id).expect("unknown task instance");
+        let inst = &mut self.instances[i];
         debug_assert_eq!(inst.region, task_region);
         let (node, dur) = inst.body.pop(t);
         debug_assert_eq!(node, inst.body.root, "task ended with open inner regions");
         debug_assert_eq!(inst.body.depth(), 0, "task ended with open inner regions");
         self.arena.node_mut(node).stats.record(dur);
         // TaskSwitch(implicit task)
-        self.task_switch(TaskRef::Implicit, t);
-        // Merge task tree into the global profile of the thread.
-        let inst = self.instances.remove(&id).expect("unknown task instance");
-        if self.policy == AssignPolicy::Executing {
-            let agg = self.aggregate_root(task_region);
-            self.arena.merge_into(inst.body.root, agg);
-        }
-        self.live_trees -= 1;
-        self.creation_nodes.remove(&id);
+        self.switch_to(TaskRef::Implicit, Slot::Implicit, t);
+        self.retire(i);
     }
 
     /// `TaskAbort`: instance `id` died mid-execution (its body panicked,
@@ -491,48 +474,55 @@ impl ThreadProfile {
     /// merged into the aggregate task tree. The thread resumes the
     /// implicit task, exactly as after a normal `task_end`.
     pub fn task_abort(&mut self, task_region: RegionId, id: TaskId, t: u64) {
-        if self.shed_live.contains_key(&id) {
-            if self.current != TaskRef::Explicit(id) {
-                self.task_switch(TaskRef::Explicit(id), t);
-            }
-            self.end_shed(id, t, true);
-            return;
-        }
         // Robustness: the abort may arrive for a *suspended* instance
         // (forced closure at region end). Resume it first so the stub
         // accounting in the implicit tree stays balanced.
-        if self.current != TaskRef::Explicit(id) {
-            self.task_switch(TaskRef::Explicit(id), t);
-        }
-        let inst = self
-            .instances
-            .get_mut(&id)
-            .expect("abort of unknown task instance");
+        self.task_switch(TaskRef::Explicit(id), t);
+        let Slot::Live(i) = self.slot else {
+            self.end_shed(id, t, true);
+            return;
+        };
+        let inst = &mut self.instances[i];
         debug_assert_eq!(inst.region, task_region);
         let root = inst.body.root;
-        let mut closed = Vec::with_capacity(inst.body.depth());
         while inst.body.depth() > 0 {
             let (node, dur) = inst.body.pop(t);
             // Aliased <truncated> frames: record the outermost only (the
-            // same double-count guard exit_kind applies).
+            // same double-count guard close_frame applies).
             let aliased = inst.body.current_node() == node;
-            closed.push((node, dur, aliased));
-        }
-        for (node, dur, aliased) in closed {
             if aliased && self.arena.node(node).kind == NodeKind::Truncated {
                 continue;
             }
             self.arena.node_mut(node).stats.record(dur);
         }
         self.arena.node_mut(root).stats.record_abort();
-        self.task_switch(TaskRef::Implicit, t);
-        let inst = self.instances.remove(&id).expect("unknown task instance");
+        self.switch_to(TaskRef::Implicit, Slot::Implicit, t);
+        self.retire(i);
+    }
+
+    /// Take the no-longer-current instance at index `i` out of the table:
+    /// merge its tree into the aggregate for its construct and keep its
+    /// frame stack for the next instance.
+    fn retire(&mut self, i: usize) {
+        let inst = self.remove_at(i);
         if self.policy == AssignPolicy::Executing {
-            let agg = self.aggregate_root(task_region);
+            let agg = self.aggregate_root(inst.region);
             self.arena.merge_into(inst.body.root, agg);
         }
-        self.live_trees -= 1;
-        self.creation_nodes.remove(&id);
+        self.spare_stacks.push(inst.body.into_stack());
+        self.dec_live_trees();
+    }
+
+    /// Remove the instance at index `i`, which must not be current. The
+    /// last instance takes its place, so if that one is current its slot
+    /// moves with it.
+    fn remove_at(&mut self, i: usize) -> Instance {
+        debug_assert_ne!(self.slot, Slot::Live(i), "removing the current instance");
+        let inst = self.instances.swap_remove(i);
+        if self.slot == Slot::Live(self.instances.len()) {
+            self.slot = Slot::Live(i);
+        }
+        inst
     }
 
     /// Complete a shed (counting-only) instance: no tree to merge, just
@@ -543,14 +533,15 @@ impl ThreadProfile {
             TaskRef::Explicit(id),
             "shed instance ended while not current"
         );
+        let region = self
+            .shed_live
+            .remove(&id)
+            .expect("shed instance without a region");
         if aborted {
-            let region = self.shed_live[&id];
             let agg = self.aggregate_root(region);
             self.arena.node_mut(agg).stats.record_abort();
         }
-        self.task_switch(TaskRef::Implicit, t);
-        self.shed_live.remove(&id);
-        self.creation_nodes.remove(&id);
+        self.switch_to(TaskRef::Implicit, Slot::Implicit, t);
     }
 
     fn aggregate_root(&mut self, region: RegionId) -> NodeId {
@@ -583,38 +574,33 @@ impl ThreadProfile {
                 "region ended while task instance {} was still executing; force-closed as aborted",
                 id.get()
             ));
-            let region = self.instance_region(id);
+            let region = match self.slot {
+                Slot::Live(i) => self.instances[i].region,
+                _ => self.shed_live[&id],
+            };
             self.task_abort(region, id, t);
         }
-        let mut leftover: Vec<TaskId> = self
+        let mut leftover: Vec<(TaskId, RegionId)> = self
             .instances
-            .keys()
-            .chain(self.shed_live.keys())
-            .copied()
+            .iter()
+            .map(|inst| (inst.id, inst.region))
+            .chain(self.shed_live.iter().map(|(&id, &region)| (id, region)))
             .collect();
-        leftover.sort();
-        for id in leftover {
+        leftover.sort_unstable();
+        for (id, region) in leftover {
             self.diagnostics.push(format!(
                 "region ended with suspended task instance {}; force-closed as aborted",
                 id.get()
             ));
-            let region = self.instance_region(id);
             self.task_abort(region, id, t);
         }
+        // Creation sites of instances some other thread ran (or nobody).
+        self.creation_nodes.clear();
         while self.implicit.depth() > 0 {
             let (node, dur) = self.implicit.pop(t);
             self.arena.node_mut(node).stats.record(dur);
         }
         self.finished = true;
-    }
-
-    /// The construct region of an active (live or shed) instance.
-    fn instance_region(&self, id: TaskId) -> RegionId {
-        self.instances
-            .get(&id)
-            .map(|i| i.region)
-            .or_else(|| self.shed_live.get(&id).copied())
-            .expect("active instance without a region")
     }
 
     /// True once [`ThreadProfile::finish`] ran.
@@ -630,12 +616,18 @@ impl ThreadProfile {
     }
 
     // Crate-internal access for the migration module (see `migrate.rs`).
-    pub(crate) fn instances_mut(&mut self) -> &mut HashMap<TaskId, Instance> {
-        &mut self.instances
+    pub(crate) fn has_instance(&self, id: TaskId) -> bool {
+        self.index_of(id).is_some()
     }
 
-    pub(crate) fn instances_ref(&self) -> &HashMap<TaskId, Instance> {
-        &self.instances
+    /// Take the suspended (not current) instance `id` out of the table.
+    pub(crate) fn remove_instance(&mut self, id: TaskId) -> Option<Instance> {
+        let i = self.index_of(id)?;
+        Some(self.remove_at(i))
+    }
+
+    pub(crate) fn insert_instance(&mut self, id: TaskId, region: RegionId, body: TaskBody) {
+        self.instances.push(Instance { id, region, body });
     }
 
     pub(crate) fn arena_mut(&mut self) -> &mut Arena {
@@ -657,10 +649,6 @@ impl ThreadProfile {
     pub(crate) fn inc_live_trees(&mut self) {
         self.live_trees += 1;
         self.max_live_trees = self.max_live_trees.max(self.live_trees);
-    }
-
-    pub(crate) fn insert_instance(&mut self, id: TaskId, region: RegionId, body: TaskBody) {
-        self.instances.insert(id, Instance { region, body });
     }
 
     fn snap(&self, node: NodeId) -> SnapNode {
@@ -687,12 +675,6 @@ impl ThreadProfile {
             shed_instances: self.shed_total,
             diagnostics: self.diagnostics.clone(),
         }
-    }
-}
-
-impl Instance {
-    fn pop_frame(&mut self, t: u64) -> (NodeId, u64) {
-        self.body.pop(t)
     }
 }
 
@@ -822,6 +804,159 @@ mod tests {
         let stub = child(barrier, NodeKind::Stub(rid(TASK_A)));
         assert_eq!(stub.stats.visits, 3);
         assert_eq!(stub.stats.sum_ns, 29);
+    }
+
+    #[test]
+    fn three_instances_resumed_out_of_begin_order_keep_their_own_frames() {
+        // Fig. 2 stretched to three instances that resume in the order
+        // t1, t3, t2 — neither LIFO nor FIFO — so every switch has to find
+        // its instance somewhere else in the table, and the instances
+        // that end leave holes the remaining ones move into.
+        let ids = TaskIdAllocator::new();
+        let (t1, t2, t3) = (ids.alloc(), ids.alloc(), ids.alloc());
+        let mut p = ThreadProfile::new(rid(PAR), 0, AssignPolicy::Executing);
+        p.enter(rid(BARRIER), 0);
+        p.task_begin(rid(TASK_A), t1, 10);
+        p.enter(rid(FOO), 11);
+        p.enter(rid(TASKWAIT), 12); // t1 suspends at 20
+        p.task_begin(rid(TASK_A), t2, 20);
+        p.enter(rid(TASKWAIT), 23); // t2 suspends at 30
+        p.task_begin(rid(TASK_A), t3, 30);
+        p.enter(rid(FOO), 34);
+        p.enter(rid(TASKWAIT), 36); // t3 suspends at 40
+        p.task_switch(TaskRef::Explicit(t1), 40); // oldest first
+        p.exit(rid(TASKWAIT), 41);
+        p.exit(rid(FOO), 43);
+        p.task_end(rid(TASK_A), t1, 45);
+        assert_eq!(p.live_instance_trees(), 2);
+        p.task_switch(TaskRef::Explicit(t3), 50); // then the youngest
+        p.exit(rid(TASKWAIT), 52);
+        p.exit(rid(FOO), 55);
+        p.task_end(rid(TASK_A), t3, 58);
+        p.task_switch(TaskRef::Explicit(t2), 60); // the middle one last
+        p.exit(rid(TASKWAIT), 61);
+        p.task_end(rid(TASK_A), t2, 67);
+        p.exit(rid(BARRIER), 70);
+        p.finish(80);
+        assert!(p.diagnostics().is_empty());
+        assert_eq!(p.max_live_trees(), 3);
+        let s = p.snapshot(0);
+
+        let task = &s.task_trees[0];
+        // t1: 10..20 + 40..45 = 15; t2: 20..30 + 60..67 = 17;
+        // t3: 30..40 + 50..58 = 18.
+        assert_eq!(task.stats.visits, 3);
+        assert_eq!(task.stats.sum_ns, 50);
+        assert_eq!(task.stats.min_ns, 15);
+        assert_eq!(task.stats.max_ns, 18);
+        // foo was open in t1 (11..20 + 40..43 = 12) and t3 (34..40 +
+        // 50..55 = 11); t2 never entered it.
+        let foo = child(task, NodeKind::Region(rid(FOO)));
+        assert_eq!(foo.stats.visits, 2);
+        assert_eq!(foo.stats.sum_ns, 23);
+        assert_eq!(foo.stats.min_ns, 11);
+        assert_eq!(foo.stats.max_ns, 12);
+        // Taskwaits under foo: t1 12..20 + 40..41 = 9, t3 36..40 + 50..52 = 6.
+        let tw_in_foo = child(foo, NodeKind::Region(rid(TASKWAIT)));
+        assert_eq!(tw_in_foo.stats.sum_ns, 15);
+        // t2's taskwait sits directly under the task root: 23..30 + 60..61.
+        let tw = child(task, NodeKind::Region(rid(TASKWAIT)));
+        assert_eq!(tw.stats.visits, 1);
+        assert_eq!(tw.stats.sum_ns, 8);
+
+        // Six fragments under the barrier, mirroring the task time.
+        let barrier = child(&s.main, NodeKind::Region(rid(BARRIER)));
+        let stub = child(barrier, NodeKind::Stub(rid(TASK_A)));
+        assert_eq!(stub.stats.visits, 6);
+        assert_eq!(stub.stats.sum_ns, 50);
+        s.main.walk(&mut |_, n| assert!(n.exclusive_ns() >= 0));
+    }
+
+    #[test]
+    fn creation_sites_of_stolen_tasks_do_not_outlive_the_region() {
+        // A task created here and executed on another thread never sees a
+        // `task_begin` on this profile, which used to leave its creation
+        // site behind for the life of the region.
+        let ids = TaskIdAllocator::new();
+        for policy in [AssignPolicy::Creating, AssignPolicy::Executing] {
+            let (stolen, kept) = (ids.alloc(), ids.alloc());
+            let mut creator = ThreadProfile::new(rid(PAR), 0, policy);
+            let mut thief = ThreadProfile::new(rid(PAR), 0, policy);
+            for id in [stolen, kept] {
+                creator.task_create_begin(rid(CREATE_A), rid(TASK_A), id, 1);
+                creator.task_create_end(rid(CREATE_A), id, 2);
+            }
+            let remembered = match policy {
+                AssignPolicy::Creating => 2,
+                // Nothing reads the sites, so none are kept.
+                AssignPolicy::Executing => 0,
+            };
+            assert_eq!(creator.creation_nodes.len(), remembered);
+            creator.enter(rid(BARRIER), 3);
+            thief.enter(rid(BARRIER), 3);
+            creator.task_begin(rid(TASK_A), kept, 4);
+            assert_eq!(
+                creator.creation_nodes.len(),
+                remembered / 2,
+                "a begun instance needs its site no longer"
+            );
+            creator.task_end(rid(TASK_A), kept, 6);
+            thief.task_begin(rid(TASK_A), stolen, 4);
+            thief.task_end(rid(TASK_A), stolen, 9);
+            creator.exit(rid(BARRIER), 10);
+            thief.exit(rid(BARRIER), 10);
+            creator.finish(11);
+            thief.finish(11);
+            assert!(creator.creation_nodes.is_empty(), "{policy:?}");
+            assert!(thief.creation_nodes.is_empty(), "{policy:?}");
+            // The thief never saw the creation: under `Creating` the task
+            // hangs under its own position instead.
+            if policy == AssignPolicy::Creating {
+                let s = thief.snapshot(1);
+                let barrier = child(&s.main, NodeKind::Region(rid(BARRIER)));
+                let task = child(barrier, NodeKind::Region(rid(TASK_A)));
+                assert_eq!(task.stats.sum_ns, 5);
+            }
+        }
+    }
+
+    #[test]
+    fn finish_aborts_suspended_instances_in_id_order_whatever_the_table_order() {
+        // t1 and t3 are suspended, t2 ended in between (so t3 moved into
+        // its slot), and t4 is still executing when the region ends.
+        let ids = TaskIdAllocator::new();
+        let (t1, t2, t3, t4) = (ids.alloc(), ids.alloc(), ids.alloc(), ids.alloc());
+        let mut p = ThreadProfile::new(rid(PAR), 0, AssignPolicy::Executing);
+        p.enter(rid(BARRIER), 0);
+        p.task_begin(rid(TASK_A), t1, 1);
+        p.enter(rid(TASKWAIT), 2);
+        p.task_begin(rid(TASK_A), t2, 3);
+        p.enter(rid(TASKWAIT), 4);
+        p.task_begin(rid(TASK_A), t3, 5);
+        p.enter(rid(FOO), 6);
+        p.task_switch(TaskRef::Explicit(t2), 7);
+        p.exit(rid(TASKWAIT), 8);
+        p.task_end(rid(TASK_A), t2, 9);
+        p.task_begin(rid(TASK_A), t4, 10);
+        p.finish(20);
+        assert_eq!(p.live_instance_trees(), 0);
+        let d = p.diagnostics();
+        assert_eq!(d.len(), 3, "{d:?}");
+        assert!(d[0].contains(&format!("instance {} was still executing", t4.get())));
+        assert!(d[1].contains(&format!("suspended task instance {}", t1.get())));
+        assert!(d[2].contains(&format!("suspended task instance {}", t3.get())));
+        let s = p.snapshot(0);
+        let task = &s.task_trees[0];
+        assert_eq!(task.stats.visits, 4);
+        assert_eq!(task.stats.aborted, 3);
+        // t1 1..3, t2 3..5 + 7..9, t3 5..7, t4 10..20; force-closing
+        // resumes each suspended instance for zero time.
+        assert_eq!(task.stats.sum_ns, 2 + 4 + 2 + 10);
+        assert_eq!(child(task, NodeKind::Region(rid(FOO))).stats.sum_ns, 1);
+        let barrier = child(&s.main, NodeKind::Region(rid(BARRIER)));
+        let stub = child(barrier, NodeKind::Stub(rid(TASK_A)));
+        assert_eq!(stub.stats.sum_ns, 18);
+        s.main.walk(&mut |_, n| assert!(n.exclusive_ns() >= 0));
     }
 
     #[test]

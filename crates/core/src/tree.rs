@@ -188,9 +188,12 @@ impl Arena {
         debug_assert_ne!(src, dst);
         let src_stats = self.nodes[src.index()].stats;
         self.nodes[dst.index()].stats.merge(&src_stats);
-        // Take the child list to avoid aliasing while we recurse.
-        let children = std::mem::take(&mut self.nodes[src.index()].children);
-        for child in children {
+        // Walk the child list by index and leave it in place: `src` is
+        // released only after the loop, so nothing rewrites the list
+        // meanwhile, and the released slot keeps the list's capacity for
+        // the instance that reuses it (`alloc` clears it).
+        for i in 0..self.nodes[src.index()].children.len() {
+            let child = self.nodes[src.index()].children[i];
             let kind = self.nodes[child.index()].kind;
             let dst_child = self.child_of(dst, kind);
             self.merge_into(child, dst_child);
@@ -201,9 +204,9 @@ impl Arena {
     /// Release a whole subtree (used when a profile is torn down without
     /// merging, e.g. on abandoned replay state).
     pub fn release_subtree(&mut self, root: NodeId) {
-        let children = std::mem::take(&mut self.nodes[root.index()].children);
-        for c in children {
-            self.release_subtree(c);
+        for i in 0..self.nodes[root.index()].children.len() {
+            let child = self.nodes[root.index()].children[i];
+            self.release_subtree(child);
         }
         self.free.push(root);
     }
@@ -302,6 +305,23 @@ mod tests {
         // src root and sx were released; sy was *reused* as dy or released.
         // Net live-node change: -3 (src subtree) +1 (new dy).
         assert_eq!(a.live_nodes(), live_before - 2);
+    }
+
+    #[test]
+    fn merged_slots_keep_their_child_list_capacity() {
+        // The zero-allocation steady state rests on this: a released
+        // instance node comes back from `alloc` with an empty child list
+        // that still owns its buffer.
+        let mut a = Arena::new();
+        let dst = a.alloc(NodeKind::Region(rid(9)), None);
+        a.child_of(dst, NodeKind::Region(rid(1)));
+        let src = a.alloc(NodeKind::Region(rid(9)), None);
+        a.child_of(src, NodeKind::Region(rid(1)));
+        a.merge_into(src, dst);
+        let again = a.alloc(NodeKind::Region(rid(9)), None);
+        assert_eq!(again, src, "released last, so reused first");
+        assert!(a.node(again).children.is_empty());
+        assert!(a.node(again).children.capacity() >= 1);
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //! calibration state the clock needs so that every subsequent `now()`
 //! touches thread-local state only. For [`MonotonicClock`] on x86-64 that
 //! state is a TSC anchor — the cycle counter calibrated once per process
-//! against the OS monotonic clock — so a read is one `rdtsc` plus a
-//! multiply instead of a `clock_gettime` call; elsewhere (or if
+//! against the OS monotonic clock — so a read is one `rdtsc` plus an
+//! integer multiply-shift instead of a `clock_gettime` call; elsewhere (or if
 //! calibration fails) the reader falls back to a copied origin `Instant`.
 //! [`VirtualClock`] readers share the underlying atomic counter, so
 //! deterministic tests still observe `set`/`advance` calls made from the
@@ -137,13 +137,42 @@ struct TscAnchor {
     origin_ns: u64,
     /// TSC value when the anchor was set.
     origin_tick: u64,
-    /// Process-wide calibration factor.
-    ns_per_tick: f64,
+    /// Process-wide calibration factor, as [`TickScale`].
+    scale: TickScale,
+}
+
+/// Nanoseconds per tick as a fixed-point multiplier: ticks become
+/// nanoseconds with one widening multiply and a shift, where the
+/// u64 → f64 → u64 round trip cost two conversions and a float multiply
+/// on every clock read.
+#[cfg(any(test, all(target_arch = "x86_64", not(taskprof_portable_clock))))]
+#[derive(Clone, Copy, Debug)]
+struct TickScale(u64);
+
+#[cfg(any(test, all(target_arch = "x86_64", not(taskprof_portable_clock))))]
+impl TickScale {
+    /// Fraction bits. Rounding the factor to `2^-FRAC_BITS` drifts by up
+    /// to `ticks * 2^-(FRAC_BITS + 1)` ns: with 32 bits that is 1.3 µs
+    /// per hour at 3 GHz, with 40 it is 5 ns — and under 1 µs even at
+    /// the fastest rate calibration accepts (0.01 ns/tick). The product
+    /// is 128 bits wide whatever the split, so the width costs nothing;
+    /// the slowest accepted rate (100 ns/tick) fits in 47 bits.
+    const FRAC_BITS: u32 = 40;
+
+    fn new(ns_per_tick: f64) -> Self {
+        Self((ns_per_tick * (1u64 << Self::FRAC_BITS) as f64).round() as u64)
+    }
+
+    /// `ticks` in nanoseconds, rounded down (so monotonic in `ticks`).
+    #[inline]
+    fn ns(self, ticks: u64) -> u64 {
+        ((u128::from(ticks) * u128::from(self.0)) >> Self::FRAC_BITS) as u64
+    }
 }
 
 /// Per-thread reader of a [`MonotonicClock`] — the cached calibrated
 /// clock read of the sharded fast path. On x86-64 it carries a
-/// [`TscAnchor`] so `now()` is one `rdtsc` plus a multiply; otherwise (or
+/// [`TscAnchor`] so `now()` is one `rdtsc` plus a multiply-shift; otherwise (or
 /// when calibration fails) it is a copied origin `Instant`. Either way,
 /// zero shared state.
 ///
@@ -163,7 +192,7 @@ impl ClockReader for MonotonicReader {
         #[cfg(all(target_arch = "x86_64", not(taskprof_portable_clock)))]
         if let Some(a) = self.tsc {
             let dticks = tsc::read().wrapping_sub(a.origin_tick);
-            return a.origin_ns + (dticks as f64 * a.ns_per_tick) as u64;
+            return a.origin_ns + a.scale.ns(dticks);
         }
         self.origin.elapsed().as_nanos() as u64
     }
@@ -180,7 +209,7 @@ impl ClockSource for MonotonicClock {
             tsc: tsc::ns_per_tick().map(|ns_per_tick| TscAnchor {
                 origin_ns: self.origin.elapsed().as_nanos() as u64,
                 origin_tick: tsc::read(),
-                ns_per_tick,
+                scale: TickScale::new(ns_per_tick),
             }),
         }
     }
@@ -319,6 +348,40 @@ mod tests {
             let t = r.now();
             assert!(t >= prev);
             prev = t;
+        }
+    }
+
+    #[test]
+    fn tick_scale_agrees_with_the_float_formula_over_an_hour() {
+        // Calibration accepts 0.01..=100 ns/tick; real TSCs sit around
+        // 0.25..1. An hour of ticks at each rate, sampled densely enough
+        // to catch a drift that grows with the tick count.
+        for ns_per_tick in [0.01, 0.2, 0.3, 1.0 / 3.0, 0.37, 0.4, 0.5, 1.0, 41.67, 100.0] {
+            let scale = TickScale::new(ns_per_tick);
+            let hour_ticks = (3.6e12 / ns_per_tick) as u64;
+            let mut prev = 0;
+            for k in 0..=10_000u64 {
+                let ticks = hour_ticks / 10_000 * k + k % 7;
+                let fixed = scale.ns(ticks);
+                let float = (ticks as f64 * ns_per_tick) as u64;
+                assert!(
+                    fixed.abs_diff(float) < 1_000,
+                    "{ns_per_tick} ns/tick, {ticks} ticks: {fixed} vs {float}"
+                );
+                assert!(fixed >= prev, "went backwards at {ticks} ticks");
+                prev = fixed;
+            }
+        }
+    }
+
+    #[test]
+    fn tick_scale_is_monotonic_tick_by_tick() {
+        let scale = TickScale::new(0.3571);
+        let mut prev = 0;
+        for ticks in (0..50_000u64).chain(u64::MAX - 50_000..=u64::MAX) {
+            let ns = scale.ns(ticks);
+            assert!(ns >= prev, "went backwards at {ticks} ticks");
+            prev = ns;
         }
     }
 

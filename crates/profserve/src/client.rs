@@ -301,7 +301,7 @@ impl Client {
             .write_all(&opening)
             .and_then(|()| client.writer.flush())
             .map_err(|e| Handshake::Refused(ClientError::Io(e)))?;
-        match client.read_response_binary() {
+        match client.read_handshake_reply() {
             Ok(Response::Hello { version, features }) => {
                 if version != wire::WIRE_VERSION {
                     return Err(Handshake::Refused(ClientError::Protocol(format!(
@@ -371,27 +371,30 @@ impl Client {
         Response::from_json_line(line.trim_end()).map_err(ClientError::Protocol)
     }
 
-    /// Read one binary response frame. A leading `{` means the server
-    /// answered in JSON despite the binary handshake — the shed path
+    /// Read the reply to the binary opening (magic + `HELLO`). A leading
+    /// `{` means the server answered in JSON instead — the shed path
     /// writes its `overloaded` line before sniffing — so parse that line
-    /// and surface whatever it says.
-    fn read_response_binary(&mut self) -> Result<Response, ClientError> {
-        let first = {
-            let buf = self.reader.fill_buf()?;
-            if buf.is_empty() {
-                return Err(ClientError::Protocol(
-                    "connection closed before response".to_string(),
-                ));
-            }
-            buf[0]
-        };
-        if first == b'{' {
+    /// and surface whatever it says. Only the opening may be sniffed:
+    /// once the `HELLO` reply is accepted the server speaks frames only,
+    /// and a frame whose length has the low byte 0x7B starts with `{` too.
+    fn read_handshake_reply(&mut self) -> Result<Response, ClientError> {
+        if self.reader.fill_buf()?.first() == Some(&b'{') {
             return match self.read_response_json()? {
                 Response::Error { kind, message } => Err(ClientError::Server { kind, message }),
                 other => Err(ClientError::Protocol(format!(
                     "json response on a binary connection: {other:?}"
                 ))),
             };
+        }
+        self.read_response_binary()
+    }
+
+    /// Read one binary response frame.
+    fn read_response_binary(&mut self) -> Result<Response, ClientError> {
+        if self.reader.fill_buf()?.is_empty() {
+            return Err(ClientError::Protocol(
+                "connection closed before response".to_string(),
+            ));
         }
         let mut head = [0u8; 4];
         self.reader.read_exact(&mut head)?;
@@ -729,5 +732,99 @@ impl Subscription {
     /// The protocol the underlying connection speaks.
     pub fn protocol(&self) -> WireProtocol {
         self.client.protocol()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    /// A scripted peer: accepts one connection, reads the TPF1 opening,
+    /// writes `opening_reply` verbatim, then answers each further request
+    /// frame with the next of `replies`, framed.
+    fn scripted_daemon(
+        opening_reply: Vec<u8>,
+        replies: Vec<Response>,
+    ) -> (String, std::thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("local addr").to_string();
+        let join = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            let read_frame = |stream: &mut TcpStream| {
+                let mut head = [0u8; 4];
+                stream.read_exact(&mut head).expect("frame length");
+                let mut rest = vec![0u8; u32::from_le_bytes(head) as usize + 4];
+                stream.read_exact(&mut rest).expect("frame payload and crc");
+            };
+            let mut magic = [0u8; 4];
+            stream.read_exact(&mut magic).expect("magic");
+            assert_eq!(magic, wire::WIRE_MAGIC);
+            read_frame(&mut stream);
+            stream.write_all(&opening_reply).expect("opening reply");
+            for reply in &replies {
+                read_frame(&mut stream);
+                stream
+                    .write_all(&wire::frame(&wire::encode_response(reply)))
+                    .expect("reply");
+            }
+        });
+        (addr, join)
+    }
+
+    fn hello_frame() -> Vec<u8> {
+        wire::frame(&wire::encode_response(&Response::Hello {
+            version: wire::WIRE_VERSION,
+            features: wire::FEATURE_BATCH_INGEST,
+        }))
+    }
+
+    /// An error reply whose encoded payload is exactly `len` bytes.
+    fn reply_of_len(len: usize) -> Response {
+        (0..len)
+            .map(|n| Response::Error {
+                kind: ErrorKind::NotFound,
+                message: "m".repeat(n),
+            })
+            .find(|r| wire::encode_response(r).len() == len)
+            .expect("some message length gives the payload length")
+    }
+
+    #[test]
+    fn frames_starting_with_a_brace_byte_are_frames_after_the_handshake() {
+        // Lengths 0x7B and 0x17B both put `{` first on the wire.
+        let replies = vec![reply_of_len(0x7B), reply_of_len(0x17B), reply_of_len(0x7C)];
+        for reply in &replies[..2] {
+            assert_eq!(wire::frame(&wire::encode_response(reply))[0], b'{');
+        }
+        let (addr, join) = scripted_daemon(hello_frame(), replies.clone());
+        let mut client =
+            Client::connect_proto(&addr, WireProtocol::Binary, ClientTimeouts::default())
+                .expect("handshake");
+        for reply in &replies {
+            // The third exchange shows the connection survived the first two.
+            assert_eq!(&client.request(&Request::Stats).expect("a frame"), reply);
+        }
+        join.join().expect("scripted daemon");
+    }
+
+    #[test]
+    fn json_shed_line_in_place_of_the_hello_reply_is_a_server_error() {
+        let mut line = crate::protocol::error_line(ErrorKind::Overloaded, "retry later");
+        line.push('\n');
+        let (addr, join) = scripted_daemon(line.into_bytes(), Vec::new());
+        let refused = Client::connect_proto(&addr, WireProtocol::Auto, ClientTimeouts::default());
+        assert!(
+            matches!(
+                refused,
+                Err(ClientError::Server {
+                    kind: ErrorKind::Overloaded,
+                    ..
+                })
+            ),
+            "{:?}",
+            refused.err()
+        );
+        join.join().expect("scripted daemon");
     }
 }

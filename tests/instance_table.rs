@@ -1,0 +1,333 @@
+//! The profiler's task-instance table under load it is not shaped for:
+//! thousands of instances suspended and resumed in an arbitrary (not
+//! LIFO) order, checked against an independent model and against a
+//! replay of the recorded stream; and the steady-state hot path counted
+//! allocation by allocation.
+
+use pomp::{Monitor, RegionId, TaskId, TaskIdAllocator, TaskRef, ThreadHooks, VirtualClock};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::collections::HashMap;
+use taskprof::{replay, AssignPolicy, NodeKind, ProfMonitor};
+
+// ---------------------------------------------------------------------
+// Allocation counter
+// ---------------------------------------------------------------------
+
+/// Counts the calling thread's allocations, so the test harness's other
+/// threads cannot disturb a count.
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: an allocation while the thread tears its locals down
+    // must not panic inside the allocator.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter is a
+// thread-local cell with a constant initialiser and no destructor, so
+// touching it never allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller's `layout` is passed through as received.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was returned by `System` for this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller's `layout` is passed through as received.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        // SAFETY: `ptr`/`layout` come from `System`; `new_size` is the
+        // caller's, passed through.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+fn allocs_during(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    f();
+    ALLOCS.with(Cell::get) - before
+}
+
+const PAR: RegionId = RegionId(9700);
+const BARRIER: RegionId = RegionId(9701);
+const CREATE: RegionId = RegionId(9702);
+const TASKWAIT: RegionId = RegionId(9703);
+const WORK: RegionId = RegionId(9704);
+const TASKS: [RegionId; 3] = [RegionId(9710), RegionId(9711), RegionId(9712)];
+
+#[test]
+fn steady_state_task_cycle_with_an_explicit_parent_allocates_nothing() {
+    // A parent suspended in a taskwait creates and runs one child after
+    // another, under a grandparent suspended the same way: every cycle
+    // is create, suspend, begin, enter/exit, end, resume — nine events,
+    // two table entries below the child.
+    let monitor = ProfMonitor::new();
+    let ids = TaskIdAllocator::new();
+    monitor.parallel_fork(PAR, 1);
+    let th = monitor.thread_begin(0, 1, PAR);
+    th.enter(BARRIER);
+    let (grandparent, parent) = (ids.alloc(), ids.alloc());
+    th.task_begin(TASKS[0], grandparent);
+    th.enter(TASKWAIT);
+    th.task_begin(TASKS[1], parent);
+    let cycle = || {
+        let child = ids.alloc();
+        th.task_create_begin(CREATE, TASKS[2], child);
+        th.task_create_end(CREATE, child);
+        th.enter(TASKWAIT);
+        th.task_begin(TASKS[2], child);
+        th.enter(WORK);
+        th.exit(WORK);
+        th.task_end(TASKS[2], child);
+        th.task_switch(TaskRef::Explicit(parent));
+        th.exit(TASKWAIT);
+    };
+    // Two cycles build every node and size every buffer; a few more for
+    // good measure.
+    for _ in 0..8 {
+        cycle();
+    }
+    const CYCLES: u64 = 10_000;
+    let allocs = allocs_during(|| {
+        for _ in 0..CYCLES {
+            cycle();
+        }
+    });
+    assert_eq!(allocs, 0, "{allocs} allocations in {CYCLES} task cycles");
+    th.task_end(TASKS[1], parent);
+    th.task_switch(TaskRef::Explicit(grandparent));
+    th.exit(TASKWAIT);
+    th.task_end(TASKS[0], grandparent);
+    th.exit(BARRIER);
+    monitor.thread_end(0, th);
+    monitor.parallel_join(PAR);
+    let profile = monitor.take_profile().expect("no region in flight");
+    let children = profile.threads[0]
+        .task_tree(TASKS[2])
+        .expect("children ran");
+    assert_eq!(children.stats.samples, CYCLES + 8);
+    assert_eq!(profile.threads[0].max_live_trees, 3);
+}
+
+// ---------------------------------------------------------------------
+// Seeded differential
+// ---------------------------------------------------------------------
+
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        // xorshift64*
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// What the driver knows about one begun, unfinished instance, kept
+/// apart from the profiler: its construct, the regions it has open
+/// (innermost last), and its running time so far.
+struct Live {
+    region: RegionId,
+    open: Vec<RegionId>,
+    ran_ns: u64,
+    since: u64,
+}
+
+/// Per-construct totals over the completed instances.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Totals {
+    instances: u64,
+    sum_ns: u64,
+    min_ns: u64,
+    max_ns: u64,
+}
+
+#[test]
+fn ten_thousand_instances_in_arbitrary_resume_order_match_model_and_replay() {
+    const INSTANCES: u64 = 10_000;
+    const MAX_SUSPENDED: usize = 48;
+    let mut rng = Rng(0x5EED_1234_ABCD_0013);
+    let clock = VirtualClock::new();
+    let monitor = ProfMonitor::builder()
+        .clock(clock.clone())
+        .record_task_edges()
+        .build()
+        .expect("default profiler limits are valid");
+    let ids = TaskIdAllocator::new();
+    monitor.parallel_fork(PAR, 1);
+    let th = monitor.thread_begin(0, 1, PAR);
+    th.enter(BARRIER);
+
+    let mut live: HashMap<TaskId, Live> = HashMap::new();
+    let mut suspended: Vec<TaskId> = Vec::new();
+    let mut current: Option<TaskId> = None;
+    let mut totals: HashMap<RegionId, Totals> = HashMap::new();
+    let mut max_live = 0;
+    let mut resumed_out_of_order = 0u64;
+
+    while ids.allocated() < INSTANCES || current.is_some() || !suspended.is_empty() {
+        let now = clock.advance(1 + rng.next() % 40);
+        let may_begin = ids.allocated() < INSTANCES && suspended.len() < MAX_SUSPENDED;
+        // Suspend the current instance, inside a fresh taskwait or where
+        // it stands, so that something else can run.
+        let suspend = |live: &mut HashMap<TaskId, Live>,
+                       suspended: &mut Vec<TaskId>,
+                       current: &mut Option<TaskId>,
+                       in_taskwait: bool| {
+            if let Some(id) = current.take() {
+                let inst = live.get_mut(&id).expect("current instance is live");
+                if in_taskwait {
+                    th.enter(TASKWAIT);
+                    inst.open.push(TASKWAIT);
+                }
+                inst.ran_ns += now - inst.since;
+                suspended.push(id);
+            }
+        };
+        match rng.below(8) {
+            // Begin a new instance, created by whoever is current.
+            0 | 1 if may_begin => {
+                let id = ids.alloc();
+                let region = TASKS[rng.below(TASKS.len())];
+                th.task_create_begin(CREATE, region, id);
+                th.task_create_end(CREATE, id);
+                suspend(&mut live, &mut suspended, &mut current, rng.below(2) == 0);
+                th.task_begin(region, id);
+                live.insert(
+                    id,
+                    Live {
+                        region,
+                        open: Vec::new(),
+                        ran_ns: 0,
+                        since: now,
+                    },
+                );
+                current = Some(id);
+                max_live = max_live.max(live.len());
+            }
+            // Resume any suspended instance, wherever it sits.
+            2 | 3 if !suspended.is_empty() => {
+                let pick = rng.below(suspended.len());
+                if pick + 1 != suspended.len() {
+                    resumed_out_of_order += 1;
+                }
+                let id = suspended.swap_remove(pick);
+                suspend(&mut live, &mut suspended, &mut current, rng.below(2) == 0);
+                th.task_switch(TaskRef::Explicit(id));
+                live.get_mut(&id).expect("suspended instance is live").since = now;
+                current = Some(id);
+            }
+            // Back to the implicit task.
+            4 if current.is_some() => {
+                suspend(&mut live, &mut suspended, &mut current, true);
+                th.task_switch(TaskRef::Implicit);
+            }
+            // Work on the current task: open or close a region.
+            _ => match current {
+                Some(id) => {
+                    let inst = live.get_mut(&id).expect("current instance is live");
+                    if let Some(innermost) = inst.open.pop() {
+                        th.exit(innermost);
+                    } else if rng.below(3) == 0 || ids.allocated() >= INSTANCES {
+                        let done = live.remove(&id).expect("current instance is live");
+                        let ran = done.ran_ns + (now - done.since);
+                        th.task_end(done.region, id);
+                        current = None;
+                        let t = totals.entry(done.region).or_insert(Totals {
+                            instances: 0,
+                            sum_ns: 0,
+                            min_ns: u64::MAX,
+                            max_ns: 0,
+                        });
+                        t.instances += 1;
+                        t.sum_ns += ran;
+                        t.min_ns = t.min_ns.min(ran);
+                        t.max_ns = t.max_ns.max(ran);
+                    } else {
+                        th.enter(WORK);
+                        inst.open.push(WORK);
+                    }
+                }
+                None => {
+                    th.enter(WORK);
+                    th.exit(WORK);
+                }
+            },
+        }
+    }
+    clock.advance(5);
+    th.exit(BARRIER);
+    monitor.thread_end(0, th);
+    monitor.parallel_join(PAR);
+    assert!(
+        resumed_out_of_order > 1_000,
+        "the schedule was meant to be unordered: {resumed_out_of_order}"
+    );
+
+    let profile = monitor.take_profile().expect("no region in flight");
+    let snap = &profile.threads[0];
+    assert!(snap.diagnostics.is_empty(), "{:?}", snap.diagnostics);
+    assert_eq!(snap.max_live_trees, max_live);
+
+    // Against the driver's own bookkeeping.
+    let mut task_ns = 0;
+    for (region, want) in &totals {
+        let tree = snap
+            .task_tree(*region)
+            .expect("construct completed instances");
+        let got = Totals {
+            instances: tree.stats.samples,
+            sum_ns: tree.stats.sum_ns,
+            min_ns: tree.stats.min_ns,
+            max_ns: tree.stats.max_ns,
+        };
+        assert_eq!(got, *want, "construct {region:?}");
+        assert_eq!(tree.stats.visits, want.instances);
+        task_ns += want.sum_ns;
+    }
+    assert_eq!(totals.values().map(|t| t.instances).sum::<u64>(), INSTANCES);
+    let mut stub_ns = 0;
+    snap.main.walk(&mut |_, n| {
+        assert!(n.exclusive_ns() >= 0, "{:?}", n.kind);
+        if matches!(n.kind, NodeKind::Stub(_)) {
+            stub_ns += n.stats.sum_ns;
+        }
+    });
+    assert_eq!(
+        stub_ns, task_ns,
+        "every fragment is mirrored under the barrier"
+    );
+
+    // Against a replay of the stream the run recorded.
+    let mut streams = monitor.take_edge_streams().expect("no region in flight");
+    let (_, events) = streams.pop().expect("one thread recorded");
+    let replayed = replay(PAR, AssignPolicy::Executing, events);
+    assert_eq!(replayed.main, snap.main);
+    assert_eq!(replayed.task_trees, snap.task_trees);
+    assert_eq!(replayed.max_live_trees, snap.max_live_trees);
+}

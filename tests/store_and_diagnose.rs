@@ -4,6 +4,7 @@ use bots::{run_app, AppId, RunOpts, Scale, Variant};
 use cube::{
     diagnose, diff_profiles, read_profile, write_profile, AggProfile, DiagnoseConfig, IssueKind,
 };
+use simsched::{run_workload, SimConfig, Step, TreeWorkload};
 use taskprof::ProfMonitor;
 
 fn profile_of(app: AppId, opts: &RunOpts) -> taskprof::Profile {
@@ -42,20 +43,64 @@ fn self_diff_is_all_zero_deltas() {
     }
 }
 
+/// fib's task graph at microsecond granularity for the simulator: every
+/// call spawns its two sub-calls as tasks and taskwaits; from `cutoff`
+/// task levels down a call computes its whole subtree serially instead.
+fn sim_fib(depth: usize, cutoff: Option<usize>) -> TreeWorkload {
+    const CALL_NS: u64 = 1_500;
+    const LEAF_NS: u64 = 2_000;
+    fn serial_ns(depth: usize) -> u64 {
+        if depth == 0 {
+            LEAF_NS
+        } else {
+            CALL_NS + 2 * serial_ns(depth - 1)
+        }
+    }
+    fn call(depth: usize, levels_left: Option<usize>) -> Vec<Step> {
+        if depth == 0 || levels_left == Some(0) {
+            return vec![Step::Work(serial_ns(depth))];
+        }
+        let below = levels_left.map(|l| l - 1);
+        vec![
+            Step::Work(CALL_NS * 2 / 3),
+            Step::Task(call(depth - 1, below)),
+            Step::Task(call(depth - 1, below)),
+            Step::Taskwait,
+            Step::Work(CALL_NS / 3),
+        ]
+    }
+    let name = match cutoff {
+        Some(levels) => format!("diagnose-fib-{depth}-cutoff-{levels}"),
+        None => format!("diagnose-fib-{depth}"),
+    };
+    TreeWorkload::new(
+        &name,
+        vec![],
+        vec![Step::Task(call(depth, cutoff)), Step::Taskwait],
+    )
+}
+
 #[test]
 fn diagnose_flags_fib_but_not_its_cutoff_as_badly() {
-    let cfg = DiagnoseConfig::default();
-    let bad = diagnose(
-        &profile_of(AppId::Fib, &RunOpts::new(2).scale(Scale::Test)),
-        &cfg,
-    );
+    // Task sizes come from the simulator's virtual clock, not from the
+    // host: measured on the wall clock under load, this assertion once
+    // saw tasks "too large" where it expects "too small".
+    let too_small = |workload: &TreeWorkload| {
+        let run = run_workload(workload, &SimConfig::seeded(2, 7));
+        diagnose(&run.profile, &DiagnoseConfig::default())
+            .into_iter()
+            .find(|f| f.kind == IssueKind::TasksTooSmall)
+            .map(|f| f.severity)
+    };
+    let full = too_small(&sim_fib(8, None));
+    assert!(full.is_some(), "fib without cut-off must be flagged");
+    let cut = too_small(&sim_fib(8, Some(3)));
     assert!(
-        bad.iter().any(|f| f.kind == IssueKind::TasksTooSmall),
-        "fib without cut-off must be flagged: {bad:#?}"
+        cut.is_none_or(|severity| severity < full.unwrap_or(0.0)),
+        "the cut-off makes tasks coarser: {cut:?} vs {full:?}"
     );
-    // The cut-off slashes the instance count while each instance carries
-    // more work (the mean-size effect needs release-build timings; the
-    // count is deterministic).
+    // On the real kernel the cut-off slashes the instance count, which
+    // no clock has a say in.
     let instances = |app_opts: &RunOpts| {
         let p = profile_of(AppId::Fib, app_opts);
         let agg = AggProfile::from_profile(&p);
