@@ -1,8 +1,8 @@
 #!/bin/bash
 # Minimal CI gate: release build, full test suite, lint-clean clippy,
 # a smoke run of the overhead benchmark (regenerates
-# BENCH_overhead.json, checked in), and the repo benchmark's own smoke
-# gate (benchmark/check.sh).
+# BENCH_overhead.json, checked in), the repo benchmark's own smoke
+# gate (benchmark/check.sh), and a floor under JSON ingest throughput.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -41,6 +41,17 @@ echo "=== repo benchmark smoke gate ==="
 # of every workload, traced and untraced, must print exactly those
 # metrics with every checked operation correct.
 benchmark/check.sh
+
+echo "=== JSON ingest tripwire ==="
+# A floor, not a target: the per-character whole-input scan in the JSON
+# string parser held this at 18/s; the linear scanner measures ~1 600/s
+# on this class of host. Only a returning quadratic gets under 200.
+benchmark/run.sh --workload coarse_large --quick 2>/dev/null | tail -n 1 | python3 -c '
+import json, sys
+rate = json.loads(sys.stdin.read())["metrics"]["ingest_json_profiles_per_s"]["value"]
+assert rate >= 200, f"ingest_json_profiles_per_s {rate:.0f} < 200 on coarse_large"
+print(f"ok coarse_large ingest_json_profiles_per_s {rate:.0f} >= 200")
+'
 
 echo "=== live telemetry smoke ==="
 # Polls the lock-free gauges while nqueens runs, then asserts both

@@ -6,7 +6,9 @@
 //! names are stored by name+kind and re-interned on load, so profiles can
 //! be compared across processes and machines.
 
-use pomp::{registry, ParamId, RegionId, RegionKind};
+use pomp::{registry, ParamId, RegionId, RegionKind, RegistryView};
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use taskprof::{NodeKind, Profile, SnapNode, Stats, ThreadSnapshot};
 
@@ -73,11 +75,25 @@ fn kind_from_tag(tag: &str) -> Option<RegionKind> {
     })
 }
 
-fn escape(name: &str) -> String {
-    name.replace('\\', "\\\\").replace('"', "\\\"")
+/// Append `name` with `\\` and `"` backslash-escaped; the clean runs
+/// between them go in whole.
+fn push_escaped(out: &mut String, name: &str) {
+    let mut clean = 0;
+    for (i, b) in name.bytes().enumerate() {
+        if b == b'\\' || b == b'"' {
+            out.push_str(&name[clean..i]);
+            out.push('\\');
+            clean = i;
+        }
+    }
+    out.push_str(&name[clean..]);
 }
 
-fn unescape(s: &str) -> String {
+/// Inverse of [`push_escaped`]; borrows when there is nothing to undo.
+fn unescape(s: &str) -> Cow<'_, str> {
+    if !s.contains('\\') {
+        return Cow::Borrowed(s);
+    }
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
     while let Some(c) = chars.next() {
@@ -89,22 +105,34 @@ fn unescape(s: &str) -> String {
             out.push(c);
         }
     }
-    out
+    Cow::Owned(out)
 }
 
-fn write_node(out: &mut String, node: &SnapNode, depth: usize) {
-    let reg = registry();
-    let ident = match node.kind {
+fn write_node(out: &mut String, reg: &RegistryView<'_>, node: &SnapNode, depth: usize) {
+    for _ in 0..depth {
+        out.push_str("  ");
+    }
+    match node.kind {
         NodeKind::Region(r) => {
             let info = reg.info(r);
-            format!("region {} \"{}\"", kind_tag(info.kind), escape(&info.name))
+            out.push_str("region ");
+            out.push_str(kind_tag(info.kind));
+            out.push_str(" \"");
+            push_escaped(out, &info.name);
+            out.push('"');
         }
-        NodeKind::Stub(r) => format!("stub \"{}\"", escape(&reg.name(r))),
+        NodeKind::Stub(r) => {
+            out.push_str("stub \"");
+            push_escaped(out, &reg.info(r).name);
+            out.push('"');
+        }
         NodeKind::Param(p, v) => {
-            format!("param \"{}\" {v}", escape(&reg.param_name(p)))
+            out.push_str("param \"");
+            push_escaped(out, reg.param_name(p));
+            let _ = write!(out, "\" {v}");
         }
-        NodeKind::Truncated => "truncated \"\"".to_string(),
-    };
+        NodeKind::Truncated => out.push_str("truncated \"\""),
+    }
     let s = &node.stats;
     // Serialized min follows the export convention: 0 when no sample
     // landed. The in-memory `u64::MAX` sentinel is an internal detail of
@@ -112,9 +140,7 @@ fn write_node(out: &mut String, node: &SnapNode, depth: usize) {
     // store and CSV export disagree); the parser restores the sentinel.
     let _ = write!(
         out,
-        "{}{} visits {} sum {} min {} max {} samples {}",
-        "  ".repeat(depth),
-        ident,
+        " visits {} sum {} min {} max {} samples {}",
         s.visits,
         s.sum_ns,
         s.min().unwrap_or(0),
@@ -128,12 +154,13 @@ fn write_node(out: &mut String, node: &SnapNode, depth: usize) {
     }
     out.push('\n');
     for c in &node.children {
-        write_node(out, c, depth + 1);
+        write_node(out, reg, c, depth + 1);
     }
 }
 
 /// Serialize a profile to the text format.
 pub fn write_profile(p: &Profile) -> String {
+    let reg = registry().view();
     let mut out = String::new();
     let _ = writeln!(out, "{MAGIC}");
     let _ = writeln!(out, "threads {}", p.threads.len());
@@ -148,15 +175,17 @@ pub fn write_profile(p: &Profile) -> String {
         }
         out.push('\n');
         for d in &t.diagnostics {
-            let _ = writeln!(out, "diag \"{}\"", escape(d));
+            out.push_str("diag \"");
+            push_escaped(&mut out, d);
+            out.push_str("\"\n");
         }
-        let _ = writeln!(out, "main");
-        write_node(&mut out, &t.main, 1);
+        out.push_str("main\n");
+        write_node(&mut out, &reg, &t.main, 1);
         for tree in &t.task_trees {
-            let _ = writeln!(out, "tasktree");
-            write_node(&mut out, tree, 1);
+            out.push_str("tasktree\n");
+            write_node(&mut out, &reg, tree, 1);
         }
-        let _ = writeln!(out, "end");
+        out.push_str("end\n");
     }
     out
 }
@@ -191,8 +220,38 @@ pub fn write_profile_to(path: &std::path::Path, p: &Profile) -> std::io::Result<
     result
 }
 
+/// `str::split_whitespace`, token for token, as a bare cursor over the
+/// rest of the line: a token of printable ASCII that ends at a space —
+/// every token this format writes — is cut on a byte scan, and only one
+/// that meets anything else is settled scalar by scalar.
+struct Tokens<'a>(&'a str);
+
+impl<'a> Iterator for Tokens<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        let rest = self.0.trim_start();
+        if rest.is_empty() {
+            return None;
+        }
+        let end = match rest.bytes().position(|b| !b.is_ascii_graphic()) {
+            None => rest.len(),
+            Some(i) if rest.as_bytes()[i] == b' ' => i,
+            Some(_) => rest.find(char::is_whitespace).unwrap_or(rest.len()),
+        };
+        let (token, rest) = rest.split_at(end);
+        self.0 = rest;
+        Some(token)
+    }
+}
+
 struct Parser<'a> {
     lines: std::iter::Peekable<std::iter::Enumerate<std::str::Lines<'a>>>,
+    /// Ids of the names this parse has met, keyed by the name as it is
+    /// spelled in the text (still escaped): the global registry is asked
+    /// once per distinct name, not once per node line.
+    regions: HashMap<(&'a str, RegionKind), RegionId>,
+    params: HashMap<&'a str, ParamId>,
 }
 
 impl<'a> Parser<'a> {
@@ -208,8 +267,19 @@ impl<'a> Parser<'a> {
         }
     }
 
+    fn region(&mut self, raw_name: &'a str, kind: RegionKind) -> RegionId {
+        *self
+            .regions
+            .entry((raw_name, kind))
+            .or_insert_with(|| registry().register(&unescape(raw_name), kind, "loaded", 0))
+    }
+
     /// Parse one node line: returns (depth, kind, stats).
-    fn parse_node_line(lineno: usize, raw: &str) -> Result<(usize, NodeKind, Stats), ParseError> {
+    fn parse_node_line(
+        &mut self,
+        lineno: usize,
+        raw: &'a str,
+    ) -> Result<(usize, NodeKind, Stats), ParseError> {
         let trimmed = raw.trim_start();
         let indent = raw.len() - trimmed.len();
         let depth = indent / 2;
@@ -233,45 +303,43 @@ impl<'a> Parser<'a> {
         }
         let end = end
             .ok_or_else(|| Self::err_at(lineno, indent + head.len() + 1, "unterminated name"))?;
-        let name = unescape(&rest[..end]);
+        let name = &rest[..end];
         let tail = &rest[end + 1..];
         // 1-based column where the post-name tail of the line starts.
         let tail_col = raw.len() - tail.len() + 1;
-        let head_tokens: Vec<&str> = head.split_whitespace().collect();
-        let reg = registry();
-        let kind = match head_tokens.as_slice() {
-            ["region", ktag] => {
+        let mut head_tokens = Tokens(head);
+        let mut stats_tokens = Tokens(tail);
+        let kind = match (head_tokens.next(), head_tokens.next(), head_tokens.next()) {
+            (Some("region"), Some(ktag), None) => {
                 let k = kind_from_tag(ktag).ok_or_else(|| {
                     Self::err_at(lineno, indent + 1, format!("unknown region kind {ktag}"))
                 })?;
-                NodeKind::Region(reg.register(&name, k, "loaded", 0))
+                NodeKind::Region(self.region(name, k))
             }
-            ["stub"] => {
-                // Stubs always refer to task constructs.
-                NodeKind::Stub(reg.register(&name, RegionKind::Task, "loaded", 0))
-            }
-            ["truncated"] => NodeKind::Truncated,
-            ["param"] => {
-                let v: i64 = tail
-                    .split_whitespace()
+            // Stubs always refer to task constructs.
+            (Some("stub"), None, _) => NodeKind::Stub(self.region(name, RegionKind::Task)),
+            (Some("truncated"), None, _) => NodeKind::Truncated,
+            (Some("param"), None, _) => {
+                let v: i64 = stats_tokens
                     .next()
                     .and_then(|s| s.parse().ok())
                     .ok_or_else(|| Self::err_at(lineno, tail_col, "param missing value"))?;
-                return Ok((
-                    depth,
-                    NodeKind::Param(reg.register_param(&name), v),
-                    Self::parse_stats(lineno, tail_col, tail.split_whitespace().skip(1))?,
-                ));
+                let id = *self
+                    .params
+                    .entry(name)
+                    .or_insert_with(|| registry().register_param(&unescape(name)));
+                NodeKind::Param(id, v)
             }
-            other => {
+            _ => {
+                let other: Vec<&str> = head.split_whitespace().collect();
                 return Err(Self::err_at(
                     lineno,
                     indent + 1,
                     format!("unknown node head {other:?}"),
-                ))
+                ));
             }
         };
-        Ok((depth, kind, Self::parse_stats(lineno, tail_col, tail.split_whitespace())?))
+        Ok((depth, kind, Self::parse_stats(lineno, tail_col, stats_tokens)?))
     }
 
     fn parse_stats<'t>(
@@ -280,19 +348,17 @@ impl<'a> Parser<'a> {
         mut tokens: impl Iterator<Item = &'t str>,
     ) -> Result<Stats, ParseError> {
         let mut stats = Stats::new();
-        let grab = |key: &str, tokens: &mut dyn Iterator<Item = &'t str>| {
-            match (tokens.next(), tokens.next()) {
-                (Some(k), Some(v)) if k == key => v
-                    .parse::<u64>()
-                    .map_err(|_| Self::err_at(lineno, col, format!("bad {key} value"))),
-                _ => Err(Self::err_at(lineno, col, format!("expected '{key} <n>'"))),
-            }
+        let mut grab = |key: &str| match (tokens.next(), tokens.next()) {
+            (Some(k), Some(v)) if k == key => v
+                .parse::<u64>()
+                .map_err(|_| Self::err_at(lineno, col, format!("bad {key} value"))),
+            _ => Err(Self::err_at(lineno, col, format!("expected '{key} <n>'"))),
         };
-        stats.visits = grab("visits", &mut tokens)?;
-        stats.sum_ns = grab("sum", &mut tokens)?;
-        stats.min_ns = grab("min", &mut tokens)?;
-        stats.max_ns = grab("max", &mut tokens)?;
-        stats.samples = grab("samples", &mut tokens)?;
+        stats.visits = grab("visits")?;
+        stats.sum_ns = grab("sum")?;
+        stats.min_ns = grab("min")?;
+        stats.max_ns = grab("max")?;
+        stats.samples = grab("samples")?;
         if stats.samples == 0 {
             // Restore the internal no-samples sentinel so a re-loaded
             // profile is indistinguishable from a live one (`Stats::min`
@@ -334,7 +400,7 @@ impl<'a> Parser<'a> {
             .lines
             .next()
             .ok_or_else(|| Self::err(0, "unexpected end of file in tree"))?;
-        let (depth, kind, stats) = Self::parse_node_line(lineno, first)?;
+        let (depth, kind, stats) = self.parse_node_line(lineno, first)?;
         let mut root = SnapNode {
             kind,
             stats,
@@ -358,7 +424,7 @@ impl<'a> Parser<'a> {
                 break;
             }
             self.lines.next();
-            let (_, kind, stats) = Self::parse_node_line(lineno, peek)?;
+            let (_, kind, stats) = self.parse_node_line(lineno, peek)?;
             let node = SnapNode {
                 kind,
                 stats,
@@ -392,6 +458,8 @@ impl<'a> Parser<'a> {
 pub fn read_profile(text: &str) -> Result<Profile, ParseError> {
     let mut p = Parser {
         lines: text.lines().enumerate().peekable(),
+        regions: HashMap::new(),
+        params: HashMap::new(),
     };
     match p.lines.next() {
         Some((_, l)) if l.trim() == MAGIC => {}
@@ -412,19 +480,20 @@ pub fn read_profile(text: &str) -> Result<Profile, ParseError> {
             .lines
             .next()
             .ok_or_else(|| Parser::err(0, "missing thread header"))?;
-        let toks: Vec<&str> = header.split_whitespace().collect();
-        let (tid, max_live, arena, shed) = match toks.as_slice() {
-            ["thread", tid, "max_live", ml, "arena", ar] => (
+        let mut toks = Tokens(header);
+        let toks: [Option<&str>; 9] = std::array::from_fn(|_| toks.next());
+        let (tid, max_live, arena, shed) = match toks {
+            [Some("thread"), Some(tid), Some("max_live"), Some(ml), Some("arena"), Some(ar), shed @ ..] => (
                 tid.parse().map_err(|_| Parser::err(n, "bad tid"))?,
                 ml.parse().map_err(|_| Parser::err(n, "bad max_live"))?,
                 ar.parse().map_err(|_| Parser::err(n, "bad arena"))?,
-                0u64,
-            ),
-            ["thread", tid, "max_live", ml, "arena", ar, "shed", sh] => (
-                tid.parse().map_err(|_| Parser::err(n, "bad tid"))?,
-                ml.parse().map_err(|_| Parser::err(n, "bad max_live"))?,
-                ar.parse().map_err(|_| Parser::err(n, "bad arena"))?,
-                sh.parse().map_err(|_| Parser::err(n, "bad shed count"))?,
+                match shed {
+                    [None, ..] => 0u64,
+                    [Some("shed"), Some(sh), None] => {
+                        sh.parse().map_err(|_| Parser::err(n, "bad shed count"))?
+                    }
+                    _ => return Err(Parser::err(n, "malformed thread header")),
+                },
             ),
             _ => return Err(Parser::err(n, "malformed thread header")),
         };
@@ -440,7 +509,7 @@ pub fn read_profile(text: &str) -> Result<Profile, ParseError> {
                 .strip_prefix('"')
                 .and_then(|r| r.strip_suffix('"'))
                 .ok_or_else(|| Parser::err(dn, "malformed diag line"))?;
-            diagnostics.push(unescape(inner));
+            diagnostics.push(unescape(inner).into_owned());
         }
         match p.lines.next() {
             Some((_, l)) if l.trim() == "main" => {}
@@ -662,6 +731,23 @@ mod tests {
         let rendered = err.to_string();
         assert!(rendered.contains("line"), "{rendered}");
         assert!(rendered.contains("column"), "{rendered}");
+    }
+
+    #[test]
+    fn tokens_are_split_whitespace_tokens() {
+        for line in [
+            "",
+            "   ",
+            "region task",
+            "  visits 3 sum 33  min 10\tmax 12 samples 3 ",
+            "a\u{b}b\u{c}c\rd",
+            "nbsp\u{a0}sep em\u{2003}sep  \u{3000} wide",
+            "ctl\u{1}in token é\u{e9} 🦀x",
+            "\u{a0}\u{a0}",
+        ] {
+            let expected: Vec<&str> = line.split_whitespace().collect();
+            assert_eq!(Tokens(line).collect::<Vec<_>>(), expected, "{line:?}");
+        }
     }
 
     #[test]

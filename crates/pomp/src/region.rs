@@ -7,7 +7,7 @@
 //! macro caches the id in a per-call-site `OnceLock`, so after the first
 //! call registration is a single atomic load.
 
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockReadGuard};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::OnceLock;
@@ -116,10 +116,15 @@ pub struct RegionInfo {
     pub line: u32,
 }
 
+/// Number of [`RegionKind`] variants (`User` is the last one).
+const KINDS: usize = RegionKind::User as usize + 1;
+
 #[derive(Default)]
 struct Inner {
     regions: Vec<RegionInfo>,
-    by_key: HashMap<(String, RegionKind), RegionId>,
+    /// One name → id map per [`RegionKind`] (indexed by discriminant), so
+    /// a `&str` probes it without building an owned `(String, kind)` key.
+    by_name: [HashMap<String, RegionId>; KINDS],
     params: Vec<String>,
     params_by_name: HashMap<String, ParamId>,
 }
@@ -131,6 +136,24 @@ struct Inner {
 #[derive(Default)]
 pub struct Registry {
     inner: RwLock<Inner>,
+}
+
+/// The registry's tables behind one read lock, handing out borrowed
+/// names: what a renderer or encoder that names every node of a tree
+/// holds for the length of its walk. Registering (on this thread) while
+/// a view is alive deadlocks.
+pub struct RegistryView<'a>(RwLockReadGuard<'a, Inner>);
+
+impl RegistryView<'_> {
+    /// Metadata for `id`. Panics on an id from a different registry.
+    pub fn info(&self, id: RegionId) -> &RegionInfo {
+        &self.0.regions[id.index()]
+    }
+
+    /// Name of an interned parameter.
+    pub fn param_name(&self, id: ParamId) -> &str {
+        &self.0.params[id.0 as usize]
+    }
 }
 
 impl Registry {
@@ -148,11 +171,11 @@ impl Registry {
         file: &'static str,
         line: u32,
     ) -> RegionId {
-        if let Some(&id) = self.inner.read().by_key.get(&(name.to_owned(), kind)) {
+        if let Some(id) = self.lookup(name, kind) {
             return id;
         }
         let mut inner = self.inner.write();
-        if let Some(&id) = inner.by_key.get(&(name.to_owned(), kind)) {
+        if let Some(&id) = inner.by_name[kind as usize].get(name) {
             return id;
         }
         let id = RegionId(u32::try_from(inner.regions.len()).expect("region table overflow"));
@@ -162,7 +185,7 @@ impl Registry {
             file,
             line,
         });
-        inner.by_key.insert((name.to_owned(), kind), id);
+        inner.by_name[kind as usize].insert(name.to_owned(), id);
         id
     }
 
@@ -181,25 +204,31 @@ impl Registry {
         id
     }
 
-    /// Metadata for `id`. Panics on an id from a different registry.
-    pub fn info(&self, id: RegionId) -> RegionInfo {
-        self.inner.read().regions[id.index()].clone()
+    /// Borrowed access to every name under one read lock.
+    pub fn view(&self) -> RegistryView<'_> {
+        RegistryView(self.inner.read())
     }
 
-    /// Display name for `id` (allocates; renderers should batch via
-    /// [`Registry::info`] when formatting whole trees).
+    /// Metadata for `id` (clones the name; walks over whole trees should
+    /// borrow through [`Registry::view`]). Panics on an id from a
+    /// different registry.
+    pub fn info(&self, id: RegionId) -> RegionInfo {
+        self.view().info(id).clone()
+    }
+
+    /// Display name for `id` (allocates, see [`Registry::info`]).
     pub fn name(&self, id: RegionId) -> String {
-        self.inner.read().regions[id.index()].name.clone()
+        self.view().info(id).name.clone()
     }
 
     /// Construct kind for `id`.
     pub fn kind(&self, id: RegionId) -> RegionKind {
-        self.inner.read().regions[id.index()].kind
+        self.view().info(id).kind
     }
 
     /// Name of an interned parameter.
     pub fn param_name(&self, id: ParamId) -> String {
-        self.inner.read().params[id.0 as usize].clone()
+        self.view().param_name(id).to_owned()
     }
 
     /// Number of registered regions.
@@ -214,7 +243,7 @@ impl Registry {
 
     /// Look up an already-registered region by name and kind.
     pub fn lookup(&self, name: &str, kind: RegionKind) -> Option<RegionId> {
-        self.inner.read().by_key.get(&(name.to_owned(), kind)).copied()
+        self.inner.read().by_name[kind as usize].get(name).copied()
     }
 }
 

@@ -421,10 +421,10 @@ impl Client {
     pub fn request(&mut self, request: &Request) -> Result<Response, ClientError> {
         match self.proto {
             ActiveProto::Json => {
-                let line = request.to_json_line();
+                let mut line = request.to_json_line();
+                line.push('\n');
                 self.writer
                     .write_all(line.as_bytes())
-                    .and_then(|()| self.writer.write_all(b"\n"))
                     .and_then(|()| self.writer.flush())?;
                 self.read_response_json()
             }

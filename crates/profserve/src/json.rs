@@ -8,6 +8,8 @@
 //! `f64`), and objects that preserve insertion order so responses
 //! serialize byte-stably.
 
+use std::fmt::Write;
+
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
@@ -33,6 +35,15 @@ impl Json {
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// Object member by key, mutably — a decoder moves a large string
+    /// out of the tree through this instead of cloning it.
+    pub fn get_mut(&mut self, key: &str) -> Option<&mut Json> {
+        match self {
+            Json::Obj(members) => members.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
@@ -81,43 +92,39 @@ impl Json {
         }
     }
 
-    fn write(&self, out: &mut String) {
+    fn write<W: Write>(&self, out: &mut W) -> std::fmt::Result {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
-            Json::UInt(n) => out.push_str(&format!("{n}")),
-            Json::Num(n) => {
-                if !n.is_finite() {
-                    out.push_str("null");
-                } else if n.fract() == 0.0 && n.abs() <= 2f64.powi(53) {
-                    out.push_str(&format!("{}", *n as i64));
-                } else {
-                    out.push_str(&format!("{n}"));
-                }
+            Json::Null => out.write_str("null"),
+            Json::Bool(true) => out.write_str("true"),
+            Json::Bool(false) => out.write_str("false"),
+            Json::UInt(n) => write!(out, "{n}"),
+            Json::Num(n) if !n.is_finite() => out.write_str("null"),
+            Json::Num(n) if n.fract() == 0.0 && n.abs() <= 2f64.powi(53) => {
+                write!(out, "{}", *n as i64)
             }
+            Json::Num(n) => write!(out, "{n}"),
             Json::Str(s) => write_escaped(out, s),
             Json::Arr(items) => {
-                out.push('[');
+                out.write_char('[')?;
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    item.write(out);
+                    item.write(out)?;
                 }
-                out.push(']');
+                out.write_char(']')
             }
             Json::Obj(members) => {
-                out.push('{');
+                out.write_char('{')?;
                 for (i, (k, v)) in members.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    write_escaped(out, k);
-                    out.push(':');
-                    v.write(out);
+                    write_escaped(out, k)?;
+                    out.write_char(':')?;
+                    v.write(out)?;
                 }
-                out.push('}');
+                out.write_char('}')
             }
         }
     }
@@ -125,31 +132,81 @@ impl Json {
 
 /// Compact (single-line, no whitespace) serialization: strings escape
 /// `"`/`\\`/control characters; non-finite numbers serialize as `null`
-/// (the protocol never produces them).
+/// (the protocol never produces them). Writes straight into the
+/// formatter, so `to_string()` builds the line once.
 impl std::fmt::Display for Json {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut out = String::new();
-        self.write(&mut out);
-        f.write_str(&out)
+        self.write(f)
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+/// Append `s` as a JSON string literal. Runs of characters that need no
+/// escape (everything but `"`, `\` and C0 controls — all ASCII, so a
+/// byte scan never splits a scalar) are appended whole.
+fn write_escaped<W: Write>(out: &mut W, s: &str) -> std::fmt::Result {
+    out.write_char('"')?;
+    let mut clean = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.write_str(&s[clean..i])?;
+        clean = i + 1;
+        match b {
+            b'"' => out.write_str("\\\"")?,
+            b'\\' => out.write_str("\\\\")?,
+            b'\n' => out.write_str("\\n")?,
+            b'\r' => out.write_str("\\r")?,
+            b'\t' => out.write_str("\\t")?,
+            _ => write!(out, "\\u{b:04x}")?,
         }
     }
-    out.push('"');
+    out.write_str(&s[clean..])?;
+    out.write_char('"')
+}
+
+/// Streams one JSON object into a line without building a [`Json`] tree
+/// first, so a large member (profile text) is escaped from where it
+/// already lives instead of being cloned into a `Json::Str`. (Writing
+/// to a `String` cannot fail, hence the ignored `fmt::Result`s.)
+pub(crate) struct ObjWriter<'a> {
+    out: &'a mut String,
+    first: bool,
+}
+
+impl<'a> ObjWriter<'a> {
+    /// Open an object at the end of `out`.
+    pub(crate) fn begin(out: &'a mut String) -> Self {
+        out.push('{');
+        ObjWriter { out, first: true }
+    }
+
+    /// Write `"key":` and hand back the line for the value.
+    pub(crate) fn key(&mut self, key: &str) -> &mut String {
+        if !std::mem::take(&mut self.first) {
+            self.out.push(',');
+        }
+        let _ = write_escaped(self.out, key);
+        self.out.push(':');
+        self.out
+    }
+
+    pub(crate) fn str(&mut self, key: &str, value: &str) {
+        let _ = write_escaped(self.key(key), value);
+    }
+
+    pub(crate) fn value(&mut self, key: &str, value: &Json) {
+        let _ = value.write(self.key(key));
+    }
+
+    pub(crate) fn num(&mut self, key: &str, n: u64) {
+        self.value(key, &Json::UInt(n));
+    }
+
+    /// Close the object.
+    pub(crate) fn end(self) {
+        self.out.push('}');
+    }
 }
 
 /// A parse failure with byte position context.
@@ -170,7 +227,7 @@ impl std::fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 struct P<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
@@ -183,13 +240,13 @@ impl<'a> P<'a> {
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn eat(&mut self, expected: u8) -> Result<(), JsonError> {
@@ -202,7 +259,7 @@ impl<'a> P<'a> {
     }
 
     fn lit(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -281,8 +338,7 @@ impl<'a> P<'a> {
         {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("non-utf8 number"))?;
+        let text = &self.text[start..self.pos];
         // Plain non-negative integer tokens stay exact (u64); anything
         // with a sign, fraction, or exponent takes the f64 path.
         if let Ok(n) = text.parse::<u64>() {
@@ -293,54 +349,63 @@ impl<'a> P<'a> {
             .map_err(|_| self.err(format!("bad number '{text}'")))
     }
 
+    /// The four hex digits of a `\u` escape whose `u` is at `at`.
+    fn hex4(&self, at: usize) -> Result<u32, JsonError> {
+        let hex = self
+            .text
+            .get(at + 1..at + 5)
+            .ok_or_else(|| self.err("truncated \\u escape"))?;
+        u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))
+    }
+
     fn string(&mut self) -> Result<String, JsonError> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
+            // `"` and `\` are ASCII, so the run between two of them is
+            // whole scalars of the (already valid) input: append it as is.
+            let run = self.pos;
+            while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                self.pos += 1;
+            }
+            out.push_str(&self.text[run..self.pos]);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.err("non-utf8 \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            // Surrogates are not paired (the writer never
-                            // emits them); map them to the replacement char.
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("non-utf8 string content"))?;
-                    let c = rest.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                _ => self.pos += 1,
             }
+            match self.peek() {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'b') => out.push('\u{8}'),
+                Some(b'f') => out.push('\u{c}'),
+                Some(b'u') => {
+                    let mut code = self.hex4(self.pos)?;
+                    self.pos += 4;
+                    // A high surrogate directly followed by an escaped low
+                    // one is one scalar above the BMP (how `json.dumps`
+                    // and `JSON.stringify` escape it). An unpaired half
+                    // names no scalar and becomes the replacement char.
+                    if (0xD800..0xDC00).contains(&code)
+                        && self.text.as_bytes()[self.pos + 1..].starts_with(b"\\u")
+                    {
+                        if let Ok(low @ 0xDC00..=0xDFFF) = self.hex4(self.pos + 2) {
+                            code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                            self.pos += 6;
+                        }
+                    }
+                    out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
+                }
+                _ => return Err(self.err("bad escape")),
+            }
+            self.pos += 1;
         }
     }
 }
@@ -348,12 +413,12 @@ impl<'a> P<'a> {
 /// Parse one JSON document; trailing garbage is an error.
 pub fn parse(text: &str) -> Result<Json, JsonError> {
     let mut p = P {
-        bytes: text.as_bytes(),
+        text,
         pos: 0,
     };
     let v = p.value(0)?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.text.len() {
         return Err(p.err("trailing characters"));
     }
     Ok(v)
@@ -415,6 +480,45 @@ mod tests {
         let nasty = "tab\there \u{1} bell\u{7} λ → 🦀";
         let text = Json::str(nasty).to_string();
         assert_eq!(parse(&text).expect("parse").as_str(), Some(nasty));
+    }
+
+    #[test]
+    fn escaped_surrogate_pairs_decode_to_one_scalar() {
+        // How `json.dumps` / `JSON.stringify` write a non-BMP character.
+        let parsed = |text: &str| parse(text).expect("parse").as_str().map(str::to_owned);
+        assert_eq!(parsed(r#""\ud83e\udd80""#).as_deref(), Some("🦀"));
+        assert_eq!(parsed(r#""a\uD83E\uDD80b""#).as_deref(), Some("a🦀b"));
+        assert_eq!(parsed(r#""\udbff\udfff""#).as_deref(), Some("\u{10ffff}"));
+        // Unpaired halves name no scalar: one replacement char each, and
+        // whatever follows a lone high half is still read as itself.
+        assert_eq!(parsed(r#""\ud83e""#).as_deref(), Some("\u{fffd}"));
+        assert_eq!(
+            parsed(r#""\udd80\ud83e""#).as_deref(),
+            Some("\u{fffd}\u{fffd}")
+        );
+        assert_eq!(parsed(r#""\ud83e\u0041""#).as_deref(), Some("\u{fffd}A"));
+        assert_eq!(parsed(r#""\ud83e\n""#).as_deref(), Some("\u{fffd}\n"));
+        assert_eq!(
+            parsed(r#""\ud83e\ud83e\udd80""#).as_deref(),
+            Some("\u{fffd}🦀")
+        );
+    }
+
+    #[test]
+    fn malformed_escapes_are_rejected() {
+        for bad in [
+            r#""\x""#,
+            r#""\"#,
+            r#""\u12""#,
+            r#""\u12"#,
+            r#""\uzzzz""#,
+            r#""\u00é""#,
+            r#""\ud83e\u12""#,
+            r#""\ud83e\uzzzz""#,
+            r#""\ud83e\"#,
+        ] {
+            assert!(parse(bad).is_err(), "accepted {bad}");
+        }
     }
 
     #[test]

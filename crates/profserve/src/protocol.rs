@@ -55,8 +55,9 @@
 //! the store's binary record payload. [`ProfilePayload`] carries either
 //! form and the server decodes whichever arrives.
 
-use crate::json::Json;
+use crate::json::{Json, ObjWriter};
 use profstore::{BenchAgg, MetricAgg, Regression, RunMeta, RunWindow, StoreStats, TrendBucket};
+use std::borrow::Cow;
 use taskprof::Profile;
 use taskprof_telemetry::ServiceSnapshot;
 
@@ -200,10 +201,10 @@ impl ProfilePayload {
 
     /// Render as text-store format (re-encoding a binary record if
     /// needed) — what the JSON codec puts on the wire.
-    pub fn to_text(&self) -> Result<String, String> {
+    pub fn to_text(&self) -> Result<Cow<'_, str>, String> {
         match self {
-            ProfilePayload::Text(text) => Ok(text.clone()),
-            ProfilePayload::Record(_) => Ok(cube::write_profile(&self.decode()?)),
+            ProfilePayload::Text(text) => Ok(Cow::Borrowed(text)),
+            ProfilePayload::Record(_) => Ok(Cow::Owned(cube::write_profile(&self.decode()?))),
         }
     }
 
@@ -733,6 +734,15 @@ fn need_str(v: &Json, key: &str) -> Result<String, String> {
         .ok_or_else(|| format!("missing or non-string '{key}'"))
 }
 
+/// [`need_str`] for the request side: moves the string out of the parsed
+/// tree, so profile text is not copied a second time after unescaping.
+fn take_str(v: &mut Json, key: &str) -> Result<String, String> {
+    match v.get_mut(key) {
+        Some(Json::Str(s)) => Ok(std::mem::take(s)),
+        _ => Err(format!("missing or non-string '{key}'")),
+    }
+}
+
 fn need_u64(v: &Json, key: &str) -> Result<u64, String> {
     v.get(key)
         .and_then(Json::as_u64)
@@ -750,69 +760,58 @@ fn window_from_json(v: &Json) -> RunWindow {
     }
 }
 
-fn push_window(members: &mut Vec<(&str, Json)>, w: &RunWindow) {
-    if let Some(last) = w.last {
-        members.push(("last", Json::num(last)));
+fn write_window(w: &mut ObjWriter<'_>, window: &RunWindow) {
+    if let Some(last) = window.last {
+        w.num("last", last);
     }
-    if let Some(since) = w.since_ns {
-        members.push(("since_ns", Json::num(since)));
+    if let Some(since) = window.since_ns {
+        w.num("since_ns", since);
     }
 }
 
-fn record_from_json(v: &Json) -> Result<Record, String> {
+fn record_from_json(v: &mut Json) -> Result<Record, String> {
     Ok(Record {
-        benchmark: need_str(v, "benchmark")?,
+        benchmark: take_str(v, "benchmark")?,
         threads: need_threads(v)?,
         timestamp_ns: v.get("timestamp_ns").and_then(Json::as_u64),
-        profile: ProfilePayload::Text(need_str(v, "profile")?),
+        profile: ProfilePayload::Text(take_str(v, "profile")?),
     })
 }
 
-fn record_to_json(r: &Record, cmd: Option<&str>) -> Json {
-    let mut members = Vec::new();
-    if let Some(cmd) = cmd {
-        members.push(("cmd", Json::str(cmd)));
-    }
-    members.push(("benchmark", Json::str(r.benchmark.clone())));
-    members.push(("threads", Json::num(u64::from(r.threads))));
+fn write_record(w: &mut ObjWriter<'_>, r: &Record) {
+    w.str("benchmark", &r.benchmark);
+    w.num("threads", u64::from(r.threads));
     if let Some(t) = r.timestamp_ns {
-        members.push(("timestamp_ns", Json::num(t)));
+        w.num("timestamp_ns", t);
     }
-    members.push((
-        "profile",
-        Json::str(r.profile.to_text().unwrap_or_default()),
-    ));
-    Json::obj(members)
+    w.str("profile", &r.profile.to_text().unwrap_or_default());
 }
 
 impl Request {
     /// Parse one JSON request line. `Err` carries a `bad_request`
     /// explanation.
     pub fn from_json_line(line: &str) -> Result<Request, String> {
-        let v = crate::json::parse(line).map_err(|e| e.to_string())?;
-        let cmd = need_str(&v, "cmd")?;
+        let mut v = crate::json::parse(line).map_err(|e| e.to_string())?;
+        let cmd = take_str(&mut v, "cmd")?;
         match cmd.as_str() {
             "HELLO" => Ok(Request::Hello {
                 version: u32::try_from(need_u64(&v, "version")?)
                     .map_err(|_| "version out of range".to_string())?,
                 features: v.get("features").and_then(Json::as_u64).unwrap_or(0),
-                auth: v.get("auth").and_then(Json::as_str).map(str::to_string),
+                auth: take_str(&mut v, "auth").ok(),
             }),
-            "INGEST" => Ok(Request::Ingest(record_from_json(&v)?)),
-            "INGEST_BATCH" => {
-                let items = v
-                    .get("items")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| "missing or non-array 'items'".to_string())?;
-                items
-                    .iter()
+            "INGEST" => Ok(Request::Ingest(record_from_json(&mut v)?)),
+            "INGEST_BATCH" => match v.get_mut("items") {
+                Some(Json::Arr(items)) => items
+                    .iter_mut()
                     .map(record_from_json)
                     .collect::<Result<Vec<_>, _>>()
-                    .map(Request::IngestBatch)
-            }
+                    .map(Request::IngestBatch),
+                _ => Err("missing or non-array 'items'".to_string()),
+            },
             "QUERY" => {
-                let query = need_str(&v, "query")?;
-                let benchmark = need_str(&v, "benchmark")?;
+                let query = take_str(&mut v, "query")?;
+                let benchmark = take_str(&mut v, "benchmark")?;
                 let threads = need_threads(&v)?;
                 let window = window_from_json(&v);
                 match query.as_str() {
@@ -830,7 +829,7 @@ impl Request {
                     "regress" => Ok(Request::QueryRegress {
                         benchmark,
                         threads,
-                        profile: ProfilePayload::Text(need_str(&v, "profile")?),
+                        profile: ProfilePayload::Text(take_str(&mut v, "profile")?),
                         threshold: v.get("threshold").and_then(Json::as_f64),
                         min_runs: v.get("min_runs").and_then(Json::as_u64),
                         min_delta_ns: v.get("min_delta_ns").and_then(Json::as_u64),
@@ -877,63 +876,61 @@ impl Request {
         }
     }
 
-    /// Serialize to one JSON request line (the client side). Binary
-    /// record payloads are re-rendered as profile text, since JSON
-    /// strings cannot carry raw bytes.
+    /// Serialize to one JSON request line (the client side), streamed
+    /// into one `String`: the profile text is escaped straight from the
+    /// request, never cloned. Binary record payloads are re-rendered as
+    /// profile text, since JSON strings cannot carry raw bytes.
     pub fn to_json_line(&self) -> String {
-        let v = match self {
+        let mut line = String::new();
+        let mut w = ObjWriter::begin(&mut line);
+        match self {
             Request::Hello {
                 version,
                 features,
                 auth,
             } => {
-                let mut members = vec![
-                    ("cmd", Json::str("HELLO")),
-                    ("version", Json::num(u64::from(*version))),
-                    ("features", Json::num(*features)),
-                ];
+                w.str("cmd", "HELLO");
+                w.num("version", u64::from(*version));
+                w.num("features", *features);
                 if let Some(secret) = auth {
-                    members.push(("auth", Json::str(secret.clone())));
+                    w.str("auth", secret);
                 }
-                Json::obj(members)
             }
-            Request::Ingest(record) => record_to_json(record, Some("INGEST")),
-            Request::IngestBatch(items) => Json::obj(vec![
-                ("cmd", Json::str("INGEST_BATCH")),
-                (
-                    "items",
-                    Json::Arr(items.iter().map(|r| record_to_json(r, None)).collect()),
-                ),
-            ]),
+            Request::Ingest(record) => {
+                w.str("cmd", "INGEST");
+                write_record(&mut w, record);
+            }
+            Request::IngestBatch(items) => {
+                w.str("cmd", "INGEST_BATCH");
+                let out = w.key("items");
+                out.push('[');
+                for (i, record) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    let mut item = ObjWriter::begin(out);
+                    write_record(&mut item, record);
+                    item.end();
+                }
+                out.push(']');
+            }
             Request::QueryTop {
                 benchmark,
                 threads,
                 n,
                 window,
             } => {
-                let mut members = vec![
-                    ("cmd", Json::str("QUERY")),
-                    ("query", Json::str("top")),
-                    ("benchmark", Json::str(benchmark.clone())),
-                    ("threads", Json::num(u64::from(*threads))),
-                    ("n", Json::num(*n as u64)),
-                ];
-                push_window(&mut members, window);
-                Json::obj(members)
+                write_query(&mut w, "top", benchmark, *threads);
+                w.num("n", *n as u64);
+                write_window(&mut w, window);
             }
             Request::QueryStats {
                 benchmark,
                 threads,
                 window,
             } => {
-                let mut members = vec![
-                    ("cmd", Json::str("QUERY")),
-                    ("query", Json::str("stats")),
-                    ("benchmark", Json::str(benchmark.clone())),
-                    ("threads", Json::num(u64::from(*threads))),
-                ];
-                push_window(&mut members, window);
-                Json::obj(members)
+                write_query(&mut w, "stats", benchmark, *threads);
+                write_window(&mut w, window);
             }
             Request::QueryRegress {
                 benchmark,
@@ -944,24 +941,18 @@ impl Request {
                 min_delta_ns,
                 window,
             } => {
-                let mut members = vec![
-                    ("cmd", Json::str("QUERY")),
-                    ("query", Json::str("regress")),
-                    ("benchmark", Json::str(benchmark.clone())),
-                    ("threads", Json::num(u64::from(*threads))),
-                ];
+                write_query(&mut w, "regress", benchmark, *threads);
                 if let Some(t) = threshold {
-                    members.push(("threshold", Json::num_f(*t)));
+                    w.value("threshold", &Json::num_f(*t));
                 }
                 if let Some(m) = min_runs {
-                    members.push(("min_runs", Json::num(*m)));
+                    w.num("min_runs", *m);
                 }
                 if let Some(d) = min_delta_ns {
-                    members.push(("min_delta_ns", Json::num(*d)));
+                    w.num("min_delta_ns", *d);
                 }
-                push_window(&mut members, window);
-                members.push(("profile", Json::str(profile.to_text().unwrap_or_default())));
-                Json::obj(members)
+                write_window(&mut w, window);
+                w.str("profile", &profile.to_text().unwrap_or_default());
             }
             Request::QueryTrend {
                 benchmark,
@@ -969,43 +960,45 @@ impl Request {
                 buckets,
                 window,
             } => {
-                let mut members = vec![
-                    ("cmd", Json::str("QUERY")),
-                    ("query", Json::str("trend")),
-                    ("benchmark", Json::str(benchmark.clone())),
-                    ("threads", Json::num(u64::from(*threads))),
-                    ("buckets", Json::num(u64::from(*buckets))),
-                ];
-                push_window(&mut members, window);
-                Json::obj(members)
+                write_query(&mut w, "trend", benchmark, *threads);
+                w.num("buckets", u64::from(*buckets));
+                write_window(&mut w, window);
             }
-            Request::Stats => Json::obj(vec![("cmd", Json::str("STATS"))]),
-            Request::StatsPrometheus => Json::obj(vec![
-                ("cmd", Json::str("STATS")),
-                ("format", Json::str("prometheus")),
-            ]),
+            Request::Stats => w.str("cmd", "STATS"),
+            Request::StatsPrometheus => {
+                w.str("cmd", "STATS");
+                w.str("format", "prometheus");
+            }
             Request::Subscribe { interval_ms } => {
-                let mut members = vec![("cmd", Json::str("SUBSCRIBE"))];
+                w.str("cmd", "SUBSCRIBE");
                 if let Some(ms) = interval_ms {
-                    members.push(("interval_ms", Json::num(*ms)));
+                    w.num("interval_ms", *ms);
                 }
-                Json::obj(members)
             }
-            Request::Export { after, max } => Json::obj(vec![
-                ("cmd", Json::str("EXPORT")),
-                ("after", Json::num(*after)),
-                ("max", Json::num(*max)),
-            ]),
-            Request::Apply { frames } => Json::obj(vec![
-                ("cmd", Json::str("APPLY")),
-                (
+            Request::Export { after, max } => {
+                w.str("cmd", "EXPORT");
+                w.num("after", *after);
+                w.num("max", *max);
+            }
+            Request::Apply { frames } => {
+                w.str("cmd", "APPLY");
+                w.value(
                     "frames",
-                    Json::Arr(frames.iter().map(|f| Json::str(hex_encode(f))).collect()),
-                ),
-            ]),
-        };
-        v.to_string()
+                    &Json::Arr(frames.iter().map(|f| Json::str(hex_encode(f))).collect()),
+                );
+            }
+        }
+        w.end();
+        line
     }
+}
+
+/// The members every `QUERY` request opens with.
+fn write_query(w: &mut ObjWriter<'_>, query: &str, benchmark: &str, threads: u32) {
+    w.str("cmd", "QUERY");
+    w.str("query", query);
+    w.str("benchmark", benchmark);
+    w.num("threads", u64::from(threads));
 }
 
 // ---------------------------------------------------------------------

@@ -372,6 +372,9 @@ struct Conn {
     stream: TcpStream,
     /// Inbound bytes not yet consumed by the protocol state machine.
     buf: Vec<u8>,
+    /// JSON only: length of the prefix of `buf` already searched for a
+    /// line terminator without finding one.
+    scanned: usize,
     /// Outbound bytes not yet accepted by the kernel.
     out: Vec<u8>,
     out_pos: usize,
@@ -407,6 +410,7 @@ impl Conn {
         Conn {
             stream,
             buf: Vec::new(),
+            scanned: 0,
             out: Vec::new(),
             out_pos: 0,
             proto: Proto::Sniff,
@@ -654,10 +658,21 @@ fn apply_effects(conn: &mut Conn, effects: crate::server::ServeEffects) -> Optio
     effects.ingested
 }
 
-/// Serve one JSON line through the shared core with panic isolation.
-/// Returns an ingest notification to fan out, if the request stored runs.
-fn serve_json(conn: &mut Conn, shared: &Arc<Shared>, line: &str) -> Option<Notification> {
-    let authed = conn.authed;
+/// Serve one JSON line (raw bytes, terminator cut) through the shared
+/// core with panic isolation, appending the reply to `out`. Blank lines
+/// are skipped: `None`. The line may borrow the connection's inbound
+/// buffer, so the caller applies the returned effects once that borrow
+/// has ended.
+fn serve_json(
+    out: &mut Vec<u8>,
+    authed: bool,
+    shared: &Arc<Shared>,
+    line: &[u8],
+) -> Option<crate::server::ServeEffects> {
+    let line = line.strip_suffix(b"\r").unwrap_or(line);
+    if line.trim_ascii().is_empty() {
+        return None;
+    }
     let (reply, effects) = match catch_unwind(AssertUnwindSafe(|| {
         serve_json_line(shared, line, true, authed)
     })) {
@@ -670,9 +685,9 @@ fn serve_json(conn: &mut Conn, shared: &Arc<Shared>, line: &str) -> Option<Notif
             )
         }
     };
-    conn.out.extend_from_slice(reply.as_bytes());
-    conn.out.push(b'\n');
-    apply_effects(conn, effects)
+    out.extend_from_slice(reply.as_bytes());
+    out.push(b'\n');
+    Some(effects)
 }
 
 /// Serve one binary payload through the shared core with panic isolation.
@@ -743,7 +758,11 @@ fn process(conn: &mut Conn, shared: &Arc<Shared>) -> Vec<Notification> {
                 conn.proto = Proto::Json;
             }
             Proto::Json => {
-                let Some(newline) = conn.buf.iter().position(|&b| b == b'\n') else {
+                // Only bytes that arrived since the last search can hold
+                // the terminator: resume there, not at byte 0.
+                let found = conn.buf[conn.scanned..].iter().position(|&b| b == b'\n');
+                let Some(newline) = found.map(|i| conn.scanned + i) else {
+                    conn.scanned = conn.buf.len();
                     if conn.buf.len() > shared.config.max_request_bytes {
                         shared.counters.error();
                         let reply = error_line(
@@ -756,34 +775,33 @@ fn process(conn: &mut Conn, shared: &Arc<Shared>) -> Vec<Notification> {
                         conn.out.extend_from_slice(reply.as_bytes());
                         conn.out.push(b'\n');
                         conn.buf.clear();
+                        conn.scanned = 0;
                         conn.close_after_flush = true;
                         break;
                     }
                     if conn.eof {
                         // EOF with an unterminated trailer: serve it as
                         // the final request, then close.
-                        let line = String::from_utf8_lossy(&conn.buf).into_owned();
-                        conn.buf.clear();
-                        if !line.trim().is_empty() {
-                            ingests.extend(serve_json(conn, shared, line.trim_end_matches('\r')));
+                        if let Some(effects) =
+                            serve_json(&mut conn.out, conn.authed, shared, &conn.buf)
+                        {
+                            ingests.extend(apply_effects(conn, effects));
                             served += 1;
                         }
+                        conn.buf.clear();
+                        conn.scanned = 0;
                         conn.close_after_flush = true;
                         conn.dead = conn.out_pos >= conn.out.len();
-                        break;
                     }
                     break;
                 };
-                let mut line: Vec<u8> = conn.buf.drain(..=newline).collect();
-                line.pop(); // '\n'
-                if line.last() == Some(&b'\r') {
-                    line.pop();
-                }
-                let line = String::from_utf8_lossy(&line).into_owned();
-                if line.trim().is_empty() {
+                let effects = serve_json(&mut conn.out, conn.authed, shared, &conn.buf[..newline]);
+                conn.buf.drain(..=newline);
+                conn.scanned = 0;
+                let Some(effects) = effects else {
                     continue;
-                }
-                ingests.extend(serve_json(conn, shared, &line));
+                };
+                ingests.extend(apply_effects(conn, effects));
                 served += 1;
                 // Load the stop flag directly: stop may land between the
                 // loop-top `draining` sweep and this event, and the old
@@ -1012,18 +1030,11 @@ mod tests {
     use std::io::{BufRead, BufReader};
     use std::net::TcpStream;
 
-    /// The poll(2) backend must stay healthy even on Linux, where the
-    /// epoll backend normally shadows it — drive a tiny serve loop
-    /// through it directly.
-    #[test]
-    fn pollfd_backend_serves_json_and_binary() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let dir = std::env::temp_dir().join(format!(
-            "taskprof-reactor-poll-{}-{}",
-            std::process::id(),
-            addr.port()
-        ));
+    /// A `Shared` over a fresh store in a scratch directory.
+    fn test_shared(tag: &str) -> (Arc<Shared>, std::path::PathBuf) {
+        let dir =
+            std::env::temp_dir().join(format!("taskprof-reactor-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         let store = profstore::ProfileStore::open(&dir).expect("store");
         let shared = Arc::new(Shared {
             store: std::sync::RwLock::new(store.into()),
@@ -1038,6 +1049,52 @@ mod tests {
             exported_frames: std::sync::atomic::AtomicU64::new(0),
             applied_frames: std::sync::atomic::AtomicU64::new(0),
         });
+        (shared, dir)
+    }
+
+    /// A multi-megabyte line arrives over a thousand readable events.
+    /// Each event may search only the bytes it brought: the scan offset
+    /// must sit at the end of the buffer after every partial delivery,
+    /// so the searched spans add up to the line, each byte once.
+    #[test]
+    fn newline_search_resumes_where_the_last_event_stopped() {
+        let (shared, dir) = test_shared("scan");
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let _peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let mut conn = Conn::new(listener.accept().expect("accept").0, None);
+
+        let line = format!(
+            "{{\"cmd\":\"STATS\",\"pad\":\"{}\"}}\n",
+            "x".repeat(4 << 20)
+        );
+        let mut searched = 0;
+        for chunk in line.as_bytes().chunks(4096) {
+            assert!(conn.out.is_empty(), "replied before the line was complete");
+            assert_eq!(conn.scanned, conn.buf.len());
+            conn.buf.extend_from_slice(chunk);
+            searched += conn.buf.len() - conn.scanned;
+            process(&mut conn, &shared);
+        }
+        assert_eq!(searched, line.len());
+        assert!(conn.buf.is_empty() && conn.scanned == 0);
+        let reply = std::str::from_utf8(&conn.out).expect("utf-8 reply");
+        assert!(
+            reply.starts_with("{\"ok\":true") && reply.ends_with('\n'),
+            "{reply}"
+        );
+        assert_eq!(reply.matches('\n').count(), 1, "served more than once");
+        assert_eq!(shared.counters.snapshot().json_requests, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The poll(2) backend must stay healthy even on Linux, where the
+    /// epoll backend normally shadows it — drive a tiny serve loop
+    /// through it directly.
+    #[test]
+    fn pollfd_backend_serves_json_and_binary() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let (shared, dir) = test_shared("poll");
         let loop_shared = Arc::clone(&shared);
         let join = std::thread::spawn(move || {
             run_with(pollfd::Poll::new().expect("poll"), listener, loop_shared)

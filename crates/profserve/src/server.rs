@@ -822,22 +822,22 @@ fn serve_parsed(
     (response, effects)
 }
 
-/// Serve one JSON request line: parse, dispatch, serialize. Returns the
-/// response line (no trailing newline) plus connection-level effects.
+/// Serve one JSON request line as it came off the socket: validate,
+/// parse, dispatch, serialize. A line that is not UTF-8 is a
+/// `bad_request` like any other unparsable line — it is never repaired
+/// and served. Returns the response line (no trailing newline) plus
+/// connection-level effects.
 pub(crate) fn serve_json_line(
     shared: &Shared,
-    line: &str,
+    line: &[u8],
     allow_subscribe: bool,
     authed: bool,
 ) -> (String, ServeEffects) {
     shared.counters.json_request();
-    let (response, effects) = serve_parsed(
-        shared,
-        Request::from_json_line(line),
-        ReqProto::Json,
-        allow_subscribe,
-        authed,
-    );
+    let parsed = std::str::from_utf8(line)
+        .map_err(|_| "request line is not valid UTF-8".to_string())
+        .and_then(Request::from_json_line);
+    let (response, effects) = serve_parsed(shared, parsed, ReqProto::Json, allow_subscribe, authed);
     (response.to_json_line(), effects)
 }
 
@@ -863,7 +863,7 @@ pub(crate) fn serve_bin_payload(
 /// returns the response line plus the connection's updated auth state.
 #[cfg_attr(unix, allow(dead_code))]
 pub(crate) fn handle_json_line(shared: &Shared, line: &str, authed: bool) -> (String, bool) {
-    let (line, effects) = serve_json_line(shared, line, false, authed);
+    let (line, effects) = serve_json_line(shared, line.as_bytes(), false, authed);
     (line, authed || effects.authed)
 }
 

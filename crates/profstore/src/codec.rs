@@ -12,7 +12,7 @@
 //! (which also keeps the varint short).
 
 use crate::crc::crc32;
-use pomp::{registry, RegionKind};
+use pomp::{registry, RegionKind, RegistryView};
 use taskprof::{NodeKind, Profile, SnapNode, Stats, ThreadSnapshot};
 
 /// Current payload format version (the first payload byte).
@@ -238,8 +238,7 @@ fn read_stats(r: &mut Reader<'_>) -> Result<Stats, CodecError> {
     Ok(s)
 }
 
-fn put_node(out: &mut Vec<u8>, node: &SnapNode) {
-    let reg = registry();
+fn put_node(out: &mut Vec<u8>, reg: &RegistryView<'_>, node: &SnapNode) {
     match node.kind {
         NodeKind::Region(id) => {
             out.push(TAG_REGION);
@@ -249,11 +248,11 @@ fn put_node(out: &mut Vec<u8>, node: &SnapNode) {
         }
         NodeKind::Stub(id) => {
             out.push(TAG_STUB);
-            put_str(out, &reg.name(id));
+            put_str(out, &reg.info(id).name);
         }
         NodeKind::Param(p, v) => {
             out.push(TAG_PARAM);
-            put_str(out, &reg.param_name(p));
+            put_str(out, reg.param_name(p));
             put_iv(out, v);
         }
         NodeKind::Truncated => out.push(TAG_TRUNCATED),
@@ -261,7 +260,7 @@ fn put_node(out: &mut Vec<u8>, node: &SnapNode) {
     put_stats(out, &node.stats);
     put_uv(out, node.children.len() as u64);
     for c in &node.children {
-        put_node(out, c);
+        put_node(out, reg, c);
     }
 }
 
@@ -310,6 +309,7 @@ fn read_node(r: &mut Reader<'_>, depth: usize) -> Result<SnapNode, CodecError> {
 /// framing excluded). The CRC-32 of the returned bytes is what the
 /// segment layer stores alongside.
 pub fn encode_record(meta: &RunMeta, profile: &Profile) -> Vec<u8> {
+    let reg = registry().view();
     let mut out = Vec::with_capacity(256);
     out.push(CODEC_VERSION);
     put_uv(&mut out, meta.run_id);
@@ -326,10 +326,10 @@ pub fn encode_record(meta: &RunMeta, profile: &Profile) -> Vec<u8> {
         for d in &t.diagnostics {
             put_str(&mut out, d);
         }
-        put_node(&mut out, &t.main);
+        put_node(&mut out, &reg, &t.main);
         put_uv(&mut out, t.task_trees.len() as u64);
         for tree in &t.task_trees {
-            put_node(&mut out, tree);
+            put_node(&mut out, &reg, tree);
         }
     }
     out

@@ -2,7 +2,8 @@
 //! thousands of instances suspended and resumed in an arbitrary (not
 //! LIFO) order, checked against an independent model and against a
 //! replay of the recorded stream; and the steady-state hot path counted
-//! allocation by allocation.
+//! allocation by allocation. The same counter bounds what
+//! `cube::read_profile` may allocate per line of profile text.
 
 use pomp::{Monitor, RegionId, TaskId, TaskIdAllocator, TaskRef, ThreadHooks, VirtualClock};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -330,4 +331,28 @@ fn ten_thousand_instances_in_arbitrary_resume_order_match_model_and_replay() {
     assert_eq!(replayed.main, snap.main);
     assert_eq!(replayed.task_trees, snap.task_trees);
     assert_eq!(replayed.max_live_trees, snap.max_live_trees);
+}
+
+#[test]
+fn reading_profile_text_allocates_per_node_and_distinct_name_not_per_line_token() {
+    const NODES: usize = 4096;
+    const DISTINCT: usize = 32;
+    let text = test_util::sized_profile_text(NODES, DISTINCT);
+    // The first parse interns the names; the second is the steady state
+    // of a repository that sees the same regions run after run.
+    let warm = cube::read_profile(&text).expect("parse");
+    let mut again = None;
+    let allocs = allocs_during(|| again = Some(cube::read_profile(&text)));
+    let again = again.expect("ran").expect("parse");
+    assert_eq!(again.threads[0].main, warm.threads[0].main);
+    // What may allocate: child lists and the open-node stack (bounded by
+    // the node count) and the per-parse name cache (bounded by the
+    // distinct names). What may not: token vectors, unescaped copies of
+    // clean names, indentation strings, registry keys — each of those
+    // was one or more allocations per line.
+    let budget = (NODES + 8 * DISTINCT + 64) as u64;
+    assert!(
+        allocs <= budget,
+        "{allocs} allocations for {NODES} node lines over {DISTINCT} names (budget {budget})"
+    );
 }

@@ -2,10 +2,12 @@
 //! never panic the decoder, truncated frames must wait for more data
 //! instead of yielding garbage, single-bit corruption must never pass the
 //! frame check undetected, and encode→decode must round-trip every
-//! request shape.
+//! request shape. The JSON-lines codec gets the same treatment at the
+//! end of the file: string and tree round trips, cut and corrupted
+//! lines, and the checked-in request lines that pin the wire format.
 
 use profserve::wire::{decode_request, decode_response, encode_request, frame, try_frame};
-use profserve::{ProfilePayload, Record, Request};
+use profserve::{parse_json, Json, ProfilePayload, Record, Request};
 use profstore::RunWindow;
 use proptest::prelude::*;
 
@@ -190,5 +192,168 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// JSON lines
+// ---------------------------------------------------------------------
+
+/// Characters chosen so that escapes are dense: a clean run can start
+/// and end at any offset from a `"`, a `\\`, a control character (short
+/// and `\\u00XX` forms), and two-, three- and four-byte scalars up to
+/// the edges of the surrogate gap.
+fn arb_json_char() -> impl Strategy<Value = char> {
+    const SPECIAL: [char; 20] = [
+        '"',
+        '\\',
+        '/',
+        '\n',
+        '\r',
+        '\t',
+        '\u{0}',
+        '\u{1}',
+        '\u{8}',
+        '\u{c}',
+        '\u{1f}',
+        '\u{7f}',
+        'é',
+        'λ',
+        '中',
+        '\u{d7ff}',
+        '\u{e000}',
+        '\u{ffff}',
+        '🦀',
+        '\u{10ffff}',
+    ];
+    (0usize..40, any::<char>()).prop_map(|(pick, other)| *SPECIAL.get(pick).unwrap_or(&other))
+}
+
+fn arb_json_string() -> impl Strategy<Value = String> {
+    prop::collection::vec(arb_json_char(), 0..48).prop_map(|chars| chars.into_iter().collect())
+}
+
+/// Trees whose numbers are already in the form the parser hands back:
+/// a non-negative integral value is a `UInt`, so `Num` holds negatives
+/// and fractions only.
+fn arb_json() -> impl Strategy<Value = Json> {
+    let leaf = prop_oneof![
+        Just(Json::Null),
+        any::<bool>().prop_map(Json::Bool),
+        any::<u64>().prop_map(Json::UInt),
+        (1i64..1_000_000).prop_map(|n| Json::Num(-(n as f64))),
+        (-1_000_000i64..1_000_000).prop_map(|n| Json::Num(n as f64 + 0.5)),
+        arb_json_string().prop_map(Json::Str),
+    ];
+    leaf.prop_recursive(3, 24, 4, |inner| {
+        prop_oneof![
+            prop::collection::vec(inner.clone(), 0..4).prop_map(Json::Arr),
+            prop::collection::vec((arb_json_string(), inner), 0..4).prop_map(Json::Obj),
+        ]
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn json_strings_round_trip(s in arb_json_string()) {
+        let line = Json::Str(s.clone()).to_string();
+        prop_assert!(!line.contains('\n'), "a line must stay one line: {line:?}");
+        prop_assert_eq!(parse_json(&line).expect("own output parses"), Json::Str(s));
+    }
+
+    #[test]
+    fn json_trees_round_trip(v in arb_json()) {
+        prop_assert_eq!(parse_json(&v.to_string()).expect("own output parses"), v);
+    }
+
+    #[test]
+    fn cut_or_corrupted_request_lines_never_panic(
+        req in arb_request(),
+        pos in any::<usize>(),
+        bit in 0u8..8,
+    ) {
+        let line = req.to_json_line();
+        prop_assert_eq!(
+            Request::from_json_line(&line).expect("own output parses").to_json_line(),
+            line.clone()
+        );
+        // No strict prefix of an object is a complete document.
+        let cut = &line.as_bytes()[..pos % line.len()];
+        if let Ok(prefix) = std::str::from_utf8(cut) {
+            prop_assert!(Request::from_json_line(prefix).is_err(), "accepted {prefix:?}");
+        }
+        let mut corrupt = line.into_bytes();
+        let idx = pos % corrupt.len();
+        corrupt[idx] ^= 1 << bit;
+        if let Ok(text) = std::str::from_utf8(&corrupt) {
+            let _ = parse_json(text);
+            let _ = Request::from_json_line(text);
+        }
+    }
+}
+
+/// Profile text that needs every writer escape: `\n` per line, `"` and
+/// `\` in names, a tab and a control character in a diagnostic, and
+/// multi-byte and non-BMP characters that must pass through unescaped.
+const GOLDEN_PROFILE: &str = "taskprof-profile v1\nthreads 1\nthread 0 max_live 2 arena 8\ndiag \"tab\there \u{1} λ → 🦀\"\nmain\n  region parallel \"gold \\\"par\\\" \\\\ λ🦀\" visits 1 sum 90 min 90 max 90 samples 1\n    stub \"gold-task\" visits 3 sum 33 min 10 max 12 samples 3\ntasktree\n  region task \"gold-task\" visits 3 sum 33 min 10 max 12 samples 3 aborted 1\n    param \"depth\" -2 visits 1 sum 5 min 5 max 5 samples 1\nend\n";
+
+fn golden_requests() -> Vec<Request> {
+    let text_record = Record::from_text(
+        "gold \"bench\" \\ λ🦀",
+        4,
+        Some(1_754_640_000_123_456_789),
+        GOLDEN_PROFILE,
+    );
+    let binary_record = Record::from_profile(
+        "gold-bin",
+        2,
+        None,
+        &cube::read_profile(GOLDEN_PROFILE).expect("golden profile parses"),
+    );
+    vec![
+        Request::Ingest(text_record.clone()),
+        Request::IngestBatch(vec![text_record, binary_record]),
+        Request::QueryRegress {
+            benchmark: "gold".into(),
+            threads: 4,
+            profile: ProfilePayload::Text(GOLDEN_PROFILE.into()),
+            threshold: Some(0.15),
+            min_runs: Some(3),
+            min_delta_ns: None,
+            window: RunWindow {
+                last: Some(10),
+                since_ns: None,
+            },
+        },
+        Request::Apply {
+            frames: vec![vec![0x00, 0x01, 0xfe, 0xff], vec![]],
+        },
+    ]
+}
+
+/// The JSON wire is a public format (`curl`, CI scripts): one fixed
+/// request of each payload-carrying shape must serialize to exactly the
+/// checked-in line. Regenerate with `BLESS=1` after an intentional
+/// format change.
+#[test]
+fn json_request_lines_match_the_golden_file() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden/json_request_lines.txt");
+    let actual: String = golden_requests()
+        .iter()
+        .map(|r| r.to_json_line() + "\n")
+        .collect();
+    if std::env::var("BLESS").is_ok() {
+        std::fs::write(&path, &actual).expect("write golden");
+        return;
+    }
+    let expected = std::fs::read_to_string(&path).expect("golden file (BLESS=1 creates it)");
+    assert_eq!(actual, expected, "JSON request lines changed on the wire");
+    for (line, request) in expected.lines().zip(golden_requests()) {
+        let parsed = Request::from_json_line(line).expect("golden line parses");
+        // A binary record payload travels as text over JSON.
+        assert_eq!(parsed.to_json_line(), request.to_json_line());
     }
 }

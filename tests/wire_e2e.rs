@@ -203,3 +203,134 @@ fn restricted_servers_refuse_the_other_protocol() {
     drop(handle);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// One raw JSON-lines exchange: what a `curl`/Python client does.
+fn raw_exchange(stream: &mut std::net::TcpStream, line: &[u8]) -> String {
+    use std::io::{BufRead, BufReader, Write};
+    stream.write_all(line).expect("write");
+    let mut reply = String::new();
+    BufReader::new(stream).read_line(&mut reply).expect("read");
+    reply
+}
+
+fn ingest_line(benchmark_json: &str, seed: u64) -> String {
+    let profile = profserve::Json::str(profile_text(seed)).to_string();
+    format!("{{\"cmd\":\"INGEST\",\"benchmark\":{benchmark_json},\"threads\":2,\"profile\":{profile}}}\n")
+}
+
+#[test]
+fn escaped_surrogate_pair_in_a_benchmark_name_lands_in_the_queried_group() {
+    let dir = temp_dir("surrogate");
+    let (handle, join) = spawn_server(&dir, ServeConfig::default());
+    let addr = handle.addr().to_string();
+
+    // `json.dumps("crab 🦀")` escapes the non-BMP scalar as a pair.
+    let mut raw = std::net::TcpStream::connect(&addr).expect("connect");
+    let reply = raw_exchange(
+        &mut raw,
+        ingest_line(r#""crab \ud83e\udd80""#, 1).as_bytes(),
+    );
+    assert!(reply.contains("\"ok\":true"), "{reply}");
+
+    let mut client = Client::connect(&addr).expect("connect");
+    assert_eq!(client.query_stats("crab 🦀", 2).expect("stats").runs, 1);
+
+    handle.stop();
+    drop((raw, client));
+    join.join().expect("join").expect("run");
+    drop(handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn non_utf8_request_line_is_a_bad_request_and_the_connection_survives() {
+    let dir = temp_dir("non-utf8");
+    let (handle, join) = spawn_server(&dir, ServeConfig::default());
+    let addr = handle.addr().to_string();
+    let mut client = Client::connect(&addr).expect("connect");
+    let mut raw = std::net::TcpStream::connect(&addr).expect("connect");
+
+    let reply = raw_exchange(&mut raw, ingest_line("\"ok-group\"", 1).as_bytes());
+    assert!(reply.contains("\"ok\":true"), "{reply}");
+    let before = client.server_stats().expect("stats");
+
+    // An ingest whose group name holds a byte that is no UTF-8: it used
+    // to be repaired to U+FFFD and stored under the mangled group.
+    let mut bad = ingest_line("\"bad-group-X\"", 2).into_bytes();
+    let x = bad.iter().position(|&b| b == b'X').expect("marker");
+    bad[x] = 0xff;
+    let reply = raw_exchange(&mut raw, &bad);
+    assert!(
+        reply.contains("\"kind\":\"bad_request\"") && reply.contains("not valid UTF-8"),
+        "{reply}"
+    );
+
+    // Same connection, next line: served.
+    let reply = raw_exchange(&mut raw, ingest_line("\"ok-group\"", 3).as_bytes());
+    assert!(reply.contains("\"ok\":true"), "{reply}");
+    let after = client.server_stats().expect("stats");
+    assert_eq!(
+        after.store.runs,
+        before.store.runs + 1,
+        "only the good line stored a run"
+    );
+    assert_eq!(after.service.errors, before.service.errors + 1);
+    assert_eq!(client.query_stats("ok-group", 2).expect("stats").runs, 2);
+
+    // The unterminated trailer before EOF goes through the same check.
+    use std::io::Write;
+    raw.write_all(&bad[..bad.len() - 1]).expect("write trailer");
+    raw.shutdown(std::net::Shutdown::Write).expect("half-close");
+    let reply = raw_exchange(&mut raw, b"");
+    assert!(reply.contains("\"kind\":\"bad_request\""), "{reply}");
+    assert_eq!(
+        client.server_stats().expect("stats").store.runs,
+        after.store.runs
+    );
+
+    handle.stop();
+    drop((raw, client));
+    join.join().expect("join").expect("run");
+    drop(handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Fastest of five runs, in nanoseconds.
+fn min_of_5<T>(mut f: impl FnMut() -> T) -> u128 {
+    (0..5)
+        .map(|_| {
+            let start = std::time::Instant::now();
+            std::hint::black_box(f());
+            start.elapsed().as_nanos()
+        })
+        .min()
+        .expect("five runs")
+}
+
+/// The JSON ingest codecs are linear in the profile size. No absolute
+/// time: 16× the text may cost up to 64× (linear is 16×; the per-char
+/// whole-input validation this guards against was 256×).
+#[test]
+fn json_and_text_codecs_scale_linearly_with_profile_size() {
+    let cost = |nodes: usize| {
+        let text = test_util::sized_profile_text(nodes, 32);
+        let request =
+            profserve::Request::Ingest(Record::from_text("scale", 2, Some(1), text.clone()));
+        let line = request.to_json_line();
+        [
+            min_of_5(|| request.to_json_line()),
+            min_of_5(|| profserve::Request::from_json_line(&line).expect("parse")),
+            min_of_5(|| cube::read_profile(&text).expect("parse")),
+        ]
+    };
+    let (small, large) = (cost(512), cost(16 * 512));
+    for (what, (small, large)) in ["to_json_line", "from_json_line", "read_profile"]
+        .into_iter()
+        .zip(small.into_iter().zip(large))
+    {
+        assert!(
+            large < 64 * small.max(1),
+            "{what}: {small} ns at 1x, {large} ns at 16x — super-linear"
+        );
+    }
+}
