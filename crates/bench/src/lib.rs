@@ -13,10 +13,11 @@
 //! * `BENCH_THREADS` — comma list, default `1,2,4,8` (the paper's sweep),
 //! * `BENCH_REPS` — repetitions per configuration, default 3 (minimum is
 //!   reported, which is the stablest overhead estimator).
+//!
+//! A value that does not parse is an error (exit status 2), not a silent
+//! default: see [`Config::parse`].
 
 #![warn(missing_docs)]
-
-pub mod legacy;
 
 use bots::{run_app, AppId, Outcome, RunOpts, Scale, Variant};
 use cube::AggProfile;
@@ -36,31 +37,64 @@ pub struct Config {
 }
 
 impl Config {
-    /// Read `BENCH_*` environment variables.
+    /// Read `BENCH_*` environment variables; a value [`Config::parse`]
+    /// rejects is reported on stderr and the process exits with status 2.
     pub fn from_env() -> Self {
-        let scale = match std::env::var("BENCH_SCALE").as_deref() {
-            Ok("test") => Scale::Test,
-            Ok("medium") => Scale::Medium,
-            _ => Scale::Small,
+        let var = |name: &str| std::env::var(name).ok();
+        let (scale, threads, reps) = (var("BENCH_SCALE"), var("BENCH_THREADS"), var("BENCH_REPS"));
+        Self::parse(scale.as_deref(), threads.as_deref(), reps.as_deref()).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        })
+    }
+
+    /// Build a configuration from the three knobs' raw values (`None` =
+    /// unset, which selects the default). An unknown scale, a thread list
+    /// with no positive integer in it, and a repetition count that is not
+    /// a positive integer are errors rather than silent defaults.
+    pub fn parse(
+        scale: Option<&str>,
+        threads: Option<&str>,
+        reps: Option<&str>,
+    ) -> Result<Self, String> {
+        let scale = match scale {
+            None | Some("small") => Scale::Small,
+            Some("test") => Scale::Test,
+            Some("medium") => Scale::Medium,
+            Some(other) => {
+                return Err(format!(
+                    "BENCH_SCALE={other}: expected test, small or medium"
+                ))
+            }
         };
-        let threads = std::env::var("BENCH_THREADS")
-            .ok()
-            .map(|s| {
-                s.split(',')
+        let threads = match threads {
+            None => vec![1, 2, 4, 8],
+            Some(list) => {
+                let parsed: Vec<usize> = list
+                    .split(',')
                     .filter_map(|t| t.trim().parse().ok())
-                    .collect::<Vec<usize>>()
-            })
-            .filter(|v| !v.is_empty())
-            .unwrap_or_else(|| vec![1, 2, 4, 8]);
-        let reps = std::env::var("BENCH_REPS")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(3);
-        Self {
+                    .filter(|&n| n >= 1)
+                    .collect();
+                if parsed.is_empty() {
+                    return Err(format!(
+                        "BENCH_THREADS={list}: expected a comma list of thread counts >= 1"
+                    ));
+                }
+                parsed
+            }
+        };
+        let reps = match reps {
+            None => 3,
+            Some(text) => match text.trim().parse() {
+                Ok(n) if n >= 1 => n,
+                _ => return Err(format!("BENCH_REPS={text}: expected an integer >= 1")),
+            },
+        };
+        Ok(Self {
             scale,
             threads,
             reps,
-        }
+        })
     }
 }
 
@@ -118,30 +152,6 @@ pub fn instrumented_run(app: AppId, opts: &RunOpts) -> (Outcome, AggProfile) {
     let out = run_app(app, session.monitor(), opts);
     assert!(out.verified, "{} failed verification", app.name());
     (out, AggProfile::from_profile(&session.finish().profile))
-}
-
-/// Minimum kernel time over `reps` runs under the *legacy* (pre-sharding)
-/// measurement path — the before side of the before/after overhead
-/// comparison in `BENCH_overhead.json`.
-pub fn legacy_instrumented_time(
-    app: AppId,
-    threads: usize,
-    scale: Scale,
-    variant: Variant,
-    reps: usize,
-) -> Duration {
-    let opts = RunOpts::new(threads).scale(scale).variant(variant);
-    (0..reps)
-        .map(|_| {
-            let monitor = legacy::LegacyProfMonitor::new();
-            let out = run_app(app, &monitor, &opts);
-            assert!(out.verified, "{} failed verification", app.name());
-            let profile = monitor.take_profile();
-            assert_eq!(profile.num_threads(), threads);
-            out.kernel
-        })
-        .min()
-        .expect("reps >= 1")
 }
 
 /// Count the measurement events one run of `app` emits (event counts are
@@ -227,12 +237,24 @@ mod tests {
     }
 
     #[test]
-    fn config_defaults() {
-        // Not asserting env specifics (tests may run with env set); just
-        // exercise the parser path.
-        let c = Config::from_env();
-        assert!(!c.threads.is_empty());
-        assert!(c.reps >= 1);
+    fn config_parse_defaults_and_rejections() {
+        let c = Config::parse(None, None, None).expect("defaults are valid");
+        assert_eq!((c.scale, c.reps), (Scale::Small, 3));
+        assert_eq!(c.threads, [1, 2, 4, 8]);
+
+        let c = Config::parse(Some("test"), Some("2, x,4"), Some("1")).expect("valid knobs");
+        assert_eq!((c.scale, c.reps), (Scale::Test, 1));
+        assert_eq!(c.threads, [2, 4]);
+
+        for (scale, threads, reps, names) in [
+            (Some("tset"), None, None, "BENCH_SCALE=tset"),
+            (None, Some("x,,0"), None, "BENCH_THREADS=x,,0"),
+            (None, None, Some("0"), "BENCH_REPS=0"),
+            (None, None, Some("three"), "BENCH_REPS=three"),
+        ] {
+            let err = Config::parse(scale, threads, reps).expect_err(names);
+            assert!(err.starts_with(names), "{err}");
+        }
     }
 
     #[test]

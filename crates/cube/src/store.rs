@@ -42,39 +42,6 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-fn kind_tag(kind: RegionKind) -> &'static str {
-    match kind {
-        RegionKind::Function => "function",
-        RegionKind::Parallel => "parallel",
-        RegionKind::Task => "task",
-        RegionKind::TaskCreate => "create",
-        RegionKind::Taskwait => "taskwait",
-        RegionKind::ImplicitBarrier => "ibarrier",
-        RegionKind::ExplicitBarrier => "barrier",
-        RegionKind::Single => "single",
-        RegionKind::Workshare => "for",
-        RegionKind::Critical => "critical",
-        RegionKind::User => "user",
-    }
-}
-
-fn kind_from_tag(tag: &str) -> Option<RegionKind> {
-    Some(match tag {
-        "function" => RegionKind::Function,
-        "parallel" => RegionKind::Parallel,
-        "task" => RegionKind::Task,
-        "create" => RegionKind::TaskCreate,
-        "taskwait" => RegionKind::Taskwait,
-        "ibarrier" => RegionKind::ImplicitBarrier,
-        "barrier" => RegionKind::ExplicitBarrier,
-        "single" => RegionKind::Single,
-        "for" => RegionKind::Workshare,
-        "critical" => RegionKind::Critical,
-        "user" => RegionKind::User,
-        _ => return None,
-    })
-}
-
 /// Append `name` with `\\` and `"` backslash-escaped; the clean runs
 /// between them go in whole.
 fn push_escaped(out: &mut String, name: &str) {
@@ -116,7 +83,7 @@ fn write_node(out: &mut String, reg: &RegistryView<'_>, node: &SnapNode, depth: 
         NodeKind::Region(r) => {
             let info = reg.info(r);
             out.push_str("region ");
-            out.push_str(kind_tag(info.kind));
+            out.push_str(info.kind.tag());
             out.push_str(" \"");
             push_escaped(out, &info.name);
             out.push('"');
@@ -311,7 +278,7 @@ impl<'a> Parser<'a> {
         let mut stats_tokens = Tokens(tail);
         let kind = match (head_tokens.next(), head_tokens.next(), head_tokens.next()) {
             (Some("region"), Some(ktag), None) => {
-                let k = kind_from_tag(ktag).ok_or_else(|| {
+                let k = RegionKind::from_tag(ktag).ok_or_else(|| {
                     Self::err_at(lineno, indent + 1, format!("unknown region kind {ktag}"))
                 })?;
                 NodeKind::Region(self.region(name, k))

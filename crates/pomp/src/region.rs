@@ -34,42 +34,57 @@ pub struct ParamId(pub u32);
 /// The profiler treats most kinds identically (they are just call-tree
 /// nodes); the kind matters for analysis queries ("exclusive time of all
 /// taskwait regions") and for rendering.
+///
+/// The discriminants are the kind's byte in stored binary records
+/// (`kind as u8`, [`RegionKind::from_u8`]): append, never renumber.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum RegionKind {
     /// An instrumented user function or code region.
-    Function,
+    Function = 0,
     /// A `parallel` construct (the implicit tasks' root).
-    Parallel,
+    Parallel = 1,
     /// An explicit `task` construct: the root region of every instance
     /// created by that construct.
-    Task,
+    Task = 2,
     /// The task *creation* region: entered/exited by the encountering thread
     /// around queuing a deferred task (paper Fig. 7, "create A").
-    TaskCreate,
+    TaskCreate = 3,
     /// A `taskwait` construct — a task scheduling point.
-    Taskwait,
+    Taskwait = 4,
     /// The implicit barrier at the end of a parallel region — a scheduling
     /// point in which threads execute queued tasks (paper Fig. 8).
-    ImplicitBarrier,
+    ImplicitBarrier = 5,
     /// An explicit `barrier` construct.
-    ExplicitBarrier,
+    ExplicitBarrier = 6,
     /// A `single` construct (BOTS uses it for single-creator codes).
-    Single,
+    Single = 7,
     /// A `for` worksharing construct (BOTS provides for-versions of
     /// alignment and sparselu alongside the task versions).
-    Workshare,
+    Workshare = 8,
     /// A named `critical` section (lock acquisition shows up as exclusive
     /// time of this region — lock-contention profiling).
-    Critical,
+    Critical = 9,
     /// Anything else the user wants on the call path.
-    User,
+    User = 10,
 }
 
 impl RegionKind {
-    /// Short lowercase label used by renderers.
+    /// Short lowercase label used by renderers: the store [`tag`](Self::tag)
+    /// except for the two kinds renderers abbreviate.
     pub fn label(self) -> &'static str {
         match self {
             RegionKind::Function => "fn",
+            RegionKind::User => "region",
+            other => other.tag(),
+        }
+    }
+
+    /// The kind's name in the text stores (`taskprof-profile v1`,
+    /// `taskprof-trace v1`). A file format: never rename one.
+    #[inline]
+    pub fn tag(self) -> &'static str {
+        match self {
+            RegionKind::Function => "function",
             RegionKind::Parallel => "parallel",
             RegionKind::Task => "task",
             RegionKind::TaskCreate => "create",
@@ -79,8 +94,47 @@ impl RegionKind {
             RegionKind::Single => "single",
             RegionKind::Workshare => "for",
             RegionKind::Critical => "critical",
-            RegionKind::User => "region",
+            RegionKind::User => "user",
         }
+    }
+
+    /// Inverse of [`tag`](Self::tag); `None` for an unknown tag.
+    #[inline]
+    pub fn from_tag(tag: &str) -> Option<RegionKind> {
+        Some(match tag {
+            "function" => RegionKind::Function,
+            "parallel" => RegionKind::Parallel,
+            "task" => RegionKind::Task,
+            "create" => RegionKind::TaskCreate,
+            "taskwait" => RegionKind::Taskwait,
+            "ibarrier" => RegionKind::ImplicitBarrier,
+            "barrier" => RegionKind::ExplicitBarrier,
+            "single" => RegionKind::Single,
+            "for" => RegionKind::Workshare,
+            "critical" => RegionKind::Critical,
+            "user" => RegionKind::User,
+            _ => return None,
+        })
+    }
+
+    /// Inverse of `kind as u8`, the kind's byte in the binary record
+    /// codec; `None` for a byte no kind has.
+    #[inline]
+    pub fn from_u8(byte: u8) -> Option<RegionKind> {
+        Some(match byte {
+            0 => RegionKind::Function,
+            1 => RegionKind::Parallel,
+            2 => RegionKind::Task,
+            3 => RegionKind::TaskCreate,
+            4 => RegionKind::Taskwait,
+            5 => RegionKind::ImplicitBarrier,
+            6 => RegionKind::ExplicitBarrier,
+            7 => RegionKind::Single,
+            8 => RegionKind::Workshare,
+            9 => RegionKind::Critical,
+            10 => RegionKind::User,
+            _ => return None,
+        })
     }
 
     /// True for kinds that are task scheduling points in OpenMP 3.0: task
@@ -285,6 +339,17 @@ macro_rules! param {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn kind_spellings_round_trip() {
+        for byte in 0..KINDS as u8 {
+            let kind = RegionKind::from_u8(byte).expect("every byte below KINDS is a kind");
+            assert_eq!(kind as u8, byte);
+            assert_eq!(RegionKind::from_tag(kind.tag()), Some(kind));
+        }
+        assert_eq!(RegionKind::from_u8(KINDS as u8), None);
+        assert_eq!(RegionKind::from_tag("fn"), None);
+    }
 
     #[test]
     fn register_is_idempotent() {

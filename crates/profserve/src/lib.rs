@@ -41,6 +41,9 @@
 
 #![warn(missing_docs)]
 
+#[cfg(not(unix))]
+compile_error!("profserve needs poll(2)/epoll");
+
 pub mod client;
 pub mod json;
 pub mod protocol;

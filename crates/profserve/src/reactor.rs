@@ -7,7 +7,7 @@
 //! crates: the two syscalls the reactor needs are declared directly
 //! against libc, gated to the platforms whose ABI they match.
 //!
-//! The state machine preserves the thread-per-connection semantics the
+//! The per-connection state machine implements the semantics the
 //! integration tests pin down:
 //!
 //! * first-byte sniffing — `"TPF1"` magic selects binary frames,
@@ -35,8 +35,6 @@
 //!   drain fast enough has events dropped (never buffered without
 //!   bound, never blocking ingest) and receives a typed `lagged` notice
 //!   once it catches up.
-
-#![cfg(unix)]
 
 use crate::protocol::{error_line, ErrorKind, Notification, Response, WireProtocol};
 use crate::server::{
@@ -673,18 +671,17 @@ fn serve_json(
     if line.trim_ascii().is_empty() {
         return None;
     }
-    let (reply, effects) = match catch_unwind(AssertUnwindSafe(|| {
-        serve_json_line(shared, line, true, authed)
-    })) {
-        Ok(pair) => pair,
-        Err(_) => {
-            shared.counters.panic();
-            (
-                error_line(ErrorKind::Internal, "request handler panicked (isolated)"),
-                Default::default(),
-            )
-        }
-    };
+    let (reply, effects) =
+        match catch_unwind(AssertUnwindSafe(|| serve_json_line(shared, line, authed))) {
+            Ok(pair) => pair,
+            Err(_) => {
+                shared.counters.panic();
+                (
+                    error_line(ErrorKind::Internal, "request handler panicked (isolated)"),
+                    Default::default(),
+                )
+            }
+        };
     out.extend_from_slice(reply.as_bytes());
     out.push(b'\n');
     Some(effects)
@@ -695,7 +692,7 @@ fn serve_json(
 fn serve_bin(conn: &mut Conn, shared: &Arc<Shared>, payload: &[u8]) -> Option<Notification> {
     let authed = conn.authed;
     let (response, effects) = match catch_unwind(AssertUnwindSafe(|| {
-        serve_bin_payload(shared, payload, true, authed)
+        serve_bin_payload(shared, payload, authed)
     })) {
         Ok(pair) => pair,
         Err(_) => {
@@ -1039,7 +1036,6 @@ mod tests {
         let shared = Arc::new(Shared {
             store: std::sync::RwLock::new(store.into()),
             counters: taskprof_telemetry::ServiceCounters::new(),
-            permits: std::sync::atomic::AtomicUsize::new(4),
             stop: std::sync::atomic::AtomicBool::new(false),
             read_only: std::sync::atomic::AtomicBool::new(false),
             config: crate::ServeConfig::default(),

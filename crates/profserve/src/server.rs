@@ -30,9 +30,6 @@
 //!   daemon into read-only mode: further ingests get a typed `read_only`
 //!   error, queries keep working, and `STATS` reports `"read_only":true`
 //!   so operators see the degradation instead of a crash loop.
-//!
-//! On non-unix hosts (no `poll`/`epoll`) a legacy thread-per-connection
-//! loop serves the JSON protocol only.
 
 use crate::protocol::{
     ErrorKind, IngestReceipt, Notification, Record, RegressReport, Request, Response,
@@ -42,7 +39,7 @@ use crate::trace::{verb_index, ReqProto, RequestLatency};
 use crate::wire;
 use profstore::{is_enospc, RegressConfig, Repo, RetentionPolicy, RunSummary, StoreError};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 use taskprof_telemetry::ServiceCounters;
@@ -108,14 +105,12 @@ impl Default for ServeConfig {
 }
 
 /// The reactor's poll tick — also the floor on subscription push
-/// periods (defined here so the non-unix build sees it too).
+/// periods.
 pub(crate) const REACTOR_TICK: Duration = Duration::from_millis(50);
 
 pub(crate) struct Shared {
     pub(crate) store: RwLock<Repo>,
     pub(crate) counters: Arc<ServiceCounters>,
-    #[cfg_attr(unix, allow(dead_code))]
-    pub(crate) permits: AtomicUsize,
     pub(crate) stop: AtomicBool,
     /// Set on the first `ENOSPC` from the store; ingests are refused
     /// (typed `read_only`) until the daemon restarts with free disk.
@@ -206,7 +201,6 @@ impl Server {
         let shared = Arc::new(Shared {
             store: RwLock::new(store.into()),
             counters: ServiceCounters::new(),
-            permits: AtomicUsize::new(config.max_connections),
             stop: AtomicBool::new(false),
             read_only: AtomicBool::new(false),
             latency: RequestLatency::default(),
@@ -232,8 +226,8 @@ impl Server {
         })
     }
 
-    /// Serve until [`ServerHandle::stop`]; joins the compactor (and, on
-    /// the legacy path, all handler threads) before returning.
+    /// Serve until [`ServerHandle::stop`]; joins the compactor before
+    /// returning.
     pub fn run(self) -> std::io::Result<()> {
         let compactor = self.shared.config.compact_interval.map(|every| {
             let shared = Arc::clone(&self.shared);
@@ -261,22 +255,12 @@ impl Server {
             })
         });
 
-        let result = self.serve();
+        let result = crate::reactor::run(self.listener, Arc::clone(&self.shared));
 
         if let Some(compactor) = compactor {
             let _ = compactor.join();
         }
         result
-    }
-
-    #[cfg(unix)]
-    fn serve(self) -> std::io::Result<()> {
-        crate::reactor::run(self.listener, Arc::clone(&self.shared))
-    }
-
-    #[cfg(not(unix))]
-    fn serve(self) -> std::io::Result<()> {
-        legacy::serve(self.listener, Arc::clone(&self.shared))
     }
 
     /// Bind + run on a background thread; the returned handle stops it.
@@ -629,13 +613,12 @@ pub(crate) fn respond(shared: &Shared, request: Request) -> Response {
             shared.counters.query();
             Response::Prometheus(stats_prometheus(shared))
         }
-        // SUBSCRIBE is connection-level: only the streaming reactor can
-        // upgrade a connection to push mode (it intercepts the verb
-        // before dispatch). Reaching this dispatch means the transport
-        // cannot stream.
+        // SUBSCRIBE is connection-level: `serve_parsed` intercepts it
+        // before dispatch, because the upgrade to push mode is an effect
+        // on the connection, not a query of the store.
         Request::Subscribe { .. } => error(
             ErrorKind::BadRequest,
-            "SUBSCRIBE requires the streaming reactor transport",
+            "SUBSCRIBE is handled by the connection, not dispatched",
         ),
         Request::Export { after, max } => {
             shared.counters.query();
@@ -760,13 +743,11 @@ fn auth_gate(
 }
 
 /// Dispatch one parsed (or unparsable) request, recording the handling
-/// span in the latency grid. `allow_subscribe` is true only on the
-/// streaming reactor path; elsewhere `SUBSCRIBE` gets a typed refusal.
+/// span in the latency grid.
 fn serve_parsed(
     shared: &Shared,
     parsed: Result<Request, String>,
     proto: ReqProto,
-    allow_subscribe: bool,
     authed: bool,
 ) -> (Response, ServeEffects) {
     let mut effects = ServeEffects::default();
@@ -777,7 +758,7 @@ fn serve_parsed(
             let response = match auth_gate(shared, &request, authed, &mut effects) {
                 Some(refusal) => refusal,
                 None => match request {
-                    Request::Subscribe { interval_ms } if allow_subscribe => {
+                    Request::Subscribe { interval_ms } => {
                         // Clamp below at the reactor tick: pushes cannot be
                         // more frequent than the loop that emits them.
                         let ms = interval_ms
@@ -830,14 +811,13 @@ fn serve_parsed(
 pub(crate) fn serve_json_line(
     shared: &Shared,
     line: &[u8],
-    allow_subscribe: bool,
     authed: bool,
 ) -> (String, ServeEffects) {
     shared.counters.json_request();
     let parsed = std::str::from_utf8(line)
         .map_err(|_| "request line is not valid UTF-8".to_string())
         .and_then(Request::from_json_line);
-    let (response, effects) = serve_parsed(shared, parsed, ReqProto::Json, allow_subscribe, authed);
+    let (response, effects) = serve_parsed(shared, parsed, ReqProto::Json, authed);
     (response.to_json_line(), effects)
 }
 
@@ -846,7 +826,6 @@ pub(crate) fn serve_json_line(
 pub(crate) fn serve_bin_payload(
     shared: &Shared,
     payload: &[u8],
-    allow_subscribe: bool,
     authed: bool,
 ) -> (Response, ServeEffects) {
     shared.counters.bin_request();
@@ -854,181 +833,6 @@ pub(crate) fn serve_bin_payload(
         shared,
         wire::decode_request(payload).map_err(|e| e.to_string()),
         ReqProto::Bin,
-        allow_subscribe,
         authed,
     )
-}
-
-/// Serve one JSON request line without streaming support (legacy path);
-/// returns the response line plus the connection's updated auth state.
-#[cfg_attr(unix, allow(dead_code))]
-pub(crate) fn handle_json_line(shared: &Shared, line: &str, authed: bool) -> (String, bool) {
-    let (line, effects) = serve_json_line(shared, line.as_bytes(), false, authed);
-    (line, authed || effects.authed)
-}
-
-// ---------------------------------------------------------------------
-// Legacy thread-per-connection loop (non-unix hosts only): JSON lines
-// only, no reactor. Kept so the crate still builds where poll(2) is
-// unavailable; the reactor path is the product.
-// ---------------------------------------------------------------------
-
-#[cfg(not(unix))]
-mod legacy {
-    use super::*;
-    use crate::protocol::error_line;
-    use std::io::{BufRead, BufReader, Write};
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-
-    pub(super) fn serve(listener: TcpListener, shared: Arc<Shared>) -> std::io::Result<()> {
-        let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        for conn in listener.incoming() {
-            if shared.stop.load(Ordering::SeqCst) {
-                break;
-            }
-            let stream = match conn {
-                Ok(s) => s,
-                Err(_) => continue,
-            };
-            let admitted = shared
-                .permits
-                .fetch_update(Ordering::AcqRel, Ordering::Acquire, |p| p.checked_sub(1))
-                .is_ok();
-            if !admitted {
-                shared.counters.shed();
-                let mut stream = stream;
-                let _ = writeln!(
-                    stream,
-                    "{}",
-                    error_line(
-                        ErrorKind::Overloaded,
-                        "connection limit reached; retry later"
-                    )
-                );
-                continue;
-            }
-            shared.counters.connection();
-            let shared = Arc::clone(&shared);
-            let handle = std::thread::spawn(move || {
-                serve_connection(&shared, stream);
-                shared.permits.fetch_add(1, Ordering::AcqRel);
-            });
-            workers.retain(|h| !h.is_finished());
-            workers.push(handle);
-        }
-        for handle in workers {
-            let _ = handle.join();
-        }
-        Ok(())
-    }
-
-    enum LineOutcome {
-        Line(String),
-        Eof,
-        TooLarge,
-        TimedOut,
-        Failed,
-    }
-
-    fn read_bounded_line(reader: &mut BufReader<TcpStream>, max: usize) -> LineOutcome {
-        let mut line: Vec<u8> = Vec::new();
-        loop {
-            let chunk = match reader.fill_buf() {
-                Ok(c) => c,
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    return LineOutcome::TimedOut
-                }
-                Err(_) => return LineOutcome::Failed,
-            };
-            if chunk.is_empty() {
-                return if line.is_empty() {
-                    LineOutcome::Eof
-                } else {
-                    match String::from_utf8(std::mem::take(&mut line)) {
-                        Ok(s) => LineOutcome::Line(s),
-                        Err(_) => LineOutcome::Failed,
-                    }
-                };
-            }
-            let newline = chunk.iter().position(|&b| b == b'\n');
-            let take = newline.map_or(chunk.len(), |i| i);
-            if line.len() + take > max {
-                return LineOutcome::TooLarge;
-            }
-            line.extend_from_slice(&chunk[..take]);
-            let consumed = newline.map_or(take, |i| i + 1);
-            reader.consume(consumed);
-            if newline.is_some() {
-                if line.last() == Some(&b'\r') {
-                    line.pop();
-                }
-                return match String::from_utf8(line) {
-                    Ok(s) => LineOutcome::Line(s),
-                    Err(_) => LineOutcome::Failed,
-                };
-            }
-        }
-    }
-
-    fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) {
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(shared.config.read_timeout);
-        let _ = stream.set_write_timeout(shared.config.write_timeout);
-        let mut writer = match stream.try_clone() {
-            Ok(w) => w,
-            Err(_) => return,
-        };
-        let mut reader = BufReader::new(stream);
-        let mut authed = false;
-        loop {
-            let line = match read_bounded_line(&mut reader, shared.config.max_request_bytes) {
-                LineOutcome::Line(l) => l,
-                LineOutcome::Eof | LineOutcome::Failed => break,
-                LineOutcome::TimedOut => {
-                    if !shared.stop.load(Ordering::SeqCst) {
-                        shared.counters.timeout();
-                    }
-                    break;
-                }
-                LineOutcome::TooLarge => {
-                    shared.counters.error();
-                    let reply = error_line(
-                        ErrorKind::TooLarge,
-                        &format!(
-                            "request line exceeds {} bytes; connection closed",
-                            shared.config.max_request_bytes
-                        ),
-                    );
-                    let _ = writeln!(writer, "{reply}").and_then(|()| writer.flush());
-                    break;
-                }
-            };
-            if line.trim().is_empty() {
-                continue;
-            }
-            let response =
-                match catch_unwind(AssertUnwindSafe(|| handle_json_line(shared, &line, authed))) {
-                    Ok((resp, now_authed)) => {
-                        authed = now_authed;
-                        resp
-                    }
-                    Err(_) => {
-                        shared.counters.panic();
-                        error_line(ErrorKind::Internal, "request handler panicked (isolated)")
-                    }
-                };
-            if writeln!(writer, "{response}")
-                .and_then(|()| writer.flush())
-                .is_err()
-            {
-                break;
-            }
-            if shared.stop.load(Ordering::SeqCst) {
-                break;
-            }
-        }
-    }
 }

@@ -4,8 +4,7 @@
 //! dispatch (`parse → respond → serialize`) and recorded into a
 //! [`LatencyHistogram`] keyed by the request verb and the wire protocol
 //! it arrived over. Recording is two relaxed atomic adds — safe from the
-//! reactor thread, the legacy handler threads, and any future worker
-//! pool without locks.
+//! reactor thread and any future worker pool without locks.
 //!
 //! The grid is surfaced three ways:
 //!

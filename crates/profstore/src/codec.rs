@@ -173,39 +173,6 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn kind_to_u8(kind: RegionKind) -> u8 {
-    match kind {
-        RegionKind::Function => 0,
-        RegionKind::Parallel => 1,
-        RegionKind::Task => 2,
-        RegionKind::TaskCreate => 3,
-        RegionKind::Taskwait => 4,
-        RegionKind::ImplicitBarrier => 5,
-        RegionKind::ExplicitBarrier => 6,
-        RegionKind::Single => 7,
-        RegionKind::Workshare => 8,
-        RegionKind::Critical => 9,
-        RegionKind::User => 10,
-    }
-}
-
-fn kind_from_u8(tag: u8) -> Option<RegionKind> {
-    Some(match tag {
-        0 => RegionKind::Function,
-        1 => RegionKind::Parallel,
-        2 => RegionKind::Task,
-        3 => RegionKind::TaskCreate,
-        4 => RegionKind::Taskwait,
-        5 => RegionKind::ImplicitBarrier,
-        6 => RegionKind::ExplicitBarrier,
-        7 => RegionKind::Single,
-        8 => RegionKind::Workshare,
-        9 => RegionKind::Critical,
-        10 => RegionKind::User,
-        _ => return None,
-    })
-}
-
 // ---------------------------------------------------------------------
 // Tree encode / decode
 // ---------------------------------------------------------------------
@@ -243,7 +210,7 @@ fn put_node(out: &mut Vec<u8>, reg: &RegistryView<'_>, node: &SnapNode) {
         NodeKind::Region(id) => {
             out.push(TAG_REGION);
             let info = reg.info(id);
-            out.push(kind_to_u8(info.kind));
+            out.push(info.kind as u8);
             put_str(out, &info.name);
         }
         NodeKind::Stub(id) => {
@@ -271,7 +238,8 @@ fn read_node(r: &mut Reader<'_>, depth: usize) -> Result<SnapNode, CodecError> {
     let reg = registry();
     let kind = match r.byte()? {
         TAG_REGION => {
-            let k = kind_from_u8(r.byte()?).ok_or(CodecError::Malformed("bad region kind"))?;
+            let k =
+                RegionKind::from_u8(r.byte()?).ok_or(CodecError::Malformed("bad region kind"))?;
             let name = r.str()?;
             NodeKind::Region(reg.register(&name, k, "loaded", 0))
         }

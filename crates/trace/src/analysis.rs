@@ -48,7 +48,8 @@ pub struct InstanceLatency {
     /// Creation-completion to execution-start latency (None if the
     /// creation was not in the trace), ns.
     pub queue_ns: Option<u64>,
-    /// Begin-to-end wall span (includes suspensions), ns.
+    /// Begin-to-end (or begin-to-abort) wall span, suspensions included,
+    /// ns.
     pub span_ns: u64,
     /// Number of execution fragments (1 = never suspended).
     pub fragments: u32,
@@ -75,7 +76,6 @@ pub struct TraceAnalysis {
 }
 
 struct OpenInterval {
-    region: RegionId,
     enter_t: u64,
     task_exec_ns: u64,
     first_switch: Option<u64>,
@@ -121,7 +121,7 @@ pub fn analyze(trace: &Trace) -> TraceAnalysis {
 
         let mut close_exec = |t: u64, open: &mut Vec<OpenInterval>, exec_since: &mut Option<u64>| {
             if let Some(since) = exec_since.take() {
-                let d = t - since;
+                let d = t.saturating_sub(since);
                 total_task_exec += d;
                 for iv in open.iter_mut() {
                     iv.task_exec_ns += d;
@@ -141,7 +141,6 @@ pub fn analyze(trace: &Trace) -> TraceAnalysis {
                 EventKind::Enter(r) => {
                     if reg.kind(r).is_scheduling_point() {
                         open.push(OpenInterval {
-                            region: r,
                             enter_t: t,
                             task_exec_ns: 0,
                             first_switch: None,
@@ -152,18 +151,19 @@ pub fn analyze(trace: &Trace) -> TraceAnalysis {
                 }
                 EventKind::Exit(r) => {
                     if reg.kind(r).is_scheduling_point() {
-                        let iv = open.pop().expect("unbalanced scheduling point");
-                        debug_assert_eq!(iv.region, r);
-                        // Account a still-running fragment's share so far
-                        // (fragment continues past the exit only for
-                        // malformed traces; real exits happen outside
-                        // execution or after fragment end).
-                        let dwell = t - iv.enter_t;
+                        // A recorded trace is balanced and time-ordered per
+                        // thread; a parsed file need not be. An exit with
+                        // no open interval is skipped and time differences
+                        // saturate, so a malformed file skews the numbers
+                        // instead of panicking.
+                        let Some(iv) = open.pop() else { continue };
+                        let dwell = t.saturating_sub(iv.enter_t);
                         let acc = by_kind.entry(reg.kind(r)).or_default();
                         acc.intervals += 1;
                         acc.dwell_ns += dwell;
                         acc.task_exec_ns += iv.task_exec_ns;
-                        acc.pre_switch_ns += iv.first_switch.unwrap_or(t) - iv.enter_t;
+                        acc.pre_switch_ns +=
+                            iv.first_switch.unwrap_or(t).saturating_sub(iv.enter_t);
                         acc.fragments += iv.fragments;
                         if iv.top_level {
                             total_sched_nonexec += dwell.saturating_sub(iv.task_exec_ns);
@@ -175,7 +175,7 @@ pub fn analyze(trace: &Trace) -> TraceAnalysis {
                 }
                 EventKind::TaskCreateEnd(_, id) => {
                     if let Some(since) = create_since.take() {
-                        total_creation += t - since;
+                        total_creation += t.saturating_sub(since);
                     }
                     let _ = id; // creation times were collected in the pre-pass
                 }
@@ -188,14 +188,16 @@ pub fn analyze(trace: &Trace) -> TraceAnalysis {
                     mark_switch_in(t, &mut open);
                     begun.insert(id, (r, t, 1));
                 }
-                EventKind::TaskEnd(_, id) => {
+                // An abort ends the instance's execution exactly as an
+                // end does; the time up to it is valid measurement data.
+                EventKind::TaskEnd(_, id) | EventKind::TaskAbort(_, id) => {
                     close_exec(t, &mut open, &mut exec_since);
                     if let Some((region, begin_t, fragments)) = begun.remove(&id) {
                         instances.push(InstanceLatency {
                             id,
                             region,
                             queue_ns: created.get(&id).map(|c| begin_t.saturating_sub(*c)),
-                            span_ns: t - begin_t,
+                            span_ns: t.saturating_sub(begin_t),
                             fragments,
                         });
                     }

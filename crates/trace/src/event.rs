@@ -17,6 +17,9 @@ pub enum EventKind {
     TaskBegin(RegionId, TaskId),
     /// Task instance completed.
     TaskEnd(RegionId, TaskId),
+    /// Task instance terminated abnormally (its body panicked); recorded
+    /// instead of `TaskEnd`.
+    TaskAbort(RegionId, TaskId),
     /// Current task switched (suspend/resume).
     TaskSwitch(TaskRef),
     /// Parameter scope opened.
@@ -80,6 +83,7 @@ impl Trace {
                 }
                 EventKind::TaskBegin(r, id) => format!("TASK_BEGIN   {} #{}", name(r), id.get()),
                 EventKind::TaskEnd(r, id) => format!("TASK_END     {} #{}", name(r), id.get()),
+                EventKind::TaskAbort(r, id) => format!("TASK_ABORT   {} #{}", name(r), id.get()),
                 EventKind::TaskSwitch(TaskRef::Implicit) => "TASK_SWITCH  implicit".to_string(),
                 EventKind::TaskSwitch(TaskRef::Explicit(id)) => {
                     format!("TASK_SWITCH  #{}", id.get())

@@ -126,6 +126,11 @@ impl<C: Clock> ThreadHooks for TraceThread<C> {
     }
 
     #[inline]
+    fn task_abort(&self, task_region: RegionId, task: TaskId) {
+        self.push(EventKind::TaskAbort(task_region, task));
+    }
+
+    #[inline]
     fn task_switch(&self, resumed: TaskRef) {
         self.push(EventKind::TaskSwitch(resumed));
     }

@@ -45,39 +45,6 @@ fn col_of(raw: &str, tok: &str) -> usize {
 
 impl std::error::Error for ParseError {}
 
-fn kind_tag(kind: RegionKind) -> &'static str {
-    match kind {
-        RegionKind::Function => "function",
-        RegionKind::Parallel => "parallel",
-        RegionKind::Task => "task",
-        RegionKind::TaskCreate => "create",
-        RegionKind::Taskwait => "taskwait",
-        RegionKind::ImplicitBarrier => "ibarrier",
-        RegionKind::ExplicitBarrier => "barrier",
-        RegionKind::Single => "single",
-        RegionKind::Workshare => "for",
-        RegionKind::Critical => "critical",
-        RegionKind::User => "user",
-    }
-}
-
-fn kind_from_tag(tag: &str) -> Option<RegionKind> {
-    Some(match tag {
-        "function" => RegionKind::Function,
-        "parallel" => RegionKind::Parallel,
-        "task" => RegionKind::Task,
-        "create" => RegionKind::TaskCreate,
-        "taskwait" => RegionKind::Taskwait,
-        "ibarrier" => RegionKind::ImplicitBarrier,
-        "barrier" => RegionKind::ExplicitBarrier,
-        "single" => RegionKind::Single,
-        "for" => RegionKind::Workshare,
-        "critical" => RegionKind::Critical,
-        "user" => RegionKind::User,
-        _ => return None,
-    })
-}
-
 // Region names are percent-escaped so they fit in one whitespace-split
 // token.
 fn esc(name: &str) -> String {
@@ -115,7 +82,7 @@ fn unesc(s: &str) -> String {
 fn region_token(r: RegionId) -> String {
     let reg = registry();
     let info = reg.info(r);
-    format!("{}:{}", kind_tag(info.kind), esc(&info.name))
+    format!("{}:{}", info.kind.tag(), esc(&info.name))
 }
 
 /// Serialize a trace to text.
@@ -142,6 +109,9 @@ pub fn write_trace(trace: &Trace) -> String {
                 format!("task-begin {} {}", region_token(r), id.get())
             }
             EventKind::TaskEnd(r, id) => format!("task-end {} {}", region_token(r), id.get()),
+            EventKind::TaskAbort(r, id) => {
+                format!("task-abort {} {}", region_token(r), id.get())
+            }
             EventKind::TaskSwitch(TaskRef::Implicit) => "switch implicit".to_string(),
             EventKind::TaskSwitch(TaskRef::Explicit(id)) => format!("switch {}", id.get()),
             EventKind::ParamBegin(p, v) => {
@@ -160,7 +130,7 @@ fn parse_region(line: usize, column: usize, tok: &str) -> Result<RegionId, Parse
         column,
         message: format!("malformed region token '{tok}'"),
     })?;
-    let kind = kind_from_tag(ktag).ok_or(ParseError {
+    let kind = RegionKind::from_tag(ktag).ok_or(ParseError {
         line,
         column,
         message: format!("unknown region kind '{ktag}'"),
@@ -253,6 +223,10 @@ pub fn read_trace(text: &str) -> Result<Trace, ParseError> {
                 parse_task(line, col(id), id)?,
             ),
             ("task-end", [r, id]) => EventKind::TaskEnd(
+                parse_region(line, col(r), r)?,
+                parse_task(line, col(id), id)?,
+            ),
+            ("task-abort", [r, id]) => EventKind::TaskAbort(
                 parse_region(line, col(r), r)?,
                 parse_task(line, col(id), id)?,
             ),

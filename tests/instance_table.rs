@@ -77,11 +77,22 @@ const TASKS: [RegionId; 3] = [RegionId(9710), RegionId(9711), RegionId(9712)];
 
 #[test]
 fn steady_state_task_cycle_with_an_explicit_parent_allocates_nothing() {
+    // The plain monitor and the telemetry-on one: "no allocation on the
+    // event path" is telemetry's contract too. (Edge recording is left
+    // out: its log grows, amortised, by design.)
+    steady_state_cycles_allocate_nothing("plain", ProfMonitor::new());
+    let with_telemetry = ProfMonitor::builder()
+        .telemetry()
+        .build()
+        .expect("default telemetry configuration is valid");
+    steady_state_cycles_allocate_nothing("telemetry", with_telemetry);
+}
+
+fn steady_state_cycles_allocate_nothing(name: &str, monitor: ProfMonitor) {
     // A parent suspended in a taskwait creates and runs one child after
     // another, under a grandparent suspended the same way: every cycle
     // is create, suspend, begin, enter/exit, end, resume — nine events,
     // two table entries below the child.
-    let monitor = ProfMonitor::new();
     let ids = TaskIdAllocator::new();
     monitor.parallel_fork(PAR, 1);
     let th = monitor.thread_begin(0, 1, PAR);
@@ -113,7 +124,10 @@ fn steady_state_task_cycle_with_an_explicit_parent_allocates_nothing() {
             cycle();
         }
     });
-    assert_eq!(allocs, 0, "{allocs} allocations in {CYCLES} task cycles");
+    assert_eq!(
+        allocs, 0,
+        "{name}: {allocs} allocations in {CYCLES} task cycles"
+    );
     th.task_end(TASKS[1], parent);
     th.task_switch(TaskRef::Explicit(grandparent));
     th.exit(TASKWAIT);

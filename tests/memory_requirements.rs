@@ -7,7 +7,8 @@
 //! count.
 
 use bots::{run_app, AppId, RunOpts, Scale};
-use taskprof::ProfMonitor;
+use pomp::{registry, RegionKind, TaskIdAllocator};
+use taskprof::{AssignPolicy, ProfMonitor, ThreadProfile};
 
 fn run(app: AppId, scale: Scale, threads: usize) -> taskprof::Profile {
     let m = ProfMonitor::new();
@@ -45,6 +46,44 @@ fn arena_grows_with_depth_not_task_count() {
         arena(&big) < 2_000,
         "fib arena should be a few hundred nodes, got {}",
         arena(&big)
+    );
+}
+
+#[test]
+fn node_reuse_is_what_bounds_the_arena() {
+    // The ablation of "released task-instance tree nodes are reused":
+    // the same 1 000 create/begin/enter/exit/end cycles under explicit
+    // timestamps, with the free list on and off. One instance is live at
+    // a time, so with reuse the arena stays at a handful of nodes;
+    // without it every instance leaves its tree behind.
+    let reg = registry();
+    let par = reg.register("mr-abl!parallel", RegionKind::Parallel, "t", 0);
+    let task = reg.register("mr-abl-task", RegionKind::Task, "t", 0);
+    let create = reg.register("mr-abl-task!create", RegionKind::TaskCreate, "t", 0);
+    let barrier = reg.register("mr-abl!barrier", RegionKind::ImplicitBarrier, "t", 0);
+    let inner = reg.register("mr-abl-inner", RegionKind::User, "t", 0);
+    let arena_after_1000_instances = |reuse: bool| -> usize {
+        let ids = TaskIdAllocator::new();
+        let mut p = ThreadProfile::new(par, 0, AssignPolicy::Executing);
+        p.set_node_reuse(reuse);
+        for t in (0..10_000).step_by(10) {
+            let id = ids.alloc();
+            p.task_create_begin(create, task, id, t);
+            p.task_create_end(create, id, t + 1);
+            p.enter(barrier, t + 1);
+            p.task_begin(task, id, t + 2);
+            p.enter(inner, t + 3);
+            p.exit(inner, t + 4);
+            p.task_end(task, id, t + 5);
+            p.exit(barrier, t + 6);
+        }
+        p.arena_capacity()
+    };
+    let with = arena_after_1000_instances(true);
+    let without = arena_after_1000_instances(false);
+    assert!(
+        without > 10 * with,
+        "reuse must bound memory: {with} nodes with the free list, {without} without"
     );
 }
 

@@ -106,11 +106,12 @@ proptest! {
         let events: Vec<TraceEvent> = (0..n_events)
             .map(|i| {
                 let id = ids.alloc();
-                let kind = match next() % 5 {
+                let kind = match next() % 6 {
                     0 => EventKind::Enter(bar),
                     1 => EventKind::Exit(bar),
                     2 => EventKind::TaskBegin(task, id),
                     3 => EventKind::TaskEnd(task, id),
+                    4 => EventKind::TaskAbort(task, id),
                     _ => EventKind::TaskSwitch(pomp::TaskRef::Explicit(id)),
                 };
                 TraceEvent { t: i as u64, tid: (next() % 4) as usize, kind }
