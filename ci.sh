@@ -1,8 +1,9 @@
 #!/bin/bash
 # Minimal CI gate: release build, every workspace member's tests,
-# lint-clean clippy, the repo benchmark's own smoke gate
-# (benchmark/check.sh), a floor under JSON ingest throughput, and
-# end-to-end smokes of the CLI, the daemon and replication.
+# lint-clean clippy, a guard against a second hook-stream recorder, the
+# repo benchmark's own smoke gate (benchmark/check.sh), a floor under
+# JSON ingest throughput, and end-to-end smokes of the CLI, the daemon
+# and replication.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -17,6 +18,15 @@ cargo test -q --workspace
 
 echo "=== clippy (workspace, all targets) ==="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "=== one recorder, one event language ==="
+# The packed edge log in crates/core is the only transcript of the hook
+# stream and taskprof::Event the only enum naming its events; the three
+# recorders that used to ride beside it drifted apart unnoticed.
+# (`! git grep` would not do: errexit ignores a negated command.)
+if git grep -nE 'TraceMonitor|TraceThread|EventRecorder|RecorderThread|enum EventKind' -- '*.rs'; then
+    echo "a second recorder or event enum is back"; exit 1
+fi
 
 echo "=== clippy (portable clock path) ==="
 # Compile-check the non-TSC clock fallback other architectures take,
@@ -51,6 +61,16 @@ echo "=== live telemetry smoke ==="
 # exporters round-trip and the HWM gauge matches the profile.
 cargo run --release --example live_telemetry | tee /tmp/live_telemetry.out
 grep -q "LIVE_TELEMETRY_OK" /tmp/live_telemetry.out
+
+echo "=== trace analysis smoke ==="
+# The trace is the session's own edge log read back with absolute
+# timestamps; the analysis must come out the other end of the CLI.
+cargo run --release --bin taskprof-cli -- run fib --scale test --threads 2 --trace \
+    | tee /tmp/trace.out
+grep -q 'trace analysis (' /tmp/trace.out \
+    || { echo "run --trace printed no trace analysis"; exit 1; }
+grep -q 'management/work ratio' /tmp/trace.out \
+    || { echo "trace analysis missing the management/work ratio"; exit 1; }
 
 echo "=== schedule exploration smoke ==="
 # Deterministic simulated schedules over the built-in workloads, every

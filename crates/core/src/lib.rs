@@ -52,7 +52,7 @@ pub use calibrate::{calibrate, Calibration};
 pub use metrics::Stats;
 pub use migrate::DetachedInstance;
 pub use monitor::{
-    ConfigError, ProfMonitor, ProfMonitorBuilder, ProfThread, SessionActiveError,
+    ConfigError, ProfMonitor, ProfMonitorBuilder, ProfThread, RegionEdges, SessionActiveError,
     DEFAULT_PREALLOC_NODES,
 };
 pub use shard::HandoffStack;

@@ -29,7 +29,7 @@ use pomp::{
     TaskRef, ThreadHooks,
 };
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use taskprof_telemetry::{TelemetryConfig, TelemetryCore, ThreadTelemetry};
 
@@ -120,8 +120,11 @@ struct Inner<C: ClockSource> {
     /// Record the create/join edge stream for critical-path analysis.
     record_edges: bool,
     /// Per-thread edge streams, published lock-free at thread end in
-    /// packed form; decoded on drain in [`ProfMonitor::take_edge_streams`].
+    /// packed form; decoded on drain in [`ProfMonitor::take_edge_log`].
     edge_streams: HandoffStack<(usize, PackedEdgeStream)>,
+    /// Parallel regions forked so far: stamped on each edge log at thread
+    /// begin, so the drain can tell two regions' streams apart.
+    regions_forked: AtomicU64,
 }
 
 // Edge-record tags (low 4 bits of the first word of every record).
@@ -142,7 +145,7 @@ const ET_PARAM_END: u64 = 11;
 /// `u64` records and decoded into the replayable [`Event`] language
 /// (differential timestamps, exactly what `critpath::TaskDag` consumes)
 /// only once, off the measured path entirely, when the caller drains
-/// [`ProfMonitor::take_edge_streams`]. Thread end just seals the word
+/// [`ProfMonitor::take_edge_log`]. Thread end just seals the word
 /// buffer and hands it off — decoding is analysis-time cost, so the
 /// instrumented run pays only the packed writes.
 ///
@@ -162,12 +165,16 @@ struct EdgeLog {
     words: Vec<u64>,
 }
 
+/// The log opens with three header words — the thread-begin timestamp
+/// its deltas count from, the parallel region and the region's occurrence
+/// — so the hot struct stays the two fields every hook touches.
+const EDGE_HEADER_WORDS: usize = 3;
+
 impl EdgeLog {
-    fn new(t: u64) -> Self {
-        EdgeLog {
-            last: t,
-            words: Vec::with_capacity(1 << 12),
-        }
+    fn new(t: u64, region: RegionId, occurrence: u64) -> Self {
+        let mut words = Vec::with_capacity(1 << 12);
+        words.extend([t, u64::from(region.0), occurrence]);
+        EdgeLog { last: t, words }
     }
 
     /// Timestamp delta for the next record header, folding oversized
@@ -278,13 +285,35 @@ struct PackedEdgeStream {
     words: Vec<u64>,
 }
 
+/// The decoded edge log of one parallel region. Task ids restart in
+/// every region, so instances are only unique within one of these.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RegionEdges {
+    /// Which of the monitor's `parallel_fork`s this was, counted from 1
+    /// (0: the threads began outside any fork).
+    pub occurrence: u64,
+    /// The parallel region the team ran.
+    pub region: RegionId,
+    /// One stream per team thread, sorted by thread id — the input to
+    /// `critpath::TaskDag::from_streams`.
+    pub streams: Vec<(usize, Vec<Event>)>,
+    /// `origins[i]`: the clock at the thread begin of `streams[i]`, which
+    /// that stream's `Advance`s accumulate from.
+    pub origins: Vec<u64>,
+}
+
 impl PackedEdgeStream {
+    /// `(origin, region, occurrence)`: the header `EdgeLog::new` wrote.
+    fn header(&self) -> (u64, RegionId, u64) {
+        (self.words[0], RegionId(self.words[1] as u32), self.words[2])
+    }
+
     /// Decode the packed log into the replayable event stream, with a
     /// trailing `Advance` up to the thread-end timestamp.
     fn into_events(self) -> Vec<Event> {
         let task_id = |w: u64| TaskId::from_raw(w).expect("recorded task ids are nonzero");
         let mut out = Vec::with_capacity(self.words.len());
-        let mut i = 0;
+        let mut i = EDGE_HEADER_WORDS;
         while i < self.words.len() {
             let w = self.words[i];
             i += 1;
@@ -452,7 +481,7 @@ impl<C: ClockSource> ProfMonitorBuilder<C> {
     /// differential [`Event`] to a thread-private buffer — no extra clock
     /// read, no synchronization until the thread ends. Off by default:
     /// when off, the only cost is one never-taken branch per hook. Drain
-    /// with [`ProfMonitor::take_edge_streams`].
+    /// with [`ProfMonitor::take_edge_log`].
     pub fn record_task_edges(mut self) -> Self {
         self.record_edges = true;
         self
@@ -499,6 +528,7 @@ impl<C: ClockSource> ProfMonitorBuilder<C> {
                     .map(|cfg| Arc::new(TelemetryCore::new(cfg))),
                 record_edges: self.record_edges,
                 edge_streams: HandoffStack::new(),
+                regions_forked: AtomicU64::new(0),
             }),
         })
     }
@@ -569,11 +599,8 @@ impl<C: ClockSource> ProfMonitor<C> {
         self.inner.telemetry.clone()
     }
 
-    /// Drain the snapshots collected since the last call, as one profile
-    /// sorted by thread id. Call after the parallel region(s) complete;
-    /// while threads are still measuring, the profile would be half-merged,
-    /// so a [`SessionActiveError`] is returned instead.
-    pub fn take_profile(&self) -> Result<Profile, SessionActiveError> {
+    /// Every drain refuses mid-measurement: it would hand back a torn run.
+    fn ensure_idle(&self) -> Result<(), SessionActiveError> {
         let live_threads = self.inner.live_threads.load(Ordering::Acquire);
         let live_regions = self.inner.live_regions.load(Ordering::Acquire);
         if live_threads > 0 || live_regions > 0 {
@@ -582,6 +609,15 @@ impl<C: ClockSource> ProfMonitor<C> {
                 live_regions,
             });
         }
+        Ok(())
+    }
+
+    /// Drain the snapshots collected since the last call, as one profile
+    /// sorted by thread id. Call after the parallel region(s) complete;
+    /// while threads are still measuring, the profile would be half-merged,
+    /// so a [`SessionActiveError`] is returned instead.
+    pub fn take_profile(&self) -> Result<Profile, SessionActiveError> {
+        self.ensure_idle()?;
         let mut threads = self.inner.collected.take_all();
         threads.sort_by_key(|t| t.tid);
         if let Some(tc) = &self.inner.telemetry {
@@ -595,30 +631,36 @@ impl<C: ClockSource> ProfMonitor<C> {
         self.inner.record_edges
     }
 
-    /// Drain the edge streams recorded since the last call, sorted by
-    /// thread id — the input to `critpath::TaskDag::from_streams`. Empty
-    /// unless the monitor was built with
-    /// [`ProfMonitorBuilder::record_task_edges`]. Like
-    /// [`ProfMonitor::take_profile`], draining mid-measurement would hand
-    /// back a torn run, so it is the same typed error.
-    pub fn take_edge_streams(&self) -> Result<Vec<(usize, Vec<Event>)>, SessionActiveError> {
-        let live_threads = self.inner.live_threads.load(Ordering::Acquire);
-        let live_regions = self.inner.live_regions.load(Ordering::Acquire);
-        if live_threads > 0 || live_regions > 0 {
-            return Err(SessionActiveError {
-                live_threads,
-                live_regions,
-            });
+    /// Drain and decode the edge log recorded since the last call: one
+    /// [`RegionEdges`] per parallel region, in fork order. Empty unless
+    /// built with [`ProfMonitorBuilder::record_task_edges`]; refused
+    /// mid-measurement like [`ProfMonitor::take_profile`].
+    pub fn take_edge_log(&self) -> Result<Vec<RegionEdges>, SessionActiveError> {
+        self.ensure_idle()?;
+        let mut sealed = self.inner.edge_streams.take_all();
+        sealed.sort_by_key(|(tid, packed)| (packed.header().2, *tid));
+        let mut log: Vec<RegionEdges> = Vec::new();
+        for (tid, packed) in sealed {
+            let (origin, region, occurrence) = packed.header();
+            if log.last().is_none_or(|r| r.occurrence != occurrence) {
+                log.push(RegionEdges {
+                    occurrence,
+                    region,
+                    streams: Vec::new(),
+                    origins: Vec::new(),
+                });
+            }
+            let region = log.last_mut().expect("pushed above");
+            region.origins.push(origin);
+            region.streams.push((tid, packed.into_events()));
         }
-        let mut streams: Vec<(usize, Vec<Event>)> = self
-            .inner
-            .edge_streams
-            .take_all()
-            .into_iter()
-            .map(|(tid, packed)| (tid, packed.into_events()))
-            .collect();
-        streams.sort_by_key(|(tid, _)| *tid);
-        Ok(streams)
+        Ok(log)
+    }
+
+    /// [`ProfMonitor::take_edge_log`] as bare `(tid, events)` streams,
+    /// sorted by thread id within each region.
+    pub fn take_edge_streams(&self) -> Result<Vec<(usize, Vec<Event>)>, SessionActiveError> {
+        Ok(self.take_edge_log()?.into_iter().flat_map(|r| r.streams).collect())
     }
 }
 
@@ -704,6 +746,8 @@ impl<C: ClockSource + 'static> Monitor for ProfMonitor<C> {
 
     fn parallel_fork(&self, _region: RegionId, _nthreads: usize) {
         self.inner.live_regions.fetch_add(1, Ordering::AcqRel);
+        // Pairs with the Acquire load in `thread_begin`.
+        self.inner.regions_forked.fetch_add(1, Ordering::Release);
     }
 
     fn parallel_join(&self, _region: RegionId) {
@@ -737,10 +781,10 @@ impl<C: ClockSource + 'static> Monitor for ProfMonitor<C> {
             tid,
             prof: UnsafeCell::new(prof),
             telem,
-            edges: self
-                .inner
-                .record_edges
-                .then(|| UnsafeCell::new(EdgeLog::new(t))),
+            edges: self.inner.record_edges.then(|| {
+                let occurrence = self.inner.regions_forked.load(Ordering::Acquire);
+                UnsafeCell::new(EdgeLog::new(t, region, occurrence))
+            }),
         }
     }
 
@@ -1011,7 +1055,7 @@ mod tests {
     }
 
     #[test]
-    fn edge_recording_captures_differential_stream() {
+    fn edge_recording_captures_differential_stream_per_region() {
         let clock = VirtualClock::new();
         let m = ProfMonitor::builder()
             .clock(clock.clone())
@@ -1020,46 +1064,134 @@ mod tests {
             .unwrap();
         assert!(m.records_task_edges());
         let ids = TaskIdAllocator::new();
-        let (par, task, create) = (RegionId(0), RegionId(1), RegionId(2));
+        let (task, create) = (RegionId(1), RegionId(2));
         let id = ids.alloc();
-        m.parallel_fork(par, 1);
-        let th = m.thread_begin(0, 1, par);
-        clock.set(10);
-        th.task_create_begin(create, task, id);
-        clock.set(14);
-        th.task_create_end(create, id);
-        th.task_begin(task, id);
-        clock.set(20);
-        th.task_end(task, id);
-        // Mid-measurement drain is refused, like take_profile.
-        assert!(m.take_edge_streams().is_err());
-        clock.set(23);
-        m.thread_end(0, th);
-        m.parallel_join(par);
-        let streams = m.take_edge_streams().unwrap();
-        assert_eq!(streams.len(), 1);
-        let (tid, events) = &streams[0];
-        assert_eq!(*tid, 0);
-        assert_eq!(
-            events.as_slice(),
-            &[
-                Event::Advance(10),
-                Event::CreateBegin {
-                    create,
-                    task_region: task,
-                    id
-                },
-                Event::Advance(4),
-                Event::CreateEnd { create, id },
-                Event::TaskBegin { region: task, id },
-                Event::Advance(6),
-                Event::TaskEnd { region: task, id },
-                Event::Advance(3),
-            ]
-        );
+        // Two regions, the second under another construct and later on
+        // the clock; task ids restart, so both call their instance `id`.
+        for (par, t0) in [(RegionId(0), 0), (RegionId(7), 100)] {
+            m.parallel_fork(par, 1);
+            clock.set(t0 + 2);
+            let th = m.thread_begin(0, 1, par);
+            clock.set(t0 + 10);
+            th.task_create_begin(create, task, id);
+            clock.set(t0 + 14);
+            th.task_create_end(create, id);
+            th.task_begin(task, id);
+            clock.set(t0 + 20);
+            th.task_end(task, id);
+            // Mid-measurement drain is refused, like take_profile.
+            assert!(m.take_edge_log().is_err());
+            clock.set(t0 + 23);
+            m.thread_end(0, th);
+            m.parallel_join(par);
+        }
+        let stream = vec![
+            Event::Advance(8),
+            Event::CreateBegin {
+                create,
+                task_region: task,
+                id,
+            },
+            Event::Advance(4),
+            Event::CreateEnd { create, id },
+            Event::TaskBegin { region: task, id },
+            Event::Advance(6),
+            Event::TaskEnd { region: task, id },
+            Event::Advance(3),
+        ];
+        let want = [(1, RegionId(0), 2), (2, RegionId(7), 102)].map(|(occurrence, region, origin)| {
+            RegionEdges {
+                occurrence,
+                region,
+                streams: vec![(0, stream.clone())],
+                origins: vec![origin],
+            }
+        });
+        assert_eq!(m.take_edge_log().unwrap(), want);
         // Drained: second take is empty, and the profile still collected.
         assert!(m.take_edge_streams().unwrap().is_empty());
-        assert_eq!(m.take_profile().unwrap().num_threads(), 1);
+        assert_eq!(m.take_profile().unwrap().num_threads(), 2);
+    }
+
+    #[test]
+    fn edge_log_survives_a_clock_stepping_backwards() {
+        // `VirtualClock::set` refuses to go backwards, so feed the log its
+        // timestamps directly. A reading below the last one is booked as
+        // "no time passed"; time resumes from the high-water mark.
+        let r = RegionId(1);
+        let mut log = EdgeLog::new(100, RegionId(0), 0);
+        log.emit(90, Event::Enter(r));
+        log.emit(95, Event::Exit(r));
+        log.emit(105, Event::Enter(r));
+        let sealed = log.finish(103);
+        assert_eq!(sealed.header().0, 100, "the origin is the thread-begin time");
+        let want = [Event::Enter(r), Event::Exit(r), Event::Advance(5), Event::Enter(r)];
+        assert_eq!(sealed.into_events(), want);
+    }
+
+    /// All ten `ThreadHooks` methods come back as one event per call, in
+    /// call order, with full-width payloads and the time between them —
+    /// a delta just under, at and over the header's 24 bits included.
+    /// Only a switch to the task already current is dropped. A hook the
+    /// log forgot to transcribe fails here.
+    #[test]
+    fn every_hook_is_transcribed_and_only_redundant_switches_dropped() {
+        let clock = VirtualClock::new();
+        let m = ProfMonitor::builder()
+            .clock(clock.clone())
+            .record_task_edges()
+            .build()
+            .unwrap();
+        let (task, create, work) = (RegionId(u32::MAX), RegionId(2), RegionId(3));
+        let param = ParamId(u32::MAX);
+        let a = TaskId::from_raw((1 << 32) + 9).unwrap();
+        let b = TaskId::from_raw(2).unwrap();
+        let (under, at, over) = ((1u64 << 24) - 1, 1 << 24, (1 << 24) + 1);
+        let th = m.thread_begin(0, 1, RegionId(0));
+        th.task_switch(TaskRef::Implicit); // already current
+        th.task_create_begin(create, task, a);
+        clock.advance(under);
+        th.task_create_end(create, a);
+        th.task_begin(task, a);
+        th.task_switch(TaskRef::Explicit(a)); // already current
+        clock.advance(at);
+        th.enter(work);
+        th.parameter_begin(param, i64::MIN);
+        th.parameter_end(param);
+        clock.advance(over);
+        th.exit(work);
+        th.task_end(task, a);
+        th.task_begin(task, b);
+        th.task_switch(TaskRef::Implicit); // suspends `b`
+        th.task_switch(TaskRef::Implicit); // already current
+        th.task_switch(TaskRef::Explicit(b));
+        th.task_abort(task, b);
+        m.thread_end(0, th);
+        let want = [
+            Event::CreateBegin {
+                create,
+                task_region: task,
+                id: a,
+            },
+            Event::Advance(under),
+            Event::CreateEnd { create, id: a },
+            Event::TaskBegin { region: task, id: a },
+            Event::Advance(at),
+            Event::Enter(work),
+            Event::ParamBegin {
+                param,
+                value: i64::MIN,
+            },
+            Event::ParamEnd { param },
+            Event::Advance(over),
+            Event::Exit(work),
+            Event::TaskEnd { region: task, id: a },
+            Event::TaskBegin { region: task, id: b },
+            Event::Switch(TaskRef::Implicit),
+            Event::Switch(TaskRef::Explicit(b)),
+            Event::TaskAbort { region: task, id: b },
+        ];
+        assert_eq!(m.take_edge_streams().unwrap()[0].1, want);
     }
 
     #[test]

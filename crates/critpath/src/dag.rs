@@ -277,8 +277,8 @@ impl ThreadWalk {
 }
 
 impl TaskDag {
-    /// Build the DAG from per-thread event streams (the shape produced by
-    /// `ProfMonitor::take_edge_streams` and `simsched::EventRecorder`).
+    /// Build the DAG from the per-thread event streams of one parallel
+    /// region (a `RegionEdges::streams` of `ProfMonitor::take_edge_log`).
     /// `parallel_region` is the region id of the parallel construct the
     /// streams cover (the implicit tasks' base attribution).
     pub fn from_streams(

@@ -138,6 +138,44 @@ pub struct CritPathReport {
     pub flags: Vec<DetrimentalFlag>,
 }
 
+impl CritPathReport {
+    /// Serial composition: the report of a program that ran this report's
+    /// parallel region and then `next`'s, as the regions of one session
+    /// do. Times and counts add, per-region rows merge by id, and flags
+    /// are kept from both.
+    pub fn then(mut self, next: CritPathReport) -> CritPathReport {
+        self.work_ns += next.work_ns;
+        self.span_ns += next.span_ns;
+        self.makespan_ns += next.makespan_ns;
+        self.parallelism = match self.span_ns {
+            0 => 1.0,
+            span => self.work_ns as f64 / span as f64,
+        };
+        self.threads = self.threads.max(next.threads);
+        self.tasks += next.tasks;
+        self.fragments += next.fragments;
+        self.steals += next.steals;
+        let threads = self.thread_work_ns.len().max(next.thread_work_ns.len());
+        self.thread_work_ns.resize(threads, 0);
+        for (mine, theirs) in self.thread_work_ns.iter_mut().zip(next.thread_work_ns) {
+            *mine += theirs;
+        }
+        for row in next.regions {
+            match self.regions.iter_mut().find(|r| r.region == row.region) {
+                Some(mine) => {
+                    mine.work_ns += row.work_ns;
+                    mine.span_ns += row.span_ns;
+                }
+                None => self.regions.push(row),
+            }
+        }
+        self.regions
+            .sort_by(|a, b| b.work_ns.cmp(&a.work_ns).then(a.region.cmp(&b.region)));
+        self.flags.extend(next.flags);
+        self
+    }
+}
+
 fn region_name(r: RegionId) -> String {
     if r == SPAWN_REGION {
         "<spawn>".to_string()

@@ -108,7 +108,7 @@ impl TaskRef {
 }
 
 /// Per-thread measurement hooks. All methods default to no-ops so partial
-/// monitors (e.g. a tracer that only cares about task events) stay small.
+/// monitors (e.g. a counter that only cares about task events) stay small.
 pub trait ThreadHooks {
     /// The thread enters `region` within its current task.
     #[inline]
@@ -210,7 +210,7 @@ pub trait Monitor: Sync {
 }
 
 /// Monitors can be passed by reference (useful with the pair monitor:
-/// `(&profiler, &tracer)`).
+/// `(&counter, &profiler)`).
 impl<M: Monitor> Monitor for &M {
     type Thread = M::Thread;
 
@@ -231,8 +231,8 @@ impl<M: Monitor> Monitor for &M {
     }
 }
 
-/// Fan-out: a pair of monitors observes the same run (e.g. a profiler
-/// plus a tracer). Hooks are invoked in order, first then second.
+/// Fan-out: a pair of monitors observes the same run (e.g. a counter
+/// plus a profiler). Hooks are invoked in order, first then second.
 impl<A: Monitor, B: Monitor> Monitor for (A, B) {
     type Thread = (A::Thread, B::Thread);
 

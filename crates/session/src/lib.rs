@@ -94,7 +94,7 @@ impl<M: ProfStack> ProfStack for FilteredMonitor<M> {
     }
 }
 
-/// A side observer (tracer, counter, …) paired with a profiling stack:
+/// A side observer (a counter, …) paired with a profiling stack:
 /// the stack lives in the second slot, mirroring `(&observer, &stack)`
 /// pair-monitor usage.
 impl<A: Monitor, B: ProfStack> ProfStack for (A, B) {
@@ -388,7 +388,9 @@ impl<C: ClockSource + 'static> SessionBuilder<C> {
     /// Record the task create/join edge stream alongside the profile and
     /// run critical-path (work/span) analysis on `finish()`: the report
     /// gains [`SessionReport::critpath`]. Off by default — when off, the
-    /// hot path pays one never-taken branch per hook.
+    /// hot path pays one never-taken branch per hook. For the log as an
+    /// event trace instead (`taskprof_trace::Trace::from_edge_log`), drain
+    /// `profiler().take_edge_log()` before `finish()`.
     pub fn record_task_edges(mut self) -> Self {
         self.prof = self.prof.record_task_edges();
         self
@@ -561,8 +563,8 @@ impl<M: ProfStack> MeasurementSession<M> {
         }
     }
 
-    /// Pair an additional observer (e.g. a tracer) with the stack; it sees
-    /// the same event stream, before the profiling layers.
+    /// Pair an additional observer (any other [`Monitor`]) with the stack;
+    /// it sees the same event stream, before the profiling layers.
     pub fn observed_by<O: Monitor>(self, observer: O) -> MeasurementSession<(O, M)> {
         MeasurementSession {
             team: self.team,
@@ -616,21 +618,28 @@ impl<M: ProfStack> MeasurementSession<M> {
             .export
             .as_ref()
             .map(|plan| export_profile(plan, &profile));
-        let critpath = if self.monitor.profiler().records_task_edges() {
-            let streams = self
+        let critpath = self.monitor.profiler().records_task_edges().then(|| {
+            let edge_log = self
                 .monitor
                 .profiler()
-                .take_edge_streams()
+                .take_edge_log()
                 .expect("a consumed session cannot have regions in flight");
             let opts = critpath::DagOptions {
                 undeferred_spawn_cost: self.sim_spawn_cost,
             };
-            let dag = critpath::TaskDag::from_streams(&streams, self.construct.region, &opts)
-                .expect("recorded edge streams assemble into a DAG");
-            Some(dag.report())
-        } else {
-            None
-        };
+            let analyse = |streams: &[(usize, Vec<taskprof::Event>)], region| {
+                critpath::TaskDag::from_streams(streams, region, &opts)
+                    .expect("recorded edge streams assemble into a DAG")
+                    .report()
+            };
+            // Task ids restart in every parallel region, so each region is
+            // its own DAG; the regions ran one after another.
+            edge_log
+                .iter()
+                .map(|r| analyse(&r.streams, r.region))
+                .reduce(critpath::CritPathReport::then)
+                .unwrap_or_else(|| analyse(&[], self.construct.region))
+        });
         SessionReport {
             profile,
             diagnostics,

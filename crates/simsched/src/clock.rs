@@ -34,8 +34,8 @@ pub(crate) fn current_tid() -> Option<usize> {
 
 /// One virtual clock per simulated thread, bound through a thread-local.
 ///
-/// Clones share the slots, so the scheduler, the profiler, the event
-/// recorder, and the test driver all observe the same timelines.
+/// Clones share the slots, so the scheduler, the profiler, and the test
+/// driver all observe the same timelines.
 #[derive(Clone, Debug, Default)]
 pub struct SimClock {
     slots: Arc<Mutex<Vec<VirtualClock>>>,

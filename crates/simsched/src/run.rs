@@ -1,6 +1,5 @@
 //! One simulated run: workload × schedule → profile + replay + trace.
 
-use crate::recorder::EventRecorder;
 use crate::scheduler::{Choice, SimScheduler, DEFAULT_SPAWN_COST_NS};
 use crate::workloads::TreeWorkload;
 use std::sync::Arc;
@@ -58,15 +57,16 @@ pub struct SimRun {
     /// Per-thread snapshots obtained by *replaying* the recorded event
     /// stream offline — must agree with `profile` (differential check).
     pub replayed: Vec<ThreadSnapshot>,
-    /// The recorded per-thread event streams themselves (sorted by tid) —
-    /// the input to `critpath::TaskDag::from_streams`.
+    /// The per-thread event streams the profiler's own edge log recorded
+    /// (sorted by tid) — the input to `critpath::TaskDag::from_streams`.
     pub streams: Vec<(usize, Vec<taskprof::Event>)>,
     /// The schedule: every recorded decision, in order.
     pub trace: Vec<Choice>,
 }
 
 /// Execute `workload` once under full simulation: deterministic scheduler,
-/// virtual clocks, the real profiler, and an event recorder in parallel.
+/// virtual clocks, and the real profiler recording its edge log — the
+/// transcript the differential check replays is the one users get.
 /// Panics if a task body panics (workloads are expected not to).
 pub fn run_workload(workload: &TreeWorkload, config: &SimConfig) -> SimRun {
     let sched = match &config.choices {
@@ -78,19 +78,15 @@ pub fn run_workload(workload: &TreeWorkload, config: &SimConfig) -> SimRun {
     let sched = Arc::new(sched);
     let team = Team::new(config.nthreads).with_policy(sched.clone());
 
-    let recorder = EventRecorder::new(clock.clone());
     let prof = ProfMonitor::builder()
         .clock(clock.clone())
+        .record_task_edges()
         .build()
         .expect("profiler config is valid");
-    // Recorder on the left: both monitors see each hook at the same
-    // virtual timestamp, so the replayed stream is an exact transcript of
-    // what the profiler measured.
-    let monitor = (&recorder, &prof);
-    workload.run(&team, &monitor, &clock).unwrap();
+    workload.run(&team, &prof, &clock).unwrap();
 
     let profile = prof.take_profile().expect("region finished");
-    let streams = recorder.take_streams();
+    let streams = prof.take_edge_streams().expect("region finished");
     let replayed = streams
         .iter()
         .map(|(tid, events)| {

@@ -76,7 +76,7 @@ impl WhatIfValidation {
 /// # Panics
 ///
 /// Panics if either run's event streams do not assemble into a DAG —
-/// that would be a recorder or runtime bug, not a caller error.
+/// that would be an edge-log or runtime bug, not a caller error.
 pub fn validate_whatif(
     workload: &TreeWorkload,
     config: &SimConfig,

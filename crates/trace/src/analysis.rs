@@ -13,9 +13,10 @@
 //! * per-instance creation-to-start queue latency and fragment counts,
 //! * the global management-to-work ratio.
 
-use crate::event::{EventKind, Trace, TraceEvent};
+use crate::event::{Trace, TraceEvent};
 use pomp::{registry, RegionId, RegionKind, TaskId, TaskRef};
 use std::collections::HashMap;
+use taskprof::Event;
 
 /// Dwell decomposition of one scheduling-point kind (aggregated over all
 /// intervals of that kind on all threads).
@@ -60,7 +61,8 @@ pub struct InstanceLatency {
 pub struct TraceAnalysis {
     /// Per-kind scheduling-point decomposition.
     pub by_kind: Vec<SchedulingPointBreakdown>,
-    /// Per-instance lifecycle data, in begin order.
+    /// Per-instance lifecycle data, by instance id within each parallel
+    /// region (ids restart per region), regions in the order they ran.
     pub instances: Vec<InstanceLatency>,
     /// Total explicit-task execution time across threads, ns.
     pub total_task_exec_ns: u64,
@@ -83,62 +85,68 @@ struct OpenInterval {
     top_level: bool,
 }
 
-#[derive(Default)]
-struct KindAcc {
-    intervals: u64,
-    dwell_ns: u64,
-    task_exec_ns: u64,
-    pre_switch_ns: u64,
-    fragments: u64,
-}
-
-/// Analyze a trace.
+/// Analyze a trace. Sums saturate: a parsed file controls every
+/// timestamp, and a skewed total answers a malformed file better than a
+/// panic.
 pub fn analyze(trace: &Trace) -> TraceAnalysis {
     let reg = registry();
-    let mut by_kind: HashMap<RegionKind, KindAcc> = HashMap::new();
-    // Pre-pass: collect creation times globally — a task may be created
-    // on a thread the per-thread sweep below visits *after* the one that
-    // executed it.
-    let created: HashMap<TaskId, u64> = trace
-        .events
-        .iter()
-        .filter_map(|e| match e.kind {
-            EventKind::TaskCreateEnd(_, id) => Some((id, e.t)),
-            _ => None,
-        })
-        .collect();
-    let mut begun: HashMap<TaskId, (RegionId, u64, u32)> = HashMap::new();
+    let mut by_kind: HashMap<RegionKind, SchedulingPointBreakdown> = HashMap::new();
     let mut instances: Vec<InstanceLatency> = Vec::new();
     let mut total_task_exec = 0u64;
     let mut total_creation = 0u64;
     let mut total_sched_nonexec = 0u64;
     let mut switches = 0u64;
 
-    for tid in 0..trace.nthreads.max(1) {
+    let mut close_exec = |t: u64, open: &mut Vec<OpenInterval>, exec_since: &mut Option<u64>| {
+        if let Some(since) = exec_since.take() {
+            let d = t.saturating_sub(since);
+            total_task_exec = total_task_exec.saturating_add(d);
+            for iv in open.iter_mut() {
+                iv.task_exec_ns = iv.task_exec_ns.saturating_add(d);
+            }
+        }
+    };
+    let mut mark_switch_in = |t: u64, open: &mut Vec<OpenInterval>| {
+        switches += 1;
+        for iv in open.iter_mut() {
+            iv.first_switch.get_or_insert(t);
+            iv.fragments += 1;
+        }
+    };
+
+    // Task ids restart in every parallel region, so the maps that resolve
+    // them live for one region at a time.
+    for region in trace.regions() {
+        // Pre-pass: collect creation times region-wide — a task may be
+        // created on a thread the per-thread sweep below visits *after*
+        // the one that executed it.
+        let created: HashMap<TaskId, u64> = region
+            .iter()
+            .filter_map(|e| match e.event {
+                Event::CreateEnd { id, .. } => Some((id, e.t)),
+                _ => None,
+            })
+            .collect();
+        let mut begun: HashMap<TaskId, (RegionId, u64, u32)> = HashMap::new();
+        let first_instance = instances.len();
+
+        // Sweep thread by thread over the tids the events carry — the
+        // header's team size is only a claim. The sort is stable, so each
+        // thread's events keep their order.
+        let mut by_thread: Vec<&TraceEvent> = region.iter().collect();
+        by_thread.sort_by_key(|e| e.tid);
+        let mut sweeping = None;
         let mut open: Vec<OpenInterval> = Vec::new();
         let mut exec_since: Option<u64> = None;
         let mut create_since: Option<u64> = None;
-
-        let mut close_exec = |t: u64, open: &mut Vec<OpenInterval>, exec_since: &mut Option<u64>| {
-            if let Some(since) = exec_since.take() {
-                let d = t.saturating_sub(since);
-                total_task_exec += d;
-                for iv in open.iter_mut() {
-                    iv.task_exec_ns += d;
-                }
+        for &TraceEvent { t, tid, event } in by_thread {
+            if sweeping.replace(tid) != Some(tid) {
+                open.clear();
+                exec_since = None;
+                create_since = None;
             }
-        };
-        let mut mark_switch_in = |t: u64, open: &mut Vec<OpenInterval>| {
-            switches += 1;
-            for iv in open.iter_mut() {
-                iv.first_switch.get_or_insert(t);
-                iv.fragments += 1;
-            }
-        };
-
-        for &TraceEvent { t, kind, .. } in trace.thread(tid) {
-            match kind {
-                EventKind::Enter(r) => {
+            match event {
+                Event::Enter(r) => {
                     if reg.kind(r).is_scheduling_point() {
                         open.push(OpenInterval {
                             enter_t: t,
@@ -149,7 +157,7 @@ pub fn analyze(trace: &Trace) -> TraceAnalysis {
                         });
                     }
                 }
-                EventKind::Exit(r) => {
+                Event::Exit(r) => {
                     if reg.kind(r).is_scheduling_point() {
                         // A recorded trace is balanced and time-ordered per
                         // thread; a parsed file need not be. An exit with
@@ -158,28 +166,37 @@ pub fn analyze(trace: &Trace) -> TraceAnalysis {
                         // instead of panicking.
                         let Some(iv) = open.pop() else { continue };
                         let dwell = t.saturating_sub(iv.enter_t);
-                        let acc = by_kind.entry(reg.kind(r)).or_default();
+                        let pre_switch = iv.first_switch.unwrap_or(t).saturating_sub(iv.enter_t);
+                        let kind = reg.kind(r);
+                        let acc = by_kind.entry(kind).or_insert(SchedulingPointBreakdown {
+                            kind,
+                            intervals: 0,
+                            dwell_ns: 0,
+                            task_exec_ns: 0,
+                            pre_switch_ns: 0,
+                            fragments: 0,
+                        });
                         acc.intervals += 1;
-                        acc.dwell_ns += dwell;
-                        acc.task_exec_ns += iv.task_exec_ns;
-                        acc.pre_switch_ns +=
-                            iv.first_switch.unwrap_or(t).saturating_sub(iv.enter_t);
+                        acc.dwell_ns = acc.dwell_ns.saturating_add(dwell);
+                        acc.task_exec_ns = acc.task_exec_ns.saturating_add(iv.task_exec_ns);
+                        acc.pre_switch_ns = acc.pre_switch_ns.saturating_add(pre_switch);
                         acc.fragments += iv.fragments;
                         if iv.top_level {
-                            total_sched_nonexec += dwell.saturating_sub(iv.task_exec_ns);
+                            total_sched_nonexec = total_sched_nonexec
+                                .saturating_add(dwell.saturating_sub(iv.task_exec_ns));
                         }
                     }
                 }
-                EventKind::TaskCreateBegin(..) => {
+                Event::CreateBegin { .. } => {
                     create_since = Some(t);
                 }
-                EventKind::TaskCreateEnd(_, id) => {
+                // Creation times were collected in the pre-pass.
+                Event::CreateEnd { .. } => {
                     if let Some(since) = create_since.take() {
-                        total_creation += t.saturating_sub(since);
+                        total_creation = total_creation.saturating_add(t.saturating_sub(since));
                     }
-                    let _ = id; // creation times were collected in the pre-pass
                 }
-                EventKind::TaskBegin(r, id) => {
+                Event::TaskBegin { region: r, id } => {
                     // A running task suspends implicitly when another
                     // begins; execution time on this thread continues.
                     if exec_since.is_none() {
@@ -190,7 +207,7 @@ pub fn analyze(trace: &Trace) -> TraceAnalysis {
                 }
                 // An abort ends the instance's execution exactly as an
                 // end does; the time up to it is valid measurement data.
-                EventKind::TaskEnd(_, id) | EventKind::TaskAbort(_, id) => {
+                Event::TaskEnd { id, .. } | Event::TaskAbort { id, .. } => {
                     close_exec(t, &mut open, &mut exec_since);
                     if let Some((region, begin_t, fragments)) = begun.remove(&id) {
                         instances.push(InstanceLatency {
@@ -202,7 +219,7 @@ pub fn analyze(trace: &Trace) -> TraceAnalysis {
                         });
                     }
                 }
-                EventKind::TaskSwitch(TaskRef::Explicit(id)) => {
+                Event::Switch(TaskRef::Explicit(id)) => {
                     if exec_since.is_none() {
                         exec_since = Some(t);
                     }
@@ -211,29 +228,20 @@ pub fn analyze(trace: &Trace) -> TraceAnalysis {
                         e.2 += 1;
                     }
                 }
-                EventKind::TaskSwitch(TaskRef::Implicit) => {
+                Event::Switch(TaskRef::Implicit) => {
                     close_exec(t, &mut open, &mut exec_since);
                 }
-                EventKind::ParamBegin(..) | EventKind::ParamEnd(_) => {}
+                Event::ParamBegin { .. } | Event::ParamEnd { .. } => {}
+                Event::Advance(_) => unreachable!("Trace never holds an Advance"),
             }
         }
+        instances[first_instance..].sort_by_key(|i| i.id);
     }
 
-    let mut by_kind: Vec<SchedulingPointBreakdown> = by_kind
-        .into_iter()
-        .map(|(kind, a)| SchedulingPointBreakdown {
-            kind,
-            intervals: a.intervals,
-            dwell_ns: a.dwell_ns,
-            task_exec_ns: a.task_exec_ns,
-            pre_switch_ns: a.pre_switch_ns,
-            fragments: a.fragments,
-        })
-        .collect();
+    let mut by_kind: Vec<SchedulingPointBreakdown> = by_kind.into_values().collect();
     by_kind.sort_by_key(|b| std::cmp::Reverse(b.dwell_ns));
-    instances.sort_by_key(|i| i.id);
 
-    let management = total_creation + total_sched_nonexec;
+    let management = total_creation.saturating_add(total_sched_nonexec);
     let ratio = if total_task_exec == 0 {
         f64::INFINITY
     } else {
@@ -254,6 +262,7 @@ pub fn analyze(trace: &Trace) -> TraceAnalysis {
 mod tests {
     use super::*;
     use pomp::TaskIdAllocator;
+    use taskprof::RegionEdges;
 
     fn regs() -> (RegionId, RegionId, RegionId, RegionId) {
         let reg = registry();
@@ -267,43 +276,61 @@ mod tests {
 
     #[test]
     fn barrier_breakdown_and_queue_latency() {
-        let (_par, task, create, barrier) = regs();
-        let ids = TaskIdAllocator::new();
-        let id = ids.alloc();
-        let ev = |t, kind| TraceEvent { t, tid: 0, kind };
-        let trace = Trace {
-            events: vec![
-                ev(0, EventKind::TaskCreateBegin(create, task, id)),
-                ev(3, EventKind::TaskCreateEnd(create, id)),
-                ev(10, EventKind::Enter(barrier)),
-                ev(14, EventKind::TaskBegin(task, id)), // 4 ns pre-switch
-                ev(30, EventKind::TaskEnd(task, id)),   // 16 ns exec
-                ev(36, EventKind::Exit(barrier)),       // 26 dwell, 10 non-exec
-            ],
-            nthreads: 1,
-        };
-        let a = analyze(&trace);
-        assert_eq!(a.total_creation_ns, 3);
-        assert_eq!(a.total_task_exec_ns, 16);
-        assert_eq!(a.total_sched_nonexec_ns, 10);
-        assert_eq!(a.switches, 1);
-        let b = a
-            .by_kind
-            .iter()
-            .find(|b| b.kind == RegionKind::ImplicitBarrier)
-            .unwrap();
-        assert_eq!(b.intervals, 1);
-        assert_eq!(b.dwell_ns, 26);
-        assert_eq!(b.task_exec_ns, 16);
-        assert_eq!(b.pre_switch_ns, 4);
-        assert_eq!(b.fragments, 1);
-        assert_eq!(a.instances.len(), 1);
-        let i = &a.instances[0];
-        assert_eq!(i.queue_ns, Some(11)); // created at 3, begun at 14
-        assert_eq!(i.span_ns, 16);
-        assert_eq!(i.fragments, 1);
-        let want = (3 + 10) as f64 / 16.0;
-        assert!((a.management_to_work_ratio - want).abs() < 1e-12);
+        let (par, task, create, barrier) = regs();
+        let id = TaskIdAllocator::new().alloc();
+        let stream = vec![
+            Event::CreateBegin {
+                create,
+                task_region: task,
+                id,
+            },
+            Event::Advance(3),
+            Event::CreateEnd { create, id },
+            Event::Advance(7),
+            Event::Enter(barrier),
+            Event::Advance(4), // pre-switch
+            Event::TaskBegin { region: task, id },
+            Event::Advance(16), // exec
+            Event::TaskEnd { region: task, id },
+            Event::Advance(6),
+            Event::Exit(barrier), // 26 dwell, 10 non-exec
+        ];
+        // Once, then twice over: task ids restart in every parallel
+        // region, so the second region's instance is `1` again and must
+        // be measured against its own creation, not the other region's.
+        for n in 1..=2u64 {
+            let log: Vec<RegionEdges> = (1..=n)
+                .map(|occurrence| RegionEdges {
+                    occurrence,
+                    region: par,
+                    streams: vec![(0, stream.clone())],
+                    origins: vec![occurrence * 1000],
+                })
+                .collect();
+            let a = analyze(&Trace::from_edge_log(&log));
+            assert_eq!(a.total_creation_ns, 3 * n);
+            assert_eq!(a.total_task_exec_ns, 16 * n);
+            assert_eq!(a.total_sched_nonexec_ns, 10 * n);
+            assert_eq!(a.switches, n);
+            let b = a
+                .by_kind
+                .iter()
+                .find(|b| b.kind == RegionKind::ImplicitBarrier)
+                .unwrap();
+            assert_eq!(b.intervals, n);
+            assert_eq!(b.dwell_ns, 26 * n);
+            assert_eq!(b.task_exec_ns, 16 * n);
+            assert_eq!(b.pre_switch_ns, 4 * n);
+            assert_eq!(b.fragments, n);
+            assert_eq!(a.instances.len() as u64, n);
+            for i in &a.instances {
+                assert_eq!(i.queue_ns, Some(11)); // created at 3, begun at 14
+                assert_eq!(i.span_ns, 16);
+                assert_eq!(i.fragments, 1);
+            }
+            let want = (3 + 10) as f64 / 16.0;
+            assert!((a.management_to_work_ratio - want).abs() < 1e-12);
+        }
     }
 
     #[test]
@@ -311,19 +338,19 @@ mod tests {
         let (_par, task, _create, barrier) = regs();
         let ids = TaskIdAllocator::new();
         let (t1, t2) = (ids.alloc(), ids.alloc());
-        let ev = |t, kind| TraceEvent { t, tid: 0, kind };
-        let trace = Trace {
-            events: vec![
-                ev(0, EventKind::Enter(barrier)),
-                ev(2, EventKind::TaskBegin(task, t1)),
-                ev(5, EventKind::TaskBegin(task, t2)), // t1 suspends
-                ev(9, EventKind::TaskEnd(task, t2)),
-                ev(9, EventKind::TaskSwitch(TaskRef::Explicit(t1))),
-                ev(12, EventKind::TaskEnd(task, t1)),
-                ev(15, EventKind::Exit(barrier)),
+        let ev = |t, event| TraceEvent { t, tid: 0, event };
+        let trace = Trace::new(
+            1,
+            vec![
+                ev(0, Event::Enter(barrier)),
+                ev(2, Event::TaskBegin { region: task, id: t1 }),
+                ev(5, Event::TaskBegin { region: task, id: t2 }), // t1 suspends
+                ev(9, Event::TaskEnd { region: task, id: t2 }),
+                ev(9, Event::Switch(TaskRef::Explicit(t1))),
+                ev(12, Event::TaskEnd { region: task, id: t1 }),
+                ev(15, Event::Exit(barrier)),
             ],
-            nthreads: 1,
-        };
+        );
         let a = analyze(&trace);
         let i1 = a.instances.iter().find(|i| i.id == t1).unwrap();
         assert_eq!(i1.fragments, 2);

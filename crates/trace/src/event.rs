@@ -1,56 +1,81 @@
-//! Trace event model.
+//! Trace event model: the profiler's edge log with absolute timestamps.
 
-use pomp::{ParamId, RegionId, TaskId, TaskRef};
-
-/// What happened.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum EventKind {
-    /// Region entered.
-    Enter(RegionId),
-    /// Region exited.
-    Exit(RegionId),
-    /// Deferred task creation began (creation region, construct, id).
-    TaskCreateBegin(RegionId, RegionId, TaskId),
-    /// Deferred task creation finished.
-    TaskCreateEnd(RegionId, TaskId),
-    /// Task instance began executing.
-    TaskBegin(RegionId, TaskId),
-    /// Task instance completed.
-    TaskEnd(RegionId, TaskId),
-    /// Task instance terminated abnormally (its body panicked); recorded
-    /// instead of `TaskEnd`.
-    TaskAbort(RegionId, TaskId),
-    /// Current task switched (suspend/resume).
-    TaskSwitch(TaskRef),
-    /// Parameter scope opened.
-    ParamBegin(ParamId, i64),
-    /// Parameter scope closed.
-    ParamEnd(ParamId),
-}
+use taskprof::{Event, RegionEdges};
 
 /// One timestamped event on one thread.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Nanoseconds since the trace clock's origin.
     pub t: u64,
     /// Team-local thread id.
     pub tid: usize,
-    /// The event.
-    pub kind: EventKind,
+    /// The event. Never [`Event::Advance`]: elapsed time is the difference
+    /// between two rows' `t`.
+    pub event: Event,
 }
 
 /// A completed trace: all threads' events.
 #[derive(Clone, Debug, Default)]
 pub struct Trace {
-    /// Events, sorted by thread then time (each thread's stream is
-    /// naturally time-ordered).
-    pub events: Vec<TraceEvent>,
-    /// Team size.
-    pub nthreads: usize,
+    /// By parallel region, then thread, then time when built from an edge
+    /// log; in file order when parsed.
+    events: Vec<TraceEvent>,
+    nthreads: usize,
+    /// End index in `events` of each parallel region. Task ids restart in
+    /// every region, so the analysis resolves them region by region; a
+    /// parsed file is one region (its rows have no column to say more).
+    region_ends: Vec<usize>,
 }
 
 impl Trace {
-    /// Events of one thread, in time order.
+    /// A one-region trace of `nthreads` threads. Panics on an
+    /// [`Event::Advance`] or a thread outside the team: rows no trace
+    /// file can hold.
+    pub fn new(nthreads: usize, events: Vec<TraceEvent>) -> Trace {
+        for e in &events {
+            let timed = !matches!(e.event, Event::Advance(_));
+            assert!(timed, "a trace row is timestamped, not an Advance");
+            assert!(e.tid < nthreads, "tid {} outside a team of {nthreads}", e.tid);
+        }
+        Trace {
+            region_ends: vec![events.len()],
+            events,
+            nthreads,
+        }
+    }
+
+    /// The trace a drained edge log (`ProfMonitor::take_edge_log`)
+    /// describes: each stream's `Advance` deltas are summed from its
+    /// thread-begin origin into the rows' absolute `t`.
+    pub fn from_edge_log(log: &[RegionEdges]) -> Trace {
+        let mut trace = Trace::default();
+        for region in log {
+            for ((tid, stream), &origin) in region.streams.iter().zip(&region.origins) {
+                trace.nthreads = trace.nthreads.max(tid + 1);
+                let mut t = origin;
+                for &event in stream {
+                    match event {
+                        Event::Advance(dt) => t += dt,
+                        event => trace.events.push(TraceEvent { t, tid: *tid, event }),
+                    }
+                }
+            }
+            trace.region_ends.push(trace.events.len());
+        }
+        trace
+    }
+
+    /// Every event, in trace order.
+    pub fn events(&self) -> &[TraceEvent] {
+        &self.events
+    }
+
+    /// Team size.
+    pub fn nthreads(&self) -> usize {
+        self.nthreads
+    }
+
+    /// Events of one thread, in trace order.
     pub fn thread(&self, tid: usize) -> impl Iterator<Item = &TraceEvent> {
         self.events.iter().filter(move |e| e.tid == tid)
     }
@@ -65,64 +90,44 @@ impl Trace {
         self.events.is_empty()
     }
 
-    /// Render the trace as an OTF2-print-style text listing.
-    pub fn to_text(&self) -> String {
-        use std::fmt::Write;
-        let reg = pomp::registry();
-        let mut out = String::new();
-        let name = |r: RegionId| reg.name(r);
-        for e in &self.events {
-            let desc = match e.kind {
-                EventKind::Enter(r) => format!("ENTER        {}", name(r)),
-                EventKind::Exit(r) => format!("LEAVE        {}", name(r)),
-                EventKind::TaskCreateBegin(c, tr, id) => {
-                    format!("TASK_CREATE  {} -> {} #{}", name(c), name(tr), id.get())
-                }
-                EventKind::TaskCreateEnd(c, id) => {
-                    format!("TASK_CREATED {} #{}", name(c), id.get())
-                }
-                EventKind::TaskBegin(r, id) => format!("TASK_BEGIN   {} #{}", name(r), id.get()),
-                EventKind::TaskEnd(r, id) => format!("TASK_END     {} #{}", name(r), id.get()),
-                EventKind::TaskAbort(r, id) => format!("TASK_ABORT   {} #{}", name(r), id.get()),
-                EventKind::TaskSwitch(TaskRef::Implicit) => "TASK_SWITCH  implicit".to_string(),
-                EventKind::TaskSwitch(TaskRef::Explicit(id)) => {
-                    format!("TASK_SWITCH  #{}", id.get())
-                }
-                EventKind::ParamBegin(p, v) => {
-                    format!("PARAM_BEGIN  {} = {v}", reg.param_name(p))
-                }
-                EventKind::ParamEnd(p) => format!("PARAM_END    {}", reg.param_name(p)),
-            };
-            let _ = writeln!(out, "[{:>12} ns] thread {:>2}  {desc}", e.t, e.tid);
-        }
-        out
+    /// The events of each parallel region, in order.
+    pub(crate) fn regions(&self) -> impl Iterator<Item = &[TraceEvent]> {
+        let mut start = 0;
+        self.region_ends.iter().map(move |&end| {
+            let region = &self.events[start..end];
+            start = end;
+            region
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pomp::{RegionKind, TaskIdAllocator};
+    use pomp::{RegionId, TaskIdAllocator};
 
     #[test]
-    fn thread_filter_and_text() {
-        let reg = pomp::registry();
-        let r = reg.register("tr-region", RegionKind::Task, "t", 0);
-        let ids = TaskIdAllocator::new();
-        let id = ids.alloc();
-        let trace = Trace {
-            events: vec![
-                TraceEvent { t: 1, tid: 0, kind: EventKind::TaskBegin(r, id) },
-                TraceEvent { t: 5, tid: 1, kind: EventKind::Enter(r) },
-                TraceEvent { t: 9, tid: 0, kind: EventKind::TaskEnd(r, id) },
+    fn thread_filter() {
+        let region = RegionId(1);
+        let id = TaskIdAllocator::new().alloc();
+        let ev = |t, tid, event| TraceEvent { t, tid, event };
+        let trace = Trace::new(
+            2,
+            vec![
+                ev(1, 0, Event::TaskBegin { region, id }),
+                ev(5, 1, Event::Enter(region)),
+                ev(9, 0, Event::TaskEnd { region, id }),
             ],
-            nthreads: 2,
-        };
+        );
         assert_eq!(trace.thread(0).count(), 2);
         assert_eq!(trace.thread(1).count(), 1);
         assert_eq!(trace.len(), 3);
-        let text = trace.to_text();
-        assert!(text.contains("TASK_BEGIN   tr-region #1"), "{text}");
-        assert!(text.contains("thread  1"), "{text}");
+    }
+
+    #[test]
+    #[should_panic(expected = "not an Advance")]
+    fn advance_rows_are_refused() {
+        let event = Event::Advance(1);
+        Trace::new(1, vec![TraceEvent { t: 0, tid: 0, event }]);
     }
 }

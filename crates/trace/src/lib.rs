@@ -10,9 +10,11 @@
 //!
 //! This crate implements that future work:
 //!
-//! * [`TraceMonitor`] records a timestamped per-thread event trace through
-//!   the same `pomp` hooks the profiler uses (attach both at once with the
-//!   `(A, B)` pair monitor),
+//! * a [`Trace`] is the profiler's own packed edge log read back with
+//!   absolute timestamps ([`Trace::from_edge_log`]): build the session
+//!   with `record_task_edges()` and the hooks that profile the run also
+//!   transcribe it, on the clock reads they already make; drain it with
+//!   `profiler().take_edge_log()` once the run is over,
 //! * [`analysis`] computes the paper's proposed metrics: scheduling-point
 //!   dwell decomposition (pre-switch management vs. task execution vs.
 //!   residual waiting), creation-to-start queue latencies, fragments per
@@ -22,10 +24,8 @@
 
 pub mod analysis;
 pub mod event;
-pub mod recorder;
 pub mod store;
 
 pub use analysis::{analyze, InstanceLatency, SchedulingPointBreakdown, TraceAnalysis};
-pub use event::{EventKind, Trace, TraceEvent};
-pub use recorder::TraceMonitor;
+pub use event::{Trace, TraceEvent};
 pub use store::{read_trace, write_trace, ParseError};

@@ -5,8 +5,9 @@
 //! line-oriented: one event per line, region/parameter names stored by
 //! name+kind and re-interned on load.
 
-use crate::event::{EventKind, Trace, TraceEvent};
+use crate::event::{Trace, TraceEvent};
 use pomp::{registry, RegionId, RegionKind, TaskId, TaskRef};
+use taskprof::Event;
 
 /// Format version tag.
 const MAGIC: &str = "taskprof-trace v1";
@@ -89,35 +90,30 @@ fn region_token(r: RegionId) -> String {
 pub fn write_trace(trace: &Trace) -> String {
     use std::fmt::Write;
     let reg = registry();
+    let tok = region_token;
     let mut out = String::new();
     let _ = writeln!(out, "{MAGIC}");
-    let _ = writeln!(out, "threads {}", trace.nthreads);
-    for e in &trace.events {
-        let body = match e.kind {
-            EventKind::Enter(r) => format!("enter {}", region_token(r)),
-            EventKind::Exit(r) => format!("exit {}", region_token(r)),
-            EventKind::TaskCreateBegin(c, tr, id) => format!(
-                "create-begin {} {} {}",
-                region_token(c),
-                region_token(tr),
-                id.get()
-            ),
-            EventKind::TaskCreateEnd(c, id) => {
-                format!("create-end {} {}", region_token(c), id.get())
+    let _ = writeln!(out, "threads {}", trace.nthreads());
+    for e in trace.events() {
+        let body = match e.event {
+            Event::Enter(r) => format!("enter {}", tok(r)),
+            Event::Exit(r) => format!("exit {}", tok(r)),
+            Event::CreateBegin {
+                create,
+                task_region,
+                id,
+            } => format!("create-begin {} {} {}", tok(create), tok(task_region), id.get()),
+            Event::CreateEnd { create, id } => format!("create-end {} {}", tok(create), id.get()),
+            Event::TaskBegin { region, id } => format!("task-begin {} {}", tok(region), id.get()),
+            Event::TaskEnd { region, id } => format!("task-end {} {}", tok(region), id.get()),
+            Event::TaskAbort { region, id } => format!("task-abort {} {}", tok(region), id.get()),
+            Event::Switch(TaskRef::Implicit) => "switch implicit".to_string(),
+            Event::Switch(TaskRef::Explicit(id)) => format!("switch {}", id.get()),
+            Event::ParamBegin { param, value } => {
+                format!("param-begin {} {value}", esc(&reg.param_name(param)))
             }
-            EventKind::TaskBegin(r, id) => {
-                format!("task-begin {} {}", region_token(r), id.get())
-            }
-            EventKind::TaskEnd(r, id) => format!("task-end {} {}", region_token(r), id.get()),
-            EventKind::TaskAbort(r, id) => {
-                format!("task-abort {} {}", region_token(r), id.get())
-            }
-            EventKind::TaskSwitch(TaskRef::Implicit) => "switch implicit".to_string(),
-            EventKind::TaskSwitch(TaskRef::Explicit(id)) => format!("switch {}", id.get()),
-            EventKind::ParamBegin(p, v) => {
-                format!("param-begin {} {v}", esc(&reg.param_name(p)))
-            }
-            EventKind::ParamEnd(p) => format!("param-end {}", esc(&reg.param_name(p))),
+            Event::ParamEnd { param } => format!("param-end {}", esc(&reg.param_name(param))),
+            Event::Advance(_) => unreachable!("Trace never holds an Advance"),
         };
         let _ = writeln!(out, "{} {} {}", e.t, e.tid, body);
     }
@@ -162,7 +158,7 @@ pub fn read_trace(text: &str) -> Result<Trace, ParseError> {
             })
         }
     }
-    let nthreads = match lines.next() {
+    let nthreads: usize = match lines.next() {
         Some((n, l)) => l
             .trim()
             .strip_prefix("threads ")
@@ -205,45 +201,48 @@ pub fn read_trace(text: &str) -> Result<Trace, ParseError> {
             .parse()
             .map_err(|_| err_at(toks[0], "bad timestamp"))?;
         let tid: usize = toks[1].parse().map_err(|_| err_at(toks[1], "bad tid"))?;
-        let col = |tok: &str| col_of(raw, tok);
-        let kind = match (toks[2], &toks[3..]) {
-            ("enter", [r]) => EventKind::Enter(parse_region(line, col(r), r)?),
-            ("exit", [r]) => EventKind::Exit(parse_region(line, col(r), r)?),
-            ("create-begin", [c, tr, id]) => EventKind::TaskCreateBegin(
-                parse_region(line, col(c), c)?,
-                parse_region(line, col(tr), tr)?,
-                parse_task(line, col(id), id)?,
-            ),
-            ("create-end", [c, id]) => EventKind::TaskCreateEnd(
-                parse_region(line, col(c), c)?,
-                parse_task(line, col(id), id)?,
-            ),
-            ("task-begin", [r, id]) => EventKind::TaskBegin(
-                parse_region(line, col(r), r)?,
-                parse_task(line, col(id), id)?,
-            ),
-            ("task-end", [r, id]) => EventKind::TaskEnd(
-                parse_region(line, col(r), r)?,
-                parse_task(line, col(id), id)?,
-            ),
-            ("task-abort", [r, id]) => EventKind::TaskAbort(
-                parse_region(line, col(r), r)?,
-                parse_task(line, col(id), id)?,
-            ),
-            ("switch", ["implicit"]) => EventKind::TaskSwitch(TaskRef::Implicit),
-            ("switch", [id]) => {
-                EventKind::TaskSwitch(TaskRef::Explicit(parse_task(line, col(id), id)?))
-            }
-            ("param-begin", [p, v]) => EventKind::ParamBegin(
-                reg.register_param(&unesc(p)),
-                v.parse().map_err(|_| err_at(v, "bad param value"))?,
-            ),
-            ("param-end", [p]) => EventKind::ParamEnd(reg.register_param(&unesc(p))),
+        if tid >= nthreads {
+            return Err(err_at(toks[1], "tid outside the declared team"));
+        }
+        let region = |tok: &str| parse_region(line, col_of(raw, tok), tok);
+        let task = |tok: &str| parse_task(line, col_of(raw, tok), tok);
+        let param = |tok: &str| reg.register_param(&unesc(tok));
+        let event = match (toks[2], &toks[3..]) {
+            ("enter", [r]) => Event::Enter(region(r)?),
+            ("exit", [r]) => Event::Exit(region(r)?),
+            ("create-begin", [c, tr, id]) => Event::CreateBegin {
+                create: region(c)?,
+                task_region: region(tr)?,
+                id: task(id)?,
+            },
+            ("create-end", [c, id]) => Event::CreateEnd {
+                create: region(c)?,
+                id: task(id)?,
+            },
+            ("task-begin", [r, id]) => Event::TaskBegin {
+                region: region(r)?,
+                id: task(id)?,
+            },
+            ("task-end", [r, id]) => Event::TaskEnd {
+                region: region(r)?,
+                id: task(id)?,
+            },
+            ("task-abort", [r, id]) => Event::TaskAbort {
+                region: region(r)?,
+                id: task(id)?,
+            },
+            ("switch", ["implicit"]) => Event::Switch(TaskRef::Implicit),
+            ("switch", [id]) => Event::Switch(TaskRef::Explicit(task(id)?)),
+            ("param-begin", [p, v]) => Event::ParamBegin {
+                param: param(p),
+                value: v.parse().map_err(|_| err_at(v, "bad param value"))?,
+            },
+            ("param-end", [p]) => Event::ParamEnd { param: param(p) },
             _ => return Err(err_at(toks[2], "unknown event")),
         };
-        events.push(TraceEvent { t, tid, kind });
+        events.push(TraceEvent { t, tid, event });
     }
-    Ok(Trace { events, nthreads })
+    Ok(Trace::new(nthreads, events))
 }
 
 #[cfg(test)]
@@ -256,24 +255,32 @@ mod tests {
         let task = reg.register("ts store task", RegionKind::Task, "t", 0);
         let create = reg.register("ts!create", RegionKind::TaskCreate, "t", 0);
         let bar = reg.register("ts!bar", RegionKind::ImplicitBarrier, "t", 0);
-        let p = reg.register_param("ts depth");
+        let param = reg.register_param("ts depth");
         let ids = TaskIdAllocator::new();
         let id = ids.alloc();
-        let ev = |t, tid, kind| TraceEvent { t, tid, kind };
-        Trace {
-            events: vec![
-                ev(0, 0, EventKind::TaskCreateBegin(create, task, id)),
-                ev(2, 0, EventKind::TaskCreateEnd(create, id)),
-                ev(3, 0, EventKind::Enter(bar)),
-                ev(4, 1, EventKind::TaskBegin(task, id)),
-                ev(5, 1, EventKind::ParamBegin(p, -3)),
-                ev(8, 1, EventKind::ParamEnd(p)),
-                ev(9, 1, EventKind::TaskEnd(task, id)),
-                ev(9, 1, EventKind::TaskSwitch(TaskRef::Implicit)),
-                ev(10, 0, EventKind::Exit(bar)),
+        let ev = |t, tid, event| TraceEvent { t, tid, event };
+        Trace::new(
+            2,
+            vec![
+                ev(
+                    0,
+                    0,
+                    Event::CreateBegin {
+                        create,
+                        task_region: task,
+                        id,
+                    },
+                ),
+                ev(2, 0, Event::CreateEnd { create, id }),
+                ev(3, 0, Event::Enter(bar)),
+                ev(4, 1, Event::TaskBegin { region: task, id }),
+                ev(5, 1, Event::ParamBegin { param, value: -3 }),
+                ev(8, 1, Event::ParamEnd { param }),
+                ev(9, 1, Event::TaskEnd { region: task, id }),
+                ev(9, 1, Event::Switch(TaskRef::Implicit)),
+                ev(10, 0, Event::Exit(bar)),
             ],
-            nthreads: 2,
-        }
+        )
     }
 
     #[test]
@@ -281,13 +288,8 @@ mod tests {
         let t = sample();
         let text = write_trace(&t);
         let u = read_trace(&text).expect("parse");
-        assert_eq!(u.nthreads, 2);
-        assert_eq!(u.len(), t.len());
-        for (a, b) in t.events.iter().zip(&u.events) {
-            assert_eq!(a.t, b.t);
-            assert_eq!(a.tid, b.tid);
-            assert_eq!(a.kind, b.kind);
-        }
+        assert_eq!(u.nthreads(), 2);
+        assert_eq!(t.events(), u.events());
         // Stable: second serialization identical.
         assert_eq!(text, write_trace(&u));
     }
@@ -309,9 +311,9 @@ mod tests {
         let text = write_trace(&t);
         assert!(text.contains("ts%20store%20task"));
         let u = read_trace(&text).unwrap();
-        let has_name = u.events.iter().any(|e| {
-            matches!(e.kind, EventKind::TaskBegin(r, _)
-                if registry().name(r) == "ts store task")
+        let has_name = u.events().iter().any(|e| {
+            matches!(e.event, Event::TaskBegin { region, .. }
+                if registry().name(region) == "ts store task")
         });
         assert!(has_name);
     }

@@ -5,8 +5,8 @@
 //! cargo run --release --example trace_analysis
 //! ```
 //!
-//! Attaches the profiler *and* the tracer to the same run (the pair
-//! monitor), then answers the question the profile alone cannot: of the
+//! Has the profiler record its edge log too (`record_task_edges()`; the
+//! trace is that log), then answers what the profile alone cannot: of the
 //! time threads spend inside scheduling points, how much passes before
 //! the first task switch (management), how much executes tasks, and how
 //! much is residual waiting? Also reports creation-to-start queue
@@ -16,21 +16,21 @@ use bots::{run_app, AppId, RunOpts, Scale};
 use cube::{format_ns, AggProfile};
 use std::collections::HashMap;
 use taskprof_session::MeasurementSession;
-use taskprof_trace::{analyze, TraceMonitor};
+use taskprof_trace::{analyze, Trace};
 
 fn main() {
-    let tracer = TraceMonitor::new();
     let session = MeasurementSession::builder("trace-analysis")
         .threads(4)
+        .record_task_edges()
         .build()
-        .expect("default session configuration is valid")
-        .observed_by(&tracer);
+        .expect("default session configuration is valid");
     let opts = RunOpts::new(4).scale(Scale::Small);
     let out = run_app(AppId::SparseLu, session.monitor(), &opts);
     assert!(out.verified);
     println!("sparselu, 4 threads, kernel {:?}\n", out.kernel);
 
     // What the profile can say: barrier/taskwait time minus stub time.
+    let edge_log = session.profiler().take_edge_log().expect("run finished");
     let agg = AggProfile::from_profile(&session.finish().profile);
     let sched_excl = cube::region_excl_by_kind(&agg, pomp::RegionKind::ImplicitBarrier)
         + cube::region_excl_by_kind(&agg, pomp::RegionKind::Taskwait);
@@ -41,7 +41,7 @@ fn main() {
     println!("               ...but it cannot tell management from waiting.\n");
 
     // What the trace adds.
-    let trace = tracer.take_trace();
+    let trace = Trace::from_edge_log(&edge_log);
     let a = analyze(&trace);
     println!("trace view   ({} events):", trace.len());
     for b in &a.by_kind {

@@ -39,9 +39,9 @@
 //!                     [--seed S] [--threads N] [--validate]
 //! ```
 //!
-//! `run` executes one BOTS code under the profiler (and optionally the
-//! tracer) and reports; `telemetry` runs a code with live telemetry
-//! enabled, sampling the lock-free gauges while it executes; `explore`
+//! `run` executes one BOTS code under the profiler (which `--trace` has
+//! record its edge log too) and reports; `telemetry` runs a code with live
+//! telemetry enabled, sampling the lock-free gauges while it executes; `explore`
 //! runs the deterministic schedule explorer (`simsched`) over seeded
 //! simulated schedules and fails on any profile-invariant violation;
 //! `diff` compares two saved profiles; `list` shows the available codes.
@@ -113,7 +113,7 @@ use cube::{
 };
 use std::sync::Arc;
 use taskprof_session::MeasurementSession;
-use taskprof_trace::{analyze, TraceMonitor};
+use taskprof_trace::{analyze, Trace};
 use taskrt::Team;
 
 fn usage() -> ! {
@@ -197,16 +197,14 @@ fn cmd_run(args: &[String]) {
         diag = true;
     }
 
-    let session = MeasurementSession::builder("taskprof-cli")
-        .threads(opts.threads)
+    let mut builder = MeasurementSession::builder("taskprof-cli").threads(opts.threads);
+    if trace_on {
+        builder = builder.record_task_edges();
+    }
+    let session = builder
         .build()
         .expect("default session configuration is valid");
-    let tracer = TraceMonitor::new();
-    let out = if trace_on {
-        run_app(app, &(&tracer, session.monitor()), &opts)
-    } else {
-        run_app(app, session.monitor(), &opts)
-    };
+    let out = run_app(app, session.monitor(), &opts);
     println!(
         "# {} scale={:?} threads={} variant={:?}: kernel {:?}, checksum {}, verified {}",
         app.name(),
@@ -217,6 +215,7 @@ fn cmd_run(args: &[String]) {
         out.checksum,
         out.verified
     );
+    let edge_log = session.profiler().take_edge_log().expect("run finished");
     let profile = session.finish().profile;
     let agg = AggProfile::from_profile(&profile);
 
@@ -251,7 +250,7 @@ fn cmd_run(args: &[String]) {
         }
     }
     if trace_on {
-        let trace = tracer.take_trace();
+        let trace = Trace::from_edge_log(&edge_log);
         let a = analyze(&trace);
         println!("\ntrace analysis ({} events):", trace.len());
         println!(

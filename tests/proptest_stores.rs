@@ -5,7 +5,7 @@ use cube::{read_profile, write_profile};
 use pomp::TaskIdAllocator;
 use proptest::prelude::*;
 use taskprof::{AssignPolicy, Event, Profile, TeamReplayer};
-use taskprof_trace::{read_trace, write_trace, EventKind, Trace, TraceEvent};
+use taskprof_trace::{read_trace, write_trace, Trace, TraceEvent};
 
 use profstore::segment::{SegmentReader, SegmentWriter};
 use profstore::{decode_record, encode_record, RealIo, RunMeta};
@@ -106,26 +106,21 @@ proptest! {
         let events: Vec<TraceEvent> = (0..n_events)
             .map(|i| {
                 let id = ids.alloc();
-                let kind = match next() % 6 {
-                    0 => EventKind::Enter(bar),
-                    1 => EventKind::Exit(bar),
-                    2 => EventKind::TaskBegin(task, id),
-                    3 => EventKind::TaskEnd(task, id),
-                    4 => EventKind::TaskAbort(task, id),
-                    _ => EventKind::TaskSwitch(pomp::TaskRef::Explicit(id)),
+                let event = match next() % 6 {
+                    0 => Event::Enter(bar),
+                    1 => Event::Exit(bar),
+                    2 => Event::TaskBegin { region: task, id },
+                    3 => Event::TaskEnd { region: task, id },
+                    4 => Event::TaskAbort { region: task, id },
+                    _ => Event::Switch(pomp::TaskRef::Explicit(id)),
                 };
-                TraceEvent { t: i as u64, tid: (next() % 4) as usize, kind }
+                TraceEvent { t: i as u64, tid: (next() % 4) as usize, event }
             })
             .collect();
-        let trace = Trace { events, nthreads: 4 };
+        let trace = Trace::new(4, events);
         let text = write_trace(&trace);
         let back = read_trace(&text).expect("own output must parse");
-        prop_assert_eq!(trace.len(), back.len());
-        for (a, b) in trace.events.iter().zip(&back.events) {
-            prop_assert_eq!(a.t, b.t);
-            prop_assert_eq!(a.tid, b.tid);
-            prop_assert_eq!(a.kind, b.kind);
-        }
+        prop_assert_eq!(trace.events(), back.events());
     }
 
     /// Every proper prefix of an encoded record (LEB128 varints + length

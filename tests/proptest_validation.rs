@@ -194,17 +194,18 @@ fn sample_profile_text() -> String {
 }
 
 fn sample_trace_text() -> String {
-    use taskprof_trace::{EventKind, Trace, TraceEvent};
+    use taskprof::Event;
+    use taskprof_trace::{Trace, TraceEvent};
     let reg = pomp::registry();
     let task = reg.register("pv-file-tr-task", pomp::RegionKind::Task, "t", 0);
     let ids = pomp::TaskIdAllocator::new();
     let id = ids.alloc();
-    let ev = |t, kind| TraceEvent { t, tid: 0, kind };
-    taskprof_trace::write_trace(&Trace {
-        events: vec![
-            ev(0, EventKind::TaskBegin(task, id)),
-            ev(5, EventKind::TaskEnd(task, id)),
+    let ev = |t, event| TraceEvent { t, tid: 0, event };
+    taskprof_trace::write_trace(&Trace::new(
+        1,
+        vec![
+            ev(0, Event::TaskBegin { region: task, id }),
+            ev(5, Event::TaskEnd { region: task, id }),
         ],
-        nthreads: 1,
-    })
+    ))
 }

@@ -178,3 +178,78 @@ fn builder_configured_monitor_measures() {
     let profile = monitor.take_profile().expect("no region in flight");
     assert_eq!(profile.num_threads(), 2);
 }
+
+/// A seeded two-thread causal session, run but not finished: `regions`
+/// times over, every thread spawns three instances and waits for them.
+fn causal_session(regions: usize) -> MeasurementSession<ProfMonitor<simsched::SimClock>> {
+    let task = TaskConstruct::new("sapi-causal-task");
+    let tw = taskwait_region("sapi-causal!taskwait");
+    let session = MeasurementSession::builder("sapi-causal")
+        .threads(2)
+        .deterministic(5)
+        .record_task_edges()
+        .build()
+        .unwrap();
+    for _ in 0..regions {
+        let region = session.run(|ctx| {
+            (0..3).for_each(|_| ctx.task(&task, |_| {}));
+            ctx.taskwait(tw);
+        });
+        region.unwrap();
+    }
+    session
+}
+
+#[test]
+fn causal_session_composes_the_regions_it_ran() {
+    // Task ids restart in every parallel region, so two regions of one
+    // session both describe instances 1..=6: as one DAG that is a cycle,
+    // and `finish()` used to panic. The one-region report is unchanged.
+    let once = causal_session(1).finish();
+    let once = once.critpath();
+    assert_eq!((once.work_ns, once.span_ns, once.makespan_ns), (240, 120, 120));
+    assert_eq!((once.tasks, once.fragments, once.steals), (6, 6, 1));
+    assert_eq!(once.thread_work_ns, vec![120, 120]);
+
+    let twice = causal_session(2).finish();
+    let cp = twice.critpath();
+    assert_eq!(cp.tasks, 12);
+    assert!(cp.span_ns <= cp.makespan_ns && cp.makespan_ns <= cp.work_ns, "{cp:?}");
+    // The seeded scheduler's choice stream runs on into the second region,
+    // so only schedule-invariant quantities double; the exact reference is
+    // each region's own DAG (the same seeded session, its log drained
+    // instead of finished), composed serially.
+    assert_eq!(cp.work_ns, 2 * once.work_ns);
+    let opts = critpath::DagOptions {
+        undeferred_spawn_cost: Some(simsched::DEFAULT_SPAWN_COST_NS),
+    };
+    let alone = |r: &taskprof::RegionEdges| {
+        let dag = critpath::TaskDag::from_streams(&r.streams, r.region, &opts).unwrap();
+        assert_eq!(dag.tasks(), 6);
+        dag.report()
+    };
+    let log = causal_session(2).profiler().take_edge_log().unwrap();
+    let [first, second] = &log[..] else {
+        panic!("one log entry per region: {log:?}");
+    };
+    assert_eq!(*cp, alone(first).then(alone(second)));
+}
+
+#[test]
+fn causal_session_attributes_each_region_to_its_own_construct() {
+    let other = taskrt::ParallelConstruct::new("sapi-causal-other");
+    let session = MeasurementSession::builder("sapi-causal-own")
+        .threads(2)
+        .deterministic(9)
+        .record_task_edges()
+        .build()
+        .unwrap();
+    let clock = session.profiler().clock().clone();
+    session.run(|_| clock.work(7)).unwrap();
+    session.run_in(&other, |_| clock.work(11)).unwrap();
+    let own = session.construct().region;
+    let regions = session.finish().critpath.expect("edges were recorded").regions;
+    let work_of = |region| regions.iter().find(|r| r.region == region).map(|r| r.work_ns);
+    assert_eq!(work_of(own), Some(2 * 7));
+    assert_eq!(work_of(other.region), Some(2 * 11));
+}
