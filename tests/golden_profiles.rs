@@ -226,3 +226,85 @@ fn golden_nqueens_critpath_fixed_seed() {
     );
     check_golden("critpath_nqueens_test_seed42", &rendered);
 }
+
+/// Every exact output of the critical-path analysis, frozen: the two
+/// goldens above are rounded renderings with a single region row, which
+/// pin neither the critical-path tie-break nor creation carving. One
+/// case per line over the simsched built-ins and a graded tree whose
+/// inner/leaf weights make some sibling chains tie and others not.
+/// Written once by the builder this file was added beside; a change to
+/// `critpath` must leave it byte-identical, not `BLESS` it.
+#[test]
+fn golden_critpath_exact_outputs() {
+    use simsched::{run_workload, workloads, SimConfig, Step, TreeWorkload};
+    use std::fmt::Write;
+
+    fn graded(depth: u64) -> Vec<Step> {
+        if depth == 0 {
+            return vec![Step::Work(20)];
+        }
+        // Child i does (1 + i % 2) × 20 before its own subtree: the first
+        // and third sibling chains tie, the second is longer.
+        let mut steps = vec![Step::Work(10 * depth)];
+        for i in 0..3 {
+            let mut child = vec![Step::Work(20 * (1 + i % 2))];
+            child.extend(graded(depth - 1));
+            steps.push(Step::Task(child));
+        }
+        steps.push(Step::Taskwait);
+        steps.push(Step::Work(5));
+        steps
+    }
+    let workloads = [
+        ("fib", workloads::fib_like(4)),
+        ("div", workloads::divisible(3)),
+        ("flat", workloads::flat(8)),
+        ("mixed", workloads::mixed()),
+        (
+            "graded",
+            TreeWorkload::new(
+                "golden-critpath-graded",
+                vec![Step::Work(7)],
+                vec![Step::Task(graded(3)), Step::Taskwait],
+            ),
+        ),
+    ];
+
+    let mut out = String::new();
+    for (label, w) in &workloads {
+        for threads in [1, 2, 4] {
+            for seed in 0..8 {
+                let run = run_workload(w, &SimConfig::seeded(threads, seed));
+                for spawn_cost in [None, Some(simsched::DEFAULT_SPAWN_COST_NS)] {
+                    let opts = critpath::DagOptions {
+                        undeferred_spawn_cost: spawn_cost,
+                    };
+                    let dag = critpath::TaskDag::from_streams(&run.streams, w.parallel_region(), &opts)
+                        .expect("simulated streams form a DAG");
+                    let r = dag.report();
+                    write!(
+                        out,
+                        "{label} t{threads} s{seed} {} work={} span={} makespan={} threads={} tasks={} fragments={} steals={} thread_work={:?} flags={:?}",
+                        if spawn_cost.is_some() { "carved" } else { "plain" },
+                        r.work_ns, r.span_ns, r.makespan_ns, r.threads, r.tasks, r.fragments, r.steals,
+                        r.thread_work_ns, r.flags,
+                    )
+                    .unwrap();
+                    // Per region: work, span, then predicted makespan/span
+                    // at K = 2 and K = 3.
+                    for row in &r.regions {
+                        let short = row.name.rsplit('!').next().unwrap();
+                        write!(out, " | {short} {} {}", row.work_ns, row.span_ns).unwrap();
+                        for k in [2, 3] {
+                            let p = dag.what_if(row.region, k);
+                            assert_eq!(p.baseline_makespan_ns, r.makespan_ns);
+                            write!(out, " {}/{}", p.predicted_makespan_ns, p.predicted_span_ns).unwrap();
+                        }
+                    }
+                    out.push('\n');
+                }
+            }
+        }
+    }
+    check_golden("critpath_exact", &out);
+}
