@@ -1,9 +1,10 @@
 #!/bin/bash
 # Minimal CI gate: release build, every workspace member's tests,
-# lint-clean clippy, a guard against a second hook-stream recorder, the
-# repo benchmark's own smoke gate (benchmark/check.sh), a floor under
-# JSON ingest throughput, and end-to-end smokes of the CLI, the daemon
-# and replication.
+# lint-clean clippy, guards against a second hook-stream recorder and a
+# hashing DAG builder, the repo benchmark's own smoke gate
+# (benchmark/check.sh), a floor under JSON ingest throughput and a ceiling
+# over the causal report, and end-to-end smokes of the CLI, the daemon and
+# replication.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -26,6 +27,13 @@ echo "=== one recorder, one event language ==="
 # (`! git grep` would not do: errexit ignores a negated command.)
 if git grep -nE 'TraceMonitor|TraceThread|EventRecorder|RecorderThread|enum EventKind' -- '*.rs'; then
     echo "a second recorder or event enum is back"; exit 1
+fi
+
+echo "=== one flat task DAG ==="
+# critpath builds its DAG in index-addressed arrays; a map keyed by task or
+# a vector per vertex is the shape that cost 6 us per task.
+if git grep -nE 'TaskKey|Vec<Vec<' -- crates/critpath/src; then
+    echo "per-task hashing or per-vertex vectors are back in critpath"; exit 1
 fi
 
 echo "=== clippy (portable clock path) ==="
@@ -54,6 +62,17 @@ import json, sys
 rate = json.loads(sys.stdin.read())["metrics"]["ingest_json_profiles_per_s"]["value"]
 assert rate >= 200, f"ingest_json_profiles_per_s {rate:.0f} < 200 on coarse_large"
 print(f"ok coarse_large ingest_json_profiles_per_s {rate:.0f} >= 200")
+'
+
+echo "=== causal report tripwire ==="
+# A ceiling, not a target: per-vertex hashing and allocation held this at
+# ~350; the flat builder measures 60-95 on this class of host. Only their
+# return gets above 200.
+benchmark/run.sh --workload fine_small --quick 2>/dev/null | tail -n 1 | python3 -c '
+import json, sys
+ms = json.loads(sys.stdin.read())["metrics"]["causal_report_ms"]["value"]
+assert ms <= 200, f"causal_report_ms {ms:.0f} > 200 on fine_small"
+print(f"ok fine_small causal_report_ms {ms:.0f} <= 200")
 '
 
 echo "=== live telemetry smoke ==="

@@ -27,6 +27,21 @@
 //!   **makespan**: the modeled runtime of the observed schedule, and the
 //!   quantity the what-if engine predicts exactly under replay.
 //!
+//! # Storage
+//!
+//! Everything is addressed by index; nothing is allocated or hashed per
+//! vertex. The walk keeps one table of [`Task`]s (implicit tasks
+//! included) with the current task an index into it; the one `TaskId` map
+//! is consulted only where an event *names* a task. A vertex is 16 bytes
+//! and carries its program-order predecessor, the one logical edge almost
+//! every vertex has; the others go to one `(to, from)` list as they are
+//! found and are bucketed, stably, into compressed rows ([`Csr`]), so each
+//! vertex keeps its predecessors in discovery order (the order the
+//! critical-path walk breaks ties in). Streams are walked one after
+//! another, so schedule edges are not stored: the schedule predecessor of
+//! `v` is `v - 1` unless `v` opens a stream. Regions are interned, which
+//! makes every per-region fold an array sum.
+//!
 //! # Undeferred creation carving
 //!
 //! The simulation scheduler charges its per-creation cost for an
@@ -40,11 +55,16 @@
 
 use pomp::{registry, RegionId, RegionKind, TaskId, TaskRef};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::OnceLock;
 use taskprof::Event;
 
 /// Sentinel region for carved creation overhead whose construct has no
 /// known creation region (no deferred instance was ever observed).
 pub const SPAWN_REGION: RegionId = RegionId(u32::MAX);
+
+/// "No vertex / task / region" in the `u32` index fields.
+const NONE: u32 = u32::MAX;
 
 /// Options for [`TaskDag::from_streams`].
 #[derive(Clone, Copy, Debug, Default)]
@@ -61,15 +81,18 @@ pub struct DagOptions {
 /// A stream could not be interpreted as a well-formed run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DagError {
-    /// An `exit`/`parameter_end` did not match the innermost open frame.
+    /// An `exit`/`parameter_end` did not match the innermost open frame,
+    /// or time passed on a task with no region frame open.
     UnbalancedFrame {
         /// Thread whose stream was malformed.
         thread: usize,
         /// What was being closed.
         detail: String,
     },
-    /// A task was referenced (joined / create-resolved) but its
-    /// counterpart event never appeared in any stream.
+    /// A task was referenced but its counterpart event never appeared in
+    /// any stream: joined without a `"completion"`, begun deferred
+    /// without a `"creation"`, or worked on (time, enter, exit) outside
+    /// its `"begin"` … end.
     MissingTask {
         /// The unresolved instance id.
         id: TaskId,
@@ -97,182 +120,310 @@ impl std::fmt::Display for DagError {
 
 impl std::error::Error for DagError {}
 
-/// Which task a vertex belongs to.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-enum TaskKey {
-    /// The implicit task of thread `tid`.
-    Implicit(usize),
-    /// An explicit task instance.
-    Explicit(TaskId),
+/// Task and region ids are small integers the recorder handed out
+/// itself, not keys an outsider chose: one multiply spreads them, and the
+/// rotate brings the well-mixed high bits down to where the table takes
+/// its bucket index from.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&byte| self.write_u64(u64::from(byte)));
+    }
+    fn write_u32(&mut self, id: u32) {
+        self.write_u64(u64::from(id));
+    }
+    fn write_u64(&mut self, id: u64) {
+        self.0 = (self.0 ^ id).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
 }
+
+/// Id → index into the table that holds everything known about the id.
+type IdMap<K> = HashMap<K, u32, BuildHasherDefault<IdHasher>>;
 
 #[derive(Clone, Copy, Debug)]
 enum Frame {
-    Region(RegionId),
+    /// An open region and its index in the region table.
+    Region(RegionId, u32),
     Param,
 }
 
+type FrameStack = Vec<Frame>;
+
+/// Set in `Node::attr` of the first vertex of each stream: the one vertex
+/// of its thread without a schedule predecessor.
+const OPENS_STREAM: u32 = 1 << 31;
+
+/// 16 bytes: the solver streams over these.
 #[derive(Clone, Copy, Debug)]
 struct Node {
     weight: u64,
-    attr: RegionId,
-    thread: usize,
+    /// Index into [`TaskDag::regions`] (meaningless on weight-0 anchors),
+    /// and the `OPENS_STREAM` bit.
+    attr: u32,
+    /// The previous vertex of the same task, or `NONE`: the first of the
+    /// vertex's logical predecessors.
+    prog: u32,
+}
+
+impl Node {
+    fn region(&self) -> u32 {
+        self.attr & !OPENS_STREAM
+    }
+}
+
+/// Adjacency in compressed rows: the neighbours of `v` are
+/// `items[start[v]..start[v + 1]]`.
+#[derive(Debug)]
+struct Csr {
+    start: Vec<u32>,
+    items: Vec<u32>,
+}
+
+impl Csr {
+    /// Bucket `(row, item)` pairs by row, keeping each row's items in the
+    /// order the pairs come (a counting sort).
+    fn bucket(rows: usize, pairs: &[(u32, u32)]) -> Csr {
+        let mut start = vec![0u32; rows + 1];
+        for &(row, _) in pairs {
+            start[row as usize + 1] += 1;
+        }
+        for row in 0..rows {
+            start[row + 1] += start[row];
+        }
+        let (mut cursor, mut items) = (start.clone(), vec![0u32; pairs.len()]);
+        for &(row, item) in pairs {
+            items[cursor[row as usize] as usize] = item;
+            cursor[row as usize] += 1;
+        }
+        Csr { start, items }
+    }
+
+    fn row(&self, v: usize) -> &[u32] {
+        &self.items[self.start[v] as usize..self.start[v + 1] as usize]
+    }
 }
 
 /// The assembled fragment DAG of one parallel region's run.
 #[derive(Debug)]
 pub struct TaskDag {
     nodes: Vec<Node>,
-    /// Logical predecessors (program order, create, join, barrier).
-    preds: Vec<Vec<u32>>,
-    /// Additional schedule predecessors (thread order).
-    sched_preds: Vec<Vec<u32>>,
+    /// Logical predecessors after `Node::prog` (inline join, create, join,
+    /// barrier), each row in discovery order.
+    joins: Csr,
     /// Topological order of the full (logical + schedule) graph — also a
     /// valid order for the logical subgraph.
     topo: Vec<u32>,
-    threads: usize,
+    /// The regions work is attributed to; `Node::attr` indexes this.
+    regions: Vec<RegionId>,
+    /// Longest path over logical + schedule edges, solved once, when
+    /// first asked for.
+    makespan_ns: OnceLock<u64>,
     tasks: u64,
     steals: u64,
     fragments: u64,
-    /// Tasks created per creator, for starvation detection.
-    creates_by: HashMap<usize, u64>,
+    /// Tasks created and work done by each thread, by stream position.
+    creates_by: Vec<u64>,
+    work_by_thread: Vec<u64>,
+}
+
+/// Everything the builder knows about one task — a thread's implicit
+/// task or an explicit instance. Indices are `NONE` until learned.
+struct Task {
+    /// `None` for an implicit task.
+    id: Option<TaskId>,
+    /// Open frames, innermost last: `Some` from `task_begin` to
+    /// `task_end` (always, for an implicit task).
+    frames: Option<FrameStack>,
+    /// Last vertex of the task's program-order chain.
+    last: u32,
+    /// Join edges waiting to attach to the task's *next* vertex (ends of
+    /// its undeferred children).
+    pending_join: Vec<u32>,
+    /// Children (task indices) created and not yet joined at a taskwait.
+    unjoined: Vec<u32>,
+    /// `task_create_end` vertex (deferred tasks).
+    create_vertex: u32,
+    end_vertex: u32,
+    /// Threads (stream positions) that created and first ran the task.
+    creator: u32,
+    first: u32,
+    /// Creator of an undeferred task, until the inline join is queued.
+    inline_parent: u32,
+    /// Announced by a `task_create_begin`.
+    deferred: bool,
+}
+
+impl Task {
+    fn new(id: Option<TaskId>, frames: Option<FrameStack>) -> Task {
+        Task {
+            id,
+            frames,
+            last: NONE,
+            pending_join: Vec::new(),
+            unjoined: Vec::new(),
+            create_vertex: NONE,
+            end_vertex: NONE,
+            creator: NONE,
+            first: NONE,
+            inline_parent: NONE,
+            deferred: false,
+        }
+    }
+
+    fn missing(&self, what: &'static str) -> DagError {
+        let id = self.id.expect("only explicit tasks lack a begin, a creation or an end");
+        DagError::MissingTask { id, what }
+    }
+}
+
+/// An interned region.
+struct Region {
+    id: RegionId,
+    /// Memo of `registry().kind(id)`, filled at the region's first exit.
+    kind: Option<RegionKind>,
+    /// For a task construct: its creation region, learned from
+    /// `task_create_begin` events in the pre-pass.
+    create: u32,
 }
 
 /// One thread's exit from a barrier occurrence: the vertex preceding
 /// the exit (if the thread did anything before it) and the exit vertex.
 type BarrierExit = (Option<u32>, u32);
 
+#[derive(Default)]
 struct Builder {
     nodes: Vec<Node>,
-    preds: Vec<Vec<u32>>,
-    sched_preds: Vec<Vec<u32>>,
-    frames: HashMap<TaskKey, Vec<Frame>>,
-    /// Last vertex of each task's program-order chain.
-    task_last: HashMap<TaskKey, u32>,
-    /// Join edges waiting to attach to a task's *next* vertex (inline
-    /// joins of undeferred children).
-    pending_join: HashMap<TaskKey, Vec<u32>>,
-    /// Children created by each task and not yet joined at a taskwait.
-    children_unjoined: HashMap<TaskKey, Vec<TaskId>>,
-    /// `task_create_end` vertex per deferred task.
-    create_vertex: HashMap<TaskId, u32>,
-    creator_thread: HashMap<TaskId, usize>,
-    end_vertex: HashMap<TaskId, u32>,
-    /// Undeferred child → creator (for the inline join).
-    inline_parent: HashMap<TaskId, TaskKey>,
-    /// Task construct region → its creation region (learned from
-    /// `task_create_begin` events in the pre-pass).
-    create_region_of: HashMap<RegionId, RegionId>,
-    /// Tasks announced by a `task_create_begin` (deferred path).
-    deferred: std::collections::HashSet<TaskId>,
-    /// Unresolved cross-thread edges: (child id, target vertex).
-    create_edges: Vec<(TaskId, u32)>,
-    join_edges: Vec<(TaskId, u32)>,
+    /// Logical edges beyond program order as `(to, from)`, in discovery
+    /// order.
+    edges: Vec<(u32, u32)>,
+    /// The stream being walked: its thread id, its first vertex, and the
+    /// time that has passed since its last vertex.
+    tid: usize,
+    stream_start: u32,
+    pending: u64,
+    tasks: Vec<Task>,
+    /// The one lookup keyed by `TaskId`, consulted only where an event
+    /// names a task.
+    task_index: IdMap<TaskId>,
+    regions: Vec<Region>,
+    region_index: IdMap<RegionId>,
+    /// Frame stacks of ended tasks, for the next `task_begin`.
+    spare_frames: Vec<FrameStack>,
+    /// Unresolved cross-thread edges: (child task, target vertex).
+    create_edges: Vec<(u32, u32)>,
+    join_edges: Vec<(u32, u32)>,
     /// Barrier exits grouped by (barrier region, occurrence).
     barrier_exits: HashMap<(RegionId, usize), Vec<BarrierExit>>,
     barrier_count: HashMap<(usize, RegionId), usize>,
-    tasks: u64,
+    begun: u64,
     resumes: u64,
-    creates_by: HashMap<usize, u64>,
 }
 
 impl Builder {
-    fn node(&mut self, weight: u64, attr: RegionId, thread: usize) -> u32 {
-        let id = self.nodes.len() as u32;
-        self.nodes.push(Node {
-            weight,
-            attr,
-            thread,
-        });
-        self.preds.push(Vec::new());
-        self.sched_preds.push(Vec::new());
-        id
-    }
-
-    fn logical_edge(&mut self, from: u32, to: u32) {
-        self.preds[to as usize].push(from);
-    }
-
-    fn sched_edge(&mut self, from: u32, to: u32) {
-        self.sched_preds[to as usize].push(from);
-    }
-
-    /// Attach `v` to `task`'s program-order chain (and drain any inline
-    /// joins waiting for the task's next vertex).
-    fn link_task(&mut self, task: TaskKey, v: u32) {
-        if let Some(&last) = self.task_last.get(&task) {
-            self.logical_edge(last, v);
-        }
-        if let Some(waiting) = self.pending_join.remove(&task) {
-            for w in waiting {
-                self.logical_edge(w, v);
-            }
-        }
-        self.task_last.insert(task, v);
-    }
-
-    fn attribution(&self, task: TaskKey) -> RegionId {
-        let stack = self.frames.get(&task).expect("task has a frame stack");
-        stack
-            .iter()
-            .rev()
-            .find_map(|f| match f {
-                Frame::Region(r) => Some(*r),
-                Frame::Param => None,
-            })
-            .expect("frame stack always has a base region")
-    }
-}
-
-/// Per-thread walking state.
-struct ThreadWalk {
-    tid: usize,
-    pending: u64,
-    prev: Option<u32>,
-}
-
-impl ThreadWalk {
-    /// Emit the accumulated interval (if any) before an event, optionally
-    /// carving `carve` ns off its tail into a creation-attributed vertex.
-    /// Returns the carved vertex for use as a creation-edge source.
-    fn emit_interval(&mut self, b: &mut Builder, current: TaskKey, carve: Option<(u64, RegionId)>) -> Option<u32> {
-        let (carve_ns, carve_attr) = match carve {
-            Some((ns, attr)) => (ns.min(self.pending), attr),
-            None => (0, SPAWN_REGION),
-        };
-        let work = self.pending - carve_ns;
-        let mut carved = None;
-        if work > 0 {
-            let attr = b.attribution(current);
-            let v = b.node(work, attr, self.tid);
-            if let Some(p) = self.prev {
-                b.sched_edge(p, v);
-            }
-            b.link_task(current, v);
-            self.prev = Some(v);
-        }
-        if carve_ns > 0 {
-            let v = b.node(carve_ns, carve_attr, self.tid);
-            if let Some(p) = self.prev {
-                b.sched_edge(p, v);
-            }
-            b.link_task(current, v);
-            self.prev = Some(v);
-            carved = Some(v);
-        }
-        self.pending = 0;
-        carved
+    /// Append a vertex to `task`'s program-order chain, along with any
+    /// inline joins that waited for the task's next vertex.
+    fn vertex(&mut self, task: usize, weight: u64, attr: u32) -> u32 {
+        let v = self.nodes.len() as u32;
+        let task = &mut self.tasks[task];
+        let prog = std::mem::replace(&mut task.last, v);
+        let attr = if v == self.stream_start { attr | OPENS_STREAM } else { attr };
+        self.nodes.push(Node { weight, attr, prog });
+        self.edges.extend(task.pending_join.drain(..).map(|end| (v, end)));
+        v
     }
 
     /// Weight-0 anchor vertex for an event belonging to `task`.
-    fn event_vertex(&mut self, b: &mut Builder, task: TaskKey) -> u32 {
-        let v = b.node(0, SPAWN_REGION, self.tid);
-        if let Some(p) = self.prev {
-            b.sched_edge(p, v);
+    fn anchor(&mut self, task: usize) -> u32 {
+        self.vertex(task, 0, 0)
+    }
+
+    /// The table index of explicit task `id`, entered on first mention.
+    fn task(&mut self, id: TaskId) -> usize {
+        let next = self.tasks.len() as u32;
+        let index = *self.task_index.entry(id).or_insert(next);
+        if index == next {
+            self.tasks.push(Task::new(Some(id), None));
         }
-        b.link_task(task, v);
-        self.prev = Some(v);
-        v
+        index as usize
+    }
+
+    fn region(&mut self, id: RegionId) -> u32 {
+        let next = self.regions.len() as u32;
+        let index = *self.region_index.entry(id).or_insert(next);
+        if index == next {
+            let (kind, create) = (None, NONE);
+            self.regions.push(Region { id, kind, create });
+        }
+        index
+    }
+
+    /// The one place a frame stack is read: a task outside its begin …
+    /// end has none.
+    fn frames(&mut self, task: usize) -> Result<&mut FrameStack, DagError> {
+        let task = &mut self.tasks[task];
+        match task.frames {
+            Some(ref mut frames) => Ok(frames),
+            None => Err(task.missing("begin")),
+        }
+    }
+
+    fn open(&mut self, task: usize, region: RegionId) -> Result<(), DagError> {
+        let frame = Frame::Region(region, self.region(region));
+        self.frames(task).map(|frames| frames.push(frame))
+    }
+
+    /// Close `task`'s innermost frame, which must be region `closes` (a
+    /// parameter scope for `None`); returns the region's index.
+    fn close(&mut self, task: usize, closes: Option<RegionId>, ev: &Event) -> Result<u32, DagError> {
+        match self.frames(task)?.pop() {
+            Some(Frame::Region(open, index)) if Some(open) == closes => Ok(index),
+            Some(Frame::Param) if closes.is_none() => Ok(NONE),
+            open => Err(self.unbalanced(format!("{ev:?} over {open:?}"))),
+        }
+    }
+
+    fn unbalanced(&self, detail: String) -> DagError {
+        DagError::UnbalancedFrame { thread: self.tid, detail }
+    }
+
+    /// The innermost open region of `task`: parameter scopes are
+    /// transparent.
+    fn attribution(&mut self, task: usize) -> Result<u32, DagError> {
+        let innermost = self.frames(task)?.iter().rev().find_map(|f| match f {
+            Frame::Region(_, index) => Some(*index),
+            Frame::Param => None,
+        });
+        innermost.ok_or_else(|| self.unbalanced("time passed with no region open".to_string()))
+    }
+
+    /// Emit the pending interval (if any) before an event, as `task`'s,
+    /// optionally carving `carve` ns off its tail into a vertex attributed
+    /// to the given region. Returns the carved vertex for use as a
+    /// creation-edge source.
+    fn interval(&mut self, task: usize, carve: Option<(u64, u32)>) -> Result<Option<u32>, DagError> {
+        let (carve_ns, carve_attr) = match carve {
+            Some((ns, attr)) => (ns.min(self.pending), attr),
+            None => (0, NONE),
+        };
+        let work = std::mem::take(&mut self.pending) - carve_ns;
+        if work > 0 {
+            let attr = self.attribution(task)?;
+            self.vertex(task, work, attr);
+        }
+        Ok((carve_ns > 0).then(|| self.vertex(task, carve_ns, carve_attr)))
+    }
+}
+
+/// Work / span: 1.0 for an empty DAG.
+pub(crate) fn parallelism(work_ns: u64, span_ns: u64) -> f64 {
+    match span_ns {
+        0 => 1.0,
+        span => work_ns as f64 / span as f64,
     }
 }
 
@@ -286,334 +437,335 @@ impl TaskDag {
         parallel_region: RegionId,
         opts: &DagOptions,
     ) -> Result<TaskDag, DagError> {
-        let mut b = Builder {
-            nodes: Vec::new(),
-            preds: Vec::new(),
-            sched_preds: Vec::new(),
-            frames: HashMap::new(),
-            task_last: HashMap::new(),
-            pending_join: HashMap::new(),
-            children_unjoined: HashMap::new(),
-            create_vertex: HashMap::new(),
-            creator_thread: HashMap::new(),
-            end_vertex: HashMap::new(),
-            inline_parent: HashMap::new(),
-            create_region_of: HashMap::new(),
-            deferred: std::collections::HashSet::new(),
-            create_edges: Vec::new(),
-            join_edges: Vec::new(),
-            barrier_exits: HashMap::new(),
-            barrier_count: HashMap::new(),
-            tasks: 0,
-            resumes: 0,
-            creates_by: HashMap::new(),
-        };
+        let mut b = Builder::default();
+        let parallel = Frame::Region(parallel_region, b.region(parallel_region));
+
+        // At most a vertex per event — an anchor per hook, an interval per
+        // advance — and one more per begin when creations are carved: each
+        // array is allocated once, at its size.
+        let events = || streams.iter().flat_map(|(_, events)| events);
+        let begins = events().filter(|ev| matches!(ev, Event::TaskBegin { .. })).count();
+        let carved = if opts.undeferred_spawn_cost.is_some() { begins } else { 0 };
+        let vertices = streams.iter().map(|(_, events)| events.len()).sum::<usize>() + carved;
+        b.nodes.reserve_exact(vertices);
+        b.tasks.reserve_exact(begins + streams.len());
+        b.task_index.reserve(begins);
 
         // Pre-pass: learn which tasks are deferred (announced by a create
         // event) and each construct's creation region, across ALL streams —
         // a stolen task's creation lives in a different stream than its
         // execution.
-        for (_, events) in streams {
-            for ev in events {
-                if let Event::CreateBegin {
-                    create,
-                    task_region,
-                    id,
-                } = ev
-                {
-                    b.deferred.insert(*id);
-                    b.create_region_of.insert(*task_region, *create);
-                }
+        for ev in events() {
+            if let Event::CreateBegin { create, task_region, id } = *ev {
+                let task = b.task(id);
+                b.tasks[task].deferred = true;
+                let (create, task_region) = (b.region(create), b.region(task_region));
+                b.regions[task_region as usize].create = create;
             }
         }
 
-        let mut first_thread: HashMap<TaskId, usize> = HashMap::new();
-        for (tid, events) in streams {
-            let tid = *tid;
-            let mut w = ThreadWalk {
-                tid,
-                pending: 0,
-                prev: None,
-            };
-            let mut current = TaskKey::Implicit(tid);
-            b.frames
-                .insert(current, vec![Frame::Region(parallel_region)]);
+        let mut creates_by = Vec::with_capacity(streams.len());
+        let mut work_by_thread = Vec::with_capacity(streams.len());
+        for (thread, (tid, events)) in streams.iter().enumerate() {
+            let thread = thread as u32;
+            (b.tid, b.stream_start) = (*tid, b.nodes.len() as u32);
+            let implicit = b.tasks.len();
+            b.tasks.push(Task::new(None, Some(vec![parallel])));
+            let (mut current, mut creates) = (implicit, 0);
             for ev in events {
                 match *ev {
-                    Event::Advance(dt) => {
-                        w.pending += dt;
-                        continue;
-                    }
+                    Event::Advance(dt) => b.pending += dt,
                     Event::Enter(r) => {
-                        w.emit_interval(&mut b, current, None);
-                        w.event_vertex(&mut b, current);
-                        b.frames.get_mut(&current).unwrap().push(Frame::Region(r));
+                        b.interval(current, None)?;
+                        b.anchor(current);
+                        b.open(current, r)?;
                     }
                     Event::Exit(r) => {
-                        w.emit_interval(&mut b, current, None);
-                        let pre = w.prev;
-                        let v = w.event_vertex(&mut b, current);
-                        match b.frames.get_mut(&current).unwrap().pop() {
-                            Some(Frame::Region(top)) if top == r => {}
-                            other => {
-                                return Err(DagError::UnbalancedFrame {
-                                    thread: tid,
-                                    detail: format!("exit({r:?}) over {other:?}"),
-                                })
-                            }
-                        }
-                        match registry().kind(r) {
+                        b.interval(current, None)?;
+                        // The thread's previous vertex, if it has made one.
+                        let pre = b.nodes.len() as u32;
+                        let pre = (pre != b.stream_start).then(|| pre - 1);
+                        let v = b.anchor(current);
+                        let region = b.close(current, Some(r), ev)?;
+                        let kind = &mut b.regions[region as usize].kind;
+                        match *kind.get_or_insert_with(|| registry().kind(r)) {
                             RegionKind::Taskwait => {
-                                for c in b.children_unjoined.remove(&current).unwrap_or_default()
-                                {
-                                    b.join_edges.push((c, v));
-                                }
+                                let children = b.tasks[current].unjoined.drain(..);
+                                b.join_edges.extend(children.map(|child| (child, v)));
                             }
                             RegionKind::ImplicitBarrier | RegionKind::ExplicitBarrier => {
-                                let k = b.barrier_count.entry((tid, r)).or_insert(0);
+                                let k = b.barrier_count.entry((b.tid, r)).or_insert(0);
                                 let occurrence = *k;
                                 *k += 1;
-                                b.barrier_exits
-                                    .entry((r, occurrence))
-                                    .or_default()
-                                    .push((pre, v));
+                                b.barrier_exits.entry((r, occurrence)).or_default().push((pre, v));
                             }
                             _ => {}
                         }
                     }
-                    Event::CreateBegin {
-                        create,
-                        task_region: _,
-                        id,
-                    } => {
-                        w.emit_interval(&mut b, current, None);
-                        w.event_vertex(&mut b, current);
-                        b.frames
-                            .get_mut(&current)
-                            .unwrap()
-                            .push(Frame::Region(create));
-                        b.children_unjoined.entry(current).or_default().push(id);
-                        b.creator_thread.insert(id, tid);
-                        *b.creates_by.entry(tid).or_insert(0) += 1;
+                    Event::CreateBegin { create, task_region: _, id } => {
+                        b.interval(current, None)?;
+                        b.anchor(current);
+                        b.open(current, create)?;
+                        let child = b.task(id);
+                        b.tasks[child].creator = thread;
+                        b.tasks[current].unjoined.push(child as u32);
+                        creates += 1;
                     }
                     Event::CreateEnd { create, id } => {
-                        w.emit_interval(&mut b, current, None);
-                        let v = w.event_vertex(&mut b, current);
-                        match b.frames.get_mut(&current).unwrap().pop() {
-                            Some(Frame::Region(top)) if top == create => {}
-                            other => {
-                                return Err(DagError::UnbalancedFrame {
-                                    thread: tid,
-                                    detail: format!("create_end({create:?}) over {other:?}"),
-                                })
-                            }
-                        }
-                        b.create_vertex.insert(id, v);
+                        b.interval(current, None)?;
+                        let v = b.anchor(current);
+                        b.close(current, Some(create), ev)?;
+                        let child = b.task(id);
+                        b.tasks[child].create_vertex = v;
                     }
                     Event::TaskBegin { region, id } => {
-                        let undeferred = !b.deferred.contains(&id);
-                        let carved = if undeferred {
-                            let carve = opts.undeferred_spawn_cost.map(|c| {
-                                let attr = b
-                                    .create_region_of
-                                    .get(&region)
-                                    .copied()
-                                    .unwrap_or(SPAWN_REGION);
-                                (c, attr)
-                            });
-                            let parent = current;
-                            let carved = w.emit_interval(&mut b, parent, carve);
-                            b.inline_parent.insert(id, parent);
-                            b.children_unjoined.entry(parent).or_default().push(id);
-                            b.creator_thread.insert(id, tid);
-                            *b.creates_by.entry(tid).or_insert(0) += 1;
-                            carved.or(b.task_last.get(&parent).copied())
-                        } else {
-                            w.emit_interval(&mut b, current, None);
-                            None
-                        };
-                        let key = TaskKey::Explicit(id);
-                        b.frames.insert(key, vec![Frame::Region(region)]);
-                        let v = w.event_vertex(&mut b, key);
+                        let task = b.task(id);
+                        let construct = b.region(region);
+                        let undeferred = !b.tasks[task].deferred;
+                        let carve = opts.undeferred_spawn_cost.filter(|_| undeferred);
+                        let carve = carve.map(|cost| match b.regions[construct as usize].create {
+                            NONE => (cost, b.region(SPAWN_REGION)),
+                            create => (cost, create),
+                        });
+                        let carved = b.interval(current, carve)?;
+                        // An undeferred child starts where its creator stands.
+                        let creator_last = Some(b.tasks[current].last).filter(|&v| v != NONE);
+                        let frames = b.tasks[task].frames.take().or_else(|| b.spare_frames.pop());
+                        let mut frames = frames.unwrap_or_default();
+                        frames.clear();
+                        frames.push(Frame::Region(region, construct));
+                        b.tasks[task].frames = Some(frames);
+                        let v = b.anchor(task);
                         if undeferred {
-                            if let Some(src) = carved {
-                                b.logical_edge(src, v);
-                            }
+                            b.edges.extend(carved.or(creator_last).map(|src| (v, src)));
+                            b.tasks[current].unjoined.push(task as u32);
+                            b.tasks[task].inline_parent = current as u32;
+                            b.tasks[task].creator = thread;
+                            creates += 1;
                         } else {
-                            b.create_edges.push((id, v));
+                            b.create_edges.push((task as u32, v));
                         }
-                        first_thread.insert(id, tid);
-                        b.tasks += 1;
-                        current = key;
+                        b.tasks[task].first = thread;
+                        b.begun += 1;
+                        current = task;
                     }
                     Event::TaskEnd { region: _, id } | Event::TaskAbort { region: _, id } => {
-                        let key = TaskKey::Explicit(id);
-                        w.emit_interval(&mut b, key, None);
-                        let v = w.event_vertex(&mut b, key);
-                        b.end_vertex.insert(id, v);
-                        if let Some(parent) = b.inline_parent.remove(&id) {
-                            b.pending_join.entry(parent).or_default().push(v);
+                        let task = match b.tasks[current].id {
+                            Some(running) if running == id => current,
+                            _ => b.task(id),
+                        };
+                        b.interval(task, None)?;
+                        let v = b.anchor(task);
+                        b.tasks[task].end_vertex = v;
+                        let parent = std::mem::replace(&mut b.tasks[task].inline_parent, NONE);
+                        if parent != NONE {
+                            b.tasks[parent as usize].pending_join.push(v);
                         }
-                        b.frames.remove(&key);
-                        current = TaskKey::Implicit(tid);
+                        b.spare_frames.extend(b.tasks[task].frames.take());
+                        current = implicit;
                     }
                     Event::Switch(target) => {
-                        w.emit_interval(&mut b, current, None);
-                        let key = match target {
-                            TaskRef::Implicit => TaskKey::Implicit(tid),
+                        b.interval(current, None)?;
+                        current = match target {
+                            TaskRef::Implicit => implicit,
                             TaskRef::Explicit(id) => {
                                 b.resumes += 1;
-                                TaskKey::Explicit(id)
+                                b.task(id)
                             }
                         };
-                        w.event_vertex(&mut b, key);
-                        current = key;
+                        b.anchor(current);
                     }
                     Event::ParamBegin { .. } => {
-                        w.emit_interval(&mut b, current, None);
-                        w.event_vertex(&mut b, current);
-                        b.frames.get_mut(&current).unwrap().push(Frame::Param);
+                        b.interval(current, None)?;
+                        b.anchor(current);
+                        b.frames(current)?.push(Frame::Param);
                     }
-                    Event::ParamEnd { param } => {
-                        w.emit_interval(&mut b, current, None);
-                        w.event_vertex(&mut b, current);
-                        match b.frames.get_mut(&current).unwrap().pop() {
-                            Some(Frame::Param) => {}
-                            other => {
-                                return Err(DagError::UnbalancedFrame {
-                                    thread: tid,
-                                    detail: format!("param_end({param:?}) over {other:?}"),
-                                })
-                            }
-                        }
+                    Event::ParamEnd { .. } => {
+                        b.interval(current, None)?;
+                        b.anchor(current);
+                        b.close(current, None, ev)?;
                     }
                 }
             }
             // Trailing time between the last hook and thread end.
-            w.emit_interval(&mut b, current, None);
+            b.interval(current, None)?;
+            creates_by.push(creates);
+            let stream = &b.nodes[b.stream_start as usize..];
+            work_by_thread.push(stream.iter().map(|n| n.weight).sum());
         }
 
+        let barrier_edges = b.barrier_exits.values().map(|exits| exits.len() * exits.len());
+        b.edges.reserve_exact(b.create_edges.len() + b.join_edges.len() + barrier_edges.sum::<usize>());
         // Resolve cross-thread creation edges.
-        for (id, target) in std::mem::take(&mut b.create_edges) {
-            let src = *b
-                .create_vertex
-                .get(&id)
-                .ok_or(DagError::MissingTask { id, what: "creation" })?;
-            b.logical_edge(src, target);
+        for &(task, target) in &b.create_edges {
+            match b.tasks[task as usize].create_vertex {
+                NONE => return Err(b.tasks[task as usize].missing("creation")),
+                src => b.edges.push((target, src)),
+            }
         }
         // Resolve taskwait joins.
-        for (id, target) in std::mem::take(&mut b.join_edges) {
-            let src = *b
-                .end_vertex
-                .get(&id)
-                .ok_or(DagError::MissingTask { id, what: "completion" })?;
-            b.logical_edge(src, target);
+        for &(task, target) in &b.join_edges {
+            match b.tasks[task as usize].end_vertex {
+                NONE => return Err(b.tasks[task as usize].missing("completion")),
+                src => b.edges.push((target, src)),
+            }
         }
         // Barrier synchronization: under the serialized simulation the
         // barrier releases only after every thread arrived and every
         // outstanding task completed, and everything a thread did before
         // exiting happened before the release — so every thread's last
         // pre-exit vertex precedes every thread's exit.
-        for ((_, _), exits) in std::mem::take(&mut b.barrier_exits) {
-            let pres: Vec<u32> = exits.iter().filter_map(|(pre, _)| *pre).collect();
-            for &(_, exit) in &exits {
-                for &pre in &pres {
-                    b.logical_edge(pre, exit);
-                }
+        for exits in b.barrier_exits.values() {
+            for &(_, exit) in exits {
+                let pres = exits.iter().filter_map(|(pre, _)| *pre);
+                b.edges.extend(pres.map(|pre| (exit, pre)));
             }
         }
 
         // Steal counting: a deferred task whose first fragment ran on a
         // different thread than its creator.
-        let steals = first_thread
-            .iter()
-            .filter(|(id, tid)| b.creator_thread.get(id).is_some_and(|c| c != *tid) && b.deferred.contains(id))
-            .count() as u64;
+        let stolen = |t: &&Task| t.deferred && t.creator != NONE && t.first != NONE && t.creator != t.first;
+        let steals = b.tasks.iter().filter(stolen).count() as u64;
 
-        let fragments = b.tasks + b.resumes;
-        let threads = streams.len();
+        // Only what the DAG is made of outlives the walk: the task table
+        // and the maps go before the arrays below are allocated, the edge
+        // list as soon as it is bucketed.
+        let (nodes, edges) = (std::mem::take(&mut b.nodes), std::mem::take(&mut b.edges));
         let mut dag = TaskDag {
-            nodes: b.nodes,
-            preds: b.preds,
-            sched_preds: b.sched_preds,
+            joins: Csr { start: Vec::new(), items: Vec::new() },
+            nodes,
             topo: Vec::new(),
-            threads,
-            tasks: b.tasks,
+            regions: b.regions.iter().map(|r| r.id).collect(),
+            makespan_ns: OnceLock::new(),
+            tasks: b.begun,
             steals,
-            fragments,
-            creates_by: b.creates_by,
+            fragments: b.begun + b.resumes,
+            creates_by,
+            work_by_thread,
         };
+        drop(b);
+        dag.joins = Csr::bucket(dag.nodes.len(), &edges);
+        drop(edges);
         dag.topo = dag.toposort()?;
         Ok(dag)
     }
 
-    /// Kahn's algorithm over the full (logical + schedule) graph.
+    /// Logical predecessors of `v` in discovery order: program order
+    /// first.
+    fn preds(&self, v: usize) -> impl Iterator<Item = usize> + '_ {
+        let prog = Some(self.nodes[v].prog).filter(|&p| p != NONE);
+        prog.into_iter().chain(self.joins.row(v).iter().copied()).map(|p| p as usize)
+    }
+
+    /// Streams are walked one after another and every vertex chains to
+    /// the previous one of its thread, so the schedule predecessor of `v`
+    /// is `v - 1` unless `v` opens a stream.
+    fn sched_pred(&self, v: usize) -> Option<usize> {
+        let chained = self.nodes.get(v).is_some_and(|n| n.attr & OPENS_STREAM == 0);
+        v.checked_sub(1).filter(|_| chained)
+    }
+
+    /// Kahn's algorithm over the full (logical + schedule) graph, run
+    /// from the sinks so that the predecessor rows are all the adjacency
+    /// it needs; the order under construction is its own work queue.
     fn toposort(&self) -> Result<Vec<u32>, DagError> {
         let n = self.nodes.len();
-        let mut indegree = vec![0u32; n];
-        let mut succs: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (v, preds) in self.preds.iter().chain(self.sched_preds.iter()).enumerate() {
-            let v = v % n; // chained iterator re-runs indices 0..n twice
-            for &p in preds {
-                succs[p as usize].push(v as u32);
-                indegree[v] += 1;
-            }
-        }
-        let mut queue: Vec<u32> = (0..n as u32).filter(|&v| indegree[v as usize] == 0).collect();
+        let all_preds = |v: usize| self.preds(v).chain(self.sched_pred(v));
+        // Successors of each vertex that are not in the order yet.
+        let mut waiting = vec![0u32; n];
+        (0..n).flat_map(all_preds).for_each(|p| waiting[p] += 1);
         let mut order = Vec::with_capacity(n);
-        while let Some(v) = queue.pop() {
-            order.push(v);
-            for &s in &succs[v as usize] {
-                indegree[s as usize] -= 1;
-                if indegree[s as usize] == 0 {
-                    queue.push(s);
+        order.extend((0..n as u32).filter(|&v| waiting[v as usize] == 0));
+        let mut done = 0;
+        while let Some(&v) = order.get(done) {
+            done += 1;
+            for p in all_preds(v as usize) {
+                waiting[p] -= 1;
+                if waiting[p] == 0 {
+                    order.push(p as u32);
                 }
             }
         }
         if order.len() != n {
             return Err(DagError::Cycle);
         }
+        order.reverse();
         Ok(order)
     }
 
-    /// Longest weighted path (finish times) under the given per-vertex
-    /// weights. `with_sched` adds the thread-order edges (makespan);
-    /// without them the result is the logical span.
-    fn solve(&self, weights: &[u64], with_sched: bool) -> (Vec<u64>, u64) {
+    /// Longest weighted path (finish times) with every vertex weighing
+    /// `weight(node)`. `with_sched` adds the thread-order edges
+    /// (makespan); without them the result is the logical span.
+    fn solve(&self, weight: impl Fn(&Node) -> u64, with_sched: bool) -> (Vec<u64>, u64) {
         let mut finish = vec![0u64; self.nodes.len()];
         let mut max = 0;
         for &v in &self.topo {
-            let vi = v as usize;
-            let mut start = 0;
-            for &p in &self.preds[vi] {
+            let v = v as usize;
+            let n = &self.nodes[v];
+            let mut start = if n.prog != NONE { finish[n.prog as usize] } else { 0 };
+            for &p in self.joins.row(v) {
                 start = start.max(finish[p as usize]);
             }
             if with_sched {
-                for &p in &self.sched_preds[vi] {
-                    start = start.max(finish[p as usize]);
+                if let Some(p) = self.sched_pred(v) {
+                    start = start.max(finish[p]);
                 }
             }
-            finish[vi] = start + weights[vi];
-            max = max.max(finish[vi]);
+            finish[v] = start + weight(n);
+            max = max.max(finish[v]);
         }
         (finish, max)
     }
 
-    fn weights(&self) -> Vec<u64> {
-        self.nodes.iter().map(|n| n.weight).collect()
+    /// Per-region sums (by region index) as rows, largest first.
+    fn rows(&self, sums: &[u64]) -> Vec<(RegionId, u64)> {
+        let rows = self.regions.iter().copied().zip(sums.iter().copied());
+        let mut rows: Vec<(RegionId, u64)> = rows.filter(|&(_, ns)| ns > 0).collect();
+        rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        rows
     }
 
-    fn scaled_weights(&self, region: RegionId, speedup: u64) -> Vec<u64> {
-        self.nodes
-            .iter()
-            .map(|n| {
-                if n.attr == region && n.weight > 0 {
-                    n.weight / speedup
-                } else {
-                    n.weight
-                }
-            })
-            .collect()
+    fn region_index(&self, region: RegionId) -> u32 {
+        let found = self.regions.iter().position(|&r| r == region);
+        found.map_or(NONE, |index| index as u32)
+    }
+
+    /// Work attributed to each region, by region index.
+    fn work_by_index(&self) -> Vec<u64> {
+        let mut sums = vec![0u64; self.regions.len()];
+        for n in &self.nodes {
+            sums[n.region() as usize] += n.weight;
+        }
+        sums
+    }
+
+    /// The span, and each region's time (by region index) along one
+    /// logical critical path: from the smallest-index sink achieving the
+    /// span, back through each vertex's first predecessor that finishes
+    /// exactly when it starts.
+    fn critical_path(&self) -> (u64, Vec<u64>) {
+        let (finish, span) = self.solve(|n| n.weight, false);
+        let mut sums = vec![0u64; self.regions.len()];
+        let mut v = finish.iter().position(|&f| f == span).filter(|_| span > 0);
+        while let Some(vi) = v {
+            let n = &self.nodes[vi];
+            sums[n.region() as usize] += n.weight;
+            let need = finish[vi] - n.weight;
+            v = self.preds(vi).find(|&p| finish[p] == need);
+        }
+        (span, sums)
+    }
+
+    /// The span, and `(region, work, time on the critical path)` for every
+    /// region that did work, largest work first: one pass over the
+    /// vertices and one solve.
+    pub(crate) fn region_shares(&self) -> (u64, Vec<(RegionId, u64, u64)>) {
+        let (span_ns, span) = self.critical_path();
+        let shares = self.regions.iter().zip(self.work_by_index()).zip(span);
+        let worked = shares.filter(|&((_, work), _)| work > 0);
+        let mut shares: Vec<_> = worked.map(|((&region, work), span)| (region, work, span)).collect();
+        shares.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        (span_ns, shares)
     }
 
     /// Total work: the sum of all interval weights.
@@ -625,29 +777,24 @@ impl TaskDag {
     /// creation, join, and barrier edges — the runtime on infinitely many
     /// processors.
     pub fn span_ns(&self) -> u64 {
-        self.solve(&self.weights(), false).1
+        self.solve(|n| n.weight, false).1
     }
 
     /// Schedule-aware makespan: the longest chain when every fragment is
     /// additionally pinned after its thread's previous fragment — the
     /// modeled runtime of the observed schedule.
     pub fn makespan_ns(&self) -> u64 {
-        self.solve(&self.weights(), true).1
+        *self.makespan_ns.get_or_init(|| self.solve(|n| n.weight, true).1)
     }
 
     /// Work / span: the parallelism ceiling. 1.0 for an empty DAG.
     pub fn parallelism(&self) -> f64 {
-        let span = self.span_ns();
-        if span == 0 {
-            1.0
-        } else {
-            self.work_ns() as f64 / span as f64
-        }
+        parallelism(self.work_ns(), self.span_ns())
     }
 
     /// Number of team threads observed.
     pub fn threads(&self) -> usize {
-        self.threads
+        self.creates_by.len()
     }
 
     /// Number of explicit task instances.
@@ -669,62 +816,23 @@ impl TaskDag {
     /// Work performed by each thread, indexed by position in the stream
     /// list (utilization = thread work / makespan).
     pub fn work_by_thread(&self) -> Vec<u64> {
-        let mut acc = vec![0u64; self.threads];
-        for n in &self.nodes {
-            if n.weight > 0 && n.thread < acc.len() {
-                acc[n.thread] += n.weight;
-            }
-        }
-        acc
+        self.work_by_thread.clone()
     }
 
     /// Per-region work, largest first.
     pub fn work_by_region(&self) -> Vec<(RegionId, u64)> {
-        let mut acc: HashMap<RegionId, u64> = HashMap::new();
-        for n in &self.nodes {
-            if n.weight > 0 {
-                *acc.entry(n.attr).or_insert(0) += n.weight;
-            }
-        }
-        let mut rows: Vec<(RegionId, u64)> = acc.into_iter().collect();
-        rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        rows
+        self.rows(&self.work_by_index())
     }
 
     /// Per-region time along one logical critical path (ties broken by
     /// topological order, deterministically).
     pub fn span_by_region(&self) -> Vec<(RegionId, u64)> {
-        let weights = self.weights();
-        let (finish, max) = self.solve(&weights, false);
-        let mut acc: HashMap<RegionId, u64> = HashMap::new();
-        if max > 0 {
-            // Start from the smallest-index sink achieving the span.
-            let mut v = (0..self.nodes.len()).find(|&v| finish[v] == max);
-            while let Some(vi) = v {
-                let n = &self.nodes[vi];
-                if n.weight > 0 {
-                    *acc.entry(n.attr).or_insert(0) += n.weight;
-                }
-                let need = finish[vi] - weights[vi];
-                v = if need == 0 && self.preds[vi].is_empty() {
-                    None
-                } else {
-                    self.preds[vi]
-                        .iter()
-                        .map(|&p| p as usize)
-                        .find(|&p| finish[p] == need)
-                };
-                // A vertex whose start is 0 but has predecessors (all with
-                // finish 0): still walk into one for determinism.
-            }
-        }
-        let mut rows: Vec<(RegionId, u64)> = acc.into_iter().collect();
-        rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        rows
+        self.rows(&self.critical_path().1)
     }
 
-    /// Tasks created per creator thread (for starvation detection).
-    pub(crate) fn creates_by_thread(&self) -> &HashMap<usize, u64> {
+    /// Tasks created per thread, by stream position (for starvation
+    /// detection).
+    pub(crate) fn creates_by_thread(&self) -> &[u64] {
         &self.creates_by
     }
 
@@ -739,25 +847,21 @@ impl TaskDag {
     /// schedule could beat.
     pub fn what_if(&self, region: RegionId, speedup: u64) -> crate::WhatIfPrediction {
         assert!(speedup >= 1, "speedup factor must be >= 1");
-        let scaled = self.scaled_weights(region, speedup);
-        let (_, makespan) = self.solve(&scaled, true);
-        let (_, span) = self.solve(&scaled, false);
+        let index = self.region_index(region);
+        let scaled = |n: &Node| if n.region() == index { n.weight / speedup } else { n.weight };
         crate::WhatIfPrediction {
             region,
             speedup,
             baseline_makespan_ns: self.makespan_ns(),
-            predicted_makespan_ns: makespan,
-            predicted_span_ns: span,
+            predicted_makespan_ns: self.solve(scaled, true).1,
+            predicted_span_ns: self.solve(scaled, false).1,
         }
     }
 
     /// Sum of weights currently attributed to `region`.
     pub fn region_work_ns(&self, region: RegionId) -> u64 {
-        self.nodes
-            .iter()
-            .filter(|n| n.attr == region)
-            .map(|n| n.weight)
-            .sum()
+        let index = self.region_index(region);
+        self.nodes.iter().filter(|n| n.region() == index).map(|n| n.weight).sum()
     }
 }
 
@@ -1020,6 +1124,103 @@ mod tests {
         let err = TaskDag::from_streams(&[(0, s0)], par, &DagOptions::default()).unwrap_err();
         assert!(matches!(err, DagError::MissingTask { what: "completion", .. }));
         assert!(err.to_string().contains("missing completion"), "{err}");
+    }
+
+    #[test]
+    fn work_on_a_task_outside_its_begin_and_end_is_a_typed_error() {
+        let par = region("dag7-par", RegionKind::Parallel);
+        let task = region("dag7-task", RegionKind::Task);
+        let f = region("dag7-f", RegionKind::Function);
+        let ids = TaskIdAllocator::new();
+        let (ghost, done) = (ids.alloc(), ids.alloc());
+        let never_began = vec![
+            Event::Switch(TaskRef::Explicit(ghost)),
+            Event::Advance(5),
+            Event::Enter(f),
+        ];
+        let ended_unbegun = vec![
+            Event::Advance(5),
+            Event::TaskEnd {
+                region: task,
+                id: ghost,
+            },
+        ];
+        let entered_unbegun = vec![Event::Switch(TaskRef::Explicit(ghost)), Event::Enter(f)];
+        for events in [never_began, ended_unbegun, entered_unbegun] {
+            let err = TaskDag::from_streams(&[(0, events)], par, &DagOptions::default());
+            assert_eq!(
+                err.unwrap_err(),
+                DagError::MissingTask {
+                    id: ghost,
+                    what: "begin"
+                }
+            );
+        }
+        let already_ended = vec![
+            Event::TaskBegin {
+                region: task,
+                id: done,
+            },
+            Event::TaskEnd {
+                region: task,
+                id: done,
+            },
+            Event::Switch(TaskRef::Explicit(done)),
+            Event::Advance(5),
+            Event::Exit(f),
+        ];
+        let err = TaskDag::from_streams(&[(0, already_ended)], par, &DagOptions::default());
+        assert_eq!(
+            err.unwrap_err().to_string(),
+            format!("task {}: missing begin", done.get())
+        );
+    }
+
+    #[test]
+    fn time_after_closing_the_base_region_is_a_typed_error() {
+        // The implicit task's base frame is the parallel region itself:
+        // a stream may (wrongly) close it, but not then spend time.
+        let par = region("dag8-par", RegionKind::Parallel);
+        let s0 = vec![Event::Exit(par), Event::Advance(5), Event::Exit(par)];
+        let err = TaskDag::from_streams(&[(4, s0)], par, &DagOptions::default()).unwrap_err();
+        assert!(matches!(err, DagError::UnbalancedFrame { thread: 4, .. }), "{err:?}");
+    }
+
+    #[test]
+    fn thread_and_task_ids_need_not_be_dense() {
+        // Threads 3 and 7 of some larger team, a hand-numbered task:
+        // per-thread rows go by position in the stream list.
+        let par = region("dag9-par", RegionKind::Parallel);
+        let task = region("dag9-task", RegionKind::Task);
+        let create = region("dag9-create", RegionKind::TaskCreate);
+        let bar = region("dag9-bar", RegionKind::ImplicitBarrier);
+        let id = TaskId::from_raw(0xDEAD_BEEF_0000).unwrap();
+        let s3 = vec![
+            Event::CreateBegin {
+                create,
+                task_region: task,
+                id,
+            },
+            Event::Advance(10),
+            Event::CreateEnd { create, id },
+            Event::Enter(bar),
+            Event::Exit(bar),
+        ];
+        let s7 = vec![
+            Event::Enter(bar),
+            Event::TaskBegin { region: task, id },
+            Event::Advance(30),
+            Event::TaskEnd { region: task, id },
+            Event::Exit(bar),
+        ];
+        let dag =
+            TaskDag::from_streams(&[(3, s3), (7, s7)], par, &DagOptions::default()).unwrap();
+        assert_eq!(dag.work_ns(), 40);
+        assert_eq!(dag.work_by_thread(), [10, 30]);
+        assert_eq!(dag.steals(), 1);
+        assert_eq!(dag.span_ns(), 40);
+        let report = dag.report();
+        assert_eq!(report.thread_work_ns.iter().sum::<u64>(), report.work_ns);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Plain-data report types and detrimental-pattern detection.
 
-use crate::dag::{TaskDag, SPAWN_REGION};
+use crate::dag::{parallelism, TaskDag, SPAWN_REGION};
 use pomp::{registry, RegionId, RegionKind};
-use std::collections::HashMap;
 
 /// One region's share of the run.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -147,10 +146,7 @@ impl CritPathReport {
         self.work_ns += next.work_ns;
         self.span_ns += next.span_ns;
         self.makespan_ns += next.makespan_ns;
-        self.parallelism = match self.span_ns {
-            0 => 1.0,
-            span => self.work_ns as f64 / span as f64,
-        };
+        self.parallelism = parallelism(self.work_ns, self.span_ns);
         self.threads = self.threads.max(next.threads);
         self.tasks += next.tasks;
         self.fragments += next.fragments;
@@ -191,17 +187,15 @@ fn is_create_region(r: RegionId) -> bool {
 impl TaskDag {
     /// Produce the plain-data [`CritPathReport`] for this DAG.
     pub fn report(&self) -> CritPathReport {
-        let work_ns = self.work_ns();
-        let span_ns = self.span_ns();
-        let span_rows: HashMap<RegionId, u64> = self.span_by_region().into_iter().collect();
-        let regions: Vec<RegionRow> = self
-            .work_by_region()
+        let (span_ns, shares) = self.region_shares();
+        let work_ns = shares.iter().map(|&(_, work_ns, _)| work_ns).sum();
+        let regions: Vec<RegionRow> = shares
             .into_iter()
-            .map(|(region, work)| RegionRow {
+            .map(|(region, work_ns, span_ns)| RegionRow {
                 region,
                 name: region_name(region),
-                work_ns: work,
-                span_ns: span_rows.get(&region).copied().unwrap_or(0),
+                work_ns,
+                span_ns,
             })
             .collect();
 
@@ -218,8 +212,8 @@ impl TaskDag {
                 });
             }
         }
-        let creates: u64 = self.creates_by_thread().values().sum();
-        let top = self.creates_by_thread().values().copied().max().unwrap_or(0);
+        let creates: u64 = self.creates_by_thread().iter().sum();
+        let top = self.creates_by_thread().iter().copied().max().unwrap_or(0);
         if creates >= STEAL_STORM_MIN_TASKS && self.threads() > 1 && span_ns > 0 {
             let creator_share = top as f64 / creates as f64;
             let create_span: u64 = regions
@@ -242,7 +236,7 @@ impl TaskDag {
             work_ns,
             span_ns,
             makespan_ns: self.makespan_ns(),
-            parallelism: self.parallelism(),
+            parallelism: parallelism(work_ns, span_ns),
             threads: self.threads(),
             tasks,
             fragments: self.fragments(),

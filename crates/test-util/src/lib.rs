@@ -11,10 +11,12 @@
 //!   them as event streams through [`taskprof::Replayer`].
 //!
 //! [`sized_profile_text`] is the sized input of the codec scaling and
-//! allocation tests.
+//! allocation tests, and [`alloc`] the counting allocator every
+//! allocation and footprint test counts with.
 //!
 //! This is a dev-only crate: production crates must not depend on it.
 
+pub mod alloc;
 pub mod body;
 pub mod shape;
 

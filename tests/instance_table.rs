@@ -6,67 +6,12 @@
 //! `cube::read_profile` may allocate per line of profile text.
 
 use pomp::{Monitor, RegionId, TaskId, TaskIdAllocator, TaskRef, ThreadHooks, VirtualClock};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::collections::HashMap;
 use taskprof::{replay, AssignPolicy, NodeKind, ProfMonitor};
-
-// ---------------------------------------------------------------------
-// Allocation counter
-// ---------------------------------------------------------------------
-
-/// Counts the calling thread's allocations, so the test harness's other
-/// threads cannot disturb a count.
-struct CountingAlloc;
-
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count_one() {
-    // `try_with`: an allocation while the thread tears its locals down
-    // must not panic inside the allocator.
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter is a
-// thread-local cell with a constant initialiser and no destructor, so
-// touching it never allocates.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        // SAFETY: the caller's `layout` is passed through as received.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` was returned by `System` for this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        // SAFETY: the caller's `layout` is passed through as received.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
-        // SAFETY: `ptr`/`layout` come from `System`; `new_size` is the
-        // caller's, passed through.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use test_util::alloc::{measure, CountingAlloc};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
-
-fn allocs_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.with(Cell::get);
-    f();
-    ALLOCS.with(Cell::get) - before
-}
 
 const PAR: RegionId = RegionId(9700);
 const BARRIER: RegionId = RegionId(9701);
@@ -119,11 +64,12 @@ fn steady_state_cycles_allocate_nothing(name: &str, monitor: ProfMonitor) {
         cycle();
     }
     const CYCLES: u64 = 10_000;
-    let allocs = allocs_during(|| {
+    let allocs = measure(|| {
         for _ in 0..CYCLES {
             cycle();
         }
-    });
+    })
+    .allocs;
     assert_eq!(
         allocs, 0,
         "{name}: {allocs} allocations in {CYCLES} task cycles"
@@ -356,7 +302,7 @@ fn reading_profile_text_allocates_per_node_and_distinct_name_not_per_line_token(
     // of a repository that sees the same regions run after run.
     let warm = cube::read_profile(&text).expect("parse");
     let mut again = None;
-    let allocs = allocs_during(|| again = Some(cube::read_profile(&text)));
+    let allocs = measure(|| again = Some(cube::read_profile(&text))).allocs;
     let again = again.expect("ran").expect("parse");
     assert_eq!(again.threads[0].main, warm.threads[0].main);
     // What may allocate: child lists and the open-node stack (bounded by

@@ -5,10 +5,15 @@
 //! shape or schedule: span ≤ makespan ≤ work (so parallelism ≥ 1), the
 //! per-region work decomposition sums to the total, and what-if
 //! predictions are monotone nonincreasing in the speedup factor while
-//! never beating the scaled logical span.
+//! never beating the scaled logical span. And a stream that is *not* a
+//! run — one event dropped, doubled, moved or aimed at another task — is
+//! answered with a typed error or a DAG that still obeys the summing
+//! laws, never a panic.
 
+use pomp::{TaskId, TaskRef};
 use proptest::prelude::*;
 use simsched::{run_workload, whatif, SimConfig, Step, TreeWorkload};
+use taskprof::Event;
 
 /// A uniform tree: every internal node does `inner` work then spawns
 /// `fanout` children and taskwaits; leaves do `leaf` work. The name is
@@ -35,8 +40,81 @@ fn tree(depth: usize, fanout: usize, inner: u64, leaf: u64) -> TreeWorkload {
     )
 }
 
+/// The task id an event names, if it names one.
+fn named_task(ev: &mut Event) -> Option<&mut TaskId> {
+    match ev {
+        Event::CreateBegin { id, .. }
+        | Event::CreateEnd { id, .. }
+        | Event::TaskBegin { id, .. }
+        | Event::TaskEnd { id, .. }
+        | Event::TaskAbort { id, .. }
+        | Event::Switch(TaskRef::Explicit(id)) => Some(id),
+        _ => None,
+    }
+}
+
+/// Damage one stream in one place: drop, duplicate or swap an event, or
+/// retarget the next task-naming event at another task of the run (or
+/// at one that never existed). The picks wrap around whatever is there.
+fn mutate(streams: &mut [(usize, Vec<Event>)], kind: usize, stream: usize, at: usize, other: usize) {
+    let mut ids: Vec<TaskId> = streams
+        .iter()
+        .flat_map(|(_, events)| events)
+        .filter_map(|ev| match ev {
+            Event::TaskBegin { id, .. } => Some(*id),
+            _ => None,
+        })
+        .collect();
+    ids.push(TaskId::from_raw(u64::MAX).expect("nonzero"));
+    let events = &mut streams[stream % streams.len()].1;
+    if events.is_empty() {
+        return;
+    }
+    let at = at % events.len();
+    match kind {
+        0 => {
+            events.remove(at);
+        }
+        1 => events.insert(at, events[at]),
+        2 => {
+            let with = other % events.len();
+            events.swap(at, with);
+        }
+        _ => {
+            let (before, from) = events.split_at_mut(at);
+            if let Some(id) = from.iter_mut().chain(before).find_map(named_task) {
+                *id = ids[other % ids.len()];
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn a_damaged_stream_is_an_error_or_a_lawful_dag_never_a_panic(
+        (depth, fanout) in (0usize..3, 1usize..4),
+        seed in 0u64..1000,
+        threads in 1usize..4,
+        kind in 0usize..4,
+        (stream, at, other) in (0usize..4, 0usize..10_000, 0usize..10_000),
+    ) {
+        let w = tree(depth, fanout, 30, 70);
+        let mut run = run_workload(&w, &SimConfig::seeded(threads, seed));
+        mutate(&mut run.streams, kind, stream, at, other);
+        // A cycle must come back as `DagError::Cycle`, not as a hang: the
+        // case simply has to finish.
+        if let Ok(dag) = whatif::analyze(&run, &w) {
+            let thread_sum: u64 = dag.work_by_thread().iter().sum();
+            prop_assert_eq!(thread_sum, dag.work_ns());
+            let region_sum: u64 = dag.work_by_region().iter().map(|(_, ns)| ns).sum();
+            prop_assert_eq!(region_sum, dag.work_ns());
+            prop_assert!(dag.span_ns() <= dag.makespan_ns());
+            prop_assert!(dag.makespan_ns() <= dag.work_ns());
+            prop_assert_eq!(dag.report().thread_work_ns.len(), threads);
+        }
+    }
 
     #[test]
     fn work_span_ordering_holds_on_random_trees(
