@@ -1,10 +1,10 @@
 #!/bin/bash
 # Minimal CI gate: release build, every workspace member's tests,
-# lint-clean clippy, guards against a second hook-stream recorder and a
-# hashing DAG builder, the repo benchmark's own smoke gate
-# (benchmark/check.sh), a floor under JSON ingest throughput and a ceiling
-# over the causal report, and end-to-end smokes of the CLI, the daemon and
-# replication.
+# lint-clean clippy, guards against a second hook-stream recorder, a
+# hashing DAG builder and a second store read path, the repo benchmark's
+# own smoke gate (benchmark/check.sh) and its package's tests, a floor
+# under JSON ingest throughput and a ceiling over the causal report, and
+# end-to-end smokes of the CLI, the daemon and replication.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -36,6 +36,15 @@ if git grep -nE 'TaskKey|Vec<Vec<' -- crates/critpath/src; then
     echo "per-task hashing or per-vertex vectors are back in critpath"; exit 1
 fi
 
+echo "=== one store read path ==="
+# The store reads records through a SegmentReader holding one
+# StoreIo::open_read handle per segment; read_range survives only as the
+# trait method that handle's default falls back to, for implementors
+# written before open_read.
+if git grep -nE 'read_range\(' -- crates/profstore/src ':!crates/profstore/src/io.rs'; then
+    echo "a per-record path read is back in the store"; exit 1
+fi
+
 echo "=== clippy (portable clock path) ==="
 # Compile-check the non-TSC clock fallback other architectures take,
 # without needing a cross toolchain (see crates/pomp/src/clock.rs).
@@ -52,6 +61,10 @@ echo "=== repo benchmark smoke gate ==="
 # of every workload, traced and untraced, must print exactly those
 # metrics with every checked operation correct.
 benchmark/check.sh
+# check.sh builds only the binary; the package's tests implement the two
+# store I/O traits a second time (benchmark/src/counting.rs), so a trait
+# edit that breaks the benchmark fails here, not in the pipeline.
+(cd benchmark && cargo test --release --offline -q)
 
 echo "=== JSON ingest tripwire ==="
 # A floor, not a target: the per-character whole-input scan in the JSON

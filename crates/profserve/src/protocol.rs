@@ -187,16 +187,21 @@ pub enum ProfilePayload {
 
 impl ProfilePayload {
     /// Decode to an in-memory [`Profile`]; `Err` carries a `bad_request`
-    /// explanation.
+    /// explanation. Both encodings can spell a profile without threads;
+    /// no measurement produces one, so it is refused here, at the door.
     pub fn decode(&self) -> Result<Profile, String> {
-        match self {
+        let profile = match self {
             ProfilePayload::Text(text) => {
-                cube::read_profile(text).map_err(|e| format!("bad profile: {e}"))
+                cube::read_profile(text).map_err(|e| format!("bad profile: {e}"))?
             }
             ProfilePayload::Record(bytes) => profstore::decode_record(bytes)
                 .map(|(_, p)| p)
-                .map_err(|e| format!("bad profile record: {e}")),
+                .map_err(|e| format!("bad profile record: {e}"))?,
+        };
+        if profile.threads.is_empty() {
+            return Err("bad profile: no threads".to_string());
         }
+        Ok(profile)
     }
 
     /// Render as text-store format (re-encoding a binary record if
@@ -1829,7 +1834,15 @@ mod tests {
         // A Record built from an in-memory profile carries the compact
         // binary payload; pushing it through the JSON codec must fall
         // back to the text rendering and still parse as the same profile.
-        let profile = Profile::default();
+        let par = pomp::registry().register(
+            "proto-rerender!parallel",
+            pomp::RegionKind::Parallel,
+            file!(),
+            line!(),
+        );
+        let mut team = taskprof::TeamReplayer::new(1, par, taskprof::AssignPolicy::Executing);
+        team.advance(40);
+        let profile = team.finish();
         let r = Record::from_profile("fib", 2, Some(5), &profile);
         assert!(matches!(r.profile, ProfilePayload::Record(_)));
         let line = Request::Ingest(r).to_json_line();
@@ -1837,10 +1850,23 @@ mod tests {
         match back {
             Request::Ingest(rec) => {
                 assert_eq!(rec.benchmark, "fib");
+                assert!(matches!(rec.profile, ProfilePayload::Text(_)));
                 let p = rec.profile.decode().expect("decode");
-                assert_eq!(p.threads.len(), 0);
+                assert_eq!(p.threads.len(), 1);
+                assert_eq!(p.threads[0].main, profile.threads[0].main);
             }
             other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_profile_without_threads_is_refused_in_both_encodings() {
+        let empty = Profile::default();
+        let record = Record::from_profile("fib", 2, None, &empty).profile;
+        let text = ProfilePayload::Text(cube::write_profile(&empty));
+        for payload in [record, text] {
+            let err = payload.decode().expect_err("no threads, no profile");
+            assert!(err.contains("no threads"), "{err}");
         }
     }
 }

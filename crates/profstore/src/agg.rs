@@ -3,14 +3,12 @@
 //! `cube::agg` merges the threads of *one* run; this module folds *many
 //! runs* of the same benchmark into one aggregate: per-construct
 //! min/max/mean/sum over runs (the paper's per-node statistics, lifted
-//! one level up), plus a structurally merged call tree reusing
-//! [`cube::merge_nodes`]. The fold is strictly one-run-at-a-time so the
-//! store's streaming merge never holds more than one decoded profile.
+//! one level up). The fold is strictly one-run-at-a-time so the store's
+//! streaming merge never holds more than one decoded profile.
 
-use cube::{merge_nodes, AggProfile};
 use pomp::registry;
 use std::collections::BTreeMap;
-use taskprof::{NodeKind, Profile, SnapNode};
+use taskprof::{NodeKind, Profile};
 
 /// min/max/mean/sum of one metric over runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -68,8 +66,8 @@ impl MetricAgg {
 }
 
 /// One run reduced to the per-construct totals the cross-run statistics
-/// are built from: inclusive nanoseconds summed per region name over the
-/// thread-merged trees (task trees included, parameter nodes skipped).
+/// are built from: inclusive nanoseconds summed per region name over
+/// every thread's trees (task trees included, parameter nodes skipped).
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunSummary {
     /// Root (parallel region) inclusive time, summed over threads.
@@ -79,36 +77,42 @@ pub struct RunSummary {
     pub regions: BTreeMap<String, u64>,
 }
 
-fn node_key(kind: NodeKind) -> Option<String> {
-    let reg = registry();
-    match kind {
-        NodeKind::Region(id) => Some(reg.name(id)),
-        NodeKind::Stub(id) => Some(format!("{} (stub)", reg.name(id))),
-        NodeKind::Param(..) | NodeKind::Truncated => None,
-    }
-}
-
-fn accumulate(tree: &SnapNode, into: &mut BTreeMap<String, u64>) {
-    tree.walk(&mut |_, node| {
-        if let Some(key) = node_key(node.kind) {
-            *into.entry(key).or_insert(0) += node.stats.sum_ns;
-        }
-    });
-}
-
 impl RunSummary {
-    /// Reduce one profile.
+    /// Reduce one profile (all zero for one without threads).
+    ///
+    /// Walks the per-thread trees as they are: the totals are sums, so
+    /// they equal those of the cross-thread merge `cube::AggProfile`
+    /// builds, without building it. Nodes are gathered by identity and
+    /// each distinct construct is named once.
     pub fn from_profile(p: &Profile) -> Self {
-        let agg = AggProfile::from_profile(p);
+        let mut total_ns = 0;
+        // ((region, is stub), inclusive ns) of every construct node.
+        let mut nodes = Vec::new();
+        for thread in &p.threads {
+            total_ns += thread.main.stats.sum_ns;
+            for tree in std::iter::once(&thread.main).chain(&thread.task_trees) {
+                tree.walk(&mut |_, node| match node.kind {
+                    NodeKind::Region(id) => nodes.push(((id, false), node.stats.sum_ns)),
+                    NodeKind::Stub(id) => nodes.push(((id, true), node.stats.sum_ns)),
+                    NodeKind::Param(..) | NodeKind::Truncated => {}
+                });
+            }
+        }
+        nodes.sort_unstable_by_key(|&(key, _)| key);
+        let names = registry().view();
         let mut regions = BTreeMap::new();
-        accumulate(&agg.main, &mut regions);
-        for tree in &agg.task_trees {
-            accumulate(tree, &mut regions);
+        for same in nodes.chunk_by(|a, b| a.0 == b.0) {
+            let (id, stub) = same[0].0;
+            let name = &names.info(id).name;
+            let key = if stub {
+                format!("{name} (stub)")
+            } else {
+                name.clone()
+            };
+            // Two region ids may share one display name.
+            *regions.entry(key).or_insert(0) += same.iter().map(|&(_, ns)| ns).sum::<u64>();
         }
-        Self {
-            total_ns: agg.main.stats.sum_ns,
-            regions,
-        }
+        Self { total_ns, regions }
     }
 }
 
@@ -122,16 +126,11 @@ pub struct BenchAgg {
     /// Per-construct inclusive time over runs, keyed like
     /// [`RunSummary::regions`].
     pub regions: BTreeMap<String, MetricAgg>,
-    /// Structural merge of every run's thread-merged main tree (absent
-    /// until the first run; left at the first run's shape if later runs
-    /// disagree on the root construct).
-    pub merged_main: Option<SnapNode>,
-    /// Structural merges of the per-construct task trees.
-    pub merged_tasks: Vec<SnapNode>,
-    /// Runs whose root construct did not match [`BenchAgg::merged_main`]
-    /// and were therefore excluded from the tree merge (their scalar
-    /// statistics still count).
+    /// Runs whose root construct is not that of the first run folded
+    /// (their scalar statistics still count).
     pub tree_mismatches: u64,
+    /// Root construct of the first run folded that had one.
+    first_root: Option<NodeKind>,
 }
 
 impl BenchAgg {
@@ -143,31 +142,15 @@ impl BenchAgg {
     /// Fold one run.
     pub fn fold(&mut self, profile: &Profile) {
         let summary = RunSummary::from_profile(profile);
-        self.fold_summary_and_trees(&summary, profile);
-    }
-
-    fn fold_summary_and_trees(&mut self, summary: &RunSummary, profile: &Profile) {
         self.runs += 1;
         self.total_ns.fold(summary.total_ns);
-        for (key, ns) in &summary.regions {
-            self.regions.entry(key.clone()).or_default().fold(*ns);
+        for (key, ns) in summary.regions {
+            self.regions.entry(key).or_default().fold(ns);
         }
-        let agg = AggProfile::from_profile(profile);
-        match &mut self.merged_main {
-            None => {
-                self.merged_main = Some(agg.main.clone());
-                self.merged_tasks = agg.task_trees.clone();
+        if let Some(root) = profile.threads.first().map(|t| t.main.kind) {
+            if *self.first_root.get_or_insert(root) != root {
+                self.tree_mismatches += 1;
             }
-            Some(main) if main.kind == agg.main.kind => {
-                *main = merge_nodes(&[&*main, &agg.main]);
-                for tree in &agg.task_trees {
-                    match self.merged_tasks.iter_mut().find(|t| t.kind == tree.kind) {
-                        Some(existing) => *existing = merge_nodes(&[&*existing, tree]),
-                        None => self.merged_tasks.push(tree.clone()),
-                    }
-                }
-            }
-            Some(_) => self.tree_mismatches += 1,
         }
     }
 
@@ -316,8 +299,6 @@ mod tests {
         assert!(agg.total_ns.min().expect("folded") > 0);
         assert_eq!(agg.total_ns.min(), Some(agg.total_ns.min));
         assert_eq!(agg.tree_mismatches, 0);
-        let main = agg.merged_main.as_ref().expect("merged tree");
-        assert_eq!(main.stats.visits, 2);
         let top = agg.top_regions(10);
         assert!(!top.is_empty());
         assert!(top[0].1.sum >= top.last().unwrap().1.sum);

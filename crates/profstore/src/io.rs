@@ -2,11 +2,11 @@
 //! fault-injection implementation (`FaultIo`).
 //!
 //! Every file operation the repository performs — segment creation,
-//! frame appends, truncation, scans, positioned reads — goes through a
-//! [`StoreIo`] handle. Production uses [`RealIo`], a plain passthrough to
-//! `std::fs` (one virtual call per *file operation*, never per byte — the
-//! repository's I/O is already microsecond-scale, so the seam is free in
-//! practice). Tests swap in [`FaultIo`], which threads a splitmix64-seeded
+//! frame appends, truncation, scans, positioned reads through a held
+//! [`StoreRead`] handle — goes through a [`StoreIo`] handle. Production
+//! uses [`RealIo`], a plain passthrough to `std::fs` (one virtual call
+//! per *file operation*, never per byte — the repository's I/O is already
+//! microsecond-scale, so the seam is free in practice). Tests swap in [`FaultIo`], which threads a splitmix64-seeded
 //! [`FaultPlan`] through the same operations to deterministically inject:
 //!
 //! * **short writes** — a write persists only a seeded prefix of its
@@ -28,8 +28,9 @@
 
 use simsched_free_splitmix::SplitMix64;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::Path;
+use std::io::{Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -78,6 +79,30 @@ pub trait StoreFile: Send + Sync {
     fn seek_to(&mut self, pos: u64) -> std::io::Result<()>;
 }
 
+/// An open, read-only store file behind the seam: what one query reads
+/// every frame of a segment through.
+pub trait StoreRead {
+    /// Replace `buf`'s contents with the `len` bytes at absolute
+    /// `offset` — fewer only at end of file. (A vector rather than a
+    /// slice to fill, so an implementor whose reads produce owned buffers
+    /// hands one over instead of copying it.)
+    fn read_at(&self, offset: u64, len: usize, buf: &mut Vec<u8>) -> std::io::Result<()>;
+}
+
+/// [`StoreIo::open_read`]'s default: no held handle, every read is a
+/// [`StoreIo::read_range`] of the path.
+struct PathRead<'a, T: StoreIo + ?Sized> {
+    io: &'a T,
+    path: PathBuf,
+}
+
+impl<T: StoreIo + ?Sized> StoreRead for PathRead<'_, T> {
+    fn read_at(&self, offset: u64, len: usize, buf: &mut Vec<u8>) -> std::io::Result<()> {
+        *buf = self.io.read_range(&self.path, offset, len)?;
+        Ok(())
+    }
+}
+
 /// The repository's view of a filesystem. One implementor per world:
 /// [`RealIo`] (production) and [`FaultIo`] (deterministic fault
 /// injection).
@@ -90,6 +115,15 @@ pub trait StoreIo: Send + Sync + std::fmt::Debug {
     fn read_all(&self, path: &Path) -> std::io::Result<Vec<u8>>;
     /// Read up to `len` bytes at `offset` (short at EOF).
     fn read_range(&self, path: &Path, offset: u64, len: usize) -> std::io::Result<Vec<u8>>;
+    /// Open an existing file for positioned reads. The store reads
+    /// records only through this; the default serves an implementor
+    /// written before it existed by turning every read into a
+    /// [`StoreIo::read_range`] (which opens the path each time), and an
+    /// implementor that can hold a handle overrides it. The path comes by
+    /// value because the default keeps it for as long as the reader lives.
+    fn open_read(&self, path: PathBuf) -> std::io::Result<Box<dyn StoreRead + '_>> {
+        Ok(Box::new(PathRead { io: self, path }))
+    }
     /// Length of a file in bytes.
     fn file_len(&self, path: &Path) -> std::io::Result<u64>;
     /// File names (not paths) inside a directory.
@@ -119,6 +153,23 @@ impl RealIo {
 }
 
 struct RealFile(File);
+
+impl StoreRead for File {
+    fn read_at(&self, offset: u64, len: usize, buf: &mut Vec<u8>) -> std::io::Result<()> {
+        buf.resize(len, 0);
+        let mut filled = 0;
+        while filled < len {
+            match FileExt::read_at(self, &mut buf[filled..], offset + filled as u64) {
+                Ok(0) => break,
+                Ok(n) => filled += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            }
+        }
+        buf.truncate(filled);
+        Ok(())
+    }
+}
 
 impl StoreFile for RealFile {
     fn write_all(&mut self, buf: &[u8]) -> std::io::Result<()> {
@@ -162,20 +213,13 @@ impl StoreIo for RealIo {
     }
 
     fn read_range(&self, path: &Path, offset: u64, len: usize) -> std::io::Result<Vec<u8>> {
-        let mut file = File::open(path)?;
-        file.seek(SeekFrom::Start(offset))?;
-        let mut out = vec![0u8; len];
-        let mut filled = 0;
-        while filled < len {
-            match file.read(&mut out[filled..]) {
-                Ok(0) => break,
-                Ok(n) => filled += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        out.truncate(filled);
+        let mut out = Vec::new();
+        StoreRead::read_at(&File::open(path)?, offset, len, &mut out)?;
         Ok(out)
+    }
+
+    fn open_read(&self, path: PathBuf) -> std::io::Result<Box<dyn StoreRead + '_>> {
+        Ok(Box::new(File::open(path)?))
     }
 
     fn file_len(&self, path: &Path) -> std::io::Result<u64> {
@@ -503,6 +547,11 @@ impl StoreIo for FaultIo {
         RealIo.read_range(path, offset, len)
     }
 
+    fn open_read(&self, path: PathBuf) -> std::io::Result<Box<dyn StoreRead + '_>> {
+        // Reads change nothing on disk: not an injection point.
+        RealIo.open_read(path)
+    }
+
     fn file_len(&self, path: &Path) -> std::io::Result<u64> {
         RealIo.file_len(path)
     }
@@ -563,6 +612,18 @@ mod tests {
         assert_eq!(io.read_range(&path, 6, 5).expect("range"), b"world");
         assert_eq!(io.read_range(&path, 6, 64).expect("short"), b"world");
         assert_eq!(io.file_len(&path).expect("len"), 11);
+        // One held handle, any number of positioned reads.
+        let reader = io.open_read(path.clone()).expect("open_read");
+        let mut buf = vec![9u8; 3];
+        reader.read_at(6, 5, &mut buf).expect("read_at");
+        assert_eq!(buf, b"world");
+        reader.read_at(0, 5, &mut buf).expect("read_at");
+        assert_eq!(buf, b"hello");
+        reader.read_at(6, 64, &mut buf).expect("short at the end");
+        assert_eq!(buf, b"world");
+        reader.read_at(40, 4, &mut buf).expect("past the end");
+        assert!(buf.is_empty());
+        assert!(io.open_read(path.with_extension("missing")).is_err());
         let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
 

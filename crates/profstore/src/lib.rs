@@ -19,9 +19,8 @@
 //!   aggregation visits runs one at a time in (timestamp, run id) order
 //!   and never materializes every profile at once.
 //! * [`agg`] — the cross-run statistics themselves: min/max/mean/sum of
-//!   the paper's per-construct metrics over runs (reusing `cube::agg`
-//!   for the structural tree merge), plus the regression check a serving
-//!   daemon runs against a freshly ingested profile.
+//!   the paper's per-construct metrics over runs, plus the regression
+//!   check a serving daemon runs against a freshly ingested profile.
 //! * [`io`] — the injectable I/O seam: every file operation goes through
 //!   a [`StoreIo`] handle ([`RealIo`] in production, a zero-cost
 //!   passthrough), so [`FaultIo`] can deterministically inject short
@@ -61,6 +60,7 @@ pub use codec::{
 };
 pub use io::{
     is_enospc, FaultHandle, FaultIo, FaultKind, FaultMode, FaultPlan, RealIo, StoreFile, StoreIo,
+    StoreRead,
 };
 pub use merge::KWayMerge;
 pub use repo::Repo;

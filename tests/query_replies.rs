@@ -13,10 +13,12 @@
 use pomp::{registry, ParamId, RegionId, RegionKind, TaskIdAllocator};
 use profserve::{RegressReport, Response, StatsReport, TopReport, TrendReport};
 use profstore::{
-    ProfileStore, RegressConfig, Repo, RunSummary, RunWindow, ShardedStore, StoreConfig,
+    ProfileStore, RealIo, RegressConfig, Repo, RunSummary, RunWindow, ShardedStore, StoreConfig,
+    StoreFile, StoreIo,
 };
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use taskprof::{AssignPolicy, Event, Profile, TeamReplayer};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -196,8 +198,44 @@ fn query_lines(out: &mut String, label: &str, repo: &Repo, candidate: &Profile) 
     }
 }
 
-#[test]
-fn query_replies_are_frozen() {
+/// `RealIo` behind a [`StoreIo`] written before `open_read` existed: it
+/// implements only the required methods, so the store reads through the
+/// trait's path-backed default.
+#[derive(Debug)]
+struct PathOnlyIo;
+
+impl StoreIo for PathOnlyIo {
+    fn create_new(&self, path: &Path) -> std::io::Result<Box<dyn StoreFile>> {
+        RealIo.create_new(path)
+    }
+    fn open_rw(&self, path: &Path) -> std::io::Result<Box<dyn StoreFile>> {
+        RealIo.open_rw(path)
+    }
+    fn read_all(&self, path: &Path) -> std::io::Result<Vec<u8>> {
+        RealIo.read_all(path)
+    }
+    fn read_range(&self, path: &Path, offset: u64, len: usize) -> std::io::Result<Vec<u8>> {
+        RealIo.read_range(path, offset, len)
+    }
+    fn file_len(&self, path: &Path) -> std::io::Result<u64> {
+        RealIo.file_len(path)
+    }
+    fn list_dir(&self, dir: &Path) -> std::io::Result<Vec<String>> {
+        RealIo.list_dir(dir)
+    }
+    fn create_dir_all(&self, dir: &Path) -> std::io::Result<()> {
+        RealIo.create_dir_all(dir)
+    }
+    fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+        RealIo.rename(from, to)
+    }
+    fn remove_file(&self, path: &Path) -> std::io::Result<()> {
+        RealIo.remove_file(path)
+    }
+}
+
+/// Every reply line of both stores, built on `io`.
+fn reply_lines(tag: &str, io: Arc<dyn StoreIo>) -> String {
     let r = regions();
     let runs = runs(&r);
     let candidate = profile(&r, r.par, 9);
@@ -206,12 +244,12 @@ fn query_replies_are_frozen() {
         segment_max_bytes: 4_000,
         sync_writes: false,
     };
-    let single_dir = temp_dir("single");
-    let sharded_dir = temp_dir("sharded");
-    let mut single: Repo = ProfileStore::open_with(&single_dir, config)
+    let single_dir = temp_dir(&format!("{tag}-single"));
+    let sharded_dir = temp_dir(&format!("{tag}-sharded"));
+    let mut single: Repo = ProfileStore::open_with_io(&single_dir, config, Arc::clone(&io))
         .expect("open single")
         .into();
-    let mut sharded: Repo = ShardedStore::open_with(&sharded_dir, 2, config)
+    let mut sharded: Repo = ShardedStore::open_with_io(&sharded_dir, 2, config, io)
         .expect("open sharded")
         .into();
     for (benchmark, threads, timestamp_ns, p) in &runs {
@@ -222,7 +260,11 @@ fn query_replies_are_frozen() {
             .ingest(benchmark, *threads, *timestamp_ns, p)
             .expect("sharded ingest");
     }
-    assert_eq!(single.stats().segments, 3, "the single store has three segments");
+    assert_eq!(
+        single.stats().segments,
+        3,
+        "the single store has three segments"
+    );
     assert!(
         sharded.per_shard_stats().iter().all(|s| s.runs > 0),
         "both shards hold runs"
@@ -235,28 +277,49 @@ fn query_replies_are_frozen() {
         assert!(folded > 0, "{name}: compaction folded nothing");
         query_lines(&mut out, &format!("{name} compacted"), repo, &candidate);
     }
+    let _ = std::fs::remove_dir_all(&single_dir);
+    let _ = std::fs::remove_dir_all(&sharded_dir);
+    out
+}
+
+#[test]
+fn query_replies_are_frozen() {
+    let out = reply_lines("frozen", RealIo::handle());
     assert!(
         out.contains("\"tree_mismatches\":1"),
         "the run rooted at another construct must count as a mismatch"
     );
-    assert!(out.contains("qr!work (stub)"), "no stub node reached a reply");
+    assert!(
+        out.contains("qr!work (stub)"),
+        "no stub node reached a reply"
+    );
 
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/query_replies.txt");
     if std::env::var("BLESS").is_ok() {
         std::fs::write(&path, &out).expect("write golden");
-    } else {
-        let expected = std::fs::read_to_string(&path)
-            .unwrap_or_else(|_| panic!("missing golden {}", path.display()));
-        assert!(
-            out == expected,
-            "QUERY replies differ from tests/golden/query_replies.txt; the first \
-             differing line:\n{:?}",
-            out.lines()
-                .zip(expected.lines())
-                .find(|(a, b)| a != b)
-                .or(Some(("(line count)", "(line count)")))
-        );
+        return;
     }
-    let _ = std::fs::remove_dir_all(&single_dir);
-    let _ = std::fs::remove_dir_all(&sharded_dir);
+    let expected = std::fs::read_to_string(&path)
+        .unwrap_or_else(|_| panic!("missing golden {}", path.display()));
+    assert!(
+        out == expected,
+        "QUERY replies differ from tests/golden/query_replies.txt; the first \
+         differing line:\n{:?}",
+        out.lines()
+            .zip(expected.lines())
+            .find(|(a, b)| a != b)
+            .or(Some(("(line count)", "(line count)")))
+    );
+}
+
+/// A `StoreIo` that does not override `open_read` answers every query
+/// byte for byte like one that holds a handle per segment.
+#[test]
+fn replies_do_not_depend_on_open_read_being_overridden() {
+    let held = reply_lines("held", RealIo::handle());
+    let path_backed = reply_lines("path", Arc::new(PathOnlyIo));
+    assert!(
+        held == path_backed,
+        "the path-backed default read differently"
+    );
 }
