@@ -165,10 +165,11 @@ fn write_escaped<W: Write>(out: &mut W, s: &str) -> std::fmt::Result {
     out.write_char('"')
 }
 
-/// Streams one JSON object into a line without building a [`Json`] tree
-/// first, so a large member (profile text) is escaped from where it
-/// already lives instead of being cloned into a `Json::Str`. (Writing
-/// to a `String` cannot fail, hence the ignored `fmt::Result`s.)
+/// Streams one JSON object — nested objects and arrays included — into a
+/// line without building a [`Json`] tree first, so a large member
+/// (profile text) is escaped from where it already lives instead of being
+/// cloned into a `Json::Str`. (Writing to a `String` cannot fail, hence
+/// the ignored `fmt::Result`s.)
 pub(crate) struct ObjWriter<'a> {
     out: &'a mut String,
     first: bool,
@@ -181,14 +182,21 @@ impl<'a> ObjWriter<'a> {
         ObjWriter { out, first: true }
     }
 
-    /// Write `"key":` and hand back the line for the value.
-    pub(crate) fn key(&mut self, key: &str) -> &mut String {
+    /// Write the separator before the next member or array item and hand
+    /// back the line.
+    fn next(&mut self) -> &mut String {
         if !std::mem::take(&mut self.first) {
             self.out.push(',');
         }
-        let _ = write_escaped(self.out, key);
-        self.out.push(':');
         self.out
+    }
+
+    /// Write `"key":` and hand back the line for the value.
+    fn key(&mut self, key: &str) -> &mut String {
+        let out = self.next();
+        let _ = write_escaped(out, key);
+        out.push(':');
+        out
     }
 
     pub(crate) fn str(&mut self, key: &str, value: &str) {
@@ -199,13 +207,22 @@ impl<'a> ObjWriter<'a> {
         let _ = value.write(self.key(key));
     }
 
-    pub(crate) fn num(&mut self, key: &str, n: u64) {
-        self.value(key, &Json::UInt(n));
+    /// Open an object (`'{'`) or array (`'['`) as the value of `key` — or,
+    /// with `None`, as the next item of the array being written — until
+    /// [`close`](Self::close).
+    pub(crate) fn open(&mut self, key: Option<&str>, bracket: char) {
+        match key {
+            Some(key) => self.key(key),
+            None => self.next(),
+        }
+        .push(bracket);
+        self.first = true;
     }
 
-    /// Close the object.
-    pub(crate) fn end(self) {
-        self.out.push('}');
+    /// Close what [`open`](Self::open) or [`begin`](Self::begin) opened.
+    pub(crate) fn close(&mut self, bracket: char) {
+        self.out.push(bracket);
+        self.first = false;
     }
 }
 

@@ -45,6 +45,7 @@
 compile_error!("profserve needs poll(2)/epoll");
 
 pub mod client;
+mod codec;
 pub mod json;
 pub mod protocol;
 mod reactor;

@@ -556,6 +556,11 @@ pub(crate) fn respond(shared: &Shared, request: Request) -> Response {
             window,
         } => {
             shared.counters.query();
+            // A non-finite threshold would be echoed in the verdict, and
+            // JSON has no spelling for it: refuse it on both wires.
+            if threshold.is_some_and(|t| !t.is_finite()) {
+                return error(ErrorKind::BadRequest, "threshold must be a finite number");
+            }
             let profile = match profile.decode() {
                 Ok(p) => p,
                 Err(e) => return error(ErrorKind::BadRequest, format!("profile: {e}")),

@@ -30,14 +30,11 @@
 //! one), so a spooled frame can be forwarded byte-for-byte without
 //! re-encoding.
 
-use crate::protocol::{
-    ErrorKind, IngestReceipt, LatencyStat, MetricReport, Notification, ProfilePayload, Record,
-    RegionRow, RegressFinding, RegressReport, Request, Response, ServerStatsReport, StatsReport,
-    TopReport, TrendReport,
-};
-use profstore::codec::{put_str, put_uv, Reader};
-use profstore::{CodecError, RunWindow, StoreStats, TrendBucket};
-use taskprof_telemetry::ServiceSnapshot;
+use profstore::CodecError;
+
+// The payload codec: derived, like the JSON lines, from the one
+// declaration per message in `crate::codec`.
+pub use crate::codec::{decode_request, decode_response, encode_request, encode_response};
 
 /// Connection preamble distinguishing TPF1 from JSON lines.
 pub const WIRE_MAGIC: [u8; 4] = *b"TPF1";
@@ -53,44 +50,6 @@ pub const FRAME_OVERHEAD: usize = 8;
 
 /// Default ceiling on a response payload a client will accept.
 pub const MAX_RESPONSE_BYTES: usize = 64 << 20;
-
-// Request tags (< 0x80).
-const TAG_HELLO: u8 = 0x01;
-const TAG_INGEST: u8 = 0x02;
-const TAG_INGEST_BATCH: u8 = 0x03;
-const TAG_QUERY_TOP: u8 = 0x04;
-const TAG_QUERY_STATS: u8 = 0x05;
-const TAG_QUERY_REGRESS: u8 = 0x06;
-const TAG_STATS: u8 = 0x07;
-const TAG_QUERY_TREND: u8 = 0x08;
-const TAG_STATS_PROM: u8 = 0x09;
-const TAG_SUBSCRIBE: u8 = 0x0A;
-const TAG_EXPORT: u8 = 0x0B;
-const TAG_APPLY: u8 = 0x0C;
-
-// Response tags (>= 0x80).
-const TAG_R_HELLO: u8 = 0x81;
-const TAG_R_INGEST: u8 = 0x82;
-const TAG_R_TOP: u8 = 0x83;
-const TAG_R_STATS: u8 = 0x84;
-const TAG_R_REGRESS: u8 = 0x85;
-const TAG_R_SERVER_STATS: u8 = 0x86;
-const TAG_R_TREND: u8 = 0x87;
-const TAG_R_PROMETHEUS: u8 = 0x88;
-const TAG_R_SUBSCRIBED: u8 = 0x89;
-const TAG_R_EVENT: u8 = 0x8A;
-const TAG_R_EXPORT: u8 = 0x8B;
-const TAG_R_APPLIED: u8 = 0x8C;
-const TAG_R_ERROR: u8 = 0xEE;
-
-// Event subtypes inside a TAG_R_EVENT frame.
-const EVENT_TELEMETRY: u8 = 0;
-const EVENT_INGEST: u8 = 1;
-const EVENT_LAGGED: u8 = 2;
-
-// Profile payload kinds.
-const PAYLOAD_TEXT: u8 = 0;
-const PAYLOAD_RECORD: u8 = 1;
 
 /// A frame or payload could not be decoded.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -172,997 +131,14 @@ pub fn try_frame(buf: &[u8], max_payload: usize) -> Result<Option<(Vec<u8>, usiz
     Ok(Some((payload.to_vec(), total)))
 }
 
-// ---------------------------------------------------------------------
-// Body primitives
-// ---------------------------------------------------------------------
-
-fn put_opt_uv(out: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        Some(v) => {
-            out.push(1);
-            put_uv(out, v);
-        }
-        None => out.push(0),
-    }
-}
-
-fn read_opt_uv(r: &mut Reader<'_>) -> Result<Option<u64>, WireError> {
-    match r.byte()? {
-        0 => Ok(None),
-        1 => Ok(Some(r.uv()?)),
-        _ => Err(WireError::Malformed("bad option flag".into())),
-    }
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn read_f64(r: &mut Reader<'_>) -> Result<f64, WireError> {
-    let b = r.bytes(8)?;
-    Ok(f64::from_bits(u64::from_le_bytes([
-        b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-    ])))
-}
-
-fn put_opt_f64(out: &mut Vec<u8>, v: Option<f64>) {
-    match v {
-        Some(v) => {
-            out.push(1);
-            put_f64(out, v);
-        }
-        None => out.push(0),
-    }
-}
-
-fn read_opt_f64(r: &mut Reader<'_>) -> Result<Option<f64>, WireError> {
-    match r.byte()? {
-        0 => Ok(None),
-        1 => Ok(Some(read_f64(r)?)),
-        _ => Err(WireError::Malformed("bad option flag".into())),
-    }
-}
-
-fn put_payload(out: &mut Vec<u8>, p: &ProfilePayload) {
-    match p {
-        ProfilePayload::Text(text) => {
-            out.push(PAYLOAD_TEXT);
-            put_str(out, text);
-        }
-        ProfilePayload::Record(bytes) => {
-            out.push(PAYLOAD_RECORD);
-            put_uv(out, bytes.len() as u64);
-            out.extend_from_slice(bytes);
-        }
-    }
-}
-
-fn read_payload(r: &mut Reader<'_>) -> Result<ProfilePayload, WireError> {
-    match r.byte()? {
-        PAYLOAD_TEXT => Ok(ProfilePayload::Text(r.str()?)),
-        PAYLOAD_RECORD => {
-            let len = r.uv()? as usize;
-            Ok(ProfilePayload::Record(r.bytes(len)?.to_vec()))
-        }
-        _ => Err(WireError::Malformed("bad payload kind".into())),
-    }
-}
-
-fn put_record(out: &mut Vec<u8>, rec: &Record) {
-    put_str(out, &rec.benchmark);
-    put_uv(out, u64::from(rec.threads));
-    put_opt_uv(out, rec.timestamp_ns);
-    put_payload(out, &rec.profile);
-}
-
-fn read_record(r: &mut Reader<'_>) -> Result<Record, WireError> {
-    Ok(Record {
-        benchmark: r.str()?,
-        threads: read_threads(r)?,
-        timestamp_ns: read_opt_uv(r)?,
-        profile: read_payload(r)?,
-    })
-}
-
-fn read_threads(r: &mut Reader<'_>) -> Result<u32, WireError> {
-    u32::try_from(r.uv()?).map_err(|_| WireError::Malformed("threads out of range".into()))
-}
-
-fn put_window(out: &mut Vec<u8>, w: &RunWindow) {
-    put_opt_uv(out, w.last);
-    put_opt_uv(out, w.since_ns);
-}
-
-fn read_window(r: &mut Reader<'_>) -> Result<RunWindow, WireError> {
-    Ok(RunWindow {
-        last: read_opt_uv(r)?,
-        since_ns: read_opt_uv(r)?,
-    })
-}
-
-/// Replication frame lists (raw store record frames) — shared between
-/// the `APPLY` request and the `EXPORT` response.
-fn put_frames(out: &mut Vec<u8>, frames: &[Vec<u8>]) {
-    put_uv(out, frames.len() as u64);
-    for f in frames {
-        put_uv(out, f.len() as u64);
-        out.extend_from_slice(f);
-    }
-}
-
-fn read_frames(r: &mut Reader<'_>) -> Result<Vec<Vec<u8>>, WireError> {
-    let count = r.uv()?;
-    let n = checked_count(r, count)?;
-    let mut frames = Vec::with_capacity(n);
-    for _ in 0..n {
-        let len = r.uv()? as usize;
-        frames.push(r.bytes(len)?.to_vec());
-    }
-    Ok(frames)
-}
-
-fn kind_to_byte(k: ErrorKind) -> u8 {
-    match k {
-        ErrorKind::Overloaded => 0,
-        ErrorKind::BadRequest => 1,
-        ErrorKind::NotFound => 2,
-        ErrorKind::Internal => 3,
-        ErrorKind::TooLarge => 4,
-        ErrorKind::ReadOnly => 5,
-        ErrorKind::Unauthorized => 6,
-    }
-}
-
-fn kind_from_byte(b: u8) -> Result<ErrorKind, WireError> {
-    Ok(match b {
-        0 => ErrorKind::Overloaded,
-        1 => ErrorKind::BadRequest,
-        2 => ErrorKind::NotFound,
-        3 => ErrorKind::Internal,
-        4 => ErrorKind::TooLarge,
-        5 => ErrorKind::ReadOnly,
-        6 => ErrorKind::Unauthorized,
-        _ => return Err(WireError::Malformed("unknown error kind".into())),
-    })
-}
-
-fn put_metric(out: &mut Vec<u8>, m: &MetricReport) {
-    put_uv(out, m.runs);
-    put_uv(out, m.sum_ns);
-    put_uv(out, m.min_ns);
-    put_uv(out, m.max_ns);
-    put_f64(out, m.mean_ns);
-}
-
-fn read_metric(r: &mut Reader<'_>) -> Result<MetricReport, WireError> {
-    Ok(MetricReport {
-        runs: r.uv()?,
-        sum_ns: r.uv()?,
-        min_ns: r.uv()?,
-        max_ns: r.uv()?,
-        mean_ns: read_f64(r)?,
-    })
-}
-
-/// Guard a decoded element count against the bytes actually present, so
-/// a corrupt count cannot become a huge allocation.
-fn checked_count(r: &Reader<'_>, n: u64) -> Result<usize, WireError> {
-    let n = n as usize;
-    if n > r.remaining() {
-        return Err(WireError::Malformed("count exceeds payload".into()));
-    }
-    Ok(n)
-}
-
-/// The `STATS` body — shared between the `STATS` reply and the
-/// `telemetry` subscription event.
-fn put_server_stats(out: &mut Vec<u8>, h: &ServerStatsReport) {
-    let s = &h.service;
-    for v in [
-        s.connections,
-        s.shed_connections,
-        s.timeout_connections,
-        s.ingests,
-        s.ingest_bytes,
-        s.queries,
-        s.errors,
-        s.panics,
-        s.json_requests,
-        s.bin_requests,
-        s.ingest_batches,
-        s.subscriptions,
-        s.sub_events,
-        s.sub_lagged,
-    ] {
-        put_uv(out, v);
-    }
-    out.push(u8::from(h.read_only));
-    for v in [
-        h.store.segments,
-        h.store.runs,
-        h.store.bytes,
-        h.store.recovered_tail_bytes,
-        h.store.compacted_through,
-    ] {
-        put_uv(out, v);
-    }
-    put_uv(out, h.open_timestamp_ns);
-    put_uv(out, h.uptime_secs);
-    put_uv(out, h.latency.len() as u64);
-    for l in &h.latency {
-        put_str(out, &l.verb);
-        put_str(out, &l.proto);
-        put_uv(out, l.count);
-        put_uv(out, l.sum_ns);
-        put_uv(out, l.max_ns);
-        put_uv(out, l.p50_ns);
-        put_uv(out, l.p99_ns);
-    }
-}
-
-fn read_server_stats(r: &mut Reader<'_>) -> Result<ServerStatsReport, WireError> {
-    let service = ServiceSnapshot {
-        connections: r.uv()?,
-        shed_connections: r.uv()?,
-        timeout_connections: r.uv()?,
-        ingests: r.uv()?,
-        ingest_bytes: r.uv()?,
-        queries: r.uv()?,
-        errors: r.uv()?,
-        panics: r.uv()?,
-        json_requests: r.uv()?,
-        bin_requests: r.uv()?,
-        ingest_batches: r.uv()?,
-        subscriptions: r.uv()?,
-        sub_events: r.uv()?,
-        sub_lagged: r.uv()?,
-    };
-    let read_only = match r.byte()? {
-        0 => false,
-        1 => true,
-        _ => return Err(WireError::Malformed("bad bool".into())),
-    };
-    let store = StoreStats {
-        segments: r.uv()?,
-        runs: r.uv()?,
-        bytes: r.uv()?,
-        recovered_tail_bytes: r.uv()?,
-        compacted_through: r.uv()?,
-    };
-    let open_timestamp_ns = r.uv()?;
-    let uptime_secs = r.uv()?;
-    let count = r.uv()?;
-    let n = checked_count(r, count)?;
-    let mut latency = Vec::with_capacity(n);
-    for _ in 0..n {
-        latency.push(LatencyStat {
-            verb: r.str()?,
-            proto: r.str()?,
-            count: r.uv()?,
-            sum_ns: r.uv()?,
-            max_ns: r.uv()?,
-            p50_ns: r.uv()?,
-            p99_ns: r.uv()?,
-        });
-    }
-    Ok(ServerStatsReport {
-        service,
-        read_only,
-        store,
-        open_timestamp_ns,
-        uptime_secs,
-        latency,
-    })
-}
-
-// ---------------------------------------------------------------------
-// Requests
-// ---------------------------------------------------------------------
-
-/// Encode a request payload (unframed; pass to [`frame`]).
-pub fn encode_request(req: &Request) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
-    match req {
-        Request::Hello {
-            version,
-            features,
-            auth,
-        } => {
-            out.push(TAG_HELLO);
-            put_uv(&mut out, u64::from(*version));
-            put_uv(&mut out, *features);
-            // Auth extension: a presence byte plus the secret. Absent
-            // entirely in pre-auth encoders, so the decoder treats a
-            // HELLO that ends here as carrying no secret.
-            match auth {
-                Some(secret) => {
-                    out.push(1);
-                    put_str(&mut out, secret);
-                }
-                None => out.push(0),
-            }
-        }
-        Request::Ingest(rec) => {
-            out.push(TAG_INGEST);
-            put_record(&mut out, rec);
-        }
-        Request::IngestBatch(items) => {
-            out.push(TAG_INGEST_BATCH);
-            put_uv(&mut out, items.len() as u64);
-            for rec in items {
-                put_record(&mut out, rec);
-            }
-        }
-        Request::QueryTop {
-            benchmark,
-            threads,
-            n,
-            window,
-        } => {
-            out.push(TAG_QUERY_TOP);
-            put_str(&mut out, benchmark);
-            put_uv(&mut out, u64::from(*threads));
-            put_uv(&mut out, *n as u64);
-            put_window(&mut out, window);
-        }
-        Request::QueryStats {
-            benchmark,
-            threads,
-            window,
-        } => {
-            out.push(TAG_QUERY_STATS);
-            put_str(&mut out, benchmark);
-            put_uv(&mut out, u64::from(*threads));
-            put_window(&mut out, window);
-        }
-        Request::QueryRegress {
-            benchmark,
-            threads,
-            profile,
-            threshold,
-            min_runs,
-            min_delta_ns,
-            window,
-        } => {
-            out.push(TAG_QUERY_REGRESS);
-            put_str(&mut out, benchmark);
-            put_uv(&mut out, u64::from(*threads));
-            put_opt_f64(&mut out, *threshold);
-            put_opt_uv(&mut out, *min_runs);
-            put_opt_uv(&mut out, *min_delta_ns);
-            put_window(&mut out, window);
-            put_payload(&mut out, profile);
-        }
-        Request::QueryTrend {
-            benchmark,
-            threads,
-            buckets,
-            window,
-        } => {
-            out.push(TAG_QUERY_TREND);
-            put_str(&mut out, benchmark);
-            put_uv(&mut out, u64::from(*threads));
-            put_uv(&mut out, u64::from(*buckets));
-            put_window(&mut out, window);
-        }
-        Request::Stats => out.push(TAG_STATS),
-        Request::StatsPrometheus => out.push(TAG_STATS_PROM),
-        Request::Subscribe { interval_ms } => {
-            out.push(TAG_SUBSCRIBE);
-            put_opt_uv(&mut out, *interval_ms);
-        }
-        Request::Export { after, max } => {
-            out.push(TAG_EXPORT);
-            put_uv(&mut out, *after);
-            put_uv(&mut out, *max);
-        }
-        Request::Apply { frames } => {
-            out.push(TAG_APPLY);
-            put_frames(&mut out, frames);
-        }
-    }
-    out
-}
-
-/// Decode a request payload produced by [`encode_request`].
-pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
-    let mut r = Reader::new(payload);
-    let req = match r.byte()? {
-        TAG_HELLO => {
-            let version = u32::try_from(r.uv()?)
-                .map_err(|_| WireError::Malformed("version out of range".into()))?;
-            let features = r.uv()?;
-            let auth = if r.done() {
-                None
-            } else {
-                match r.byte()? {
-                    0 => None,
-                    1 => Some(r.str()?),
-                    _ => return Err(WireError::Malformed("bad auth flag".into())),
-                }
-            };
-            Request::Hello {
-                version,
-                features,
-                auth,
-            }
-        }
-        TAG_INGEST => Request::Ingest(read_record(&mut r)?),
-        TAG_INGEST_BATCH => {
-            let count = r.uv()?;
-            let n = checked_count(&r, count)?;
-            let mut items = Vec::with_capacity(n);
-            for _ in 0..n {
-                items.push(read_record(&mut r)?);
-            }
-            Request::IngestBatch(items)
-        }
-        TAG_QUERY_TOP => Request::QueryTop {
-            benchmark: r.str()?,
-            threads: read_threads(&mut r)?,
-            n: r.uv()? as usize,
-            window: read_window(&mut r)?,
-        },
-        TAG_QUERY_STATS => Request::QueryStats {
-            benchmark: r.str()?,
-            threads: read_threads(&mut r)?,
-            window: read_window(&mut r)?,
-        },
-        TAG_QUERY_REGRESS => Request::QueryRegress {
-            benchmark: r.str()?,
-            threads: read_threads(&mut r)?,
-            threshold: read_opt_f64(&mut r)?,
-            min_runs: read_opt_uv(&mut r)?,
-            min_delta_ns: read_opt_uv(&mut r)?,
-            window: read_window(&mut r)?,
-            profile: read_payload(&mut r)?,
-        },
-        TAG_QUERY_TREND => Request::QueryTrend {
-            benchmark: r.str()?,
-            threads: read_threads(&mut r)?,
-            buckets: u32::try_from(r.uv()?)
-                .map_err(|_| WireError::Malformed("buckets out of range".into()))?,
-            window: read_window(&mut r)?,
-        },
-        TAG_STATS => Request::Stats,
-        TAG_STATS_PROM => Request::StatsPrometheus,
-        TAG_SUBSCRIBE => Request::Subscribe {
-            interval_ms: read_opt_uv(&mut r)?,
-        },
-        TAG_EXPORT => Request::Export {
-            after: r.uv()?,
-            max: r.uv()?,
-        },
-        TAG_APPLY => Request::Apply {
-            frames: read_frames(&mut r)?,
-        },
-        tag => {
-            return Err(WireError::Malformed(format!(
-                "unknown request tag {tag:#x}"
-            )))
-        }
-    };
-    if !r.done() {
-        return Err(WireError::Malformed("trailing bytes after request".into()));
-    }
-    Ok(req)
-}
-
-// ---------------------------------------------------------------------
-// Responses
-// ---------------------------------------------------------------------
-
-/// Encode a response payload (unframed; pass to [`frame`]).
-pub fn encode_response(resp: &Response) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
-    match resp {
-        Response::Hello { version, features } => {
-            out.push(TAG_R_HELLO);
-            put_uv(&mut out, u64::from(*version));
-            put_uv(&mut out, *features);
-        }
-        Response::Ingest(rcpt) => {
-            out.push(TAG_R_INGEST);
-            put_uv(&mut out, rcpt.first_run_id);
-            put_uv(&mut out, rcpt.count);
-            put_uv(&mut out, rcpt.bytes);
-            put_uv(&mut out, rcpt.segment);
-        }
-        Response::Top(t) => {
-            out.push(TAG_R_TOP);
-            put_str(&mut out, &t.benchmark);
-            put_uv(&mut out, u64::from(t.threads));
-            put_uv(&mut out, t.runs);
-            put_uv(&mut out, t.regions.len() as u64);
-            for row in &t.regions {
-                put_str(&mut out, &row.region);
-                put_metric(&mut out, &row.metric);
-            }
-        }
-        Response::Stats(s) => {
-            out.push(TAG_R_STATS);
-            put_str(&mut out, &s.benchmark);
-            put_uv(&mut out, u64::from(s.threads));
-            put_uv(&mut out, s.runs);
-            put_metric(&mut out, &s.total_ns);
-            put_uv(&mut out, s.constructs);
-            put_uv(&mut out, s.tree_mismatches);
-        }
-        Response::Regress(v) => {
-            out.push(TAG_R_REGRESS);
-            out.push(u8::from(v.regressed));
-            put_uv(&mut out, v.baseline_runs);
-            put_f64(&mut out, v.threshold);
-            put_uv(&mut out, v.findings.len() as u64);
-            for f in &v.findings {
-                put_str(&mut out, &f.region);
-                put_uv(&mut out, f.new_ns);
-                put_f64(&mut out, f.mean_ns);
-                put_f64(&mut out, f.ratio);
-            }
-        }
-        Response::Trend(t) => {
-            out.push(TAG_R_TREND);
-            put_str(&mut out, &t.benchmark);
-            put_uv(&mut out, u64::from(t.threads));
-            put_uv(&mut out, t.runs);
-            put_uv(&mut out, t.buckets.len() as u64);
-            for b in &t.buckets {
-                put_uv(&mut out, b.runs);
-                put_uv(&mut out, b.sum_ns);
-                put_uv(&mut out, b.min_ns);
-                put_uv(&mut out, b.max_ns);
-                put_uv(&mut out, b.first_timestamp_ns);
-                put_uv(&mut out, b.last_timestamp_ns);
-            }
-        }
-        Response::ServerStats(h) => {
-            out.push(TAG_R_SERVER_STATS);
-            put_server_stats(&mut out, h);
-        }
-        Response::Prometheus(text) => {
-            out.push(TAG_R_PROMETHEUS);
-            put_str(&mut out, text);
-        }
-        Response::Subscribed { interval_ms } => {
-            out.push(TAG_R_SUBSCRIBED);
-            put_uv(&mut out, *interval_ms);
-        }
-        Response::Event(n) => {
-            out.push(TAG_R_EVENT);
-            match n {
-                Notification::Telemetry { t_ns, stats } => {
-                    out.push(EVENT_TELEMETRY);
-                    put_uv(&mut out, *t_ns);
-                    put_server_stats(&mut out, stats);
-                }
-                Notification::Ingest {
-                    first_run_id,
-                    count,
-                    bytes,
-                    benchmark,
-                    threads,
-                } => {
-                    out.push(EVENT_INGEST);
-                    put_uv(&mut out, *first_run_id);
-                    put_uv(&mut out, *count);
-                    put_uv(&mut out, *bytes);
-                    put_str(&mut out, benchmark);
-                    put_uv(&mut out, u64::from(*threads));
-                }
-                Notification::Lagged { dropped } => {
-                    out.push(EVENT_LAGGED);
-                    put_uv(&mut out, *dropped);
-                }
-            }
-        }
-        Response::ExportChunk {
-            frames,
-            watermark,
-            done,
-        } => {
-            out.push(TAG_R_EXPORT);
-            put_frames(&mut out, frames);
-            put_uv(&mut out, *watermark);
-            out.push(u8::from(*done));
-        }
-        Response::Applied {
-            applied,
-            skipped,
-            watermark,
-        } => {
-            out.push(TAG_R_APPLIED);
-            put_uv(&mut out, *applied);
-            put_uv(&mut out, *skipped);
-            put_uv(&mut out, *watermark);
-        }
-        Response::Error { kind, message } => {
-            out.push(TAG_R_ERROR);
-            out.push(kind_to_byte(*kind));
-            put_str(&mut out, message);
-        }
-    }
-    out
-}
-
-/// Decode a response payload produced by [`encode_response`].
-pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
-    let mut r = Reader::new(payload);
-    let resp = match r.byte()? {
-        TAG_R_HELLO => Response::Hello {
-            version: u32::try_from(r.uv()?)
-                .map_err(|_| WireError::Malformed("version out of range".into()))?,
-            features: r.uv()?,
-        },
-        TAG_R_INGEST => Response::Ingest(IngestReceipt {
-            first_run_id: r.uv()?,
-            count: r.uv()?,
-            bytes: r.uv()?,
-            segment: r.uv()?,
-        }),
-        TAG_R_TOP => {
-            let benchmark = r.str()?;
-            let threads = read_threads(&mut r)?;
-            let runs = r.uv()?;
-            let count = r.uv()?;
-            let n = checked_count(&r, count)?;
-            let mut regions = Vec::with_capacity(n);
-            for _ in 0..n {
-                regions.push(RegionRow {
-                    region: r.str()?,
-                    metric: read_metric(&mut r)?,
-                });
-            }
-            Response::Top(TopReport {
-                benchmark,
-                threads,
-                runs,
-                regions,
-            })
-        }
-        TAG_R_STATS => Response::Stats(StatsReport {
-            benchmark: r.str()?,
-            threads: read_threads(&mut r)?,
-            runs: r.uv()?,
-            total_ns: read_metric(&mut r)?,
-            constructs: r.uv()?,
-            tree_mismatches: r.uv()?,
-        }),
-        TAG_R_REGRESS => {
-            let regressed = match r.byte()? {
-                0 => false,
-                1 => true,
-                _ => return Err(WireError::Malformed("bad bool".into())),
-            };
-            let baseline_runs = r.uv()?;
-            let threshold = read_f64(&mut r)?;
-            let count = r.uv()?;
-            let n = checked_count(&r, count)?;
-            let mut findings = Vec::with_capacity(n);
-            for _ in 0..n {
-                findings.push(RegressFinding {
-                    region: r.str()?,
-                    new_ns: r.uv()?,
-                    mean_ns: read_f64(&mut r)?,
-                    ratio: read_f64(&mut r)?,
-                });
-            }
-            Response::Regress(RegressReport {
-                regressed,
-                baseline_runs,
-                threshold,
-                findings,
-            })
-        }
-        TAG_R_TREND => {
-            let benchmark = r.str()?;
-            let threads = read_threads(&mut r)?;
-            let runs = r.uv()?;
-            let count = r.uv()?;
-            let n = checked_count(&r, count)?;
-            let mut buckets = Vec::with_capacity(n);
-            for _ in 0..n {
-                buckets.push(TrendBucket {
-                    runs: r.uv()?,
-                    sum_ns: r.uv()?,
-                    min_ns: r.uv()?,
-                    max_ns: r.uv()?,
-                    first_timestamp_ns: r.uv()?,
-                    last_timestamp_ns: r.uv()?,
-                });
-            }
-            Response::Trend(TrendReport {
-                benchmark,
-                threads,
-                runs,
-                buckets,
-            })
-        }
-        TAG_R_SERVER_STATS => Response::ServerStats(read_server_stats(&mut r)?),
-        TAG_R_PROMETHEUS => Response::Prometheus(r.str()?),
-        TAG_R_SUBSCRIBED => Response::Subscribed {
-            interval_ms: r.uv()?,
-        },
-        TAG_R_EVENT => Response::Event(match r.byte()? {
-            EVENT_TELEMETRY => Notification::Telemetry {
-                t_ns: r.uv()?,
-                stats: read_server_stats(&mut r)?,
-            },
-            EVENT_INGEST => Notification::Ingest {
-                first_run_id: r.uv()?,
-                count: r.uv()?,
-                bytes: r.uv()?,
-                benchmark: r.str()?,
-                threads: read_threads(&mut r)?,
-            },
-            EVENT_LAGGED => Notification::Lagged { dropped: r.uv()? },
-            b => return Err(WireError::Malformed(format!("unknown event subtype {b}"))),
-        }),
-        TAG_R_EXPORT => {
-            let frames = read_frames(&mut r)?;
-            let watermark = r.uv()?;
-            let done = match r.byte()? {
-                0 => false,
-                1 => true,
-                _ => return Err(WireError::Malformed("bad bool".into())),
-            };
-            Response::ExportChunk {
-                frames,
-                watermark,
-                done,
-            }
-        }
-        TAG_R_APPLIED => Response::Applied {
-            applied: r.uv()?,
-            skipped: r.uv()?,
-            watermark: r.uv()?,
-        },
-        TAG_R_ERROR => Response::Error {
-            kind: kind_from_byte(r.byte()?)?,
-            message: r.str()?,
-        },
-        tag => {
-            return Err(WireError::Malformed(format!(
-                "unknown response tag {tag:#x}"
-            )))
-        }
-    };
-    if !r.done() {
-        return Err(WireError::Malformed("trailing bytes after response".into()));
-    }
-    Ok(resp)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::Request;
+    use profstore::RunWindow;
 
-    fn sample_requests() -> Vec<Request> {
-        vec![
-            Request::Hello {
-                version: 1,
-                features: FEATURE_BATCH_INGEST,
-                auth: None,
-            },
-            Request::Hello {
-                version: 1,
-                features: FEATURE_BATCH_INGEST,
-                auth: Some("hunter2".into()),
-            },
-            Request::Export {
-                after: 99,
-                max: 512,
-            },
-            Request::Apply { frames: Vec::new() },
-            Request::Apply {
-                frames: vec![vec![0xDE, 0xAD], vec![], vec![0x00; 32]],
-            },
-            Request::Ingest(Record::from_text(
-                "fib",
-                2,
-                Some(7),
-                "taskprof-profile v1\n",
-            )),
-            Request::IngestBatch(vec![
-                Record {
-                    benchmark: "fib".into(),
-                    threads: 2,
-                    timestamp_ns: None,
-                    profile: ProfilePayload::Record(vec![1, 2, 3]),
-                },
-                Record::from_text("sort", 4, Some(9), "x"),
-            ]),
-            Request::QueryTop {
-                benchmark: "nqueens".into(),
-                threads: 4,
-                n: 10,
-                window: RunWindow::default(),
-            },
-            Request::QueryStats {
-                benchmark: "fib".into(),
-                threads: 2,
-                window: RunWindow {
-                    last: Some(30),
-                    since_ns: Some(7_000),
-                },
-            },
-            Request::QueryRegress {
-                benchmark: "fib".into(),
-                threads: 2,
-                profile: ProfilePayload::Record(vec![0xAA; 16]),
-                threshold: Some(0.25),
-                min_runs: Some(3),
-                min_delta_ns: None,
-                window: RunWindow {
-                    last: Some(10),
-                    since_ns: None,
-                },
-            },
-            Request::QueryTrend {
-                benchmark: "fib".into(),
-                threads: 2,
-                buckets: 16,
-                window: RunWindow {
-                    last: None,
-                    since_ns: Some(99),
-                },
-            },
-            Request::Stats,
-            Request::StatsPrometheus,
-            Request::Subscribe {
-                interval_ms: Some(500),
-            },
-            Request::Subscribe { interval_ms: None },
-        ]
-    }
-
-    fn sample_responses() -> Vec<Response> {
-        vec![
-            Response::Hello {
-                version: 1,
-                features: FEATURE_BATCH_INGEST,
-            },
-            Response::ExportChunk {
-                frames: vec![vec![9, 8, 7], Vec::new()],
-                watermark: 41,
-                done: true,
-            },
-            Response::Applied {
-                applied: 5,
-                skipped: 2,
-                watermark: 41,
-            },
-            Response::Ingest(IngestReceipt {
-                first_run_id: 41,
-                count: 3,
-                bytes: 1234,
-                segment: 2,
-            }),
-            Response::Top(TopReport {
-                benchmark: "fib".into(),
-                threads: 2,
-                runs: 5,
-                regions: vec![RegionRow {
-                    region: "fib!task".into(),
-                    metric: MetricReport {
-                        runs: 5,
-                        sum_ns: 100,
-                        min_ns: 10,
-                        max_ns: 30,
-                        mean_ns: 20.0,
-                    },
-                }],
-            }),
-            Response::Regress(RegressReport {
-                regressed: true,
-                baseline_runs: 4,
-                threshold: 0.25,
-                findings: vec![RegressFinding {
-                    region: "fib!task".into(),
-                    new_ns: 150,
-                    mean_ns: 100.0,
-                    ratio: 1.5,
-                }],
-            }),
-            Response::Trend(TrendReport {
-                benchmark: "fib".into(),
-                threads: 2,
-                runs: 6,
-                buckets: vec![
-                    TrendBucket {
-                        runs: 3,
-                        sum_ns: 300,
-                        min_ns: 90,
-                        max_ns: 110,
-                        first_timestamp_ns: 1,
-                        last_timestamp_ns: 3,
-                    },
-                    TrendBucket {
-                        runs: 3,
-                        sum_ns: 330,
-                        min_ns: 100,
-                        max_ns: 120,
-                        first_timestamp_ns: 4,
-                        last_timestamp_ns: 6,
-                    },
-                ],
-            }),
-            Response::ServerStats(ServerStatsReport::default()),
-            Response::ServerStats(ServerStatsReport {
-                open_timestamp_ns: 1_700_000_000,
-                uptime_secs: 42,
-                latency: vec![LatencyStat {
-                    verb: "ingest".into(),
-                    proto: "bin".into(),
-                    count: 5,
-                    sum_ns: 5_000,
-                    max_ns: 1_500,
-                    p50_ns: 1_023,
-                    p99_ns: 1_500,
-                }],
-                ..ServerStatsReport::default()
-            }),
-            Response::Prometheus("profserve_ingests_total 7\n".into()),
-            Response::Subscribed { interval_ms: 500 },
-            Response::Event(Notification::Telemetry {
-                t_ns: 12_345,
-                stats: ServerStatsReport::default(),
-            }),
-            Response::Event(Notification::Ingest {
-                first_run_id: 9,
-                count: 2,
-                bytes: 800,
-                benchmark: "fib".into(),
-                threads: 2,
-            }),
-            Response::Event(Notification::Lagged { dropped: 3 }),
-            Response::Error {
-                kind: ErrorKind::ReadOnly,
-                message: "disk full".into(),
-            },
-            Response::Error {
-                kind: ErrorKind::Unauthorized,
-                message: "auth required".into(),
-            },
-        ]
-    }
-
-    #[test]
-    fn pre_auth_hello_payloads_still_decode() {
-        // A HELLO frame from an encoder predating the auth extension
-        // ends after the feature mask; it must decode as "no secret".
-        let mut payload = vec![TAG_HELLO];
-        put_uv(&mut payload, 1);
-        put_uv(&mut payload, FEATURE_BATCH_INGEST);
-        assert_eq!(
-            decode_request(&payload).expect("decode"),
-            Request::Hello {
-                version: 1,
-                features: FEATURE_BATCH_INGEST,
-                auth: None,
-            }
-        );
-    }
-
-    #[test]
-    fn requests_round_trip_through_frames() {
-        for req in sample_requests() {
-            let framed = frame(&encode_request(&req));
-            let (payload, consumed) = try_frame(&framed, 1 << 20).expect("frame").expect("whole");
-            assert_eq!(consumed, framed.len());
-            assert_eq!(decode_request(&payload).expect("decode"), req);
-        }
-    }
-
-    #[test]
-    fn responses_round_trip_through_frames() {
-        for resp in sample_responses() {
-            let framed = frame(&encode_response(&resp));
-            let (payload, consumed) = try_frame(&framed, 1 << 20).expect("frame").expect("whole");
-            assert_eq!(consumed, framed.len());
-            assert_eq!(decode_response(&payload).expect("decode"), resp);
-        }
-    }
+    /// The `INGEST` tag, for hand-built garbage below.
+    const TAG_INGEST: u8 = 0x02;
 
     #[test]
     fn partial_frames_ask_for_more() {
@@ -1198,7 +174,21 @@ mod tests {
 
     #[test]
     fn pipelined_frames_decode_in_order() {
-        let reqs = sample_requests();
+        let reqs = vec![
+            Request::Hello {
+                version: 1,
+                features: FEATURE_BATCH_INGEST,
+                auth: Some("hunter2".into()),
+            },
+            Request::Stats,
+            Request::Apply {
+                frames: vec![vec![0xDE, 0xAD], vec![], vec![0x00; 32]],
+            },
+            Request::Export {
+                after: 99,
+                max: 512,
+            },
+        ];
         let mut stream = Vec::new();
         for req in &reqs {
             stream.extend_from_slice(&frame(&encode_request(req)));

@@ -2,14 +2,23 @@
 //! never panic the decoder, truncated frames must wait for more data
 //! instead of yielding garbage, single-bit corruption must never pass the
 //! frame check undetected, and encode→decode must round-trip every
-//! request shape. The JSON-lines codec gets the same treatment at the
-//! end of the file: string and tree round trips, cut and corrupted
-//! lines, and the checked-in request lines that pin the wire format.
+//! request and response shape. The JSON-lines codec gets the same
+//! treatment further down: string and tree round trips, cut and corrupted
+//! lines, and the checked-in request lines that pin the wire format. Both
+//! codecs come from one declaration per message; the last properties
+//! check that they decode every message alike.
 
-use profserve::wire::{decode_request, decode_response, encode_request, frame, try_frame};
-use profserve::{parse_json, Json, ProfilePayload, Record, Request};
-use profstore::RunWindow;
+use profserve::protocol::{MetricReport, RegionRow, RegressFinding};
+use profserve::wire::{
+    decode_request, decode_response, encode_request, encode_response, frame, try_frame,
+};
+use profserve::{
+    parse_json, ErrorKind, IngestReceipt, Json, LatencyStat, Notification, ProfilePayload, Record,
+    RegressReport, Request, Response, ServerStatsReport, StatsReport, TopReport, TrendReport,
+};
+use profstore::{RunWindow, StoreStats, TrendBucket};
 use proptest::prelude::*;
+use taskprof_telemetry::ServiceSnapshot;
 
 /// Decoder-side payload cap used by every property: large enough that no
 /// generated frame ever trips it, so `FrameTooLarge` only appears when
@@ -115,6 +124,178 @@ fn arb_request() -> impl Strategy<Value = Request> {
     ]
 }
 
+/// Floats the JSON wire carries exactly: its four-decimal rounding leaves
+/// sixteenths alone.
+fn arb_f64() -> impl Strategy<Value = f64> {
+    (0u64..1 << 40).prop_map(|k| k as f64 / 16.0)
+}
+
+fn arb_u64s(n: usize) -> impl Strategy<Value = Vec<u64>> {
+    prop::collection::vec(any::<u64>(), n..n + 1)
+}
+
+fn arb_metric() -> impl Strategy<Value = MetricReport> {
+    (arb_u64s(4), arb_f64()).prop_map(|(v, mean_ns)| MetricReport {
+        runs: v[0],
+        sum_ns: v[1],
+        min_ns: v[2],
+        max_ns: v[3],
+        mean_ns,
+    })
+}
+
+fn arb_server_stats() -> impl Strategy<Value = ServerStatsReport> {
+    let latency = prop::collection::vec((".{0,12}", ".{0,4}", arb_u64s(5)), 0..3);
+    (arb_u64s(21), any::<bool>(), latency).prop_map(|(v, read_only, latency)| ServerStatsReport {
+        service: ServiceSnapshot {
+            connections: v[0],
+            shed_connections: v[1],
+            timeout_connections: v[2],
+            ingests: v[3],
+            ingest_bytes: v[4],
+            queries: v[5],
+            errors: v[6],
+            panics: v[7],
+            json_requests: v[8],
+            bin_requests: v[9],
+            ingest_batches: v[10],
+            subscriptions: v[11],
+            sub_events: v[12],
+            sub_lagged: v[13],
+        },
+        read_only,
+        store: StoreStats {
+            segments: v[14],
+            runs: v[15],
+            bytes: v[16],
+            recovered_tail_bytes: v[17],
+            compacted_through: v[18],
+        },
+        open_timestamp_ns: v[19],
+        uptime_secs: v[20],
+        latency: latency
+            .into_iter()
+            .map(|(verb, proto, l)| LatencyStat {
+                verb,
+                proto,
+                count: l[0],
+                sum_ns: l[1],
+                max_ns: l[2],
+                p50_ns: l[3],
+                p99_ns: l[4],
+            })
+            .collect(),
+    })
+}
+
+fn arb_response() -> impl Strategy<Value = Response> {
+    let rows = prop::collection::vec((".{0,24}", arb_metric()), 0..4);
+    let findings = prop::collection::vec((".{0,24}", any::<u64>(), arb_f64(), arb_f64()), 0..4);
+    let frames = prop::collection::vec(prop::collection::vec(any::<u8>(), 0..64), 0..4);
+    prop_oneof![
+        (any::<u32>(), any::<u64>())
+            .prop_map(|(version, features)| Response::Hello { version, features }),
+        arb_u64s(4).prop_map(|v| Response::Ingest(IngestReceipt {
+            first_run_id: v[0],
+            count: v[1],
+            bytes: v[2],
+            segment: v[3],
+        })),
+        (".{0,24}", any::<u32>(), any::<u64>(), rows).prop_map(
+            |(benchmark, threads, runs, rows)| Response::Top(TopReport {
+                benchmark,
+                threads,
+                runs,
+                regions: rows
+                    .into_iter()
+                    .map(|(region, metric)| RegionRow { region, metric })
+                    .collect(),
+            })
+        ),
+        (".{0,24}", any::<u32>(), arb_u64s(3), arb_metric()).prop_map(
+            |(benchmark, threads, v, total_ns)| Response::Stats(StatsReport {
+                benchmark,
+                threads,
+                runs: v[0],
+                total_ns,
+                constructs: v[1],
+                tree_mismatches: v[2],
+            })
+        ),
+        (any::<bool>(), any::<u64>(), arb_f64(), findings).prop_map(
+            |(regressed, baseline_runs, threshold, findings)| Response::Regress(RegressReport {
+                regressed,
+                baseline_runs,
+                threshold,
+                findings: findings
+                    .into_iter()
+                    .map(|(region, new_ns, mean_ns, ratio)| RegressFinding {
+                        region,
+                        new_ns,
+                        mean_ns,
+                        ratio,
+                    })
+                    .collect(),
+            })
+        ),
+        (
+            ".{0,24}",
+            any::<u32>(),
+            any::<u64>(),
+            prop::collection::vec(arb_u64s(6), 0..4)
+        )
+            .prop_map(
+                |(benchmark, threads, runs, buckets)| Response::Trend(TrendReport {
+                    benchmark,
+                    threads,
+                    runs,
+                    buckets: buckets
+                        .into_iter()
+                        .map(|b| TrendBucket {
+                            runs: b[0],
+                            sum_ns: b[1],
+                            min_ns: b[2],
+                            max_ns: b[3],
+                            first_timestamp_ns: b[4],
+                            last_timestamp_ns: b[5],
+                        })
+                        .collect(),
+                })
+            ),
+        arb_server_stats().prop_map(Response::ServerStats),
+        ".{0,80}".prop_map(Response::Prometheus),
+        any::<u64>().prop_map(|interval_ms| Response::Subscribed { interval_ms }),
+        (any::<u64>(), arb_server_stats())
+            .prop_map(|(t_ns, stats)| Response::Event(Notification::Telemetry { t_ns, stats })),
+        (arb_u64s(3), ".{0,24}", any::<u32>()).prop_map(|(v, benchmark, threads)| {
+            Response::Event(Notification::Ingest {
+                first_run_id: v[0],
+                count: v[1],
+                bytes: v[2],
+                benchmark,
+                threads,
+            })
+        }),
+        any::<u64>().prop_map(|dropped| Response::Event(Notification::Lagged { dropped })),
+        (frames, any::<u64>(), any::<bool>()).prop_map(|(frames, watermark, done)| {
+            Response::ExportChunk {
+                frames,
+                watermark,
+                done,
+            }
+        }),
+        arb_u64s(3).prop_map(|v| Response::Applied {
+            applied: v[0],
+            skipped: v[1],
+            watermark: v[2],
+        }),
+        (0u8..7, ".{0,40}").prop_map(|(byte, message)| Response::Error {
+            kind: ErrorKind::from_byte(byte).expect("seven kinds"),
+            message,
+        }),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -141,6 +322,16 @@ proptest! {
             .expect("complete frame");
         prop_assert_eq!(consumed, framed.len());
         prop_assert_eq!(decode_request(&payload).expect("valid payload"), req);
+    }
+
+    #[test]
+    fn responses_round_trip_through_frame_and_codec(resp in arb_response()) {
+        let framed = frame(&encode_response(&resp));
+        let (payload, consumed) = try_frame(&framed, MAX_PAYLOAD)
+            .expect("valid frame")
+            .expect("complete frame");
+        prop_assert_eq!(consumed, framed.len());
+        prop_assert_eq!(decode_response(&payload).expect("valid payload"), resp);
     }
 
     #[test]
@@ -355,5 +546,61 @@ fn json_request_lines_match_the_golden_file() {
         let parsed = Request::from_json_line(line).expect("golden line parses");
         // A binary record payload travels as text over JSON.
         assert_eq!(parsed.to_json_line(), request.to_json_line());
+    }
+}
+
+// ---------------------------------------------------------------------
+// One declaration, two encodings
+// ---------------------------------------------------------------------
+
+/// A request as JSON can carry it: a record payload as its text
+/// rendering, a threshold at the four decimals of a JSON number.
+fn textual(req: Request) -> Request {
+    let text = |p: ProfilePayload| ProfilePayload::Text(p.to_text().unwrap_or_default().into());
+    let record = |r: Record| Record {
+        profile: text(r.profile),
+        ..r
+    };
+    match req {
+        Request::Ingest(r) => Request::Ingest(record(r)),
+        Request::IngestBatch(items) => {
+            Request::IngestBatch(items.into_iter().map(record).collect())
+        }
+        Request::QueryRegress {
+            benchmark,
+            threads,
+            profile,
+            threshold,
+            min_runs,
+            min_delta_ns,
+            window,
+        } => Request::QueryRegress {
+            benchmark,
+            threads,
+            profile: text(profile),
+            threshold: threshold.and_then(|t| Json::num_f(t).as_f64()),
+            min_runs,
+            min_delta_ns,
+            window,
+        },
+        other => other,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn both_encodings_decode_every_request_alike(req in arb_request()) {
+        let over_json = Request::from_json_line(&req.to_json_line()).expect("own line parses");
+        let over_bin = decode_request(&encode_request(&req)).expect("own payload decodes");
+        prop_assert_eq!(textual(over_json), textual(over_bin));
+    }
+
+    #[test]
+    fn both_encodings_decode_every_response_alike(resp in arb_response()) {
+        let over_json = Response::from_json_line(&resp.to_json_line());
+        let over_bin = decode_response(&encode_response(&resp)).map_err(|e| e.to_string());
+        prop_assert_eq!(over_json, over_bin);
     }
 }

@@ -5,9 +5,10 @@
 //! binary preamble, a `bin`-only server refuses JSON lines.
 
 use profserve::{
-    Client, ClientError, ClientTimeouts, ErrorKind, Record, ServeConfig, Server, WireProtocol,
+    Client, ClientError, ClientTimeouts, ErrorKind, ProfilePayload, Record, Response, ServeConfig,
+    Server, WireProtocol,
 };
-use profstore::ProfileStore;
+use profstore::{ProfileStore, RunWindow};
 use std::collections::HashSet;
 use std::path::PathBuf;
 use taskprof_session::MeasurementSession;
@@ -160,7 +161,13 @@ fn restricted_servers_refuse_the_other_protocol() {
         Err(e) => e,
     };
     assert!(
-        matches!(err, ClientError::Server { kind: ErrorKind::BadRequest, .. }),
+        matches!(
+            err,
+            ClientError::Server {
+                kind: ErrorKind::BadRequest,
+                ..
+            }
+        ),
         "unexpected refusal: {err:?}"
     );
     let mut auto = Client::connect(&addr).expect("auto falls back");
@@ -190,7 +197,13 @@ fn restricted_servers_refuse_the_other_protocol() {
         .ingest_record(&Record::from_text("refused", 2, Some(1), profile_text(1)))
         .expect_err("json must be refused");
     assert!(
-        matches!(err, ClientError::Server { kind: ErrorKind::BadRequest, .. }),
+        matches!(
+            err,
+            ClientError::Server {
+                kind: ErrorKind::BadRequest,
+                ..
+            }
+        ),
         "unexpected refusal: {err:?}"
     );
     let mut bin = Client::connect_proto(&addr, WireProtocol::Binary, ClientTimeouts::unbounded())
@@ -290,6 +303,113 @@ fn non_utf8_request_line_is_a_bad_request_and_the_connection_survives() {
 
     handle.stop();
     drop((raw, client));
+    join.join().expect("join").expect("run");
+    drop(handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn json_and_tpf1_clients_get_the_same_query_replies() {
+    let dir = temp_dir("queries");
+    let (handle, join) = spawn_server(&dir, ServeConfig::default());
+    let addr = handle.addr().to_string();
+    let connect =
+        |proto| Client::connect_proto(&addr, proto, ClientTimeouts::unbounded()).expect("connect");
+    let (mut json, mut bin) = (connect(WireProtocol::Json), connect(WireProtocol::Binary));
+    for seed in 1..=4u64 {
+        let record = Record::from_text("wire-q", 2, Some(100 * seed), profile_text(seed));
+        bin.ingest_record(&record).expect("ingest");
+    }
+    let candidate = ProfilePayload::Text(profile_text(9));
+    let windows = [
+        (None, None),
+        (Some(2), None),
+        (None, Some(200)),
+        (Some(1), Some(300)),
+    ];
+    for (last, since_ns) in windows {
+        let window = RunWindow { last, since_ns };
+        let ask = |c: &mut Client| {
+            let regress = c.query_regress_window(
+                "wire-q",
+                2,
+                candidate.clone(),
+                Some(0.0),
+                Some(1),
+                Some(0),
+                window,
+            );
+            [
+                Response::Top(c.query_top_window("wire-q", 2, 5, window).expect("top")),
+                Response::Stats(c.query_stats_window("wire-q", 2, window).expect("stats")),
+                Response::Regress(regress.expect("regress")),
+                Response::Trend(c.query_trend("wire-q", 2, 3, window).expect("trend")),
+            ]
+        };
+        for (over_json, over_bin) in ask(&mut json).into_iter().zip(ask(&mut bin)) {
+            // The JSON wire rounds floats to four decimals; nothing else
+            // may differ.
+            let at_json_resolution = Response::from_json_line(&over_bin.to_json_line());
+            assert_eq!(Ok(over_json), at_json_resolution, "{window:?}");
+        }
+    }
+    handle.stop();
+    drop((json, bin));
+    join.join().expect("join").expect("run");
+    drop(handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_non_finite_regress_threshold_is_a_bad_request_on_both_wires() {
+    let dir = temp_dir("threshold");
+    let (handle, join) = spawn_server(&dir, ServeConfig::default());
+    let addr = handle.addr().to_string();
+    let mut bin = Client::connect_proto(&addr, WireProtocol::Binary, ClientTimeouts::unbounded())
+        .expect("connect");
+    bin.ingest_record(&Record::from_text("wire-t", 2, Some(1), profile_text(1)))
+        .expect("ingest");
+
+    // `1e999` parses as infinity, which a verdict used to echo back as
+    // `"threshold":null` — a reply no client could read.
+    let profile = profserve::Json::str(profile_text(2)).to_string();
+    let line = format!(
+        "{{\"cmd\":\"QUERY\",\"query\":\"regress\",\"benchmark\":\"wire-t\",\"threads\":2,\"threshold\":1e999,\"profile\":{profile}}}\n"
+    );
+    let mut raw = std::net::TcpStream::connect(&addr).expect("connect");
+    let reply = Response::from_json_line(raw_exchange(&mut raw, line.as_bytes()).trim_end());
+    assert!(
+        matches!(
+            reply,
+            Ok(Response::Error {
+                kind: ErrorKind::BadRequest,
+                ..
+            })
+        ),
+        "{reply:?}"
+    );
+
+    let nan = bin.query_regress(
+        "wire-t",
+        2,
+        ProfilePayload::Text(profile_text(2)),
+        Some(f64::NAN),
+        None,
+        None,
+    );
+    assert!(
+        matches!(
+            nan,
+            Err(ClientError::Server {
+                kind: ErrorKind::BadRequest,
+                ..
+            })
+        ),
+        "{nan:?}"
+    );
+
+    handle.stop();
+    drop((raw, bin));
     join.join().expect("join").expect("run");
     drop(handle);
     let _ = std::fs::remove_dir_all(&dir);
