@@ -295,6 +295,11 @@ impl Registry {
         self.len() == 0
     }
 
+    /// Number of interned parameter names.
+    pub fn param_count(&self) -> usize {
+        self.inner.read().params.len()
+    }
+
     /// Look up an already-registered region by name and kind.
     pub fn lookup(&self, name: &str, kind: RegionKind) -> Option<RegionId> {
         self.inner.read().by_name[kind as usize].get(name).copied()

@@ -60,9 +60,13 @@
 //! `read_only`, `unauthorized`. Over JSON, profiles travel as the text
 //! store format (`cube::write_profile`) inside a JSON string; over TPF1
 //! they travel as the store's binary record payload. [`ProfilePayload`]
-//! carries either form and the server decodes whichever arrives.
+//! carries either form. The server parses text; it verifies a record and
+//! stores its bytes without decoding them.
 
-use profstore::{BenchAgg, MetricAgg, Regression, RunMeta, RunWindow, StoreStats, TrendBucket};
+use profstore::{
+    BenchAgg, CodecError, MetricAgg, Regression, RunMeta, RunWindow, StoreStats, TrendBucket,
+    VerifiedBody,
+};
 use std::borrow::Cow;
 use taskprof::Profile;
 use taskprof_telemetry::ServiceSnapshot;
@@ -211,23 +215,38 @@ impl Default for ProfilePayload {
     }
 }
 
+/// A payload checked at the ingest door, in the form the store appends.
+pub(crate) enum Checked<'a> {
+    /// Parsed text; the store encodes it.
+    Profile(Profile),
+    /// A verified record body; the store stamps a header on it.
+    Body(VerifiedBody<'a>),
+}
+
 impl ProfilePayload {
     /// Decode to an in-memory [`Profile`]; `Err` carries a `bad_request`
     /// explanation. Both encodings can spell a profile without threads;
     /// no measurement produces one, so it is refused here, at the door.
     pub fn decode(&self) -> Result<Profile, String> {
-        let profile = match self {
-            ProfilePayload::Text(text) => {
-                cube::read_profile(text).map_err(|e| format!("bad profile: {e}"))?
-            }
+        match self {
+            ProfilePayload::Text(text) => parse_text(text),
             ProfilePayload::Record(bytes) => profstore::decode_record(bytes)
-                .map(|(_, p)| p)
-                .map_err(|e| format!("bad profile record: {e}"))?,
-        };
-        if profile.threads.is_empty() {
-            return Err("bad profile: no threads".to_string());
+                .map_err(bad_record)
+                .and_then(|(_, p)| with_threads(p)),
         }
-        Ok(profile)
+    }
+
+    /// What ingest needs of a payload, refusing at least what
+    /// [`ProfilePayload::decode`] refuses: text is parsed, since the store
+    /// can only encode a [`Profile`]; a record is verified in place and
+    /// never decoded (see [`profstore::verify_record`]).
+    pub(crate) fn check(&self) -> Result<Checked<'_>, String> {
+        match self {
+            ProfilePayload::Text(text) => parse_text(text).map(Checked::Profile),
+            ProfilePayload::Record(bytes) => profstore::verify_record(bytes)
+                .map(Checked::Body)
+                .map_err(bad_record),
+        }
     }
 
     /// Render as text-store format (re-encoding a binary record if
@@ -252,6 +271,23 @@ impl ProfilePayload {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+}
+
+fn parse_text(text: &str) -> Result<Profile, String> {
+    cube::read_profile(text)
+        .map_err(|e| format!("bad profile: {e}"))
+        .and_then(with_threads)
+}
+
+fn with_threads(profile: Profile) -> Result<Profile, String> {
+    if profile.threads.is_empty() {
+        return Err("bad profile: no threads".to_string());
+    }
+    Ok(profile)
+}
+
+fn bad_record(e: CodecError) -> String {
+    format!("bad profile record: {e}")
 }
 
 /// One profile to ingest: group identity plus the payload. This is the

@@ -32,7 +32,7 @@
 //!   so operators see the degradation instead of a crash loop.
 
 use crate::protocol::{
-    ErrorKind, IngestReceipt, Notification, Record, RegressReport, Request, Response,
+    Checked, ErrorKind, IngestReceipt, Notification, Record, RegressReport, Request, Response,
     ServerStatsReport, StatsReport, TopReport, TrendReport, WireProtocol,
 };
 use crate::trace::{verb_index, ReqProto, RequestLatency};
@@ -453,12 +453,13 @@ fn stats_prometheus(shared: &Shared) -> String {
 /// Ingest a slice of records under one receipt. Items are stored in
 /// order; validation happens up front so a malformed item refuses the
 /// whole batch before anything lands, while a mid-batch store failure
-/// reports how many records were already durable.
+/// reports how many records were already durable. A TPF1 record is
+/// verified, stamped with its run id and appended; no `Profile` is built.
 fn ingest_records(shared: &Shared, items: &[Record]) -> Response {
-    let mut profiles = Vec::with_capacity(items.len());
+    let mut checked = Vec::with_capacity(items.len());
     for (index, record) in items.iter().enumerate() {
-        match record.profile.decode() {
-            Ok(p) => profiles.push(p),
+        match record.profile.check() {
+            Ok(item) => checked.push(item),
             Err(e) => {
                 return error(ErrorKind::BadRequest, format!("item {index}: {e}"));
             }
@@ -472,9 +473,14 @@ fn ingest_records(shared: &Shared, items: &[Record]) -> Response {
     }
     let mut receipt = IngestReceipt::default();
     let mut store = shared.store.write().expect("store lock");
-    for (record, profile) in items.iter().zip(&profiles) {
+    for (record, item) in items.iter().zip(&checked) {
+        let (benchmark, threads) = (&record.benchmark, record.threads);
         let timestamp = record.timestamp_ns.unwrap_or_else(now_ns);
-        match store.ingest(&record.benchmark, record.threads, timestamp, profile) {
+        let stored = match item {
+            Checked::Profile(profile) => store.ingest(benchmark, threads, timestamp, profile),
+            Checked::Body(body) => store.ingest_record(benchmark, threads, timestamp, *body),
+        };
+        match stored {
             Ok(r) => {
                 shared.counters.ingest(r.bytes);
                 if receipt.count == 0 {

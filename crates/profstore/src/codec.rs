@@ -5,7 +5,10 @@
 //! segment layer (not this module) frames the payload with a length word
 //! and a CRC-32. Region and parameter names are stored by name (+kind)
 //! and re-interned on decode, exactly like the text store, so records
-//! written by one process are readable by any other.
+//! written by one process are readable by any other. [`verify_record`]
+//! checks an untrusted record without decoding it: it accepts exactly the
+//! bytes [`encode_record`] writes, so a store can stamp a header on the
+//! body and append it as is.
 //!
 //! The `Stats` no-samples minimum keeps the text-format convention: the
 //! in-memory `u64::MAX` sentinel is encoded as 0 and restored on decode
@@ -98,12 +101,18 @@ pub fn put_iv(out: &mut Vec<u8>, v: i64) {
 pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// Refuse varints longer than their value needs ([`verify_record`]).
+    canonical: bool,
 }
 
 impl<'a> Reader<'a> {
     /// Start reading at the beginning of `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
+        Self {
+            buf,
+            pos: 0,
+            canonical: false,
+        }
     }
 
     /// Read one raw byte.
@@ -124,6 +133,9 @@ impl<'a> Reader<'a> {
             }
             v |= u64::from(b & 0x7F) << shift;
             if b & 0x80 == 0 {
+                if self.canonical && b == 0 && shift > 0 {
+                    return Err(CodecError::Malformed("overlong varint"));
+                }
                 return Ok(v);
             }
             shift += 7;
@@ -141,15 +153,14 @@ impl<'a> Reader<'a> {
 
     /// Read a length-prefixed UTF-8 string (see [`put_str`]).
     pub fn str(&mut self) -> Result<String, CodecError> {
+        self.str_ref().map(str::to_owned)
+    }
+
+    /// [`Reader::str`], borrowed from the payload.
+    fn str_ref(&mut self) -> Result<&'a str, CodecError> {
         let len = self.uv()? as usize;
-        if len > self.buf.len().saturating_sub(self.pos) {
-            return Err(CodecError::Truncated);
-        }
-        let s = std::str::from_utf8(&self.buf[self.pos..self.pos + len])
-            .map_err(|_| CodecError::Malformed("non-utf8 string"))?
-            .to_string();
-        self.pos += len;
-        Ok(s)
+        let bytes = self.bytes(len)?;
+        std::str::from_utf8(bytes).map_err(|_| CodecError::Malformed("non-utf8 string"))
     }
 
     /// True when every byte has been consumed.
@@ -269,9 +280,60 @@ fn read_node(r: &mut Reader<'_>, depth: usize) -> Result<SnapNode, CodecError> {
     })
 }
 
+/// [`read_node`]'s walk without building anything: the same checks, plus
+/// the one form [`put_stats`] never writes — a minimum on a node without
+/// samples.
+fn verify_node(r: &mut Reader<'_>, depth: usize) -> Result<(), CodecError> {
+    if depth > 4096 {
+        return Err(CodecError::Malformed("tree deeper than 4096"));
+    }
+    match r.byte()? {
+        TAG_REGION => {
+            RegionKind::from_u8(r.byte()?).ok_or(CodecError::Malformed("bad region kind"))?;
+            r.str_ref()?;
+        }
+        TAG_STUB => {
+            r.str_ref()?;
+        }
+        TAG_PARAM => {
+            r.str_ref()?;
+            r.iv()?;
+        }
+        TAG_TRUNCATED => {}
+        _ => return Err(CodecError::Malformed("unknown node tag")),
+    }
+    // visits, sum, min, max, samples, aborted: the order of `put_stats`.
+    let mut stats = [0u64; 6];
+    for v in &mut stats {
+        *v = r.uv()?;
+    }
+    let [_, _, min, _, samples, _] = stats;
+    if samples == 0 && min != 0 {
+        return Err(CodecError::Malformed("minimum without samples"));
+    }
+    let nchildren = r.uv()?;
+    if nchildren > r.remaining() as u64 {
+        return Err(CodecError::Truncated);
+    }
+    for _ in 0..nchildren {
+        verify_node(r, depth + 1)?;
+    }
+    Ok(())
+}
+
 // ---------------------------------------------------------------------
 // Record encode / decode
 // ---------------------------------------------------------------------
+
+/// Append a record's header: the version byte and `meta`. Everything
+/// after it is the profile body, which does not depend on `meta`.
+pub fn put_meta(out: &mut Vec<u8>, meta: &RunMeta) {
+    out.push(CODEC_VERSION);
+    put_uv(out, meta.run_id);
+    put_str(out, &meta.benchmark);
+    put_uv(out, u64::from(meta.threads));
+    put_uv(out, meta.timestamp_ns);
+}
 
 /// Encode one `(meta, profile)` record payload (version byte included,
 /// framing excluded). The CRC-32 of the returned bytes is what the
@@ -279,11 +341,7 @@ fn read_node(r: &mut Reader<'_>, depth: usize) -> Result<SnapNode, CodecError> {
 pub fn encode_record(meta: &RunMeta, profile: &Profile) -> Vec<u8> {
     let reg = registry().view();
     let mut out = Vec::with_capacity(256);
-    out.push(CODEC_VERSION);
-    put_uv(&mut out, meta.run_id);
-    put_str(&mut out, &meta.benchmark);
-    put_uv(&mut out, u64::from(meta.threads));
-    put_uv(&mut out, meta.timestamp_ns);
+    put_meta(&mut out, meta);
     put_uv(&mut out, profile.threads.len() as u64);
     for t in &profile.threads {
         put_uv(&mut out, t.tid as u64);
@@ -378,6 +436,85 @@ pub fn decode_record(payload: &[u8]) -> Result<(RunMeta, Profile), CodecError> {
         return Err(CodecError::Malformed("trailing bytes after profile"));
     }
     Ok((meta, Profile { threads }))
+}
+
+/// The profile body of a payload [`verify_record`] accepted: bytes
+/// [`encode_record`] could have written after some header.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct VerifiedBody<'a>(&'a [u8]);
+
+impl VerifiedBody<'_> {
+    /// The record payload `meta` names: [`put_meta`] followed by the
+    /// body, byte for byte what `encode_record(meta, profile)` writes for
+    /// the profile the body spells.
+    pub fn stamp(self, meta: &RunMeta) -> Vec<u8> {
+        // The version byte and the varints around the name take at most
+        // 1 + 10 + 10 + 5 + 10 bytes.
+        let mut out = Vec::with_capacity(36 + meta.benchmark.len() + self.0.len());
+        put_meta(&mut out, meta);
+        out.extend_from_slice(self.0);
+        out
+    }
+}
+
+/// Check that `payload` is a record [`encode_record`] could have written,
+/// and return its profile body: everything after the [`RunMeta`] header.
+///
+/// The walk makes [`decode_record`]'s checks (bounds, tree depth, tags,
+/// region kinds, UTF-8, trailing bytes) but allocates nothing and never
+/// touches the region registry, so untrusted input costs one pass over
+/// its bytes. It refuses more than the decoder: a profile without
+/// threads, and every form `encode_record` never emits — a varint longer
+/// than its value needs, or a minimum on a node without samples. Every
+/// body it accepts is therefore canonical: stamping a new header on it
+/// gives exactly the bytes decoding and re-encoding would.
+pub fn verify_record(payload: &[u8]) -> Result<VerifiedBody<'_>, CodecError> {
+    let mut r = Reader {
+        canonical: true,
+        ..Reader::new(payload)
+    };
+    match r.byte()? {
+        CODEC_VERSION => {}
+        v => return Err(CodecError::BadVersion(v)),
+    }
+    r.uv()?; // run id
+    r.str_ref()?; // benchmark
+    u32::try_from(r.uv()?).map_err(|_| CodecError::Malformed("threads overflow"))?;
+    r.uv()?; // timestamp
+    let body = r.pos;
+    let nthreads = r.uv()?;
+    if nthreads == 0 {
+        return Err(CodecError::Malformed("no threads"));
+    }
+    let most = payload.len() as u64;
+    if nthreads > most {
+        return Err(CodecError::Truncated);
+    }
+    for _ in 0..nthreads {
+        // tid, max live trees, arena capacity, shed instances
+        for _ in 0..4 {
+            r.uv()?;
+        }
+        let ndiag = r.uv()?;
+        if ndiag > most {
+            return Err(CodecError::Truncated);
+        }
+        for _ in 0..ndiag {
+            r.str_ref()?;
+        }
+        verify_node(&mut r, 0)?;
+        let ntrees = r.uv()?;
+        if ntrees > most {
+            return Err(CodecError::Truncated);
+        }
+        for _ in 0..ntrees {
+            verify_node(&mut r, 0)?;
+        }
+    }
+    if !r.done() {
+        return Err(CodecError::Malformed("trailing bytes after profile"));
+    }
+    Ok(VerifiedBody(&payload[body..]))
 }
 
 /// CRC-32 of a payload, re-exported here so callers frame records without
@@ -488,7 +625,96 @@ mod tests {
                 decode_record(&payload[..cut]).is_err(),
                 "prefix of {cut} bytes decoded successfully"
             );
+            assert!(
+                verify_record(&payload[..cut]).is_err(),
+                "prefix of {cut} bytes verified"
+            );
         }
+    }
+
+    /// One thread whose main tree is a single truncation marker carrying
+    /// `stats` (six varints, spelled out byte by byte).
+    fn one_node(stats: &[u8]) -> Vec<u8> {
+        let meta = RunMeta {
+            run_id: 0,
+            benchmark: "b".into(),
+            threads: 1,
+            timestamp_ns: 0,
+        };
+        let mut out = Vec::new();
+        put_meta(&mut out, &meta);
+        out.extend_from_slice(&[1, 0, 0, 0, 0, 0, TAG_TRUNCATED]);
+        out.extend_from_slice(stats);
+        out.extend_from_slice(&[0, 0]);
+        out
+    }
+
+    #[test]
+    fn a_verified_body_stamped_is_the_encoders_record() {
+        let mut p = sample_profile("codec-verify");
+        let mut unsampled = Stats::new();
+        unsampled.add_visit();
+        p.threads[1].main.children.push(SnapNode {
+            kind: NodeKind::Truncated,
+            stats: unsampled,
+            children: vec![],
+        });
+        let sent = RunMeta {
+            run_id: 0,
+            benchmark: "client".into(),
+            threads: 9,
+            timestamp_ns: 1,
+        };
+        let stored = RunMeta {
+            run_id: u64::MAX,
+            benchmark: "stored ✓".into(),
+            threads: 2,
+            timestamp_ns: 77,
+        };
+        let payload = encode_record(&sent, &p);
+        let body = verify_record(&payload).expect("the encoder's bytes verify");
+        assert_eq!(body.stamp(&stored), encode_record(&stored, &p));
+        let (_, decoded) = decode_record(&payload).expect("decode");
+        assert_eq!(body.stamp(&stored), encode_record(&stored, &decoded));
+    }
+
+    #[test]
+    fn verify_refuses_what_the_encoder_never_writes() {
+        let canonical = one_node(&[1, 0, 0, 0, 0, 0]);
+        assert!(verify_record(&canonical).is_ok());
+        assert!(decode_record(&canonical).is_ok());
+        for (stats, why) in [
+            (&[1, 0, 5, 0, 0, 0][..], "minimum without samples"),
+            (&[0x81, 0x00, 0, 0, 0, 0, 0][..], "overlong varint"),
+            (&[1, 0, 0, 0, 0, 0x80, 0x80, 0x00][..], "overlong varint"),
+        ] {
+            let payload = one_node(stats);
+            assert!(
+                decode_record(&payload).is_ok(),
+                "{why}: the decoder accepts it"
+            );
+            assert_eq!(
+                verify_record(&payload),
+                Err(CodecError::Malformed(why)),
+                "{stats:?}"
+            );
+        }
+        let mut empty = Vec::new();
+        put_meta(
+            &mut empty,
+            &RunMeta {
+                run_id: 0,
+                benchmark: "b".into(),
+                threads: 1,
+                timestamp_ns: 0,
+            },
+        );
+        empty.push(0);
+        assert!(decode_record(&empty).is_ok());
+        assert_eq!(
+            verify_record(&empty),
+            Err(CodecError::Malformed("no threads"))
+        );
     }
 
     #[test]
@@ -506,7 +732,10 @@ mod tests {
             decode_record(&payload),
             Err(CodecError::BadVersion(99))
         ));
+        assert_eq!(verify_record(&payload), Err(CodecError::BadVersion(99)));
         assert!(decode_record(&[]).is_err());
         assert!(decode_record(&[CODEC_VERSION, 0xFF]).is_err());
+        assert!(verify_record(&[]).is_err());
+        assert!(verify_record(&[CODEC_VERSION, 0xFF]).is_err());
     }
 }

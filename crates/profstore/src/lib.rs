@@ -55,8 +55,8 @@ mod store;
 
 pub use agg::{BenchAgg, MetricAgg, RegressConfig, Regression, RegressionFinding, RunSummary};
 pub use codec::{
-    decode_meta, decode_record, encode_record, put_iv, put_str, put_uv, CodecError,
-    Reader as PayloadReader, RunMeta, CODEC_VERSION, MAX_RECORD_BYTES,
+    decode_meta, decode_record, encode_record, put_iv, put_meta, put_str, put_uv, verify_record,
+    CodecError, Reader as PayloadReader, RunMeta, VerifiedBody, CODEC_VERSION, MAX_RECORD_BYTES,
 };
 pub use io::{
     is_enospc, FaultHandle, FaultIo, FaultKind, FaultMode, FaultPlan, RealIo, StoreFile, StoreIo,

@@ -4,7 +4,7 @@
 //! delegated; everything else stays on the concrete types.
 
 use crate::agg::BenchAgg;
-use crate::codec::RunMeta;
+use crate::codec::{RunMeta, VerifiedBody};
 use crate::shard::ShardedStore;
 use crate::store::{
     ExportBatch, GcReport, IngestReceipt, ProfileStore, RetentionPolicy, RunWindow, StoreError,
@@ -63,6 +63,21 @@ impl Repo {
         match self {
             Repo::Single(s) => s.ingest(benchmark, threads, timestamp_ns, profile),
             Repo::Sharded(s) => s.ingest(benchmark, threads, timestamp_ns, profile),
+        }
+    }
+
+    /// Append one run from a verified record body, assigning the next
+    /// run id (see [`ProfileStore::ingest_record`]).
+    pub fn ingest_record(
+        &mut self,
+        benchmark: &str,
+        threads: u32,
+        timestamp_ns: u64,
+        body: VerifiedBody<'_>,
+    ) -> Result<IngestReceipt, StoreError> {
+        match self {
+            Repo::Single(s) => s.ingest_record(benchmark, threads, timestamp_ns, body),
+            Repo::Sharded(s) => s.ingest_record(benchmark, threads, timestamp_ns, body),
         }
     }
 

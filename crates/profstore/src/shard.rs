@@ -28,7 +28,7 @@
 //! about is bounded to one shard, not the whole repository.
 
 use crate::agg::BenchAgg;
-use crate::codec::{decode_meta, RunMeta};
+use crate::codec::{decode_meta, RunMeta, VerifiedBody};
 use crate::io::{RealIo, StoreIo};
 use crate::merge::KWayMerge;
 use crate::segment::{frame_payload, RECORD_HEADER_BYTES};
@@ -185,6 +185,22 @@ impl ShardedStore {
         let k = Self::route(benchmark, run_id, self.shards.len());
         self.shard(k)
             .ingest_with_id(run_id, benchmark, threads, timestamp_ns, profile)
+    }
+
+    /// Append one run from a verified record body (see
+    /// [`ProfileStore::ingest_record`]), routed like
+    /// [`ShardedStore::ingest`].
+    pub fn ingest_record(
+        &self,
+        benchmark: &str,
+        threads: u32,
+        timestamp_ns: u64,
+        body: VerifiedBody<'_>,
+    ) -> Result<IngestReceipt, StoreError> {
+        let run_id = self.next_run_id.fetch_add(1, Ordering::SeqCst);
+        let k = Self::route(benchmark, run_id, self.shards.len());
+        self.shard(k)
+            .ingest_record_with_id(run_id, benchmark, threads, timestamp_ns, body)
     }
 
     /// The id the next ingest will assign.

@@ -1,7 +1,7 @@
 //! The profile repository: segments + index + recovery + compaction.
 
 use crate::agg::BenchAgg;
-use crate::codec::{decode_meta, decode_record, encode_record, CodecError, RunMeta};
+use crate::codec::{decode_meta, decode_record, encode_record, CodecError, RunMeta, VerifiedBody};
 use crate::io::{RealIo, StoreIo};
 use crate::merge::KWayMerge;
 use crate::segment::{frame_payload, SegmentReader, SegmentWriter, RECORD_HEADER_BYTES};
@@ -491,14 +491,49 @@ impl ProfileStore {
             timestamp_ns,
         };
         let payload = encode_record(&meta, profile);
-        self.append_payload(&meta, &payload)
+        self.append_payload(meta, &payload)
+    }
+
+    /// Append one run whose profile arrived as a record body
+    /// [`verify_record`](crate::verify_record) accepted: the body is
+    /// stamped with this run's header and appended as is, never decoded.
+    /// The bytes on disk are the ones [`ProfileStore::ingest`] writes for
+    /// the profile the body spells.
+    pub fn ingest_record(
+        &mut self,
+        benchmark: &str,
+        threads: u32,
+        timestamp_ns: u64,
+        body: VerifiedBody<'_>,
+    ) -> Result<IngestReceipt, StoreError> {
+        self.ingest_record_with_id(self.next_run_id, benchmark, threads, timestamp_ns, body)
+    }
+
+    /// [`ProfileStore::ingest_record`] under a caller-chosen id, as
+    /// [`ProfileStore::ingest_with_id`] is to [`ProfileStore::ingest`].
+    pub(crate) fn ingest_record_with_id(
+        &mut self,
+        run_id: u64,
+        benchmark: &str,
+        threads: u32,
+        timestamp_ns: u64,
+        body: VerifiedBody<'_>,
+    ) -> Result<IngestReceipt, StoreError> {
+        let meta = RunMeta {
+            run_id,
+            benchmark: benchmark.to_string(),
+            threads,
+            timestamp_ns,
+        };
+        let payload = body.stamp(&meta);
+        self.append_payload(meta, &payload)
     }
 
     /// Append an already-encoded payload under `meta`'s identity,
     /// rotating the active segment as needed.
     fn append_payload(
         &mut self,
-        meta: &RunMeta,
+        meta: RunMeta,
         payload: &[u8],
     ) -> Result<IngestReceipt, StoreError> {
         let frame_bytes = payload.len() as u64 + RECORD_HEADER_BYTES;
@@ -511,7 +546,7 @@ impl ProfileStore {
         self.next_run_id = self.next_run_id.max(meta.run_id + 1);
         self.index.push(IndexEntry {
             run_id: meta.run_id,
-            benchmark: meta.benchmark.clone(),
+            benchmark: meta.benchmark,
             threads: meta.threads,
             timestamp_ns: meta.timestamp_ns,
             segment: self.active_segment,
@@ -863,7 +898,7 @@ impl ProfileStore {
         if meta.run_id <= self.max_run_id() {
             return Ok(None);
         }
-        self.append_payload(&meta, payload).map(Some)
+        self.append_payload(meta, payload).map(Some)
     }
 
     /// Garbage-collect runs the retention `policy` rejects, reclaiming

@@ -10,7 +10,7 @@ use taskprof::{
 use taskprof_trace::{read_trace, write_trace, Trace, TraceEvent};
 
 use profstore::segment::{SegmentReader, SegmentWriter};
-use profstore::{decode_record, encode_record, RealIo, RunMeta, RunSummary};
+use profstore::{decode_record, encode_record, verify_record, RealIo, RunMeta, RunSummary};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -280,6 +280,79 @@ proptest! {
         let at = ((payload.len() as f64 * pos) as usize).min(payload.len() - 1);
         payload[at] ^= 1 << bit;
         let _ = decode_record(&payload);
+    }
+
+    /// A verified body stamped with the store's header is byte for byte
+    /// what decoding the record and encoding it under that header writes,
+    /// whatever header the sender put on it.
+    #[test]
+    fn a_stamped_body_is_the_re_encoded_record(
+        replayed in arb_profile(),
+        seed in any::<u64>(),
+        nthreads in 1usize..5,
+        run_id in any::<u64>(),
+        timestamp_ns in any::<u64>(),
+    ) {
+        let sent = RunMeta {
+            run_id: 0,
+            benchmark: "sender".to_string(),
+            threads: 3,
+            timestamp_ns: 0,
+        };
+        let stored = RunMeta {
+            run_id,
+            benchmark: "stored".to_string(),
+            threads: nthreads as u32,
+            timestamp_ns,
+        };
+        for p in [replayed, seeded_profile(seed, nthreads)] {
+            let payload = encode_record(&sent, &p);
+            let body = verify_record(&payload).expect("the encoder's bytes verify");
+            let (_, decoded) = decode_record(&payload).expect("the encoder's bytes decode");
+            prop_assert_eq!(body.stamp(&stored), encode_record(&stored, &decoded));
+        }
+    }
+
+    /// Over flipped bits, truncations and inserted bytes, `verify_record`
+    /// never panics and accepts a payload exactly when `decode_record`
+    /// accepts it with threads and re-encoding it gives the same bytes.
+    #[test]
+    fn verify_accepts_exactly_the_canonical_records(
+        p in arb_profile(),
+        seed in any::<u64>(),
+        pos in 0.0f64..1.0,
+        bit in 0u8..8,
+        byte in any::<u8>(),
+        mutation in 0u8..3,
+    ) {
+        let meta = RunMeta {
+            run_id: 5,
+            benchmark: "proptest-verify".to_string(),
+            threads: 2,
+            timestamp_ns: 9,
+        };
+        for p in [p, seeded_profile(seed, 2)] {
+            let mut payload = encode_record(&meta, &p);
+            let at = ((payload.len() as f64 * pos) as usize).min(payload.len() - 1);
+            match mutation {
+                0 => payload[at] ^= 1 << bit,
+                1 => payload.truncate(at),
+                _ => payload.insert(at, byte),
+            }
+            let canonical = match decode_record(&payload) {
+                Ok((m, q)) => !q.threads.is_empty() && encode_record(&m, &q) == payload,
+                Err(_) => false,
+            };
+            let verified = verify_record(&payload);
+            prop_assert_eq!(
+                verified.is_ok(),
+                canonical,
+                "mutation {} at {}: verify said {:?}",
+                mutation,
+                at,
+                verified.err()
+            );
+        }
     }
 
     /// A single flipped bit in a CRC-framed segment is always detected:
