@@ -227,17 +227,11 @@ fn golden_nqueens_critpath_fixed_seed() {
     check_golden("critpath_nqueens_test_seed42", &rendered);
 }
 
-/// Every exact output of the critical-path analysis, frozen: the two
-/// goldens above are rounded renderings with a single region row, which
-/// pin neither the critical-path tie-break nor creation carving. One
-/// case per line over the simsched built-ins and a graded tree whose
-/// inner/leaf weights make some sibling chains tie and others not.
-/// Written once by the builder this file was added beside; a change to
-/// `critpath` must leave it byte-identical, not `BLESS` it.
-#[test]
-fn golden_critpath_exact_outputs() {
-    use simsched::{run_workload, workloads, SimConfig, Step, TreeWorkload};
-    use std::fmt::Write;
+/// The workloads both exact goldens run: the simsched built-ins and a
+/// graded tree whose inner/leaf weights make some sibling chains tie and
+/// others not.
+fn exact_grid() -> [(&'static str, simsched::TreeWorkload); 5] {
+    use simsched::{workloads, Step, TreeWorkload};
 
     fn graded(depth: u64) -> Vec<Step> {
         if depth == 0 {
@@ -255,7 +249,7 @@ fn golden_critpath_exact_outputs() {
         steps.push(Step::Work(5));
         steps
     }
-    let workloads = [
+    [
         ("fib", workloads::fib_like(4)),
         ("div", workloads::divisible(3)),
         ("flat", workloads::flat(8)),
@@ -268,10 +262,22 @@ fn golden_critpath_exact_outputs() {
                 vec![Step::Task(graded(3)), Step::Taskwait],
             ),
         ),
-    ];
+    ]
+}
+
+/// Every exact output of the critical-path analysis, frozen: the two
+/// goldens above are rounded renderings with a single region row, which
+/// pin neither the critical-path tie-break nor creation carving. One
+/// case per line over [`exact_grid`].
+/// Written once by the builder this file was added beside; a change to
+/// `critpath` must leave it byte-identical, not `BLESS` it.
+#[test]
+fn golden_critpath_exact_outputs() {
+    use simsched::{run_workload, SimConfig};
+    use std::fmt::Write;
 
     let mut out = String::new();
-    for (label, w) in &workloads {
+    for (label, w) in &exact_grid() {
         for threads in [1, 2, 4] {
             for seed in 0..8 {
                 let run = run_workload(w, &SimConfig::seeded(threads, seed));
@@ -307,4 +313,72 @@ fn golden_critpath_exact_outputs() {
         }
     }
     check_golden("critpath_exact", &out);
+}
+
+/// The seeded run of `w` as the session drains it: the whole edge log,
+/// thread-begin origins included (`SimRun::streams` drops them).
+fn sim_edge_log(w: &simsched::TreeWorkload, threads: usize, seed: u64) -> Vec<taskprof::RegionEdges> {
+    let sched = simsched::SimScheduler::new(seed).with_spawn_cost(simsched::DEFAULT_SPAWN_COST_NS);
+    let clock = sched.clock().clone();
+    let team = Team::new(threads).with_policy(Arc::new(sched));
+    let monitor = ProfMonitor::builder()
+        .clock(clock.clone())
+        .record_task_edges()
+        .build()
+        .expect("profiler config is valid");
+    w.run(&team, &monitor, &clock).unwrap();
+    monitor.take_edge_log().expect("region finished")
+}
+
+/// Every exact output of the §VII trace analysis over [`exact_grid`],
+/// frozen: one case per line — the totals, switches and ratio, the
+/// scheduling-point kinds in declaration order, then every instance in
+/// id order. Written once by the analysis of the text-trace crate this
+/// repository had; never `BLESS`ed.
+#[test]
+fn golden_trace_analysis_exact_outputs() {
+    use std::fmt::Write;
+
+    let mut out = String::new();
+    for (label, w) in &exact_grid() {
+        for threads in [1, 2, 4] {
+            for seed in 0..8 {
+                let log = sim_edge_log(w, threads, seed);
+                let a = taskprof_trace::analyze(&taskprof_trace::Trace::from_edge_log(&log));
+                write!(
+                    out,
+                    "{label} t{threads} s{seed} task_exec={} creation={} sched_nonexec={} switches={} ratio={}",
+                    a.total_task_exec_ns,
+                    a.total_creation_ns,
+                    a.total_sched_nonexec_ns,
+                    a.switches,
+                    a.management_to_work_ratio,
+                )
+                .unwrap();
+                let mut kinds = a.by_kind.clone();
+                kinds.sort_by_key(|b| b.kind as u8);
+                for b in &kinds {
+                    write!(
+                        out,
+                        " | {} {} {} {} {} {}",
+                        b.kind.label(),
+                        b.intervals,
+                        b.dwell_ns,
+                        b.task_exec_ns,
+                        b.pre_switch_ns,
+                        b.fragments
+                    )
+                    .unwrap();
+                }
+                for i in &a.instances {
+                    let name = pomp::registry().name(i.region);
+                    let short = name.rsplit('!').next().unwrap();
+                    let queue = i.queue_ns.map_or("-".to_string(), |q| q.to_string());
+                    write!(out, " ; {} {short} {queue} {} {}", i.id.get(), i.span_ns, i.fragments).unwrap();
+                }
+                out.push('\n');
+            }
+        }
+    }
+    assert_eq!(out, include_str!("golden/trace_analysis_exact.txt"));
 }
