@@ -1,11 +1,12 @@
 #!/bin/bash
 # Minimal CI gate: release build, every workspace member's tests,
 # lint-clean clippy, guards against a second hook-stream recorder, a
-# hashing DAG builder, a second store read path and a hand-written wire
-# codec beside the one declaration per message, the repo benchmark's
-# own smoke gate (benchmark/check.sh) and its package's tests, a floor
-# under JSON ingest throughput and a ceiling over the causal report, and
-# end-to-end smokes of the CLI, the daemon and replication.
+# hashing DAG builder, a second walker over the edge log, a second store
+# read path and a hand-written wire codec beside the one declaration per
+# message, the repo benchmark's own smoke gate (benchmark/check.sh) and
+# its package's tests, a floor under JSON ingest throughput and a ceiling
+# over the causal report, and end-to-end smokes of the CLI, the daemon
+# and replication.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -35,6 +36,20 @@ echo "=== one flat task DAG ==="
 # a vector per vertex is the shape that cost 6 us per task.
 if git grep -nE 'TaskKey|Vec<Vec<' -- crates/critpath/src; then
     echo "per-task hashing or per-vertex vectors are back in critpath"; exit 1
+fi
+
+echo "=== one walk of the edge log ==="
+# The Section VII trace analysis is a reader of the critpath DAG builder's
+# walk (crates/critpath/src/analysis.rs). The separate trace crate walked
+# the log a second time with maps of its own, and the two walkers drifted.
+if [ -e crates/trace ]; then
+    echo "crates/trace is back"; exit 1
+fi
+if git grep -nE 'taskprof[_]trace|read_trace|from_edge_log' -- '*.rs' '*.toml'; then
+    echo "a second walker over the edge log or its text format is back"; exit 1
+fi
+if git grep -n 'HashMap<TaskId' -- crates/critpath/src; then
+    echo "a TaskId-keyed map is back in critpath"; exit 1
 fi
 
 echo "=== one store read path ==="
@@ -124,8 +139,8 @@ cargo run --release --example live_telemetry | tee /tmp/live_telemetry.out
 grep -q "LIVE_TELEMETRY_OK" /tmp/live_telemetry.out
 
 echo "=== trace analysis smoke ==="
-# The trace is the session's own edge log read back with absolute
-# timestamps; the analysis must come out the other end of the CLI.
+# The trace is the session's own edge log, read by the critpath walk;
+# the analysis must come out the other end of the CLI.
 cargo run --release --bin taskprof-cli -- run fib --scale test --threads 2 --trace \
     | tee /tmp/trace.out
 grep -q 'trace analysis (' /tmp/trace.out \

@@ -52,6 +52,15 @@
 //! construct's creation region instead — so scaling a *work* region never
 //! scales creation overhead, matching what a replay with scaled work
 //! actually does.
+//!
+//! # Readers
+//!
+//! The walk that builds the DAG is the one pass over a region's streams:
+//! a [`Reader`] rides along and sees every event once, after the walk has
+//! accepted it, together with what the walk resolved for it — the task's
+//! table index and the region's memoised kind. [`TaskDag::from_streams`]
+//! reads nothing more (`()`); the trace analysis (`crate::analysis`) is
+//! the second reader.
 
 use pomp::{registry, RegionId, RegionKind, TaskId, TaskRef};
 use std::collections::HashMap;
@@ -284,19 +293,41 @@ impl Task {
 /// An interned region.
 struct Region {
     id: RegionId,
-    /// Memo of `registry().kind(id)`, filled at the region's first exit.
+    /// Memo of `registry().kind(id)`, filled the first time it is asked
+    /// for (at the region's first exit, or first enter if a reader asks).
     kind: Option<RegionKind>,
     /// For a task construct: its creation region, learned from
     /// `task_create_begin` events in the pre-pass.
     create: u32,
 }
 
+impl Region {
+    fn kind(&mut self) -> RegionKind {
+        *self.kind.get_or_insert_with(|| registry().kind(self.id))
+    }
+}
+
+/// A second consumer of the builder's walk (see the module docs).
+pub(crate) trait Reader {
+    /// The walk enters stream `position` of the region.
+    fn stream(&mut self, _position: usize) {}
+
+    /// `ev`, once the walk has accepted it. `task` is the table index of
+    /// the task the event names — the current task for an event that
+    /// names none — and `kind` the kind of the region an `Enter` or `Exit`
+    /// names (not to be called for any other event).
+    fn read(&mut self, _ev: &Event, _task: usize, _kind: impl FnOnce() -> RegionKind) {}
+}
+
+/// The DAG alone.
+impl Reader for () {}
+
 /// One thread's exit from a barrier occurrence: the vertex preceding
 /// the exit (if the thread did anything before it) and the exit vertex.
 type BarrierExit = (Option<u32>, u32);
 
 #[derive(Default)]
-struct Builder {
+pub(crate) struct Builder {
     nodes: Vec<Node>,
     /// Logical edges beyond program order as `(to, from)`, in discovery
     /// order.
@@ -322,6 +353,9 @@ struct Builder {
     barrier_count: HashMap<(usize, RegionId), usize>,
     begun: u64,
     resumes: u64,
+    /// Tasks created and work done by each thread, by stream position.
+    creates_by: Vec<u64>,
+    work_by_thread: Vec<u64>,
 }
 
 impl Builder {
@@ -372,9 +406,11 @@ impl Builder {
         }
     }
 
-    fn open(&mut self, task: usize, region: RegionId) -> Result<(), DagError> {
-        let frame = Frame::Region(region, self.region(region));
-        self.frames(task).map(|frames| frames.push(frame))
+    /// Open a frame of `region` on `task`; returns the region's index.
+    fn open(&mut self, task: usize, region: RegionId) -> Result<u32, DagError> {
+        let index = self.region(region);
+        self.frames(task)?.push(Frame::Region(region, index));
+        Ok(index)
     }
 
     /// Close `task`'s innermost frame, which must be region `closes` (a
@@ -427,16 +463,16 @@ pub(crate) fn parallelism(work_ns: u64, span_ns: u64) -> f64 {
     }
 }
 
-impl TaskDag {
-    /// Build the DAG from the per-thread event streams of one parallel
-    /// region (a `RegionEdges::streams` of `ProfMonitor::take_edge_log`).
-    /// `parallel_region` is the region id of the parallel construct the
-    /// streams cover (the implicit tasks' base attribution).
-    pub fn from_streams(
+impl Builder {
+    /// The walk: the vertices and edges of one parallel region's
+    /// per-thread streams, with `reader` fed every event the walk accepts.
+    /// `parallel_region` is the implicit tasks' base attribution.
+    pub(crate) fn walk(
         streams: &[(usize, Vec<Event>)],
         parallel_region: RegionId,
         opts: &DagOptions,
-    ) -> Result<TaskDag, DagError> {
+        reader: &mut impl Reader,
+    ) -> Result<Builder, DagError> {
         let mut b = Builder::default();
         let parallel = Frame::Region(parallel_region, b.region(parallel_region));
 
@@ -464,21 +500,27 @@ impl TaskDag {
             }
         }
 
-        let mut creates_by = Vec::with_capacity(streams.len());
-        let mut work_by_thread = Vec::with_capacity(streams.len());
-        for (thread, (tid, events)) in streams.iter().enumerate() {
-            let thread = thread as u32;
+        b.creates_by.reserve_exact(streams.len());
+        b.work_by_thread.reserve_exact(streams.len());
+        for (position, (tid, events)) in streams.iter().enumerate() {
+            reader.stream(position);
+            let thread = position as u32;
             (b.tid, b.stream_start) = (*tid, b.nodes.len() as u32);
             let implicit = b.tasks.len();
             b.tasks.push(Task::new(None, Some(vec![parallel])));
             let (mut current, mut creates) = (implicit, 0);
             for ev in events {
-                match *ev {
-                    Event::Advance(dt) => b.pending += dt,
+                // The task the event names and the region it opens or
+                // closes, for the reader.
+                let (task, region) = match *ev {
+                    Event::Advance(dt) => {
+                        b.pending += dt;
+                        (current, NONE)
+                    }
                     Event::Enter(r) => {
                         b.interval(current, None)?;
                         b.anchor(current);
-                        b.open(current, r)?;
+                        (current, b.open(current, r)?)
                     }
                     Event::Exit(r) => {
                         b.interval(current, None)?;
@@ -487,8 +529,7 @@ impl TaskDag {
                         let pre = (pre != b.stream_start).then(|| pre - 1);
                         let v = b.anchor(current);
                         let region = b.close(current, Some(r), ev)?;
-                        let kind = &mut b.regions[region as usize].kind;
-                        match *kind.get_or_insert_with(|| registry().kind(r)) {
+                        match b.regions[region as usize].kind() {
                             RegionKind::Taskwait => {
                                 let children = b.tasks[current].unjoined.drain(..);
                                 b.join_edges.extend(children.map(|child| (child, v)));
@@ -501,6 +542,7 @@ impl TaskDag {
                             }
                             _ => {}
                         }
+                        (current, region)
                     }
                     Event::CreateBegin { create, task_region: _, id } => {
                         b.interval(current, None)?;
@@ -510,6 +552,7 @@ impl TaskDag {
                         b.tasks[child].creator = thread;
                         b.tasks[current].unjoined.push(child as u32);
                         creates += 1;
+                        (child, NONE)
                     }
                     Event::CreateEnd { create, id } => {
                         b.interval(current, None)?;
@@ -517,6 +560,7 @@ impl TaskDag {
                         b.close(current, Some(create), ev)?;
                         let child = b.task(id);
                         b.tasks[child].create_vertex = v;
+                        (child, NONE)
                     }
                     Event::TaskBegin { region, id } => {
                         let task = b.task(id);
@@ -548,6 +592,7 @@ impl TaskDag {
                         b.tasks[task].first = thread;
                         b.begun += 1;
                         current = task;
+                        (task, NONE)
                     }
                     Event::TaskEnd { region: _, id } | Event::TaskAbort { region: _, id } => {
                         let task = match b.tasks[current].id {
@@ -563,6 +608,7 @@ impl TaskDag {
                         }
                         b.spare_frames.extend(b.tasks[task].frames.take());
                         current = implicit;
+                        (task, NONE)
                     }
                     Event::Switch(target) => {
                         b.interval(current, None)?;
@@ -574,26 +620,45 @@ impl TaskDag {
                             }
                         };
                         b.anchor(current);
+                        (current, NONE)
                     }
                     Event::ParamBegin { .. } => {
                         b.interval(current, None)?;
                         b.anchor(current);
                         b.frames(current)?.push(Frame::Param);
+                        (current, NONE)
                     }
                     Event::ParamEnd { .. } => {
                         b.interval(current, None)?;
                         b.anchor(current);
                         b.close(current, None, ev)?;
+                        (current, NONE)
                     }
-                }
+                };
+                let regions = &mut b.regions;
+                reader.read(ev, task, || regions[region as usize].kind());
             }
             // Trailing time between the last hook and thread end.
             b.interval(current, None)?;
-            creates_by.push(creates);
-            let stream = &b.nodes[b.stream_start as usize..];
-            work_by_thread.push(stream.iter().map(|n| n.weight).sum());
+            b.creates_by.push(creates);
+            let work = b.nodes[b.stream_start as usize..].iter().map(|n| n.weight).sum();
+            b.work_by_thread.push(work);
         }
+        Ok(b)
+    }
+}
 
+impl TaskDag {
+    /// Build the DAG from the per-thread event streams of one parallel
+    /// region (a `RegionEdges::streams` of `ProfMonitor::take_edge_log`).
+    /// `parallel_region` is the region id of the parallel construct the
+    /// streams cover (the implicit tasks' base attribution).
+    pub fn from_streams(
+        streams: &[(usize, Vec<Event>)],
+        parallel_region: RegionId,
+        opts: &DagOptions,
+    ) -> Result<TaskDag, DagError> {
+        let mut b = Builder::walk(streams, parallel_region, opts, &mut ())?;
         let barrier_edges = b.barrier_exits.values().map(|exits| exits.len() * exits.len());
         b.edges.reserve_exact(b.create_edges.len() + b.join_edges.len() + barrier_edges.sum::<usize>());
         // Resolve cross-thread creation edges.
@@ -640,8 +705,8 @@ impl TaskDag {
             tasks: b.begun,
             steals,
             fragments: b.begun + b.resumes,
-            creates_by,
-            work_by_thread,
+            creates_by: std::mem::take(&mut b.creates_by),
+            work_by_thread: std::mem::take(&mut b.work_by_thread),
         };
         drop(b);
         dag.joins = Csr::bucket(dag.nodes.len(), &edges);

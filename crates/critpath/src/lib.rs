@@ -29,11 +29,19 @@
 //! produces the plain [`CritPathReport`] (including detrimental-pattern
 //! flags: single-creator starvation, steal storms), and
 //! [`TaskDag::what_if`] answers speedup queries.
+//!
+//! The walk that builds the DAG also answers the paper's Section VII
+//! questions: [`analyze_trace`] reads a drained edge log in that same
+//! pass and splits scheduling-point time into management (before the
+//! first task switch), task execution and waiting, with per-instance
+//! queue latencies and the management-to-work ratio.
 
 #![warn(missing_docs)]
 
+mod analysis;
 mod dag;
 mod report;
 
+pub use analysis::{analyze_trace, InstanceLatency, SchedulingPointBreakdown, TraceAnalysis};
 pub use dag::{DagError, DagOptions, TaskDag, SPAWN_REGION};
 pub use report::{CritPathReport, DetrimentalFlag, RegionRow, WhatIfPrediction};

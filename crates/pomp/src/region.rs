@@ -79,8 +79,8 @@ impl RegionKind {
         }
     }
 
-    /// The kind's name in the text stores (`taskprof-profile v1`,
-    /// `taskprof-trace v1`). A file format: never rename one.
+    /// The kind's name in the text profile store (`taskprof-profile v1`).
+    /// A file format: never rename one.
     #[inline]
     pub fn tag(self) -> &'static str {
         match self {

@@ -388,9 +388,10 @@ impl<C: ClockSource + 'static> SessionBuilder<C> {
     /// Record the task create/join edge stream alongside the profile and
     /// run critical-path (work/span) analysis on `finish()`: the report
     /// gains [`SessionReport::critpath`]. Off by default — when off, the
-    /// hot path pays one never-taken branch per hook. For the log as an
-    /// event trace instead (`taskprof_trace::Trace::from_edge_log`), drain
-    /// `profiler().take_edge_log()` before `finish()`.
+    /// hot path pays one never-taken branch per hook. For the paper's
+    /// Section VII trace analysis of the log instead
+    /// (`critpath::analyze_trace`), drain `profiler().take_edge_log()`
+    /// before `finish()`.
     pub fn record_task_edges(mut self) -> Self {
         self.prof = self.prof.record_task_edges();
         self

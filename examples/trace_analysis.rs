@@ -15,8 +15,8 @@
 use bots::{run_app, AppId, RunOpts, Scale};
 use cube::{format_ns, AggProfile};
 use std::collections::HashMap;
+use taskprof::Event;
 use taskprof_session::MeasurementSession;
-use taskprof_trace::{analyze, Trace};
 
 fn main() {
     let session = MeasurementSession::builder("trace-analysis")
@@ -41,9 +41,11 @@ fn main() {
     println!("               ...but it cannot tell management from waiting.\n");
 
     // What the trace adds.
-    let trace = Trace::from_edge_log(&edge_log);
-    let a = analyze(&trace);
-    println!("trace view   ({} events):", trace.len());
+    let a = critpath::analyze_trace(&edge_log).expect("a recorded run reads");
+    let streams = edge_log.iter().flat_map(|r| &r.streams);
+    let events = streams.flat_map(|(_, events)| events);
+    let events = events.filter(|e| !matches!(e, Event::Advance(_))).count();
+    println!("trace view   ({events} events):");
     for b in &a.by_kind {
         let waiting = b.dwell_ns.saturating_sub(b.task_exec_ns + b.pre_switch_ns);
         println!(

@@ -113,7 +113,6 @@ use cube::{
 };
 use std::sync::Arc;
 use taskprof_session::MeasurementSession;
-use taskprof_trace::{analyze, Trace};
 use taskrt::Team;
 
 fn usage() -> ! {
@@ -215,7 +214,7 @@ fn cmd_run(args: &[String]) {
         out.checksum,
         out.verified
     );
-    let edge_log = session.profiler().take_edge_log().expect("run finished");
+    let edge_log = trace_on.then(|| session.profiler().take_edge_log().expect("run finished"));
     let profile = session.finish().profile;
     let agg = AggProfile::from_profile(&profile);
 
@@ -249,10 +248,15 @@ fn cmd_run(args: &[String]) {
             }
         }
     }
-    if trace_on {
-        let trace = Trace::from_edge_log(&edge_log);
-        let a = analyze(&trace);
-        println!("\ntrace analysis ({} events):", trace.len());
+    if let Some(edge_log) = edge_log {
+        let a = critpath::analyze_trace(&edge_log).unwrap_or_else(|e| {
+            eprintln!("trace analysis: {e}");
+            std::process::exit(1);
+        });
+        let streams = edge_log.iter().flat_map(|r| &r.streams);
+        let events = streams.flat_map(|(_, events)| events);
+        let events = events.filter(|e| !matches!(e, taskprof::Event::Advance(_))).count();
+        println!("\ntrace analysis ({events} events):");
         println!(
             "  task execution {}   creation {}   sched-point non-exec {}",
             format_ns(a.total_task_exec_ns),

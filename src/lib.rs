@@ -11,5 +11,4 @@ pub use cube;
 pub use pomp;
 pub use taskprof;
 pub use taskprof_session as session;
-pub use taskprof_trace as trace;
 pub use taskrt;

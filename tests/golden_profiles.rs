@@ -333,8 +333,10 @@ fn sim_edge_log(w: &simsched::TreeWorkload, threads: usize, seed: u64) -> Vec<ta
 /// Every exact output of the §VII trace analysis over [`exact_grid`],
 /// frozen: one case per line — the totals, switches and ratio, the
 /// scheduling-point kinds in declaration order, then every instance in
-/// id order. Written once by the analysis of the text-trace crate this
-/// repository had; never `BLESS`ed.
+/// id order. Written once by the analysis of the separate trace crate
+/// this repository had, before the analysis became a reader of the DAG
+/// builder's walk; never `BLESS`ed. Both readers of that walk agree on
+/// what they both count.
 #[test]
 fn golden_trace_analysis_exact_outputs() {
     use std::fmt::Write;
@@ -344,7 +346,16 @@ fn golden_trace_analysis_exact_outputs() {
         for threads in [1, 2, 4] {
             for seed in 0..8 {
                 let log = sim_edge_log(w, threads, seed);
-                let a = taskprof_trace::analyze(&taskprof_trace::Trace::from_edge_log(&log));
+                let a = critpath::analyze_trace(&log).expect("a recorded run reads");
+                let (mut fragments, mut tasks) = (0, 0);
+                for region in &log {
+                    let dag = critpath::TaskDag::from_streams(&region.streams, region.region, &Default::default())
+                        .expect("simulated streams form a DAG");
+                    let report = dag.report();
+                    (fragments, tasks) = (fragments + report.fragments, tasks + report.tasks);
+                }
+                assert_eq!(a.switches, fragments, "{label} t{threads} s{seed}");
+                assert_eq!(a.instances.len() as u64, tasks, "{label} t{threads} s{seed}");
                 write!(
                     out,
                     "{label} t{threads} s{seed} task_exec={} creation={} sched_nonexec={} switches={} ratio={}",

@@ -8,12 +8,13 @@
 //! never beating the scaled logical span. And a stream that is *not* a
 //! run — one event dropped, doubled, moved or aimed at another task — is
 //! answered with a typed error or a DAG that still obeys the summing
-//! laws, never a panic.
+//! laws, never a panic — and the trace analysis, a second reader of the
+//! same walk, answers it with a typed error or an analysis.
 
 use pomp::{TaskId, TaskRef};
 use proptest::prelude::*;
 use simsched::{run_workload, whatif, SimConfig, Step, TreeWorkload};
-use taskprof::Event;
+use taskprof::{Event, RegionEdges};
 
 /// A uniform tree: every internal node does `inner` work then spawns
 /// `fanout` children and taskwaits; leaves do `leaf` work. The name is
@@ -103,9 +104,22 @@ proptest! {
         let w = tree(depth, fanout, 30, 70);
         let mut run = run_workload(&w, &SimConfig::seeded(threads, seed));
         mutate(&mut run.streams, kind, stream, at, other);
+        // The trace analysis reads the same walk (without carving): a
+        // typed error where the walk stops, and where both walks finish, a
+        // switch for every fragment of the DAG.
+        let log = [RegionEdges {
+            occurrence: 1,
+            region: w.parallel_region(),
+            origins: vec![0; run.streams.len()],
+            streams: run.streams.clone(),
+        }];
+        let trace = critpath::analyze_trace(&log);
         // A cycle must come back as `DagError::Cycle`, not as a hang: the
         // case simply has to finish.
         if let Ok(dag) = whatif::analyze(&run, &w) {
+            if let Ok(trace) = &trace {
+                prop_assert_eq!(trace.switches, dag.fragments());
+            }
             let thread_sum: u64 = dag.work_by_thread().iter().sum();
             prop_assert_eq!(thread_sum, dag.work_ns());
             let region_sum: u64 = dag.work_by_region().iter().map(|(_, ns)| ns).sum();

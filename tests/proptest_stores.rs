@@ -7,7 +7,6 @@ use proptest::prelude::*;
 use taskprof::{
     AssignPolicy, Event, NodeKind, Profile, SnapNode, Stats, TeamReplayer, ThreadSnapshot,
 };
-use taskprof_trace::{read_trace, write_trace, Trace, TraceEvent};
 
 use profstore::segment::{SegmentReader, SegmentWriter};
 use profstore::{decode_record, encode_record, verify_record, RealIo, RunMeta, RunSummary};
@@ -176,11 +175,6 @@ proptest! {
     }
 
     #[test]
-    fn trace_parser_never_panics(input in ".{0,400}") {
-        let _ = read_trace(&input);
-    }
-
-    #[test]
     fn profile_parser_never_panics_on_mutated_valid_input(
         p in arb_profile(),
         cut in 0.0f64..1.0,
@@ -199,42 +193,6 @@ proptest! {
             prop_assert_eq!(&a.main, &b.main);
             prop_assert_eq!(&a.task_trees, &b.task_trees);
         }
-    }
-
-    #[test]
-    fn generated_traces_round_trip(
-        n_events in 0usize..50,
-        seed in any::<u64>(),
-    ) {
-        // Synthesize a structurally arbitrary (not necessarily
-        // semantically valid) trace: store/load must still round-trip.
-        let reg = pomp::registry();
-        let task = reg.register("ps-tr-task", pomp::RegionKind::Task, "t", 0);
-        let bar = reg.register("ps-tr-bar", pomp::RegionKind::ImplicitBarrier, "t", 0);
-        let ids = TaskIdAllocator::new();
-        let mut state = seed;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            state
-        };
-        let events: Vec<TraceEvent> = (0..n_events)
-            .map(|i| {
-                let id = ids.alloc();
-                let event = match next() % 6 {
-                    0 => Event::Enter(bar),
-                    1 => Event::Exit(bar),
-                    2 => Event::TaskBegin { region: task, id },
-                    3 => Event::TaskEnd { region: task, id },
-                    4 => Event::TaskAbort { region: task, id },
-                    _ => Event::Switch(pomp::TaskRef::Explicit(id)),
-                };
-                TraceEvent { t: i as u64, tid: (next() % 4) as usize, event }
-            })
-            .collect();
-        let trace = Trace::new(4, events);
-        let text = write_trace(&trace);
-        let back = read_trace(&text).expect("own output must parse");
-        prop_assert_eq!(trace.events(), back.events());
     }
 
     /// Every proper prefix of an encoded record (LEB128 varints + length

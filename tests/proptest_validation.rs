@@ -141,22 +141,6 @@ proptest! {
         }
     }
 
-    /// Same for trace files.
-    #[test]
-    fn corrupted_trace_files_fail_with_position(
-        seed in any::<u64>(),
-        flips in 1usize..6,
-    ) {
-        let text = sample_trace_text();
-        let corrupted = corrupt(&text, seed, flips);
-        match taskprof_trace::read_trace(&corrupted) {
-            Ok(_) => {}
-            Err(e) => {
-                prop_assert!(e.line <= corrupted.lines().count() + 1, "{e}");
-                prop_assert!(e.to_string().contains("line"));
-            }
-        }
-    }
 }
 
 /// Deterministically substitute `flips` bytes of `text` (printable ASCII
@@ -191,21 +175,4 @@ fn sample_profile_text() -> String {
         .apply(0, Event::TaskEnd { region: task, id })
         .advance(3);
     cube::write_profile(&team.finish())
-}
-
-fn sample_trace_text() -> String {
-    use taskprof::Event;
-    use taskprof_trace::{Trace, TraceEvent};
-    let reg = pomp::registry();
-    let task = reg.register("pv-file-tr-task", pomp::RegionKind::Task, "t", 0);
-    let ids = pomp::TaskIdAllocator::new();
-    let id = ids.alloc();
-    let ev = |t, event| TraceEvent { t, tid: 0, event };
-    taskprof_trace::write_trace(&Trace::new(
-        1,
-        vec![
-            ev(0, Event::TaskBegin { region: task, id }),
-            ev(5, Event::TaskEnd { region: task, id }),
-        ],
-    ))
 }
