@@ -4,8 +4,10 @@
 //! both commits' figures are in EXPERIMENTS.md ("PR 23").
 
 use critpath::{DagOptions, TaskDag};
-use simsched::{run_workload, workloads, SimConfig};
-use taskprof::Event;
+use simsched::{run_workload, workloads, SimConfig, SimScheduler};
+use std::sync::Arc;
+use taskprof::{Event, ProfMonitor};
+use taskrt::Team;
 use test_util::alloc::{measure, AllocStats, CountingAlloc};
 
 #[global_allocator]
@@ -67,6 +69,48 @@ fn wrapped(streams: &Streams) -> Streams {
         out
     };
     streams.iter().map(|(tid, events)| (*tid, wrap(events))).collect()
+}
+
+/// What the drain that decoded every stream into an event array measured
+/// in `drain_build_and_report_peak_bytes_per_event`: peak live bytes per
+/// decoded event from `take_edge_log` through the report.
+const PARENT_DRAIN_PEAK_BYTES_PER_EVENT: usize = 59;
+
+/// The run `stream()` drains, recorded and not yet drained.
+fn recorded() -> ProfMonitor<simsched::SimClock> {
+    let w = workloads::fib_like(10);
+    let sched = SimScheduler::new(7).with_spawn_cost(simsched::DEFAULT_SPAWN_COST_NS);
+    let clock = sched.clock().clone();
+    let team = Team::new(2).with_policy(Arc::new(sched));
+    let monitor = ProfMonitor::builder()
+        .clock(clock.clone())
+        .record_task_edges()
+        .build()
+        .expect("profiler config is valid");
+    w.run(&team, &monitor, &clock).unwrap();
+    monitor
+}
+
+#[test]
+fn drain_build_and_report_peak_bytes_per_event() {
+    let (streams, _) = stream();
+    let events: usize = streams.iter().map(|(_, e)| e.len()).sum();
+    let monitor = recorded();
+    let opts = DagOptions {
+        undeferred_spawn_cost: Some(simsched::DEFAULT_SPAWN_COST_NS),
+    };
+    let mut tasks = 0;
+    let stats = measure(|| {
+        let log = monitor.take_edge_log().expect("region finished");
+        for region in &log {
+            let dag = TaskDag::from_streams(&region.streams, region.region, &opts)
+                .expect("recorded streams form a DAG");
+            tasks += dag.report().tasks;
+        }
+    });
+    assert_eq!(tasks, 2047);
+    let per_event = stats.peak_live_bytes / events;
+    assert_eq!(per_event, PARENT_DRAIN_PEAK_BYTES_PER_EVENT);
 }
 
 #[test]

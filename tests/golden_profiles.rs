@@ -330,6 +330,68 @@ fn sim_edge_log(w: &simsched::TreeWorkload, threads: usize, seed: u64) -> Vec<ta
     monitor.take_edge_log().expect("region finished")
 }
 
+/// FNV-1a, 64 bits.
+fn fnv1a64(text: &str) -> u64 {
+    let step = |h: u64, b: u8| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, step)
+}
+
+/// `{:?}` of `ev` with every `RegionId(n)` spelled as the region's name:
+/// ids go by registration order, which this binary's tests race for.
+fn debug_by_name(ev: &Event) -> String {
+    let text = format!("{ev:?}");
+    let (mut out, mut rest) = (String::new(), text.as_str());
+    while let Some(at) = rest.find("RegionId(") {
+        out += &rest[..at];
+        rest = &rest[at + "RegionId(".len()..];
+        let close = rest.find(')').expect("a RegionId closes");
+        out += &pomp::registry().name(RegionId(rest[..close].parse().expect("a RegionId is a number")));
+        rest = &rest[close + 1..];
+    }
+    out + rest
+}
+
+/// The drained edge log itself over [`exact_grid`], frozen: per region its
+/// occurrence and name, per stream its thread, origin, decoded event
+/// count, summed `Advance`s and an FNV-1a-64 of the events' `{:?}` text
+/// (regions by name). Written once, by the drain that decoded every
+/// stream into an event array; never `BLESS`ed.
+#[test]
+fn golden_edge_log_exact_outputs() {
+    use std::fmt::Write;
+
+    let mut out = String::new();
+    for (label, w) in &exact_grid() {
+        for threads in [1, 2, 4] {
+            for seed in 0..8 {
+                writeln!(out, "{label} t{threads} s{seed}").unwrap();
+                for region in sim_edge_log(w, threads, seed) {
+                    let name = pomp::registry().name(region.region);
+                    writeln!(out, "  region {} {name}", region.occurrence).unwrap();
+                    for ((tid, events), origin) in region.streams.iter().zip(&region.origins) {
+                        let advanced: u64 = events
+                            .iter()
+                            .map(|ev| match ev {
+                                Event::Advance(dt) => *dt,
+                                _ => 0,
+                            })
+                            .sum();
+                        let text: String = events.iter().map(|ev| debug_by_name(ev) + "\n").collect();
+                        writeln!(
+                            out,
+                            "    stream {tid} origin={origin} events={} advance={advanced} fnv={:016x}",
+                            events.len(),
+                            fnv1a64(&text)
+                        )
+                        .unwrap();
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(out, include_str!("golden/edge_log_exact.txt"));
+}
+
 /// Every exact output of the §VII trace analysis over [`exact_grid`],
 /// frozen: one case per line — the totals, switches and ratio, the
 /// scheduling-point kinds in declaration order, then every instance in
