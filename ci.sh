@@ -1,8 +1,8 @@
 #!/bin/bash
 # Minimal CI gate: release build, every workspace member's tests,
 # lint-clean clippy, guards against a second hook-stream recorder, a
-# hashing DAG builder, a second walker over the edge log, a second store
-# read path and a hand-written wire codec beside the one declaration per
+# hashing DAG builder, a second walker over the edge log, a decoded copy
+# of the edge log, a second store read path and a hand-written wire codec beside the one declaration per
 # message, the repo benchmark's own smoke gate (benchmark/check.sh) and
 # its package's tests, a floor under JSON ingest throughput and a ceiling
 # over the causal report, and end-to-end smokes of the CLI, the daemon
@@ -50,6 +50,20 @@ if git grep -nE 'taskprof[_]trace|read_trace|from_edge_log' -- '*.rs' '*.toml'; 
 fi
 if git grep -n 'HashMap<TaskId' -- crates/critpath/src; then
     echo "a TaskId-keyed map is back in critpath"; exit 1
+fi
+
+echo "=== one form of the edge log ==="
+# A drained edge log is the packed words the hooks wrote
+# (taskprof::EdgeStream, origin in its header), decoded one event at a time
+# by EdgeStream::events as the critpath walk reads it. The per-thread
+# Vec<Event> it used to be decoded into cost 24 B per event (22 MB for
+# nqueens Small) and set glibc's trim threshold, and the origins list kept
+# beside it was read as 0 wherever it was missing.
+if git grep -n 'into_events' -- '*.rs'; then
+    echo "the edge log is decoded into an event array again"; exit 1
+fi
+if git grep -nE 'Vec<\(usize, Vec<(taskprof::)?Event>|pub origins' -- crates src; then
+    echo "a decoded per-thread event array or an origins list is back"; exit 1
 fi
 
 echo "=== one store read path ==="

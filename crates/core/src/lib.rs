@@ -52,8 +52,8 @@ pub use calibrate::{calibrate, Calibration};
 pub use metrics::Stats;
 pub use migrate::DetachedInstance;
 pub use monitor::{
-    ConfigError, ProfMonitor, ProfMonitorBuilder, ProfThread, RegionEdges, SessionActiveError,
-    DEFAULT_PREALLOC_NODES,
+    ConfigError, EdgeStream, ProfMonitor, ProfMonitorBuilder, ProfThread, RegionEdges,
+    SessionActiveError, DEFAULT_PREALLOC_NODES,
 };
 pub use shard::HandoffStack;
 pub use profiler::{AssignPolicy, ThreadProfile};

@@ -119,9 +119,9 @@ struct Inner<C: ClockSource> {
     telemetry: Option<Arc<TelemetryCore>>,
     /// Record the create/join edge stream for critical-path analysis.
     record_edges: bool,
-    /// Per-thread edge streams, published lock-free at thread end in
-    /// packed form; decoded on drain in [`ProfMonitor::take_edge_log`].
-    edge_streams: HandoffStack<(usize, PackedEdgeStream)>,
+    /// Per-thread edge streams, published lock-free at thread end and
+    /// handed over as they are by [`ProfMonitor::take_edge_log`].
+    edge_streams: HandoffStack<(usize, EdgeStream)>,
     /// Parallel regions forked so far: stamped on each edge log at thread
     /// begin, so the drain can tell two regions' streams apart.
     regions_forked: AtomicU64,
@@ -142,12 +142,11 @@ const ET_PARAM_BEGIN: u64 = 10;
 const ET_PARAM_END: u64 = 11;
 
 /// Per-thread edge transcript: the hook stream recorded as packed
-/// `u64` records and decoded into the replayable [`Event`] language
-/// (differential timestamps, exactly what `critpath::TaskDag` consumes)
-/// only once, off the measured path entirely, when the caller drains
-/// [`ProfMonitor::take_edge_log`]. Thread end just seals the word
-/// buffer and hands it off — decoding is analysis-time cost, so the
-/// instrumented run pays only the packed writes.
+/// `u64` records, sealed at thread end and drained as they are, as an
+/// [`EdgeStream`] — the only form the log takes. Readers decode it into
+/// the replayable [`Event`] language (differential timestamps, exactly
+/// what `critpath::TaskDag` consumes) one event at a time, off the
+/// measured path, so the instrumented run pays only the packed writes.
 ///
 /// The hot path is dominated by memory traffic, not compute: retaining
 /// one `Event` per hook plus its `Advance` streams ~48 bytes per event
@@ -266,26 +265,26 @@ impl EdgeLog {
         }
     }
 
-    /// Seal the log at thread-end timestamp `t`: the packed words plus
-    /// the final span, ready for off-path decoding.
-    fn finish(self, t: u64) -> PackedEdgeStream {
-        PackedEdgeStream {
-            last: self.last,
-            end: t,
-            words: self.words,
+    /// Seal the log at thread-end timestamp `t`: the time since the last
+    /// record becomes a closing long-advance record.
+    fn finish(mut self, t: u64) -> EdgeStream {
+        let d = t.saturating_sub(self.last);
+        if d > 0 {
+            self.words.push(ET_LONG_ADVANCE | (d << 4));
         }
+        EdgeStream { words: self.words }
     }
 }
 
-/// A sealed [`EdgeLog`]: the packed word buffer plus the thread-end
-/// timestamp, published through the handoff stack and decoded lazily.
-struct PackedEdgeStream {
-    last: u64,
-    end: u64,
+/// One thread's sealed edge log: the packed words its hooks wrote, as
+/// [`ProfMonitor::take_edge_log`] hands them over. [`EdgeStream::events`]
+/// decodes them on each read; nothing holds the decoded events.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EdgeStream {
     words: Vec<u64>,
 }
 
-/// The decoded edge log of one parallel region. Task ids restart in
+/// The drained edge log of one parallel region. Task ids restart in
 /// every region, so instances are only unique within one of these.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegionEdges {
@@ -296,80 +295,105 @@ pub struct RegionEdges {
     pub region: RegionId,
     /// One stream per team thread, sorted by thread id — the input to
     /// `critpath::TaskDag::from_streams`.
-    pub streams: Vec<(usize, Vec<Event>)>,
-    /// `origins[i]`: the clock at the thread begin of `streams[i]`, which
-    /// that stream's `Advance`s accumulate from.
-    pub origins: Vec<u64>,
+    pub streams: Vec<(usize, EdgeStream)>,
 }
 
-impl PackedEdgeStream {
-    /// `(origin, region, occurrence)`: the header `EdgeLog::new` wrote.
-    fn header(&self) -> (u64, RegionId, u64) {
-        (self.words[0], RegionId(self.words[1] as u32), self.words[2])
+impl EdgeStream {
+    /// Hand-written `events` from clock `origin` on, encoded by the
+    /// recorder itself: zero `Advance`s vanish and adjacent ones merge,
+    /// as they would on a real clock.
+    pub fn from_events(origin: u64, events: impl IntoIterator<Item = Event>) -> EdgeStream {
+        let (mut log, mut t) = (EdgeLog::new(origin, RegionId(0), 0), origin);
+        for ev in events {
+            match ev {
+                Event::Advance(dt) => t += dt,
+                ev => log.emit(t, ev),
+            }
+        }
+        log.finish(t)
     }
 
-    /// Decode the packed log into the replayable event stream, with a
-    /// trailing `Advance` up to the thread-end timestamp.
-    fn into_events(self) -> Vec<Event> {
-        let task_id = |w: u64| TaskId::from_raw(w).expect("recorded task ids are nonzero");
-        let mut out = Vec::with_capacity(self.words.len());
-        let mut i = EDGE_HEADER_WORDS;
-        while i < self.words.len() {
-            let w = self.words[i];
-            i += 1;
-            let tag = w & 0xF;
-            if tag == ET_LONG_ADVANCE {
-                out.push(Event::Advance(w >> 4));
-                continue;
-            }
-            let d = (w >> 4) & 0xFF_FFFF;
-            if d > 0 {
-                out.push(Event::Advance(d));
-            }
-            let a = ((w >> 28) & 0xFFFF_FFFF) as u32;
-            let mut extra = || {
-                let w = self.words[i];
-                i += 1;
+    /// The clock at the thread begin, which the `Advance`s accumulate
+    /// from.
+    pub fn origin(&self) -> u64 {
+        self.words[0]
+    }
+
+    /// The replayable event stream, decoded as it is read, with a trailing
+    /// `Advance` up to the thread-end timestamp.
+    pub fn events(&self) -> impl Iterator<Item = Event> + '_ {
+        Events {
+            words: self.words[EDGE_HEADER_WORDS..].iter(),
+            held: None,
+        }
+    }
+}
+
+/// [`EdgeStream::events`]. A named iterator whose `next` is always
+/// inlined, not an `iter::from_fn` closure: the DAG walk over the
+/// closure ran 40 % slower.
+struct Events<'a> {
+    words: std::slice::Iter<'a, u64>,
+    /// A record whose delta was just yielded as an `Advance`.
+    held: Option<u64>,
+}
+
+impl Iterator for Events<'_> {
+    type Item = Event;
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<Event> {
+        let w = match self.held.take() {
+            Some(w) => w,
+            None => {
+                let w = *self.words.next()?;
+                if w & 0xF == ET_LONG_ADVANCE {
+                    return Some(Event::Advance(w >> 4));
+                }
+                let d = (w >> 4) & 0xFF_FFFF;
+                if d > 0 {
+                    self.held = Some(w);
+                    return Some(Event::Advance(d));
+                }
                 w
-            };
-            out.push(match tag {
-                ET_ENTER => Event::Enter(RegionId(a)),
-                ET_EXIT => Event::Exit(RegionId(a)),
-                ET_CREATE_BEGIN => Event::CreateBegin {
-                    create: RegionId(a),
-                    task_region: RegionId(extra() as u32),
-                    id: task_id(extra()),
-                },
-                ET_CREATE_END => Event::CreateEnd {
-                    create: RegionId(a),
-                    id: task_id(extra()),
-                },
-                ET_TASK_BEGIN => Event::TaskBegin {
-                    region: RegionId(a),
-                    id: task_id(extra()),
-                },
-                ET_TASK_END => Event::TaskEnd {
-                    region: RegionId(a),
-                    id: task_id(extra()),
-                },
-                ET_TASK_ABORT => Event::TaskAbort {
-                    region: RegionId(a),
-                    id: task_id(extra()),
-                },
-                ET_SWITCH_IMPLICIT => Event::Switch(TaskRef::Implicit),
-                ET_SWITCH_EXPLICIT => Event::Switch(TaskRef::Explicit(task_id(extra()))),
-                ET_PARAM_BEGIN => Event::ParamBegin {
-                    param: ParamId(a),
-                    value: extra() as i64,
-                },
-                ET_PARAM_END => Event::ParamEnd { param: ParamId(a) },
-                _ => unreachable!("unknown edge-record tag {tag}"),
-            });
-        }
-        if self.end > self.last {
-            out.push(Event::Advance(self.end - self.last));
-        }
-        out
+            }
+        };
+        let task_id = |w: u64| TaskId::from_raw(w).expect("recorded task ids are nonzero");
+        let a = ((w >> 28) & 0xFFFF_FFFF) as u32;
+        let mut extra = || *self.words.next().expect("a record's extra words follow it");
+        Some(match w & 0xF {
+            ET_ENTER => Event::Enter(RegionId(a)),
+            ET_EXIT => Event::Exit(RegionId(a)),
+            ET_CREATE_BEGIN => Event::CreateBegin {
+                create: RegionId(a),
+                task_region: RegionId(extra() as u32),
+                id: task_id(extra()),
+            },
+            ET_CREATE_END => Event::CreateEnd {
+                create: RegionId(a),
+                id: task_id(extra()),
+            },
+            ET_TASK_BEGIN => Event::TaskBegin {
+                region: RegionId(a),
+                id: task_id(extra()),
+            },
+            ET_TASK_END => Event::TaskEnd {
+                region: RegionId(a),
+                id: task_id(extra()),
+            },
+            ET_TASK_ABORT => Event::TaskAbort {
+                region: RegionId(a),
+                id: task_id(extra()),
+            },
+            ET_SWITCH_IMPLICIT => Event::Switch(TaskRef::Implicit),
+            ET_SWITCH_EXPLICIT => Event::Switch(TaskRef::Explicit(task_id(extra()))),
+            ET_PARAM_BEGIN => Event::ParamBegin {
+                param: ParamId(a),
+                value: extra() as i64,
+            },
+            ET_PARAM_END => Event::ParamEnd { param: ParamId(a) },
+            tag => unreachable!("unknown edge-record tag {tag}"),
+        })
     }
 }
 
@@ -477,11 +501,11 @@ impl<C: ClockSource> ProfMonitorBuilder<C> {
     }
 
     /// Record the task create/join edge stream alongside the profile, for
-    /// critical-path (work/span) analysis. Each hook appends one
-    /// differential [`Event`] to a thread-private buffer — no extra clock
+    /// critical-path (work/span) analysis. Each hook appends one packed
+    /// record (8–24 bytes) to a thread-private buffer — no extra clock
     /// read, no synchronization until the thread ends. Off by default:
     /// when off, the only cost is one never-taken branch per hook. Drain
-    /// with [`ProfMonitor::take_edge_log`].
+    /// with [`ProfMonitor::take_edge_log`], one [`EdgeStream`] per thread.
     pub fn record_task_edges(mut self) -> Self {
         self.record_edges = true;
         self
@@ -631,35 +655,34 @@ impl<C: ClockSource> ProfMonitor<C> {
         self.inner.record_edges
     }
 
-    /// Drain and decode the edge log recorded since the last call: one
+    /// Drain the edge log recorded since the last call, undecoded: one
     /// [`RegionEdges`] per parallel region, in fork order. Empty unless
     /// built with [`ProfMonitorBuilder::record_task_edges`]; refused
     /// mid-measurement like [`ProfMonitor::take_profile`].
     pub fn take_edge_log(&self) -> Result<Vec<RegionEdges>, SessionActiveError> {
         self.ensure_idle()?;
         let mut sealed = self.inner.edge_streams.take_all();
-        sealed.sort_by_key(|(tid, packed)| (packed.header().2, *tid));
+        // Below the origin, the header `EdgeLog::new` wrote holds the
+        // region and its occurrence.
+        sealed.sort_by_key(|(tid, stream)| (stream.words[2], *tid));
         let mut log: Vec<RegionEdges> = Vec::new();
-        for (tid, packed) in sealed {
-            let (origin, region, occurrence) = packed.header();
+        for (tid, stream) in sealed {
+            let (region, occurrence) = (RegionId(stream.words[1] as u32), stream.words[2]);
             if log.last().is_none_or(|r| r.occurrence != occurrence) {
                 log.push(RegionEdges {
                     occurrence,
                     region,
                     streams: Vec::new(),
-                    origins: Vec::new(),
                 });
             }
-            let region = log.last_mut().expect("pushed above");
-            region.origins.push(origin);
-            region.streams.push((tid, packed.into_events()));
+            log.last_mut().expect("pushed above").streams.push((tid, stream));
         }
         Ok(log)
     }
 
-    /// [`ProfMonitor::take_edge_log`] as bare `(tid, events)` streams,
+    /// [`ProfMonitor::take_edge_log`] as bare `(tid, stream)` pairs,
     /// sorted by thread id within each region.
-    pub fn take_edge_streams(&self) -> Result<Vec<(usize, Vec<Event>)>, SessionActiveError> {
+    pub fn take_edge_streams(&self) -> Result<Vec<(usize, EdgeStream)>, SessionActiveError> {
         Ok(self.take_edge_log()?.into_iter().flat_map(|r| r.streams).collect())
     }
 }
@@ -1099,15 +1122,15 @@ mod tests {
             Event::TaskEnd { region: task, id },
             Event::Advance(3),
         ];
-        let want = [(1, RegionId(0), 2), (2, RegionId(7), 102)].map(|(occurrence, region, origin)| {
-            RegionEdges {
-                occurrence,
-                region,
-                streams: vec![(0, stream.clone())],
-                origins: vec![origin],
-            }
-        });
-        assert_eq!(m.take_edge_log().unwrap(), want);
+        let log = m.take_edge_log().unwrap();
+        let got: Vec<_> = log
+            .iter()
+            .map(|r| {
+                let [(tid, s)] = &r.streams[..] else { panic!("one stream per region") };
+                (r.occurrence, r.region, *tid, s.origin(), s.events().collect::<Vec<_>>())
+            })
+            .collect();
+        assert_eq!(got, [(1, RegionId(0), 0, 2, stream.clone()), (2, RegionId(7), 0, 102, stream)]);
         // Drained: second take is empty, and the profile still collected.
         assert!(m.take_edge_streams().unwrap().is_empty());
         assert_eq!(m.take_profile().unwrap().num_threads(), 2);
@@ -1124,9 +1147,9 @@ mod tests {
         log.emit(95, Event::Exit(r));
         log.emit(105, Event::Enter(r));
         let sealed = log.finish(103);
-        assert_eq!(sealed.header().0, 100, "the origin is the thread-begin time");
+        assert_eq!(sealed.origin(), 100, "the origin is the thread-begin time");
         let want = [Event::Enter(r), Event::Exit(r), Event::Advance(5), Event::Enter(r)];
-        assert_eq!(sealed.into_events(), want);
+        assert!(sealed.events().eq(want));
     }
 
     /// All ten `ThreadHooks` methods come back as one event per call, in
@@ -1191,7 +1214,58 @@ mod tests {
             Event::Switch(TaskRef::Explicit(b)),
             Event::TaskAbort { region: task, id: b },
         ];
-        assert_eq!(m.take_edge_streams().unwrap()[0].1, want);
+        let streams = m.take_edge_streams().unwrap();
+        assert_eq!(streams[0].1.events().collect::<Vec<_>>(), want);
+        // A hand-written stream goes through the same encoder.
+        assert!(EdgeStream::from_events(7, want).events().eq(want));
+    }
+
+    /// One event per draw: full-width payloads, and `Advance`s of zero
+    /// and on both sides of the header's 24-bit delta.
+    fn event((kind, a, raw, dt): (u8, u32, u64, u64)) -> Event {
+        let (region, param, id) = (RegionId(a), ParamId(a), TaskId::from_raw(raw | 1).unwrap());
+        match kind {
+            0 => Event::Enter(region),
+            1 => Event::Exit(region),
+            2 => Event::CreateBegin {
+                create: region,
+                task_region: RegionId(raw as u32),
+                id,
+            },
+            3 => Event::CreateEnd { create: region, id },
+            4 => Event::TaskBegin { region, id },
+            5 => Event::TaskEnd { region, id },
+            6 => Event::TaskAbort { region, id },
+            7 => Event::Switch(TaskRef::Implicit),
+            8 => Event::Switch(TaskRef::Explicit(id)),
+            9 => Event::ParamBegin { param, value: raw as i64 },
+            10 => Event::ParamEnd { param },
+            11 => Event::Advance(0),
+            _ => Event::Advance(dt),
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn from_events_then_events_is_the_normalised_stream(
+            origin in 0u64..1 << 40,
+            draws in proptest::collection::vec((0u8..16, proptest::prelude::any::<u32>(), proptest::prelude::any::<u64>(), 0u64..1 << 26), 0..64),
+        ) {
+            let events: Vec<Event> = draws.into_iter().map(event).collect();
+            // Zero `Advance`s dropped, adjacent ones merged, trailing time
+            // kept.
+            let mut want: Vec<Event> = Vec::new();
+            for &ev in &events {
+                match (want.last_mut(), ev) {
+                    (_, Event::Advance(0)) => {}
+                    (Some(Event::Advance(t)), Event::Advance(dt)) => *t += dt,
+                    _ => want.push(ev),
+                }
+            }
+            let stream = EdgeStream::from_events(origin, events);
+            proptest::prop_assert_eq!(stream.origin(), origin);
+            proptest::prop_assert_eq!(stream.events().collect::<Vec<_>>(), want);
+        }
     }
 
     #[test]

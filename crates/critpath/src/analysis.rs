@@ -94,7 +94,6 @@ pub struct TraceAnalysis {
 pub fn analyze_trace(log: &[RegionEdges]) -> Result<TraceAnalysis, DagError> {
     let mut reader = TraceReader::default();
     for region in log {
-        reader.origins = &region.origins;
         let first = reader.instances.len();
         Builder::walk(&region.streams, region.region, &DagOptions::default(), &mut reader)?;
         reader.end_region(first);
@@ -121,9 +120,7 @@ struct Instance {
 }
 
 #[derive(Default)]
-struct TraceReader<'log> {
-    /// Thread-begin clock of each stream of the region being walked.
-    origins: &'log [u64],
+struct TraceReader {
     /// The stream being walked: its clock, its open scheduling points,
     /// and when its running task stretch and creation began.
     now: u64,
@@ -143,7 +140,7 @@ struct TraceReader<'log> {
     switches: u64,
 }
 
-impl TraceReader<'_> {
+impl TraceReader {
     fn task(&mut self, task: usize) -> &mut Instance {
         if task >= self.tasks.len() {
             self.tasks.resize(task + 1, Instance::default());
@@ -235,9 +232,9 @@ impl TraceReader<'_> {
     }
 }
 
-impl Reader for TraceReader<'_> {
-    fn stream(&mut self, position: usize) {
-        self.now = self.origins.get(position).copied().unwrap_or(0);
+impl Reader for TraceReader {
+    fn stream(&mut self, origin: u64) {
+        self.now = origin;
         self.open.clear();
         self.exec_since = None;
         self.create_since = None;
@@ -309,6 +306,7 @@ impl Reader for TraceReader<'_> {
 mod tests {
     use super::*;
     use pomp::{registry, TaskIdAllocator};
+    use taskprof::EdgeStream;
 
     fn regs() -> (RegionId, RegionId, RegionId, RegionId) {
         let reg = registry();
@@ -321,13 +319,9 @@ mod tests {
     }
 
     /// One region of one stream starting at `origin`.
-    fn log(par: RegionId, origin: u64, events: Vec<Event>) -> Vec<RegionEdges> {
-        vec![RegionEdges {
-            occurrence: 1,
-            region: par,
-            streams: vec![(0, events)],
-            origins: vec![origin],
-        }]
+    fn log(par: RegionId, occurrence: u64, origin: u64, events: Vec<Event>) -> RegionEdges {
+        let streams = vec![(0, EdgeStream::from_events(origin, events))];
+        RegionEdges { occurrence, region: par, streams }
     }
 
     #[test]
@@ -356,12 +350,7 @@ mod tests {
         // be measured against its own creation, not the other region's.
         for n in 1..=2u64 {
             let log: Vec<RegionEdges> = (1..=n)
-                .map(|occurrence| RegionEdges {
-                    occurrence,
-                    region: par,
-                    streams: vec![(0, stream.clone())],
-                    origins: vec![occurrence * 1000],
-                })
+                .map(|occurrence| log(par, occurrence, occurrence * 1000, stream.clone()))
                 .collect();
             let a = analyze_trace(&log).unwrap();
             assert_eq!(a.total_creation_ns, 3 * n);
@@ -394,8 +383,9 @@ mod tests {
         let (par, task, _create, barrier) = regs();
         let ids = TaskIdAllocator::new();
         let (t1, t2) = (ids.alloc(), ids.alloc());
-        let a = analyze_trace(&log(
+        let a = analyze_trace(&[log(
             par,
+            1,
             0,
             vec![
                 Event::Enter(barrier),
@@ -411,7 +401,7 @@ mod tests {
                 Event::Advance(3),
                 Event::Exit(barrier),
             ],
-        ))
+        )])
         .unwrap();
         let i1 = a.instances.iter().find(|i| i.id == t1).unwrap();
         assert_eq!(i1.fragments, 2);
@@ -434,7 +424,7 @@ mod tests {
         // Met barrier first, then taskwait first: the order is the same.
         for (a, b) in [(barrier, tw), (tw, barrier)] {
             let events = [dwell(a), dwell(b)].concat();
-            let kinds: Vec<_> = analyze_trace(&log(par, 0, events))
+            let kinds: Vec<_> = analyze_trace(&[log(par, 1, 0, events)])
                 .unwrap()
                 .by_kind
                 .iter()

@@ -55,18 +55,18 @@
 //!
 //! # Readers
 //!
-//! The walk that builds the DAG is the one pass over a region's streams:
-//! a [`Reader`] rides along and sees every event once, after the walk has
-//! accepted it, together with what the walk resolved for it — the task's
-//! table index and the region's memoised kind. [`TaskDag::from_streams`]
-//! reads nothing more (`()`); the trace analysis (`crate::analysis`) is
-//! the second reader.
+//! The walk that builds the DAG is the one pass over a region's streams,
+//! decoding their packed words as it reads them. A [`Reader`] rides along
+//! and sees every event once, after the walk has accepted it, together
+//! with what the walk resolved for it — the task's table index and the
+//! region's memoised kind. [`TaskDag::from_streams`] reads nothing more
+//! (`()`); the trace analysis (`crate::analysis`) is the second reader.
 
 use pomp::{registry, RegionId, RegionKind, TaskId, TaskRef};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::OnceLock;
-use taskprof::Event;
+use taskprof::{EdgeStream, Event};
 
 /// Sentinel region for carved creation overhead whose construct has no
 /// known creation region (no deferred instance was ever observed).
@@ -309,8 +309,8 @@ impl Region {
 
 /// A second consumer of the builder's walk (see the module docs).
 pub(crate) trait Reader {
-    /// The walk enters stream `position` of the region.
-    fn stream(&mut self, _position: usize) {}
+    /// The walk enters a stream whose clock starts at `origin`.
+    fn stream(&mut self, _origin: u64) {}
 
     /// `ev`, once the walk has accepted it. `task` is the table index of
     /// the task the event names — the current task for an event that
@@ -455,6 +455,11 @@ impl Builder {
     }
 }
 
+/// Every event of `streams`, decoded inside each stream's own loop.
+fn each_event(streams: &[(usize, EdgeStream)], mut f: impl FnMut(Event)) {
+    streams.iter().for_each(|(_, stream)| stream.events().for_each(&mut f));
+}
+
 /// Work / span: 1.0 for an empty DAG.
 pub(crate) fn parallelism(work_ns: u64, span_ns: u64) -> f64 {
     match span_ns {
@@ -468,7 +473,7 @@ impl Builder {
     /// per-thread streams, with `reader` fed every event the walk accepts.
     /// `parallel_region` is the implicit tasks' base attribution.
     pub(crate) fn walk(
-        streams: &[(usize, Vec<Event>)],
+        streams: &[(usize, EdgeStream)],
         parallel_region: RegionId,
         opts: &DagOptions,
         reader: &mut impl Reader,
@@ -478,12 +483,15 @@ impl Builder {
 
         // At most a vertex per event — an anchor per hook, an interval per
         // advance — and one more per begin when creations are carved: each
-        // array is allocated once, at its size.
-        let events = || streams.iter().flat_map(|(_, events)| events);
-        let begins = events().filter(|ev| matches!(ev, Event::TaskBegin { .. })).count();
+        // array is allocated once, at its size. (Each pass decodes the words
+        // again; `for_each` keeps the decoder's loop inside each stream.)
+        let (mut events, mut begins) = (0, 0);
+        each_event(streams, |ev| {
+            events += 1;
+            begins += usize::from(matches!(ev, Event::TaskBegin { .. }));
+        });
         let carved = if opts.undeferred_spawn_cost.is_some() { begins } else { 0 };
-        let vertices = streams.iter().map(|(_, events)| events.len()).sum::<usize>() + carved;
-        b.nodes.reserve_exact(vertices);
+        b.nodes.reserve_exact(events + carved);
         b.tasks.reserve_exact(begins + streams.len());
         b.task_index.reserve(begins);
 
@@ -491,28 +499,28 @@ impl Builder {
         // event) and each construct's creation region, across ALL streams —
         // a stolen task's creation lives in a different stream than its
         // execution.
-        for ev in events() {
-            if let Event::CreateBegin { create, task_region, id } = *ev {
+        each_event(streams, |ev| {
+            if let Event::CreateBegin { create, task_region, id } = ev {
                 let task = b.task(id);
                 b.tasks[task].deferred = true;
                 let (create, task_region) = (b.region(create), b.region(task_region));
                 b.regions[task_region as usize].create = create;
             }
-        }
+        });
 
         b.creates_by.reserve_exact(streams.len());
         b.work_by_thread.reserve_exact(streams.len());
-        for (position, (tid, events)) in streams.iter().enumerate() {
-            reader.stream(position);
+        for (position, (tid, stream)) in streams.iter().enumerate() {
+            reader.stream(stream.origin());
             let thread = position as u32;
             (b.tid, b.stream_start) = (*tid, b.nodes.len() as u32);
             let implicit = b.tasks.len();
             b.tasks.push(Task::new(None, Some(vec![parallel])));
             let (mut current, mut creates) = (implicit, 0);
-            for ev in events {
+            for ev in stream.events() {
                 // The task the event names and the region it opens or
                 // closes, for the reader.
-                let (task, region) = match *ev {
+                let (task, region) = match ev {
                     Event::Advance(dt) => {
                         b.pending += dt;
                         (current, NONE)
@@ -528,7 +536,7 @@ impl Builder {
                         let pre = b.nodes.len() as u32;
                         let pre = (pre != b.stream_start).then(|| pre - 1);
                         let v = b.anchor(current);
-                        let region = b.close(current, Some(r), ev)?;
+                        let region = b.close(current, Some(r), &ev)?;
                         match b.regions[region as usize].kind() {
                             RegionKind::Taskwait => {
                                 let children = b.tasks[current].unjoined.drain(..);
@@ -557,7 +565,7 @@ impl Builder {
                     Event::CreateEnd { create, id } => {
                         b.interval(current, None)?;
                         let v = b.anchor(current);
-                        b.close(current, Some(create), ev)?;
+                        b.close(current, Some(create), &ev)?;
                         let child = b.task(id);
                         b.tasks[child].create_vertex = v;
                         (child, NONE)
@@ -631,12 +639,12 @@ impl Builder {
                     Event::ParamEnd { .. } => {
                         b.interval(current, None)?;
                         b.anchor(current);
-                        b.close(current, None, ev)?;
+                        b.close(current, None, &ev)?;
                         (current, NONE)
                     }
                 };
                 let regions = &mut b.regions;
-                reader.read(ev, task, || regions[region as usize].kind());
+                reader.read(&ev, task, || regions[region as usize].kind());
             }
             // Trailing time between the last hook and thread end.
             b.interval(current, None)?;
@@ -649,12 +657,12 @@ impl Builder {
 }
 
 impl TaskDag {
-    /// Build the DAG from the per-thread event streams of one parallel
-    /// region (a `RegionEdges::streams` of `ProfMonitor::take_edge_log`).
-    /// `parallel_region` is the region id of the parallel construct the
-    /// streams cover (the implicit tasks' base attribution).
+    /// Build the DAG from the per-thread edge streams of one parallel
+    /// region (a `RegionEdges::streams` of `ProfMonitor::take_edge_log`),
+    /// read in place. `parallel_region` is the region id of the parallel
+    /// construct the streams cover (the implicit tasks' base attribution).
     pub fn from_streams(
-        streams: &[(usize, Vec<Event>)],
+        streams: &[(usize, EdgeStream)],
         parallel_region: RegionId,
         opts: &DagOptions,
     ) -> Result<TaskDag, DagError> {
@@ -939,9 +947,14 @@ mod tests {
         registry().register(name, kind, file!(), line!())
     }
 
+    /// Hand-written streams, each from clock 0.
+    fn encoded<const N: usize>(streams: [(usize, Vec<Event>); N]) -> Vec<(usize, EdgeStream)> {
+        streams.map(|(tid, events)| (tid, EdgeStream::from_events(0, events))).into()
+    }
+
     /// Single thread, one deferred task executed at a taskwait:
     ///   implicit: 10ns work, create (40ns), taskwait { task: 25ns }, 5ns.
-    fn one_thread_stream() -> (Vec<(usize, Vec<Event>)>, RegionId, RegionId, RegionId) {
+    fn one_thread_stream() -> (Vec<(usize, EdgeStream)>, RegionId, RegionId, RegionId) {
         let par = region("dag-par", RegionKind::Parallel);
         let task = region("dag-task", RegionKind::Task);
         let create = region("dag-create", RegionKind::TaskCreate);
@@ -964,7 +977,7 @@ mod tests {
             Event::Exit(tw),
             Event::Advance(5),
         ];
-        (vec![(0, events)], par, task, create)
+        (encoded([(0, events)]), par, task, create)
     }
 
     #[test]
@@ -1025,7 +1038,7 @@ mod tests {
             Event::Exit(bar),
         ];
         let dag =
-            TaskDag::from_streams(&[(0, s0), (1, s1)], par, &DagOptions::default()).unwrap();
+            TaskDag::from_streams(&encoded([(0, s0), (1, s1)]), par, &DagOptions::default()).unwrap();
         assert_eq!(dag.work_ns(), 200);
         // Span: create(40) → task(60) → barrier vs create(40) → work(100)
         // → barrier: 140.
@@ -1084,7 +1097,7 @@ mod tests {
             },
             Event::Exit(bar),
         ];
-        let streams = vec![(0, s0)];
+        let streams = encoded([(0, s0)]);
         let carved = TaskDag::from_streams(
             &streams,
             par,
@@ -1147,7 +1160,7 @@ mod tests {
             Event::Exit(bar),
         ];
         let dag =
-            TaskDag::from_streams(&[(0, s0), (1, s1)], par, &DagOptions::default()).unwrap();
+            TaskDag::from_streams(&encoded([(0, s0), (1, s1)]), par, &DagOptions::default()).unwrap();
         // Logical span: create a (10) → a (100) → taskwait exit → 7 = 117
         // (a does not depend on c's creation; c's chain 10+10+50+7 is
         // shorter).
@@ -1186,7 +1199,7 @@ mod tests {
             Event::TaskEnd { region: task, id: a },
             Event::Exit(tw),
         ];
-        let err = TaskDag::from_streams(&[(0, s0)], par, &DagOptions::default()).unwrap_err();
+        let err = TaskDag::from_streams(&encoded([(0, s0)]), par, &DagOptions::default()).unwrap_err();
         assert!(matches!(err, DagError::MissingTask { what: "completion", .. }));
         assert!(err.to_string().contains("missing completion"), "{err}");
     }
@@ -1212,7 +1225,7 @@ mod tests {
         ];
         let entered_unbegun = vec![Event::Switch(TaskRef::Explicit(ghost)), Event::Enter(f)];
         for events in [never_began, ended_unbegun, entered_unbegun] {
-            let err = TaskDag::from_streams(&[(0, events)], par, &DagOptions::default());
+            let err = TaskDag::from_streams(&encoded([(0, events)]), par, &DagOptions::default());
             assert_eq!(
                 err.unwrap_err(),
                 DagError::MissingTask {
@@ -1234,7 +1247,7 @@ mod tests {
             Event::Advance(5),
             Event::Exit(f),
         ];
-        let err = TaskDag::from_streams(&[(0, already_ended)], par, &DagOptions::default());
+        let err = TaskDag::from_streams(&encoded([(0, already_ended)]), par, &DagOptions::default());
         assert_eq!(
             err.unwrap_err().to_string(),
             format!("task {}: missing begin", done.get())
@@ -1247,7 +1260,7 @@ mod tests {
         // a stream may (wrongly) close it, but not then spend time.
         let par = region("dag8-par", RegionKind::Parallel);
         let s0 = vec![Event::Exit(par), Event::Advance(5), Event::Exit(par)];
-        let err = TaskDag::from_streams(&[(4, s0)], par, &DagOptions::default()).unwrap_err();
+        let err = TaskDag::from_streams(&encoded([(4, s0)]), par, &DagOptions::default()).unwrap_err();
         assert!(matches!(err, DagError::UnbalancedFrame { thread: 4, .. }), "{err:?}");
     }
 
@@ -1279,7 +1292,7 @@ mod tests {
             Event::Exit(bar),
         ];
         let dag =
-            TaskDag::from_streams(&[(3, s3), (7, s7)], par, &DagOptions::default()).unwrap();
+            TaskDag::from_streams(&encoded([(3, s3), (7, s7)]), par, &DagOptions::default()).unwrap();
         assert_eq!(dag.work_ns(), 40);
         assert_eq!(dag.work_by_thread(), [10, 30]);
         assert_eq!(dag.steals(), 1);
@@ -1293,7 +1306,7 @@ mod tests {
         let par = region("dag6-par", RegionKind::Parallel);
         let r = region("dag6-r", RegionKind::Function);
         let s0 = vec![Event::Exit(r)];
-        let err = TaskDag::from_streams(&[(0, s0)], par, &DagOptions::default()).unwrap_err();
+        let err = TaskDag::from_streams(&encoded([(0, s0)]), par, &DagOptions::default()).unwrap_err();
         assert!(matches!(err, DagError::UnbalancedFrame { thread: 0, .. }), "{err:?}");
     }
 }

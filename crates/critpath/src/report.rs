@@ -253,7 +253,7 @@ mod tests {
     use super::*;
     use crate::dag::DagOptions;
     use pomp::{RegionKind, TaskIdAllocator};
-    use taskprof::Event;
+    use taskprof::{EdgeStream, Event};
 
     fn region(name: &str, kind: RegionKind) -> RegionId {
         registry().register(name, kind, file!(), line!())
@@ -261,7 +261,7 @@ mod tests {
 
     /// Thread 0 creates `n` tasks back-to-back (10ns each inside the
     /// create frame); thread 1 runs them all inside the barrier (1ns each).
-    fn single_creator_streams(n: u64) -> (Vec<(usize, Vec<Event>)>, RegionId) {
+    fn single_creator_streams(n: u64) -> (Vec<(usize, EdgeStream)>, RegionId) {
         let par = region("rep-par", RegionKind::Parallel);
         let task = region("rep-task", RegionKind::Task);
         let create = region("rep-create", RegionKind::TaskCreate);
@@ -287,7 +287,8 @@ mod tests {
             s1.push(Event::TaskEnd { region: task, id });
         }
         s1.push(Event::Exit(bar));
-        (vec![(0, s0), (1, s1)], par)
+        let streams = [s0, s1].into_iter().map(|events| EdgeStream::from_events(0, events));
+        (streams.enumerate().collect(), par)
     }
 
     #[test]

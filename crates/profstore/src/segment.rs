@@ -30,14 +30,10 @@ pub const SEGMENT_MAGIC: &[u8; 8] = b"profseg1";
 /// Bytes of framing around a payload (length word + CRC word).
 pub const RECORD_HEADER_BYTES: u64 = 8;
 
-/// One record located inside a segment.
-#[derive(Debug, Clone)]
-pub struct RawRecord {
-    /// Byte offset of the frame (the length word) within the file.
-    pub offset: u64,
-    /// Decoded payload bytes.
-    pub payload: Vec<u8>,
-}
+/// Bytes [`SegmentReader::scan`] reads at a time: a segment's frames
+/// stream through one buffer this size (or one frame's, if larger), so
+/// recovery holds no copy of the file.
+const SCAN_WINDOW: usize = 1 << 20;
 
 /// Why a scan stopped before the end of the file.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,8 +59,6 @@ impl std::fmt::Display for TailDefect {
 /// Result of scanning one segment file.
 #[derive(Debug)]
 pub struct SegmentScan {
-    /// All records with valid frames, in file order.
-    pub records: Vec<RawRecord>,
     /// Offset one past the last valid frame (where appends may resume).
     pub valid_len: u64,
     /// The defect that ended the scan early, if the file has a bad tail.
@@ -77,11 +71,12 @@ pub(crate) fn frame_payload(frame: &[u8]) -> &[u8] {
 }
 
 /// One segment file open for reads: holds the handle and the buffer the
-/// frames of a query are read into. ([`SegmentReader::scan`], the
-/// recovery pass over a whole file, needs neither.)
+/// frames of a query, or of a [`SegmentReader::scan`], are read into.
 pub struct SegmentReader<'io> {
     file: Box<dyn StoreRead + 'io>,
+    /// The file's bytes from offset `base` on.
     frame: Vec<u8>,
+    base: u64,
 }
 
 impl<'io> SegmentReader<'io> {
@@ -90,6 +85,7 @@ impl<'io> SegmentReader<'io> {
         Ok(Self {
             file: io.open_read(path)?,
             frame: Vec::new(),
+            base: 0,
         })
     }
 
@@ -106,6 +102,7 @@ impl<'io> SegmentReader<'io> {
             return Ok(None);
         };
         self.file.read_at(offset, bytes as usize, &mut self.frame)?;
+        self.base = offset;
         if self.frame.len() as u64 != bytes {
             return Ok(None);
         }
@@ -120,54 +117,66 @@ impl<'io> SegmentReader<'io> {
 }
 
 impl SegmentReader<'_> {
-    /// Scan `path`, validating the magic and every record frame.
+    /// The `n` bytes at `offset` — fewer only at end of file — from the
+    /// buffer, refilled [`SCAN_WINDOW`] bytes (or `n`, if more) at a time.
+    fn window(&mut self, offset: u64, n: usize) -> std::io::Result<&[u8]> {
+        let held = self.base + self.frame.len() as u64;
+        if offset < self.base || offset + n as u64 > held {
+            self.file.read_at(offset, n.max(SCAN_WINDOW), &mut self.frame)?;
+            self.base = offset;
+        }
+        let from = (offset - self.base) as usize;
+        Ok(&self.frame[from..self.frame.len().min(from + n)])
+    }
+
+    /// Scan `path`, validating the magic and every record frame, and hand
+    /// each valid record's frame offset and payload to `record`, in file
+    /// order.
     ///
     /// A file shorter than the magic, or with a wrong magic, is reported
     /// as `valid_len == 0` with a tail defect, letting the caller decide
     /// whether that is recoverable (an empty just-created file) or fatal.
-    pub fn scan(io: &dyn StoreIo, path: &Path) -> std::io::Result<SegmentScan> {
-        let data = io.read_all(path)?;
-        if data.len() < SEGMENT_MAGIC.len() || &data[..SEGMENT_MAGIC.len()] != SEGMENT_MAGIC {
+    pub fn scan(
+        io: &dyn StoreIo,
+        path: &Path,
+        mut record: impl FnMut(u64, &[u8]),
+    ) -> std::io::Result<SegmentScan> {
+        let file_len = io.file_len(path)?;
+        let mut file = SegmentReader::open(io, path.to_path_buf())?;
+        let magic = SEGMENT_MAGIC.len();
+        if file_len < magic as u64 || file.window(0, magic)? != SEGMENT_MAGIC {
             return Ok(SegmentScan {
-                records: Vec::new(),
                 valid_len: 0,
                 tail_defect: Some(TailDefect::TornFrame),
             });
         }
-        let mut records = Vec::new();
-        let mut pos = SEGMENT_MAGIC.len();
+        let word = |w: &[u8]| u32::from_le_bytes(w.try_into().expect("4 bytes"));
+        let mut pos = magic as u64;
         let mut tail_defect = None;
-        while pos < data.len() {
-            if data.len() - pos < 4 {
+        while pos < file_len {
+            if file_len - pos < 4 {
                 tail_defect = Some(TailDefect::TornFrame);
                 break;
             }
-            let len = u32::from_le_bytes(data[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-            if len as u64 > MAX_RECORD_BYTES as u64 {
+            let len = word(file.window(pos, 4)?) as usize;
+            if len > MAX_RECORD_BYTES {
                 tail_defect = Some(TailDefect::BadLength(len as u64));
                 break;
             }
-            if data.len() - pos < 4 + len + 4 {
+            if file_len - pos < RECORD_HEADER_BYTES + len as u64 {
                 tail_defect = Some(TailDefect::TornFrame);
                 break;
             }
-            let payload = &data[pos + 4..pos + 4 + len];
-            let stored_crc = u32::from_le_bytes(
-                data[pos + 4 + len..pos + 8 + len].try_into().expect("4 bytes"),
-            );
-            if crc32(payload) != stored_crc {
+            let (payload, crc) = file.window(pos + 4, len + 4)?.split_at(len);
+            if crc32(payload) != word(crc) {
                 tail_defect = Some(TailDefect::CrcMismatch);
                 break;
             }
-            records.push(RawRecord {
-                offset: pos as u64,
-                payload: payload.to_vec(),
-            });
-            pos += 8 + len;
+            record(pos, payload);
+            pos += RECORD_HEADER_BYTES + len as u64;
         }
         Ok(SegmentScan {
-            records,
-            valid_len: pos.min(data.len()) as u64,
+            valid_len: pos.min(file_len),
             tail_defect,
         })
     }
@@ -301,6 +310,13 @@ mod tests {
         dir
     }
 
+    /// `path`'s scan, and every valid record's offset and payload.
+    fn scan_all(io: &dyn StoreIo, path: &Path) -> (SegmentScan, Vec<(u64, Vec<u8>)>) {
+        let mut records = Vec::new();
+        let scan = SegmentReader::scan(io, path, |offset, payload| records.push((offset, payload.to_vec())));
+        (scan.expect("scan"), records)
+    }
+
     /// The payload of the frame indexed at (`offset`, `bytes`), through a
     /// reader opened for this one read.
     fn read(io: &dyn StoreIo, path: &Path, offset: u64, bytes: u64) -> Option<Vec<u8>> {
@@ -319,11 +335,11 @@ mod tests {
         let a = w.append(b"first record").expect("append");
         let b = w.append(b"second, longer record payload").expect("append");
         assert!(b > a);
-        let scan = SegmentReader::scan(&io, &path).expect("scan");
+        let (scan, records) = scan_all(&io, &path);
         assert_eq!(scan.tail_defect, None);
-        assert_eq!(scan.records.len(), 2);
-        assert_eq!(scan.records[0].payload, b"first record");
-        assert_eq!(scan.records[1].payload, b"second, longer record payload");
+        assert_eq!(records.len(), 2);
+        assert_eq!(records[0].1, b"first record");
+        assert_eq!(records[1].1, b"second, longer record payload");
         assert_eq!(scan.valid_len, w.len());
         assert_eq!(
             read(&io, &path, b, 29 + RECORD_HEADER_BYTES),
@@ -345,17 +361,17 @@ mod tests {
         // Simulate a crash mid-append: cut the file inside the last frame.
         let full = std::fs::read(&path).expect("read");
         std::fs::write(&path, &full[..full.len() - 5]).expect("write");
-        let scan = SegmentReader::scan(&io, &path).expect("scan");
+        let (scan, records) = scan_all(&io, &path);
         assert_eq!(scan.tail_defect, Some(TailDefect::TornFrame));
-        assert_eq!(scan.records.len(), 1);
+        assert_eq!(records.len(), 1);
         assert_eq!(scan.valid_len, good_len);
         // Recovery truncates and appends continue cleanly.
         let mut w = SegmentWriter::recover(&io, &path, scan.valid_len, false).expect("recover");
         w.append(b"after recovery").expect("append");
-        let scan = SegmentReader::scan(&io, &path).expect("scan");
+        let (scan, records) = scan_all(&io, &path);
         assert_eq!(scan.tail_defect, None);
-        assert_eq!(scan.records.len(), 2);
-        assert_eq!(scan.records[1].payload, b"after recovery");
+        assert_eq!(records.len(), 2);
+        assert_eq!(records[1].1, b"after recovery");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -367,7 +383,7 @@ mod tests {
         // A crash between create_new and the magic write leaves an empty
         // (or partial-header) file; its scan reports valid_len == 0.
         std::fs::write(&path, b"pro").expect("write partial header");
-        let scan = SegmentReader::scan(&io, &path).expect("scan");
+        let (scan, _) = scan_all(&io, &path);
         assert_eq!(scan.valid_len, 0);
         let mut w = SegmentWriter::recover(&io, &path, scan.valid_len, false).expect("recover");
         let off = w.append(b"post-recovery record").expect("append");
@@ -375,10 +391,10 @@ mod tests {
         // The segment is well-formed again: the magic is back and the
         // appended record survives the next scan instead of being
         // discarded behind a bad header.
-        let scan = SegmentReader::scan(&io, &path).expect("rescan");
+        let (scan, records) = scan_all(&io, &path);
         assert_eq!(scan.tail_defect, None);
-        assert_eq!(scan.records.len(), 1);
-        assert_eq!(scan.records[0].payload, b"post-recovery record");
+        assert_eq!(records.len(), 1);
+        assert_eq!(records[0].1, b"post-recovery record");
         assert_eq!(
             read(&io, &path, off, 20 + RECORD_HEADER_BYTES),
             Some(b"post-recovery record".to_vec())
@@ -398,9 +414,9 @@ mod tests {
         let idx = off as usize + 4 + 3; // a byte inside the payload
         data[idx] ^= 0x40;
         std::fs::write(&path, &data).expect("write");
-        let scan = SegmentReader::scan(&io, &path).expect("scan");
+        let (scan, records) = scan_all(&io, &path);
         assert_eq!(scan.tail_defect, Some(TailDefect::CrcMismatch));
-        assert!(scan.records.is_empty());
+        assert!(records.is_empty());
         assert_eq!(read(&io, &path, off, 22 + RECORD_HEADER_BYTES), None);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -420,12 +436,28 @@ mod tests {
         let b = w.append(b"after the disk recovered").expect("append");
         assert_eq!(w.len(), b + 24 + RECORD_HEADER_BYTES);
         drop(w);
-        let scan = SegmentReader::scan(&RealIo, &path).expect("scan");
+        let (scan, records) = scan_all(&RealIo, &path);
         assert_eq!(scan.tail_defect, None, "repair left no torn tail");
-        assert_eq!(scan.records.len(), 2);
-        assert_eq!(scan.records[0].payload, b"survives");
-        assert_eq!(scan.records[0].offset, a);
-        assert_eq!(scan.records[1].payload, b"after the disk recovered");
+        assert_eq!(records, [(a, b"survives".to_vec()), (b, b"after the disk recovered".to_vec())]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Frames straddle the scan's window, and one is larger than it.
+    #[test]
+    fn scan_streams_frames_across_and_beyond_its_window() {
+        let dir = tmpdir("window");
+        let path = dir.join("seg-000001.log");
+        let io = RealIo;
+        let mut w = SegmentWriter::create(&io, &path, false).expect("create");
+        let sizes = [SCAN_WINDOW / 3, SCAN_WINDOW / 2, 2 * SCAN_WINDOW + 5, 7, SCAN_WINDOW - 3];
+        let want: Vec<_> = (0u8..)
+            .zip(sizes)
+            .map(|(i, len)| (w.append(&vec![i; len]).expect("append"), vec![i; len]))
+            .collect();
+        let (scan, records) = scan_all(&io, &path);
+        assert_eq!(scan.tail_defect, None);
+        assert_eq!(scan.valid_len, w.len());
+        assert!(records == want, "the scan returned other frames than were appended");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

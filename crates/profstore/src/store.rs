@@ -387,7 +387,25 @@ impl ProfileStore {
         for (i, &n) in numbers.iter().enumerate() {
             let is_last = i + 1 == numbers.len();
             let path = dir.join(segment_name(n));
-            let scan = SegmentReader::scan(&*io, &path)?;
+            let mut codec_error = None;
+            let scan = SegmentReader::scan(&*io, &path, |offset, payload| match decode_meta(payload) {
+                Ok(meta) => {
+                    next_run_id = next_run_id.max(meta.run_id + 1);
+                    index.push(IndexEntry {
+                        run_id: meta.run_id,
+                        benchmark: meta.benchmark,
+                        threads: meta.threads,
+                        timestamp_ns: meta.timestamp_ns,
+                        segment: n,
+                        offset,
+                        bytes: payload.len() as u64 + RECORD_HEADER_BYTES,
+                    });
+                }
+                Err(source) => {
+                    let segment = segment_name(n);
+                    codec_error.get_or_insert(StoreError::Codec { segment, offset, source });
+                }
+            })?;
             if let Some(defect) = &scan.tail_defect {
                 if !is_last {
                     return Err(StoreError::Corrupt {
@@ -398,24 +416,10 @@ impl ProfileStore {
                 let file_len = io.file_len(&path)?;
                 recovered_tail_bytes = file_len.saturating_sub(scan.valid_len);
             }
-            last_valid_len = scan.valid_len;
-            for rec in &scan.records {
-                let meta = decode_meta(&rec.payload).map_err(|source| StoreError::Codec {
-                    segment: segment_name(n),
-                    offset: rec.offset,
-                    source,
-                })?;
-                next_run_id = next_run_id.max(meta.run_id + 1);
-                index.push(IndexEntry {
-                    run_id: meta.run_id,
-                    benchmark: meta.benchmark,
-                    threads: meta.threads,
-                    timestamp_ns: meta.timestamp_ns,
-                    segment: n,
-                    offset: rec.offset,
-                    bytes: rec.payload.len() as u64 + RECORD_HEADER_BYTES,
-                });
+            if let Some(err) = codec_error {
+                return Err(err);
             }
+            last_valid_len = scan.valid_len;
         }
 
         // A torn tail is one in-flight record whose id was already handed

@@ -628,22 +628,18 @@ impl<M: ProfStack> MeasurementSession<M> {
             let opts = critpath::DagOptions {
                 undeferred_spawn_cost: self.sim_spawn_cost,
             };
-            // Each region's decoded events are dropped once its DAG stands,
-            // before the report's solves allocate: the session never holds
-            // a DAG beside events it has already consumed.
-            let analyse = |streams: Vec<(usize, Vec<taskprof::Event>)>, region| {
-                let dag = critpath::TaskDag::from_streams(&streams, region, &opts)
+            let analyse = |streams: &[_], region| {
+                let dag = critpath::TaskDag::from_streams(streams, region, &opts)
                     .expect("recorded edge streams assemble into a DAG");
-                drop(streams);
                 dag.report()
             };
             // Task ids restart in every parallel region, so each region is
             // its own DAG; the regions ran one after another.
             edge_log
-                .into_iter()
-                .map(|r| analyse(r.streams, r.region))
+                .iter()
+                .map(|r| analyse(&r.streams, r.region))
                 .reduce(critpath::CritPathReport::then)
-                .unwrap_or_else(|| analyse(Vec::new(), self.construct.region))
+                .unwrap_or_else(|| analyse(&[], self.construct.region))
         });
         SessionReport {
             profile,

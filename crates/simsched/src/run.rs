@@ -57,9 +57,9 @@ pub struct SimRun {
     /// Per-thread snapshots obtained by *replaying* the recorded event
     /// stream offline — must agree with `profile` (differential check).
     pub replayed: Vec<ThreadSnapshot>,
-    /// The per-thread event streams the profiler's own edge log recorded
+    /// The per-thread streams the profiler's own edge log recorded
     /// (sorted by tid) — the input to `critpath::TaskDag::from_streams`.
-    pub streams: Vec<(usize, Vec<taskprof::Event>)>,
+    pub streams: Vec<(usize, taskprof::EdgeStream)>,
     /// The schedule: every recorded decision, in order.
     pub trace: Vec<Choice>,
 }
@@ -89,9 +89,9 @@ pub fn run_workload(workload: &TreeWorkload, config: &SimConfig) -> SimRun {
     let streams = prof.take_edge_streams().expect("region finished");
     let replayed = streams
         .iter()
-        .map(|(tid, events)| {
+        .map(|(tid, stream)| {
             let mut r = Replayer::new(workload.parallel_region(), AssignPolicy::Executing);
-            r.run(events.iter().copied());
+            r.run(stream.events());
             r.finish(*tid)
         })
         .collect();

@@ -43,7 +43,7 @@ fn main() {
     // What the trace adds.
     let a = critpath::analyze_trace(&edge_log).expect("a recorded run reads");
     let streams = edge_log.iter().flat_map(|r| &r.streams);
-    let events = streams.flat_map(|(_, events)| events);
+    let events = streams.flat_map(|(_, stream)| stream.events());
     let events = events.filter(|e| !matches!(e, Event::Advance(_))).count();
     println!("trace view   ({events} events):");
     for b in &a.by_kind {

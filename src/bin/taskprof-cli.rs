@@ -135,6 +135,21 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// The value after a flag, parsed; usage on a missing or unparsable one.
+fn value<T: std::str::FromStr>(it: &mut std::slice::Iter<'_, String>) -> T {
+    it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
+}
+
+/// The value of `--scale`.
+fn scale(it: &mut std::slice::Iter<'_, String>) -> Scale {
+    match value::<String>(it).as_str() {
+        "test" => Scale::Test,
+        "small" => Scale::Small,
+        "medium" => Scale::Medium,
+        _ => usage(),
+    }
+}
+
 fn app_by_name(name: &str) -> Option<AppId> {
     ALL_APPS.into_iter().find(|a| a.name() == name)
 }
@@ -165,20 +180,8 @@ fn cmd_run(args: &[String]) {
     let mut it = args[1..].iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--threads" => {
-                opts.threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--scale" => {
-                opts.scale = match it.next().map(String::as_str) {
-                    Some("test") => Scale::Test,
-                    Some("small") => Scale::Small,
-                    Some("medium") => Scale::Medium,
-                    _ => usage(),
-                }
-            }
+            "--threads" => opts.threads = value(&mut it),
+            "--scale" => opts.scale = scale(&mut it),
             "--cutoff" => opts.variant = Variant::Cutoff,
             "--depth-param" => opts.depth_param = true,
             "--render" => render = true,
@@ -187,7 +190,7 @@ fn cmd_run(args: &[String]) {
             "--diagnose" => diag = true,
             "--imbalance" => imbalance = true,
             "--trace" => trace_on = true,
-            "--save" => save = Some(it.next().cloned().unwrap_or_else(|| usage())),
+            "--save" => save = Some(value(&mut it)),
             _ => usage(),
         }
     }
@@ -254,7 +257,7 @@ fn cmd_run(args: &[String]) {
             std::process::exit(1);
         });
         let streams = edge_log.iter().flat_map(|r| &r.streams);
-        let events = streams.flat_map(|(_, events)| events);
+        let events = streams.flat_map(|(_, stream)| stream.events());
         let events = events.filter(|e| !matches!(e, taskprof::Event::Advance(_))).count();
         println!("\ntrace analysis ({events} events):");
         println!(
@@ -304,32 +307,15 @@ fn cmd_telemetry(args: &[String]) {
     let mut it = args[1..].iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--threads" => {
-                opts.threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--scale" => {
-                opts.scale = match it.next().map(String::as_str) {
-                    Some("test") => Scale::Test,
-                    Some("small") => Scale::Small,
-                    Some("medium") => Scale::Medium,
-                    _ => usage(),
-                }
-            }
+            "--threads" => opts.threads = value(&mut it),
+            "--scale" => opts.scale = scale(&mut it),
             "--cutoff" => opts.variant = Variant::Cutoff,
-            "--interval-ms" => {
-                interval_ms = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
+            "--interval-ms" => interval_ms = value(&mut it),
             "--format" => {
-                format = match it.next().map(String::as_str) {
-                    Some("dashboard") => Format::Dashboard,
-                    Some("prometheus") => Format::Prometheus,
-                    Some("jsonl") => Format::Jsonl,
+                format = match value::<String>(&mut it).as_str() {
+                    "dashboard" => Format::Dashboard,
+                    "prometheus" => Format::Prometheus,
+                    "jsonl" => Format::Jsonl,
                     _ => usage(),
                 }
             }
@@ -395,26 +381,10 @@ fn cmd_explore(args: &[String]) {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--seeds" => {
-                seeds = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--threads" => {
-                threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--workload" => which = it.next().cloned().unwrap_or_else(|| usage()),
-            "--dfs" => {
-                dfs_budget = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
+            "--seeds" => seeds = value(&mut it),
+            "--threads" => threads = value(&mut it),
+            "--workload" => which = value(&mut it),
+            "--dfs" => dfs_budget = Some(value(&mut it)),
             _ => usage(),
         }
     }
@@ -493,15 +463,6 @@ fn cmd_diff(args: &[String]) {
     }
 }
 
-/// Parse a `--proto` value, dying with usage on anything unknown.
-fn parse_proto(value: Option<&String>) -> profserve::WireProtocol {
-    let Some(v) = value else { usage() };
-    v.parse().unwrap_or_else(|e: String| {
-        eprintln!("{e}");
-        usage()
-    })
-}
-
 fn cmd_serve(args: &[String]) {
     let mut dir: Option<String> = None;
     let mut addr = String::from("127.0.0.1:7979");
@@ -517,47 +478,17 @@ fn cmd_serve(args: &[String]) {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--dir" => dir = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--addr" => addr = it.next().cloned().unwrap_or_else(|| usage()),
-            "--max-conns" => {
-                max_conns = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--port-file" => port_file = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--proto" => proto = parse_proto(it.next()),
-            "--shards" => {
-                shards = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--auth" => auth = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--keep-last" => {
-                keep_last = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--retain-since" => {
-                retain_since = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--telemetry-jsonl" => {
-                telemetry_jsonl = Some(it.next().cloned().unwrap_or_else(|| usage()))
-            }
-            "--telemetry-interval-ms" => {
-                telemetry_interval_ms = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
+            "--dir" => dir = Some(value(&mut it)),
+            "--addr" => addr = value(&mut it),
+            "--max-conns" => max_conns = value(&mut it),
+            "--port-file" => port_file = Some(value(&mut it)),
+            "--proto" => proto = value(&mut it),
+            "--shards" => shards = Some(value(&mut it)),
+            "--auth" => auth = Some(value(&mut it)),
+            "--keep-last" => keep_last = Some(value(&mut it)),
+            "--retain-since" => retain_since = Some(value(&mut it)),
+            "--telemetry-jsonl" => telemetry_jsonl = Some(value(&mut it)),
+            "--telemetry-interval-ms" => telemetry_interval_ms = value(&mut it),
             _ => usage(),
         }
     }
@@ -700,20 +631,10 @@ struct DagSource {
 impl DagSource {
     fn parse(a: &str, it: &mut std::slice::Iter<'_, String>, src: &mut DagSource) -> bool {
         match a {
-            "--app" => src.app = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--workload" => src.workload = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--seed" => {
-                src.seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--threads" => {
-                src.threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
+            "--app" => src.app = Some(value(it)),
+            "--workload" => src.workload = Some(value(it)),
+            "--seed" => src.seed = value(it),
+            "--threads" => src.threads = value(it),
             _ => return false,
         }
         true
@@ -838,14 +759,8 @@ fn cmd_whatif(args: &[String]) {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--region" => region_name = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--speedup" => {
-                speedup = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
+            "--region" => region_name = Some(value(&mut it)),
+            "--speedup" => speedup = Some(value(&mut it)),
             other => {
                 if !DagSource::parse(other, &mut it, &mut src) {
                     if other == "--validate" {
@@ -857,8 +772,7 @@ fn cmd_whatif(args: &[String]) {
             }
         }
     }
-    let region_name = region_name.unwrap_or_else(|| usage());
-    let speedup = speedup.unwrap_or_else(|| usage());
+    let (Some(region_name), Some(speedup)) = (region_name, speedup) else { usage() };
     if speedup == 0 {
         eprintln!("--speedup must be at least 1");
         std::process::exit(2);
@@ -968,38 +882,17 @@ fn cmd_ingest(args: &[String]) {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--addr" => addr = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--file" => files.push(it.next().cloned().unwrap_or_else(|| usage())),
-            "--bench" => bench = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--app" => app = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--threads" => {
-                threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--seed" => {
-                seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--runs" => {
-                runs = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--spool" => spool = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--deadline-ms" => {
-                deadline_ms = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--proto" => proto = parse_proto(it.next()),
-            "--auth" => auth = Some(it.next().cloned().unwrap_or_else(|| usage())),
+            "--addr" => addr = Some(value(&mut it)),
+            "--file" => files.push(value(&mut it)),
+            "--bench" => bench = Some(value(&mut it)),
+            "--app" => app = Some(value(&mut it)),
+            "--threads" => threads = value(&mut it),
+            "--seed" => seed = value(&mut it),
+            "--runs" => runs = value(&mut it),
+            "--spool" => spool = Some(value(&mut it)),
+            "--deadline-ms" => deadline_ms = Some(value(&mut it)),
+            "--proto" => proto = value(&mut it),
+            "--auth" => auth = Some(value(&mut it)),
             _ => usage(),
         }
     }
@@ -1124,17 +1017,11 @@ fn cmd_drain(args: &[String]) {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--addr" => addr = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--spool" => spool = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--deadline-ms" => {
-                deadline_ms = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--proto" => proto = parse_proto(it.next()),
-            "--auth" => auth = Some(it.next().cloned().unwrap_or_else(|| usage())),
+            "--addr" => addr = Some(value(&mut it)),
+            "--spool" => spool = Some(value(&mut it)),
+            "--deadline-ms" => deadline_ms = Some(value(&mut it)),
+            "--proto" => proto = value(&mut it),
+            "--auth" => auth = Some(value(&mut it)),
             _ => usage(),
         }
     }
@@ -1174,57 +1061,19 @@ fn cmd_query(args: &[String]) {
     let mut it = args[1..].iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--proto" => proto = parse_proto(it.next()),
-            "--auth" => auth = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--addr" => addr = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--bench" => bench = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--threads" => {
-                threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--n" => {
-                n = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--file" => file = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--app" => app = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--seed" => {
-                seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--threshold" => {
-                threshold = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--last" => {
-                last = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--since-ns" => {
-                since_ns = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--buckets" => {
-                buckets = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
+            "--proto" => proto = value(&mut it),
+            "--auth" => auth = Some(value(&mut it)),
+            "--addr" => addr = Some(value(&mut it)),
+            "--bench" => bench = Some(value(&mut it)),
+            "--threads" => threads = value(&mut it),
+            "--n" => n = value(&mut it),
+            "--file" => file = Some(value(&mut it)),
+            "--app" => app = Some(value(&mut it)),
+            "--seed" => seed = value(&mut it),
+            "--threshold" => threshold = Some(value(&mut it)),
+            "--last" => last = Some(value(&mut it)),
+            "--since-ns" => since_ns = Some(value(&mut it)),
+            "--buckets" => buckets = value(&mut it),
             "--prometheus" => prometheus = true,
             _ => usage(),
         }
@@ -1317,30 +1166,18 @@ fn cmd_watch(args: &[String]) {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--addr" => addr = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--interval-ms" => {
-                interval_ms = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--frames" => {
-                frames = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
+            "--addr" => addr = Some(value(&mut it)),
+            "--interval-ms" => interval_ms = Some(value(&mut it)),
+            "--frames" => frames = Some(value(&mut it)),
             "--format" => {
-                jsonl = match it.next().map(String::as_str) {
-                    Some("dashboard") => false,
-                    Some("jsonl") => true,
+                jsonl = match value::<String>(&mut it).as_str() {
+                    "dashboard" => false,
+                    "jsonl" => true,
                     _ => usage(),
                 }
             }
-            "--proto" => proto = parse_proto(it.next()),
-            "--auth" => auth = Some(it.next().cloned().unwrap_or_else(|| usage())),
+            "--proto" => proto = value(&mut it),
+            "--auth" => auth = Some(value(&mut it)),
             _ => usage(),
         }
     }
@@ -1411,16 +1248,11 @@ fn cmd_replicate(args: &[String]) {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--from" => from = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--to" => to = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--batch" => {
-                config.batch = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--proto" => config.proto = parse_proto(it.next()),
-            "--auth" => config.auth = Some(it.next().cloned().unwrap_or_else(|| usage())),
+            "--from" => from = Some(value(&mut it)),
+            "--to" => to = Some(value(&mut it)),
+            "--batch" => config.batch = value(&mut it),
+            "--proto" => config.proto = value(&mut it),
+            "--auth" => config.auth = Some(value(&mut it)),
             _ => usage(),
         }
     }

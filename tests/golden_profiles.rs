@@ -316,7 +316,7 @@ fn golden_critpath_exact_outputs() {
 }
 
 /// The seeded run of `w` as the session drains it: the whole edge log,
-/// thread-begin origins included (`SimRun::streams` drops them).
+/// regions included (`SimRun::streams` drops them).
 fn sim_edge_log(w: &simsched::TreeWorkload, threads: usize, seed: u64) -> Vec<taskprof::RegionEdges> {
     let sched = simsched::SimScheduler::new(seed).with_spawn_cost(simsched::DEFAULT_SPAWN_COST_NS);
     let clock = sched.clock().clone();
@@ -355,7 +355,8 @@ fn debug_by_name(ev: &Event) -> String {
 /// occurrence and name, per stream its thread, origin, decoded event
 /// count, summed `Advance`s and an FNV-1a-64 of the events' `{:?}` text
 /// (regions by name). Written once, by the drain that decoded every
-/// stream into an event array; never `BLESS`ed.
+/// stream into an event array; never `BLESS`ed: the words read through
+/// `EdgeStream::events` must say the same.
 #[test]
 fn golden_edge_log_exact_outputs() {
     use std::fmt::Write;
@@ -368,19 +369,19 @@ fn golden_edge_log_exact_outputs() {
                 for region in sim_edge_log(w, threads, seed) {
                     let name = pomp::registry().name(region.region);
                     writeln!(out, "  region {} {name}", region.occurrence).unwrap();
-                    for ((tid, events), origin) in region.streams.iter().zip(&region.origins) {
-                        let advanced: u64 = events
-                            .iter()
-                            .map(|ev| match ev {
-                                Event::Advance(dt) => *dt,
-                                _ => 0,
-                            })
-                            .sum();
-                        let text: String = events.iter().map(|ev| debug_by_name(ev) + "\n").collect();
+                    for (tid, stream) in &region.streams {
+                        let (mut events, mut advanced, mut text) = (0, 0, String::new());
+                        for ev in stream.events() {
+                            events += 1;
+                            if let Event::Advance(dt) = ev {
+                                advanced += dt;
+                            }
+                            text += &(debug_by_name(&ev) + "\n");
+                        }
                         writeln!(
                             out,
-                            "    stream {tid} origin={origin} events={} advance={advanced} fnv={:016x}",
-                            events.len(),
+                            "    stream {tid} origin={} events={events} advance={advanced} fnv={:016x}",
+                            stream.origin(),
                             fnv1a64(&text)
                         )
                         .unwrap();

@@ -286,8 +286,8 @@ fn ten_thousand_instances_in_arbitrary_resume_order_match_model_and_replay() {
 
     // Against a replay of the stream the run recorded.
     let mut streams = monitor.take_edge_streams().expect("no region in flight");
-    let (_, events) = streams.pop().expect("one thread recorded");
-    let replayed = replay(PAR, AssignPolicy::Executing, events);
+    let (_, stream) = streams.pop().expect("one thread recorded");
+    let replayed = replay(PAR, AssignPolicy::Executing, stream.events());
     assert_eq!(replayed.main, snap.main);
     assert_eq!(replayed.task_trees, snap.task_trees);
     assert_eq!(replayed.max_live_trees, snap.max_live_trees);

@@ -14,7 +14,7 @@
 use pomp::{TaskId, TaskRef};
 use proptest::prelude::*;
 use simsched::{run_workload, whatif, SimConfig, Step, TreeWorkload};
-use taskprof::{Event, RegionEdges};
+use taskprof::{EdgeStream, Event, RegionEdges};
 
 /// A uniform tree: every internal node does `inner` work then spawns
 /// `fanout` children and taskwaits; leaves do `leaf` work. The name is
@@ -56,18 +56,20 @@ fn named_task(ev: &mut Event) -> Option<&mut TaskId> {
 
 /// Damage one stream in one place: drop, duplicate or swap an event, or
 /// retarget the next task-naming event at another task of the run (or
-/// at one that never existed). The picks wrap around whatever is there.
-fn mutate(streams: &mut [(usize, Vec<Event>)], kind: usize, stream: usize, at: usize, other: usize) {
+/// at one that never existed). The picks wrap around whatever is there;
+/// the damaged events are encoded again from the recorded origin.
+fn mutate(streams: &mut [(usize, EdgeStream)], kind: usize, stream: usize, at: usize, other: usize) {
     let mut ids: Vec<TaskId> = streams
         .iter()
-        .flat_map(|(_, events)| events)
+        .flat_map(|(_, stream)| stream.events())
         .filter_map(|ev| match ev {
-            Event::TaskBegin { id, .. } => Some(*id),
+            Event::TaskBegin { id, .. } => Some(id),
             _ => None,
         })
         .collect();
     ids.push(TaskId::from_raw(u64::MAX).expect("nonzero"));
-    let events = &mut streams[stream % streams.len()].1;
+    let target = &mut streams[stream % streams.len()].1;
+    let mut events: Vec<Event> = target.events().collect();
     if events.is_empty() {
         return;
     }
@@ -88,6 +90,7 @@ fn mutate(streams: &mut [(usize, Vec<Event>)], kind: usize, stream: usize, at: u
             }
         }
     }
+    *target = EdgeStream::from_events(target.origin(), events);
 }
 
 proptest! {
@@ -110,7 +113,6 @@ proptest! {
         let log = [RegionEdges {
             occurrence: 1,
             region: w.parallel_region(),
-            origins: vec![0; run.streams.len()],
             streams: run.streams.clone(),
         }];
         let trace = critpath::analyze_trace(&log);

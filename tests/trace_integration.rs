@@ -7,7 +7,7 @@ use critpath::{analyze_trace, DagError, TraceAnalysis};
 use pomp::TaskRef;
 use simsched::{workloads, SimScheduler};
 use std::sync::Arc;
-use taskprof::{Event, ProfMonitor, RegionEdges};
+use taskprof::{EdgeStream, Event, ProfMonitor, RegionEdges};
 use taskrt::{taskwait_region, ParallelConstruct, TaskConstruct, Team};
 
 /// Run `app` at test scale; the trace is the profiler's own edge log.
@@ -23,18 +23,18 @@ fn traced_run(app: AppId, threads: usize) -> (ProfMonitor, Vec<RegionEdges>) {
 }
 
 /// The time a stream covers: the sum of its `Advance`s.
-fn elapsed(events: &[Event]) -> u64 {
-    let deltas = events.iter().map(|e| match e {
-        Event::Advance(dt) => *dt,
+fn elapsed(stream: &EdgeStream) -> u64 {
+    let deltas = stream.events().map(|e| match e {
+        Event::Advance(dt) => dt,
         _ => 0,
     });
     deltas.sum()
 }
 
 /// Every event of the log except the `Advance`s between them.
-fn events(log: &[RegionEdges]) -> impl Iterator<Item = &Event> {
+fn events(log: &[RegionEdges]) -> impl Iterator<Item = Event> + '_ {
     let streams = log.iter().flat_map(|r| &r.streams);
-    streams.flat_map(|(_, events)| events).filter(|e| !matches!(e, Event::Advance(_)))
+    streams.flat_map(|(_, stream)| stream.events()).filter(|e| !matches!(e, Event::Advance(_)))
 }
 
 #[test]
@@ -45,12 +45,11 @@ fn trace_is_balanced_and_counts_match_profile() {
     for region in &log {
         let tids: Vec<usize> = region.streams.iter().map(|(tid, _)| *tid).collect();
         assert_eq!(tids, [0, 1]);
-        assert_eq!(region.origins.len(), 2, "one thread-begin origin per stream");
         // Per thread: enters and exits balance, begins equal ends.
         for (tid, stream) in &region.streams {
             let mut depth = 0i64;
             let (mut begins, mut ends) = (0u64, 0u64);
-            for e in stream {
+            for e in stream.events() {
                 match e {
                     Event::Enter(_) => depth += 1,
                     Event::Exit(_) => {
@@ -110,7 +109,7 @@ fn analysis_of_real_run_is_consistent() {
     // Switch count covers at least one per instance.
     assert!(a.switches >= a.instances.len() as u64);
     // Totals are bounded by the threads' summed spans.
-    let spans: u64 = log.iter().flat_map(|r| &r.streams).map(|(_, events)| elapsed(events)).sum();
+    let spans: u64 = log.iter().flat_map(|r| &r.streams).map(|(_, stream)| elapsed(stream)).sum();
     assert!(a.total_task_exec_ns <= spans);
     assert!(a.total_sched_nonexec_ns <= spans);
     // nqueens without cut-off is creation-heavy.
@@ -129,7 +128,7 @@ fn switch_events_reference_known_tasks() {
     for region in &log {
         let mut seen = std::collections::HashSet::new();
         for e in events(std::slice::from_ref(region)) {
-            match *e {
+            match e {
                 Event::TaskBegin { id, .. } => {
                     seen.insert(id);
                 }
@@ -171,7 +170,7 @@ fn aborted_task_is_recorded_ended_and_listed() {
 
     let log = profiler.take_edge_log().expect("region finished");
     let aborted: Vec<_> = events(&log)
-        .filter_map(|e| match *e {
+        .filter_map(|e| match e {
             Event::TaskAbort { id, .. } => Some(id),
             _ => None,
         })
@@ -206,8 +205,7 @@ fn analysis_of_malformed_edge_logs_is_a_typed_error() {
         [RegionEdges {
             occurrence: 1,
             region: par,
-            streams: vec![(0, events)],
-            origins: vec![0],
+            streams: vec![(0, EdgeStream::from_events(0, events))],
         }]
     };
     // A scheduling-point exit nobody entered, and an exit that names
@@ -229,8 +227,7 @@ fn analysis_groups_by_the_thread_ids_it_sees_not_the_header() {
     let log = [RegionEdges {
         occurrence: 1,
         region: par,
-        streams: vec![(7, dwell(3)), (900_000, dwell(7))],
-        origins: vec![0, 1],
+        streams: vec![(7, EdgeStream::from_events(0, dwell(3))), (900_000, EdgeStream::from_events(1, dwell(7)))],
     }];
     let a = analyze_trace(&log).expect("well-formed");
     assert_eq!(a.by_kind.len(), 1);
