@@ -3,7 +3,8 @@
 # lint-clean clippy, guards against a second hook-stream recorder, a
 # hashing DAG builder, a second walker over the edge log, a decoded copy
 # of the edge log, a second store read path and a hand-written wire codec beside the one declaration per
-# message, the repo benchmark's own smoke gate (benchmark/check.sh) and
+# message, a second metric writer beside the one declaration per metric,
+# the repo benchmark's own smoke gate (benchmark/check.sh) and
 # its package's tests, a floor under JSON ingest throughput and a ceiling
 # over the causal report, and end-to-end smokes of the CLI, the daemon
 # and replication.
@@ -83,6 +84,20 @@ echo "=== one wire declaration ==="
 if git grep -nE 'put_uv\(|\.uv\(\)\?|need_u64\(|Json::obj\(' -- crates/profserve/src \
     ':!crates/profserve/src/codec.rs' ':!crates/profserve/src/json.rs'; then
     echo "a hand-written wire codec is back outside crates/profserve/src/codec.rs"; exit 1
+fi
+
+echo "=== one declaration per metric ==="
+# Each telemetry family is declared once, one row per metric, and
+# crates/telemetry/src/export.rs holds the one Prometheus writer and the
+# one JSONL writer and reader. A # HELP line written anywhere else is a
+# second spelling of a metric; the export counters and the fleet structs
+# were mirrors of families declared elsewhere.
+if git grep -nE '# (HELP|TYPE)' -- 'crates/**/*.rs' 'src/**/*.rs' \
+    ':!crates/telemetry/src/export.rs'; then
+    echo "a Prometheus header is written outside crates/telemetry/src/export.rs"; exit 1
+fi
+if git grep -nE 'export_counters|ExportCounters|FleetStats|FleetLatencyRow|jsonl_keys' -- '*.rs'; then
+    echo "a mirror metric family is back"; exit 1
 fi
 
 echo "=== TPF1 ingest verifies, stamps, appends ==="

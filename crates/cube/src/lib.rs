@@ -26,7 +26,7 @@ pub use query::{
     TaskConstructStats,
 };
 pub use render::{
-    format_ns, render_critpath, render_fleet, render_profile, render_telemetry, render_tree,
-    render_whatif, FleetLatencyRow, FleetStats, RenderOpts,
+    format_ns, render_critpath, render_profile, render_telemetry, render_tree, render_whatif,
+    RenderOpts,
 };
 pub use store::{read_profile, write_profile, write_profile_to, ParseError};

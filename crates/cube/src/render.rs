@@ -235,108 +235,6 @@ pub fn render_telemetry(s: &taskprof_telemetry::TelemetrySnapshot, elapsed_ns: O
     out
 }
 
-/// One request-latency row of a [`FleetStats`] dashboard frame.
-#[derive(Clone, Debug, Default)]
-pub struct FleetLatencyRow {
-    /// Request verb (`ingest`, `query_stats`, …).
-    pub verb: String,
-    /// Wire protocol the requests arrived over (`json` / `bin`).
-    pub proto: String,
-    /// Requests served.
-    pub count: u64,
-    /// Median handling latency, nanoseconds.
-    pub p50_ns: u64,
-    /// 99th-percentile handling latency, nanoseconds.
-    pub p99_ns: u64,
-    /// Worst handling latency, nanoseconds.
-    pub max_ns: u64,
-}
-
-/// Plain-field daemon health snapshot for [`render_fleet`] — mirrors the
-/// profile-repository `STATS` report without making `cube` depend on the
-/// daemon crate. The `watch` dashboard fills one per telemetry push.
-#[derive(Clone, Debug, Default)]
-pub struct FleetStats {
-    /// Server wall clock at snapshot time (unix epoch ns; 0 if unknown).
-    pub t_ns: u64,
-    /// Seconds the daemon has been serving.
-    pub uptime_secs: u64,
-    /// True when the daemon degraded to read-only after `ENOSPC`.
-    pub read_only: bool,
-    /// Connections accepted.
-    pub connections: u64,
-    /// Profiles ingested.
-    pub ingests: u64,
-    /// Bytes ingested.
-    pub ingest_bytes: u64,
-    /// Queries served.
-    pub queries: u64,
-    /// Typed errors answered.
-    pub errors: u64,
-    /// Subscriptions accepted.
-    pub subscriptions: u64,
-    /// Events pushed to subscribers.
-    pub sub_events: u64,
-    /// Events shed from lagging subscribers.
-    pub sub_lagged: u64,
-    /// Runs in the store.
-    pub store_runs: u64,
-    /// Segments in the store.
-    pub store_segments: u64,
-    /// Bytes across the store's segments.
-    pub store_bytes: u64,
-    /// Per-(verb, protocol) latency rows, busiest first.
-    pub latency: Vec<FleetLatencyRow>,
-}
-
-/// Render one fleet-dashboard frame from a daemon health snapshot — the
-/// serving-side companion of [`render_telemetry`], fed by `taskprof-cli
-/// watch` from live subscription pushes.
-pub fn render_fleet(s: &FleetStats) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "=== profserve fleet dashboard (up {}s{}) ===",
-        s.uptime_secs,
-        if s.read_only { ", READ-ONLY" } else { "" }
-    );
-    let _ = writeln!(
-        out,
-        "store: {} runs in {} segments ({} bytes)",
-        s.store_runs, s.store_segments, s.store_bytes
-    );
-    let _ = writeln!(
-        out,
-        "traffic: {} conns  {} ingests ({} bytes)  {} queries  {} errors",
-        s.connections, s.ingests, s.ingest_bytes, s.queries, s.errors
-    );
-    let _ = writeln!(
-        out,
-        "subscriptions: {} live-attached  {} events pushed  {} shed (lag)",
-        s.subscriptions, s.sub_events, s.sub_lagged
-    );
-    if !s.latency.is_empty() {
-        let _ = writeln!(
-            out,
-            "request latency: {:<14} {:<5} {:>8} {:>10} {:>10} {:>10}",
-            "verb", "proto", "count", "p50", "p99", "max"
-        );
-        for row in &s.latency {
-            let _ = writeln!(
-                out,
-                "                 {:<14} {:<5} {:>8} {:>10} {:>10} {:>10}",
-                row.verb,
-                row.proto,
-                row.count,
-                format_ns(row.p50_ns),
-                format_ns(row.p99_ns),
-                format_ns(row.max_ns)
-            );
-        }
-    }
-    out
-}
-
 /// Render a critical-path (work/span) report: headline numbers, per-thread
 /// utilization, the per-region table with critical-path shares, and any
 /// detrimental-pattern flags.
@@ -477,32 +375,6 @@ mod tests {
         assert_eq!(format_ns(1490), "1.49µs");
         assert_eq!(format_ns(2_500_000), "2.50ms");
         assert_eq!(format_ns(113_000_000_000), "113.00s");
-    }
-
-    #[test]
-    fn fleet_dashboard_renders_counters_and_latency() {
-        let frame = render_fleet(&FleetStats {
-            uptime_secs: 42,
-            read_only: true,
-            store_runs: 7,
-            ingests: 3,
-            subscriptions: 2,
-            sub_lagged: 1,
-            latency: vec![FleetLatencyRow {
-                verb: "ingest".into(),
-                proto: "bin".into(),
-                count: 3,
-                p50_ns: 1_500,
-                p99_ns: 9_000,
-                max_ns: 12_000,
-            }],
-            ..FleetStats::default()
-        });
-        assert!(frame.contains("up 42s, READ-ONLY"), "{frame}");
-        assert!(frame.contains("7 runs"), "{frame}");
-        assert!(frame.contains("1 shed (lag)"), "{frame}");
-        assert!(frame.contains("ingest"), "{frame}");
-        assert!(frame.contains("1.50µs"), "{frame}");
     }
 
     #[test]

@@ -59,8 +59,9 @@ pub use client::{
 };
 pub use json::{parse as parse_json, Json, JsonError};
 pub use protocol::{
-    ErrorKind, IngestReceipt, LatencyStat, Notification, ProfilePayload, Record, RegressReport,
-    Request, Response, ServerStatsReport, StatsReport, TopReport, TrendReport, WireProtocol,
+    render_fleet, ErrorKind, IngestReceipt, LatencyStat, Notification, ProfilePayload, Record,
+    RegressReport, Request, Response, ServerStatsReport, StatsReport, TopReport, TrendReport,
+    WireProtocol,
 };
 pub use replica::{replicate, ReplicaConfig, ReplicaReport};
 pub use server::{ServeConfig, Server, ServerHandle};

@@ -666,6 +666,57 @@ pub struct ServerStatsReport {
     pub latency: Vec<LatencyStat>,
 }
 
+/// Render one fleet-dashboard frame from a daemon's `STATS` report — the
+/// serving-side companion of [`cube::render_telemetry`], fed by
+/// `taskprof-cli watch` from live subscription pushes.
+pub fn render_fleet(s: &ServerStatsReport) -> String {
+    use cube::format_ns;
+    use std::fmt::Write as _;
+    let service = &s.service;
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "=== profserve fleet dashboard (up {}s{}) ===",
+        s.uptime_secs,
+        if s.read_only { ", READ-ONLY" } else { "" }
+    );
+    let _ = writeln!(
+        out,
+        "store: {} runs in {} segments ({} bytes)",
+        s.store.runs, s.store.segments, s.store.bytes
+    );
+    let _ = writeln!(
+        out,
+        "traffic: {} conns  {} ingests ({} bytes)  {} queries  {} errors",
+        service.connections, service.ingests, service.ingest_bytes, service.queries, service.errors
+    );
+    let _ = writeln!(
+        out,
+        "subscriptions: {} live-attached  {} events pushed  {} shed (lag)",
+        service.subscriptions, service.sub_events, service.sub_lagged
+    );
+    if !s.latency.is_empty() {
+        let _ = writeln!(
+            out,
+            "request latency: {:<14} {:<5} {:>8} {:>10} {:>10} {:>10}",
+            "verb", "proto", "count", "p50", "p99", "max"
+        );
+        for row in &s.latency {
+            let _ = writeln!(
+                out,
+                "                 {:<14} {:<5} {:>8} {:>10} {:>10} {:>10}",
+                row.verb,
+                row.proto,
+                row.count,
+                format_ns(row.p50_ns),
+                format_ns(row.p99_ns),
+                format_ns(row.max_ns)
+            );
+        }
+    }
+    out
+}
+
 /// One event pushed over a live subscription (see [`Request::Subscribe`]).
 #[derive(Clone, Debug, PartialEq)]
 pub enum Notification {
@@ -804,6 +855,39 @@ pub fn error_line(kind: ErrorKind, message: &str) -> String {
 mod tests {
     use super::*;
     use crate::json::Json;
+
+    #[test]
+    fn fleet_dashboard_renders_counters_and_latency() {
+        let frame = render_fleet(&ServerStatsReport {
+            uptime_secs: 42,
+            read_only: true,
+            store: StoreStats {
+                runs: 7,
+                ..StoreStats::default()
+            },
+            service: ServiceSnapshot {
+                ingests: 3,
+                subscriptions: 2,
+                sub_lagged: 1,
+                ..ServiceSnapshot::default()
+            },
+            latency: vec![LatencyStat {
+                verb: "ingest".into(),
+                proto: "bin".into(),
+                count: 3,
+                p50_ns: 1_500,
+                p99_ns: 9_000,
+                max_ns: 12_000,
+                ..LatencyStat::default()
+            }],
+            ..ServerStatsReport::default()
+        });
+        assert!(frame.contains("up 42s, READ-ONLY"), "{frame}");
+        assert!(frame.contains("7 runs"), "{frame}");
+        assert!(frame.contains("1 shed (lag)"), "{frame}");
+        assert!(frame.contains("ingest"), "{frame}");
+        assert!(frame.contains("1.50µs"), "{frame}");
+    }
 
     #[test]
     fn bad_requests_are_rejected_with_reason() {

@@ -547,7 +547,7 @@ fn run_with<P: Poller>(
         for fd in expired {
             let conn = &conns[&fd];
             if conn.deadline_kind == DeadlineKind::Read && !conn.draining {
-                shared.counters.timeout();
+                shared.counters.add(|c| &c.timeout_connections, 1);
             }
             reap(fd, &mut poller, &mut conns);
         }
@@ -584,7 +584,7 @@ fn accept_ready<P: Poller>(
             continue;
         }
         if conns.len() >= shared.config.max_connections {
-            shared.counters.shed();
+            shared.counters.add(|c| &c.shed_connections, 1);
             let mut stream = stream;
             let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
             let _ = writeln!(
@@ -597,7 +597,7 @@ fn accept_ready<P: Poller>(
             );
             continue;
         }
-        shared.counters.connection();
+        shared.counters.add(|c| &c.connections, 1);
         let _ = stream.set_nodelay(true);
         if stream.set_nonblocking(true).is_err() {
             continue;
@@ -675,7 +675,7 @@ fn serve_json(
         match catch_unwind(AssertUnwindSafe(|| serve_json_line(shared, line, authed))) {
             Ok(pair) => pair,
             Err(_) => {
-                shared.counters.panic();
+                shared.counters.add(|c| &c.panics, 1);
                 (
                     error_line(ErrorKind::Internal, "request handler panicked (isolated)"),
                     Default::default(),
@@ -696,7 +696,7 @@ fn serve_bin(conn: &mut Conn, shared: &Arc<Shared>, payload: &[u8]) -> Option<No
     })) {
         Ok(pair) => pair,
         Err(_) => {
-            shared.counters.panic();
+            shared.counters.add(|c| &c.panics, 1);
             (
                 Response::Error {
                     kind: ErrorKind::Internal,
@@ -761,7 +761,7 @@ fn process(conn: &mut Conn, shared: &Arc<Shared>) -> Vec<Notification> {
                 let Some(newline) = found.map(|i| conn.scanned + i) else {
                     conn.scanned = conn.buf.len();
                     if conn.buf.len() > shared.config.max_request_bytes {
-                        shared.counters.error();
+                        shared.counters.add(|c| &c.errors, 1);
                         let reply = error_line(
                             ErrorKind::TooLarge,
                             &format!(
@@ -830,7 +830,7 @@ fn process(conn: &mut Conn, shared: &Arc<Shared>) -> Vec<Notification> {
                     Err(e) => {
                         // The frame stream cannot be resynchronized:
                         // reply with a typed error frame and close.
-                        shared.counters.error();
+                        shared.counters.add(|c| &c.errors, 1);
                         let kind = match e {
                             wire::WireError::FrameTooLarge { .. } => ErrorKind::TooLarge,
                             _ => ErrorKind::BadRequest,
@@ -892,7 +892,7 @@ fn push_event<P: Poller>(
     let queued = conn.out.len() - conn.out_pos;
     if queued > shared.config.subscriber_queue_bytes {
         conn.sub_dropped += 1;
-        shared.counters.sub_lag(1);
+        shared.counters.add(|c| &c.sub_lagged, 1);
         return;
     }
     if conn.sub_dropped > 0 {
@@ -901,12 +901,12 @@ fn push_event<P: Poller>(
         };
         conn.out
             .extend_from_slice(&encode_event(&lagged, &conn.proto));
-        shared.counters.sub_events(1);
+        shared.counters.add(|c| &c.sub_events, 1);
         conn.sub_dropped = 0;
     }
     conn.out
         .extend_from_slice(&encode_event(event, &conn.proto));
-    shared.counters.sub_events(1);
+    shared.counters.add(|c| &c.sub_events, 1);
     flush(conn, poller, shared);
 }
 

@@ -170,12 +170,13 @@ impl ServerHandle {
         self.shared.stop.load(Ordering::SeqCst)
     }
 
-    /// One JSONL record of the daemon's request-latency histograms
-    /// (`{"t_ns":…,"latency":{"<verb>.<proto>":{…}}}`), in the telemetry
-    /// crate's latency schema — append these to the same sink as
-    /// measurement-path [`taskprof_telemetry::to_jsonl_line`] records and
-    /// read them back with
-    /// [`taskprof_telemetry::parse_latency_jsonl_line`].
+    /// One JSONL record of the daemon's request-latency histograms: one
+    /// flat object of `u64` members, `"t_ns"` and then, per traced
+    /// (verb, protocol) pair, `"<verb>.<proto>.count"`, `.sum_ns`,
+    /// `.max_ns` and `.b<i>` for each non-empty bucket `i`. Append these
+    /// to the same sink as measurement-path
+    /// [`taskprof_telemetry::to_jsonl_line`] records and read them back
+    /// with [`taskprof_telemetry::parse_latency_jsonl_line`].
     pub fn latency_jsonl_line(&self, t_ns: u64) -> String {
         taskprof_telemetry::latency_to_jsonl_line(t_ns, &self.shared.latency.jsonl_series())
     }
@@ -362,7 +363,7 @@ pub(crate) fn server_stats_report(shared: &Shared) -> ServerStatsReport {
 /// The `STATS prometheus` text: service counters, the request-latency
 /// histograms, and store/uptime gauges in one scrape-ready document.
 fn stats_prometheus(shared: &Shared) -> String {
-    use std::fmt::Write as _;
+    use taskprof_telemetry::export::{prom_header, prom_sample};
     let report = server_stats_report(shared);
     let (per_shard, watermark) = {
         let store = shared.store.read().expect("store lock");
@@ -370,81 +371,84 @@ fn stats_prometheus(shared: &Shared) -> String {
     };
     let mut text = taskprof_telemetry::service_to_prometheus(&report.service);
     text.push_str(&shared.latency.to_prometheus());
-    for (name, help, value) in [
+    for (name, kind, help, value) in [
         (
             "profserve_store_runs",
+            "gauge",
             "Runs in the store.",
             report.store.runs,
         ),
         (
             "profserve_store_segments",
+            "gauge",
             "Segments in the store.",
             report.store.segments,
         ),
         (
             "profserve_store_bytes",
+            "gauge",
             "Bytes across the store's segments.",
             report.store.bytes,
         ),
         (
             "profserve_uptime_seconds",
+            "gauge",
             "Seconds since the daemon started serving.",
             report.uptime_secs,
         ),
         (
             "profserve_read_only",
+            "gauge",
             "1 when degraded to read-only after ENOSPC.",
             u64::from(report.read_only),
         ),
         (
             "profserve_store_max_run_id",
+            "gauge",
             "Highest run id indexed (the replication watermark).",
             watermark,
         ),
-    ] {
-        let _ = writeln!(text, "# HELP {name} {help}");
-        let _ = writeln!(text, "# TYPE {name} gauge");
-        let _ = writeln!(text, "{name} {value}");
-    }
-    for (name, help, value) in [
         (
             "profserve_export_frames_total",
+            "counter",
             "Record frames streamed out through EXPORT.",
             shared.exported_frames.load(Ordering::Relaxed),
         ),
         (
             "profserve_apply_frames_total",
+            "counter",
             "Record frames written through APPLY.",
             shared.applied_frames.load(Ordering::Relaxed),
         ),
     ] {
-        let _ = writeln!(text, "# HELP {name} {help}");
-        let _ = writeln!(text, "# TYPE {name} counter");
-        let _ = writeln!(text, "{name} {value}");
+        prom_header(&mut text, name, kind, help);
+        prom_sample(&mut text, name, None, value);
     }
     // Per-shard shape gauges (one series per shard; a single store is
     // shard 0), so an operator can see imbalance at a glance.
-    for (metric, help, pick) in [
+    for (name, help, pick) in [
         (
             "profserve_shard_runs",
             "Runs indexed in one shard.",
             (|s: &profstore::StoreStats| s.runs) as fn(&profstore::StoreStats) -> u64,
         ),
-        (
-            "profserve_shard_segments",
-            "Segments in one shard.",
-            |s: &profstore::StoreStats| s.segments,
-        ),
+        ("profserve_shard_segments", "Segments in one shard.", |s| {
+            s.segments
+        }),
         (
             "profserve_shard_bytes",
             "Bytes across one shard's segments.",
-            |s: &profstore::StoreStats| s.bytes,
+            |s| s.bytes,
         ),
     ] {
-        let _ = writeln!(text, "# HELP {metric} {help}");
-        let _ = writeln!(text, "# TYPE {metric} gauge");
+        prom_header(&mut text, name, "gauge", help);
         for (k, stats) in per_shard.iter().enumerate() {
-            let _ = writeln!(text, "{metric}{{shard=\"{k}\"}} {}", pick(stats));
+            prom_sample(
+                &mut text,
+                name,
+                Some(&format!("shard=\"{k}\"")),
+                pick(stats),
+            );
         }
     }
     text
@@ -482,7 +486,8 @@ fn ingest_records(shared: &Shared, items: &[Record]) -> Response {
         };
         match stored {
             Ok(r) => {
-                shared.counters.ingest(r.bytes);
+                shared.counters.add(|c| &c.ingests, 1);
+                shared.counters.add(|c| &c.ingest_bytes, r.bytes);
                 if receipt.count == 0 {
                     receipt.first_run_id = r.run_id;
                 }
@@ -523,7 +528,7 @@ pub(crate) fn respond(shared: &Shared, request: Request) -> Response {
         },
         Request::Ingest(record) => ingest_records(shared, std::slice::from_ref(&record)),
         Request::IngestBatch(items) => {
-            shared.counters.ingest_batch();
+            shared.counters.add(|c| &c.ingest_batches, 1);
             if items.is_empty() {
                 return error(ErrorKind::BadRequest, "empty ingest batch");
             }
@@ -535,7 +540,7 @@ pub(crate) fn respond(shared: &Shared, request: Request) -> Response {
             n,
             window,
         } => {
-            shared.counters.query();
+            shared.counters.add(|c| &c.queries, 1);
             match aggregate_group(shared, &benchmark, threads, &window) {
                 Ok(agg) => Response::Top(TopReport::from_agg(&benchmark, threads, &agg, n)),
                 Err(resp) => resp,
@@ -546,7 +551,7 @@ pub(crate) fn respond(shared: &Shared, request: Request) -> Response {
             threads,
             window,
         } => {
-            shared.counters.query();
+            shared.counters.add(|c| &c.queries, 1);
             match aggregate_group(shared, &benchmark, threads, &window) {
                 Ok(agg) => Response::Stats(StatsReport::from_agg(&benchmark, threads, &agg)),
                 Err(resp) => resp,
@@ -561,7 +566,7 @@ pub(crate) fn respond(shared: &Shared, request: Request) -> Response {
             min_delta_ns,
             window,
         } => {
-            shared.counters.query();
+            shared.counters.add(|c| &c.queries, 1);
             // A non-finite threshold would be echoed in the verdict, and
             // JSON has no spelling for it: refuse it on both wires.
             if threshold.is_some_and(|t| !t.is_finite()) {
@@ -592,7 +597,7 @@ pub(crate) fn respond(shared: &Shared, request: Request) -> Response {
             buckets,
             window,
         } => {
-            shared.counters.query();
+            shared.counters.add(|c| &c.queries, 1);
             if buckets == 0 {
                 return error(ErrorKind::BadRequest, "trend needs at least one bucket");
             }
@@ -617,11 +622,11 @@ pub(crate) fn respond(shared: &Shared, request: Request) -> Response {
             }
         }
         Request::Stats => {
-            shared.counters.query();
+            shared.counters.add(|c| &c.queries, 1);
             Response::ServerStats(server_stats_report(shared))
         }
         Request::StatsPrometheus => {
-            shared.counters.query();
+            shared.counters.add(|c| &c.queries, 1);
             Response::Prometheus(stats_prometheus(shared))
         }
         // SUBSCRIBE is connection-level: `serve_parsed` intercepts it
@@ -632,7 +637,7 @@ pub(crate) fn respond(shared: &Shared, request: Request) -> Response {
             "SUBSCRIBE is handled by the connection, not dispatched",
         ),
         Request::Export { after, max } => {
-            shared.counters.query();
+            shared.counters.add(|c| &c.queries, 1);
             if max == 0 {
                 return error(ErrorKind::BadRequest, "export needs max > 0");
             }
@@ -677,7 +682,8 @@ pub(crate) fn respond(shared: &Shared, request: Request) -> Response {
                 match store.apply_frame(frame) {
                     Ok(Some(receipt)) => {
                         applied += 1;
-                        shared.counters.ingest(receipt.bytes);
+                        shared.counters.add(|c| &c.ingests, 1);
+                        shared.counters.add(|c| &c.ingest_bytes, receipt.bytes);
                         shared.applied_frames.fetch_add(1, Ordering::Relaxed);
                     }
                     Ok(None) => skipped += 1,
@@ -706,7 +712,7 @@ pub(crate) fn respond(shared: &Shared, request: Request) -> Response {
 
 fn count_errors(shared: &Shared, response: &Response) {
     if matches!(response, Response::Error { .. }) {
-        shared.counters.error();
+        shared.counters.add(|c| &c.errors, 1);
     }
 }
 
@@ -775,7 +781,7 @@ fn serve_parsed(
                         let ms = interval_ms
                             .unwrap_or(shared.config.subscribe_interval.as_millis() as u64)
                             .max(REACTOR_TICK.as_millis() as u64);
-                        shared.counters.subscription();
+                        shared.counters.add(|c| &c.subscriptions, 1);
                         effects.subscribed = Some(Duration::from_millis(ms));
                         Response::Subscribed { interval_ms: ms }
                     }
@@ -824,7 +830,7 @@ pub(crate) fn serve_json_line(
     line: &[u8],
     authed: bool,
 ) -> (String, ServeEffects) {
-    shared.counters.json_request();
+    shared.counters.add(|c| &c.json_requests, 1);
     let parsed = std::str::from_utf8(line)
         .map_err(|_| "request line is not valid UTF-8".to_string())
         .and_then(Request::from_json_line);
@@ -839,7 +845,7 @@ pub(crate) fn serve_bin_payload(
     payload: &[u8],
     authed: bool,
 ) -> (Response, ServeEffects) {
-    shared.counters.bin_request();
+    shared.counters.add(|c| &c.bin_requests, 1);
     serve_parsed(
         shared,
         wire::decode_request(payload).map_err(|e| e.to_string()),

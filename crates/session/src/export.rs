@@ -30,13 +30,12 @@
 use profserve::{
     ClientError, ClientTimeouts, ErrorKind, IngestReceipt, ProfilePayload, Record, WireProtocol,
 };
-use profstore::{crc::crc32, decode_record, encode_record, RunMeta};
+use profstore::{crc::crc32, decode_meta, encode_record, verify_record, RunMeta};
 use simsched::SplitMix64;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 use taskprof::Profile;
-use taskprof_telemetry::export_counters;
 
 /// Where a finished session's profile is exported on
 /// [`MeasurementSession::finish`](crate::MeasurementSession::finish).
@@ -273,9 +272,6 @@ fn deliver_to_server(
             break;
         }
         attempts += 1;
-        if attempts > 1 {
-            export_counters().retry(1);
-        }
         let timeouts = ClientTimeouts {
             connect: clamp_timeout(policy.connect_timeout, remaining),
             read: clamp_timeout(policy.io_timeout, remaining),
@@ -363,10 +359,12 @@ pub fn spool_profile(
     Ok(final_path)
 }
 
-/// Parse one spool frame file back into its record, or say why not. The
-/// returned payload bytes are the store record payload verbatim, so a
-/// binary drain can forward them without re-encoding.
-fn parse_spool_frame(bytes: &[u8]) -> Result<(RunMeta, Profile, Vec<u8>), String> {
+/// Check one spool frame file and return its run header and record
+/// payload, or say why not. The record is verified, never decoded: its
+/// payload travels as it was spooled (a binary drain forwards it without
+/// re-encoding, a JSON drain renders it as text inside the codec), and no
+/// name in it reaches the process-wide region registry.
+fn parse_spool_frame(bytes: &[u8]) -> Result<(RunMeta, &[u8]), String> {
     if bytes.len() < 8 {
         return Err("frame shorter than header + trailer".to_string());
     }
@@ -388,9 +386,9 @@ fn parse_spool_frame(bytes: &[u8]) -> Result<(RunMeta, Profile, Vec<u8>), String
     if crc32(payload) != stored_crc {
         return Err("frame crc mismatch".to_string());
     }
-    decode_record(payload)
-        .map(|(meta, profile)| (meta, profile, payload.to_vec()))
-        .map_err(|e| format!("record decode: {e}"))
+    verify_record(payload).map_err(|e| format!("record verify: {e}"))?;
+    let meta = decode_meta(payload).map_err(|e| format!("record header: {e}"))?;
+    Ok((meta, payload))
 }
 
 /// Spool frame files in `dir`, oldest first (names sort by timestamp).
@@ -445,7 +443,7 @@ fn stored_prefix_from_message(message: &str) -> u64 {
 /// exactly those frames are deleted. A batch the daemon refuses outright
 /// is replayed frame by frame to isolate the rejects, which are
 /// quarantined with a `.bad` suffix — like corrupt frames (truncation,
-/// bit flips, undecodable records), which never travel at all. A
+/// bit flips, unverifiable records), which never travel at all. A
 /// transport failure or a read-only daemon stops the drain with the rest
 /// counted as `remaining`.
 pub fn drain_spool(dir: &Path, addr: &str, policy: &ExportPolicy) -> DrainReport {
@@ -479,19 +477,19 @@ pub fn drain_spool(dir: &Path, addr: &str, policy: &ExportPolicy) -> DrainReport
     // put on the wire.
     let mut pending: Vec<(&PathBuf, Record)> = Vec::new();
     for path in &frames {
-        let parsed = std::fs::read(path)
+        let record = std::fs::read(path)
             .map_err(|e| e.to_string())
-            .and_then(|bytes| parse_spool_frame(&bytes));
-        match parsed {
-            Ok((meta, _profile, payload)) => pending.push((
-                path,
-                Record {
+            .and_then(|bytes| {
+                let (meta, payload) = parse_spool_frame(&bytes)?;
+                Ok(Record {
                     benchmark: meta.benchmark,
                     threads: meta.threads,
                     timestamp_ns: Some(meta.timestamp_ns),
-                    profile: ProfilePayload::Record(payload),
-                },
-            )),
+                    profile: ProfilePayload::Record(payload.to_vec()),
+                })
+            });
+        match record {
+            Ok(record) => pending.push((path, record)),
             Err(_) => quarantine_frame(path, &mut report),
         }
     }
@@ -572,9 +570,6 @@ pub fn drain_spool(dir: &Path, addr: &str, policy: &ExportPolicy) -> DrainReport
         }
     }
     report.remaining += (total - next) as u64;
-    if report.delivered > 0 {
-        export_counters().drain(report.delivered);
-    }
     report
 }
 
@@ -631,7 +626,6 @@ pub(crate) fn export_profile(
                             profile,
                         )
                         .map_err(ExportError::Spool)?;
-                        export_counters().spool();
                         let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
                         Ok(ExportReceipt {
                             run_id: None,
@@ -654,6 +648,14 @@ pub(crate) fn export_profile(
 mod tests {
     use super::*;
 
+    fn one_thread_profile() -> Profile {
+        cube::read_profile(
+            "taskprof-profile v1\nthreads 1\nthread 0 max_live 0 arena 1\nmain\n  \
+             region parallel \"spool-unit par\" visits 1 sum 5 min 5 max 5 samples 1\nend\n",
+        )
+        .expect("profile text")
+    }
+
     #[test]
     fn host_port_routing_still_holds() {
         assert!(matches!(
@@ -673,16 +675,15 @@ mod tests {
             std::process::id(),
             next_spool_seq()
         ));
-        let profile = Profile::default();
+        let profile = one_thread_profile();
         let path = spool_profile(&dir, "bench", 4, 123, &profile).expect("spool");
         let bytes = std::fs::read(&path).expect("read");
-        let (meta, decoded, payload) = parse_spool_frame(&bytes).expect("parse");
-        assert!(!payload.is_empty());
+        let (meta, payload) = parse_spool_frame(&bytes).expect("parse");
         assert_eq!(meta.benchmark, "bench");
         assert_eq!(meta.threads, 4);
         assert_eq!(meta.timestamp_ns, 123);
         assert_eq!(meta.run_id, 0);
-        assert_eq!(decoded.num_threads(), profile.num_threads());
+        assert_eq!(payload, encode_record(&meta, &profile));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -695,7 +696,12 @@ mod tests {
             std::process::id(),
             next_spool_seq()
         ));
-        let path = spool_profile(&dir, "b", 1, 7, &Profile::default()).expect("spool");
+        // A frame without threads is intact but refused, as the daemon
+        // would refuse it.
+        let empty = spool_profile(&dir, "b", 1, 6, &Profile::default()).expect("spool");
+        let err = parse_spool_frame(&std::fs::read(&empty).expect("read")).unwrap_err();
+        assert!(err.contains("no threads"), "{err}");
+        let path = spool_profile(&dir, "b", 1, 7, &one_thread_profile()).expect("spool");
         let mut bytes = std::fs::read(&path).expect("read");
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;

@@ -1,11 +1,20 @@
-//! Telemetry exporters: Prometheus text exposition format and JSON-lines
-//! time series. Both directions are implemented by hand (the build is
-//! offline; no serde), and both round-trip through the parsers below so
-//! scrape endpoints and log shippers can be tested end to end.
+//! Telemetry exporters: the Prometheus text exposition format and
+//! JSON-lines time series. Both are written by hand (the build is
+//! offline; no serde), and both parse back, so scrape endpoints and log
+//! shippers can be tested end to end.
+//!
+//! A metric family is declared once, as a table with one `Metric` row
+//! per metric: the session snapshot's below, the daemon's service
+//! counters in [`crate::service`]. [`prom_header`] writes every
+//! `# HELP`/`# TYPE` pair the tool emits, and one JSONL writer and one
+//! JSONL reader serve every line. Adding a metric to a family is adding
+//! its row.
 
+use crate::histogram::{bucket_upper_bound, HistogramSnapshot, HISTOGRAM_BUCKETS};
 use crate::snapshot::TelemetrySnapshot;
 use pomp::EventClass;
-use std::fmt::Write as _;
+use std::collections::BTreeMap;
+use std::fmt::{Display, Write as _};
 
 /// An export could not be parsed back.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,6 +41,74 @@ fn err(line: usize, message: impl Into<String>) -> ExportParseError {
 }
 
 // ---------------------------------------------------------------------
+// Declarations
+// ---------------------------------------------------------------------
+
+/// Where a [`Metric`] finds its value in the family's snapshot. The
+/// accessors borrow mutably so that the JSONL reader sets a field through
+/// the same row the writers read it through.
+pub(crate) enum Field<S> {
+    /// One number: `name value` in Prometheus, `"key":value` in JSONL.
+    Count(fn(&mut S) -> &mut u64),
+    /// One number per [`EventClass`]: `name{class="<label>"} value` in
+    /// Prometheus, `"key.<label>":value` in JSONL.
+    PerClass(fn(&mut S) -> &mut [u64; EventClass::COUNT]),
+    /// A figure derived from the others, written to Prometheus only.
+    Derived(fn(&S) -> f64),
+}
+
+/// One exported metric: its JSONL key, Prometheus name, type and help,
+/// and the field holding its value.
+pub(crate) struct Metric<S> {
+    pub(crate) key: &'static str,
+    pub(crate) name: &'static str,
+    pub(crate) kind: &'static str,
+    pub(crate) help: &'static str,
+    pub(crate) field: Field<S>,
+}
+
+use Field::{Count, Derived, PerClass};
+
+/// The session snapshot's metrics, in the order Prometheus lists them.
+#[rustfmt::skip]
+static SNAPSHOT: &[Metric<TelemetrySnapshot>] = &[
+    Metric { key: "events", name: "taskprof_events_total", kind: "counter",
+        help: "Measurement hook invocations by event class.", field: PerClass(|s| &mut s.events) },
+    Metric { key: "tasks_created", name: "taskprof_tasks_created_total", kind: "counter",
+        help: "Deferred task instances created.", field: Count(|s| &mut s.tasks_created) },
+    Metric { key: "tasks_completed", name: "taskprof_tasks_completed_total", kind: "counter",
+        help: "Task instances completed normally.", field: Count(|s| &mut s.tasks_completed) },
+    Metric { key: "tasks_aborted", name: "taskprof_tasks_aborted_total", kind: "counter",
+        help: "Task instances aborted (panicked or force-closed).", field: Count(|s| &mut s.tasks_aborted) },
+    Metric { key: "tasks_shed", name: "taskprof_tasks_shed_total", kind: "counter",
+        help: "Task instances degraded to counting-only by the live-tree cap.", field: Count(|s| &mut s.tasks_shed) },
+    Metric { key: "fragments", name: "taskprof_fragments_total", kind: "counter",
+        help: "Task fragments executed (explicit-task resumptions).", field: Count(|s| &mut s.fragments) },
+    Metric { key: "stub_time_ns", name: "taskprof_stub_time_ns_total", kind: "counter",
+        help: "Time spent executing task fragments, ns (live stub-node time).", field: Count(|s| &mut s.stub_time_ns) },
+    Metric { key: "live_trees", name: "taskprof_live_instance_trees", kind: "gauge",
+        help: "Concurrently live task-instance trees, summed over threads.", field: Count(|s| &mut s.live_trees) },
+    Metric { key: "live_trees_hwm", name: "taskprof_live_instance_trees_hwm", kind: "gauge",
+        help: "High-water mark of per-thread live instance trees (paper Table II).", field: Count(|s| &mut s.live_trees_hwm) },
+    Metric { key: "threads_active", name: "taskprof_threads_active", kind: "gauge",
+        help: "Measurement threads currently between begin and end.", field: Count(|s| &mut s.threads_active) },
+    Metric { key: "handoff_depth", name: "taskprof_handoff_stack_depth", kind: "gauge",
+        help: "Finished thread snapshots published but not yet collected.", field: Count(|s| &mut s.handoff_depth) },
+    Metric { key: "spare_arenas", name: "taskprof_spare_arenas", kind: "gauge",
+        help: "Recycled arenas parked in the spare pool.", field: Count(|s| &mut s.spare_arenas) },
+    Metric { key: "arenas_recycled", name: "taskprof_arenas_recycled_total", kind: "counter",
+        help: "Region starts that stole a recycled arena.", field: Count(|s| &mut s.arenas_recycled) },
+    Metric { key: "arenas_allocated", name: "taskprof_arenas_allocated_total", kind: "counter",
+        help: "Region starts that allocated a fresh arena.", field: Count(|s| &mut s.arenas_allocated) },
+    Metric { key: "perturb_samples", name: "taskprof_perturbation_samples_total", kind: "counter",
+        help: "Self-timed events by class (1-in-N perturbation sampling).", field: PerClass(|s| &mut s.perturb_samples) },
+    Metric { key: "perturb_ns", name: "taskprof_perturbation_ns_total", kind: "counter",
+        help: "Summed self-timed event cost by class, ns.", field: PerClass(|s| &mut s.perturb_ns) },
+    Metric { key: "estimated_overhead_ns", name: "taskprof_estimated_overhead_ns", kind: "gauge",
+        help: "Estimated total measurement perturbation, ns.", field: Derived(|s| s.estimated_overhead_ns()) },
+];
+
+// ---------------------------------------------------------------------
 // Prometheus text exposition format
 // ---------------------------------------------------------------------
 
@@ -56,148 +133,95 @@ impl PromSample {
     }
 }
 
-fn prom_metric(out: &mut String, name: &str, help: &str, kind: &str, value: impl std::fmt::Display) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} {kind}");
-    let _ = writeln!(out, "{name} {value}");
+/// Open metric `name` of type `kind` (`counter`, `gauge`, `histogram`):
+/// its `# HELP` and `# TYPE` lines. Every such line the tool writes is
+/// written here.
+pub fn prom_header(out: &mut String, name: &str, kind: &str, help: &str) {
+    let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} {kind}");
 }
 
-fn prom_class_metric(
-    out: &mut String,
-    name: &str,
-    help: &str,
-    kind: &str,
-    value_of: impl Fn(EventClass) -> u64,
-) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} {kind}");
-    for class in EventClass::ALL {
-        let _ = writeln!(out, "{name}{{class=\"{}\"}} {}", class.label(), value_of(class));
+/// Write one sample: `name value`, or `name{labels} value` when `labels`
+/// (rendered `key="value",…`, possibly empty) is given.
+pub fn prom_sample(out: &mut String, name: &str, labels: Option<&str>, value: impl Display) {
+    let _ = match labels {
+        None => writeln!(out, "{name} {value}"),
+        Some(labels) => writeln!(out, "{name}{{{labels}}} {value}"),
+    };
+}
+
+/// Render a declared family over `s`, one metric per row, in row order.
+pub(crate) fn prom_family<S: Clone>(rows: &[Metric<S>], s: &S) -> String {
+    let mut s = s.clone();
+    let mut out = String::new();
+    for row in rows {
+        prom_header(&mut out, row.name, row.kind, row.help);
+        match row.field {
+            Count(get) => prom_sample(&mut out, row.name, None, get(&mut s)),
+            PerClass(get) => {
+                for class in EventClass::ALL {
+                    let labels = format!("class=\"{}\"", class.label());
+                    prom_sample(
+                        &mut out,
+                        row.name,
+                        Some(&labels),
+                        get(&mut s)[class.index()],
+                    );
+                }
+            }
+            Derived(get) => prom_sample(&mut out, row.name, None, get(&s)),
+        }
     }
+    out
 }
 
 /// Render a snapshot in the Prometheus text exposition format (0.0.4),
 /// ready to serve from a `/metrics` endpoint.
 pub fn to_prometheus(s: &TelemetrySnapshot) -> String {
+    prom_family(SNAPSHOT, s)
+}
+
+/// Render labelled histogram series in the Prometheus text exposition
+/// format: cumulative `<name>_bucket{...,le="..."}` samples (one per
+/// non-empty prefix, plus `+Inf`), then `<name>_sum` / `<name>_count`
+/// per series. Output parses back through [`parse_prometheus`].
+pub fn latency_to_prometheus(
+    name: &str,
+    help: &str,
+    series: &[(Vec<(String, String)>, HistogramSnapshot)],
+) -> String {
     let mut out = String::new();
-    prom_class_metric(
-        &mut out,
-        "taskprof_events_total",
-        "Measurement hook invocations by event class.",
-        "counter",
-        |c| s.events[c.index()],
+    prom_header(&mut out, name, "histogram", help);
+    let (bucket, sum, count) = (
+        format!("{name}_bucket"),
+        format!("{name}_sum"),
+        format!("{name}_count"),
     );
-    prom_metric(
-        &mut out,
-        "taskprof_tasks_created_total",
-        "Deferred task instances created.",
-        "counter",
-        s.tasks_created,
-    );
-    prom_metric(
-        &mut out,
-        "taskprof_tasks_completed_total",
-        "Task instances completed normally.",
-        "counter",
-        s.tasks_completed,
-    );
-    prom_metric(
-        &mut out,
-        "taskprof_tasks_aborted_total",
-        "Task instances aborted (panicked or force-closed).",
-        "counter",
-        s.tasks_aborted,
-    );
-    prom_metric(
-        &mut out,
-        "taskprof_tasks_shed_total",
-        "Task instances degraded to counting-only by the live-tree cap.",
-        "counter",
-        s.tasks_shed,
-    );
-    prom_metric(
-        &mut out,
-        "taskprof_fragments_total",
-        "Task fragments executed (explicit-task resumptions).",
-        "counter",
-        s.fragments,
-    );
-    prom_metric(
-        &mut out,
-        "taskprof_stub_time_ns_total",
-        "Time spent executing task fragments, ns (live stub-node time).",
-        "counter",
-        s.stub_time_ns,
-    );
-    prom_metric(
-        &mut out,
-        "taskprof_live_instance_trees",
-        "Concurrently live task-instance trees, summed over threads.",
-        "gauge",
-        s.live_trees,
-    );
-    prom_metric(
-        &mut out,
-        "taskprof_live_instance_trees_hwm",
-        "High-water mark of per-thread live instance trees (paper Table II).",
-        "gauge",
-        s.live_trees_hwm,
-    );
-    prom_metric(
-        &mut out,
-        "taskprof_threads_active",
-        "Measurement threads currently between begin and end.",
-        "gauge",
-        s.threads_active,
-    );
-    prom_metric(
-        &mut out,
-        "taskprof_handoff_stack_depth",
-        "Finished thread snapshots published but not yet collected.",
-        "gauge",
-        s.handoff_depth,
-    );
-    prom_metric(
-        &mut out,
-        "taskprof_spare_arenas",
-        "Recycled arenas parked in the spare pool.",
-        "gauge",
-        s.spare_arenas,
-    );
-    prom_metric(
-        &mut out,
-        "taskprof_arenas_recycled_total",
-        "Region starts that stole a recycled arena.",
-        "counter",
-        s.arenas_recycled,
-    );
-    prom_metric(
-        &mut out,
-        "taskprof_arenas_allocated_total",
-        "Region starts that allocated a fresh arena.",
-        "counter",
-        s.arenas_allocated,
-    );
-    prom_class_metric(
-        &mut out,
-        "taskprof_perturbation_samples_total",
-        "Self-timed events by class (1-in-N perturbation sampling).",
-        "counter",
-        |c| s.perturb_samples[c.index()],
-    );
-    prom_class_metric(
-        &mut out,
-        "taskprof_perturbation_ns_total",
-        "Summed self-timed event cost by class, ns.",
-        "counter",
-        |c| s.perturb_ns[c.index()],
-    );
-    let _ = writeln!(
-        out,
-        "# HELP taskprof_estimated_overhead_ns Estimated total measurement perturbation, ns."
-    );
-    let _ = writeln!(out, "# TYPE taskprof_estimated_overhead_ns gauge");
-    let _ = writeln!(out, "taskprof_estimated_overhead_ns {}", s.estimated_overhead_ns());
+    for (labels, snap) in series {
+        let base: String = labels
+            .iter()
+            .map(|(k, v)| format!("{k}=\"{v}\","))
+            .collect();
+        let highest = snap
+            .buckets
+            .iter()
+            .rposition(|&n| n > 0)
+            .map_or(0, |i| i + 1);
+        let mut cumulative = 0u64;
+        for (i, &n) in snap.buckets.iter().enumerate().take(highest) {
+            cumulative += n;
+            let le = format!("{base}le=\"{}\"", bucket_upper_bound(i));
+            prom_sample(&mut out, &bucket, Some(&le), cumulative);
+        }
+        prom_sample(
+            &mut out,
+            &bucket,
+            Some(&format!("{base}le=\"+Inf\"")),
+            snap.count,
+        );
+        let base = base.trim_end_matches(',');
+        prom_sample(&mut out, &sum, Some(base), snap.sum_ns);
+        prom_sample(&mut out, &count, Some(base), snap.count);
+    }
     out
 }
 
@@ -250,70 +274,32 @@ pub fn parse_prometheus(text: &str) -> Result<Vec<PromSample>, ExportParseError>
 // JSON lines
 // ---------------------------------------------------------------------
 
-/// A scalar snapshot field: JSONL key plus its accessor.
-type ScalarField = (&'static str, fn(&TelemetrySnapshot) -> u64);
-
-fn jsonl_keys() -> [ScalarField; 13] {
-    [
-        ("tasks_created", |s| s.tasks_created),
-        ("tasks_completed", |s| s.tasks_completed),
-        ("tasks_aborted", |s| s.tasks_aborted),
-        ("tasks_shed", |s| s.tasks_shed),
-        ("fragments", |s| s.fragments),
-        ("stub_time_ns", |s| s.stub_time_ns),
-        ("live_trees", |s| s.live_trees),
-        ("live_trees_hwm", |s| s.live_trees_hwm),
-        ("threads_active", |s| s.threads_active),
-        ("handoff_depth", |s| s.handoff_depth),
-        ("spare_arenas", |s| s.spare_arenas),
-        ("arenas_recycled", |s| s.arenas_recycled),
-        ("arenas_allocated", |s| s.arenas_allocated),
-    ]
-}
-
-/// Render one time-series point as a single JSON line: a flat object of
-/// numbers keyed by snake_case metric names, per-class values as
-/// `events.<class>` / `perturb_samples.<class>` / `perturb_ns.<class>`.
-pub fn to_jsonl_line(t_ns: u64, s: &TelemetrySnapshot) -> String {
-    let mut out = String::from("{");
-    let _ = write!(out, "\"t_ns\":{t_ns}");
-    for (key, get) in jsonl_keys() {
-        let _ = write!(out, ",\"{key}\":{}", get(s));
-    }
-    for class in EventClass::ALL {
-        let _ = write!(out, ",\"events.{}\":{}", class.label(), s.events[class.index()]);
-    }
-    for class in EventClass::ALL {
-        let _ = write!(
-            out,
-            ",\"perturb_samples.{}\":{}",
-            class.label(),
-            s.perturb_samples[class.index()]
-        );
-    }
-    for class in EventClass::ALL {
-        let _ = write!(
-            out,
-            ",\"perturb_ns.{}\":{}",
-            class.label(),
-            s.perturb_ns[class.index()]
-        );
+/// The JSONL writer: `{"t_ns":<t_ns>` then `,"<key>":<value>` per member,
+/// every value a plain `u64`. Keys must not contain `"`.
+fn jsonl_line(t_ns: u64, members: impl IntoIterator<Item = (String, u64)>) -> String {
+    let mut out = format!("{{\"t_ns\":{t_ns}");
+    for (key, value) in members {
+        let _ = write!(out, ",\"{key}\":{value}");
     }
     out.push('}');
     out
 }
 
-/// Parse one JSON line written by [`to_jsonl_line`] back into
-/// `(t_ns, snapshot)`. Unknown keys are ignored (forward compatibility);
-/// missing keys default to 0.
-pub fn parse_jsonl_line(line: &str) -> Result<(u64, TelemetrySnapshot), ExportParseError> {
+/// A flat JSONL line as read: `t_ns` and every other member in line order.
+type FlatLine<'a> = (u64, Vec<(&'a str, u64)>);
+
+/// The JSONL reader: a flat object of `u64` members, with `t_ns` 0 when
+/// absent and the last one when repeated. Whitespace around keys and
+/// values and empty members are tolerated; anything else that is not
+/// `"key":<u64>` is an error.
+fn read_jsonl(line: &str) -> Result<FlatLine<'_>, ExportParseError> {
     let body = line
         .trim()
         .strip_prefix('{')
         .and_then(|l| l.strip_suffix('}'))
         .ok_or_else(|| err(1, "not a JSON object"))?;
     let mut t_ns = 0u64;
-    let mut snap = TelemetrySnapshot::default();
+    let mut members = Vec::new();
     for pair in body.split(',').filter(|p| !p.trim().is_empty()) {
         let (k, v) = pair
             .split_once(':')
@@ -329,79 +315,111 @@ pub fn parse_jsonl_line(line: &str) -> Result<(u64, TelemetrySnapshot), ExportPa
             .map_err(|_| err(1, format!("bad value for '{key}': '{}'", v.trim())))?;
         if key == "t_ns" {
             t_ns = value;
-            continue;
+        } else {
+            members.push((key, value));
         }
-        match key {
-            "tasks_created" => {
-                snap.tasks_created = value;
-                continue;
-            }
-            "tasks_completed" => {
-                snap.tasks_completed = value;
-                continue;
-            }
-            "tasks_aborted" => {
-                snap.tasks_aborted = value;
-                continue;
-            }
-            "tasks_shed" => {
-                snap.tasks_shed = value;
-                continue;
-            }
-            "fragments" => {
-                snap.fragments = value;
-                continue;
-            }
-            "stub_time_ns" => {
-                snap.stub_time_ns = value;
-                continue;
-            }
-            "live_trees" => {
-                snap.live_trees = value;
-                continue;
-            }
-            "live_trees_hwm" => {
-                snap.live_trees_hwm = value;
-                continue;
-            }
-            "threads_active" => {
-                snap.threads_active = value;
-                continue;
-            }
-            "handoff_depth" => {
-                snap.handoff_depth = value;
-                continue;
-            }
-            "spare_arenas" => {
-                snap.spare_arenas = value;
-                continue;
-            }
-            "arenas_recycled" => {
-                snap.arenas_recycled = value;
-                continue;
-            }
-            "arenas_allocated" => {
-                snap.arenas_allocated = value;
-                continue;
-            }
-            _ => {}
+    }
+    Ok((t_ns, members))
+}
+
+/// Render one time-series point as a single JSON line: a flat object of
+/// numbers keyed by snake_case metric names, the plain counts first and
+/// then the per-class values as `events.<class>` /
+/// `perturb_samples.<class>` / `perturb_ns.<class>`.
+pub fn to_jsonl_line(t_ns: u64, s: &TelemetrySnapshot) -> String {
+    let mut s = s.clone();
+    let (mut counts, mut cells) = (Vec::new(), Vec::new());
+    for row in SNAPSHOT {
+        match row.field {
+            Count(get) => counts.push((row.key.to_string(), *get(&mut s))),
+            PerClass(get) => cells.extend(EventClass::ALL.map(|class| {
+                let key = format!("{}.{}", row.key, class.label());
+                (key, get(&mut s)[class.index()])
+            })),
+            Derived(_) => {}
         }
-        if let Some(label) = key.strip_prefix("events.") {
-            if let Some(class) = EventClass::from_label(label) {
-                snap.events[class.index()] = value;
-            }
-        } else if let Some(label) = key.strip_prefix("perturb_samples.") {
-            if let Some(class) = EventClass::from_label(label) {
-                snap.perturb_samples[class.index()] = value;
-            }
-        } else if let Some(label) = key.strip_prefix("perturb_ns.") {
-            if let Some(class) = EventClass::from_label(label) {
-                snap.perturb_ns[class.index()] = value;
+    }
+    jsonl_line(t_ns, counts.into_iter().chain(cells))
+}
+
+/// Parse one JSON line written by [`to_jsonl_line`] back into
+/// `(t_ns, snapshot)`. Unknown keys are ignored (forward compatibility);
+/// missing keys default to 0.
+pub fn parse_jsonl_line(line: &str) -> Result<(u64, TelemetrySnapshot), ExportParseError> {
+    let (t_ns, members) = read_jsonl(line)?;
+    let mut snap = TelemetrySnapshot::default();
+    for (key, value) in members {
+        for row in SNAPSHOT {
+            match row.field {
+                Count(get) if key == row.key => *get(&mut snap) = value,
+                PerClass(get) => {
+                    let class = key
+                        .strip_prefix(row.key)
+                        .and_then(|k| k.strip_prefix('.'))
+                        .and_then(EventClass::from_label);
+                    if let Some(class) = class {
+                        get(&mut snap)[class.index()] = value;
+                    }
+                }
+                _ => {}
             }
         }
-        // Unknown keys: ignored.
     }
     Ok((t_ns, snap))
+}
+
+/// Render keyed histogram snapshots as one flat JSON line in the same
+/// style as [`to_jsonl_line`]: every value a plain `u64`, keys
+/// `"<key>.count"` / `"<key>.sum_ns"` / `"<key>.max_ns"` / `"<key>.b<i>"`
+/// (empty buckets omitted). Keys must not contain `"`.
+pub fn latency_to_jsonl_line(t_ns: u64, series: &[(String, HistogramSnapshot)]) -> String {
+    jsonl_line(
+        t_ns,
+        series.iter().flat_map(|(key, snap)| {
+            let totals = [
+                ("count", snap.count),
+                ("sum_ns", snap.sum_ns),
+                ("max_ns", snap.max_ns),
+            ]
+            .map(|(field, value)| (format!("{key}.{field}"), value));
+            let buckets = snap.buckets.iter().enumerate().filter(|&(_, &n)| n > 0);
+            totals
+                .into_iter()
+                .chain(buckets.map(move |(i, &n)| (format!("{key}.b{i}"), n)))
+        }),
+    )
+}
+
+/// Parse a line written by [`latency_to_jsonl_line`] back into
+/// `(t_ns, series)`. Series come back sorted by key; unknown suffixes
+/// are ignored.
+pub fn parse_latency_jsonl_line(
+    line: &str,
+) -> Result<(u64, Vec<(String, HistogramSnapshot)>), ExportParseError> {
+    let (t_ns, members) = read_jsonl(line)?;
+    let mut series: BTreeMap<String, HistogramSnapshot> = BTreeMap::new();
+    for (key, value) in members {
+        let Some((prefix, field)) = key.rsplit_once('.') else {
+            continue;
+        };
+        let snap = series.entry(prefix.to_string()).or_default();
+        match field {
+            "count" => snap.count = value,
+            "sum_ns" => snap.sum_ns = value,
+            "max_ns" => snap.max_ns = value,
+            _ => {
+                if let Some(i) = field
+                    .strip_prefix('b')
+                    .and_then(|i| i.parse::<usize>().ok())
+                {
+                    if i < HISTOGRAM_BUCKETS {
+                        snap.buckets[i] = value;
+                    }
+                }
+            }
+        }
+    }
+    Ok((t_ns, series.into_iter().collect()))
 }
 
 #[cfg(test)]

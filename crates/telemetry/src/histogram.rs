@@ -137,125 +137,12 @@ impl HistogramSnapshot {
     }
 }
 
-/// Render labelled histogram series in the Prometheus text exposition
-/// format: cumulative `<name>_bucket{...,le="..."}` samples (one per
-/// non-empty prefix, plus `+Inf`), then `<name>_sum` / `<name>_count`
-/// per series. Output parses back through
-/// [`crate::export::parse_prometheus`].
-pub fn latency_to_prometheus(
-    name: &str,
-    help: &str,
-    series: &[(Vec<(String, String)>, HistogramSnapshot)],
-) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} histogram");
-    for (labels, snap) in series {
-        let base: String = labels
-            .iter()
-            .map(|(k, v)| format!("{k}=\"{v}\","))
-            .collect();
-        let highest = snap
-            .buckets
-            .iter()
-            .rposition(|&n| n > 0)
-            .map(|i| i + 1)
-            .unwrap_or(0);
-        let mut cumulative = 0u64;
-        for (i, &n) in snap.buckets.iter().enumerate().take(highest) {
-            cumulative += n;
-            let _ = writeln!(
-                out,
-                "{name}_bucket{{{base}le=\"{}\"}} {cumulative}",
-                bucket_upper_bound(i)
-            );
-        }
-        let _ = writeln!(out, "{name}_bucket{{{base}le=\"+Inf\"}} {}", snap.count);
-        let trimmed = base.trim_end_matches(',');
-        let _ = writeln!(out, "{name}_sum{{{trimmed}}} {}", snap.sum_ns);
-        let _ = writeln!(out, "{name}_count{{{trimmed}}} {}", snap.count);
-    }
-    out
-}
-
-/// Render keyed histogram snapshots as one flat JSON line in the same
-/// style as [`crate::export::to_jsonl_line`]: every value a plain `u64`,
-/// keys `"<key>.count"` / `"<key>.sum_ns"` / `"<key>.max_ns"` /
-/// `"<key>.b<i>"` (empty buckets omitted). Keys must not contain `"`.
-pub fn latency_to_jsonl_line(t_ns: u64, series: &[(String, HistogramSnapshot)]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("{");
-    let _ = write!(out, "\"t_ns\":{t_ns}");
-    for (key, snap) in series {
-        let _ = write!(out, ",\"{key}.count\":{}", snap.count);
-        let _ = write!(out, ",\"{key}.sum_ns\":{}", snap.sum_ns);
-        let _ = write!(out, ",\"{key}.max_ns\":{}", snap.max_ns);
-        for (i, &n) in snap.buckets.iter().enumerate() {
-            if n > 0 {
-                let _ = write!(out, ",\"{key}.b{i}\":{n}");
-            }
-        }
-    }
-    out.push('}');
-    out
-}
-
-/// Parse a line written by [`latency_to_jsonl_line`] back into
-/// `(t_ns, series)`. Series come back sorted by key; unknown suffixes
-/// are ignored.
-pub fn parse_latency_jsonl_line(
-    line: &str,
-) -> Result<(u64, Vec<(String, HistogramSnapshot)>), crate::export::ExportParseError> {
-    let bad = |message: String| crate::export::ExportParseError { line: 1, message };
-    let body = line
-        .trim()
-        .strip_prefix('{')
-        .and_then(|l| l.strip_suffix('}'))
-        .ok_or_else(|| bad("not a JSON object".into()))?;
-    let mut t_ns = 0u64;
-    let mut series: std::collections::BTreeMap<String, HistogramSnapshot> =
-        std::collections::BTreeMap::new();
-    for pair in body.split(',').filter(|p| !p.trim().is_empty()) {
-        let (k, v) = pair
-            .split_once(':')
-            .ok_or_else(|| bad(format!("bad member '{pair}'")))?;
-        let key = k
-            .trim()
-            .strip_prefix('"')
-            .and_then(|k| k.strip_suffix('"'))
-            .ok_or_else(|| bad(format!("unquoted key '{k}'")))?;
-        let value: u64 = v
-            .trim()
-            .parse()
-            .map_err(|_| bad(format!("bad value for '{key}': '{}'", v.trim())))?;
-        if key == "t_ns" {
-            t_ns = value;
-            continue;
-        }
-        let Some((prefix, field)) = key.rsplit_once('.') else {
-            continue;
-        };
-        let snap = series.entry(prefix.to_string()).or_default();
-        match field {
-            "count" => snap.count = value,
-            "sum_ns" => snap.sum_ns = value,
-            "max_ns" => snap.max_ns = value,
-            _ => {
-                if let Some(i) = field.strip_prefix('b').and_then(|i| i.parse::<usize>().ok()) {
-                    if i < HISTOGRAM_BUCKETS {
-                        snap.buckets[i] = value;
-                    }
-                }
-            }
-        }
-    }
-    Ok((t_ns, series.into_iter().collect()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::export::{
+        latency_to_jsonl_line, latency_to_prometheus, parse_latency_jsonl_line, parse_prometheus,
+    };
     use std::sync::Arc;
 
     #[test]
@@ -343,10 +230,12 @@ mod tests {
             "Request latency by verb and protocol.",
             &series,
         );
-        let samples = crate::export::parse_prometheus(&text).expect("parses");
+        let samples = parse_prometheus(&text).expect("parses");
         let inf = samples
             .iter()
-            .find(|s| s.name == "profserve_request_latency_ns_bucket" && s.label("le") == Some("+Inf"))
+            .find(|s| {
+                s.name == "profserve_request_latency_ns_bucket" && s.label("le") == Some("+Inf")
+            })
             .expect("+Inf bucket");
         assert_eq!(inf.value, 3.0);
         assert_eq!(inf.label("verb"), Some("ingest"));

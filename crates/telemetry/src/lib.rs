@@ -21,19 +21,23 @@
 //! * [`TelemetrySnapshot`] — a plain aggregated view, cheap to take from
 //!   any thread at any time (including mid-measurement: counters are
 //!   monotonic, the gauges merely slightly stale).
-//! * [`export`] — Prometheus text exposition format and JSON-lines time
-//!   series, both with parsers so round-trips are testable.
 //! * [`Sampler`] — an optional background thread producing fixed-interval
 //!   time-series snapshots.
 //! * [`histogram`] — lock-free log2-bucket latency histograms (the
-//!   serving daemon's request-tracing substrate), with Prometheus
-//!   histogram and JSONL renderings that parse back.
+//!   serving daemon's request-tracing substrate).
+//! * [`ServiceCounters`] — the serving daemon's relaxed-atomic totals
+//!   (connections, ingests, queries, errors, subscriptions, …).
+//! * [`export`] — the Prometheus text exposition format and JSON-lines
+//!   time series for all of the above, both with parsers so round trips
+//!   are testable. Each family is declared once, one row per metric
+//!   (its JSONL key, Prometheus name, type, help and field), and one
+//!   Prometheus writer and one JSONL writer and reader serve every
+//!   family, the latency histograms included.
 
 #![warn(missing_docs)]
 
 pub mod counters;
 pub mod export;
-pub mod export_path;
 pub mod histogram;
 pub mod sampler;
 pub mod service;
@@ -41,15 +45,10 @@ pub mod snapshot;
 
 pub use counters::{TelemetryConfig, TelemetryCore, ThreadTelemetry, MAX_TELEMETRY_SHARDS};
 pub use export::{
-    parse_jsonl_line, parse_prometheus, to_jsonl_line, to_prometheus, ExportParseError, PromSample,
+    latency_to_jsonl_line, latency_to_prometheus, parse_jsonl_line, parse_latency_jsonl_line,
+    parse_prometheus, to_jsonl_line, to_prometheus, ExportParseError, PromSample,
 };
-pub use histogram::{
-    latency_to_jsonl_line, latency_to_prometheus, parse_latency_jsonl_line, HistogramSnapshot,
-    LatencyHistogram, HISTOGRAM_BUCKETS,
-};
-pub use export_path::{
-    export_counters, export_to_jsonl_line, export_to_prometheus, ExportCounters, ExportSnapshot,
-};
+pub use histogram::{HistogramSnapshot, LatencyHistogram, HISTOGRAM_BUCKETS};
 pub use sampler::{Sampler, TimedSnapshot};
 pub use service::{service_to_prometheus, ServiceCounters, ServiceSnapshot};
 pub use snapshot::TelemetrySnapshot;

@@ -6,78 +6,74 @@
 //! network daemon's request path is microseconds at best, so these are
 //! plain relaxed atomics — still lock-free, still safe to scrape from any
 //! thread at any time, just without the cache-line choreography.
+//!
+//! The family is declared once, in the `service_counters!` table below:
+//! each row names a counter and gives its Prometheus name and help. The
+//! row becomes the atomic in [`ServiceCounters`], the field of
+//! [`ServiceSnapshot`] and the exported metric. `profserve`'s wire codec
+//! spells the snapshot's fields once more, in its frozen declaration.
 
+use crate::export::{prom_family, Field, Metric};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Lock-free counters describing a serving daemon's lifetime totals.
-#[derive(Debug, Default)]
-pub struct ServiceCounters {
-    /// Connections accepted and admitted past the permit gate.
-    pub connections: AtomicU64,
-    /// Connections rejected because the permit gate was exhausted
-    /// (backpressure shedding — the accept loop never blocks).
-    pub shed_connections: AtomicU64,
-    /// Connections dropped because a read or write exceeded the
-    /// per-connection deadline (slow-loris defense).
-    pub timeouts: AtomicU64,
-    /// Profiles ingested.
-    pub ingests: AtomicU64,
-    /// Bytes of ingested records appended to the store.
-    pub ingest_bytes: AtomicU64,
-    /// Query requests served.
-    pub queries: AtomicU64,
-    /// Requests that returned a typed error (bad request, not found…).
-    pub errors: AtomicU64,
-    /// Requests whose handler panicked and was isolated.
-    pub panics: AtomicU64,
-    /// Requests that arrived over the JSON line protocol.
-    pub json_requests: AtomicU64,
-    /// Requests that arrived over the TPF1 binary protocol.
-    pub bin_requests: AtomicU64,
-    /// Batched ingest requests (each may carry many profiles; the
-    /// per-profile totals still land in `ingests`/`ingest_bytes`).
-    pub ingest_batches: AtomicU64,
-    /// Live-stream subscriptions accepted (`SUBSCRIBE`).
-    pub subscriptions: AtomicU64,
-    /// Events pushed to subscribers (snapshots + notifications).
-    pub sub_events: AtomicU64,
-    /// Events dropped because a subscriber's queue was full (slow
-    /// consumers are shed, never allowed to block ingest).
-    pub sub_lagged: AtomicU64,
+/// Expands one row per counter, `field => "prometheus_name", "help";`,
+/// into [`ServiceCounters`], [`ServiceSnapshot`] (fields in row order,
+/// the help as their doc), [`ServiceCounters::snapshot`] and `SERVICE`,
+/// the family's metric table.
+macro_rules! service_counters {
+    ($($field:ident => $name:literal, $help:literal;)*) => {
+        /// Lock-free counters describing a serving daemon's lifetime
+        /// totals, bumped through [`ServiceCounters::add`].
+        #[derive(Debug, Default)]
+        pub struct ServiceCounters {
+            $(#[doc = $help] pub $field: AtomicU64,)*
+        }
+
+        /// Point-in-time copy of [`ServiceCounters`].
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct ServiceSnapshot {
+            $(#[doc = $help] pub $field: u64,)*
+        }
+
+        impl ServiceCounters {
+            /// Consistent-enough copy of all counters (each is individually
+            /// atomic; cross-counter skew is bounded by in-flight requests).
+            pub fn snapshot(&self) -> ServiceSnapshot {
+                ServiceSnapshot { $($field: self.$field.load(Ordering::Relaxed),)* }
+            }
+        }
+
+        static SERVICE: &[Metric<ServiceSnapshot>] = &[$(Metric {
+            key: stringify!($field),
+            name: $name,
+            kind: "counter",
+            help: $help,
+            field: Field::Count(|s| &mut s.$field),
+        },)*];
+    };
 }
 
-/// Point-in-time copy of [`ServiceCounters`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ServiceSnapshot {
-    /// Connections admitted.
-    pub connections: u64,
-    /// Connections shed by backpressure.
-    pub shed_connections: u64,
-    /// Connections dropped by the per-connection deadline.
-    pub timeout_connections: u64,
-    /// Profiles ingested.
-    pub ingests: u64,
-    /// Ingested bytes.
-    pub ingest_bytes: u64,
-    /// Queries served.
-    pub queries: u64,
-    /// Typed errors returned.
-    pub errors: u64,
-    /// Panics isolated.
-    pub panics: u64,
-    /// Requests served over the JSON line protocol.
-    pub json_requests: u64,
-    /// Requests served over the TPF1 binary protocol.
-    pub bin_requests: u64,
-    /// Batched ingest requests served.
-    pub ingest_batches: u64,
-    /// Live-stream subscriptions accepted.
-    pub subscriptions: u64,
-    /// Events pushed to subscribers.
-    pub sub_events: u64,
-    /// Events dropped on slow subscribers.
-    pub sub_lagged: u64,
+service_counters! {
+    connections => "profserve_connections_total", "Connections admitted past the permit gate.";
+    // The accept loop never blocks: past the gate a connection is answered
+    // `overloaded` and closed.
+    shed_connections => "profserve_shed_connections_total", "Connections rejected by backpressure.";
+    timeout_connections => "profserve_timeout_connections_total",
+        "Connections dropped by the per-connection read/write deadline.";
+    ingests => "profserve_ingests_total", "Profiles ingested.";
+    ingest_bytes => "profserve_ingest_bytes_total", "Bytes appended to the store by ingests.";
+    queries => "profserve_queries_total", "Query requests served.";
+    errors => "profserve_errors_total", "Requests answered with a typed error.";
+    panics => "profserve_panics_total", "Handler panics isolated by the per-request boundary.";
+    json_requests => "profserve_json_requests_total", "Requests served over the JSON line protocol.";
+    bin_requests => "profserve_bin_requests_total", "Requests served over the TPF1 binary protocol.";
+    // A batch may carry many profiles; each still counts in `ingests`.
+    ingest_batches => "profserve_ingest_batches_total", "Batched ingest requests served.";
+    subscriptions => "profserve_subscriptions_total", "Live-stream subscriptions accepted.";
+    sub_events => "profserve_sub_events_total", "Events pushed to live subscribers.";
+    // Slow consumers are shed, never allowed to block ingest.
+    sub_lagged => "profserve_sub_lagged_total", "Events dropped on slow subscribers.";
 }
 
 impl ServiceCounters {
@@ -86,96 +82,10 @@ impl ServiceCounters {
         Arc::new(Self::default())
     }
 
-    /// Bump one counter by `n` (relaxed; totals are monotonic).
-    fn bump(counter: &AtomicU64, n: u64) {
-        counter.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Count an admitted connection.
-    pub fn connection(&self) {
-        Self::bump(&self.connections, 1);
-    }
-
-    /// Count a shed connection.
-    pub fn shed(&self) {
-        Self::bump(&self.shed_connections, 1);
-    }
-
-    /// Count a connection dropped by its read/write deadline.
-    pub fn timeout(&self) {
-        Self::bump(&self.timeouts, 1);
-    }
-
-    /// Count one ingest of `bytes` appended bytes.
-    pub fn ingest(&self, bytes: u64) {
-        Self::bump(&self.ingests, 1);
-        Self::bump(&self.ingest_bytes, bytes);
-    }
-
-    /// Count a served query.
-    pub fn query(&self) {
-        Self::bump(&self.queries, 1);
-    }
-
-    /// Count a typed error response.
-    pub fn error(&self) {
-        Self::bump(&self.errors, 1);
-    }
-
-    /// Count an isolated handler panic.
-    pub fn panic(&self) {
-        Self::bump(&self.panics, 1);
-    }
-
-    /// Count a request served over the JSON line protocol.
-    pub fn json_request(&self) {
-        Self::bump(&self.json_requests, 1);
-    }
-
-    /// Count a request served over the TPF1 binary protocol.
-    pub fn bin_request(&self) {
-        Self::bump(&self.bin_requests, 1);
-    }
-
-    /// Count one batched ingest request.
-    pub fn ingest_batch(&self) {
-        Self::bump(&self.ingest_batches, 1);
-    }
-
-    /// Count one accepted subscription.
-    pub fn subscription(&self) {
-        Self::bump(&self.subscriptions, 1);
-    }
-
-    /// Count `n` events pushed to subscribers.
-    pub fn sub_events(&self, n: u64) {
-        Self::bump(&self.sub_events, n);
-    }
-
-    /// Count `n` events dropped on a lagging subscriber.
-    pub fn sub_lag(&self, n: u64) {
-        Self::bump(&self.sub_lagged, n);
-    }
-
-    /// Consistent-enough copy of all counters (each is individually
-    /// atomic; cross-counter skew is bounded by in-flight requests).
-    pub fn snapshot(&self) -> ServiceSnapshot {
-        ServiceSnapshot {
-            connections: self.connections.load(Ordering::Relaxed),
-            shed_connections: self.shed_connections.load(Ordering::Relaxed),
-            timeout_connections: self.timeouts.load(Ordering::Relaxed),
-            ingests: self.ingests.load(Ordering::Relaxed),
-            ingest_bytes: self.ingest_bytes.load(Ordering::Relaxed),
-            queries: self.queries.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            panics: self.panics.load(Ordering::Relaxed),
-            json_requests: self.json_requests.load(Ordering::Relaxed),
-            bin_requests: self.bin_requests.load(Ordering::Relaxed),
-            ingest_batches: self.ingest_batches.load(Ordering::Relaxed),
-            subscriptions: self.subscriptions.load(Ordering::Relaxed),
-            sub_events: self.sub_events.load(Ordering::Relaxed),
-            sub_lagged: self.sub_lagged.load(Ordering::Relaxed),
-        }
+    /// Add `n` to the counter `pick` names, e.g.
+    /// `counters.add(|c| &c.queries, 1)` (relaxed; totals are monotonic).
+    pub fn add(&self, pick: fn(&Self) -> &AtomicU64, n: u64) {
+        pick(self).fetch_add(n, Ordering::Relaxed);
     }
 }
 
@@ -183,76 +93,7 @@ impl ServiceCounters {
 /// name-spaced `profserve_*` so it can be exposed alongside the
 /// measurement metrics without collisions.
 pub fn service_to_prometheus(s: &ServiceSnapshot) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let mut metric = |name: &str, help: &str, value: u64| {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} counter");
-        let _ = writeln!(out, "{name} {value}");
-    };
-    metric(
-        "profserve_connections_total",
-        "Connections admitted past the permit gate.",
-        s.connections,
-    );
-    metric(
-        "profserve_shed_connections_total",
-        "Connections rejected by backpressure.",
-        s.shed_connections,
-    );
-    metric(
-        "profserve_timeout_connections_total",
-        "Connections dropped by the per-connection read/write deadline.",
-        s.timeout_connections,
-    );
-    metric("profserve_ingests_total", "Profiles ingested.", s.ingests);
-    metric(
-        "profserve_ingest_bytes_total",
-        "Bytes appended to the store by ingests.",
-        s.ingest_bytes,
-    );
-    metric("profserve_queries_total", "Query requests served.", s.queries);
-    metric(
-        "profserve_errors_total",
-        "Requests answered with a typed error.",
-        s.errors,
-    );
-    metric(
-        "profserve_panics_total",
-        "Handler panics isolated by the per-request boundary.",
-        s.panics,
-    );
-    metric(
-        "profserve_json_requests_total",
-        "Requests served over the JSON line protocol.",
-        s.json_requests,
-    );
-    metric(
-        "profserve_bin_requests_total",
-        "Requests served over the TPF1 binary protocol.",
-        s.bin_requests,
-    );
-    metric(
-        "profserve_ingest_batches_total",
-        "Batched ingest requests served.",
-        s.ingest_batches,
-    );
-    metric(
-        "profserve_subscriptions_total",
-        "Live-stream subscriptions accepted.",
-        s.subscriptions,
-    );
-    metric(
-        "profserve_sub_events_total",
-        "Events pushed to live subscribers.",
-        s.sub_events,
-    );
-    metric(
-        "profserve_sub_lagged_total",
-        "Events dropped on slow subscribers.",
-        s.sub_lagged,
-    );
-    out
+    prom_family(SERVICE, s)
 }
 
 #[cfg(test)]
@@ -262,21 +103,21 @@ mod tests {
     #[test]
     fn counters_accumulate_and_snapshot() {
         let c = ServiceCounters::new();
-        c.connection();
-        c.connection();
-        c.shed();
-        c.ingest(100);
-        c.ingest(50);
-        c.query();
-        c.error();
-        c.panic();
-        c.json_request();
-        c.bin_request();
-        c.bin_request();
-        c.ingest_batch();
-        c.subscription();
-        c.sub_events(5);
-        c.sub_lag(2);
+        c.add(|c| &c.connections, 1);
+        c.add(|c| &c.connections, 1);
+        c.add(|c| &c.shed_connections, 1);
+        c.add(|c| &c.ingest_bytes, 100);
+        c.add(|c| &c.ingest_bytes, 50);
+        c.add(|c| &c.ingests, 2);
+        c.add(|c| &c.queries, 1);
+        c.add(|c| &c.errors, 1);
+        c.add(|c| &c.panics, 1);
+        c.add(|c| &c.json_requests, 1);
+        c.add(|c| &c.bin_requests, 2);
+        c.add(|c| &c.ingest_batches, 1);
+        c.add(|c| &c.subscriptions, 1);
+        c.add(|c| &c.sub_events, 5);
+        c.add(|c| &c.sub_lagged, 2);
         let s = c.snapshot();
         assert_eq!(s.connections, 2);
         assert_eq!(s.shed_connections, 1);
@@ -301,8 +142,9 @@ mod tests {
                 let c = Arc::clone(&c);
                 scope.spawn(move || {
                     for _ in 0..1000 {
-                        c.ingest(3);
-                        c.query();
+                        c.add(|c| &c.ingests, 1);
+                        c.add(|c| &c.ingest_bytes, 3);
+                        c.add(|c| &c.queries, 1);
                     }
                 });
             }
@@ -316,8 +158,9 @@ mod tests {
     #[test]
     fn prometheus_export_parses_back() {
         let c = ServiceCounters::new();
-        c.ingest(42);
-        c.shed();
+        c.add(|c| &c.ingests, 1);
+        c.add(|c| &c.ingest_bytes, 42);
+        c.add(|c| &c.shed_connections, 1);
         let text = service_to_prometheus(&c.snapshot());
         let samples = crate::export::parse_prometheus(&text).expect("parse");
         let get = |name: &str| {

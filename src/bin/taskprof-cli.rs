@@ -1211,8 +1211,8 @@ fn cmd_watch(args: &[String]) {
             );
         } else {
             match &event {
-                profserve::Notification::Telemetry { t_ns, stats } => {
-                    print!("{}", cube::render_fleet(&fleet_stats(*t_ns, stats)));
+                profserve::Notification::Telemetry { stats, .. } => {
+                    print!("{}", profserve::render_fleet(stats));
                 }
                 profserve::Notification::Ingest {
                     first_run_id,
@@ -1273,38 +1273,6 @@ fn cmd_replicate(args: &[String]) {
             eprintln!("replication failed: {e}");
             std::process::exit(1);
         }
-    }
-}
-
-/// Adapt a daemon `STATS` report to the plain-field dashboard struct.
-fn fleet_stats(t_ns: u64, s: &profserve::ServerStatsReport) -> cube::FleetStats {
-    cube::FleetStats {
-        t_ns,
-        uptime_secs: s.uptime_secs,
-        read_only: s.read_only,
-        connections: s.service.connections,
-        ingests: s.service.ingests,
-        ingest_bytes: s.service.ingest_bytes,
-        queries: s.service.queries,
-        errors: s.service.errors,
-        subscriptions: s.service.subscriptions,
-        sub_events: s.service.sub_events,
-        sub_lagged: s.service.sub_lagged,
-        store_runs: s.store.runs,
-        store_segments: s.store.segments,
-        store_bytes: s.store.bytes,
-        latency: s
-            .latency
-            .iter()
-            .map(|l| cube::FleetLatencyRow {
-                verb: l.verb.clone(),
-                proto: l.proto.clone(),
-                count: l.count,
-                p50_ns: l.p50_ns,
-                p99_ns: l.p99_ns,
-                max_ns: l.max_ns,
-            })
-            .collect(),
     }
 }
 

@@ -12,9 +12,11 @@ use profserve::{
     Client, ClientError, ClientTimeouts, ErrorKind, ProfilePayload, Record, ServeConfig, Server,
     ServerHandle, WireProtocol,
 };
+use profstore::crc::crc32;
 use profstore::{put_iv, put_meta, put_str, put_uv, verify_record, ProfileStore, RunMeta};
 use std::path::PathBuf;
 use std::thread::JoinHandle;
+use taskprof_session::{drain_spool, DrainReport, ExportPolicy};
 use test_util::alloc::{measure, CountingAlloc};
 
 #[global_allocator]
@@ -164,6 +166,48 @@ fn tpf1_ingest_interns_no_name() {
         before,
         "(regions, parameters) after {RECORDS} records of distinct names"
     );
+    stop(daemon, client);
+}
+
+/// A spool drain verifies each frame and forwards its record payload: it
+/// never decodes one, so the names of 10³ distinct-name frames stay out of
+/// the registry.
+#[test]
+fn spool_drain_interns_no_name() {
+    const FRAMES: usize = 1_000;
+    let (daemon, client) = serve("drain");
+    let spool = temp_dir("drain-spool");
+    std::fs::create_dir_all(&spool).expect("spool dir");
+    let registry = pomp::registry();
+    let before = (registry.len(), registry.param_count());
+    for n in 0..FRAMES {
+        // The frame file `spool_profile` writes: `len | payload | crc32`.
+        let payload = record(&format!("spooled-{n}"), 4);
+        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&payload);
+        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
+        std::fs::write(spool.join(format!("spool-{n:020}-0-0.frame")), frame).expect("frame");
+    }
+    let policy = ExportPolicy {
+        wire_protocol: WireProtocol::Binary,
+        ..ExportPolicy::default()
+    };
+    let report = drain_spool(&spool, &daemon.handle.addr().to_string(), &policy);
+    assert_eq!(
+        report,
+        DrainReport {
+            delivered: FRAMES as u64,
+            quarantined: 0,
+            remaining: 0
+        }
+    );
+    assert_eq!(std::fs::read_dir(&spool).expect("spool dir").count(), 0);
+    assert_eq!(
+        (registry.len(), registry.param_count()),
+        before,
+        "(regions, parameters) after draining {FRAMES} frames of distinct names"
+    );
+    let _ = std::fs::remove_dir_all(&spool);
     stop(daemon, client);
 }
 

@@ -12,8 +12,8 @@
 
 use pomp::EventClass;
 use profserve::{
-    Client, ClientTimeouts, LatencyStat, Record, ServeConfig, Server, ServerStatsReport,
-    WireProtocol,
+    render_fleet, Client, ClientTimeouts, LatencyStat, Record, ServeConfig, Server,
+    ServerStatsReport, WireProtocol,
 };
 use profstore::{ProfileStore, Repo, ShardedStore, StoreStats};
 use std::fmt::Write as _;
@@ -67,16 +67,22 @@ fn labels(pairs: &[(&str, &str)]) -> Vec<(String, String)> {
         .collect()
 }
 
+/// Labelled histogram series, as `latency_to_prometheus` takes them.
+type Series = Vec<(Vec<(String, String)>, HistogramSnapshot)>;
+
 /// Zero, one and three labelled series; the third set has an unlabelled
 /// series and one sample in the saturating top bucket.
-fn latency_sets() -> Vec<Vec<(Vec<(String, String)>, HistogramSnapshot)>> {
+fn latency_sets() -> Vec<Series> {
     let ingest = histogram(&[100, 200, 3_000]);
     vec![
         Vec::new(),
         vec![(labels(&[("verb", "ingest"), ("proto", "json")]), ingest)],
         vec![
             (labels(&[("verb", "ingest"), ("proto", "bin")]), ingest),
-            (labels(&[("verb", "stats"), ("proto", "json")]), histogram(&[0, 1, 5, 1 << 40])),
+            (
+                labels(&[("verb", "stats"), ("proto", "json")]),
+                histogram(&[0, 1, 5, 1 << 40]),
+            ),
             (Vec::new(), histogram(&[7])),
         ],
     ]
@@ -101,8 +107,16 @@ fn section(out: &mut String, title: &str, body: &str) {
 
 /// Every parser's verdict on `text`.
 fn parsed(out: &mut String, title: &str, text: &str) {
-    section(out, &format!("{title} parse_prometheus"), &format!("{:?}", parse_prometheus(text)));
-    section(out, &format!("{title} parse_jsonl_line"), &format!("{:?}", parse_jsonl_line(text)));
+    section(
+        out,
+        &format!("{title} parse_prometheus"),
+        &format!("{:?}", parse_prometheus(text)),
+    );
+    section(
+        out,
+        &format!("{title} parse_jsonl_line"),
+        &format!("{:?}", parse_jsonl_line(text)),
+    );
     section(
         out,
         &format!("{title} parse_latency_jsonl_line"),
@@ -175,37 +189,6 @@ fn fleet_report() -> ServerStatsReport {
     }
 }
 
-fn render_fleet(report: &ServerStatsReport) -> String {
-    cube::render_fleet(&cube::FleetStats {
-        t_ns: 0,
-        uptime_secs: report.uptime_secs,
-        read_only: report.read_only,
-        connections: report.service.connections,
-        ingests: report.service.ingests,
-        ingest_bytes: report.service.ingest_bytes,
-        queries: report.service.queries,
-        errors: report.service.errors,
-        subscriptions: report.service.subscriptions,
-        sub_events: report.service.sub_events,
-        sub_lagged: report.service.sub_lagged,
-        store_runs: report.store.runs,
-        store_segments: report.store.segments,
-        store_bytes: report.store.bytes,
-        latency: report
-            .latency
-            .iter()
-            .map(|l| cube::FleetLatencyRow {
-                verb: l.verb.clone(),
-                proto: l.proto.clone(),
-                count: l.count,
-                p50_ns: l.p50_ns,
-                p99_ns: l.p99_ns,
-                max_ns: l.max_ns,
-            })
-            .collect(),
-    })
-}
-
 const PROFILE: &str = "taskprof-profile v1\nthreads 1\nthread 0 max_live 1 arena 8\nmain\n  region parallel \"telemetry-v1 par\" visits 1 sum 90 min 90 max 90 samples 1\n    stub \"telemetry-v1 task\" visits 3 sum 33 min 10 max 12 samples 3\nend\n";
 
 /// Drive a fixed request sequence into a daemon over `store` and return
@@ -235,7 +218,8 @@ fn live_scrape(store: Repo) -> String {
     .expect("tpf1 batch");
     bin.query_top("fib", 2, 5).expect("top");
     json.query_stats("fib", 2).expect("stats query");
-    json.query_top("missing", 1, 5).expect_err("an empty group is not found");
+    json.query_top("missing", 1, 5)
+        .expect_err("an empty group is not found");
     json.server_stats().expect("stats");
     let scrape = bin.server_stats_prometheus().expect("scrape");
     drop((bin, json));
@@ -316,15 +300,31 @@ fn corpus() -> String {
             "Request handling latency by verb and protocol.",
             &series,
         );
-        section(&mut out, &format!("latency_to_prometheus {n} series"), &prom);
-        parsed(&mut out, &format!("latency_to_prometheus {n} series"), &prom);
+        section(
+            &mut out,
+            &format!("latency_to_prometheus {n} series"),
+            &prom,
+        );
+        parsed(
+            &mut out,
+            &format!("latency_to_prometheus {n} series"),
+            &prom,
+        );
         let keyed: Vec<(String, HistogramSnapshot)> = series
             .iter()
             .map(|(labels, snap)| (series_key(labels), *snap))
             .collect();
         let line = latency_to_jsonl_line(123, &keyed);
-        section(&mut out, &format!("latency_to_jsonl_line {n} series"), &line);
-        parsed(&mut out, &format!("latency_to_jsonl_line {n} series"), &line);
+        section(
+            &mut out,
+            &format!("latency_to_jsonl_line {n} series"),
+            &line,
+        );
+        parsed(
+            &mut out,
+            &format!("latency_to_jsonl_line {n} series"),
+            &line,
+        );
     }
 
     for (i, line) in ODD_LINES.iter().enumerate() {
@@ -341,11 +341,19 @@ fn corpus() -> String {
 
     let dir = temp_dir("single");
     let single = ProfileStore::open(&dir).expect("open store");
-    section(&mut out, "STATS prometheus single store", &live_scrape(single.into()));
+    section(
+        &mut out,
+        "STATS prometheus single store",
+        &live_scrape(single.into()),
+    );
     let _ = std::fs::remove_dir_all(&dir);
     let dir = temp_dir("sharded");
     let sharded = ShardedStore::open(&dir, 2).expect("open sharded store");
-    section(&mut out, "STATS prometheus two shards", &live_scrape(sharded.into()));
+    section(
+        &mut out,
+        "STATS prometheus two shards",
+        &live_scrape(sharded.into()),
+    );
     let _ = std::fs::remove_dir_all(&dir);
     out
 }
