@@ -3,12 +3,57 @@
 //! A [`Body`] plan describes one well-formed single-thread execution —
 //! nested regions, task creation and immediate execution at scheduling
 //! points, parameter scopes — which [`emit`] turns into the exact event
-//! stream a runtime would produce, fed through [`taskprof::Replayer`]
-//! under virtual time.
+//! stream a runtime would produce, fed through a [`Sink`] under virtual
+//! time: the profiler's [`taskprof::Replayer`], the Fig. 12 reference
+//! ([`crate::fig12::Oracle`]), or both at once.
 
-use pomp::{RegionId, TaskIdAllocator};
+use pomp::{RegionId, TaskIdAllocator, TaskRef};
 use proptest::prelude::*;
 use taskprof::{Event, Replayer, SnapNode};
+
+/// What [`emit`] drives.
+pub trait Sink {
+    /// Apply one event.
+    fn apply(&mut self, ev: Event);
+    /// The task executing now.
+    fn current_task(&self) -> TaskRef;
+    /// Instances begun and not yet finished.
+    fn live_instance_trees(&self) -> usize;
+}
+
+impl Sink for Replayer {
+    fn apply(&mut self, ev: Event) {
+        Replayer::apply(self, ev);
+    }
+
+    fn current_task(&self) -> TaskRef {
+        self.profile().current_task()
+    }
+
+    fn live_instance_trees(&self) -> usize {
+        self.profile().live_instance_trees()
+    }
+}
+
+/// One stream into two sinks, which must agree on the state `emit` reads.
+impl<A: Sink, B: Sink> Sink for (A, B) {
+    fn apply(&mut self, ev: Event) {
+        self.0.apply(ev);
+        self.1.apply(ev);
+    }
+
+    fn current_task(&self) -> TaskRef {
+        let current = self.0.current_task();
+        assert_eq!(current, self.1.current_task(), "the sinks disagree on the current task");
+        current
+    }
+
+    fn live_instance_trees(&self) -> usize {
+        let live = self.0.live_instance_trees();
+        assert_eq!(live, self.1.live_instance_trees(), "the sinks disagree on the live trees");
+        live
+    }
+}
 
 /// The fixed parallel region used by plan replays.
 pub const PAR: RegionId = RegionId(9000);
@@ -65,7 +110,7 @@ pub fn body_strategy(depth: u32) -> impl Strategy<Value = Body> {
 
 /// Emit the event stream for a body executing as the current instance,
 /// tracking the live-tree high-water mark in `max_live`.
-pub fn emit(r: &mut Replayer, ids: &TaskIdAllocator, body: &[Body], max_live: &mut usize) {
+pub fn emit(r: &mut impl Sink, ids: &TaskIdAllocator, body: &[Body], max_live: &mut usize) {
     let depth_param = pomp::registry().register_param("pt-depth");
     for b in body {
         match b {
@@ -89,13 +134,13 @@ pub fn emit(r: &mut Replayer, ids: &TaskIdAllocator, body: &[Body], max_live: &m
                 r.apply(Event::CreateEnd { create: CREATE_A, id });
                 // Execute it right away at this (creation) scheduling
                 // point; the current task suspends meanwhile.
-                let resumed = r.profile().current_task();
+                let resumed = r.current_task();
                 r.apply(Event::TaskBegin { region: *region, id });
-                *max_live = (*max_live).max(r.profile().live_instance_trees());
+                *max_live = (*max_live).max(r.live_instance_trees());
                 emit(r, ids, inner, max_live);
                 r.apply(Event::Advance(1));
                 r.apply(Event::TaskEnd { region: *region, id });
-                if let pomp::TaskRef::Explicit(_) = resumed {
+                if let TaskRef::Explicit(_) = resumed {
                     r.apply(Event::Switch(resumed));
                 }
             }

@@ -10,6 +10,9 @@
 //! * [`body`] — profiler-level execution plans ([`body::Body`]): emit
 //!   them as event streams through [`taskprof::Replayer`].
 //!
+//! [`fig12`] is the paper's profiling algorithm written the dumbest way,
+//! the reference the profiler is checked against node for node.
+//!
 //! [`sized_profile_text`] is the sized input of the codec scaling and
 //! allocation tests, and [`alloc`] the counting allocator every
 //! allocation and footprint test counts with.
@@ -18,6 +21,7 @@
 
 pub mod alloc;
 pub mod body;
+pub mod fig12;
 pub mod shape;
 
 /// Text-store-format profile (`cube::read_profile` input) of one thread

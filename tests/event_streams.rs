@@ -1,9 +1,11 @@
 //! Exact-number replays of the paper's event-stream figures
 //! (Figs. 1, 2, 4) — the DESIGN.md per-experiment index entries for those
-//! figures.
+//! figures. Every stream is also checked against the Fig. 12 reference
+//! (`test_util::fig12`).
 
 use pomp::{RegionId, TaskIdAllocator, TaskRef};
-use taskprof::{replay, AssignPolicy, Event, NodeKind};
+use taskprof::{Event, NodeKind};
+use test_util::fig12::replay_checked;
 
 const PAR: RegionId = RegionId(9100);
 const FOO: RegionId = RegionId(9101);
@@ -15,9 +17,8 @@ const BARRIER: RegionId = RegionId(9105);
 #[test]
 fn fig1_sequential_nesting() {
     // main { foo(); bar(); } with foo 20ns, bar 10ns, gaps 5ns each.
-    let snap = replay(
+    let snap = replay_checked(
         PAR,
-        AssignPolicy::Executing,
         [
             Event::Advance(5),
             Event::Enter(FOO),
@@ -45,9 +46,8 @@ fn fig2_exits_of_interleaved_foo_calls_are_not_confused() {
     // keeps its own call path.
     let ids = TaskIdAllocator::new();
     let (t1, t2) = (ids.alloc(), ids.alloc());
-    let snap = replay(
+    let snap = replay_checked(
         PAR,
-        AssignPolicy::Executing,
         [
             Event::Enter(BARRIER),
             Event::TaskBegin { region: TASK, id: t1 },
@@ -102,9 +102,8 @@ fn fig4_resumed_task_keeps_single_statistics_location() {
     // indivisible metrics (visits) attributed once.
     let ids = TaskIdAllocator::new();
     let (t1, t2) = (ids.alloc(), ids.alloc());
-    let snap = replay(
+    let snap = replay_checked(
         PAR,
-        AssignPolicy::Executing,
         [
             Event::Enter(BARRIER),
             Event::TaskBegin { region: TASK, id: t1 },
@@ -146,9 +145,8 @@ fn call_tree_structure_is_schedule_independent() {
         let ids = TaskIdAllocator::new();
         let (a, b) = (ids.alloc(), ids.alloc());
         let (first, second) = if order_swapped { (b, a) } else { (a, b) };
-        replay(
+        replay_checked(
             PAR,
-            AssignPolicy::Executing,
             [
                 Event::Enter(BARRIER),
                 Event::TaskBegin { region: TASK, id: first },

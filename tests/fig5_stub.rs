@@ -3,7 +3,8 @@
 //! tree's own creation split (51.5 s exclusive, 25.8 s creating).
 
 use pomp::{RegionId, TaskIdAllocator};
-use taskprof::{replay, AssignPolicy, Event, NodeKind};
+use taskprof::{Event, NodeKind};
+use test_util::fig12::replay_checked;
 
 const PAR: RegionId = RegionId(9400);
 const TASK0: RegionId = RegionId(9401);
@@ -44,7 +45,7 @@ fn fig5_stub_splits_barrier_and_task_tree_shows_creation() {
     }
     events.push(Event::Advance(103 * S)); // not executing a task
     events.push(Event::Exit(BARRIER));
-    let snap = replay(PAR, AssignPolicy::Executing, events);
+    let snap = replay_checked(PAR, events);
 
     let barrier = snap.main.child(NodeKind::Region(BARRIER)).unwrap();
     let stub = barrier.child(NodeKind::Stub(TASK0)).unwrap();

@@ -9,8 +9,9 @@
 use pomp::{RegionId, RegionKind, TaskIdAllocator};
 use std::path::PathBuf;
 use std::sync::Arc;
-use taskprof::{replay, AssignPolicy, Event, Profile, ProfMonitor};
+use taskprof::{Event, Profile, ProfMonitor};
 use taskrt::Team;
+use test_util::fig12::replay_checked;
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -77,7 +78,7 @@ fn golden_fig5_stub_stream() {
     }
     events.push(Event::Advance(103 * S));
     events.push(Event::Exit(barrier));
-    let snap = replay(par, AssignPolicy::Executing, events);
+    let snap = replay_checked(par, events);
     let profile = Profile {
         threads: vec![snap],
     };
@@ -130,7 +131,7 @@ fn golden_figs6_11_walkthrough_stream() {
         Event::Advance(3),
         Event::Exit(barrier),
     ];
-    let snap = replay(par, AssignPolicy::Executing, events);
+    let snap = replay_checked(par, events);
     let profile = Profile {
         threads: vec![snap],
     };

@@ -1,14 +1,16 @@
 //! The profiler's task-instance table under load it is not shaped for:
 //! thousands of instances suspended and resumed in an arbitrary (not
 //! LIFO) order, checked against an independent model and against a
-//! replay of the recorded stream; and the steady-state hot path counted
+//! replay of the recorded stream (itself checked against the Fig. 12
+//! reference); and the steady-state hot path counted
 //! allocation by allocation. The same counter bounds what
 //! `cube::read_profile` may allocate per line of profile text.
 
 use pomp::{Monitor, RegionId, TaskId, TaskIdAllocator, TaskRef, ThreadHooks, VirtualClock};
 use std::collections::HashMap;
-use taskprof::{replay, AssignPolicy, NodeKind, ProfMonitor};
+use taskprof::{NodeKind, ProfMonitor};
 use test_util::alloc::{measure, CountingAlloc};
+use test_util::fig12::replay_checked;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -287,7 +289,7 @@ fn ten_thousand_instances_in_arbitrary_resume_order_match_model_and_replay() {
     // Against a replay of the stream the run recorded.
     let mut streams = monitor.take_edge_streams().expect("no region in flight");
     let (_, stream) = streams.pop().expect("one thread recorded");
-    let replayed = replay(PAR, AssignPolicy::Executing, stream.events());
+    let replayed = replay_checked(PAR, stream.events());
     assert_eq!(replayed.main, snap.main);
     assert_eq!(replayed.task_trees, snap.task_trees);
     assert_eq!(replayed.max_live_trees, snap.max_live_trees);
