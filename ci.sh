@@ -4,10 +4,10 @@
 # hashing DAG builder, a second walker over the edge log, a decoded copy
 # of the edge log, a second store read path and a hand-written wire codec beside the one declaration per
 # message, a second metric writer beside the one declaration per metric,
-# the repo benchmark's own smoke gate (benchmark/check.sh) and
-# its package's tests, a floor under JSON ingest throughput and a ceiling
-# over the causal report, and end-to-end smokes of the CLI, the daemon
-# and replication.
+# a second task completion sequence in the runtime, the repo benchmark's
+# own smoke gate (benchmark/check.sh) and its package's tests, a floor
+# under JSON ingest throughput and a ceiling over the causal report, and
+# end-to-end smokes of the CLI, the daemon and replication.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -116,6 +116,20 @@ ingest_path() {
 if ingest_path crates/profserve/src/{server,protocol}.rs crates/profstore/src/{codec,store,shard,repo}.rs \
     | grep -E 'decode_record|\.decode\(|read_node'; then
     echo "TPF1 ingest decodes the profile again"; exit 1
+fi
+
+echo "=== one task completion sequence ==="
+# taskrt begins and completes every task instance, deferred or undeferred,
+# in WorkerState::run_task, which hands a completion that resumes a
+# suspended explicit task to the monitor as one task_end_resume call, so
+# the profiler reads its clock once for the pair. A second copy of the
+# sequence would bring back task_end + task_switch and the second read.
+# Prints every completion hook called outside that function.
+if awk '/fn run_task[<(]/ { on = 1; match($0, /^ */); end = substr($0, 1, RLENGTH) "}" }
+        !on && /\.(task_end|task_end_resume|task_abort)\(/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+        on && $0 == end { on = 0 }
+        END { exit !bad }' crates/taskrt/src/*.rs; then
+    echo "a task completion hook is called outside WorkerState::run_task"; exit 1
 fi
 
 echo "=== clippy (portable clock path) ==="

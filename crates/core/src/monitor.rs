@@ -751,6 +751,40 @@ impl<C: ClockSource> ProfThread<C> {
         }
     }
 
+    /// `task_end` at time `t`, all but the telemetry tail.
+    #[inline]
+    fn end_at(&self, task_region: RegionId, task: TaskId, t: u64) {
+        let prof = self.prof();
+        prof.task_end(task_region, task, t);
+        self.edge(
+            t,
+            Event::TaskEnd {
+                region: task_region,
+                id: task,
+            },
+        );
+        if let Some(tm) = &self.telem {
+            tm.task_completed();
+            Self::telem_task_state(tm, prof, t);
+        }
+    }
+
+    /// `task_switch` at time `t`, all but the telemetry tail.
+    #[inline]
+    fn switch_at(&self, resumed: TaskRef, t: u64) {
+        let prof = self.prof();
+        let prev = prof.current_task();
+        prof.task_switch(resumed, t);
+        // A redundant switch (already current) is a profiler no-op: no
+        // edge, and no fragment resumption for telemetry.
+        if prev != resumed {
+            self.edge(t, Event::Switch(resumed));
+            if let Some(tm) = &self.telem {
+                Self::telem_task_state(tm, prof, t);
+            }
+        }
+    }
+
     /// After a task-lifecycle transition: publish the shard's live-tree
     /// gauge and track whether the thread is inside an explicit-task
     /// fragment at time `t`.
@@ -912,19 +946,7 @@ impl<C: ClockSource> ThreadHooks for ProfThread<C> {
     #[inline]
     fn task_end(&self, task_region: RegionId, task: TaskId) {
         let t = self.now();
-        let prof = self.prof();
-        prof.task_end(task_region, task, t);
-        self.edge(
-            t,
-            Event::TaskEnd {
-                region: task_region,
-                id: task,
-            },
-        );
-        if let Some(tm) = &self.telem {
-            tm.task_completed();
-            Self::telem_task_state(tm, prof, t);
-        }
+        self.end_at(task_region, task, t);
         self.telem_tail(EventClass::TaskEnd, t);
     }
 
@@ -950,20 +972,35 @@ impl<C: ClockSource> ThreadHooks for ProfThread<C> {
     #[inline]
     fn task_switch(&self, resumed: TaskRef) {
         let t = self.now();
-        let prof = self.prof();
-        let prev = prof.current_task();
-        prof.task_switch(resumed, t);
-        if prev != resumed {
-            self.edge(t, Event::Switch(resumed));
-        }
-        if let Some(tm) = &self.telem {
-            // A redundant switch (already current) is a profiler no-op and
-            // must not be counted as a fragment resumption.
-            if prev != resumed {
-                Self::telem_task_state(tm, prof, t);
-            }
-        }
+        self.switch_at(resumed, t);
         self.telem_tail(EventClass::TaskSwitch, t);
+    }
+
+    /// One clock read for the pair: nothing happens between the end and
+    /// the resume that the profile could attribute, so both are stamped
+    /// `t`, and the edge log gets the `TaskEnd` and then the `Switch` with
+    /// no time between them.
+    #[inline]
+    fn task_end_resume(&self, task_region: RegionId, task: TaskId, resumed: TaskId) {
+        let t = self.now();
+        self.end_at(task_region, task, t);
+        let Some(tm) = &self.telem else {
+            self.switch_at(TaskRef::Explicit(resumed), t);
+            return;
+        };
+        // Tick both classes in stream order. A sampled half is self-timed
+        // from where the other half stopped, so each cost covers only its
+        // own work, as it did when the two were separate hooks.
+        let end_timed = tm.tick(EventClass::TaskEnd);
+        let switch_timed = tm.tick(EventClass::TaskSwitch);
+        let t_mid = if end_timed || switch_timed { self.now() } else { t };
+        if end_timed {
+            tm.record_cost(EventClass::TaskEnd, t_mid.saturating_sub(t));
+        }
+        self.switch_at(TaskRef::Explicit(resumed), t);
+        if switch_timed {
+            tm.record_cost(EventClass::TaskSwitch, self.now().saturating_sub(t_mid));
+        }
     }
 
     #[inline]

@@ -141,6 +141,11 @@ impl<T: ThreadHooks> ThreadHooks for FilteredThread<T> {
     }
 
     #[inline]
+    fn task_end_resume(&self, task_region: RegionId, task: TaskId, resumed: TaskId) {
+        self.inner.task_end_resume(task_region, task, resumed);
+    }
+
+    #[inline]
     fn parameter_begin(&self, param: ParamId, value: i64) {
         if !self.filter_params {
             self.inner.parameter_begin(param, value);
@@ -161,6 +166,7 @@ mod tests {
     use crate::counting::CountingMonitor;
     use crate::region::RegionKind;
     use crate::task::TaskIdAllocator;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn filters_region_events_but_not_task_events() {
@@ -185,6 +191,46 @@ mod tests {
         assert_eq!((begins, ends), (1, 1), "task events always pass");
     }
 
+    /// Counts the fused calls that reach it as such.
+    #[derive(Clone, Default)]
+    struct Fused(Arc<AtomicU64>);
+
+    impl Monitor for Fused {
+        type Thread = Fused;
+
+        fn thread_begin(&self, _tid: usize, _n: usize, _region: RegionId) -> Fused {
+            self.clone()
+        }
+
+        fn thread_end(&self, _tid: usize, _thread: Fused) {}
+    }
+
+    impl ThreadHooks for Fused {
+        fn task_end_resume(&self, _task_region: RegionId, _task: TaskId, _resumed: TaskId) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    #[test]
+    fn a_fused_end_and_resume_passes_through_a_filter_that_keeps_nothing() {
+        let reg = crate::registry();
+        let task = reg.register("fl-fused", RegionKind::Task, "t", 0);
+        let (counting, fused) = (CountingMonitor::new(), Fused::default());
+        let filtered =
+            FilteredMonitor::new((counting.clone(), fused.clone()), |_| false).filtering_params();
+        let ids = TaskIdAllocator::new();
+        let (parent, child) = (ids.alloc(), ids.alloc());
+        let th = filtered.thread_begin(0, 1, task);
+        th.task_begin(task, parent);
+        th.task_begin(task, child);
+        th.task_end_resume(task, child, parent);
+        th.task_end(task, parent);
+        filtered.thread_end(0, th);
+        assert_eq!(fused.0.load(Ordering::Relaxed), 1, "arrives fused");
+        let (_e, _c, begins, ends, switches, ..) = counting.counts().snapshot();
+        assert_eq!((begins, ends, switches), (2, 2, 1), "the default splits it");
+    }
+
     #[test]
     fn param_filtering_is_opt_in() {
         let reg = crate::registry();
@@ -195,7 +241,7 @@ mod tests {
         th.parameter_begin(ParamId(0), 5);
         th.parameter_end(ParamId(0));
         f.thread_end(0, th);
-        assert_eq!(passthrough.counts().params.load(std::sync::atomic::Ordering::Relaxed), 1);
+        assert_eq!(passthrough.counts().params.load(Ordering::Relaxed), 1);
 
         let suppressed = CountingMonitor::new();
         let f = FilteredMonitor::new(suppressed.clone(), |_| true).filtering_params();
@@ -203,6 +249,6 @@ mod tests {
         th.parameter_begin(ParamId(0), 5);
         th.parameter_end(ParamId(0));
         f.thread_end(0, th);
-        assert_eq!(suppressed.counts().params.load(std::sync::atomic::Ordering::Relaxed), 0);
+        assert_eq!(suppressed.counts().params.load(Ordering::Relaxed), 0);
     }
 }

@@ -9,6 +9,10 @@
 //! * `task_begin`/`task_end` around the execution of one task instance,
 //! * `task_switch` whenever the thread's *current task* changes without a
 //!   begin/end (i.e. suspension/resumption at a scheduling point),
+//! * `task_end_resume` when a completed instance hands the thread back to
+//!   the explicit task suspended below it: `task_end` and the resume
+//!   `task_switch` as one call, so a monitor can stamp both with one
+//!   clock read (by default it is exactly those two calls),
 //! * `parameter_begin`/`parameter_end` for parameter instrumentation
 //!   (paper Section VI, Table IV).
 //!
@@ -168,6 +172,17 @@ pub trait ThreadHooks {
         let _ = resumed;
     }
 
+    /// Instance `task` completed and the thread resumes the explicit task
+    /// `resumed`, suspended below it. The runtime emits this instead of
+    /// `task_end` + `task_switch(TaskRef::Explicit(resumed))` with nothing
+    /// in between, so an override may treat the pair as one instant; the
+    /// default is those two calls, in that order.
+    #[inline]
+    fn task_end_resume(&self, task_region: RegionId, task: TaskId, resumed: TaskId) {
+        self.task_end(task_region, task);
+        self.task_switch(TaskRef::Explicit(resumed));
+    }
+
     /// Enter a parameter scope: subsequent children of the current node are
     /// recorded under a `(param, value)` sub-tree until `parameter_end`.
     #[inline]
@@ -309,6 +324,12 @@ impl<A: ThreadHooks, B: ThreadHooks> ThreadHooks for (A, B) {
     }
 
     #[inline]
+    fn task_end_resume(&self, task_region: RegionId, task: TaskId, resumed: TaskId) {
+        self.0.task_end_resume(task_region, task, resumed);
+        self.1.task_end_resume(task_region, task, resumed);
+    }
+
+    #[inline]
     fn parameter_begin(&self, param: ParamId, value: i64) {
         self.0.parameter_begin(param, value);
         self.1.parameter_begin(param, value);
@@ -389,22 +410,52 @@ mod tests {
         fn task_end(&self, r: RegionId, t: TaskId) {
             self.0.borrow_mut().push(format!("end {} #{}", r.0, t.get()));
         }
+        fn task_switch(&self, resumed: TaskRef) {
+            self.0.borrow_mut().push(format!("switch {resumed:?}"));
+        }
+    }
+
+    fn recorder() -> Recorder {
+        Recorder(RefCell::new(vec![]))
     }
 
     #[test]
     fn partial_hooks_record_only_overridden_events() {
-        let rec = Recorder(RefCell::new(vec![]));
+        let rec = recorder();
         let alloc = crate::TaskIdAllocator::new();
         let r = RegionId(3);
         let t = alloc.alloc();
         rec.enter(r);
         rec.task_begin(r, t);
-        rec.task_switch(TaskRef::Implicit); // default no-op
+        rec.parameter_begin(ParamId(0), 1); // default no-op
         rec.task_end(r, t);
         rec.exit(r);
         assert_eq!(
             rec.0.into_inner(),
             vec!["enter 3", "begin 3 #1", "end 3 #1", "exit 3"]
         );
+    }
+
+    #[test]
+    fn a_fused_end_and_resume_defaults_to_the_end_then_the_switch() {
+        let alloc = crate::TaskIdAllocator::new();
+        let (parent, child) = (alloc.alloc(), alloc.alloc());
+        let rec = recorder();
+        rec.task_end_resume(RegionId(4), child, parent);
+        assert_eq!(
+            rec.0.into_inner(),
+            vec!["end 4 #2".to_string(), format!("switch {:?}", TaskRef::Explicit(parent))]
+        );
+    }
+
+    #[test]
+    fn a_pair_forwards_the_fused_call_to_both_sides() {
+        let alloc = crate::TaskIdAllocator::new();
+        let (parent, child) = (alloc.alloc(), alloc.alloc());
+        let pair = (recorder(), recorder());
+        pair.task_end_resume(RegionId(5), child, parent);
+        let want = vec!["end 5 #2".to_string(), format!("switch {:?}", TaskRef::Explicit(parent))];
+        assert_eq!(pair.0 .0.into_inner(), want);
+        assert_eq!(pair.1 .0.into_inner(), want);
     }
 }

@@ -5,7 +5,7 @@ use crate::constructs::{SingleConstruct, TaskConstruct};
 use crate::raw::erase_closure;
 use crate::task::TaskNode;
 use crate::worker::WorkerState;
-use pomp::{Monitor, ParamId, RegionId, TaskId, TaskRef, ThreadHooks};
+use pomp::{Monitor, ParamId, RegionId, TaskId, ThreadHooks};
 use std::marker::PhantomData;
 use std::sync::Arc;
 
@@ -114,28 +114,8 @@ impl<'w, 'env, M: Monitor> TaskCtx<'w, 'env, M> {
     {
         self.assert_current();
         let id = self.worker.shared.ids.alloc();
-        let child = TaskNode::child_of(&self.node, id);
-        let prev = self.worker.current.replace(child.clone());
-        self.worker.hooks.task_begin(construct.task, id);
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            f(&TaskCtx {
-                worker: self.worker,
-                node: child.clone(),
-                _env: PhantomData,
-            });
-        }));
-        match outcome {
-            Ok(()) => self.worker.hooks.task_end(construct.task, id),
-            Err(payload) => {
-                self.worker.hooks.task_abort(construct.task, id);
-                self.worker.shared.task_panicked(payload);
-            }
-        }
-        child.complete();
-        if let Some(prev_id) = prev.id {
-            self.worker.hooks.task_switch(TaskRef::Explicit(prev_id));
-        }
-        *self.worker.current.borrow_mut() = prev;
+        self.worker
+            .run_task(construct.task, TaskNode::child_of(&self.node, id), f);
     }
 
     /// Wait for the current task's direct children, executing eligible

@@ -72,11 +72,15 @@ impl<'s, M: Monitor> WorkerState<'s, M> {
         self.hooks.task_create_end(create_region, id);
     }
 
-    /// Execute one task instance to completion on this thread. Emits
-    /// `task_begin` and `task_end` (or `task_abort` if the body panics)
-    /// and the resume `task_switch` for a suspended explicit task below
-    /// it, maintains the current-task pointer, and signals completion to
-    /// the parent.
+    /// Run `body` as instance `node` of construct `region` on this
+    /// thread, deferred or undeferred alike: the one task begin and
+    /// completion sequence of the runtime. Emits `task_begin`, then
+    /// `task_end_resume` when a suspended explicit task lies below (one
+    /// hook, so a profiler stamps the end and the resume with one clock
+    /// read), `task_end` when it is the implicit task, or, if the body
+    /// panics, `task_abort` plus the resume `task_switch`. Maintains the
+    /// current-task pointer, and signals completion to the parent after
+    /// the hooks.
     ///
     /// Panic isolation: a panic in the task body is caught here, at the
     /// task boundary. The instance is recorded as failed on the shared
@@ -87,31 +91,34 @@ impl<'s, M: Monitor> WorkerState<'s, M> {
     ///
     /// Does not touch the outstanding-task counter: deferred-task callers
     /// retire it themselves; undeferred tasks were never counted.
-    pub fn execute(&self, raw: RawTask<M>) {
-        let prev = self.current.replace(raw.node.clone());
-        let id = raw.node.id.expect("executing an implicit task");
-        self.hooks.task_begin(raw.region, id);
-        let body = raw.body;
+    pub fn run_task<'env>(
+        &self,
+        region: RegionId,
+        node: Arc<TaskNode>,
+        body: impl FnOnce(&TaskCtx<'_, 'env, M>),
+    ) {
+        let prev = self.current.replace(node.clone());
+        let id = node.id.expect("executing an implicit task");
+        self.hooks.task_begin(region, id);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let ctx = TaskCtx {
+            body(&TaskCtx {
                 worker: self,
-                node: raw.node.clone(),
+                node: node.clone(),
                 _env: PhantomData,
-            };
-            body(&ctx);
+            });
         }));
-        match outcome {
-            Ok(()) => self.hooks.task_end(raw.region, id),
-            Err(payload) => {
-                self.hooks.task_abort(raw.region, id);
+        match (outcome, prev.id) {
+            (Ok(()), Some(resumed)) => self.hooks.task_end_resume(region, id, resumed),
+            (Ok(()), None) => self.hooks.task_end(region, id),
+            (Err(payload), resumed) => {
+                self.hooks.task_abort(region, id);
                 self.shared.task_panicked(payload);
+                if let Some(resumed) = resumed {
+                    self.hooks.task_switch(TaskRef::Explicit(resumed));
+                }
             }
         }
-        raw.node.complete();
-        // Resume whatever was suspended below us.
-        if let Some(prev_id) = prev.id {
-            self.hooks.task_switch(TaskRef::Explicit(prev_id));
-        }
+        node.complete();
         *self.current.borrow_mut() = prev;
     }
 
@@ -195,7 +202,7 @@ impl<'s, M: Monitor> WorkerState<'s, M> {
             while waiting.pending() > 0 {
                 if let Some(t) = self.local.pop() {
                     if eligible(&t.node) {
-                        self.execute(t);
+                        self.run_task(t.region, t.node, t.body);
                         self.shared.task_retired();
                         backoff.reset();
                         // Completed a task at the scheduling point: let a
@@ -214,7 +221,7 @@ impl<'s, M: Monitor> WorkerState<'s, M> {
                 match self.shared.injector.steal_batch_and_pop(&self.local) {
                     Steal::Success(t) => {
                         if eligible(&t.node) {
-                            self.execute(t);
+                            self.run_task(t.region, t.node, t.body);
                             self.shared.task_retired();
                             backoff.reset();
                             self.shared
@@ -264,7 +271,7 @@ impl<'s, M: Monitor> WorkerState<'s, M> {
         let backoff = Backoff::new();
         while !b.released(gen) {
             if let Some(t) = self.pop_any() {
-                self.execute(t);
+                self.run_task(t.region, t.node, t.body);
                 self.shared.task_retired();
                 backoff.reset();
                 self.shared

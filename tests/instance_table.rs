@@ -2,13 +2,19 @@
 //! thousands of instances suspended and resumed in an arbitrary (not
 //! LIFO) order, checked against an independent model and against a
 //! replay of the recorded stream (itself checked against the Fig. 12
-//! reference); and the steady-state hot path counted
-//! allocation by allocation. The same counter bounds what
+//! reference); the fused end-and-resume hook against the two hooks it
+//! stands for; and the steady-state hot path counted allocation by
+//! allocation. The same counter bounds what
 //! `cube::read_profile` may allocate per line of profile text.
 
-use pomp::{Monitor, RegionId, TaskId, TaskIdAllocator, TaskRef, ThreadHooks, VirtualClock};
+use pomp::{
+    Clock, ClockReader, ClockSource, EventClass, Monitor, RegionId, TaskId, TaskIdAllocator,
+    TaskRef, ThreadHooks, VirtualClock,
+};
 use std::collections::HashMap;
-use taskprof::{NodeKind, ProfMonitor};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use taskprof::{NodeKind, ProfMonitor, TelemetryConfig};
 use test_util::alloc::{measure, CountingAlloc};
 use test_util::fig12::replay_checked;
 
@@ -26,16 +32,20 @@ const TASKS: [RegionId; 3] = [RegionId(9710), RegionId(9711), RegionId(9712)];
 fn steady_state_task_cycle_with_an_explicit_parent_allocates_nothing() {
     // The plain monitor and the telemetry-on one: "no allocation on the
     // event path" is telemetry's contract too. (Edge recording is left
-    // out: its log grows, amortised, by design.)
-    steady_state_cycles_allocate_nothing("plain", ProfMonitor::new());
-    let with_telemetry = ProfMonitor::builder()
-        .telemetry()
-        .build()
-        .expect("default telemetry configuration is valid");
-    steady_state_cycles_allocate_nothing("telemetry", with_telemetry);
+    // out: its log grows, amortised, by design.) The child's completion
+    // goes through the fused hook the runtime emits and through the pair
+    // it stands for.
+    for fused in [true, false] {
+        steady_state_cycles_allocate_nothing("plain", ProfMonitor::new(), fused);
+        let with_telemetry = ProfMonitor::builder()
+            .telemetry()
+            .build()
+            .expect("default telemetry configuration is valid");
+        steady_state_cycles_allocate_nothing("telemetry", with_telemetry, fused);
+    }
 }
 
-fn steady_state_cycles_allocate_nothing(name: &str, monitor: ProfMonitor) {
+fn steady_state_cycles_allocate_nothing(name: &str, monitor: ProfMonitor, fused: bool) {
     // A parent suspended in a taskwait creates and runs one child after
     // another, under a grandparent suspended the same way: every cycle
     // is create, suspend, begin, enter/exit, end, resume — nine events,
@@ -56,8 +66,7 @@ fn steady_state_cycles_allocate_nothing(name: &str, monitor: ProfMonitor) {
         th.task_begin(TASKS[2], child);
         th.enter(WORK);
         th.exit(WORK);
-        th.task_end(TASKS[2], child);
-        th.task_switch(TaskRef::Explicit(parent));
+        end_and_resume(&th, fused, TASKS[2], child, parent);
         th.exit(TASKWAIT);
     };
     // Two cycles build every node and size every buffer; a few more for
@@ -74,7 +83,7 @@ fn steady_state_cycles_allocate_nothing(name: &str, monitor: ProfMonitor) {
     .allocs;
     assert_eq!(
         allocs, 0,
-        "{name}: {allocs} allocations in {CYCLES} task cycles"
+        "{name} (fused: {fused}): {allocs} allocations in {CYCLES} task cycles"
     );
     th.task_end(TASKS[1], parent);
     th.task_switch(TaskRef::Explicit(grandparent));
@@ -89,6 +98,155 @@ fn steady_state_cycles_allocate_nothing(name: &str, monitor: ProfMonitor) {
         .expect("children ran");
     assert_eq!(children.stats.samples, CYCLES + 8);
     assert_eq!(profile.threads[0].max_live_trees, 3);
+}
+
+/// Complete `task` and resume its suspended parent: one fused hook, or
+/// the two hooks it stands for.
+fn end_and_resume(
+    th: &impl ThreadHooks,
+    fused: bool,
+    region: RegionId,
+    task: TaskId,
+    parent: TaskId,
+) {
+    if fused {
+        th.task_end_resume(region, task, parent);
+    } else {
+        th.task_end(region, task);
+        th.task_switch(TaskRef::Explicit(parent));
+    }
+}
+
+// ---------------------------------------------------------------------
+// Fused end-and-resume
+// ---------------------------------------------------------------------
+
+/// A seeded tree of nested task executions: every instance works in
+/// regions, runs children at taskwaits, and completes. A completion under
+/// an explicit parent resumes it at once, as the runtime does.
+fn nested_tasks(
+    th: &impl ThreadHooks,
+    clock: &VirtualClock,
+    ids: &TaskIdAllocator,
+    rng: &mut Rng,
+    fused: bool,
+    parent: Option<TaskId>,
+    depth: usize,
+) {
+    let id = ids.alloc();
+    let region = TASKS[rng.below(TASKS.len())];
+    th.task_create_begin(CREATE, region, id);
+    clock.advance(1 + rng.next() % 3);
+    th.task_create_end(CREATE, id);
+    th.task_begin(region, id);
+    for _ in 0..rng.below(4) {
+        clock.advance(1 + rng.next() % 50);
+        if depth < 5 && rng.below(3) != 0 {
+            th.enter(TASKWAIT);
+            nested_tasks(th, clock, ids, rng, fused, Some(id), depth + 1);
+            th.exit(TASKWAIT);
+        } else {
+            th.enter(WORK);
+            clock.advance(1 + rng.next() % 20);
+            th.exit(WORK);
+        }
+    }
+    clock.advance(1 + rng.next() % 10);
+    match parent {
+        Some(parent) => end_and_resume(th, fused, region, id, parent),
+        None => th.task_end(region, id),
+    }
+}
+
+#[test]
+fn a_fused_end_and_resume_profiles_records_and_counts_as_the_pair() {
+    // One seeded stream, twice: the profile, the edge-log words and every
+    // telemetry counter must not tell the two forms apart.
+    let run = |fused: bool| {
+        let clock = VirtualClock::new();
+        let monitor = ProfMonitor::builder()
+            .clock(clock.clone())
+            .telemetry_config(TelemetryConfig { sample_every: 3 })
+            .record_task_edges()
+            .build()
+            .expect("valid configuration");
+        let (ids, mut rng) = (TaskIdAllocator::new(), Rng(0xF05E_D0E5_0000_0030));
+        monitor.parallel_fork(PAR, 1);
+        let th = monitor.thread_begin(0, 1, PAR);
+        th.enter(BARRIER);
+        for _ in 0..200 {
+            nested_tasks(&th, &clock, &ids, &mut rng, fused, None, 0);
+        }
+        th.exit(BARRIER);
+        monitor.thread_end(0, th);
+        monitor.parallel_join(PAR);
+        let telemetry = monitor.telemetry_core().expect("telemetry is on").snapshot();
+        let profile = monitor.take_profile().expect("no region in flight");
+        let edges = monitor.take_edge_log().expect("no region in flight");
+        (format!("{profile:?}"), edges, telemetry)
+    };
+    let (fused, pair) = (run(true), run(false));
+    let resumes = fused.2.events[EventClass::TaskSwitch.index()];
+    assert!(resumes > 1_000, "the stream was meant to resume parents: {resumes}");
+    assert!(fused.2.perturb_samples[EventClass::TaskSwitch.index()] > 0);
+    assert_eq!(fused.0, pair.0, "profiles differ");
+    assert_eq!(fused.1, pair.1, "edge logs differ");
+    assert_eq!(fused.2, pair.2, "telemetry differs");
+}
+
+/// A virtual clock that counts its reads.
+#[derive(Clone, Default)]
+struct ReadCountingClock {
+    clock: VirtualClock,
+    reads: Arc<AtomicU64>,
+}
+
+impl Clock for ReadCountingClock {
+    fn now(&self) -> u64 {
+        self.reads.fetch_add(1, Ordering::Relaxed);
+        self.clock.now()
+    }
+}
+
+impl ClockReader for ReadCountingClock {
+    fn now(&self) -> u64 {
+        Clock::now(self)
+    }
+}
+
+impl ClockSource for ReadCountingClock {
+    type Reader = ReadCountingClock;
+
+    fn thread_reader(&self) -> ReadCountingClock {
+        self.clone()
+    }
+}
+
+#[test]
+fn a_fused_end_and_resume_reads_the_clock_once() {
+    let clock = ReadCountingClock::default();
+    let monitor = ProfMonitor::builder()
+        .clock(clock.clone())
+        .record_task_edges()
+        .build()
+        .expect("valid configuration");
+    let ids = TaskIdAllocator::new();
+    let th = monitor.thread_begin(0, 1, PAR);
+    let parent = ids.alloc();
+    th.task_begin(TASKS[0], parent);
+    th.enter(TASKWAIT);
+    let reads_for = |fused: bool| {
+        let child = ids.alloc();
+        th.task_begin(TASKS[1], child);
+        let before = clock.reads.load(Ordering::Relaxed);
+        end_and_resume(&th, fused, TASKS[1], child, parent);
+        clock.reads.load(Ordering::Relaxed) - before
+    };
+    assert_eq!(reads_for(true), 1, "fused");
+    assert_eq!(reads_for(false), 2, "the pair");
+    th.exit(TASKWAIT);
+    th.task_end(TASKS[0], parent);
+    monitor.thread_end(0, th);
 }
 
 // ---------------------------------------------------------------------
