@@ -17,16 +17,12 @@ use pomp::{RegionId, TaskId, TaskRef};
 use std::collections::HashMap;
 use taskprof::{Event, NodeKind, SnapNode, Stats, ThreadSnapshot};
 
-/// One call-tree node, owning its children.
+/// One call-tree node, owning its children. `stats` is only data here:
+/// the oracle updates its fields itself, never through `Stats`' methods.
 #[derive(Clone, Debug)]
 struct Node {
     kind: NodeKind,
-    visits: u64,
-    samples: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-    aborted: u64,
+    stats: Stats,
     children: Vec<Node>,
 }
 
@@ -34,12 +30,7 @@ impl Node {
     fn new(kind: NodeKind) -> Self {
         Node {
             kind,
-            visits: 0,
-            samples: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-            aborted: 0,
+            stats: Stats::new(),
             children: Vec::new(),
         }
     }
@@ -60,20 +51,22 @@ impl Node {
     }
 
     fn record(&mut self, ns: u64) {
-        self.samples += 1;
-        self.sum += ns;
-        self.min = self.min.min(ns);
-        self.max = self.max.max(ns);
+        let s = &mut self.stats;
+        s.samples += 1;
+        s.sum_ns += ns;
+        s.min_ns = s.min_ns.min(ns);
+        s.max_ns = s.max_ns.max(ns);
     }
 
     /// Fold a finished instance tree into this aggregate.
     fn merge(&mut self, other: Node) {
-        self.visits += other.visits;
-        self.samples += other.samples;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.aborted += other.aborted;
+        let (s, o) = (&mut self.stats, other.stats);
+        s.visits += o.visits;
+        s.samples += o.samples;
+        s.sum_ns += o.sum_ns;
+        s.min_ns = s.min_ns.min(o.min_ns);
+        s.max_ns = s.max_ns.max(o.max_ns);
+        s.aborted += o.aborted;
         for child in other.children {
             self.at(&[child.kind]).merge(child);
         }
@@ -82,14 +75,7 @@ impl Node {
     fn snap(&self) -> SnapNode {
         SnapNode {
             kind: self.kind,
-            stats: Stats {
-                visits: self.visits,
-                sum_ns: self.sum,
-                min_ns: self.min,
-                max_ns: self.max,
-                samples: self.samples,
-                aborted: self.aborted,
-            },
+            stats: self.stats,
             children: self.children.iter().map(Node::snap).collect(),
         }
     }
@@ -102,7 +88,7 @@ type Frame = (Vec<NodeKind>, u64);
 fn push(root: &mut Node, open: &mut Vec<Frame>, now: u64, kind: NodeKind) {
     let mut path = open.last().map(|f| f.0.clone()).unwrap_or_default();
     path.push(kind);
-    root.at(&path).visits += 1;
+    root.at(&path).stats.visits += 1;
     open.push((path, now));
 }
 
@@ -151,7 +137,7 @@ impl Oracle {
     /// A thread entering `parallel_region` at time 0.
     pub fn new(parallel_region: RegionId) -> Self {
         let mut main = Node::new(NodeKind::Region(parallel_region));
-        main.visits = 1;
+        main.stats.visits = 1;
         Oracle {
             t: 0,
             main,
@@ -230,7 +216,7 @@ impl Oracle {
         while !self.tasks[&id].open.is_empty() {
             self.close();
         }
-        self.tasks.get_mut(&id).expect("live").tree.aborted += 1;
+        self.tasks.get_mut(&id).expect("live").tree.stats.aborted += 1;
         self.switch(TaskRef::Implicit);
         self.retire(id);
     }
@@ -268,7 +254,7 @@ impl Sink for Oracle {
             Event::Exit(_) | Event::CreateEnd { .. } | Event::ParamEnd { .. } => self.close(),
             Event::TaskBegin { region, id } => {
                 let mut tree = Node::new(NodeKind::Region(region));
-                tree.visits = 1;
+                tree.stats.visits = 1;
                 let task = Task {
                     region,
                     tree,
