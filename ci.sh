@@ -86,6 +86,22 @@ if git grep -nE 'put_uv\(|\.uv\(\)\?|need_u64\(|Json::obj\(' -- crates/profserve
     echo "a hand-written wire codec is back outside crates/profserve/src/codec.rs"; exit 1
 fi
 
+echo "=== one frame codec ==="
+# Every profile at rest or in flight is one `len | payload | crc32` frame:
+# a segment record, a TPF1 message, a replicated run, a spooled export.
+# crates/profstore/src/frame.rs writes and checks it, and nothing else
+# does; a crc32 call anywhere else is a second hand-written frame, and the
+# names below belonged to the framing code the codec replaced.
+# benchmark/ is left out: it times profstore::crc::crc32 itself.
+if git grep -n 'crc32(' -- crates src tests \
+    ':!crates/profstore/src/crc.rs' ':!crates/profstore/src/frame.rs'; then
+    echo "a frame is written or checked outside crates/profstore/src/frame.rs"; exit 1
+fi
+if git grep -nE 'payload_crc|frame_payload|FRAME_OVERHEAD|TailDefect|parse_spool_frame' \
+    -- '*.rs' ':!benchmark'; then
+    echo "a second frame codec, or its error type, is back"; exit 1
+fi
+
 echo "=== one declaration per metric ==="
 # Each telemetry family is declared once, one row per metric, and
 # crates/telemetry/src/export.rs holds the one Prometheus writer and the
@@ -107,7 +123,7 @@ echo "=== TPF1 ingest verifies, stamps, appends ==="
 # interned every name of untrusted input into the never-freed registry.
 # Prints the body of every function on that path.
 ingest_path() {
-    awk '/fn (ingest_records|check|ingest_record|ingest_record_with_id|stamp|append_payload|verify_record|verify_node)[<(]/ {
+    awk '/fn (ingest_records|check|ingest_record|ingest_record_with_id|stamp|append_payload|verify_record|walk_record|verify_node)[<(]/ {
              on = 1; match($0, /^ */); end = substr($0, 1, RLENGTH) "}"
          }
          on { print FILENAME ":" FNR ": " $0 }

@@ -33,7 +33,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use taskprof_telemetry::{TelemetryConfig, TelemetryCore, ThreadTelemetry};
 
-/// Default preallocated arena slots per thread shard. Sized generously for
+/// Arena slots preallocated per thread shard. Sized generously for
 /// BOTS-style call trees (tens of regions × parameter fan-out); a shard
 /// that outgrows it just reallocates once and the larger arena is recycled.
 pub const DEFAULT_PREALLOC_NODES: usize = 256;
@@ -106,7 +106,6 @@ struct Inner<C: ClockSource> {
     policy: AssignPolicy,
     max_depth: Option<usize>,
     max_live_trees: Option<usize>,
-    prealloc_nodes: usize,
     /// Completed per-thread snapshots, published lock-free at thread end.
     collected: HandoffStack<ThreadSnapshot>,
     /// Recycled arenas: a thread beginning a region steals one instead of
@@ -415,7 +414,6 @@ pub struct ProfMonitorBuilder<C: ClockSource = MonotonicClock> {
     policy: AssignPolicy,
     max_depth: Option<usize>,
     max_live_trees: Option<usize>,
-    prealloc_nodes: usize,
     telemetry: Option<TelemetryConfig>,
     record_edges: bool,
 }
@@ -427,7 +425,6 @@ impl Default for ProfMonitorBuilder<MonotonicClock> {
             policy: AssignPolicy::Executing,
             max_depth: None,
             max_live_trees: None,
-            prealloc_nodes: DEFAULT_PREALLOC_NODES,
             telemetry: None,
             record_edges: false,
         }
@@ -451,7 +448,6 @@ impl<C: ClockSource> ProfMonitorBuilder<C> {
             policy: self.policy,
             max_depth: self.max_depth,
             max_live_trees: self.max_live_trees,
-            prealloc_nodes: self.prealloc_nodes,
             telemetry: self.telemetry,
             record_edges: self.record_edges,
         }
@@ -477,13 +473,6 @@ impl<C: ClockSource> ProfMonitorBuilder<C> {
     /// ≥ 1.
     pub fn max_live_trees(mut self, cap: usize) -> Self {
         self.max_live_trees = Some(cap);
-        self
-    }
-
-    /// Arena slots preallocated per thread shard (default
-    /// [`DEFAULT_PREALLOC_NODES`]). `0` disables preallocation.
-    pub fn prealloc_nodes(mut self, nodes: usize) -> Self {
-        self.prealloc_nodes = nodes;
         self
     }
 
@@ -542,7 +531,6 @@ impl<C: ClockSource> ProfMonitorBuilder<C> {
                 policy: self.policy,
                 max_depth: self.max_depth,
                 max_live_trees: self.max_live_trees,
-                prealloc_nodes: self.prealloc_nodes,
                 collected: HandoffStack::new(),
                 spare_arenas: HandoffStack::new(),
                 live_threads: AtomicUsize::new(0),
@@ -569,7 +557,6 @@ impl<C: ClockSource> std::fmt::Debug for ProfMonitor<C> {
             .field("policy", &self.inner.policy)
             .field("max_depth", &self.inner.max_depth)
             .field("max_live_trees", &self.inner.max_live_trees)
-            .field("prealloc_nodes", &self.inner.prealloc_nodes)
             .field(
                 "live_threads",
                 &self.inner.live_threads.load(Ordering::Relaxed),
@@ -818,7 +805,7 @@ impl<C: ClockSource + 'static> Monitor for ProfMonitor<C> {
         // does not allocate until the preallocation is exhausted.
         let (arena, recycled) = match self.inner.spare_arenas.steal_one() {
             Some(a) => (a, true),
-            None => (Arena::with_capacity(self.inner.prealloc_nodes), false),
+            None => (Arena::with_capacity(DEFAULT_PREALLOC_NODES), false),
         };
         let telem = self.inner.telemetry.as_ref().map(|tc| {
             if recycled {
@@ -1328,7 +1315,6 @@ mod tests {
         assert!(ProfMonitor::builder()
             .max_depth(1)
             .max_live_trees(1)
-            .prealloc_nodes(0)
             .build()
             .is_ok());
     }

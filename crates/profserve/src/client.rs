@@ -32,6 +32,9 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
+/// Initial size of a binary connection's read buffer.
+const READ_CHUNK: usize = 64 << 10;
+
 /// Client-side deadlines. `None` members mean "block forever" (the
 /// pre-hardening behavior); [`ClientTimeouts::default`] bounds every
 /// phase so a dead or wedged daemon can never hang the caller.
@@ -106,7 +109,7 @@ impl From<std::io::Error> for ClientError {
 /// plus the resume cursor.
 #[derive(Clone, Debug)]
 pub struct ExportPage {
-    /// Raw store frames (`len|payload|crc`), ascending run id.
+    /// Whole store frames ([`profstore::frame`]), ascending run id.
     pub frames: Vec<Vec<u8>>,
     /// Highest run id covered by this page — pass as `after` to resume.
     pub watermark: u64,
@@ -152,6 +155,10 @@ enum Handshake {
 pub struct Client {
     writer: TcpStream,
     reader: BufReader<TcpStream>,
+    /// A binary connection's read buffer: `inbound[..filled]` is read and
+    /// not yet split into a frame, the rest is room for the next read.
+    inbound: Vec<u8>,
+    filled: usize,
     proto: ActiveProto,
 }
 
@@ -264,6 +271,8 @@ impl Client {
         Ok(Client {
             writer,
             reader: BufReader::new(stream),
+            inbound: Vec::new(),
+            filled: 0,
             proto,
         })
     }
@@ -391,28 +400,30 @@ impl Client {
 
     /// Read one binary response frame.
     fn read_response_binary(&mut self) -> Result<Response, ClientError> {
-        if self.reader.fill_buf()?.is_empty() {
-            return Err(ClientError::Protocol(
-                "connection closed before response".to_string(),
-            ));
+        loop {
+            let split = wire::try_frame(&self.inbound[..self.filled], wire::MAX_RESPONSE_BYTES)
+                .map_err(|e| ClientError::Protocol(format!("response {e}")))?;
+            if let Some((payload, consumed)) = split {
+                let response = wire::decode_response(payload);
+                self.inbound.copy_within(consumed..self.filled, 0);
+                self.filled -= consumed;
+                return response.map_err(|e| ClientError::Protocol(e.to_string()));
+            }
+            if self.filled == self.inbound.len() {
+                // Doubling, so a large frame arrives in few reads.
+                self.inbound.resize((2 * self.filled).max(READ_CHUNK), 0);
+            }
+            match self.reader.read(&mut self.inbound[self.filled..]) {
+                Ok(0) => {
+                    return Err(ClientError::Protocol(
+                        "connection closed before response".to_string(),
+                    ))
+                }
+                Ok(n) => self.filled += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
         }
-        let mut head = [0u8; 4];
-        self.reader.read_exact(&mut head)?;
-        let len = u32::from_le_bytes(head) as usize;
-        if len > wire::MAX_RESPONSE_BYTES {
-            return Err(ClientError::Protocol(format!(
-                "response frame of {len} bytes exceeds cap of {}",
-                wire::MAX_RESPONSE_BYTES
-            )));
-        }
-        let mut rest = vec![0u8; len + 4];
-        self.reader.read_exact(&mut rest)?;
-        let payload = &rest[..len];
-        let crc = u32::from_le_bytes([rest[len], rest[len + 1], rest[len + 2], rest[len + 3]]);
-        if crc != profstore::codec::payload_crc(payload) {
-            return Err(ClientError::Protocol("response frame crc mismatch".into()));
-        }
-        wire::decode_response(payload).map_err(|e| ClientError::Protocol(e.to_string()))
     }
 
     /// Send one typed request, read one typed response. Server-side

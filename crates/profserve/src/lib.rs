@@ -260,30 +260,33 @@ mod tests {
             Server::spawn("127.0.0.1:0", store, ServeConfig::default()).expect("spawn");
 
         use std::io::{Read, Write};
-        let mut raw = std::net::TcpStream::connect(handle.addr()).expect("connect");
-        raw.write_all(&wire::WIRE_MAGIC).expect("magic");
-        let mut framed = wire::frame(&wire::encode_request(&Request::Stats));
-        let flip = framed.len() / 2;
-        framed[flip] ^= 0x40; // corrupt the payload; the CRC must catch it
-        raw.write_all(&framed).expect("write");
-        raw.flush().expect("flush");
-
-        let mut head = [0u8; 4];
-        raw.read_exact(&mut head).expect("len");
-        let len = u32::from_le_bytes(head) as usize;
-        let mut rest = vec![0u8; len + 4];
-        raw.read_exact(&mut rest).expect("payload");
-        match wire::decode_response(&rest[..len]).expect("decode") {
-            Response::Error { kind, .. } => assert_eq!(kind, ErrorKind::BadRequest),
-            other => panic!("expected error frame, got {other:?}"),
+        // A flipped payload bit (the CRC catches it) and a length word
+        // over the daemon's cap each get one typed error frame, then the
+        // connection closes: the frame stream cannot resync.
+        let mut flipped = wire::frame(&wire::encode_request(&Request::Stats));
+        let flip = flipped.len() / 2;
+        flipped[flip] ^= 0x40;
+        let over_cap = u32::MAX.to_le_bytes().to_vec();
+        for (bytes, want) in [
+            (flipped, ErrorKind::BadRequest),
+            (over_cap, ErrorKind::TooLarge),
+        ] {
+            let mut raw = std::net::TcpStream::connect(handle.addr()).expect("connect");
+            raw.write_all(&wire::WIRE_MAGIC).expect("magic");
+            raw.write_all(&bytes).expect("write");
+            let mut reply = Vec::new();
+            raw.read_to_end(&mut reply).expect("read until closed");
+            let (payload, consumed) = wire::try_frame(&reply, usize::MAX)
+                .expect("a reply frame")
+                .expect("a whole reply frame");
+            assert_eq!(consumed, reply.len(), "one reply frame, then close");
+            match wire::decode_response(payload).expect("decode") {
+                Response::Error { kind, .. } => assert_eq!(kind, want),
+                other => panic!("expected error frame, got {other:?}"),
+            }
         }
-        // The frame stream cannot resync: the server closes.
-        let mut restbuf = Vec::new();
-        raw.read_to_end(&mut restbuf).expect("read_to_end");
-        assert!(restbuf.is_empty(), "connection should be closed");
 
         handle.stop();
-        drop(raw);
         join.join().expect("join").expect("run");
     }
 

@@ -438,7 +438,7 @@ pub enum Request {
     /// frame list is a cursor probe: the reply reports the follower's
     /// current watermark without writing anything.
     Apply {
-        /// Raw `len|payload|crc` record frames from [`Request::Export`].
+        /// Whole record frames ([`profstore::frame`]) from [`Request::Export`].
         frames: Vec<Vec<u8>>,
     },
 }
@@ -781,7 +781,7 @@ pub enum Response {
     Event(Notification),
     /// One page of the replication stream (reply to [`Request::Export`]).
     ExportChunk {
-        /// Raw `len|payload|crc` record frames, ascending run id.
+        /// Whole record frames ([`profstore::frame`]), ascending run id.
         frames: Vec<Vec<u8>>,
         /// Highest run id included (or the request's `after` when the
         /// page is empty) — the follower's next cursor.

@@ -41,6 +41,7 @@ use crate::server::{
     now_ns, serve_bin_payload, serve_json_line, server_stats_report, Shared, REACTOR_TICK,
 };
 use crate::wire;
+use profstore::frame::FrameError;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -687,10 +688,14 @@ fn serve_json(
     Some(effects)
 }
 
-/// Serve one binary payload through the shared core with panic isolation.
-/// Returns an ingest notification to fan out, if the request stored runs.
-fn serve_bin(conn: &mut Conn, shared: &Arc<Shared>, payload: &[u8]) -> Option<Notification> {
-    let authed = conn.authed;
+/// Serve one binary payload like [`serve_json`] serves a line: the reply
+/// frame goes to `out`, and the caller applies the returned effects.
+fn serve_bin(
+    out: &mut Vec<u8>,
+    authed: bool,
+    shared: &Arc<Shared>,
+    payload: &[u8],
+) -> crate::server::ServeEffects {
     let (response, effects) = match catch_unwind(AssertUnwindSafe(|| {
         serve_bin_payload(shared, payload, authed)
     })) {
@@ -706,9 +711,8 @@ fn serve_bin(conn: &mut Conn, shared: &Arc<Shared>, payload: &[u8]) -> Option<No
             )
         }
     };
-    conn.out
-        .extend_from_slice(&wire::frame(&wire::encode_response(&response)));
-    apply_effects(conn, effects)
+    out.extend_from_slice(&wire::frame(&wire::encode_response(&response)));
+    effects
 }
 
 /// Advance the connection's protocol state machine over whatever is
@@ -811,8 +815,9 @@ fn process(conn: &mut Conn, shared: &Arc<Shared>) -> Vec<Notification> {
             Proto::Bin => {
                 match wire::try_frame(&conn.buf, shared.config.max_request_bytes) {
                     Ok(Some((payload, consumed))) => {
+                        let effects = serve_bin(&mut conn.out, conn.authed, shared, payload);
                         conn.buf.drain(..consumed);
-                        ingests.extend(serve_bin(conn, shared, &payload));
+                        ingests.extend(apply_effects(conn, effects));
                         served += 1;
                         if conn.draining || shared.stop.load(Ordering::SeqCst) {
                             conn.close_after_flush = true;
@@ -832,7 +837,7 @@ fn process(conn: &mut Conn, shared: &Arc<Shared>) -> Vec<Notification> {
                         // reply with a typed error frame and close.
                         shared.counters.add(|c| &c.errors, 1);
                         let kind = match e {
-                            wire::WireError::FrameTooLarge { .. } => ErrorKind::TooLarge,
+                            FrameError::TooLarge { .. } => ErrorKind::TooLarge,
                             _ => ErrorKind::BadRequest,
                         };
                         let response = Response::Error {

@@ -298,7 +298,9 @@ fn error(kind: ErrorKind, message: impl Into<String>) -> Response {
 fn store_error(e: &StoreError) -> Response {
     match e {
         StoreError::NotFound(_) => error(ErrorKind::NotFound, e.to_string()),
-        StoreError::BadFrame { .. } => error(ErrorKind::BadRequest, e.to_string()),
+        StoreError::BadFrame(_) | StoreError::BadRecord(_) => {
+            error(ErrorKind::BadRequest, e.to_string())
+        }
         _ => error(ErrorKind::Internal, e.to_string()),
     }
 }

@@ -2,16 +2,17 @@
 //!
 //! A binary connection opens with the 4-byte magic `"TPF1"` (how the
 //! server's first-byte sniffer tells it apart from a JSON line, which
-//! always starts with `{`), followed by frames in both directions:
+//! always starts with `{`), followed by frames in both directions. A
+//! frame is the store's own record frame ([`profstore::frame`]), and its
+//! payload is
 //!
 //! ```text
-//! frame   := len:u32le  payload[len]  crc32(payload):u32le
 //! payload := tag:u8  body
 //! ```
 //!
-//! This is exactly the store's segment framing, and the body reuses the
-//! store's LEB128 codec (`profstore::codec`): unsigned varints,
-//! length-prefixed UTF-8 strings, and `f64` as 8 raw little-endian bytes.
+//! The body reuses the store's LEB128 codec (`profstore::codec`):
+//! unsigned varints, length-prefixed UTF-8 strings, and `f64` as 8 raw
+//! little-endian bytes.
 //! Request tags live below `0x80`, response tags at or above it, so a
 //! frame's direction is self-evident in a capture.
 //!
@@ -30,7 +31,7 @@
 //! one), so a spooled frame can be forwarded byte-for-byte without
 //! re-encoding.
 
-use profstore::CodecError;
+use profstore::frame::{self, FrameError};
 
 // The payload codec: derived, like the JSON lines, from the one
 // declaration per message in `crate::codec`.
@@ -45,25 +46,13 @@ pub const WIRE_VERSION: u32 = 1;
 /// Feature bit: the server accepts `INGEST_BATCH`.
 pub const FEATURE_BATCH_INGEST: u64 = 1;
 
-/// Bytes of framing around a payload (length word + CRC word).
-pub const FRAME_OVERHEAD: usize = 8;
-
 /// Default ceiling on a response payload a client will accept.
 pub const MAX_RESPONSE_BYTES: usize = 64 << 20;
 
-/// A frame or payload could not be decoded.
+/// A payload could not be decoded. (A frame that is not one is a
+/// [`FrameError`].)
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WireError {
-    /// The length word announces a payload beyond the configured cap —
-    /// corruption, or a JSON client talking to a binary parser.
-    FrameTooLarge {
-        /// Announced payload length.
-        len: usize,
-        /// Configured ceiling.
-        max: usize,
-    },
-    /// The CRC-32 over the payload does not match the trailer.
-    CrcMismatch,
     /// The payload structure was truncated, mistyped, or out of range.
     Malformed(String),
 }
@@ -71,10 +60,6 @@ pub enum WireError {
 impl std::fmt::Display for WireError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            WireError::FrameTooLarge { len, max } => {
-                write!(f, "frame payload of {len} bytes exceeds cap of {max}")
-            }
-            WireError::CrcMismatch => write!(f, "frame crc mismatch"),
             WireError::Malformed(what) => write!(f, "malformed frame: {what}"),
         }
     }
@@ -82,53 +67,26 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-impl From<CodecError> for WireError {
-    fn from(e: CodecError) -> Self {
-        WireError::Malformed(e.to_string())
-    }
-}
-
 // ---------------------------------------------------------------------
 // Framing
 // ---------------------------------------------------------------------
 
-/// Wrap a payload in the `len|payload|crc32` frame.
+/// The frame of `payload` ([`frame::encode`]).
 pub fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + FRAME_OVERHEAD);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&profstore::codec::payload_crc(payload).to_le_bytes());
+    let mut out = Vec::new();
+    frame::encode(payload, &mut out);
     out
 }
 
-/// Try to strip one frame off the front of `buf`.
+/// Split one frame off the front of `buf` ([`frame::split`]).
 ///
 /// * `Ok(None)` — the buffer holds only a prefix of a frame; read more.
-/// * `Ok(Some((payload, consumed)))` — one whole frame; the caller
-///   drains `consumed` bytes.
+/// * `Ok(Some((payload, consumed)))` — one whole frame; the payload is
+///   borrowed from `buf`, and the caller drains `consumed` bytes.
 /// * `Err` — the stream is unrecoverable (oversized length word or CRC
 ///   failure); close the connection after a typed reply.
-pub fn try_frame(buf: &[u8], max_payload: usize) -> Result<Option<(Vec<u8>, usize)>, WireError> {
-    if buf.len() < 4 {
-        return Ok(None);
-    }
-    let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
-    if len > max_payload {
-        return Err(WireError::FrameTooLarge {
-            len,
-            max: max_payload,
-        });
-    }
-    let total = 4 + len + 4;
-    if buf.len() < total {
-        return Ok(None);
-    }
-    let payload = &buf[4..4 + len];
-    let crc = u32::from_le_bytes([buf[4 + len], buf[5 + len], buf[6 + len], buf[7 + len]]);
-    if crc != profstore::codec::payload_crc(payload) {
-        return Err(WireError::CrcMismatch);
-    }
-    Ok(Some((payload.to_vec(), total)))
+pub fn try_frame(buf: &[u8], max_payload: usize) -> Result<Option<(&[u8], usize)>, FrameError> {
+    Ok(frame::split(buf, max_payload)?.map(|f| (f.payload(), f.bytes().len())))
 }
 
 #[cfg(test)]
@@ -151,10 +109,10 @@ mod tests {
     #[test]
     fn oversized_length_word_is_rejected() {
         let framed = frame(&[0u8; 100]);
-        assert!(matches!(
+        assert_eq!(
             try_frame(&framed, 10),
-            Err(WireError::FrameTooLarge { len: 100, max: 10 })
-        ));
+            Err(FrameError::TooLarge { len: 100, max: 10 })
+        );
     }
 
     #[test]
@@ -167,7 +125,7 @@ mod tests {
         // Flip one bit in every payload byte position in turn.
         for at in 4..framed.len() - 4 {
             framed[at] ^= 0x10;
-            assert_eq!(try_frame(&framed, 1 << 20), Err(WireError::CrcMismatch));
+            assert_eq!(try_frame(&framed, 1 << 20), Err(FrameError::Crc));
             framed[at] ^= 0x10;
         }
     }
@@ -196,7 +154,7 @@ mod tests {
         let mut decoded = Vec::new();
         let mut pos = 0;
         while let Some((payload, consumed)) = try_frame(&stream[pos..], 1 << 20).expect("frame") {
-            decoded.push(decode_request(&payload).expect("decode"));
+            decoded.push(decode_request(payload).expect("decode"));
             pos += consumed;
         }
         assert_eq!(pos, stream.len());

@@ -1,20 +1,20 @@
 //! Compact binary encoding of one repository record.
 //!
 //! A record is `RunMeta` + `Profile`, serialized with LEB128 varints and
-//! length-prefixed UTF-8 strings, prefixed by a single version byte. The
-//! segment layer (not this module) frames the payload with a length word
-//! and a CRC-32. Region and parameter names are stored by name (+kind)
+//! length-prefixed UTF-8 strings, prefixed by a single version byte.
+//! [`crate::frame`] (not this module) frames the payload with a length
+//! word and a CRC-32. Region and parameter names are stored by name (+kind)
 //! and re-interned on decode, exactly like the text store, so records
 //! written by one process are readable by any other. [`verify_record`]
 //! checks an untrusted record without decoding it: it accepts exactly the
 //! bytes [`encode_record`] writes, so a store can stamp a header on the
-//! body and append it as is.
+//! body and append it as is. [`check_record`] is the same walk with the
+//! decoder's leniency: it accepts exactly what [`decode_record`] accepts.
 //!
 //! The `Stats` no-samples minimum keeps the text-format convention: the
 //! in-memory `u64::MAX` sentinel is encoded as 0 and restored on decode
 //! (which also keeps the varint short).
 
-use crate::crc::crc32;
 use pomp::{registry, RegionKind, RegistryView};
 use taskprof::{NodeKind, Profile, SnapNode, Stats, ThreadSnapshot};
 
@@ -280,9 +280,9 @@ fn read_node(r: &mut Reader<'_>, depth: usize) -> Result<SnapNode, CodecError> {
     })
 }
 
-/// [`read_node`]'s walk without building anything: the same checks, plus
-/// the one form [`put_stats`] never writes — a minimum on a node without
-/// samples.
+/// [`read_node`]'s walk without building anything: the same checks, plus,
+/// on a canonical reader, the one form [`put_stats`] never writes — a
+/// minimum on a node without samples.
 fn verify_node(r: &mut Reader<'_>, depth: usize) -> Result<(), CodecError> {
     if depth > 4096 {
         return Err(CodecError::Malformed("tree deeper than 4096"));
@@ -308,7 +308,7 @@ fn verify_node(r: &mut Reader<'_>, depth: usize) -> Result<(), CodecError> {
         *v = r.uv()?;
     }
     let [_, _, min, _, samples, _] = stats;
-    if samples == 0 && min != 0 {
+    if r.canonical && samples == 0 && min != 0 {
         return Err(CodecError::Malformed("minimum without samples"));
     }
     let nchildren = r.uv()?;
@@ -469,8 +469,22 @@ impl VerifiedBody<'_> {
 /// body it accepts is therefore canonical: stamping a new header on it
 /// gives exactly the bytes decoding and re-encoding would.
 pub fn verify_record(payload: &[u8]) -> Result<VerifiedBody<'_>, CodecError> {
+    let body = walk_record(payload, true)?;
+    Ok(VerifiedBody(&payload[body..]))
+}
+
+/// Check that [`decode_record`] would accept `payload`, without decoding
+/// it: [`verify_record`]'s walk, with the decoder's leniency towards an
+/// overlong varint, a profile without threads and a minimum without samples.
+pub fn check_record(payload: &[u8]) -> Result<(), CodecError> {
+    walk_record(payload, false).map(drop)
+}
+
+/// The walk of [`verify_record`] (`canonical`) and [`check_record`]:
+/// returns where the profile body starts.
+fn walk_record(payload: &[u8], canonical: bool) -> Result<usize, CodecError> {
     let mut r = Reader {
-        canonical: true,
+        canonical,
         ..Reader::new(payload)
     };
     match r.byte()? {
@@ -483,7 +497,7 @@ pub fn verify_record(payload: &[u8]) -> Result<VerifiedBody<'_>, CodecError> {
     r.uv()?; // timestamp
     let body = r.pos;
     let nthreads = r.uv()?;
-    if nthreads == 0 {
+    if canonical && nthreads == 0 {
         return Err(CodecError::Malformed("no threads"));
     }
     let most = payload.len() as u64;
@@ -514,13 +528,7 @@ pub fn verify_record(payload: &[u8]) -> Result<VerifiedBody<'_>, CodecError> {
     if !r.done() {
         return Err(CodecError::Malformed("trailing bytes after profile"));
     }
-    Ok(VerifiedBody(&payload[body..]))
-}
-
-/// CRC-32 of a payload, re-exported here so callers frame records without
-/// reaching into the `crc` module.
-pub fn payload_crc(payload: &[u8]) -> u32 {
-    crc32(payload)
+    Ok(body)
 }
 
 #[cfg(test)]
@@ -629,7 +637,40 @@ mod tests {
                 verify_record(&payload[..cut]).is_err(),
                 "prefix of {cut} bytes verified"
             );
+            assert!(
+                check_record(&payload[..cut]).is_err(),
+                "prefix of {cut} bytes checked"
+            );
         }
+    }
+
+    #[test]
+    fn check_record_accepts_exactly_what_decodes() {
+        let meta = RunMeta {
+            run_id: 4,
+            benchmark: "fib".into(),
+            threads: 2,
+            timestamp_ns: 7,
+        };
+        let payload = encode_record(&meta, &sample_profile("codec-check"));
+        let mut agreed = [0usize; 2];
+        for at in 0..payload.len() {
+            for bit in 0..8 {
+                let mut mutated = payload.clone();
+                mutated[at] ^= 1 << bit;
+                let decodes = decode_record(&mutated).is_ok();
+                assert_eq!(
+                    check_record(&mutated).is_ok(),
+                    decodes,
+                    "bit {bit} of byte {at} flipped"
+                );
+                agreed[usize::from(decodes)] += 1;
+            }
+        }
+        assert!(
+            agreed.iter().all(|&n| n > 0),
+            "both verdicts occur: {agreed:?}"
+        );
     }
 
     /// One thread whose main tree is a single truncation marker carrying
@@ -693,6 +734,7 @@ mod tests {
                 decode_record(&payload).is_ok(),
                 "{why}: the decoder accepts it"
             );
+            assert_eq!(check_record(&payload), Ok(()), "{why}: so does check");
             assert_eq!(
                 verify_record(&payload),
                 Err(CodecError::Malformed(why)),
@@ -711,6 +753,7 @@ mod tests {
         );
         empty.push(0);
         assert!(decode_record(&empty).is_ok());
+        assert_eq!(check_record(&empty), Ok(()));
         assert_eq!(
             verify_record(&empty),
             Err(CodecError::Malformed("no threads"))

@@ -6,7 +6,10 @@
 //!
 //! * [`codec`] — a compact length-prefixed binary encoding of a
 //!   [`taskprof::Profile`] plus its [`RunMeta`], varint-packed, with a
-//!   version byte and a CRC-32 per record.
+//!   version byte.
+//! * [`frame`] — the `len | payload | crc32` frame every record, TPF1
+//!   message, replicated run and spooled export travels in, written and
+//!   checked nowhere else.
 //! * [`segment`] — segment files (`seg-NNNNNN.log`): a magic header
 //!   followed by framed records. Only the newest segment is ever written;
 //!   older ("closed") segments are immutable.
@@ -46,6 +49,7 @@
 pub mod agg;
 pub mod codec;
 pub mod crc;
+pub mod frame;
 pub mod io;
 pub mod merge;
 mod repo;
@@ -55,7 +59,7 @@ mod store;
 
 pub use agg::{BenchAgg, MetricAgg, RegressConfig, Regression, RegressionFinding, RunSummary};
 pub use codec::{
-    decode_meta, decode_record, encode_record, put_iv, put_meta, put_str, put_uv, verify_record,
+    check_record, decode_meta, decode_record, encode_record, put_iv, put_meta, put_str, put_uv, verify_record,
     CodecError, Reader as PayloadReader, RunMeta, VerifiedBody, CODEC_VERSION, MAX_RECORD_BYTES,
 };
 pub use io::{
@@ -64,7 +68,7 @@ pub use io::{
 };
 pub use merge::KWayMerge;
 pub use repo::Repo;
-pub use segment::{SegmentReader, SegmentWriter, RECORD_HEADER_BYTES, SEGMENT_MAGIC};
+pub use segment::{SegmentReader, SegmentWriter, SEGMENT_MAGIC};
 pub use shard::ShardedStore;
 pub use store::{
     ExportBatch, GcReport, IndexEntry, IngestReceipt, ProfileStore, RetentionPolicy, RunWindow,

@@ -3,58 +3,34 @@
 //! Layout:
 //!
 //! ```text
-//! segment := MAGIC (8 bytes) record*
-//! record  := len:u32le  payload[len]  crc32(payload):u32le
+//! segment := MAGIC (8 bytes) frame*
 //! ```
 //!
-//! The payload starts with the codec version byte (see [`crate::codec`]).
-//! Appends go through a [`SegmentWriter`] that flushes the full frame per
-//! record, so after a crash the file is a valid prefix plus at most one
-//! torn frame. [`SegmentReader::scan`] validates every frame and reports
-//! where the valid prefix ends so the store can truncate the tail on open;
-//! an opened [`SegmentReader`] reads indexed frames back, one positioned
-//! read each, through the one handle it holds.
+//! Each record is one [`crate::frame`] whose payload starts with the
+//! codec version byte (see [`crate::codec`]). Appends go through a
+//! [`SegmentWriter`] that flushes the full frame per record, so after a
+//! crash the file is a valid prefix plus at most one torn frame.
+//! [`SegmentReader::scan`] checks every frame and reports where the valid
+//! prefix ends so the store can truncate the tail on open; an opened
+//! [`SegmentReader`] reads indexed frames back, one positioned read each,
+//! through the one handle it holds.
 //!
 //! Every file operation goes through a [`StoreIo`] handle so the fault
 //! injector ([`crate::FaultIo`]) can tear or fail any of them; production
 //! passes [`crate::RealIo`](crate::RealIo).
 
 use crate::codec::MAX_RECORD_BYTES;
-use crate::crc::crc32;
+use crate::frame::{self, Checked, FrameError};
 use crate::io::{StoreFile, StoreIo, StoreRead};
 use std::path::{Path, PathBuf};
 
 /// First 8 bytes of every segment file.
 pub const SEGMENT_MAGIC: &[u8; 8] = b"profseg1";
 
-/// Bytes of framing around a payload (length word + CRC word).
-pub const RECORD_HEADER_BYTES: u64 = 8;
-
 /// Bytes [`SegmentReader::scan`] reads at a time: a segment's frames
-/// stream through one buffer this size (or one frame's, if larger), so
-/// recovery holds no copy of the file.
+/// stream through one buffer this size (or larger, for a larger frame),
+/// so recovery holds no copy of the file.
 const SCAN_WINDOW: usize = 1 << 20;
-
-/// Why a scan stopped before the end of the file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TailDefect {
-    /// Fewer bytes than a complete frame (torn length word or payload).
-    TornFrame,
-    /// Frame complete but the CRC does not match the payload.
-    CrcMismatch,
-    /// The length word is implausible (beyond [`MAX_RECORD_BYTES`]).
-    BadLength(u64),
-}
-
-impl std::fmt::Display for TailDefect {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TailDefect::TornFrame => write!(f, "torn frame"),
-            TailDefect::CrcMismatch => write!(f, "crc mismatch"),
-            TailDefect::BadLength(n) => write!(f, "implausible record length {n}"),
-        }
-    }
-}
 
 /// Result of scanning one segment file.
 #[derive(Debug)]
@@ -62,12 +38,7 @@ pub struct SegmentScan {
     /// Offset one past the last valid frame (where appends may resume).
     pub valid_len: u64,
     /// The defect that ended the scan early, if the file has a bad tail.
-    pub tail_defect: Option<TailDefect>,
-}
-
-/// The payload inside a whole `len | payload | crc` frame.
-pub(crate) fn frame_payload(frame: &[u8]) -> &[u8] {
-    &frame[4..frame.len() - 4]
+    pub tail_defect: Option<FrameError>,
 }
 
 /// One segment file open for reads: holds the handle and the buffer the
@@ -91,45 +62,36 @@ impl<'io> SegmentReader<'io> {
 
     /// Read the whole frame a store index places at `offset` with
     /// `bytes` framed bytes, in one read. `None` unless the file holds
-    /// that many bytes there, the length word agrees with `bytes`, the
-    /// payload is no longer than [`MAX_RECORD_BYTES`] and its CRC
-    /// matches; the slice is valid until the next read.
-    pub fn read_frame(&mut self, offset: u64, bytes: u64) -> std::io::Result<Option<&[u8]>> {
-        let Some(len) = bytes
-            .checked_sub(RECORD_HEADER_BYTES)
-            .filter(|&len| len <= MAX_RECORD_BYTES as u64)
-        else {
+    /// that many bytes there and they are one [`frame::check`]ed frame of
+    /// at most [`MAX_RECORD_BYTES`] payload bytes; the frame is valid
+    /// until the next read.
+    pub fn read_frame(&mut self, offset: u64, bytes: u64) -> std::io::Result<Option<Checked<'_>>> {
+        if bytes > (MAX_RECORD_BYTES + frame::OVERHEAD) as u64 {
             return Ok(None);
-        };
+        }
         self.file.read_at(offset, bytes as usize, &mut self.frame)?;
         self.base = offset;
         if self.frame.len() as u64 != bytes {
             return Ok(None);
         }
-        let (len_word, rest) = self.frame.split_at(4);
-        let (payload, crc_word) = rest.split_at(len as usize);
-        let word = |w: &[u8]| u32::from_le_bytes(w.try_into().expect("4 bytes"));
-        if u64::from(word(len_word)) != len || crc32(payload) != word(crc_word) {
-            return Ok(None);
-        }
-        Ok(Some(&self.frame))
+        Ok(frame::check(&self.frame, MAX_RECORD_BYTES).ok())
     }
 }
 
 impl SegmentReader<'_> {
-    /// The `n` bytes at `offset` — fewer only at end of file — from the
-    /// buffer, refilled [`SCAN_WINDOW`] bytes (or `n`, if more) at a time.
+    /// The buffered bytes from `offset` on, at least `n` of them unless
+    /// the file ends first; refilled [`SCAN_WINDOW`] bytes (or `n`, if
+    /// more) at a time.
     fn window(&mut self, offset: u64, n: usize) -> std::io::Result<&[u8]> {
         let held = self.base + self.frame.len() as u64;
         if offset < self.base || offset + n as u64 > held {
             self.file.read_at(offset, n.max(SCAN_WINDOW), &mut self.frame)?;
             self.base = offset;
         }
-        let from = (offset - self.base) as usize;
-        Ok(&self.frame[from..self.frame.len().min(from + n)])
+        Ok(&self.frame[(offset - self.base) as usize..])
     }
 
-    /// Scan `path`, validating the magic and every record frame, and hand
+    /// Scan `path`, checking the magic and every record frame, and hand
     /// each valid record's frame offset and payload to `record`, in file
     /// order.
     ///
@@ -144,39 +106,34 @@ impl SegmentReader<'_> {
         let file_len = io.file_len(path)?;
         let mut file = SegmentReader::open(io, path.to_path_buf())?;
         let magic = SEGMENT_MAGIC.len();
-        if file_len < magic as u64 || file.window(0, magic)? != SEGMENT_MAGIC {
+        if file_len < magic as u64 || file.window(0, magic)?[..magic] != SEGMENT_MAGIC[..] {
             return Ok(SegmentScan {
                 valid_len: 0,
-                tail_defect: Some(TailDefect::TornFrame),
+                tail_defect: Some(FrameError::Torn),
             });
         }
-        let word = |w: &[u8]| u32::from_le_bytes(w.try_into().expect("4 bytes"));
         let mut pos = magic as u64;
-        let mut tail_defect = None;
-        while pos < file_len {
-            if file_len - pos < 4 {
-                tail_defect = Some(TailDefect::TornFrame);
-                break;
+        // Bytes the buffer must hold to split the next frame; doubled
+        // while a frame is larger than the buffer.
+        let mut want = frame::OVERHEAD;
+        let tail_defect = loop {
+            if pos == file_len {
+                break None;
             }
-            let len = word(file.window(pos, 4)?) as usize;
-            if len > MAX_RECORD_BYTES {
-                tail_defect = Some(TailDefect::BadLength(len as u64));
-                break;
+            let buf = file.window(pos, want)?;
+            match frame::split(buf, MAX_RECORD_BYTES) {
+                Ok(Some(frame)) => {
+                    record(pos, frame.payload());
+                    pos += frame.bytes().len() as u64;
+                    want = frame::OVERHEAD;
+                }
+                Ok(None) if pos + buf.len() as u64 >= file_len => break Some(FrameError::Torn),
+                Ok(None) => want = 2 * buf.len(),
+                Err(defect) => break Some(defect),
             }
-            if file_len - pos < RECORD_HEADER_BYTES + len as u64 {
-                tail_defect = Some(TailDefect::TornFrame);
-                break;
-            }
-            let (payload, crc) = file.window(pos + 4, len + 4)?.split_at(len);
-            if crc32(payload) != word(crc) {
-                tail_defect = Some(TailDefect::CrcMismatch);
-                break;
-            }
-            record(pos, payload);
-            pos += RECORD_HEADER_BYTES + len as u64;
-        }
+        };
         Ok(SegmentScan {
-            valid_len: pos.min(file_len),
+            valid_len: pos,
             tail_defect,
         })
     }
@@ -184,7 +141,6 @@ impl SegmentReader<'_> {
 
 /// Appender for the active segment.
 pub struct SegmentWriter {
-    path: PathBuf,
     file: Box<dyn StoreFile>,
     len: u64,
     sync: bool,
@@ -200,7 +156,6 @@ impl SegmentWriter {
             file.sync_all()?;
         }
         Ok(Self {
-            path: path.to_path_buf(),
             file,
             len: SEGMENT_MAGIC.len() as u64,
             sync,
@@ -237,15 +192,11 @@ impl SegmentWriter {
         if sync {
             file.sync_all()?;
         }
-        Ok(Self {
-            path: path.to_path_buf(),
-            file,
-            len,
-            sync,
-        })
+        Ok(Self { file, len, sync })
     }
 
-    /// Append one framed record; returns the frame's byte offset.
+    /// Append the frame of one record payload; returns the frame's byte
+    /// offset.
     ///
     /// On failure the writer repairs itself best-effort: the file is
     /// truncated back to the last good frame and the cursor reseated, so
@@ -256,13 +207,20 @@ impl SegmentWriter {
     /// behind as a torn tail — exactly what scan-and-truncate recovery on
     /// the next open handles.
     pub fn append(&mut self, payload: &[u8]) -> std::io::Result<u64> {
+        let mut bytes = Vec::new();
+        frame::encode(payload, &mut bytes);
+        self.write(&bytes)
+    }
+
+    /// [`SegmentWriter::append`] a frame already checked, as it is.
+    pub fn append_checked(&mut self, frame: Checked<'_>) -> std::io::Result<u64> {
+        self.write(frame.bytes())
+    }
+
+    fn write(&mut self, frame: &[u8]) -> std::io::Result<u64> {
         let offset = self.len;
-        let mut frame = Vec::with_capacity(payload.len() + 8);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(payload);
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
         let result = (|| {
-            self.file.write_all(&frame)?;
+            self.file.write_all(frame)?;
             self.file.flush()?;
             if self.sync {
                 self.file.sync_data()?;
@@ -287,17 +245,14 @@ impl SegmentWriter {
     pub fn is_empty(&self) -> bool {
         self.len <= SEGMENT_MAGIC.len() as u64
     }
-
-    /// The segment's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::io::{FaultIo, FaultKind, FaultPlan, RealIo};
+
+    const OVERHEAD: u64 = frame::OVERHEAD as u64;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -322,8 +277,9 @@ mod tests {
     fn read(io: &dyn StoreIo, path: &Path, offset: u64, bytes: u64) -> Option<Vec<u8>> {
         let mut reader = SegmentReader::open(io, path.to_path_buf()).expect("open");
         let frame = reader.read_frame(offset, bytes).expect("read_frame")?;
-        assert_eq!(frame.len() as u64, bytes, "the whole on-disk frame comes back");
-        Some(frame_payload(frame).to_vec())
+        let whole = frame.bytes().len() as u64 == bytes;
+        assert!(whole, "the whole on-disk frame comes back");
+        Some(frame.payload().to_vec())
     }
 
     #[test]
@@ -342,7 +298,7 @@ mod tests {
         assert_eq!(records[1].1, b"second, longer record payload");
         assert_eq!(scan.valid_len, w.len());
         assert_eq!(
-            read(&io, &path, b, 29 + RECORD_HEADER_BYTES),
+            read(&io, &path, b, 29 + OVERHEAD),
             Some(b"second, longer record payload".to_vec())
         );
         let _ = std::fs::remove_dir_all(&dir);
@@ -362,7 +318,7 @@ mod tests {
         let full = std::fs::read(&path).expect("read");
         std::fs::write(&path, &full[..full.len() - 5]).expect("write");
         let (scan, records) = scan_all(&io, &path);
-        assert_eq!(scan.tail_defect, Some(TailDefect::TornFrame));
+        assert_eq!(scan.tail_defect, Some(FrameError::Torn));
         assert_eq!(records.len(), 1);
         assert_eq!(scan.valid_len, good_len);
         // Recovery truncates and appends continue cleanly.
@@ -396,7 +352,7 @@ mod tests {
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].1, b"post-recovery record");
         assert_eq!(
-            read(&io, &path, off, 20 + RECORD_HEADER_BYTES),
+            read(&io, &path, off, 20 + OVERHEAD),
             Some(b"post-recovery record".to_vec())
         );
         let _ = std::fs::remove_dir_all(&dir);
@@ -415,9 +371,9 @@ mod tests {
         data[idx] ^= 0x40;
         std::fs::write(&path, &data).expect("write");
         let (scan, records) = scan_all(&io, &path);
-        assert_eq!(scan.tail_defect, Some(TailDefect::CrcMismatch));
+        assert_eq!(scan.tail_defect, Some(FrameError::Crc));
         assert!(records.is_empty());
-        assert_eq!(read(&io, &path, off, 22 + RECORD_HEADER_BYTES), None);
+        assert_eq!(read(&io, &path, off, 22 + OVERHEAD), None);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -434,7 +390,7 @@ mod tests {
         // The repair truncated the torn prefix: the file is well-formed
         // and the next append lands cleanly at the same offset.
         let b = w.append(b"after the disk recovered").expect("append");
-        assert_eq!(w.len(), b + 24 + RECORD_HEADER_BYTES);
+        assert_eq!(w.len(), b + 24 + OVERHEAD);
         drop(w);
         let (scan, records) = scan_all(&RealIo, &path);
         assert_eq!(scan.tail_defect, None, "repair left no torn tail");
@@ -470,20 +426,20 @@ mod tests {
         let a = w.append(b"first").expect("append");
         let b = w.append(b"second record").expect("append");
         drop(w);
-        let (a_bytes, b_bytes) = (5 + RECORD_HEADER_BYTES, 13 + RECORD_HEADER_BYTES);
+        let (a_bytes, b_bytes) = (5 + OVERHEAD, 13 + OVERHEAD);
         assert_eq!(read(&io, &path, a, a_bytes), Some(b"first".to_vec()));
         assert_eq!(read(&io, &path, b, b_bytes), Some(b"second record".to_vec()));
         // The length word disagrees with the indexed size (both ways).
         assert_eq!(read(&io, &path, a, a_bytes + 4), None);
         assert_eq!(read(&io, &path, b, b_bytes - 1), None);
         // Too small to be a frame at all.
-        assert_eq!(read(&io, &path, a, RECORD_HEADER_BYTES - 1), None);
+        assert_eq!(read(&io, &path, a, OVERHEAD - 1), None);
         // A short read at the end of the file.
         assert_eq!(read(&io, &path, b, b_bytes + 1), None);
         assert_eq!(read(&io, &path, b + b_bytes, a_bytes), None);
         // An indexed size past the record limit is refused before any
         // buffer is sized by it.
-        let huge = MAX_RECORD_BYTES as u64 + RECORD_HEADER_BYTES + 1;
+        let huge = MAX_RECORD_BYTES as u64 + OVERHEAD + 1;
         assert_eq!(read(&io, &path, a, huge), None);
         // A flipped payload bit fails the CRC; the neighbour still reads.
         let mut data = std::fs::read(&path).expect("read");
@@ -504,10 +460,10 @@ mod tests {
         let mut reader = SegmentReader::open(&io, path.clone()).expect("open");
         let b = w.append(b"after").expect("append");
         for _ in 0..2 {
-            let frame = reader.read_frame(b, 5 + RECORD_HEADER_BYTES).expect("read");
-            assert_eq!(frame.map(frame_payload), Some(&b"after"[..]));
-            let frame = reader.read_frame(a, 15 + RECORD_HEADER_BYTES).expect("read");
-            assert_eq!(frame.map(frame_payload), Some(&b"before the open"[..]));
+            let frame = reader.read_frame(b, 5 + OVERHEAD).expect("read");
+            assert_eq!(frame.map(Checked::payload), Some(&b"after"[..]));
+            let frame = reader.read_frame(a, 15 + OVERHEAD).expect("read");
+            assert_eq!(frame.map(Checked::payload), Some(&b"before the open"[..]));
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

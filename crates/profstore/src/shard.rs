@@ -28,12 +28,11 @@
 //! about is bounded to one shard, not the whole repository.
 
 use crate::agg::BenchAgg;
-use crate::codec::{decode_meta, RunMeta, VerifiedBody};
+use crate::codec::{RunMeta, VerifiedBody};
 use crate::io::{RealIo, StoreIo};
 use crate::merge::KWayMerge;
-use crate::segment::{frame_payload, RECORD_HEADER_BYTES};
 use crate::store::{
-    ExportBatch, GcReport, IndexEntry, IngestReceipt, ProfileStore, RetentionPolicy, RunWindow,
+    replica, ExportBatch, GcReport, IndexEntry, IngestReceipt, ProfileStore, RetentionPolicy, RunWindow,
     StoreConfig, StoreError, StoreStats, TrendBucket,
 };
 use std::collections::BTreeMap;
@@ -433,55 +432,33 @@ impl ShardedStore {
     /// order: per-shard pages (each already ascending) interleaved by
     /// the k-way merge, truncated to `max`.
     pub fn export_frames(&self, after: u64, max: usize) -> Result<ExportBatch, StoreError> {
-        let mut pages: Vec<std::vec::IntoIter<(u64, Vec<u8>)>> = Vec::new();
+        let mut pages = Vec::with_capacity(self.shards.len());
         let mut all_done = true;
         for k in 0..self.shards.len() {
-            let batch = self.shard(k).export_frames(after, max)?;
-            all_done &= batch.done;
-            let mut page = Vec::with_capacity(batch.frames.len());
-            for frame in batch.frames {
-                let meta = decode_meta(frame_payload(&frame)).map_err(|e| StoreError::BadFrame {
-                    detail: format!("undecodable exported record: {e}"),
-                })?;
-                page.push((meta.run_id, frame));
-            }
+            let (page, done) = self.shard(k).export_page(after, max)?;
+            all_done &= done;
             pages.push(page.into_iter());
         }
-        let merged: Vec<(u64, Vec<u8>)> = KWayMerge::new(pages, |(id, _)| (*id, 0)).collect();
+        let mut merged: Vec<_> = KWayMerge::new(pages, |(id, _)| (*id, 0)).collect();
         let done = all_done && merged.len() <= max;
-        let mut batch = ExportBatch {
-            frames: Vec::new(),
-            watermark: after,
-            done,
-        };
-        for (id, frame) in merged.into_iter().take(max) {
-            batch.watermark = id;
-            batch.frames.push(frame);
-        }
-        Ok(batch)
+        merged.truncate(max);
+        Ok(ExportBatch::page(after, merged, done))
     }
 
     /// Apply one replicated frame, routing it to the shard its identity
     /// selects. Exactly-once across the whole repository: a frame at or
-    /// below the global [`ShardedStore::max_run_id`] is skipped.
+    /// below the global [`ShardedStore::max_run_id`] is skipped. The
+    /// frame and its record are checked as [`ProfileStore::apply_frame`]
+    /// checks them, and the checked frame is appended as it is.
     pub fn apply_frame(&self, frame: &[u8]) -> Result<Option<IngestReceipt>, StoreError> {
-        let header = RECORD_HEADER_BYTES as usize;
-        if frame.len() < header {
-            return Err(StoreError::BadFrame {
-                detail: format!("{} bytes is shorter than the frame header", frame.len()),
-            });
-        }
-        let meta = decode_meta(frame_payload(frame)).map_err(|e| StoreError::BadFrame {
-            detail: format!("undecodable record: {e}"),
-        })?;
-        if meta.run_id <= self.max_run_id() {
+        let Some((meta, checked)) = replica(frame, self.max_run_id())? else {
             return Ok(None);
-        }
+        };
         let k = Self::route(&meta.benchmark, meta.run_id, self.shards.len());
-        let receipt = self.shard(k).apply_frame(frame)?;
-        self.next_run_id
-            .fetch_max(meta.run_id + 1, Ordering::SeqCst);
-        Ok(receipt)
+        let run_id = meta.run_id;
+        let receipt = self.shard(k).append_checked(meta, checked)?;
+        self.next_run_id.fetch_max(run_id + 1, Ordering::SeqCst);
+        Ok(Some(receipt))
     }
 
     /// Sum of torn-tail bytes recovered by the last open, over shards.

@@ -1,10 +1,14 @@
 //! The profile repository: segments + index + recovery + compaction.
 
 use crate::agg::BenchAgg;
-use crate::codec::{decode_meta, decode_record, encode_record, CodecError, RunMeta, VerifiedBody};
+use crate::codec::{
+    check_record, decode_meta, decode_record, encode_record, CodecError, RunMeta, VerifiedBody,
+    MAX_RECORD_BYTES,
+};
+use crate::frame::{self, Checked, FrameError};
 use crate::io::{RealIo, StoreIo};
 use crate::merge::KWayMerge;
-use crate::segment::{frame_payload, SegmentReader, SegmentWriter, RECORD_HEADER_BYTES};
+use crate::segment::{SegmentReader, SegmentWriter};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -76,11 +80,11 @@ pub enum StoreError {
         /// Shard count the open requested.
         requested: u32,
     },
-    /// A replication frame failed its CRC or framing check before apply.
-    BadFrame {
-        /// What was wrong with the frame.
-        detail: String,
-    },
+    /// A replicated frame is not a [`frame`]: torn, too large, of the
+    /// wrong length or failing its CRC.
+    BadFrame(FrameError),
+    /// A replicated frame's record is one [`decode_record`] refuses.
+    BadRecord(CodecError),
 }
 
 impl std::fmt::Display for StoreError {
@@ -111,9 +115,8 @@ impl std::fmt::Display for StoreError {
                  (the shard count is fixed at creation)",
                 dir.display()
             ),
-            StoreError::BadFrame { detail } => {
-                write!(f, "replication frame rejected: {detail}")
-            }
+            StoreError::BadFrame(e) => write!(f, "replication frame rejected: {e}"),
+            StoreError::BadRecord(e) => write!(f, "replicated record rejected: {e}"),
         }
     }
 }
@@ -216,18 +219,37 @@ impl TrendBucket {
     }
 }
 
-/// One `EXPORT` page: raw CRC-framed record frames in ascending run-id
-/// order, plus the cursor the follower acknowledges.
+/// One `EXPORT` page: record frames in ascending run-id order, plus the
+/// cursor the follower acknowledges.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ExportBatch {
-    /// Raw frames (`len:u32le | payload | crc32:u32le`), byte-identical
-    /// to the leader's on-disk framing.
+    /// Whole [`frame`]s, byte-identical to the leader's on-disk ones.
     pub frames: Vec<Vec<u8>>,
     /// Highest run id included (equal to the requested cursor when the
     /// batch is empty). The follower's next request resumes after it.
     pub watermark: u64,
     /// True when no runs beyond this batch remain.
     pub done: bool,
+}
+
+/// The `(run id, frame)` pairs of one export page, in ascending run-id
+/// order.
+pub(crate) type Page = Vec<(u64, Vec<u8>)>;
+
+impl ExportBatch {
+    /// The page after cursor `after` holding `frames`.
+    pub(crate) fn page(after: u64, frames: Page, done: bool) -> Self {
+        let mut batch = ExportBatch {
+            frames: Vec::new(),
+            watermark: after,
+            done,
+        };
+        for (run_id, frame) in frames {
+            batch.watermark = run_id;
+            batch.frames.push(frame);
+        }
+        batch
+    }
 }
 
 /// What the retention sweep keeps. Filters compose by union of their
@@ -398,7 +420,7 @@ impl ProfileStore {
                         timestamp_ns: meta.timestamp_ns,
                         segment: n,
                         offset,
-                        bytes: payload.len() as u64 + RECORD_HEADER_BYTES,
+                        bytes: (payload.len() + frame::OVERHEAD) as u64,
                     });
                 }
                 Err(source) => {
@@ -533,20 +555,40 @@ impl ProfileStore {
         self.append_payload(meta, &payload)
     }
 
-    /// Append an already-encoded payload under `meta`'s identity,
-    /// rotating the active segment as needed.
+    /// Append an already-encoded payload under `meta`'s identity.
     fn append_payload(
         &mut self,
         meta: RunMeta,
         payload: &[u8],
     ) -> Result<IngestReceipt, StoreError> {
-        let frame_bytes = payload.len() as u64 + RECORD_HEADER_BYTES;
+        let frame_bytes = (payload.len() + frame::OVERHEAD) as u64;
+        self.append_with(meta, frame_bytes, |writer| writer.append(payload))
+    }
+
+    /// Append a checked frame under `meta`, its run's identity, as it is.
+    pub(crate) fn append_checked(
+        &mut self,
+        meta: RunMeta,
+        frame: Checked<'_>,
+    ) -> Result<IngestReceipt, StoreError> {
+        let frame_bytes = frame.bytes().len() as u64;
+        self.append_with(meta, frame_bytes, |writer| writer.append_checked(frame))
+    }
+
+    /// Index the `frame_bytes` frame of `meta`'s run that `write` appends,
+    /// rotating the active segment first as needed.
+    fn append_with(
+        &mut self,
+        meta: RunMeta,
+        frame_bytes: u64,
+        write: impl FnOnce(&mut SegmentWriter) -> std::io::Result<u64>,
+    ) -> Result<IngestReceipt, StoreError> {
         if !self.writer.is_empty()
             && self.writer.len() + frame_bytes > self.config.segment_max_bytes
         {
             self.rotate()?;
         }
-        let offset = self.writer.append(payload)?;
+        let offset = write(&mut self.writer)?;
         self.next_run_id = self.next_run_id.max(meta.run_id + 1);
         self.index.push(IndexEntry {
             run_id: meta.run_id,
@@ -843,66 +885,43 @@ impl ProfileStore {
         self.recovered_tail_bytes
     }
 
-    /// One page of the replication stream: up to `max` raw CRC frames
-    /// for runs with `run_id > after`, in ascending run-id order. The
-    /// frames are byte-identical to the leader's on-disk framing, so a
-    /// follower's [`ProfileStore::apply_frame`] re-verifies the same
-    /// CRC the leader wrote.
+    /// One page of the replication stream: up to `max` frames for runs
+    /// with `run_id > after`, in ascending run-id order. The frames are
+    /// byte-identical to the leader's on disk, so a follower's
+    /// [`ProfileStore::apply_frame`] re-verifies the same CRC the leader
+    /// wrote.
     pub fn export_frames(&self, after: u64, max: usize) -> Result<ExportBatch, StoreError> {
+        let (frames, done) = self.export_page(after, max)?;
+        Ok(ExportBatch::page(after, frames, done))
+    }
+
+    /// [`ProfileStore::export_frames`]' page, and whether it is the last.
+    pub(crate) fn export_page(&self, after: u64, max: usize) -> Result<(Page, bool), StoreError> {
         let mut entries: Vec<&IndexEntry> =
             self.index.iter().filter(|e| e.run_id > after).collect();
         entries.sort_by_key(|e| e.run_id);
         let done = entries.len() <= max;
         entries.truncate(max);
-        let mut batch = ExportBatch {
-            frames: Vec::with_capacity(entries.len()),
-            watermark: after,
-            done,
-        };
         let mut cursor = self.cursor();
-        for entry in entries {
-            batch.frames.push(cursor.frame(entry)?.to_vec());
-            batch.watermark = entry.run_id;
-        }
-        Ok(batch)
+        let frames = entries
+            .into_iter()
+            .map(|entry| Ok((entry.run_id, cursor.frame(entry)?.bytes().to_vec())))
+            .collect::<Result<_, StoreError>>()?;
+        Ok((frames, done))
     }
 
     /// Apply one replicated frame, keeping the leader's run id.
     /// Exactly-once by construction: a frame whose id is already
     /// indexed — or at or below the highest indexed id, which an
     /// in-order stream implies was applied before a crash — is skipped
-    /// with `Ok(None)`. The frame's CRC and structure are verified
-    /// before anything touches disk.
+    /// with `Ok(None)`. Before anything touches disk the frame is checked
+    /// and its record must be one [`decode_record`] accepts
+    /// ([`check_record`]); the checked frame is then appended as it is.
     pub fn apply_frame(&mut self, frame: &[u8]) -> Result<Option<IngestReceipt>, StoreError> {
-        let header = RECORD_HEADER_BYTES as usize;
-        if frame.len() < header {
-            return Err(StoreError::BadFrame {
-                detail: format!("{} bytes is shorter than the frame header", frame.len()),
-            });
+        match replica(frame, self.max_run_id())? {
+            Some((meta, checked)) => self.append_checked(meta, checked).map(Some),
+            None => Ok(None),
         }
-        let len = u32::from_le_bytes(frame[..4].try_into().expect("4 bytes")) as usize;
-        if frame.len() != len + header {
-            return Err(StoreError::BadFrame {
-                detail: format!(
-                    "length word says {len} payload bytes but the frame carries {}",
-                    frame.len().saturating_sub(header)
-                ),
-            });
-        }
-        let payload = &frame[4..4 + len];
-        let stored_crc = u32::from_le_bytes(frame[4 + len..].try_into().expect("4 bytes"));
-        if crate::crc::crc32(payload) != stored_crc {
-            return Err(StoreError::BadFrame {
-                detail: "crc mismatch".to_string(),
-            });
-        }
-        let meta = decode_meta(payload).map_err(|e| StoreError::BadFrame {
-            detail: format!("undecodable record: {e}"),
-        })?;
-        if meta.run_id <= self.max_run_id() {
-            return Ok(None);
-        }
-        self.append_payload(meta, payload).map(Some)
     }
 
     /// Garbage-collect runs the retention `policy` rejects, reclaiming
@@ -991,7 +1010,7 @@ impl ProfileStore {
                 let mut cursor = self.cursor();
                 for &i in &live {
                     let frame = cursor.frame(&self.index[i])?;
-                    new_offsets.push(writer.append(frame_payload(frame))?);
+                    new_offsets.push(writer.append_checked(frame)?);
                 }
                 // Close the old file before the rewrite is renamed over it.
                 drop(cursor);
@@ -1018,6 +1037,23 @@ impl ProfileStore {
     }
 }
 
+/// The run header and checked frame of a replicated `frame`, or `None`
+/// when its run id is at or below `applied`, the highest one already
+/// applied. A record that passes is one [`decode_record`] accepts
+/// ([`check_record`]); that walk runs only after the exactly-once skip.
+pub(crate) fn replica(
+    frame: &[u8],
+    applied: u64,
+) -> Result<Option<(RunMeta, Checked<'_>)>, StoreError> {
+    let checked = frame::check(frame, MAX_RECORD_BYTES).map_err(StoreError::BadFrame)?;
+    let meta = decode_meta(checked.payload()).map_err(StoreError::BadRecord)?;
+    if meta.run_id <= applied {
+        return Ok(None);
+    }
+    check_record(checked.payload()).map_err(StoreError::BadRecord)?;
+    Ok(Some((meta, checked)))
+}
+
 /// The read cursor of one query, export page or GC rewrite: the open
 /// reader of the segment last read from, reopened only when the segment
 /// number changes and dropped when the call returns — so nothing
@@ -1029,9 +1065,8 @@ pub(crate) struct SegmentCursor<'a> {
 }
 
 impl SegmentCursor<'_> {
-    /// The verified on-disk frame (`len | payload | crc`) of `entry`,
-    /// valid until the next read.
-    pub(crate) fn frame(&mut self, entry: &IndexEntry) -> Result<&[u8], StoreError> {
+    /// The checked on-disk frame of `entry`, valid until the next read.
+    pub(crate) fn frame(&mut self, entry: &IndexEntry) -> Result<Checked<'_>, StoreError> {
         if self.open.as_ref().is_none_or(|(n, _)| *n != entry.segment) {
             let path = self.dir.join(segment_name(entry.segment));
             self.open = Some((entry.segment, SegmentReader::open(self.io, path)?));
@@ -1048,7 +1083,7 @@ impl SegmentCursor<'_> {
     /// Read and decode the run of `entry`.
     pub(crate) fn load(&mut self, entry: &IndexEntry) -> Result<(RunMeta, Profile), StoreError> {
         let frame = self.frame(entry)?;
-        decode_record(frame_payload(frame)).map_err(|source| StoreError::Codec {
+        decode_record(frame.payload()).map_err(|source| StoreError::Codec {
             segment: segment_name(entry.segment),
             offset: entry.offset,
             source,
@@ -1493,8 +1528,33 @@ mod tests {
         // A garbage frame is refused with a typed error.
         assert!(matches!(
             follower.apply_frame(b"not a frame"),
-            Err(StoreError::BadFrame { .. })
+            Err(StoreError::BadFrame(_))
         ));
+        // So is a frame whose CRC holds but whose record does not: a
+        // header claiming three threads, with nothing after it. Stored,
+        // it would fail every load and aggregate of its group.
+        let mut headless = Vec::new();
+        crate::codec::put_meta(
+            &mut headless,
+            &RunMeta {
+                run_id: follower.max_run_id() + 1,
+                benchmark: "fib".to_string(),
+                threads: 2,
+                timestamp_ns: 99,
+            },
+        );
+        crate::codec::put_uv(&mut headless, 3);
+        let mut frame = Vec::new();
+        crate::frame::encode(&headless, &mut frame);
+        assert!(matches!(
+            follower.apply_frame(&frame),
+            Err(StoreError::BadRecord(CodecError::Truncated))
+        ));
+        assert_eq!(follower.len(), leader.len());
+        drop(follower);
+        let follower = ProfileStore::open(&follower_dir).expect("reopen");
+        assert_eq!(follower.len(), leader.len());
+        assert_eq!(follower.aggregate("fib", 2).expect("aggregate").runs, 7);
         let _ = std::fs::remove_dir_all(&leader_dir);
         let _ = std::fs::remove_dir_all(&follower_dir);
     }

@@ -21,16 +21,15 @@
 //! (much) past [`ExportPolicy::deadline`], and with a spool configured it
 //! never drops a profile — the worst case is a frame file on local disk.
 //!
-//! Spool files are single CRC-framed `profstore` records
-//! (`len | payload | crc32`, the segment frame format without the
-//! segment magic), so a truncated or bit-flipped spool file is detected
-//! on drain and quarantined with a `.bad` suffix rather than re-sent or
-//! silently skipped.
+//! A spool file is one [`profstore::frame`] holding one record, the
+//! segment log's record without the segment magic, so a truncated or
+//! bit-flipped spool file is detected on drain and quarantined with a
+//! `.bad` suffix rather than re-sent or silently skipped.
 
 use profserve::{
     ClientError, ClientTimeouts, ErrorKind, IngestReceipt, ProfilePayload, Record, WireProtocol,
 };
-use profstore::{crc::crc32, decode_meta, encode_record, verify_record, RunMeta};
+use profstore::{decode_meta, encode_record, frame, verify_record, RunMeta, MAX_RECORD_BYTES};
 use simsched::SplitMix64;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -149,16 +148,6 @@ impl Default for ExportPolicy {
             spool_dir: None,
             wire_protocol: WireProtocol::Auto,
             auth: None,
-        }
-    }
-}
-
-impl ExportPolicy {
-    /// Policy with a spool fallback at `dir` and defaults elsewhere.
-    pub fn with_spool(dir: impl Into<PathBuf>) -> Self {
-        Self {
-            spool_dir: Some(dir.into()),
-            ..Self::default()
         }
     }
 }
@@ -342,11 +331,8 @@ pub fn spool_profile(
         threads,
         timestamp_ns,
     };
-    let payload = encode_record(&meta, profile);
-    let mut frame = Vec::with_capacity(payload.len() + 8);
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&payload);
-    frame.extend_from_slice(&crc32(&payload).to_le_bytes());
+    let mut bytes = Vec::new();
+    frame::encode(&encode_record(&meta, profile), &mut bytes);
     let name = format!(
         "spool-{timestamp_ns:020}-{:08}-{:06}.frame",
         std::process::id(),
@@ -354,41 +340,27 @@ pub fn spool_profile(
     );
     let final_path = dir.join(&name);
     let tmp_path = dir.join(format!("{name}.tmp"));
-    std::fs::write(&tmp_path, &frame)?;
+    std::fs::write(&tmp_path, &bytes)?;
     std::fs::rename(&tmp_path, &final_path)?;
     Ok(final_path)
 }
 
-/// Check one spool frame file and return its run header and record
-/// payload, or say why not. The record is verified, never decoded: its
-/// payload travels as it was spooled (a binary drain forwards it without
-/// re-encoding, a JSON drain renders it as text inside the codec), and no
-/// name in it reaches the process-wide region registry.
-fn parse_spool_frame(bytes: &[u8]) -> Result<(RunMeta, &[u8]), String> {
-    if bytes.len() < 8 {
-        return Err("frame shorter than header + trailer".to_string());
-    }
-    let len = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]) as usize;
-    if bytes.len() != len + 8 {
-        return Err(format!(
-            "frame length {} does not match header ({} + 8)",
-            bytes.len(),
-            len
-        ));
-    }
-    let payload = &bytes[4..4 + len];
-    let stored_crc = u32::from_le_bytes([
-        bytes[4 + len],
-        bytes[5 + len],
-        bytes[6 + len],
-        bytes[7 + len],
-    ]);
-    if crc32(payload) != stored_crc {
-        return Err("frame crc mismatch".to_string());
-    }
-    verify_record(payload).map_err(|e| format!("record verify: {e}"))?;
-    let meta = decode_meta(payload).map_err(|e| format!("record header: {e}"))?;
-    Ok((meta, payload))
+/// The record a spool frame file holds, as a `Record` to ingest; `None`
+/// unless the file is one [`frame`] whose record [`verify_record`]
+/// accepts. The record is verified, never decoded: its payload travels as
+/// it was spooled (a binary drain forwards it without re-encoding, a JSON
+/// drain renders it as text inside the codec), and no name in it reaches
+/// the process-wide region registry.
+fn spooled_record(bytes: &[u8]) -> Option<Record> {
+    let payload = frame::check(bytes, MAX_RECORD_BYTES).ok()?.payload();
+    verify_record(payload).ok()?;
+    let meta = decode_meta(payload).ok()?;
+    Some(Record {
+        benchmark: meta.benchmark,
+        threads: meta.threads,
+        timestamp_ns: Some(meta.timestamp_ns),
+        profile: ProfilePayload::Record(payload.to_vec()),
+    })
 }
 
 /// Spool frame files in `dir`, oldest first (names sort by timestamp).
@@ -477,20 +449,10 @@ pub fn drain_spool(dir: &Path, addr: &str, policy: &ExportPolicy) -> DrainReport
     // put on the wire.
     let mut pending: Vec<(&PathBuf, Record)> = Vec::new();
     for path in &frames {
-        let record = std::fs::read(path)
-            .map_err(|e| e.to_string())
-            .and_then(|bytes| {
-                let (meta, payload) = parse_spool_frame(&bytes)?;
-                Ok(Record {
-                    benchmark: meta.benchmark,
-                    threads: meta.threads,
-                    timestamp_ns: Some(meta.timestamp_ns),
-                    profile: ProfilePayload::Record(payload.to_vec()),
-                })
-            });
+        let record = std::fs::read(path).ok().and_then(|b| spooled_record(&b));
         match record {
-            Ok(record) => pending.push((path, record)),
-            Err(_) => quarantine_frame(path, &mut report),
+            Some(record) => pending.push((path, record)),
+            None => quarantine_frame(path, &mut report),
         }
     }
 
@@ -678,19 +640,29 @@ mod tests {
         let profile = one_thread_profile();
         let path = spool_profile(&dir, "bench", 4, 123, &profile).expect("spool");
         let bytes = std::fs::read(&path).expect("read");
-        let (meta, payload) = parse_spool_frame(&bytes).expect("parse");
-        assert_eq!(meta.benchmark, "bench");
-        assert_eq!(meta.threads, 4);
-        assert_eq!(meta.timestamp_ns, 123);
-        assert_eq!(meta.run_id, 0);
-        assert_eq!(payload, encode_record(&meta, &profile));
+        let record = spooled_record(&bytes).expect("a spooled record");
+        let meta = RunMeta {
+            run_id: 0,
+            benchmark: "bench".to_string(),
+            threads: 4,
+            timestamp_ns: 123,
+        };
+        assert_eq!(
+            record,
+            Record {
+                benchmark: meta.benchmark.clone(),
+                threads: meta.threads,
+                timestamp_ns: Some(meta.timestamp_ns),
+                profile: ProfilePayload::Record(encode_record(&meta, &profile)),
+            }
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn corrupt_frames_are_detected_not_panicked() {
-        assert!(parse_spool_frame(&[]).is_err());
-        assert!(parse_spool_frame(&[1, 0, 0, 0, 9]).is_err());
+        assert_eq!(spooled_record(&[]), None);
+        assert_eq!(spooled_record(&[1, 0, 0, 0, 9]), None);
         let dir = std::env::temp_dir().join(format!(
             "taskprof-spool-flip-{}-{}",
             std::process::id(),
@@ -699,16 +671,14 @@ mod tests {
         // A frame without threads is intact but refused, as the daemon
         // would refuse it.
         let empty = spool_profile(&dir, "b", 1, 6, &Profile::default()).expect("spool");
-        let err = parse_spool_frame(&std::fs::read(&empty).expect("read")).unwrap_err();
-        assert!(err.contains("no threads"), "{err}");
+        let bytes = std::fs::read(&empty).expect("read");
+        assert!(frame::check(&bytes, MAX_RECORD_BYTES).is_ok());
+        assert_eq!(spooled_record(&bytes), None);
         let path = spool_profile(&dir, "b", 1, 7, &one_thread_profile()).expect("spool");
         let mut bytes = std::fs::read(&path).expect("read");
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
-        assert!(
-            parse_spool_frame(&bytes).is_err(),
-            "bit flip must be caught"
-        );
+        assert_eq!(spooled_record(&bytes), None, "bit flip must be caught");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

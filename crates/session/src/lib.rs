@@ -339,14 +339,6 @@ impl<C: ClockSource + 'static> SessionBuilder<C> {
         b
     }
 
-    /// Install an explicit [`taskrt::SchedulePolicy`] on the session's
-    /// team (the deterministic scheduler shortcut is
-    /// [`SessionBuilder::deterministic`]).
-    pub fn schedule_policy(mut self, policy: Arc<dyn taskrt::SchedulePolicy>) -> Self {
-        self.policy = Some(policy);
-        self
-    }
-
     /// Attribution policy (default [`AssignPolicy::Executing`]).
     pub fn policy(mut self, policy: AssignPolicy) -> Self {
         self.prof = self.prof.policy(policy);
@@ -362,12 +354,6 @@ impl<C: ClockSource + 'static> SessionBuilder<C> {
     /// Overload-shedding cap on concurrently live instance trees.
     pub fn max_live_trees(mut self, cap: usize) -> Self {
         self.prof = self.prof.max_live_trees(cap);
-        self
-    }
-
-    /// Arena slots preallocated per thread shard.
-    pub fn prealloc_nodes(mut self, nodes: usize) -> Self {
-        self.prof = self.prof.prealloc_nodes(nodes);
         self
     }
 
@@ -408,14 +394,6 @@ impl<C: ClockSource + 'static> SessionBuilder<C> {
         self
     }
 
-    /// Replace the whole server-export [`ExportPolicy`] (deadlines,
-    /// retry shape, spool fallback). Only affects
-    /// [`ExportTarget::Server`]; directory exports are local appends.
-    pub fn export_policy(mut self, policy: ExportPolicy) -> Self {
-        self.export_policy = policy;
-        self
-    }
-
     /// Total wall-clock budget for the server export on `finish()`
     /// (connects, sends, retries, and backoff sleeps all included).
     pub fn export_deadline(mut self, deadline: Duration) -> Self {
@@ -430,14 +408,6 @@ impl<C: ClockSource + 'static> SessionBuilder<C> {
     /// `taskprof-cli drain`.
     pub fn export_spool(mut self, dir: impl Into<PathBuf>) -> Self {
         self.export_policy.spool_dir = Some(dir.into());
-        self
-    }
-
-    /// Protocol for server exports: [`WireProtocol::Auto`] (the default)
-    /// negotiates TPF1 binary frames and falls back to JSON lines;
-    /// `Json`/`Binary` pin one. Only affects [`ExportTarget::Server`].
-    pub fn export_protocol(mut self, proto: WireProtocol) -> Self {
-        self.export_policy.wire_protocol = proto;
         self
     }
 

@@ -12,7 +12,6 @@ use profserve::{
     Client, ClientError, ClientTimeouts, ErrorKind, ProfilePayload, Record, ServeConfig, Server,
     ServerHandle, WireProtocol,
 };
-use profstore::crc::crc32;
 use profstore::{put_iv, put_meta, put_str, put_uv, verify_record, ProfileStore, RunMeta};
 use std::path::PathBuf;
 use std::thread::JoinHandle;
@@ -181,11 +180,9 @@ fn spool_drain_interns_no_name() {
     let registry = pomp::registry();
     let before = (registry.len(), registry.param_count());
     for n in 0..FRAMES {
-        // The frame file `spool_profile` writes: `len | payload | crc32`.
-        let payload = record(&format!("spooled-{n}"), 4);
-        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
-        frame.extend_from_slice(&payload);
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
+        // The frame file `spool_profile` writes.
+        let mut frame = Vec::new();
+        profstore::frame::encode(&record(&format!("spooled-{n}"), 4), &mut frame);
         std::fs::write(spool.join(format!("spool-{n:020}-0-0.frame")), frame).expect("frame");
     }
     let policy = ExportPolicy {

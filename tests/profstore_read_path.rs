@@ -131,7 +131,7 @@ fn a_window_opens_each_segment_once_and_reads_each_frame_once() {
             threads: 2,
             timestamp_ns: 1,
         };
-        encode_record(&meta, &profile(1_000)).len() as u64 + profstore::RECORD_HEADER_BYTES
+        (encode_record(&meta, &profile(1_000)).len() + profstore::frame::OVERHEAD) as u64
     };
     // Room for a little over 300 runs per segment.
     let config = StoreConfig {

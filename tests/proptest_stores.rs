@@ -9,7 +9,10 @@ use taskprof::{
 };
 
 use profstore::segment::{SegmentReader, SegmentWriter};
-use profstore::{decode_record, encode_record, verify_record, RealIo, RunMeta, RunSummary};
+use profstore::{
+    decode_meta, decode_record, encode_record, verify_record, ProfileStore, RealIo, RunMeta,
+    RunSummary, ShardedStore,
+};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -311,6 +314,61 @@ proptest! {
                 verified.err()
             );
         }
+    }
+
+    /// `APPLY` stores a replicated record exactly when `decode_record`
+    /// accepts it, on a single and on a two-shard store, over flipped
+    /// bits, truncations and inserted bytes: whatever a follower stores,
+    /// it can read back. (A record whose mutated header names run 0 is
+    /// skipped as already applied, before its body is looked at.)
+    #[test]
+    fn apply_accepts_exactly_what_decodes(
+        p in arb_profile(),
+        pos in 0.0f64..1.0,
+        bit in 0u8..8,
+        byte in any::<u8>(),
+        mutation in 0u8..3,
+    ) {
+        let meta = RunMeta {
+            run_id: 5,
+            benchmark: "proptest-apply".to_string(),
+            threads: 2,
+            timestamp_ns: 9,
+        };
+        let mut payload = encode_record(&meta, &p);
+        let at = ((payload.len() as f64 * pos) as usize).min(payload.len() - 1);
+        match mutation {
+            0 => payload[at] ^= 1 << bit,
+            1 => payload.truncate(at),
+            _ => payload.insert(at, byte),
+        }
+        let mut frame = Vec::new();
+        profstore::frame::encode(&payload, &mut frame);
+        let decoded = decode_record(&payload).ok();
+        let skipped = matches!(decode_meta(&payload), Ok(m) if m.run_id == 0);
+        let dir = scratch_path("apply");
+        let mut single = ProfileStore::open(&dir.join("single")).expect("open");
+        let sharded = ShardedStore::open(&dir.join("sharded"), 2).expect("open");
+        let applied = [single.apply_frame(&frame), sharded.apply_frame(&frame)];
+        let stored = decoded.as_ref().filter(|_| !skipped);
+        for applied in &applied {
+            prop_assert_eq!(
+                matches!(applied, Ok(Some(_))),
+                stored.is_some(),
+                "mutation {} at {}: apply said {:?}",
+                mutation,
+                at,
+                applied
+            );
+            prop_assert!(!skipped || matches!(applied, Ok(None)));
+        }
+        if let Some((m, q)) = stored {
+            for (lm, lq) in [single.load(m.run_id), sharded.load(m.run_id)].map(|l| l.expect("load")) {
+                prop_assert_eq!(encode_record(&lm, &lq), encode_record(m, q));
+            }
+        }
+        drop((single, sharded));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A single flipped bit in a CRC-framed segment is always detected:

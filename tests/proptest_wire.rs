@@ -21,8 +21,8 @@ use proptest::prelude::*;
 use taskprof_telemetry::ServiceSnapshot;
 
 /// Decoder-side payload cap used by every property: large enough that no
-/// generated frame ever trips it, so `FrameTooLarge` only appears when
-/// corruption inflates the length header.
+/// generated frame ever trips it, so `FrameError::TooLarge` only appears
+/// when corruption inflates the length header.
 const MAX_PAYLOAD: usize = 1 << 20;
 
 fn arb_payload() -> impl Strategy<Value = ProfilePayload> {
@@ -321,7 +321,7 @@ proptest! {
             .expect("valid frame")
             .expect("complete frame");
         prop_assert_eq!(consumed, framed.len());
-        prop_assert_eq!(decode_request(&payload).expect("valid payload"), req);
+        prop_assert_eq!(decode_request(payload).expect("valid payload"), req);
     }
 
     #[test]
@@ -331,7 +331,7 @@ proptest! {
             .expect("valid frame")
             .expect("complete frame");
         prop_assert_eq!(consumed, framed.len());
-        prop_assert_eq!(decode_response(&payload).expect("valid payload"), resp);
+        prop_assert_eq!(decode_response(payload).expect("valid payload"), resp);
     }
 
     #[test]

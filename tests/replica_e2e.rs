@@ -1,12 +1,14 @@
 //! End-to-end replication: auth refusal as a typed error, a follower
-//! cold-starting into a live leader, and a mid-stream partition that
-//! resumes from the acked cursor without re-applying a single frame.
+//! cold-starting into a live leader, a mid-stream partition that
+//! resumes from the acked cursor without re-applying a single frame, an
+//! `APPLY` of a record its store could never read refused, and a run
+//! without threads an older daemon stored still replicating.
 
 use profserve::{
     replicate, Client, ClientError, ClientTimeouts, ErrorKind, Record, ReplicaConfig, Response,
     ServeConfig, Server, ServerHandle, WireProtocol,
 };
-use profstore::ProfileStore;
+use profstore::{encode_record, put_meta, put_uv, ProfileStore, Repo, RunMeta, ShardedStore};
 use std::path::PathBuf;
 use taskprof_session::MeasurementSession;
 use taskrt::TaskConstruct;
@@ -234,4 +236,113 @@ fn partition_mid_stream_resumes_from_the_acked_cursor() {
     drop((leader, follower));
     let _ = std::fs::remove_dir_all(&leader_dir);
     let _ = std::fs::remove_dir_all(&follower_dir);
+}
+
+/// A single store and a two-shard store at `dir`.
+fn followers(dir: &std::path::Path) -> [(&'static str, Repo); 2] {
+    [
+        (
+            "single",
+            ProfileStore::open(&dir.join("single")).unwrap().into(),
+        ),
+        (
+            "sharded",
+            ShardedStore::open(&dir.join("sharded"), 2).unwrap().into(),
+        ),
+    ]
+}
+
+fn meta(run_id: u64) -> RunMeta {
+    RunMeta {
+        run_id,
+        benchmark: "apply".to_string(),
+        threads: 2,
+        timestamp_ns: run_id * 1_000,
+    }
+}
+
+/// The frame of `payload`.
+fn framed(payload: &[u8]) -> Vec<u8> {
+    let mut frame = Vec::new();
+    profstore::frame::encode(payload, &mut frame);
+    frame
+}
+
+#[test]
+fn apply_refuses_a_record_its_store_could_not_read() {
+    let dir = temp_dir("apply-refuses");
+    let profile = cube::read_profile(&deterministic_profile_text(1)).expect("profile");
+    let good = framed(&encode_record(&meta(1), &profile));
+    // A CRC-valid frame whose record is a header claiming three threads
+    // with nothing after it: `decode_record` refuses it.
+    let mut headless = Vec::new();
+    put_meta(&mut headless, &meta(2));
+    put_uv(&mut headless, 3);
+    let bad = framed(&headless);
+    for (shape, store) in followers(&dir) {
+        let (follower, join) =
+            Server::spawn("127.0.0.1:0", store, ServeConfig::default()).expect("spawn");
+        let addr = follower.addr().to_string();
+        let mut client =
+            Client::connect_proto(&addr, WireProtocol::Binary, ClientTimeouts::default())
+                .expect("connect");
+        let ack = client
+            .apply_frames(std::slice::from_ref(&good))
+            .expect("apply");
+        assert_eq!((ack.applied, ack.watermark), (1, 1), "{shape}");
+        for proto in [WireProtocol::Binary, WireProtocol::Json] {
+            let mut client =
+                Client::connect_proto(&addr, proto, ClientTimeouts::default()).expect("connect");
+            match client.apply_frames(std::slice::from_ref(&bad)) {
+                Err(ClientError::Server { kind, message }) => {
+                    assert_eq!(kind, ErrorKind::BadRequest, "{shape} {proto}: {message}");
+                    assert!(message.contains("truncated"), "{shape} {proto}: {message}");
+                }
+                other => panic!("{shape} {proto}: the headless record got {other:?}"),
+            }
+            let ack = client.apply_frames(&[]).expect("cursor probe");
+            assert_eq!(ack.watermark, 1, "{shape} {proto}: nothing applied");
+            let top = client.query_top("apply", 2, 10).expect("top still answers");
+            assert_eq!(top.runs, 1, "{shape} {proto}");
+        }
+        follower.stop();
+        drop(client);
+        join.join().expect("join").expect("run");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_legacy_run_without_threads_still_replicates() {
+    let dir = temp_dir("legacy");
+    let mut store = ProfileStore::open(&dir.join("leader")).expect("open");
+    let profile = cube::read_profile(&deterministic_profile_text(2)).expect("profile");
+    store.ingest("legacy", 2, 1, &profile).expect("ingest");
+    // What an older daemon accepted from a client and stored.
+    store
+        .ingest("legacy", 2, 2, &taskprof::Profile::default())
+        .expect("the store itself takes it");
+    store.ingest("legacy", 2, 3, &profile).expect("ingest");
+    let (leader, leader_join) =
+        Server::spawn("127.0.0.1:0", store, ServeConfig::default()).expect("spawn");
+    let leader_addr = leader.addr().to_string();
+    for (shape, store) in followers(&dir) {
+        let (follower, join) =
+            Server::spawn("127.0.0.1:0", store, ServeConfig::default()).expect("spawn");
+        let follower_addr = follower.addr().to_string();
+        let report =
+            replicate(&leader_addr, &follower_addr, &ReplicaConfig::default()).expect("replicate");
+        assert_eq!(report.frames_applied, 3, "{shape}");
+        assert_eq!(report.end_cursor, 3, "{shape}");
+        assert_eq!(
+            query_lines(&leader_addr, "legacy"),
+            query_lines(&follower_addr, "legacy"),
+            "{shape}"
+        );
+        follower.stop();
+        join.join().expect("join").expect("run");
+    }
+    leader.stop();
+    leader_join.join().expect("join").expect("run");
+    let _ = std::fs::remove_dir_all(&dir);
 }
