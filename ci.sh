@@ -4,6 +4,7 @@
 # hashing DAG builder, a second walker over the edge log, a decoded copy
 # of the edge log, a second store read path and a hand-written wire codec beside the one declaration per
 # message, a second metric writer beside the one declaration per metric,
+# architecture-specific code outside the clock read and the CRC fold,
 # a second task completion sequence in the runtime, the repo benchmark's
 # own smoke gate (benchmark/check.sh) and its package's tests, a floor
 # under JSON ingest throughput and a ceiling over the causal report, and
@@ -100,6 +101,20 @@ fi
 if git grep -nE 'payload_crc|frame_payload|FRAME_OVERHEAD|TailDefect|parse_spool_frame' \
     -- '*.rs' ':!benchmark'; then
     echo "a second frame codec, or its error type, is back"; exit 1
+fi
+
+echo "=== machine code stays in two files ==="
+# Architecture intrinsics and CPU feature dispatch live in two files, each
+# beside the portable code other CPUs take: the TSC clock read
+# (crates/pomp/src/clock.rs) and the carry-less-multiply CRC-32 fold
+# (crates/profstore/src/crc.rs). The store's only unsafe code is that
+# fold's loads and the calls into it.
+if git grep -nE 'core::arch|std::arch|target_feature|is_x86_feature_detected' -- crates src tests \
+    ':!crates/pomp/src/clock.rs' ':!crates/profstore/src/crc.rs'; then
+    echo "architecture-specific code outside clock.rs and crc.rs"; exit 1
+fi
+if git grep -n 'unsafe' -- crates/profstore/src ':!crates/profstore/src/crc.rs'; then
+    echo "unsafe code in the store outside crates/profstore/src/crc.rs"; exit 1
 fi
 
 echo "=== one declaration per metric ==="
