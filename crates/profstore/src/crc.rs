@@ -8,7 +8,7 @@
 //! Two bodies compute the same function:
 //!
 //! * **Carry-less-multiply fold** (x86-64). An input of at least
-//!   [`FOLD_MIN`] = 64 bytes, on a CPU that reports both `pclmulqdq` and
+//!   `FOLD_MIN` = 64 bytes, on a CPU that reports both `pclmulqdq` and
 //!   `sse4.1` (std's cached `is_x86_feature_detected!`), goes through
 //!   `fold_clmul`: four 128-bit accumulators fold 64 bytes per step,
 //!   collapse to one that folds 16 bytes per step, and a Barrett
@@ -32,6 +32,7 @@
 const POLY: u32 = 0xEDB8_8320;
 
 /// Shortest input the carry-less-multiply fold takes.
+#[cfg(target_arch = "x86_64")]
 const FOLD_MIN: usize = 64;
 
 /// `TABLES[0][i]` is the register after feeding byte `i` into a zero
@@ -112,6 +113,11 @@ fn fold_detected() -> bool {
 /// The constants are bit-reflected: k1, k2 fold a lane across 512 bits,
 /// k3, k4 across 128, k5 takes 96 bits to 64, and P (the polynomial with
 /// its x^32 term) and μ = ⌊x^64 / P(x)⌋ drive the Barrett reduction.
+///
+/// # Safety
+///
+/// Callers compiled without the two features must call it only when
+/// `fold_detected()` is true; that is why the call is `unsafe` there.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "pclmulqdq", enable = "sse4.1")]
 fn fold_clmul(state: u32, data: &[u8]) -> u32 {
@@ -138,7 +144,9 @@ fn fold_clmul(state: u32, data: &[u8]) -> u32 {
     };
 
     let (blocks, rest) = data.as_chunks::<64>();
-    let (first, blocks) = blocks.split_first().expect("fold_clmul takes at least 64 bytes");
+    let (first, blocks) = blocks
+        .split_first()
+        .expect("fold_clmul takes at least 64 bytes");
     let lanes = |block: &[u8; 64]| {
         let (l, _) = block.as_chunks::<16>();
         [load(&l[0]), load(&l[1]), load(&l[2]), load(&l[3])]
@@ -188,13 +196,26 @@ fn fold_clmul(state: u32, data: &[u8]) -> u32 {
 mod tests {
     use super::*;
 
-    /// The straightforward reflected byte-at-a-time reference.
-    fn crc32_bytewise(data: &[u8]) -> u32 {
-        let mut c = !0u32;
+    /// The straightforward reflected byte-at-a-time reference, on the
+    /// register as `sliced` and `fold_clmul` take it.
+    fn bytewise(mut state: u32, data: &[u8]) -> u32 {
         for &b in data {
-            c = TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+            state = TABLES[0][((state ^ u32::from(b)) & 0xFF) as usize] ^ (state >> 8);
         }
-        !c
+        state
+    }
+
+    /// `fold_clmul` called directly, where it runs: on a CPU with its
+    /// features and an input of at least `FOLD_MIN` bytes.
+    #[cfg(target_arch = "x86_64")]
+    fn fold(state: u32, data: &[u8]) -> Option<u32> {
+        // SAFETY: called only once its features are detected.
+        (data.len() >= FOLD_MIN && fold_detected()).then(|| unsafe { fold_clmul(state, data) })
+    }
+
+    #[cfg(not(target_arch = "x86_64"))]
+    fn fold(_: u32, _: &[u8]) -> Option<u32> {
+        None
     }
 
     /// `len` bytes with no short period that could mask a wrong table
@@ -222,12 +243,12 @@ mod tests {
     fn sliced_matches_bytewise_at_every_remainder_length() {
         // Through the public entry point, so lengths from 64 up take the
         // fold where the CPU has it: every remainder of the 8-, 16- and
-        // 64-byte steps, and a few hundred whole fold blocks.
+        // 64-byte steps, and up to sixteen whole fold blocks.
         let data = pattern(1024);
         for len in 0..=data.len() {
             assert_eq!(
                 crc32(&data[..len]),
-                crc32_bytewise(&data[..len]),
+                !bytewise(!0, &data[..len]),
                 "divergence at len {len}"
             );
         }
@@ -241,12 +262,9 @@ mod tests {
         for off in 0..16 {
             for len in 0..=1024 {
                 let bytes = &data[off..off + len];
-                let want = crc32_bytewise(bytes);
-                assert_eq!(!sliced(!0, bytes), want, "sliced: off {off} len {len}");
-                #[cfg(target_arch = "x86_64")]
-                if len >= FOLD_MIN && fold_detected() {
-                    // SAFETY: the features were just detected.
-                    let got = !unsafe { fold_clmul(!0, bytes) };
+                let want = bytewise(!0, bytes);
+                assert_eq!(sliced(!0, bytes), want, "sliced: off {off} len {len}");
+                if let Some(got) = fold(!0, bytes) {
                     assert_eq!(got, want, "fold: off {off} len {len}");
                 }
             }
@@ -256,14 +274,12 @@ mod tests {
     #[test]
     fn both_bodies_match_bytewise_on_two_mib() {
         let data = pattern(2 << 20);
-        let want = crc32_bytewise(&data);
-        assert_eq!(!sliced(!0, &data), want);
-        #[cfg(target_arch = "x86_64")]
-        if fold_detected() {
-            // SAFETY: the features were just detected.
-            assert_eq!(!unsafe { fold_clmul(!0, &data) }, want);
+        let want = bytewise(!0, &data);
+        assert_eq!(sliced(!0, &data), want);
+        if let Some(got) = fold(!0, &data) {
+            assert_eq!(got, want);
         }
-        assert_eq!(crc32(&data), want);
+        assert_eq!(crc32(&data), !want);
     }
 
     #[test]
@@ -272,15 +288,10 @@ mod tests {
         // to be the initial all-ones register.
         let data = pattern(300);
         for state in [0, 1, 0x8000_0000, 0xDEAD_BEEF, !0] {
-            let mut want = state;
-            for &b in &data {
-                want = TABLES[0][((want ^ u32::from(b)) & 0xFF) as usize] ^ (want >> 8);
-            }
+            let want = bytewise(state, &data);
             assert_eq!(sliced(state, &data), want, "sliced from {state:#x}");
-            #[cfg(target_arch = "x86_64")]
-            if fold_detected() {
-                // SAFETY: the features were just detected.
-                assert_eq!(unsafe { fold_clmul(state, &data) }, want, "fold from {state:#x}");
+            if let Some(got) = fold(state, &data) {
+                assert_eq!(got, want, "fold from {state:#x}");
             }
         }
     }
