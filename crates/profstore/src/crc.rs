@@ -27,7 +27,7 @@
 //!
 //! Nothing chooses between the two but the input length and the CPU.
 //! The `unsafe` in this crate lives here: the fold's 16-byte loads and
-//! the one call into it once the features are detected.
+//! the calls into it once the features are detected.
 
 const POLY: u32 = 0xEDB8_8320;
 
