@@ -5,6 +5,7 @@
 # of the edge log, a second store read path and a hand-written wire codec beside the one declaration per
 # message, a second metric writer beside the one declaration per metric,
 # architecture-specific code outside the clock read and the CRC fold,
+# a second readiness backend in the daemon,
 # a second task completion sequence in the runtime, the repo benchmark's
 # own smoke gate (benchmark/check.sh) and its package's tests, a floor
 # under JSON ingest throughput and a ceiling over the causal report, and
@@ -115,6 +116,20 @@ if git grep -nE 'core::arch|std::arch|target_feature|is_x86_feature_detected' --
 fi
 if git grep -n 'unsafe' -- crates/profstore/src ':!crates/profstore/src/crc.rs'; then
     echo "unsafe code in the store outside crates/profstore/src/crc.rs"; exit 1
+fi
+
+echo "=== one readiness backend ==="
+# The daemon's reactor (crates/profserve/src/reactor.rs) waits in one
+# poll(2) call on a set it rebuilds from its connection table every
+# iteration. The epoll backend beside it kept registration state in step
+# with the table by hand, through a trait with one caller, and needed
+# five unsafe sites; that file's one poll call is the crate's only
+# foreign call and its only unsafe code.
+if git grep -ni 'epoll' -- crates src tests; then
+    echo "a second readiness backend is back"; exit 1
+fi
+if git grep -nE 'extern "C"|unsafe' -- crates/profserve/src ':!crates/profserve/src/reactor.rs'; then
+    echo "foreign or unsafe code in profserve outside crates/profserve/src/reactor.rs"; exit 1
 fi
 
 echo "=== one declaration per metric ==="

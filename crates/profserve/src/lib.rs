@@ -20,12 +20,13 @@
 //! daemon health.
 //!
 //! Concurrency model: a single-threaded readiness reactor ([`server`],
-//! `reactor`) multiplexes the listener and every connection — epoll on
-//! Linux, poll(2) elsewhere on unix — with per-connection state machines
-//! and nonblocking sockets. Beyond `max_connections` live connections,
-//! new ones are shed immediately with a typed `overloaded` error; each
-//! request runs under `catch_unwind`, so a handler bug answers one
-//! request with `internal` instead of killing the daemon.
+//! `reactor`) multiplexes the listener and every connection with one
+//! poll(2) call per iteration over a set built from its connection
+//! table, with per-connection state machines and nonblocking sockets.
+//! Beyond `max_connections` live connections, new ones are shed
+//! immediately with a typed `overloaded` error; each request runs under
+//! `catch_unwind`, so a handler bug answers one request with `internal`
+//! instead of killing the daemon.
 //!
 //! Failure model: per-connection read/write deadlines (slow-loris
 //! defense, counted in `timeout_connections`), capped request sizes
@@ -42,7 +43,7 @@
 #![warn(missing_docs)]
 
 #[cfg(not(unix))]
-compile_error!("profserve needs poll(2)/epoll");
+compile_error!("profserve needs a unix poll(2)");
 
 pub mod client;
 mod codec;
@@ -457,6 +458,45 @@ mod tests {
 
         handle.stop();
         drop(client);
+        join.join().expect("join").expect("run");
+    }
+
+    /// Short connections come and go between long-lived ones, so the
+    /// reactor reaps a connection every cycle and `accept` hands its fd
+    /// number out again. Every reply must come back on the connection
+    /// that asked: the poll set must stay aligned with the connection
+    /// table through every reap and reuse.
+    #[test]
+    fn connection_churn_reuses_fds_and_loses_no_reply() {
+        const HELD: usize = 8;
+        const CYCLES: usize = 200;
+        let dir = temp_dir("churn");
+        let store = open_store(&dir);
+        let (handle, join) =
+            Server::spawn("127.0.0.1:0", store, ServeConfig::default()).expect("spawn");
+        let addr = handle.addr().to_string();
+        let proto = |i: usize| [WireProtocol::Json, WireProtocol::Binary][i % 2];
+        let mut held: Vec<Client> = (0..HELD)
+            .map(|i| {
+                Client::connect_proto(&addr, proto(i), ClientTimeouts::default()).expect("connect")
+            })
+            .collect();
+
+        for cycle in 0..CYCLES {
+            let mut short = Client::connect_proto(&addr, proto(cycle), ClientTimeouts::default())
+                .expect("short connect");
+            short.server_stats().expect("short stats");
+            drop(short);
+            for client in &mut held {
+                client.server_stats().expect("held stats");
+            }
+        }
+
+        let health = held[0].server_stats().expect("final stats");
+        assert_eq!(health.service.connections, (HELD + CYCLES) as u64);
+        assert_eq!(health.service.shed_connections, 0);
+        handle.stop();
+        drop(held);
         join.join().expect("join").expect("run");
     }
 

@@ -1,11 +1,12 @@
 //! Single-threaded readiness reactor for the serving daemon.
 //!
-//! One thread multiplexes the listener and every live connection over a
-//! readiness queue — `epoll` on Linux, `poll(2)` on other unix — with
-//! nonblocking sockets and a per-connection state machine (inbound
-//! buffer, outbound buffer, sniffed protocol, deadline). No external
-//! crates: the two syscalls the reactor needs are declared directly
-//! against libc, gated to the platforms whose ABI they match.
+//! One thread multiplexes the listener and every live connection with
+//! `poll(2)`, nonblocking sockets and a per-connection state machine
+//! (inbound buffer, outbound buffer, sniffed protocol, deadline). The
+//! poll set is rebuilt from the connection table on every iteration, so
+//! no registration state is kept beside the table. No external crates:
+//! `poll` is declared directly against libc, the crate's one foreign
+//! call.
 //!
 //! The per-connection state machine implements the semantics the
 //! integration tests pin down:
@@ -42,7 +43,6 @@ use crate::server::{
 };
 use crate::wire;
 use profstore::frame::FrameError;
-use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, RawFd};
@@ -51,297 +51,79 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Cap on one `wait` tick so the loop re-checks the stop flag, the
+/// Cap on one `poll` wait so the loop re-checks the stop flag, the
 /// deadlines, and due subscription pushes even when no event arrives.
 const TICK: Duration = REACTOR_TICK;
 
 /// Upper bound on bytes pulled off one socket per readiness event, so a
-/// single fire-hose peer cannot starve the rest of the table. Readiness
-/// is level-triggered in both backends, so the remainder re-reports.
+/// single fire-hose peer cannot starve the rest of the table. `poll` is
+/// level-triggered, so the remainder re-reports.
 const READ_BUDGET: usize = 1 << 20;
 
 // ---------------------------------------------------------------------
-// Readiness backends
+// poll(2)
 // ---------------------------------------------------------------------
 
-/// What a backend reports for one file descriptor.
-#[derive(Clone, Copy, Debug, Default)]
-struct Readiness {
-    readable: bool,
-    writable: bool,
-    /// Error or hangup; treated as readable so the state machine observes
-    /// the EOF/reset through `read()`.
-    hangup: bool,
+const POLLIN: i16 = 0x001;
+const POLLOUT: i16 = 0x004;
+const POLLERR: i16 = 0x008;
+const POLLHUP: i16 = 0x010;
+const POLLNVAL: i16 = 0x020;
+
+/// Events that send a connection to `read()`: error or hangup count as
+/// readable, so the state machine observes the EOF or reset there.
+const READABLE: i16 = POLLIN | POLLERR | POLLHUP | POLLNVAL;
+
+/// `struct pollfd` from `<poll.h>`.
+#[repr(C)]
+struct PollFd {
+    fd: RawFd,
+    events: i16,
+    revents: i16,
 }
 
-/// Minimal readiness-queue interface: registration by raw fd, one-shot
-/// nothing — level-triggered semantics in both implementations.
-trait Poller {
-    fn add(&mut self, fd: RawFd, write_interest: bool) -> std::io::Result<()>;
-    fn modify(&mut self, fd: RawFd, write_interest: bool) -> std::io::Result<()>;
-    fn remove(&mut self, fd: RawFd) -> std::io::Result<()>;
-    /// Blocks up to `timeout`, appending `(fd, readiness)` pairs.
-    fn wait(
-        &mut self,
-        timeout: Duration,
-        events: &mut Vec<(RawFd, Readiness)>,
-    ) -> std::io::Result<()>;
-}
-
-/// `epoll(7)` backend (Linux). The three syscalls are declared directly;
-/// the event struct is packed on x86-64 exactly as the kernel ABI
-/// requires.
-#[cfg(target_os = "linux")]
-mod epoll {
-    use super::{RawFd, Readiness};
-    use std::time::Duration;
-
-    const EPOLLIN: u32 = 0x001;
-    const EPOLLOUT: u32 = 0x004;
-    const EPOLLERR: u32 = 0x008;
-    const EPOLLHUP: u32 = 0x010;
-    const EPOLL_CTL_ADD: i32 = 1;
-    const EPOLL_CTL_DEL: i32 = 2;
-    const EPOLL_CTL_MOD: i32 = 3;
-    const EPOLL_CLOEXEC: i32 = 0o2000000;
-
-    #[repr(C)]
-    #[cfg_attr(target_arch = "x86_64", repr(packed))]
-    #[derive(Clone, Copy)]
-    struct EpollEvent {
-        events: u32,
-        data: u64,
-    }
-
-    extern "C" {
-        fn epoll_create1(flags: i32) -> i32;
-        fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
-        fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout_ms: i32) -> i32;
-        fn close(fd: i32) -> i32;
-    }
-
-    pub(super) struct Epoll {
-        epfd: i32,
-        buf: Vec<EpollEvent>,
-    }
-
-    impl Epoll {
-        pub(super) fn new() -> std::io::Result<Self> {
-            let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
-            if epfd < 0 {
-                return Err(std::io::Error::last_os_error());
-            }
-            Ok(Epoll {
-                epfd,
-                buf: vec![EpollEvent { events: 0, data: 0 }; 256],
-            })
-        }
-
-        fn ctl(&self, op: i32, fd: RawFd, write_interest: bool) -> std::io::Result<()> {
-            let mut ev = EpollEvent {
-                events: EPOLLIN | if write_interest { EPOLLOUT } else { 0 },
-                data: fd as u64,
-            };
-            let rc = unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) };
-            if rc < 0 {
-                return Err(std::io::Error::last_os_error());
-            }
-            Ok(())
-        }
-    }
-
-    impl Drop for Epoll {
-        fn drop(&mut self) {
-            unsafe {
-                close(self.epfd);
-            }
-        }
-    }
-
-    impl super::Poller for Epoll {
-        fn add(&mut self, fd: RawFd, write_interest: bool) -> std::io::Result<()> {
-            self.ctl(EPOLL_CTL_ADD, fd, write_interest)
-        }
-
-        fn modify(&mut self, fd: RawFd, write_interest: bool) -> std::io::Result<()> {
-            self.ctl(EPOLL_CTL_MOD, fd, write_interest)
-        }
-
-        fn remove(&mut self, fd: RawFd) -> std::io::Result<()> {
-            let rc = unsafe { epoll_ctl(self.epfd, EPOLL_CTL_DEL, fd, std::ptr::null_mut()) };
-            if rc < 0 {
-                return Err(std::io::Error::last_os_error());
-            }
-            Ok(())
-        }
-
-        fn wait(
-            &mut self,
-            timeout: Duration,
-            events: &mut Vec<(RawFd, Readiness)>,
-        ) -> std::io::Result<()> {
-            let timeout_ms = timeout.as_millis().min(i32::MAX as u128) as i32;
-            let n = unsafe {
-                epoll_wait(
-                    self.epfd,
-                    self.buf.as_mut_ptr(),
-                    self.buf.len() as i32,
-                    timeout_ms,
-                )
-            };
-            if n < 0 {
-                let err = std::io::Error::last_os_error();
-                if err.kind() == std::io::ErrorKind::Interrupted {
-                    return Ok(());
-                }
-                return Err(err);
-            }
-            for ev in &self.buf[..n as usize] {
-                // Copy out of the (possibly packed) struct before use.
-                let bits = ev.events;
-                let fd = ev.data as RawFd;
-                events.push((
-                    fd,
-                    Readiness {
-                        readable: bits & EPOLLIN != 0,
-                        writable: bits & EPOLLOUT != 0,
-                        hangup: bits & (EPOLLERR | EPOLLHUP) != 0,
-                    },
-                ));
-            }
-            Ok(())
+impl PollFd {
+    fn new(fd: RawFd, want_write: bool) -> Self {
+        PollFd {
+            fd,
+            events: POLLIN | if want_write { POLLOUT } else { 0 },
+            revents: 0,
         }
     }
 }
 
-/// `poll(2)` backend — portable across unix, and exercised by unit tests
-/// on Linux too so the fallback cannot bit-rot.
-#[cfg_attr(all(target_os = "linux", not(test)), allow(dead_code))]
-mod pollfd {
-    use super::{RawFd, Readiness};
-    use std::time::Duration;
-
-    const POLLIN: i16 = 0x001;
-    const POLLOUT: i16 = 0x004;
-    const POLLERR: i16 = 0x008;
-    const POLLHUP: i16 = 0x010;
-    const POLLNVAL: i16 = 0x020;
-
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    struct PollFd {
-        fd: i32,
-        events: i16,
-        revents: i16,
-    }
-
-    extern "C" {
-        // `nfds_t` is `unsigned long`, which matches `usize` on every
-        // supported unix data model (ILP32 and LP64).
-        fn poll(fds: *mut PollFd, nfds: usize, timeout_ms: i32) -> i32;
-    }
-
-    #[derive(Default)]
-    pub(super) struct Poll {
-        interest: Vec<(RawFd, bool)>,
-        scratch: Vec<PollFd>,
-    }
-
-    impl Poll {
-        pub(super) fn new() -> std::io::Result<Self> {
-            Ok(Poll::default())
-        }
-
-        fn position(&self, fd: RawFd) -> Option<usize> {
-            self.interest.iter().position(|&(f, _)| f == fd)
-        }
-    }
-
-    impl super::Poller for Poll {
-        fn add(&mut self, fd: RawFd, write_interest: bool) -> std::io::Result<()> {
-            if self.position(fd).is_some() {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::AlreadyExists,
-                    "fd already registered",
-                ));
-            }
-            self.interest.push((fd, write_interest));
-            Ok(())
-        }
-
-        fn modify(&mut self, fd: RawFd, write_interest: bool) -> std::io::Result<()> {
-            match self.position(fd) {
-                Some(i) => {
-                    self.interest[i].1 = write_interest;
-                    Ok(())
-                }
-                None => Err(std::io::Error::new(
-                    std::io::ErrorKind::NotFound,
-                    "fd not registered",
-                )),
-            }
-        }
-
-        fn remove(&mut self, fd: RawFd) -> std::io::Result<()> {
-            match self.position(fd) {
-                Some(i) => {
-                    self.interest.swap_remove(i);
-                    Ok(())
-                }
-                None => Err(std::io::Error::new(
-                    std::io::ErrorKind::NotFound,
-                    "fd not registered",
-                )),
-            }
-        }
-
-        fn wait(
-            &mut self,
-            timeout: Duration,
-            events: &mut Vec<(RawFd, Readiness)>,
-        ) -> std::io::Result<()> {
-            self.scratch.clear();
-            self.scratch
-                .extend(self.interest.iter().map(|&(fd, w)| PollFd {
-                    fd,
-                    events: POLLIN | if w { POLLOUT } else { 0 },
-                    revents: 0,
-                }));
-            let timeout_ms = timeout.as_millis().min(i32::MAX as u128) as i32;
-            let n = unsafe { poll(self.scratch.as_mut_ptr(), self.scratch.len(), timeout_ms) };
-            if n < 0 {
-                let err = std::io::Error::last_os_error();
-                if err.kind() == std::io::ErrorKind::Interrupted {
-                    return Ok(());
-                }
-                return Err(err);
-            }
-            for pfd in &self.scratch {
-                if pfd.revents == 0 {
-                    continue;
-                }
-                events.push((
-                    pfd.fd,
-                    Readiness {
-                        readable: pfd.revents & POLLIN != 0,
-                        writable: pfd.revents & POLLOUT != 0,
-                        hangup: pfd.revents & (POLLERR | POLLHUP | POLLNVAL) != 0,
-                    },
-                ));
-            }
-            Ok(())
-        }
-    }
+extern "C" {
+    // `nfds_t` is `unsigned long` on Linux (glibc and musl), the same
+    // width as `usize` on ILP32 and LP64 alike. Darwin declares it
+    // `unsigned int`; that target has not been built or run.
+    fn poll(fds: *mut PollFd, nfds: usize, timeout_ms: i32) -> i32;
 }
 
-#[cfg(target_os = "linux")]
-fn default_poller() -> std::io::Result<impl Poller> {
-    epoll::Epoll::new()
+/// `timeout` in whole milliseconds for `poll`, rounded up so that a
+/// deadline less than a millisecond away is waited for rather than
+/// polled at once (and again, until it passes); capped at `i32::MAX`.
+fn wait_ms(timeout: Duration) -> i32 {
+    let ms = timeout.as_nanos().div_ceil(1_000_000);
+    ms.min(i32::MAX as u128) as i32
 }
 
-#[cfg(not(target_os = "linux"))]
-fn default_poller() -> std::io::Result<impl Poller> {
-    pollfd::Poll::new()
+/// Block up to `timeout` until an entry of `fds` is ready, filling each
+/// entry's `revents`. An interrupted wait returns with none ready.
+fn poll_wait(fds: &mut Vec<PollFd>, timeout: Duration) -> std::io::Result<()> {
+    // SAFETY: the pointer and length come from the live `Vec` borrowed
+    // mutably for the call, and `PollFd` is `repr(C)` with the fields of
+    // `struct pollfd`; `poll` writes only the `revents` of those entries.
+    let n = unsafe { poll(fds.as_mut_ptr(), fds.len(), wait_ms(timeout)) };
+    if n < 0 {
+        let err = std::io::Error::last_os_error();
+        if err.kind() != std::io::ErrorKind::Interrupted {
+            return Err(err);
+        }
+        for pfd in fds.iter_mut() {
+            pfd.revents = 0;
+        }
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -387,9 +169,9 @@ struct Conn {
     /// Close once `out` drains (fatal protocol error, post-stop reply,
     /// or final reply to an EOF'd peer).
     close_after_flush: bool,
-    /// Registered for write readiness (kernel buffer was full).
+    /// Polled for write readiness too (the kernel buffer was full).
     want_write: bool,
-    /// Connection is finished; reap it after the event is processed.
+    /// Connection is finished; reaped at the end of the iteration.
     dead: bool,
     /// `SUBSCRIBE` accepted: telemetry push period.
     sub_interval: Option<Duration>,
@@ -451,126 +233,96 @@ impl Conn {
 /// Run the readiness loop until stop is observed and every connection
 /// has drained.
 pub(crate) fn run(listener: TcpListener, shared: Arc<Shared>) -> std::io::Result<()> {
-    let poller = default_poller()?;
-    run_with(poller, listener, shared)
-}
-
-fn run_with<P: Poller>(
-    mut poller: P,
-    listener: TcpListener,
-    shared: Arc<Shared>,
-) -> std::io::Result<()> {
     listener.set_nonblocking(true)?;
-    let listener_fd = listener.as_raw_fd();
-    poller.add(listener_fd, false)?;
-    let mut listening = true;
-
-    let mut conns: HashMap<RawFd, Conn> = HashMap::new();
-    let mut events: Vec<(RawFd, Readiness)> = Vec::new();
+    // The connection table, in the order its entries follow the listener
+    // in the poll set. Connections are removed only by the sweep at the
+    // end of an iteration, and accepted ones are appended after the
+    // polled ones, so the two stay aligned while events are dispatched.
+    let mut conns: Vec<Conn> = Vec::new();
+    let mut fds: Vec<PollFd> = Vec::new();
     let mut scratch = vec![0u8; 64 << 10];
 
     loop {
         let stopping = shared.stop.load(Ordering::SeqCst);
         if stopping {
-            if listening {
-                let _ = poller.remove(listener_fd);
-                listening = false;
-            }
-            let mut drained: Vec<RawFd> = Vec::new();
-            for (&fd, conn) in conns.iter_mut() {
+            for conn in conns.iter_mut() {
                 conn.draining = true;
                 if conn.sub_interval.is_some() {
                     // Subscribers have no pending request to answer;
                     // close them as soon as their queue drains.
                     conn.close_after_flush = true;
-                    if conn.out_pos >= conn.out.len() {
-                        conn.dead = true;
-                        drained.push(fd);
-                    }
+                    conn.dead |= conn.out_pos >= conn.out.len();
                 }
             }
-            for fd in drained {
-                reap(fd, &mut poller, &mut conns);
-            }
+            conns.retain(|c| !c.dead);
             if conns.is_empty() {
                 break;
             }
         }
 
         let timeout = conns
-            .values()
+            .iter()
             .filter_map(|c| c.deadline)
             .min()
             .map_or(TICK, |d| {
                 d.saturating_duration_since(Instant::now()).min(TICK)
             });
 
-        events.clear();
-        poller.wait(timeout, &mut events)?;
+        // The listener while listening, then one entry per connection.
+        fds.clear();
+        if !stopping {
+            fds.push(PollFd::new(listener.as_raw_fd(), false));
+        }
+        fds.extend(
+            conns
+                .iter()
+                .map(|c| PollFd::new(c.stream.as_raw_fd(), c.want_write)),
+        );
+        poll_wait(&mut fds, timeout)?;
 
-        for &(fd, readiness) in &events {
-            if fd == listener_fd {
-                accept_ready(&listener, &mut poller, &mut conns, &shared, stopping);
-                continue;
+        let (listener_entry, conn_entries) = fds.split_at(usize::from(!stopping));
+        if listener_entry.first().is_some_and(|pfd| pfd.revents != 0) {
+            accept_ready(&listener, &mut conns, &shared);
+        }
+        let mut ingests = Vec::new();
+        for (conn, pfd) in conns.iter_mut().zip(conn_entries) {
+            if pfd.revents & POLLOUT != 0 {
+                flush(conn, &shared);
             }
-            let Some(conn) = conns.get_mut(&fd) else {
-                continue;
-            };
-            let mut ingests = Vec::new();
-            if readiness.writable {
-                flush(conn, &mut poller, &shared);
-            }
-            if (readiness.readable || readiness.hangup) && !conn.dead {
+            if pfd.revents & READABLE != 0 && !conn.dead {
                 fill(conn, &mut scratch, shared.config.read_timeout);
-                ingests = process(conn, &shared);
-                flush(conn, &mut poller, &shared);
+                ingests.extend(process(conn, &shared));
+                flush(conn, &shared);
             }
-            if conn.dead {
-                reap(fd, &mut poller, &mut conns);
-            }
-            for event in &ingests {
-                fan_out(&mut conns, &mut poller, &shared, event);
+        }
+        for event in &ingests {
+            for conn in conns.iter_mut() {
+                push_event(conn, &shared, event);
             }
         }
 
         // Telemetry push sweep: one snapshot is built per due tick and
         // delivered to every subscriber whose period elapsed.
-        push_due_telemetry(&mut conns, &mut poller, &shared);
+        push_due_telemetry(&mut conns, &shared);
 
-        // Deadline sweep. Draining (post-stop) closures are not
-        // slow-loris timeouts — don't count those.
+        // Reap the finished and the expired. Draining (post-stop)
+        // closures are not slow-loris timeouts — don't count those.
         let now = Instant::now();
-        let expired: Vec<RawFd> = conns
-            .iter()
-            .filter(|(_, c)| c.deadline.is_some_and(|d| d <= now))
-            .map(|(&fd, _)| fd)
-            .collect();
-        for fd in expired {
-            let conn = &conns[&fd];
-            if conn.deadline_kind == DeadlineKind::Read && !conn.draining {
+        conns.retain(|c| {
+            let expired = c.deadline.is_some_and(|d| d <= now);
+            if expired && !c.dead && !c.draining && c.deadline_kind == DeadlineKind::Read {
                 shared.counters.add(|c| &c.timeout_connections, 1);
             }
-            reap(fd, &mut poller, &mut conns);
-        }
+            !c.dead && !expired
+        });
     }
     Ok(())
-}
-
-fn reap<P: Poller>(fd: RawFd, poller: &mut P, conns: &mut HashMap<RawFd, Conn>) {
-    let _ = poller.remove(fd);
-    conns.remove(&fd);
 }
 
 /// Drain the accept queue. Sheds beyond the connection cap with a typed
 /// `overloaded` line — written on the still-blocking accepted socket
 /// under a short timeout so a non-reading peer cannot stall the reactor.
-fn accept_ready<P: Poller>(
-    listener: &TcpListener,
-    poller: &mut P,
-    conns: &mut HashMap<RawFd, Conn>,
-    shared: &Arc<Shared>,
-    stopping: bool,
-) {
+fn accept_ready(listener: &TcpListener, conns: &mut Vec<Conn>, shared: &Arc<Shared>) {
     loop {
         let stream = match listener.accept() {
             Ok((stream, _)) => stream,
@@ -581,7 +333,7 @@ fn accept_ready<P: Poller>(
         // Re-check the stop flag per accepted socket: the stop() wake-up
         // connection races the `stopping` snapshot taken at loop top, and
         // must be dropped unanswered — not admitted and counted.
-        if stopping || shared.stop.load(Ordering::SeqCst) {
+        if shared.stop.load(Ordering::SeqCst) {
             continue;
         }
         if conns.len() >= shared.config.max_connections {
@@ -603,11 +355,7 @@ fn accept_ready<P: Poller>(
         if stream.set_nonblocking(true).is_err() {
             continue;
         }
-        let fd = stream.as_raw_fd();
-        if poller.add(fd, false).is_err() {
-            continue;
-        }
-        conns.insert(fd, Conn::new(stream, shared.config.read_timeout));
+        conns.push(Conn::new(stream, shared.config.read_timeout));
     }
 }
 
@@ -885,12 +633,7 @@ fn encode_event(event: &Notification, proto: &Proto) -> Vec<u8> {
 /// `subscriber_queue_bytes` the event is dropped and counted, and the
 /// subscriber gets one `lagged` notice when it next keeps up. Events for
 /// non-subscribers are ignored.
-fn push_event<P: Poller>(
-    conn: &mut Conn,
-    poller: &mut P,
-    shared: &Arc<Shared>,
-    event: &Notification,
-) {
+fn push_event(conn: &mut Conn, shared: &Arc<Shared>, event: &Notification) {
     if conn.dead || conn.sub_interval.is_none() || conn.close_after_flush {
         return;
     }
@@ -912,41 +655,16 @@ fn push_event<P: Poller>(
     conn.out
         .extend_from_slice(&encode_event(event, &conn.proto));
     shared.counters.add(|c| &c.sub_events, 1);
-    flush(conn, poller, shared);
-}
-
-/// Deliver one ingest notification to every live subscriber.
-fn fan_out<P: Poller>(
-    conns: &mut HashMap<RawFd, Conn>,
-    poller: &mut P,
-    shared: &Arc<Shared>,
-    event: &Notification,
-) {
-    let mut dead: Vec<RawFd> = Vec::new();
-    for (&fd, conn) in conns.iter_mut() {
-        if conn.sub_interval.is_some() {
-            push_event(conn, poller, shared, event);
-            if conn.dead {
-                dead.push(fd);
-            }
-        }
-    }
-    for fd in dead {
-        reap(fd, poller, conns);
-    }
+    flush(conn, shared);
 }
 
 /// Push a telemetry snapshot to every subscriber whose period elapsed.
 /// The (store-lock-taking) snapshot is built at most once per sweep, and
 /// only when someone is actually due.
-fn push_due_telemetry<P: Poller>(
-    conns: &mut HashMap<RawFd, Conn>,
-    poller: &mut P,
-    shared: &Arc<Shared>,
-) {
+fn push_due_telemetry(conns: &mut [Conn], shared: &Arc<Shared>) {
     let now = Instant::now();
     if !conns
-        .values()
+        .iter()
         .any(|c| c.sub_interval.is_some() && !c.dead && c.next_push <= now)
     {
         return;
@@ -955,22 +673,15 @@ fn push_due_telemetry<P: Poller>(
         t_ns: now_ns(),
         stats: server_stats_report(shared),
     };
-    let mut dead: Vec<RawFd> = Vec::new();
-    for (&fd, conn) in conns.iter_mut() {
+    for conn in conns.iter_mut() {
         let Some(interval) = conn.sub_interval else {
             continue;
         };
         if conn.dead || conn.next_push > now {
             continue;
         }
-        push_event(conn, poller, shared, &event);
+        push_event(conn, shared, &event);
         conn.next_push = now + interval;
-        if conn.dead {
-            dead.push(fd);
-        }
-    }
-    for fd in dead {
-        reap(fd, poller, conns);
     }
 }
 
@@ -984,13 +695,12 @@ fn refuse(conn: &mut Conn, message: &str) {
     conn.close_after_flush = true;
 }
 
-/// Push buffered output to the kernel; manage write interest and the
+/// Push buffered output to the kernel; flip write interest and take the
 /// close-after-flush transition.
-fn flush<P: Poller>(conn: &mut Conn, poller: &mut P, shared: &Arc<Shared>) {
+fn flush(conn: &mut Conn, shared: &Arc<Shared>) {
     if conn.dead {
         return;
     }
-    let fd = conn.stream.as_raw_fd();
     while conn.out_pos < conn.out.len() {
         match conn.stream.write(&conn.out[conn.out_pos..]) {
             Ok(0) => {
@@ -999,10 +709,7 @@ fn flush<P: Poller>(conn: &mut Conn, poller: &mut P, shared: &Arc<Shared>) {
             }
             Ok(n) => conn.out_pos += n,
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if !conn.want_write {
-                    conn.want_write = true;
-                    let _ = poller.modify(fd, true);
-                }
+                conn.want_write = true;
                 conn.arm_write_deadline(shared.config.write_timeout);
                 return;
             }
@@ -1015,10 +722,7 @@ fn flush<P: Poller>(conn: &mut Conn, poller: &mut P, shared: &Arc<Shared>) {
     }
     conn.out.clear();
     conn.out_pos = 0;
-    if conn.want_write {
-        conn.want_write = false;
-        let _ = poller.modify(fd, false);
-    }
+    conn.want_write = false;
     if conn.close_after_flush || conn.eof {
         conn.dead = true;
     } else {
@@ -1029,8 +733,6 @@ fn flush<P: Poller>(conn: &mut Conn, poller: &mut P, shared: &Arc<Shared>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{BufRead, BufReader};
-    use std::net::TcpStream;
 
     /// A `Shared` over a fresh store in a scratch directory.
     fn test_shared(tag: &str) -> (Arc<Shared>, std::path::PathBuf) {
@@ -1088,57 +790,13 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The poll(2) backend must stay healthy even on Linux, where the
-    /// epoll backend normally shadows it — drive a tiny serve loop
-    /// through it directly.
     #[test]
-    fn pollfd_backend_serves_json_and_binary() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let (shared, dir) = test_shared("poll");
-        let loop_shared = Arc::clone(&shared);
-        let join = std::thread::spawn(move || {
-            run_with(pollfd::Poll::new().expect("poll"), listener, loop_shared)
-        });
-
-        // JSON line in, JSON line out.
-        let mut json = TcpStream::connect(addr).expect("connect");
-        json.write_all(b"{\"cmd\":\"STATS\"}\n").expect("write");
-        let mut reader = BufReader::new(json.try_clone().expect("clone"));
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("read");
-        assert!(
-            line.contains("\"ok\":true"),
-            "stats over poll backend: {line}"
-        );
-
-        // Binary frame in, binary frame out.
-        let mut bin = TcpStream::connect(addr).expect("connect");
-        bin.write_all(&wire::WIRE_MAGIC).expect("magic");
-        let hello = wire::encode_request(&crate::protocol::Request::Hello {
-            version: wire::WIRE_VERSION,
-            features: wire::FEATURE_BATCH_INGEST,
-            auth: None,
-        });
-        bin.write_all(&wire::frame(&hello)).expect("hello");
-        let mut head = [0u8; 4];
-        bin.read_exact(&mut head).expect("len");
-        let len = u32::from_le_bytes(head) as usize;
-        let mut rest = vec![0u8; len + 4];
-        bin.read_exact(&mut rest).expect("payload");
-        let response = wire::decode_response(&rest[..len]).expect("decode");
-        assert!(
-            matches!(response, Response::Hello { version: 1, .. }),
-            "hello over poll backend: {response:?}"
-        );
-
-        shared.stop.store(true, Ordering::SeqCst);
-        drop(reader);
-        drop(json);
-        drop(bin);
-        let _ = TcpStream::connect(addr);
-        join.thread().unpark();
-        join.join().expect("join").expect("reactor result");
-        let _ = std::fs::remove_dir_all(&dir);
+    fn wait_rounds_up_to_whole_milliseconds() {
+        assert_eq!(wait_ms(Duration::ZERO), 0);
+        assert_eq!(wait_ms(Duration::from_nanos(1)), 1);
+        assert_eq!(wait_ms(Duration::from_micros(999)), 1);
+        assert_eq!(wait_ms(Duration::from_millis(1)), 1);
+        assert_eq!(wait_ms(Duration::from_micros(1_001)), 2);
+        assert_eq!(wait_ms(Duration::MAX), i32::MAX);
     }
 }

@@ -1,4 +1,4 @@
-//! The serving daemon: an epoll-style reactor (see [`crate::reactor`])
+//! The serving daemon: a poll(2) reactor (see [`crate::reactor`])
 //! multiplexing every connection on one thread, with first-byte protocol
 //! sniffing (JSON lines vs TPF1 binary frames on the same port), a
 //! bounded admission gate, and per-request panic isolation.

@@ -94,34 +94,39 @@ impl From<&Path> for ExportTarget {
     }
 }
 
-/// Delivery policy for [`ExportTarget::Server`]: deadlines, retry
-/// shape, and the optional spool fallback.
+/// Per-attempt TCP connect deadline, clamped to what is left of the
+/// export's [`ExportPolicy::deadline`].
+const CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
+
+/// Per-attempt read/write deadline, clamped the same way.
+const IO_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Delivery attempts per export.
+const MAX_ATTEMPTS: u32 = 3;
+
+/// Backoff before retry `n` is `BASE_BACKOFF * 2^(n-1)` plus jitter in
+/// `[0, BASE_BACKOFF/2)`, capped by the remaining budget.
+const BASE_BACKOFF: Duration = Duration::from_millis(50);
+
+/// Seed of the deterministic jitter stream: two exports with the same
+/// failure pattern sleep identical durations.
+const JITTER_SEED: u64 = 0x7a5c_f00d;
+
+/// Delivery policy for [`ExportTarget::Server`]: the deadline, the
+/// optional spool fallback, and how to speak to the daemon.
 ///
 /// The default is tuned for `finish()` on an interactive run: a 2 s
-/// total budget, three attempts with 50 ms base backoff, and **no**
-/// spool (an unreachable daemon surfaces as
+/// total budget (three attempts with 50 ms base backoff fit inside it)
+/// and **no** spool (an unreachable daemon surfaces as
 /// [`ExportError::Client`] exactly as before). Configure a spool
 /// directory with [`SessionBuilder::export_spool`](crate::SessionBuilder::export_spool)
 /// to turn failures into durable local frames instead.
 #[derive(Clone, Debug)]
 pub struct ExportPolicy {
-    /// Total wall-clock budget for the export (connect + send + retries
-    /// + backoff sleeps). `finish()` never blocks much past this.
+    /// Total wall-clock budget for the export (connects, sends, retries,
+    /// backoff sleeps and the drain of earlier spooled frames), and for
+    /// [`drain_spool`]. `finish()` never blocks much past this.
     pub deadline: Duration,
-    /// Per-attempt TCP connect deadline (clamped to the remaining
-    /// budget).
-    pub connect_timeout: Duration,
-    /// Per-attempt read/write deadline (clamped to the remaining
-    /// budget).
-    pub io_timeout: Duration,
-    /// Maximum delivery attempts (at least 1).
-    pub max_attempts: u32,
-    /// Backoff before retry `n` is `base_backoff * 2^(n-1)` plus jitter
-    /// in `[0, base_backoff/2)`, capped by the remaining budget.
-    pub base_backoff: Duration,
-    /// Seed for the deterministic jitter stream — two exports with the
-    /// same seed and failure pattern sleep identical durations.
-    pub jitter_seed: u64,
     /// Degrade to this spool directory when the daemon stays
     /// unreachable; `None` (default) means a failed export is reported
     /// as an error instead.
@@ -140,14 +145,25 @@ impl Default for ExportPolicy {
     fn default() -> Self {
         Self {
             deadline: Duration::from_secs(2),
-            connect_timeout: Duration::from_millis(500),
-            io_timeout: Duration::from_secs(1),
-            max_attempts: 3,
-            base_backoff: Duration::from_millis(50),
-            jitter_seed: 0x7a5c_f00d,
             spool_dir: None,
             wire_protocol: WireProtocol::Auto,
             auth: None,
+        }
+    }
+}
+
+impl ExportPolicy {
+    /// Timeouts for one connection made with `remaining` of the budget
+    /// left: the connect and read/write constants, each clamped to
+    /// `remaining` and to [`deadline`](Self::deadline), and never below
+    /// 1 ms (`set_read_timeout` rejects a zero duration).
+    pub fn client_timeouts(&self, remaining: Duration) -> ClientTimeouts {
+        let left = remaining.min(self.deadline);
+        let clamp = |phase: Duration| Some(phase.min(left).max(Duration::from_millis(1)));
+        ClientTimeouts {
+            connect: clamp(CONNECT_TIMEOUT),
+            read: clamp(IO_TIMEOUT),
+            write: clamp(IO_TIMEOUT),
         }
     }
 }
@@ -236,57 +252,39 @@ fn is_transport(e: &ClientError) -> bool {
     matches!(e, ClientError::Io(_))
 }
 
-/// Timeouts must never be `Some(0)` — `set_read_timeout` rejects a zero
-/// duration — so clamp to the remaining budget but keep a floor.
-fn clamp_timeout(configured: Duration, remaining: Duration) -> Option<Duration> {
-    Some(configured.min(remaining).max(Duration::from_millis(1)))
-}
-
 /// One delivery campaign against the daemon: bounded attempts, bounded
-/// backoff, everything capped by the policy deadline. Returns the ack
-/// and the attempt count, or the last error and the attempt count.
+/// backoff, everything capped by the policy deadline counted from
+/// `start`. Returns the ack and the attempt count, or the last error and
+/// the attempt count.
 fn deliver_to_server(
     addr: &str,
     record: &Record,
     policy: &ExportPolicy,
+    start: Instant,
 ) -> Result<(IngestReceipt, u32), (ClientError, u32)> {
-    let start = Instant::now();
-    let max_attempts = policy.max_attempts.max(1);
-    let mut jitter = SplitMix64::new(policy.jitter_seed);
+    let mut jitter = SplitMix64::new(JITTER_SEED);
     let mut attempts = 0u32;
     let mut last_err: Option<ClientError> = None;
-    while attempts < max_attempts {
+    while attempts < MAX_ATTEMPTS {
         let remaining = policy.deadline.saturating_sub(start.elapsed());
         if attempts > 0 && remaining.is_zero() {
             break;
         }
         attempts += 1;
-        let timeouts = ClientTimeouts {
-            connect: clamp_timeout(policy.connect_timeout, remaining),
-            read: clamp_timeout(policy.io_timeout, remaining),
-            write: clamp_timeout(policy.io_timeout, remaining),
-        };
         let result = profserve::Client::connect_proto_auth(
             addr,
             policy.wire_protocol,
-            timeouts,
+            policy.client_timeouts(remaining),
             policy.auth.as_deref(),
         )
         .and_then(|mut client| client.ingest_record(record));
         match result {
             Ok(receipt) => return Ok((receipt, attempts)),
-            Err(e) if is_transport(&e) && attempts < max_attempts => {
+            Err(e) if is_transport(&e) && attempts < MAX_ATTEMPTS => {
                 last_err = Some(e);
-                let exp = policy
-                    .base_backoff
-                    .saturating_mul(1u32 << (attempts - 1).min(16));
-                let half = policy.base_backoff.as_nanos() as u64 / 2;
-                let jitter_ns = if half == 0 {
-                    0
-                } else {
-                    jitter.next_u64() % half
-                };
-                let backoff = exp + Duration::from_nanos(jitter_ns);
+                let exp = BASE_BACKOFF.saturating_mul(1u32 << (attempts - 1));
+                let half = BASE_BACKOFF.as_nanos() as u64 / 2;
+                let backoff = exp + Duration::from_nanos(jitter.next_u64() % half);
                 let room = policy.deadline.saturating_sub(start.elapsed());
                 let sleep = backoff.min(room);
                 if !sleep.is_zero() {
@@ -418,7 +416,17 @@ fn stored_prefix_from_message(message: &str) -> u64 {
 /// bit flips, unverifiable records), which never travel at all. A
 /// transport failure or a read-only daemon stops the drain with the rest
 /// counted as `remaining`.
+///
+/// [`ExportPolicy::deadline`] bounds the drain: the connection's
+/// timeouts are clamped to it, and no batch starts after it has passed;
+/// the frames not sent by then count as `remaining`.
 pub fn drain_spool(dir: &Path, addr: &str, policy: &ExportPolicy) -> DrainReport {
+    drain_spool_since(dir, addr, policy, Instant::now())
+}
+
+/// [`drain_spool`] with the deadline counted from `start`, so an export
+/// drains within what is left of its own budget.
+fn drain_spool_since(dir: &Path, addr: &str, policy: &ExportPolicy, start: Instant) -> DrainReport {
     let mut report = DrainReport::default();
     let frames = match list_spool_frames(dir) {
         Ok(f) => f,
@@ -427,22 +435,21 @@ pub fn drain_spool(dir: &Path, addr: &str, policy: &ExportPolicy) -> DrainReport
     if frames.is_empty() {
         return report;
     }
-    let timeouts = ClientTimeouts {
-        connect: Some(policy.connect_timeout.max(Duration::from_millis(1))),
-        read: Some(policy.io_timeout.max(Duration::from_millis(1))),
-        write: Some(policy.io_timeout.max(Duration::from_millis(1))),
+    let remaining = policy.deadline.saturating_sub(start.elapsed());
+    let client = if remaining.is_zero() {
+        None
+    } else {
+        profserve::Client::connect_proto_auth(
+            addr,
+            policy.wire_protocol,
+            policy.client_timeouts(remaining),
+            policy.auth.as_deref(),
+        )
+        .ok()
     };
-    let mut client = match profserve::Client::connect_proto_auth(
-        addr,
-        policy.wire_protocol,
-        timeouts,
-        policy.auth.as_deref(),
-    ) {
-        Ok(c) => c,
-        Err(_) => {
-            report.remaining = frames.len() as u64;
-            return report;
-        }
+    let Some(mut client) = client else {
+        report.remaining = frames.len() as u64;
+        return report;
     };
 
     // Validate locally first: corrupt frames are quarantined and never
@@ -459,7 +466,7 @@ pub fn drain_spool(dir: &Path, addr: &str, policy: &ExportPolicy) -> DrainReport
     let total = pending.len();
     let mut next = 0;
     let mut halted = false;
-    while next < total && !halted {
+    while next < total && !halted && start.elapsed() < policy.deadline {
         let end = (next + DRAIN_BATCH).min(total);
         let chunk = &pending[next..end];
         let outcome = if chunk.len() == 1 {
@@ -562,10 +569,13 @@ pub(crate) fn export_profile(
             // it as text inside the codec.
             let record =
                 Record::from_profile(&plan.benchmark, plan.threads, Some(timestamp_ns), profile);
-            match deliver_to_server(addr, &record, &plan.policy) {
+            let start = Instant::now();
+            match deliver_to_server(addr, &record, &plan.policy, start) {
                 Ok((ack, attempts)) => {
                     let drained = match &plan.policy.spool_dir {
-                        Some(dir) if dir.is_dir() => drain_spool(dir, addr, &plan.policy).delivered,
+                        Some(dir) if dir.is_dir() => {
+                            drain_spool_since(dir, addr, &plan.policy, start).delivered
+                        }
                         _ => 0,
                     };
                     Ok(ExportReceipt {
@@ -683,19 +693,80 @@ mod tests {
     }
 
     #[test]
+    fn client_timeouts_clamp_to_the_budget_with_a_floor() {
+        let ms = Duration::from_millis;
+        let policy = ExportPolicy {
+            deadline: ms(700),
+            ..ExportPolicy::default()
+        };
+        let timeouts = |remaining| {
+            let t = policy.client_timeouts(remaining);
+            (t.connect, t.read, t.write)
+        };
+        // A fresh budget: the connect constant fits, the I/O one is
+        // clamped to the deadline.
+        assert_eq!(
+            timeouts(ms(700)),
+            (Some(ms(500)), Some(ms(700)), Some(ms(700)))
+        );
+        // More than the deadline left is still clamped to it.
+        assert_eq!(
+            timeouts(Duration::MAX),
+            (Some(ms(500)), Some(ms(700)), Some(ms(700)))
+        );
+        assert_eq!(timeouts(ms(30)), (Some(ms(30)), Some(ms(30)), Some(ms(30))));
+        // Nothing left: the 1 ms floor, never a zero timeout.
+        assert_eq!(
+            timeouts(Duration::ZERO),
+            (Some(ms(1)), Some(ms(1)), Some(ms(1)))
+        );
+        assert_eq!(
+            ExportPolicy::default().client_timeouts(Duration::MAX).read,
+            Some(Duration::from_secs(1))
+        );
+    }
+
+    #[test]
+    fn drain_sends_nothing_past_its_deadline() {
+        let scratch = std::env::temp_dir().join(format!(
+            "taskprof-spool-deadline-{}-{}",
+            std::process::id(),
+            next_spool_seq()
+        ));
+        let spool = scratch.join("spool");
+        spool_profile(&spool, "b", 1, 8, &one_thread_profile()).expect("spool");
+        let store = profstore::ProfileStore::open(&scratch.join("store")).expect("store");
+        let (handle, join) =
+            profserve::Server::spawn("127.0.0.1:0", store, profserve::ServeConfig::default())
+                .expect("spawn");
+        let addr = handle.addr().to_string();
+
+        let spent = ExportPolicy {
+            deadline: Duration::ZERO,
+            ..ExportPolicy::default()
+        };
+        let report = drain_spool(&spool, &addr, &spent);
+        assert_eq!((report.delivered, report.remaining), (0, 1));
+        let report = drain_spool(&spool, &addr, &ExportPolicy::default());
+        assert_eq!((report.delivered, report.remaining), (1, 0));
+
+        handle.stop();
+        join.join().expect("join").expect("run");
+        let _ = std::fs::remove_dir_all(&scratch);
+    }
+
+    #[test]
     fn deadline_bounds_the_whole_campaign() {
         // 127.0.0.1:1 refuses instantly; with retries + backoff the
         // campaign must still respect the (tiny) deadline and report a
         // transport error.
         let policy = ExportPolicy {
             deadline: Duration::from_millis(200),
-            max_attempts: 50,
-            base_backoff: Duration::from_millis(20),
             ..ExportPolicy::default()
         };
         let start = Instant::now();
         let record = Record::from_text("b", 1, Some(0), "");
-        let err = deliver_to_server("127.0.0.1:1", &record, &policy);
+        let err = deliver_to_server("127.0.0.1:1", &record, &policy, start);
         assert!(err.is_err());
         let (e, attempts) = err.err().unwrap();
         assert!(is_transport(&e), "got {e}");

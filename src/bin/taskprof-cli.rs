@@ -88,8 +88,9 @@
 //! is unreachable — instead of failing, profiles land in `DIR` as
 //! CRC-framed spool files (`--deadline-ms` bounds how long delivery may
 //! try first). `drain` re-delivers a spool directory to a (recovered)
-//! daemon, deleting each frame only after the server acks it, and exits
-//! 1 while frames remain spooled so scripts can retry.
+//! daemon, deleting each frame only after the server acks it and
+//! starting no batch once `--deadline-ms` (default 2000) has passed, and
+//! exits 1 while frames remain spooled so scripts can retry.
 //!
 //! Sharding & replication: `serve --shards N` opens the directory as N
 //! routed sub-stores (runs land by benchmark, queries fan in across
@@ -839,17 +840,6 @@ fn connect_or_die(
         })
 }
 
-/// Translate a delivery policy into per-phase client timeouts (never
-/// zero: `set_read_timeout` rejects a zero duration).
-fn policy_timeouts(policy: &taskprof_session::ExportPolicy) -> profserve::ClientTimeouts {
-    let floor = std::time::Duration::from_millis(1);
-    profserve::ClientTimeouts {
-        connect: Some(policy.connect_timeout.min(policy.deadline).max(floor)),
-        read: Some(policy.io_timeout.min(policy.deadline).max(floor)),
-        write: Some(policy.io_timeout.min(policy.deadline).max(floor)),
-    }
-}
-
 fn delivery_policy(
     deadline_ms: Option<u64>,
     spool: Option<&String>,
@@ -952,7 +942,7 @@ fn cmd_ingest(args: &[String]) {
     let mut client = match profserve::Client::connect_proto_auth(
         &addr,
         proto,
-        policy_timeouts(&policy),
+        policy.client_timeouts(policy.deadline),
         policy.auth.as_deref(),
     ) {
         Ok(c) => Some(c),
