@@ -6,7 +6,8 @@
 # message, a second metric writer beside the one declaration per metric,
 # architecture-specific code outside the clock read and the CRC fold,
 # a second readiness backend in the daemon,
-# a second task completion sequence in the runtime, the repo benchmark's
+# a second task completion sequence in the runtime, a second seeded
+# generator or a property-test library beside the one choice stream, the repo benchmark's
 # own smoke gate (benchmark/check.sh) and its package's tests, a floor
 # under JSON ingest throughput and a ceiling over the causal report, and
 # end-to-end smokes of the CLI, the daemon and replication.
@@ -176,6 +177,19 @@ if awk '/fn run_task[<(]/ { on = 1; match($0, /^ */); end = substr($0, 1, RLENGT
         on && $0 == end { on = 0 }
         END { exit !bad }' crates/taskrt/src/*.rs; then
     echo "a task completion hook is called outside WorkerState::run_task"; exit 1
+fi
+
+echo "=== one seeded generator ==="
+# pomp::SplitMix64 (crates/pomp/src/rng.rs) is the one generator: BOTS
+# inputs, simsched schedules, disk-fault plans and export jitter draw from
+# it, and every property test draws from simsched's ChoiceStream over it
+# (test_util::prop). Four copies of splitmix64 and a vendored proptest
+# that seeded each run at random stood beside it.
+if git grep -niE '9E37_?79B9_?7F4A_?7C15' -- '*.rs' ':!crates/pomp/src/rng.rs'; then
+    echo "a second splitmix64 is back outside crates/pomp/src/rng.rs"; exit 1
+fi
+if git grep -n proptest -- '*Cargo.toml' '*Cargo.lock' || git grep -nE '^[[:space:]]*use proptest' -- '*.rs'; then
+    echo "proptest is back"; exit 1
 fi
 
 echo "=== clippy (portable clock path) ==="

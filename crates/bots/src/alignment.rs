@@ -5,9 +5,9 @@
 //! comparatively large and uniform — the code with zero measurable
 //! profiling overhead in the paper's Fig. 13.
 
-use crate::util::{RawSlice, SplitMix64};
+use crate::util::RawSlice;
 use crate::{Outcome, RunOpts, Scale};
-use pomp::Monitor;
+use pomp::{Monitor, SplitMix64};
 use std::sync::OnceLock;
 use std::time::Instant;
 use taskrt::{ForConstruct, ParallelConstruct, SingleConstruct, TaskConstruct, Team};

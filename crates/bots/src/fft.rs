@@ -3,9 +3,9 @@
 //! Each recursion level splits into an even and an odd half-transform
 //! (two tasks), joins at a taskwait, and combines with twiddle factors.
 
-use crate::util::{checksum_f64, RawSlice, SplitMix64};
+use crate::util::{checksum_f64, RawSlice};
 use crate::{Outcome, RunOpts, Scale};
-use pomp::{Monitor, RegionId};
+use pomp::{Monitor, RegionId, SplitMix64};
 use std::sync::OnceLock;
 use std::time::Instant;
 use taskrt::{taskwait_region, ParallelConstruct, SingleConstruct, TaskConstruct, TaskCtx, Team};

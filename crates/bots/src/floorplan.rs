@@ -6,9 +6,8 @@
 //! classes in the paper (Section V-A): scheduling decisions change which
 //! branches are explored first and how the bound tightens.
 
-use crate::util::SplitMix64;
 use crate::{Outcome, RunOpts, Scale, Variant};
-use pomp::{Monitor, RegionId};
+use pomp::{Monitor, RegionId, SplitMix64};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;

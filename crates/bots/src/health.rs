@@ -8,9 +8,9 @@
 //! (Fig. 13) that shrinks as threads are added and runtime contention
 //! shadows the measurement cost.
 
-use crate::util::{SendPtr, SplitMix64};
+use crate::util::SendPtr;
 use crate::{Outcome, RunOpts, Scale, Variant};
-use pomp::{Monitor, RegionId};
+use pomp::{Monitor, RegionId, SplitMix64};
 use std::sync::OnceLock;
 use std::time::Instant;
 use taskrt::{taskwait_region, ParallelConstruct, SingleConstruct, TaskConstruct, TaskCtx, Team};

@@ -1,9 +1,9 @@
 //! BOTS `sort`: cilksort — 4-way parallel mergesort with recursive
 //! task-parallel merging and a sequential quicksort below a grain size.
 
-use crate::util::{RawSlice, SplitMix64};
+use crate::util::RawSlice;
 use crate::{Outcome, RunOpts, Scale};
-use pomp::{Monitor, RegionId};
+use pomp::{Monitor, RegionId, SplitMix64};
 use std::sync::OnceLock;
 use std::time::Instant;
 use taskrt::{taskwait_region, ParallelConstruct, SingleConstruct, TaskConstruct, TaskCtx, Team};

@@ -4,9 +4,9 @@
 //! elimination order and creates one task per block operation (`fwd`,
 //! `bdiv`, `bmod`), joining phases with taskwaits.
 
-use crate::util::{checksum_f64, SplitMix64};
+use crate::util::checksum_f64;
 use crate::{Outcome, RunOpts, Scale};
-use pomp::{Monitor, RegionId};
+use pomp::{Monitor, RegionId, SplitMix64};
 use std::sync::OnceLock;
 use std::time::Instant;
 use taskrt::{taskwait_region, ParallelConstruct, SingleConstruct, TaskConstruct, Team};

@@ -5,9 +5,8 @@
 //! task time, two orders of magnitude above fib/health/nqueens — and the
 //! only code with near-zero profiling overhead in Figs. 13/14.
 
-use crate::util::SplitMix64;
 use crate::{Outcome, RunOpts, Scale, Variant};
-use pomp::{Monitor, RegionId};
+use pomp::{Monitor, RegionId, SplitMix64};
 use std::sync::OnceLock;
 use std::time::Instant;
 use taskrt::{taskwait_region, ParallelConstruct, SingleConstruct, TaskConstruct, TaskCtx, Team};

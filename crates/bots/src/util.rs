@@ -1,6 +1,7 @@
 //! Shared utilities for the BOTS kernels: raw-pointer wrappers for
 //! disjoint concurrent writes (the idiom the C originals use implicitly)
-//! and a small deterministic PRNG for input generation.
+//! and a checksum for floating-point results. Inputs are drawn from
+//! [`pomp::SplitMix64`].
 
 /// A `Send + Sync` raw pointer to a single value.
 ///
@@ -113,42 +114,6 @@ impl<T> RawSlice<T> {
     }
 }
 
-/// Deterministic 64-bit PRNG (splitmix64) for reproducible inputs.
-#[derive(Clone, Debug)]
-pub struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    /// Seeded generator.
-    pub fn new(seed: u64) -> Self {
-        Self { state: seed }
-    }
-
-    /// Next raw 64-bit value.
-    #[inline]
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform value in `[0, bound)`.
-    #[inline]
-    pub fn below(&mut self, bound: u64) -> u64 {
-        debug_assert!(bound > 0);
-        self.next_u64() % bound
-    }
-
-    /// Uniform f64 in `[0, 1)`.
-    #[inline]
-    pub fn unit_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-}
-
 /// Order-independent checksum of f64 data (sum of bit patterns folded),
 /// tolerant formatting for EXPERIMENTS.md comparisons is done elsewhere.
 pub fn checksum_f64(data: impl IntoIterator<Item = f64>) -> u64 {
@@ -187,27 +152,6 @@ mod tests {
         b.fill(2);
         assert_eq!(v[4], 1);
         assert_eq!(v[5], 2);
-    }
-
-    #[test]
-    fn splitmix_is_deterministic() {
-        let mut a = SplitMix64::new(7);
-        let mut b = SplitMix64::new(7);
-        for _ in 0..100 {
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
-        let mut c = SplitMix64::new(8);
-        assert_ne!(a.next_u64(), c.next_u64());
-    }
-
-    #[test]
-    fn below_respects_bound() {
-        let mut r = SplitMix64::new(1);
-        for _ in 0..1000 {
-            assert!(r.below(17) < 17);
-        }
-        let u = r.unit_f64();
-        assert!((0.0..1.0).contains(&u));
     }
 
     #[test]

@@ -144,7 +144,7 @@ impl Hasher for IdHasher {
         self.write_u64(u64::from(id));
     }
     fn write_u64(&mut self, id: u64) {
-        self.0 = (self.0 ^ id).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = (self.0 ^ id).wrapping_mul(pomp::GOLDEN_GAMMA);
     }
     fn finish(&self) -> u64 {
         self.0.rotate_left(26)

@@ -30,6 +30,7 @@ pub mod counting;
 pub mod filter;
 pub mod hooks;
 pub mod region;
+pub mod rng;
 pub mod task;
 pub mod validate;
 
@@ -38,5 +39,6 @@ pub use counting::{CountingMonitor, EventCounts};
 pub use filter::{FilteredMonitor, RegionFilter};
 pub use hooks::{EventClass, Monitor, NullMonitor, NullThreadHooks, TaskRef, ThreadHooks};
 pub use region::{registry, ParamId, RegionId, RegionInfo, RegionKind, Registry, RegistryView};
+pub use rng::{fnv1a, SplitMix64, GOLDEN_GAMMA};
 pub use task::{TaskId, TaskIdAllocator};
 pub use validate::{Defect, Diagnostic, Repair, ValidatingMonitor, ValidatingThread};

@@ -221,15 +221,8 @@ mod tests {
     /// `len` bytes with no short period that could mask a wrong table
     /// index or a lane folded out of order.
     fn pattern(len: usize) -> Vec<u8> {
-        let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        (0..len)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                (x >> 24) as u8
-            })
-            .collect()
+        let mut rng = pomp::SplitMix64::new(len as u64);
+        (0..len).map(|_| (rng.next_u64() >> 24) as u8).collect()
     }
 
     #[test]

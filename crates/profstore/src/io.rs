@@ -26,42 +26,13 @@
 //! construction. The plan is pure state + splitmix64, so a torture run is
 //! byte-reproducible from its seed.
 
-use simsched_free_splitmix::SplitMix64;
+use pomp::SplitMix64;
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// `profstore` must stay dependency-light (it sits under the daemon), so
-/// it carries its own splitmix64 rather than pulling in `simsched`. Same
-/// constants, same sequence — a plan seed produces identical injections
-/// whether replayed here or reasoned about from the scheduler crate.
-mod simsched_free_splitmix {
-    /// Minimal splitmix64 (see `simsched::SplitMix64` for the canonical
-    /// documented copy).
-    #[derive(Clone, Debug)]
-    pub struct SplitMix64 {
-        state: u64,
-    }
-
-    impl SplitMix64 {
-        /// Generator seeded with `seed`.
-        pub fn new(seed: u64) -> Self {
-            Self { state: seed }
-        }
-
-        /// Next raw 64-bit value.
-        pub fn next_u64(&mut self) -> u64 {
-            self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-    }
-}
 
 /// An open, writable store file behind the seam.
 pub trait StoreFile: Send + Sync {

@@ -35,6 +35,7 @@ use crate::store::{
     replica, ExportBatch, GcReport, IndexEntry, IngestReceipt, ProfileStore, RetentionPolicy, RunWindow,
     StoreConfig, StoreError, StoreStats, TrendBucket,
 };
+use pomp::fnv1a;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -43,17 +44,6 @@ use taskprof::Profile;
 
 /// Name of the shard-count metadata file at the repository root.
 const SHARDS_FILE: &str = "SHARDS";
-
-/// FNV-1a 64-bit — stable across processes and platforms, which is what
-/// routing needs (a rehash would orphan every stored run).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// A repository of N independent single-writer stores with one global
 /// run-id space. See the module docs for layout and routing rules.
@@ -158,6 +148,8 @@ impl ShardedStore {
     /// a pure function of (benchmark, run id, shard count), identical
     /// across reopens and processes.
     pub fn route(benchmark: &str, run_id: u64, shards: usize) -> usize {
+        // FNV-1a: stable across processes and platforms, which is what
+        // routing needs (a rehash would orphan every stored run).
         let hash = if benchmark.is_empty() {
             fnv1a(&run_id.to_le_bytes())
         } else {

@@ -26,11 +26,11 @@
 //! bit-flipped spool file is detected on drain and quarantined with a
 //! `.bad` suffix rather than re-sent or silently skipped.
 
+use pomp::{fnv1a, SplitMix64};
 use profserve::{
     ClientError, ClientTimeouts, ErrorKind, IngestReceipt, ProfilePayload, Record, WireProtocol,
 };
 use profstore::{decode_meta, encode_record, frame, verify_record, RunMeta, MAX_RECORD_BYTES};
-use simsched::SplitMix64;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -107,10 +107,6 @@ const MAX_ATTEMPTS: u32 = 3;
 /// Backoff before retry `n` is `BASE_BACKOFF * 2^(n-1)` plus jitter in
 /// `[0, BASE_BACKOFF/2)`, capped by the remaining budget.
 const BASE_BACKOFF: Duration = Duration::from_millis(50);
-
-/// Seed of the deterministic jitter stream: two exports with the same
-/// failure pattern sleep identical durations.
-const JITTER_SEED: u64 = 0x7a5c_f00d;
 
 /// Delivery policy for [`ExportTarget::Server`]: the deadline, the
 /// optional spool fallback, and how to speak to the daemon.
@@ -252,6 +248,24 @@ fn is_transport(e: &ClientError) -> bool {
     matches!(e, ClientError::Io(_))
 }
 
+/// The jitter stream of one record's delivery campaign, seeded from the
+/// record (FNV-1a of its timestamp and benchmark name): exporters that
+/// lose the daemon together retry at spread-out times, and one record
+/// always sleeps the same durations.
+fn jitter(record: &Record) -> SplitMix64 {
+    let mut key = record.timestamp_ns.unwrap_or(0).to_le_bytes().to_vec();
+    key.extend_from_slice(record.benchmark.as_bytes());
+    SplitMix64::new(fnv1a(&key))
+}
+
+/// The sleep before retry `attempt + 1`: `BASE_BACKOFF * 2^(attempt-1)`
+/// plus jitter in `[0, BASE_BACKOFF/2)`.
+fn backoff(attempt: u32, jitter: &mut SplitMix64) -> Duration {
+    let exp = BASE_BACKOFF.saturating_mul(1u32 << (attempt - 1));
+    let half = BASE_BACKOFF.as_nanos() as u64 / 2;
+    exp + Duration::from_nanos(jitter.below(half))
+}
+
 /// One delivery campaign against the daemon: bounded attempts, bounded
 /// backoff, everything capped by the policy deadline counted from
 /// `start`. Returns the ack and the attempt count, or the last error and
@@ -262,7 +276,7 @@ fn deliver_to_server(
     policy: &ExportPolicy,
     start: Instant,
 ) -> Result<(IngestReceipt, u32), (ClientError, u32)> {
-    let mut jitter = SplitMix64::new(JITTER_SEED);
+    let mut jitter = jitter(record);
     let mut attempts = 0u32;
     let mut last_err: Option<ClientError> = None;
     while attempts < MAX_ATTEMPTS {
@@ -282,9 +296,7 @@ fn deliver_to_server(
             Ok(receipt) => return Ok((receipt, attempts)),
             Err(e) if is_transport(&e) && attempts < MAX_ATTEMPTS => {
                 last_err = Some(e);
-                let exp = BASE_BACKOFF.saturating_mul(1u32 << (attempts - 1));
-                let half = BASE_BACKOFF.as_nanos() as u64 / 2;
-                let backoff = exp + Duration::from_nanos(jitter.next_u64() % half);
+                let backoff = backoff(attempts, &mut jitter);
                 let room = policy.deadline.saturating_sub(start.elapsed());
                 let sleep = backoff.min(room);
                 if !sleep.is_zero() {
@@ -753,6 +765,33 @@ mod tests {
         handle.stop();
         join.join().expect("join").expect("run");
         let _ = std::fs::remove_dir_all(&scratch);
+    }
+
+    #[test]
+    fn backoff_jitter_follows_the_record() {
+        let delays = |record: &Record| {
+            let mut jitter = jitter(record);
+            (1..MAX_ATTEMPTS)
+                .map(|attempt| backoff(attempt, &mut jitter))
+                .collect::<Vec<_>>()
+        };
+        let a = Record::from_text("b", 1, Some(1_000), "");
+        let ms = Duration::from_millis;
+        for (attempt, delay) in (1..).zip(delays(&a)) {
+            let exp = ms(50) * (1 << (attempt - 1));
+            assert!(
+                exp <= delay && delay < exp + ms(25),
+                "retry {attempt}: {delay:?}"
+            );
+        }
+        // One record replays the same sleeps; another timestamp spreads.
+        assert_eq!(delays(&a), delays(&a.clone()));
+        for ts in [1_001, 2_000, 0] {
+            let b = Record::from_text("b", 1, Some(ts), "");
+            assert_ne!(delays(&a)[0], delays(&b)[0], "timestamp {ts}");
+        }
+        let c = Record::from_text("c", 1, Some(1_000), "");
+        assert_ne!(delays(&a)[0], delays(&c)[0]);
     }
 
     #[test]

@@ -35,7 +35,6 @@
 mod clock;
 mod explore;
 mod invariants;
-mod rng;
 mod run;
 mod scheduler;
 pub mod whatif;
@@ -44,8 +43,9 @@ pub mod workloads;
 pub use clock::SimClock;
 pub use explore::{explore_dfs, explore_seeds, ExploreReport};
 pub use invariants::{check_differential, check_profile, fingerprint, Fingerprint, Violation};
-pub use rng::SplitMix64;
+/// The generator behind every seeded choice, re-exported from `pomp`.
+pub use pomp::SplitMix64;
 pub use run::{run_workload, Choices, SimConfig, SimRun};
-pub use scheduler::{Choice, SimScheduler, DEFAULT_SPAWN_COST_NS};
+pub use scheduler::{Choice, ChoiceStream, SimScheduler, DEFAULT_SPAWN_COST_NS};
 pub use whatif::{validate_whatif, WhatIfValidation};
 pub use workloads::{Step, TreeWorkload};

@@ -29,7 +29,7 @@
 //! (always-pick-thread-0 would livelock a barrier poll loop).
 
 use crate::clock::{set_current_tid, SimClock};
-use crate::rng::SplitMix64;
+use pomp::SplitMix64;
 use std::sync::{Condvar, Mutex};
 use taskrt::{AcquireOrder, SchedPoint, SchedulePolicy};
 
@@ -47,11 +47,16 @@ pub struct Choice {
     pub taken: usize,
 }
 
-/// Serialized source of scheduling decisions: an optional script prefix,
-/// then a seeded PRNG (seeded mode) or a fair round-robin counter
-/// (scripted mode). Records everything it decides.
+/// Serialized source of decisions: an optional script prefix, then a
+/// seeded PRNG (seeded mode) or a fair round-robin counter (scripted
+/// mode). Records everything it decides.
+///
+/// Schedules and property-test inputs (`test_util::prop::Gen`) draw
+/// from one: a [`trace`](Self::trace) replayed [`scripted`](Self::scripted)
+/// decides the same again, which the DFS explorer extends and the
+/// property runner shrinks.
 #[derive(Clone, Debug)]
-pub(crate) struct ChoiceStream {
+pub struct ChoiceStream {
     script: Vec<usize>,
     rng: Option<SplitMix64>,
     round_robin: usize,
@@ -59,7 +64,8 @@ pub(crate) struct ChoiceStream {
 }
 
 impl ChoiceStream {
-    fn seeded(seed: u64) -> Self {
+    /// Seeded mode: every decision comes from splitmix64 over `seed`.
+    pub fn seeded(seed: u64) -> Self {
         Self {
             script: Vec::new(),
             rng: Some(SplitMix64::new(seed)),
@@ -68,7 +74,9 @@ impl ChoiceStream {
         }
     }
 
-    fn scripted(script: Vec<usize>) -> Self {
+    /// Scripted mode: decision `i` takes `script[i]` modulo its number of
+    /// options; past the script, decisions fall back to fair round-robin.
+    pub fn scripted(script: Vec<usize>) -> Self {
         Self {
             script,
             rng: None,
@@ -79,7 +87,7 @@ impl ChoiceStream {
 
     /// Decide among `n` options. Trivial decisions (`n < 2`) are not
     /// consulted or recorded, so traces contain only real branch points.
-    fn choose(&mut self, n: usize) -> usize {
+    pub fn choose(&mut self, n: usize) -> usize {
         debug_assert!(n > 0);
         if n < 2 {
             return 0;
@@ -88,7 +96,7 @@ impl ChoiceStream {
         let taken = if pos < self.script.len() {
             self.script[pos] % n
         } else if let Some(rng) = &mut self.rng {
-            rng.below(n)
+            rng.below(n as u64) as usize
         } else {
             let rr = self.round_robin;
             self.round_robin += 1;
@@ -96,6 +104,11 @@ impl ChoiceStream {
         };
         self.trace.push(Choice { options: n, taken });
         taken
+    }
+
+    /// Every decision recorded so far, in order.
+    pub fn trace(&self) -> &[Choice] {
+        &self.trace
     }
 }
 
@@ -229,7 +242,8 @@ impl SimScheduler {
     /// The trace of every recorded decision so far (call after the
     /// parallel region returns for the full schedule).
     pub fn take_trace(&self) -> Vec<Choice> {
-        self.state.lock().expect("sim state poisoned").choices.trace.clone()
+        let st = self.state.lock().expect("sim state poisoned");
+        st.choices.trace().to_vec()
     }
 
     /// Block until the calling thread holds the token.
@@ -344,7 +358,7 @@ impl SchedulePolicy for SimScheduler {
 
     fn steal_start(&self, _tid: usize, nthreads: usize, _round_robin: usize) -> usize {
         let mut st = self.state.lock().expect("sim state poisoned");
-        st.side.below(nthreads.max(1))
+        st.side.below(nthreads.max(1) as u64) as usize
     }
 
     fn acquire_order(&self, _tid: usize) -> AcquireOrder {

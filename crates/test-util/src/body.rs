@@ -8,7 +8,7 @@
 //! ([`crate::fig12::Oracle`]), or both at once.
 
 use pomp::{RegionId, TaskIdAllocator, TaskRef};
-use proptest::prelude::*;
+use crate::prop::Gen;
 use taskprof::{Event, Replayer, SnapNode};
 
 /// What [`emit`] drives.
@@ -87,25 +87,19 @@ pub enum Body {
     Param(i64, Vec<Body>),
 }
 
-/// Strategy over recursive bodies up to the given recursion depth.
-pub fn body_strategy(depth: u32) -> impl Strategy<Value = Body> {
-    let leaf = prop_oneof![any::<u8>().prop_map(Body::Work)];
-    leaf.prop_recursive(depth, 24, 4, |inner| {
-        prop_oneof![
-            (
-                prop_oneof![Just(FOO), Just(BAR), Just(TW)],
-                prop::collection::vec(inner.clone(), 0..3)
-            )
-                .prop_map(|(r, b)| Body::Region(r, b)),
-            (
-                prop_oneof![Just(TASK_A), Just(TASK_B)],
-                prop::collection::vec(inner.clone(), 0..3)
-            )
-                .prop_map(|(r, b)| Body::Child(r, b)),
-            (0i64..5, prop::collection::vec(inner, 0..2))
-                .prop_map(|(v, b)| Body::Param(v, b)),
-        ]
-    })
+/// A body up to `depth` levels of nesting: a leaf one time in three at
+/// every level (always at depth 0), else a region, a child task or a
+/// parameter scope around up to two or three inner bodies.
+pub fn body(g: &mut Gen, depth: u32) -> Body {
+    if depth == 0 || g.below(3) == 0 {
+        return Body::Work(g.u64(..=255) as u8);
+    }
+    let inner = |g: &mut Gen, n| g.vec(0..n, |g| body(g, depth - 1));
+    match g.below(3) {
+        0 => Body::Region(g.pick(&[FOO, BAR, TW]), inner(g, 3)),
+        1 => Body::Child(g.pick(&[TASK_A, TASK_B]), inner(g, 3)),
+        _ => Body::Param(g.u64(0..5) as i64, inner(g, 2)),
+    }
 }
 
 /// Emit the event stream for a body executing as the current instance,

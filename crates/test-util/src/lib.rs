@@ -1,5 +1,9 @@
 //! Shared test utilities for the taskprof suite.
 //!
+//! [`prop`] is the property-test runner: generators draw from
+//! simsched's recorded choice stream, and [`prop::check`] shrinks a
+//! failure by editing the recorded choices.
+//!
 //! Two generators live here so every property suite draws from the same
 //! distribution of task graphs:
 //!
@@ -22,6 +26,7 @@
 pub mod alloc;
 pub mod body;
 pub mod fig12;
+pub mod prop;
 pub mod shape;
 
 /// Text-store-format profile (`cube::read_profile` input) of one thread

@@ -7,8 +7,8 @@
 //! real work-stealing team ([`run_shape`]) or be converted into a
 //! deterministic-simulation workload ([`steps`] / [`tree_workload`]).
 
+use crate::prop::Gen;
 use pomp::Monitor;
-use proptest::prelude::*;
 use simsched::{Step, TreeWorkload};
 use std::sync::atomic::{AtomicU64, Ordering};
 use taskrt::{taskwait_region, ParallelConstruct, TaskConstruct, TaskCtx, Team};
@@ -25,14 +25,13 @@ pub struct Shape {
     pub work: u8,
 }
 
-/// Strategy over small task-tree shapes (up to 3 levels, fanout < 4).
-pub fn shape_strategy() -> impl Strategy<Value = Shape> {
-    (
-        prop::collection::vec(0u8..4, 1..4),
-        prop::collection::vec(any::<bool>(), 4),
-        any::<u8>(),
-    )
-        .prop_map(|(fanout, wait, work)| Shape { fanout, wait, work })
+/// A small task-tree shape: up to 3 levels, fanout < 4.
+pub fn shape(g: &mut Gen) -> Shape {
+    Shape {
+        fanout: g.vec(1..4, |g| g.u64(0..4) as u8),
+        wait: g.vec(4..5, Gen::bool),
+        work: g.u64(..=255) as u8,
+    }
 }
 
 /// Number of explicit tasks a shape creates.

@@ -7,20 +7,17 @@
 //! `tests/golden_profiles.rs` replay through the same check.
 
 use pomp::{TaskIdAllocator, TaskRef};
-use proptest::prelude::*;
 use simsched::workloads::{divisible, fib_like, flat, mixed};
 use simsched::{run_workload, SimConfig};
 use taskprof::{AssignPolicy, Event, Replayer};
-use test_util::body::{body_strategy, emit, Sink, BARRIER, FOO, PAR, TASK_A, TASK_B, TW};
+use test_util::body::{body, emit, Sink, BARRIER, FOO, PAR, TASK_A, TASK_B, TW};
 use test_util::fig12::{profile_of, replay_checked, Oracle};
+use test_util::prop::{check, Gen};
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(512))]
-
-    #[test]
-    fn generated_plans_profile_as_fig12_says(
-        plan in prop::collection::vec(body_strategy(4), 1..6),
-    ) {
+#[test]
+fn generated_plans_profile_as_fig12_says() {
+    let gen = |g: &mut Gen| g.vec(1..6, |g| body(g, 4));
+    check("generated_plans_profile_as_fig12_says", 512, gen, |plan| {
         let ids = TaskIdAllocator::new();
         let mut both = (Replayer::new(PAR, AssignPolicy::Executing), Oracle::new(PAR));
         let mut max_live = 0;
@@ -30,9 +27,9 @@ proptest! {
         both.apply(Event::Exit(BARRIER));
         let (replayer, oracle) = both;
         let oracle = oracle.finish();
-        prop_assert_eq!(oracle.max_live_trees, max_live);
-        prop_assert_eq!(profile_of(&replayer.finish(0)), oracle);
-    }
+        assert_eq!(oracle.max_live_trees, max_live);
+        assert_eq!(profile_of(&replayer.finish(0)), oracle);
+    });
 }
 
 #[test]

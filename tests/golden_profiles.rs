@@ -331,12 +331,6 @@ fn sim_edge_log(w: &simsched::TreeWorkload, threads: usize, seed: u64) -> Vec<ta
     monitor.take_edge_log().expect("region finished")
 }
 
-/// FNV-1a, 64 bits.
-fn fnv1a64(text: &str) -> u64 {
-    let step = |h: u64, b: u8| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, step)
-}
-
 /// `{:?}` of `ev` with every `RegionId(n)` spelled as the region's name:
 /// ids go by registration order, which this binary's tests race for.
 fn debug_by_name(ev: &Event) -> String {
@@ -383,7 +377,7 @@ fn golden_edge_log_exact_outputs() {
                             out,
                             "    stream {tid} origin={} events={events} advance={advanced} fnv={:016x}",
                             stream.origin(),
-                            fnv1a64(&text)
+                            pomp::fnv1a(text.as_bytes())
                         )
                         .unwrap();
                     }

@@ -8,8 +8,8 @@
 //! `cube::read_profile` may allocate per line of profile text.
 
 use pomp::{
-    Clock, ClockReader, ClockSource, EventClass, Monitor, RegionId, TaskId, TaskIdAllocator,
-    TaskRef, ThreadHooks, VirtualClock,
+    Clock, ClockReader, ClockSource, EventClass, Monitor, RegionId, SplitMix64, TaskId,
+    TaskIdAllocator, TaskRef, ThreadHooks, VirtualClock,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -128,30 +128,30 @@ fn nested_tasks(
     th: &impl ThreadHooks,
     clock: &VirtualClock,
     ids: &TaskIdAllocator,
-    rng: &mut Rng,
+    rng: &mut SplitMix64,
     fused: bool,
     parent: Option<TaskId>,
     depth: usize,
 ) {
     let id = ids.alloc();
-    let region = TASKS[rng.below(TASKS.len())];
+    let region = TASKS[below(rng, TASKS.len())];
     th.task_create_begin(CREATE, region, id);
-    clock.advance(1 + rng.next() % 3);
+    clock.advance(1 + rng.next_u64() % 3);
     th.task_create_end(CREATE, id);
     th.task_begin(region, id);
-    for _ in 0..rng.below(4) {
-        clock.advance(1 + rng.next() % 50);
-        if depth < 5 && rng.below(3) != 0 {
+    for _ in 0..below(rng, 4) {
+        clock.advance(1 + rng.next_u64() % 50);
+        if depth < 5 && below(rng, 3) != 0 {
             th.enter(TASKWAIT);
             nested_tasks(th, clock, ids, rng, fused, Some(id), depth + 1);
             th.exit(TASKWAIT);
         } else {
             th.enter(WORK);
-            clock.advance(1 + rng.next() % 20);
+            clock.advance(1 + rng.next_u64() % 20);
             th.exit(WORK);
         }
     }
-    clock.advance(1 + rng.next() % 10);
+    clock.advance(1 + rng.next_u64() % 10);
     match parent {
         Some(parent) => end_and_resume(th, fused, region, id, parent),
         None => th.task_end(region, id),
@@ -170,7 +170,7 @@ fn a_fused_end_and_resume_profiles_records_and_counts_as_the_pair() {
             .record_task_edges()
             .build()
             .expect("valid configuration");
-        let (ids, mut rng) = (TaskIdAllocator::new(), Rng(0xF05E_D0E5_0000_0030));
+        let (ids, mut rng) = (TaskIdAllocator::new(), SplitMix64::new(0xF05E_D0E5_0000_0030));
         monitor.parallel_fork(PAR, 1);
         let th = monitor.thread_begin(0, 1, PAR);
         th.enter(BARRIER);
@@ -253,20 +253,9 @@ fn a_fused_end_and_resume_reads_the_clock_once() {
 // Seeded differential
 // ---------------------------------------------------------------------
 
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        // xorshift64*
-        self.0 ^= self.0 >> 12;
-        self.0 ^= self.0 << 25;
-        self.0 ^= self.0 >> 27;
-        self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
+/// An index below `n`.
+fn below(rng: &mut SplitMix64, n: usize) -> usize {
+    rng.below(n as u64) as usize
 }
 
 /// What the driver knows about one begun, unfinished instance, kept
@@ -292,7 +281,7 @@ struct Totals {
 fn ten_thousand_instances_in_arbitrary_resume_order_match_model_and_replay() {
     const INSTANCES: u64 = 10_000;
     const MAX_SUSPENDED: usize = 48;
-    let mut rng = Rng(0x5EED_1234_ABCD_0013);
+    let mut rng = SplitMix64::new(0x5EED_1234_ABCD_0013);
     let clock = VirtualClock::new();
     let monitor = ProfMonitor::builder()
         .clock(clock.clone())
@@ -312,7 +301,7 @@ fn ten_thousand_instances_in_arbitrary_resume_order_match_model_and_replay() {
     let mut resumed_out_of_order = 0u64;
 
     while ids.allocated() < INSTANCES || current.is_some() || !suspended.is_empty() {
-        let now = clock.advance(1 + rng.next() % 40);
+        let now = clock.advance(1 + rng.next_u64() % 40);
         let may_begin = ids.allocated() < INSTANCES && suspended.len() < MAX_SUSPENDED;
         // Suspend the current instance, inside a fresh taskwait or where
         // it stands, so that something else can run.
@@ -330,14 +319,14 @@ fn ten_thousand_instances_in_arbitrary_resume_order_match_model_and_replay() {
                 suspended.push(id);
             }
         };
-        match rng.below(8) {
+        match below(&mut rng, 8) {
             // Begin a new instance, created by whoever is current.
             0 | 1 if may_begin => {
                 let id = ids.alloc();
-                let region = TASKS[rng.below(TASKS.len())];
+                let region = TASKS[below(&mut rng, TASKS.len())];
                 th.task_create_begin(CREATE, region, id);
                 th.task_create_end(CREATE, id);
-                suspend(&mut live, &mut suspended, &mut current, rng.below(2) == 0);
+                suspend(&mut live, &mut suspended, &mut current, below(&mut rng, 2) == 0);
                 th.task_begin(region, id);
                 live.insert(
                     id,
@@ -353,12 +342,12 @@ fn ten_thousand_instances_in_arbitrary_resume_order_match_model_and_replay() {
             }
             // Resume any suspended instance, wherever it sits.
             2 | 3 if !suspended.is_empty() => {
-                let pick = rng.below(suspended.len());
+                let pick = below(&mut rng, suspended.len());
                 if pick + 1 != suspended.len() {
                     resumed_out_of_order += 1;
                 }
                 let id = suspended.swap_remove(pick);
-                suspend(&mut live, &mut suspended, &mut current, rng.below(2) == 0);
+                suspend(&mut live, &mut suspended, &mut current, below(&mut rng, 2) == 0);
                 th.task_switch(TaskRef::Explicit(id));
                 live.get_mut(&id).expect("suspended instance is live").since = now;
                 current = Some(id);
@@ -374,7 +363,7 @@ fn ten_thousand_instances_in_arbitrary_resume_order_match_model_and_replay() {
                     let inst = live.get_mut(&id).expect("current instance is live");
                     if let Some(innermost) = inst.open.pop() {
                         th.exit(innermost);
-                    } else if rng.below(3) == 0 || ids.allocated() >= INSTANCES {
+                    } else if below(&mut rng, 3) == 0 || ids.allocated() >= INSTANCES {
                         let done = live.remove(&id).expect("current instance is live");
                         let ran = done.ran_ns + (now - done.since);
                         th.task_end(done.region, id);

@@ -12,9 +12,9 @@
 //! same walk, answers it with a typed error or an analysis.
 
 use pomp::{TaskId, TaskRef};
-use proptest::prelude::*;
 use simsched::{run_workload, whatif, SimConfig, Step, TreeWorkload};
 use taskprof::{EdgeStream, Event, RegionEdges};
+use test_util::prop::{check, Gen};
 
 /// A uniform tree: every internal node does `inner` work then spawns
 /// `fanout` children and taskwaits; leaves do `leaf` work. The name is
@@ -93,17 +93,16 @@ fn mutate(streams: &mut [(usize, EdgeStream)], kind: usize, stream: usize, at: u
     *target = EdgeStream::from_events(target.origin(), events);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn a_damaged_stream_is_an_error_or_a_lawful_dag_never_a_panic(
-        (depth, fanout) in (0usize..3, 1usize..4),
-        seed in 0u64..1000,
-        threads in 1usize..4,
-        kind in 0usize..4,
-        (stream, at, other) in (0usize..4, 0usize..10_000, 0usize..10_000),
-    ) {
+#[test]
+fn a_damaged_stream_is_an_error_or_a_lawful_dag_never_a_panic() {
+    let gen = |g: &mut Gen| {
+        let shape = (g.u64(0..3) as usize, g.u64(1..4) as usize);
+        let run = (g.u64(0..1000), g.u64(1..4) as usize);
+        let damage = [g.below(4), g.below(4), g.below(10_000), g.below(10_000)];
+        (shape, run, damage.map(|d| d as usize))
+    };
+    let name = "a_damaged_stream_is_an_error_or_a_lawful_dag_never_a_panic";
+    check(name, 64, gen, |((depth, fanout), (seed, threads), [kind, stream, at, other])| {
         let w = tree(depth, fanout, 30, 70);
         let mut run = run_workload(&w, &SimConfig::seeded(threads, seed));
         mutate(&mut run.streams, kind, stream, at, other);
@@ -120,76 +119,82 @@ proptest! {
         // case simply has to finish.
         if let Ok(dag) = whatif::analyze(&run, &w) {
             if let Ok(trace) = &trace {
-                prop_assert_eq!(trace.switches, dag.fragments());
+                assert_eq!(trace.switches, dag.fragments());
             }
             let thread_sum: u64 = dag.work_by_thread().iter().sum();
-            prop_assert_eq!(thread_sum, dag.work_ns());
+            assert_eq!(thread_sum, dag.work_ns());
             let region_sum: u64 = dag.work_by_region().iter().map(|(_, ns)| ns).sum();
-            prop_assert_eq!(region_sum, dag.work_ns());
-            prop_assert!(dag.span_ns() <= dag.makespan_ns());
-            prop_assert!(dag.makespan_ns() <= dag.work_ns());
-            prop_assert_eq!(dag.report().thread_work_ns.len(), threads);
+            assert_eq!(region_sum, dag.work_ns());
+            assert!(dag.span_ns() <= dag.makespan_ns());
+            assert!(dag.makespan_ns() <= dag.work_ns());
+            assert_eq!(dag.report().thread_work_ns.len(), threads);
         }
-    }
+    });
+}
 
-    #[test]
-    fn work_span_ordering_holds_on_random_trees(
-        depth in 0usize..3,
-        fanout in 1usize..4,
-        inner in 1u64..400,
-        leaf in 1u64..400,
-        seed in 0u64..1000,
-        threads in 2usize..4,
-    ) {
+/// A random tree — depth, fanout, inner and leaf work — and a schedule
+/// seed.
+fn random_tree(g: &mut Gen) -> ((usize, usize, u64, u64), u64) {
+    let shape = (
+        g.u64(0..3) as usize,
+        g.u64(1..4) as usize,
+        g.u64(1..400),
+        g.u64(1..400),
+    );
+    (shape, g.u64(0..1000))
+}
+
+#[test]
+fn work_span_ordering_holds_on_random_trees() {
+    let gen = |g: &mut Gen| (random_tree(g), g.u64(2..4) as usize);
+    let name = "work_span_ordering_holds_on_random_trees";
+    check(name, 64, gen, |(((depth, fanout, inner, leaf), seed), threads)| {
         let w = tree(depth, fanout, inner, leaf);
         let run = run_workload(&w, &SimConfig::seeded(threads, seed));
         let dag = whatif::analyze(&run, &w).expect("simulated streams form a DAG");
 
         // The ordering laws: no schedule beats the logical span, and no
         // path through the run exceeds the total work.
-        prop_assert!(dag.span_ns() <= dag.makespan_ns());
-        prop_assert!(dag.makespan_ns() <= dag.work_ns());
-        prop_assert!(dag.parallelism() >= 1.0);
+        assert!(dag.span_ns() <= dag.makespan_ns());
+        assert!(dag.makespan_ns() <= dag.work_ns());
+        assert!(dag.parallelism() >= 1.0);
 
         // Region decomposition is exact: per-region work sums to total.
         let region_sum: u64 = dag.work_by_region().iter().map(|(_, ns)| ns).sum();
-        prop_assert_eq!(region_sum, dag.work_ns());
+        assert_eq!(region_sum, dag.work_ns());
         let thread_sum: u64 = dag.work_by_thread().iter().sum();
-        prop_assert_eq!(thread_sum, dag.work_ns());
-    }
+        assert_eq!(thread_sum, dag.work_ns());
+    });
+}
 
-    #[test]
-    fn what_if_is_monotone_and_span_bounded(
-        depth in 0usize..3,
-        fanout in 1usize..4,
-        inner in 1u64..400,
-        leaf in 1u64..400,
-        seed in 0u64..1000,
-    ) {
+#[test]
+fn what_if_is_monotone_and_span_bounded() {
+    let name = "what_if_is_monotone_and_span_bounded";
+    check(name, 64, random_tree, |((depth, fanout, inner, leaf), seed)| {
         let w = tree(depth, fanout, inner, leaf);
         let run = run_workload(&w, &SimConfig::seeded(2, seed));
         let dag = whatif::analyze(&run, &w).expect("simulated streams form a DAG");
 
         // K = 1 is the identity hypothesis.
         let unit = dag.what_if(w.task_region(), 1);
-        prop_assert_eq!(unit.predicted_makespan_ns, dag.makespan_ns());
+        assert_eq!(unit.predicted_makespan_ns, dag.makespan_ns());
 
         let mut last = u64::MAX;
         for k in [2u64, 3, 4, 8, 16] {
             let p = dag.what_if(w.task_region(), k);
-            prop_assert_eq!(p.baseline_makespan_ns, dag.makespan_ns());
+            assert_eq!(p.baseline_makespan_ns, dag.makespan_ns());
             // Faster region, never a slower program...
-            prop_assert!(p.predicted_makespan_ns <= dag.makespan_ns());
+            assert!(p.predicted_makespan_ns <= dag.makespan_ns());
             // ...monotone in K...
-            prop_assert!(p.predicted_makespan_ns <= last);
+            assert!(p.predicted_makespan_ns <= last);
             // ...and never below the scaled graph's own logical span.
-            prop_assert!(p.predicted_makespan_ns >= p.predicted_span_ns);
+            assert!(p.predicted_makespan_ns >= p.predicted_span_ns);
             last = p.predicted_makespan_ns;
         }
 
         // Speeding up a region with no recorded work changes nothing.
         let noop = dag.what_if(w.user_region(), 8);
-        prop_assert_eq!(noop.predicted_makespan_ns, dag.makespan_ns());
-        prop_assert_eq!(noop.predicted_span_ns, dag.span_ns());
-    }
+        assert_eq!(noop.predicted_makespan_ns, dag.makespan_ns());
+        assert_eq!(noop.predicted_span_ns, dag.span_ns());
+    });
 }

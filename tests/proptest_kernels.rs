@@ -5,27 +5,34 @@ use bots::fft::{dft_naive, fft, Complex};
 use bots::nqueens::serial_count;
 use bots::sort::sort_slice;
 use pomp::{CountingMonitor, NullMonitor};
-use proptest::prelude::*;
+use test_util::prop::{check, Gen};
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn parallel_sort_sorts_anything(
-        mut data in prop::collection::vec(any::<u32>(), 0..5000),
-        threads in 1usize..4,
-    ) {
+#[test]
+fn parallel_sort_sorts_anything() {
+    let gen = |g: &mut Gen| {
+        (
+            g.vec(0..5000, |g| g.u64(..1 << 32) as u32),
+            g.u64(1..4) as usize,
+        )
+    };
+    check("parallel_sort_sorts_anything", 24, gen, |(mut data, threads)| {
         let mut expect = data.clone();
         expect.sort_unstable();
         sort_slice(&NullMonitor, threads, &mut data);
-        prop_assert_eq!(data, expect);
-    }
+        assert_eq!(data, expect);
+    });
+}
 
-    #[test]
-    fn parallel_fft_matches_naive_dft(
-        raw in prop::collection::vec((-1000i32..1000, -1000i32..1000), 1..5),
-        exp in 4u32..9,
-    ) {
+#[test]
+fn parallel_fft_matches_naive_dft() {
+    let component = |g: &mut Gen| g.u64(..2000) as i32 - 1000;
+    let gen = |g: &mut Gen| {
+        (
+            g.vec(1..5, |g| (component(g), component(g))),
+            g.u64(4..9) as u32,
+        )
+    };
+    check("parallel_fft_matches_naive_dft", 24, gen, |(raw, exp)| {
         // Build a power-of-two input from the raw seed values (cycled).
         let n = 1usize << exp;
         let input: Vec<Complex> = (0..n)
@@ -37,19 +44,18 @@ proptest! {
         let got = fft(&NullMonitor, 2, &input);
         let want = dft_naive(&input);
         for (a, b) in got.iter().zip(&want) {
-            prop_assert!(
+            assert!(
                 (a.re - b.re).abs() < 1e-6 && (a.im - b.im).abs() < 1e-6,
                 "{a:?} vs {b:?}"
             );
         }
-    }
+    });
+}
 
-    #[test]
-    fn fft_is_linear(
-        seed in any::<u64>(),
-        exp in 4u32..8,
-        scale in 1i32..50,
-    ) {
+#[test]
+fn fft_is_linear() {
+    let gen = |g: &mut Gen| (g.u64(..), g.u64(4..8) as u32, g.u64(1..50) as i32);
+    check("fft_is_linear", 24, gen, |(seed, exp, scale)| {
         // FFT(c·x) = c·FFT(x): checks the combine stage's arithmetic.
         let n = 1usize << exp;
         let x = bots::fft::gen_input(n, seed);
@@ -58,31 +64,34 @@ proptest! {
         let fx = fft(&NullMonitor, 2, &x);
         let fsx = fft(&NullMonitor, 2, &scaled);
         for (a, b) in fx.iter().zip(&fsx) {
-            prop_assert!((a.re * c - b.re).abs() < 1e-6);
-            prop_assert!((a.im * c - b.im).abs() < 1e-6);
+            assert!((a.re * c - b.re).abs() < 1e-6);
+            assert!((a.im * c - b.im).abs() < 1e-6);
         }
-    }
+    });
+}
 
-    #[test]
-    fn nqueens_counts_match_bitmask_reference(n in 1usize..8) {
-        // Independent bitmask backtracking implementation.
-        fn bitmask(n: usize, cols: u32, diag1: u32, diag2: u32) -> u64 {
-            let full = (1u32 << n) - 1;
-            if cols == full {
-                return 1;
-            }
-            let mut free = full & !(cols | diag1 | diag2);
-            let mut total = 0;
-            while free != 0 {
-                let bit = free & free.wrapping_neg();
-                free -= bit;
-                total += bitmask(n, cols | bit, (diag1 | bit) << 1, (diag2 | bit) >> 1);
-            }
-            total
+#[test]
+fn nqueens_counts_match_bitmask_reference() {
+    // Independent bitmask backtracking implementation.
+    fn bitmask(n: usize, cols: u32, diag1: u32, diag2: u32) -> u64 {
+        let full = (1u32 << n) - 1;
+        if cols == full {
+            return 1;
         }
-        let mut board = vec![0u8; n];
-        prop_assert_eq!(serial_count(n, &mut board, 0), bitmask(n, 0, 0, 0));
+        let mut free = full & !(cols | diag1 | diag2);
+        let mut total = 0;
+        while free != 0 {
+            let bit = free & free.wrapping_neg();
+            free -= bit;
+            total += bitmask(n, cols | bit, (diag1 | bit) << 1, (diag2 | bit) >> 1);
+        }
+        total
     }
+    let gen = |g: &mut Gen| g.u64(1..8) as usize;
+    check("nqueens_counts_match_bitmask_reference", 24, gen, |n| {
+        let mut board = vec![0u8; n];
+        assert_eq!(serial_count(n, &mut board, 0), bitmask(n, 0, 0, 0));
+    });
 }
 
 #[test]

@@ -5,11 +5,11 @@
 
 use pomp::{registry, RegionKind, TaskIdAllocator};
 use profstore::{ProfileStore, RetentionPolicy, RunWindow, ShardedStore, StoreConfig};
-use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use taskprof::{AssignPolicy, Event, Profile, TeamReplayer};
+use test_util::prop::{check, line, Gen};
 
-/// A unique scratch directory per proptest case (cases run concurrently
+/// A unique scratch directory per property case (cases run concurrently
 /// within one process and leftovers from failed cases must not alias).
 fn scratch_dir(tag: &str) -> std::path::PathBuf {
     static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -47,8 +47,10 @@ fn bench_name(pool: usize) -> String {
 }
 
 /// An ingest sequence: (benchmark pool, timestamp, task duration).
-fn arb_runs() -> impl Strategy<Value = Vec<(usize, u64, u64)>> {
-    prop::collection::vec((0usize..5, 0u64..1000, 1u64..500), 1..25)
+fn runs(g: &mut Gen) -> Vec<(usize, u64, u64)> {
+    g.vec(1..25, |g| {
+        (g.u64(0..5) as usize, g.u64(0..1000), g.u64(1..500))
+    })
 }
 
 /// Tiny segments so rotation — and therefore real GC segment rewrites —
@@ -60,39 +62,37 @@ fn tiny_segments() -> StoreConfig {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Routing is a pure total function: always in range and identical
-    /// on every call — which is exactly what "stable across reopen"
-    /// reduces to, since a reopen re-runs the same function on the same
-    /// recorded identity and shard count.
-    #[test]
-    fn routing_is_total_and_stable(
-        bench in ".{0,24}",
-        run_id in any::<u64>(),
-        shards in 1usize..16,
-    ) {
+/// Routing is a pure total function: always in range and identical
+/// on every call — which is exactly what "stable across reopen"
+/// reduces to, since a reopen re-runs the same function on the same
+/// recorded identity and shard count.
+#[test]
+fn routing_is_total_and_stable() {
+    let gen = |g: &mut Gen| (line(g, 0..25), g.u64(..), g.u64(1..16) as usize);
+    check("routing_is_total_and_stable", 16, gen, |(bench, run_id, shards)| {
         let k = ShardedStore::route(&bench, run_id, shards);
-        prop_assert!(k < shards);
+        assert!(k < shards);
         for _ in 0..3 {
-            prop_assert_eq!(k, ShardedStore::route(&bench, run_id, shards));
+            assert_eq!(k, ShardedStore::route(&bench, run_id, shards));
         }
         // A named benchmark routes independently of the run id.
         if !bench.is_empty() {
-            prop_assert_eq!(k, ShardedStore::route(&bench, run_id.wrapping_add(1), shards));
+            assert_eq!(
+                k,
+                ShardedStore::route(&bench, run_id.wrapping_add(1), shards)
+            );
         }
         // The empty name falls back to the id hash and stays in range.
-        prop_assert!(ShardedStore::route("", run_id, shards) < shards);
-    }
+        assert!(ShardedStore::route("", run_id, shards) < shards);
+    });
+}
 
-    /// Every acked run survives a reopen in a shard the router still
-    /// selects: load-by-id finds it and the metadata round-trips.
-    #[test]
-    fn reopen_finds_every_run_where_routing_put_it(
-        runs in arb_runs(),
-        shards in 1u32..6,
-    ) {
+/// Every acked run survives a reopen in a shard the router still
+/// selects: load-by-id finds it and the metadata round-trips.
+#[test]
+fn reopen_finds_every_run_where_routing_put_it() {
+    let gen = |g: &mut Gen| (runs(g), g.u64(1..6) as u32);
+    check("reopen_finds_every_run_where_routing_put_it", 16, gen, |(runs, shards)| {
         let dir = scratch_dir("reopen");
         let mut acked = Vec::new();
         {
@@ -105,70 +105,87 @@ proptest! {
             }
         }
         let store = ShardedStore::open_with(&dir, shards, tiny_segments()).expect("reopen");
-        prop_assert_eq!(store.len(), runs.len());
+        assert_eq!(store.len(), runs.len());
         for &(id, pool, ts) in &acked {
             let (meta, _) = store.load(id).expect("acked run present after reopen");
-            prop_assert_eq!(&meta.benchmark, &bench_name(pool));
-            prop_assert_eq!(meta.timestamp_ns, ts);
+            assert_eq!(&meta.benchmark, &bench_name(pool));
+            assert_eq!(meta.timestamp_ns, ts);
         }
         let _ = std::fs::remove_dir_all(&dir);
-    }
+    });
+}
 
-    /// Sharding is invisible to queries: for the same ingest sequence, a
-    /// sharded store and a single store produce byte-identical
-    /// aggregates and trends for every group, windowed or not.
-    #[test]
-    fn fan_in_equals_single_store_fold(
-        runs in arb_runs(),
-        shards in 2u32..6,
-        last in (any::<bool>(), 1u64..30).prop_map(|(some, v)| some.then_some(v)),
-        since_ns in (any::<bool>(), 0u64..1000).prop_map(|(some, v)| some.then_some(v)),
-    ) {
+/// Sharding is invisible to queries: for the same ingest sequence, a
+/// sharded store and a single store produce byte-identical
+/// aggregates and trends for every group, windowed or not.
+#[test]
+fn fan_in_equals_single_store_fold() {
+    let gen = |g: &mut Gen| {
+        let (runs, shards) = (runs(g), g.u64(2..6) as u32);
+        let window = RunWindow {
+            last: g.option(|g| g.u64(1..30)),
+            since_ns: g.option(|g| g.u64(0..1000)),
+        };
+        (runs, shards, window)
+    };
+    check("fan_in_equals_single_store_fold", 16, gen, |(runs, shards, window)| {
         let sharded_dir = scratch_dir("fanin");
         let single_dir = scratch_dir("fanin-single");
-        let sharded =
-            ShardedStore::open_with(&sharded_dir, shards, tiny_segments()).expect("open sharded");
+        let sharded = ShardedStore::open_with(&sharded_dir, shards, tiny_segments())
+            .expect("open sharded");
         let mut single =
             ProfileStore::open_with(&single_dir, tiny_segments()).expect("open single");
         for &(pool, ts, dur) in &runs {
             // Both stores assign sequential global ids from 1, so the
             // same ingest order gives the same run identities.
             let p = small_profile(dur);
-            let a = sharded.ingest(&bench_name(pool), 2, ts, &p).expect("sharded ingest");
-            let b = single.ingest(&bench_name(pool), 2, ts, &p).expect("single ingest");
-            prop_assert_eq!(a.run_id, b.run_id);
+            let a = sharded
+                .ingest(&bench_name(pool), 2, ts, &p)
+                .expect("sharded ingest");
+            let b = single
+                .ingest(&bench_name(pool), 2, ts, &p)
+                .expect("single ingest");
+            assert_eq!(a.run_id, b.run_id);
         }
-        let window = RunWindow { last, since_ns };
         for pool in 0..5 {
             let bench = bench_name(pool);
-            let a = sharded.aggregate_window(&bench, 2, &window).expect("sharded agg");
-            let b = single.aggregate_window(&bench, 2, &window).expect("single agg");
-            prop_assert_eq!(
-                format!("{a:?}"), format!("{b:?}"),
-                "aggregate diverges for {:?} window {:?}", bench, window
+            let a = sharded
+                .aggregate_window(&bench, 2, &window)
+                .expect("sharded agg");
+            let b = single
+                .aggregate_window(&bench, 2, &window)
+                .expect("single agg");
+            assert_eq!(
+                format!("{a:?}"),
+                format!("{b:?}"),
+                "aggregate diverges for {:?} window {:?}",
+                bench,
+                window
             );
             let ta = sharded.trend(&bench, 2, &window, 3).expect("sharded trend");
             let tb = single.trend(&bench, 2, &window, 3).expect("single trend");
-            prop_assert_eq!(
-                format!("{ta:?}"), format!("{tb:?}"),
-                "trend diverges for {:?} window {:?}", bench, window
+            assert_eq!(
+                format!("{ta:?}"),
+                format!("{tb:?}"),
+                "trend diverges for {:?} window {:?}",
+                bench,
+                window
             );
         }
         drop(sharded);
         drop(single);
         let _ = std::fs::remove_dir_all(&sharded_dir);
         let _ = std::fs::remove_dir_all(&single_dir);
-    }
+    });
+}
 
-    /// The timestamp-cutoff sweep drops exactly the runs below the
-    /// cutoff: never one at or above it, and the report's arithmetic
-    /// accounts for every ingested run.
-    #[test]
-    fn gc_never_removes_a_run_at_or_above_the_cutoff(
-        runs in arb_runs(),
-        shards in 1u32..6,
-        cutoff in 0u64..1200,
-    ) {
+/// The timestamp-cutoff sweep drops exactly the runs below the
+/// cutoff: never one at or above it, and the report's arithmetic
+/// accounts for every ingested run.
+#[test]
+fn gc_never_removes_a_run_at_or_above_the_cutoff() {
+    let gen = |g: &mut Gen| (runs(g), g.u64(1..6) as u32, g.u64(0..1200));
+    check("gc_never_removes_a_run_at_or_above_the_cutoff", 16, gen, |(runs, shards, cutoff)| {
         let dir = scratch_dir("gc");
         let store = ShardedStore::open_with(&dir, shards, tiny_segments()).expect("open");
         let mut acked = Vec::new();
@@ -184,30 +201,33 @@ proptest! {
                 min_timestamp_ns: Some(cutoff),
             })
             .expect("gc");
-        let survivors: Vec<&(u64, u64)> = acked.iter().filter(|&&(_, ts)| ts >= cutoff).collect();
-        prop_assert_eq!(
+        let survivors: Vec<&(u64, u64)> =
+            acked.iter().filter(|&&(_, ts)| ts >= cutoff).collect();
+        assert_eq!(
             store.len() + report.dropped_runs as usize,
             runs.len(),
             "sweep dropped and kept counts must cover every run"
         );
-        prop_assert_eq!(store.len(), survivors.len());
+        assert_eq!(store.len(), survivors.len());
         for &&(id, ts) in &survivors {
-            prop_assert!(
+            assert!(
                 store.load(id).is_ok(),
-                "run {} (ts {}) at/above cutoff {} was removed", id, ts, cutoff
+                "run {} (ts {}) at/above cutoff {} was removed",
+                id,
+                ts,
+                cutoff
             );
         }
         let _ = std::fs::remove_dir_all(&dir);
-    }
+    });
+}
 
-    /// The keep-last sweep always retains the newest `keep` runs of
-    /// every (benchmark, threads) group, across all shards.
-    #[test]
-    fn gc_keep_last_retains_the_newest_runs_of_every_group(
-        runs in arb_runs(),
-        shards in 1u32..6,
-        keep in 1u64..8,
-    ) {
+/// The keep-last sweep always retains the newest `keep` runs of
+/// every (benchmark, threads) group, across all shards.
+#[test]
+fn gc_keep_last_retains_the_newest_runs_of_every_group() {
+    let gen = |g: &mut Gen| (runs(g), g.u64(1..6) as u32, g.u64(1..8));
+    check("gc_keep_last_retains_the_newest_runs_of_every_group", 16, gen, |(runs, shards, keep)| {
         let dir = scratch_dir("keep");
         let store = ShardedStore::open_with(&dir, shards, tiny_segments()).expect("open");
         let mut acked: Vec<(u64, usize)> = Vec::new();
@@ -230,12 +250,14 @@ proptest! {
                 .map(|&(id, _)| id)
                 .collect();
             for &id in ids.iter().rev().take(keep as usize) {
-                prop_assert!(
+                assert!(
                     store.load(id).is_ok(),
-                    "run {} is among the newest {} of its group but was removed", id, keep
+                    "run {} is among the newest {} of its group but was removed",
+                    id,
+                    keep
                 );
             }
         }
         let _ = std::fs::remove_dir_all(&dir);
-    }
+    });
 }

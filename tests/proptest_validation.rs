@@ -9,8 +9,8 @@
 //! finalized profile.
 
 use pomp::{Monitor, TaskId, TaskRef, ThreadHooks, ValidatingMonitor};
-use proptest::prelude::*;
 use taskprof::ProfMonitor;
+use test_util::prop::{check, Gen};
 
 /// One raw hook call, decodable from three small integers.
 #[derive(Debug, Clone, Copy)]
@@ -20,8 +20,16 @@ struct RawOp {
     task: u8,
 }
 
-fn arb_op() -> impl Strategy<Value = RawOp> {
-    (0u8..11, 0u8..3, 1u8..6).prop_map(|(op, region, task)| RawOp { op, region, task })
+fn op(g: &mut Gen) -> RawOp {
+    RawOp {
+        op: g.u64(0..11) as u8,
+        region: g.u64(0..3) as u8,
+        task: g.u64(1..6) as u8,
+    }
+}
+
+fn ops(g: &mut Gen) -> Vec<RawOp> {
+    g.vec(0..60, op)
 }
 
 fn fixture_regions() -> [pomp::RegionId; 3] {
@@ -53,16 +61,12 @@ fn apply(th: &impl ThreadHooks, regions: &[pomp::RegionId; 3], o: RawOp) {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// Any hook sequence — however ill-formed — passes through the
-    /// validator into the strict profiler without panicking, and the
-    /// profile finalizes (no live instances leak past thread_end).
-    #[test]
-    fn validated_arbitrary_streams_never_panic_the_profiler(
-        ops in prop::collection::vec(arb_op(), 0..60),
-    ) {
+/// Any hook sequence — however ill-formed — passes through the
+/// validator into the strict profiler without panicking, and the
+/// profile finalizes (no live instances leak past thread_end).
+#[test]
+fn validated_arbitrary_streams_never_panic_the_profiler() {
+    check("validated_arbitrary_streams_never_panic_the_profiler", 256, ops, |ops| {
         let regions = fixture_regions();
         let v = ValidatingMonitor::new(ProfMonitor::new());
         let th = v.thread_begin(0, 1, regions[0]);
@@ -71,7 +75,7 @@ proptest! {
         }
         v.thread_end(0, th);
         let p = v.inner().take_profile().expect("no region in flight");
-        prop_assert_eq!(p.threads.len(), 1);
+        assert_eq!(p.threads.len(), 1);
         // Finalized: the implicit root's time is accounted and no
         // negative exclusive time appears anywhere.
         let mut ok = true;
@@ -80,15 +84,15 @@ proptest! {
                 ok = false;
             }
         });
-        prop_assert!(ok, "negative exclusive time in healed profile");
-    }
+        assert!(ok, "negative exclusive time in healed profile");
+    });
+}
 
-    /// The validator itself never panics on arbitrary streams, and every
-    /// diagnostic it reports renders (Display is total).
-    #[test]
-    fn validator_diagnostics_always_render(
-        ops in prop::collection::vec(arb_op(), 0..60),
-    ) {
+/// The validator itself never panics on arbitrary streams, and every
+/// diagnostic it reports renders (Display is total).
+#[test]
+fn validator_diagnostics_always_render() {
+    check("validator_diagnostics_always_render", 256, ops, |ops| {
         let regions = fixture_regions();
         let v = ValidatingMonitor::new(pomp::NullMonitor);
         let th = v.thread_begin(0, 1, regions[0]);
@@ -97,16 +101,16 @@ proptest! {
         }
         v.thread_end(0, th);
         for d in v.take_diagnostics() {
-            prop_assert!(!d.to_string().is_empty());
+            assert!(!d.to_string().is_empty());
         }
-    }
+    });
+}
 
-    /// A validated stream is idempotent: feeding the repaired stream
-    /// through a second validator yields zero new diagnostics.
-    #[test]
-    fn repaired_streams_validate_clean(
-        ops in prop::collection::vec(arb_op(), 0..60),
-    ) {
+/// A validated stream is idempotent: feeding the repaired stream
+/// through a second validator yields zero new diagnostics.
+#[test]
+fn repaired_streams_validate_clean() {
+    check("repaired_streams_validate_clean", 256, ops, |ops| {
         let regions = fixture_regions();
         let inner = ValidatingMonitor::new(pomp::NullMonitor);
         let v = ValidatingMonitor::new(&inner);
@@ -115,49 +119,39 @@ proptest! {
             apply(&th, &regions, o);
         }
         v.thread_end(0, th);
-        prop_assert!(
+        assert!(
             inner.is_clean(),
             "second pass found defects: {:?}",
             inner.take_diagnostics()
         );
-    }
+    });
+}
 
-    /// Point-corrupted profile files parse or fail with position context —
-    /// they never panic, and reported positions lie within the input.
-    #[test]
-    fn corrupted_profile_files_fail_with_position(
-        seed in any::<u64>(),
-        flips in 1usize..6,
-    ) {
-        let text = sample_profile_text();
-        let corrupted = corrupt(&text, seed, flips);
+/// Point-corrupted profile files parse or fail with position context —
+/// they never panic, and reported positions lie within the input.
+#[test]
+fn corrupted_profile_files_fail_with_position() {
+    let gen = |g: &mut Gen| g.vec(1..6, |g| (g.u64(..), g.below(0x5e)));
+    check("corrupted_profile_files_fail_with_position", 256, gen, |flips| {
+        let corrupted = corrupt(&sample_profile_text(), &flips);
         match cube::read_profile(&corrupted) {
             Ok(_) => {}
             Err(e) => {
-                prop_assert!(e.line <= corrupted.lines().count() + 1, "{e}");
+                assert!(e.line <= corrupted.lines().count() + 1, "{e}");
                 let shown = e.to_string();
-                prop_assert!(shown.contains("line"), "{shown}");
+                assert!(shown.contains("line"), "{shown}");
             }
         }
-    }
-
+    });
 }
 
-/// Deterministically substitute `flips` bytes of `text` (printable ASCII
-/// replacements, so the result stays valid UTF-8).
-fn corrupt(text: &str, seed: u64, flips: usize) -> String {
+/// Substitute one byte per flip — at the flip's position modulo the
+/// length, by a printable ASCII byte, so the result stays valid UTF-8.
+fn corrupt(text: &str, flips: &[(u64, u64)]) -> String {
     let mut bytes = text.as_bytes().to_vec();
-    let mut state = seed | 1;
-    let mut next = move || {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        state
-    };
-    for _ in 0..flips {
-        if bytes.is_empty() {
-            break;
-        }
-        let pos = (next() % bytes.len() as u64) as usize;
-        bytes[pos] = 0x21 + (next() % 0x5e) as u8;
+    for &(pos, byte) in flips {
+        let len = bytes.len() as u64;
+        bytes[(pos % len) as usize] = 0x21 + byte as u8;
     }
     String::from_utf8_lossy(&bytes).into_owned()
 }

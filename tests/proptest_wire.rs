@@ -17,136 +17,148 @@ use profserve::{
     RegressReport, Request, Response, ServerStatsReport, StatsReport, TopReport, TrendReport,
 };
 use profstore::{RunWindow, StoreStats, TrendBucket};
-use proptest::prelude::*;
+use std::ops::Range;
 use taskprof_telemetry::ServiceSnapshot;
+use test_util::prop::{check, line, Gen};
 
 /// Decoder-side payload cap used by every property: large enough that no
 /// generated frame ever trips it, so `FrameError::TooLarge` only appears
 /// when corruption inflates the length header.
 const MAX_PAYLOAD: usize = 1 << 20;
 
-fn arb_payload() -> impl Strategy<Value = ProfilePayload> {
-    prop_oneof![
-        ".{0,80}".prop_map(ProfilePayload::Text),
-        prop::collection::vec(any::<u8>(), 0..120).prop_map(ProfilePayload::Record),
-    ]
+fn payload(g: &mut Gen) -> ProfilePayload {
+    match g.below(2) {
+        0 => ProfilePayload::Text(line(g, 0..81)),
+        _ => ProfilePayload::Record(bytes(g, 0..120)),
+    }
 }
 
-/// `Option<u64>` out of primitives (the vendored proptest has no
-/// `prop::option`).
-fn arb_opt_u64() -> impl Strategy<Value = Option<u64>> {
-    (any::<bool>(), any::<u64>()).prop_map(|(some, v)| some.then_some(v))
+fn bytes(g: &mut Gen, len: Range<usize>) -> Vec<u8> {
+    g.vec(len, |g| g.u64(..=255) as u8)
 }
 
-fn arb_window() -> impl Strategy<Value = RunWindow> {
-    (arb_opt_u64(), arb_opt_u64()).prop_map(|(last, since_ns)| RunWindow { last, since_ns })
+/// A lowercase word of 1 to 12 letters, and `_` too when `underscore`.
+fn word(g: &mut Gen, underscore: bool) -> String {
+    let letters = if underscore { 27 } else { 26 };
+    g.vec(1..13, |g| match g.below(letters) {
+        26 => '_',
+        k => char::from(b'a' + k as u8),
+    })
+    .into_iter()
+    .collect()
 }
 
-fn arb_record() -> impl Strategy<Value = Record> {
-    ("[a-z_]{1,12}", 1u32..8, arb_opt_u64(), arb_payload()).prop_map(
-        |(benchmark, threads, timestamp_ns, profile)| Record {
-            benchmark,
-            threads,
-            timestamp_ns,
-            profile,
+fn opt_u64(g: &mut Gen) -> Option<u64> {
+    g.option(|g| g.u64(..))
+}
+
+fn window(g: &mut Gen) -> RunWindow {
+    RunWindow {
+        last: opt_u64(g),
+        since_ns: opt_u64(g),
+    }
+}
+
+fn record(g: &mut Gen) -> Record {
+    Record {
+        benchmark: word(g, true),
+        threads: g.u64(1..8) as u32,
+        timestamp_ns: opt_u64(g),
+        profile: payload(g),
+    }
+}
+
+fn frames(g: &mut Gen) -> Vec<Vec<u8>> {
+    g.vec(0..4, |g| bytes(g, 0..64))
+}
+
+fn request(g: &mut Gen) -> Request {
+    match g.below(12) {
+        0 => Request::Stats,
+        1 => Request::StatsPrometheus,
+        2 => Request::Hello {
+            version: g.u64(..1 << 32) as u32,
+            features: g.u64(..),
+            // Any short secret, empty too: the codec must not care.
+            auth: g.option(|g| line(g, 0..25)),
         },
-    )
-}
-
-/// Optional `HELLO` auth secret (arbitrary short strings, including
-/// empty — the codec must not care what the secret looks like).
-fn arb_auth() -> impl Strategy<Value = Option<String>> {
-    (any::<bool>(), ".{0,24}").prop_map(|(some, s)| some.then_some(s))
-}
-
-fn arb_request() -> impl Strategy<Value = Request> {
-    prop_oneof![
-        (any::<u32>(), any::<u64>(), arb_auth()).prop_map(|(version, features, auth)| {
-            Request::Hello {
-                version,
-                features,
-                auth,
-            }
-        }),
-        arb_record().prop_map(Request::Ingest),
-        prop::collection::vec(arb_record(), 0..4).prop_map(Request::IngestBatch),
-        ("[a-z]{1,12}", 1u32..8, 0usize..50, arb_window()).prop_map(
-            |(benchmark, threads, n, window)| Request::QueryTop {
-                benchmark,
-                threads,
-                n,
-                window,
-            }
-        ),
-        ("[a-z]{1,12}", 1u32..8, arb_window()).prop_map(|(benchmark, threads, window)| {
-            Request::QueryStats {
-                benchmark,
-                threads,
-                window,
-            }
-        }),
-        (
-            ("[a-z]{1,12}", 1u32..8, arb_payload()),
-            (
-                (any::<bool>(), 0.0f64..10.0).prop_map(|(some, v)| some.then_some(v)),
-                arb_opt_u64(),
-                arb_opt_u64(),
-                arb_window(),
-            ),
-        )
-            .prop_map(
-                |((benchmark, threads, profile), (threshold, min_runs, min_delta_ns, window))| {
-                    Request::QueryRegress {
-                        benchmark,
-                        threads,
-                        profile,
-                        threshold,
-                        min_runs,
-                        min_delta_ns,
-                        window,
-                    }
-                },
-            ),
-        ("[a-z]{1,12}", 1u32..8, 1u32..16, arb_window()).prop_map(
-            |(benchmark, threads, buckets, window)| Request::QueryTrend {
-                benchmark,
-                threads,
-                buckets,
-                window,
-            }
-        ),
-        Just(Request::Stats),
-        Just(Request::StatsPrometheus),
-        arb_opt_u64().prop_map(|interval_ms| Request::Subscribe { interval_ms }),
-        (any::<u64>(), any::<u64>()).prop_map(|(after, max)| Request::Export { after, max }),
-        prop::collection::vec(prop::collection::vec(any::<u8>(), 0..64), 0..4)
-            .prop_map(|frames| Request::Apply { frames }),
-    ]
+        3 => Request::Ingest(record(g)),
+        4 => Request::IngestBatch(g.vec(0..4, record)),
+        5 => Request::QueryTop {
+            benchmark: word(g, false),
+            threads: g.u64(1..8) as u32,
+            n: g.u64(0..50) as usize,
+            window: window(g),
+        },
+        6 => Request::QueryStats {
+            benchmark: word(g, false),
+            threads: g.u64(1..8) as u32,
+            window: window(g),
+        },
+        7 => Request::QueryRegress {
+            benchmark: word(g, false),
+            threads: g.u64(1..8) as u32,
+            profile: payload(g),
+            threshold: g.option(|g| g.unit_f64() * 10.0),
+            min_runs: opt_u64(g),
+            min_delta_ns: opt_u64(g),
+            window: window(g),
+        },
+        8 => Request::QueryTrend {
+            benchmark: word(g, false),
+            threads: g.u64(1..8) as u32,
+            buckets: g.u64(1..16) as u32,
+            window: window(g),
+        },
+        9 => Request::Subscribe {
+            interval_ms: opt_u64(g),
+        },
+        10 => Request::Export {
+            after: g.u64(..),
+            max: g.u64(..),
+        },
+        _ => Request::Apply { frames: frames(g) },
+    }
 }
 
 /// Floats the JSON wire carries exactly: its four-decimal rounding leaves
 /// sixteenths alone.
-fn arb_f64() -> impl Strategy<Value = f64> {
-    (0u64..1 << 40).prop_map(|k| k as f64 / 16.0)
+fn exact_f64(g: &mut Gen) -> f64 {
+    g.u64(..1 << 40) as f64 / 16.0
 }
 
-fn arb_u64s(n: usize) -> impl Strategy<Value = Vec<u64>> {
-    prop::collection::vec(any::<u64>(), n..n + 1)
+fn u64s<const N: usize>(g: &mut Gen) -> [u64; N] {
+    std::array::from_fn(|_| g.u64(..))
 }
 
-fn arb_metric() -> impl Strategy<Value = MetricReport> {
-    (arb_u64s(4), arb_f64()).prop_map(|(v, mean_ns)| MetricReport {
-        runs: v[0],
-        sum_ns: v[1],
-        min_ns: v[2],
-        max_ns: v[3],
-        mean_ns,
-    })
+fn metric(g: &mut Gen) -> MetricReport {
+    let [runs, sum_ns, min_ns, max_ns] = u64s(g);
+    MetricReport {
+        runs,
+        sum_ns,
+        min_ns,
+        max_ns,
+        mean_ns: exact_f64(g),
+    }
 }
 
-fn arb_server_stats() -> impl Strategy<Value = ServerStatsReport> {
-    let latency = prop::collection::vec((".{0,12}", ".{0,4}", arb_u64s(5)), 0..3);
-    (arb_u64s(21), any::<bool>(), latency).prop_map(|(v, read_only, latency)| ServerStatsReport {
+fn server_stats(g: &mut Gen) -> ServerStatsReport {
+    let v: [u64; 21] = u64s(g);
+    let read_only = g.bool();
+    let latency = g.vec(0..3, |g| {
+        let (verb, proto) = (line(g, 0..13), line(g, 0..5));
+        let [count, sum_ns, max_ns, p50_ns, p99_ns] = u64s(g);
+        LatencyStat {
+            verb,
+            proto,
+            count,
+            sum_ns,
+            max_ns,
+            p50_ns,
+            p99_ns,
+        }
+    });
+    ServerStatsReport {
         service: ServiceSnapshot {
             connections: v[0],
             shed_connections: v[1],
@@ -173,183 +185,171 @@ fn arb_server_stats() -> impl Strategy<Value = ServerStatsReport> {
         },
         open_timestamp_ns: v[19],
         uptime_secs: v[20],
-        latency: latency
-            .into_iter()
-            .map(|(verb, proto, l)| LatencyStat {
-                verb,
-                proto,
-                count: l[0],
-                sum_ns: l[1],
-                max_ns: l[2],
-                p50_ns: l[3],
-                p99_ns: l[4],
-            })
-            .collect(),
-    })
+        latency,
+    }
 }
 
-fn arb_response() -> impl Strategy<Value = Response> {
-    let rows = prop::collection::vec((".{0,24}", arb_metric()), 0..4);
-    let findings = prop::collection::vec((".{0,24}", any::<u64>(), arb_f64(), arb_f64()), 0..4);
-    let frames = prop::collection::vec(prop::collection::vec(any::<u8>(), 0..64), 0..4);
-    prop_oneof![
-        (any::<u32>(), any::<u64>())
-            .prop_map(|(version, features)| Response::Hello { version, features }),
-        arb_u64s(4).prop_map(|v| Response::Ingest(IngestReceipt {
-            first_run_id: v[0],
-            count: v[1],
-            bytes: v[2],
-            segment: v[3],
-        })),
-        (".{0,24}", any::<u32>(), any::<u64>(), rows).prop_map(
-            |(benchmark, threads, runs, rows)| Response::Top(TopReport {
+fn response(g: &mut Gen) -> Response {
+    match g.below(15) {
+        0 => Response::Hello {
+            version: g.u64(..1 << 32) as u32,
+            features: g.u64(..),
+        },
+        1 => {
+            let [first_run_id, count, bytes, segment] = u64s(g);
+            Response::Ingest(IngestReceipt {
+                first_run_id,
+                count,
+                bytes,
+                segment,
+            })
+        }
+        2 => Response::Top(TopReport {
+            benchmark: line(g, 0..25),
+            threads: g.u64(..1 << 32) as u32,
+            runs: g.u64(..),
+            regions: g.vec(0..4, |g| RegionRow {
+                region: line(g, 0..25),
+                metric: metric(g),
+            }),
+        }),
+        3 => {
+            let (benchmark, threads) = (line(g, 0..25), g.u64(..1 << 32) as u32);
+            let [runs, constructs, tree_mismatches] = u64s(g);
+            Response::Stats(StatsReport {
                 benchmark,
                 threads,
                 runs,
-                regions: rows
-                    .into_iter()
-                    .map(|(region, metric)| RegionRow { region, metric })
-                    .collect(),
+                total_ns: metric(g),
+                constructs,
+                tree_mismatches,
             })
-        ),
-        (".{0,24}", any::<u32>(), arb_u64s(3), arb_metric()).prop_map(
-            |(benchmark, threads, v, total_ns)| Response::Stats(StatsReport {
-                benchmark,
-                threads,
-                runs: v[0],
-                total_ns,
-                constructs: v[1],
-                tree_mismatches: v[2],
-            })
-        ),
-        (any::<bool>(), any::<u64>(), arb_f64(), findings).prop_map(
-            |(regressed, baseline_runs, threshold, findings)| Response::Regress(RegressReport {
-                regressed,
-                baseline_runs,
-                threshold,
-                findings: findings
-                    .into_iter()
-                    .map(|(region, new_ns, mean_ns, ratio)| RegressFinding {
-                        region,
-                        new_ns,
-                        mean_ns,
-                        ratio,
-                    })
-                    .collect(),
-            })
-        ),
-        (
-            ".{0,24}",
-            any::<u32>(),
-            any::<u64>(),
-            prop::collection::vec(arb_u64s(6), 0..4)
-        )
-            .prop_map(
-                |(benchmark, threads, runs, buckets)| Response::Trend(TrendReport {
-                    benchmark,
-                    threads,
+        }
+        4 => Response::Regress(RegressReport {
+            regressed: g.bool(),
+            baseline_runs: g.u64(..),
+            threshold: exact_f64(g),
+            findings: g.vec(0..4, |g| RegressFinding {
+                region: line(g, 0..25),
+                new_ns: g.u64(..),
+                mean_ns: exact_f64(g),
+                ratio: exact_f64(g),
+            }),
+        }),
+        5 => Response::Trend(TrendReport {
+            benchmark: line(g, 0..25),
+            threads: g.u64(..1 << 32) as u32,
+            runs: g.u64(..),
+            buckets: g.vec(0..4, |g| {
+                let [runs, sum_ns, min_ns, max_ns, first_timestamp_ns, last_timestamp_ns] = u64s(g);
+                TrendBucket {
                     runs,
-                    buckets: buckets
-                        .into_iter()
-                        .map(|b| TrendBucket {
-                            runs: b[0],
-                            sum_ns: b[1],
-                            min_ns: b[2],
-                            max_ns: b[3],
-                            first_timestamp_ns: b[4],
-                            last_timestamp_ns: b[5],
-                        })
-                        .collect(),
-                })
-            ),
-        arb_server_stats().prop_map(Response::ServerStats),
-        ".{0,80}".prop_map(Response::Prometheus),
-        any::<u64>().prop_map(|interval_ms| Response::Subscribed { interval_ms }),
-        (any::<u64>(), arb_server_stats())
-            .prop_map(|(t_ns, stats)| Response::Event(Notification::Telemetry { t_ns, stats })),
-        (arb_u64s(3), ".{0,24}", any::<u32>()).prop_map(|(v, benchmark, threads)| {
+                    sum_ns,
+                    min_ns,
+                    max_ns,
+                    first_timestamp_ns,
+                    last_timestamp_ns,
+                }
+            }),
+        }),
+        6 => Response::ServerStats(server_stats(g)),
+        7 => Response::Prometheus(line(g, 0..81)),
+        8 => Response::Subscribed {
+            interval_ms: g.u64(..),
+        },
+        9 => Response::Event(Notification::Telemetry {
+            t_ns: g.u64(..),
+            stats: server_stats(g),
+        }),
+        10 => {
+            let [first_run_id, count, bytes] = u64s(g);
             Response::Event(Notification::Ingest {
-                first_run_id: v[0],
-                count: v[1],
-                bytes: v[2],
-                benchmark,
-                threads,
+                first_run_id,
+                count,
+                bytes,
+                benchmark: line(g, 0..25),
+                threads: g.u64(..1 << 32) as u32,
             })
-        }),
-        any::<u64>().prop_map(|dropped| Response::Event(Notification::Lagged { dropped })),
-        (frames, any::<u64>(), any::<bool>()).prop_map(|(frames, watermark, done)| {
-            Response::ExportChunk {
-                frames,
+        }
+        11 => Response::Event(Notification::Lagged { dropped: g.u64(..) }),
+        12 => Response::ExportChunk {
+            frames: frames(g),
+            watermark: g.u64(..),
+            done: g.bool(),
+        },
+        13 => {
+            let [applied, skipped, watermark] = u64s(g);
+            Response::Applied {
+                applied,
+                skipped,
                 watermark,
-                done,
             }
-        }),
-        arb_u64s(3).prop_map(|v| Response::Applied {
-            applied: v[0],
-            skipped: v[1],
-            watermark: v[2],
-        }),
-        (0u8..7, ".{0,40}").prop_map(|(byte, message)| Response::Error {
-            kind: ErrorKind::from_byte(byte).expect("seven kinds"),
-            message,
-        }),
-    ]
+        }
+        _ => Response::Error {
+            kind: ErrorKind::from_byte(g.below(7) as u8).expect("seven kinds"),
+            message: line(g, 0..41),
+        },
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn frame_parser_never_panics_on_arbitrary_bytes(
-        bytes in prop::collection::vec(any::<u8>(), 0..600),
-    ) {
+#[test]
+fn frame_parser_never_panics_on_arbitrary_bytes() {
+    let gen = |g: &mut Gen| bytes(g, 0..600);
+    check("frame_parser_never_panics_on_arbitrary_bytes", 64, gen, |bytes| {
         let _ = try_frame(&bytes, MAX_PAYLOAD);
-    }
+    });
+}
 
-    #[test]
-    fn payload_decoders_never_panic_on_arbitrary_bytes(
-        bytes in prop::collection::vec(any::<u8>(), 0..600),
-    ) {
+#[test]
+fn payload_decoders_never_panic_on_arbitrary_bytes() {
+    let gen = |g: &mut Gen| bytes(g, 0..600);
+    check("payload_decoders_never_panic_on_arbitrary_bytes", 64, gen, |bytes| {
         let _ = decode_request(&bytes);
         let _ = decode_response(&bytes);
-    }
+    });
+}
 
-    #[test]
-    fn requests_round_trip_through_frame_and_codec(req in arb_request()) {
+#[test]
+fn requests_round_trip_through_frame_and_codec() {
+    check("requests_round_trip_through_frame_and_codec", 64, request, |req| {
         let framed = frame(&encode_request(&req));
         let (payload, consumed) = try_frame(&framed, MAX_PAYLOAD)
             .expect("valid frame")
             .expect("complete frame");
-        prop_assert_eq!(consumed, framed.len());
-        prop_assert_eq!(decode_request(payload).expect("valid payload"), req);
-    }
+        assert_eq!(consumed, framed.len());
+        assert_eq!(decode_request(payload).expect("valid payload"), req);
+    });
+}
 
-    #[test]
-    fn responses_round_trip_through_frame_and_codec(resp in arb_response()) {
+#[test]
+fn responses_round_trip_through_frame_and_codec() {
+    check("responses_round_trip_through_frame_and_codec", 64, response, |resp| {
         let framed = frame(&encode_response(&resp));
         let (payload, consumed) = try_frame(&framed, MAX_PAYLOAD)
             .expect("valid frame")
             .expect("complete frame");
-        prop_assert_eq!(consumed, framed.len());
-        prop_assert_eq!(decode_response(payload).expect("valid payload"), resp);
-    }
+        assert_eq!(consumed, framed.len());
+        assert_eq!(decode_response(payload).expect("valid payload"), resp);
+    });
+}
 
-    #[test]
-    fn truncated_frames_wait_for_more_data(req in arb_request(), cut in 0.0f64..1.0) {
+#[test]
+fn truncated_frames_wait_for_more_data() {
+    let gen = |g: &mut Gen| (request(g), g.unit_f64());
+    check("truncated_frames_wait_for_more_data", 64, gen, |(req, cut)| {
         // Any strict prefix of a valid frame is an incomplete read, never
         // a decoded frame and never an error: the reactor must keep the
         // connection open and wait for the remaining bytes.
         let framed = frame(&encode_request(&req));
         let keep = ((framed.len() as f64 * cut) as usize).min(framed.len() - 1);
-        prop_assert!(matches!(try_frame(&framed[..keep], MAX_PAYLOAD), Ok(None)));
-    }
+        assert!(matches!(try_frame(&framed[..keep], MAX_PAYLOAD), Ok(None)));
+    });
+}
 
-    #[test]
-    fn bit_flips_never_pass_undetected(
-        req in arb_request(),
-        pos in any::<usize>(),
-        bit in 0u8..8,
-    ) {
+#[test]
+fn bit_flips_never_pass_undetected() {
+    let gen = |g: &mut Gen| (request(g), g.u64(..) as usize, g.below(8));
+    check("bit_flips_never_pass_undetected", 64, gen, |(req, pos, bit)| {
         let framed = frame(&encode_request(&req));
         let original = try_frame(&framed, MAX_PAYLOAD)
             .expect("valid frame")
@@ -363,12 +363,19 @@ proptest! {
         // flipped payload or checksum must fail the CRC. What must never
         // happen is the original payload coming back as if intact.
         if let Ok(Some((payload, _))) = try_frame(&corrupt, MAX_PAYLOAD) {
-            prop_assert!(payload != original, "bit flip at byte {} went undetected", idx);
+            assert!(
+                payload != original,
+                "bit flip at byte {} went undetected",
+                idx
+            );
         }
-    }
+    });
+}
 
-    #[test]
-    fn truncated_payloads_never_decode_to_the_original(req in arb_request(), cut in 0.0f64..1.0) {
+#[test]
+fn truncated_payloads_never_decode_to_the_original() {
+    let gen = |g: &mut Gen| (request(g), g.unit_f64());
+    check("truncated_payloads_never_decode_to_the_original", 64, gen, |(req, cut)| {
         let payload = encode_request(&req);
         // One deliberate exception: the HELLO auth extension is a trailing
         // optional field, and the decoder accepts a pre-auth HELLO that
@@ -379,11 +386,11 @@ proptest! {
             let keep = ((payload.len() as f64 * cut) as usize).min(payload.len() - 1);
             if !(compat_hello && keep == payload.len() - 1) {
                 if let Ok(decoded) = decode_request(&payload[..keep]) {
-                    prop_assert_ne!(decoded, req);
+                    assert_ne!(decoded, req);
                 }
             }
         }
-    }
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -394,7 +401,7 @@ proptest! {
 /// and end at any offset from a `"`, a `\\`, a control character (short
 /// and `\\u00XX` forms), and two-, three- and four-byte scalars up to
 /// the edges of the surrogate gap.
-fn arb_json_char() -> impl Strategy<Value = char> {
+fn json_char(g: &mut Gen) -> char {
     const SPECIAL: [char; 20] = [
         '"',
         '\\',
@@ -417,63 +424,79 @@ fn arb_json_char() -> impl Strategy<Value = char> {
         '🦀',
         '\u{10ffff}',
     ];
-    (0usize..40, any::<char>()).prop_map(|(pick, other)| *SPECIAL.get(pick).unwrap_or(&other))
+    match g.below(40) as usize {
+        pick @ 0..20 => SPECIAL[pick],
+        _ => any_char(g),
+    }
 }
 
-fn arb_json_string() -> impl Strategy<Value = String> {
-    prop::collection::vec(arb_json_char(), 0..48).prop_map(|chars| chars.into_iter().collect())
+/// Any `char`: mostly printable ASCII, one time in eight any scalar.
+fn any_char(g: &mut Gen) -> char {
+    match g.below(8) {
+        7 => char::from_u32(g.u64(..0x11_0000) as u32).unwrap_or('\u{fffd}'),
+        _ => char::from(0x20 + g.below(0x5f) as u8),
+    }
+}
+
+fn json_string(g: &mut Gen) -> String {
+    g.vec(0..48, json_char).into_iter().collect()
 }
 
 /// Trees whose numbers are already in the form the parser hands back:
 /// a non-negative integral value is a `UInt`, so `Num` holds negatives
-/// and fractions only.
-fn arb_json() -> impl Strategy<Value = Json> {
-    let leaf = prop_oneof![
-        Just(Json::Null),
-        any::<bool>().prop_map(Json::Bool),
-        any::<u64>().prop_map(Json::UInt),
-        (1i64..1_000_000).prop_map(|n| Json::Num(-(n as f64))),
-        (-1_000_000i64..1_000_000).prop_map(|n| Json::Num(n as f64 + 0.5)),
-        arb_json_string().prop_map(Json::Str),
-    ];
-    leaf.prop_recursive(3, 24, 4, |inner| {
-        prop_oneof![
-            prop::collection::vec(inner.clone(), 0..4).prop_map(Json::Arr),
-            prop::collection::vec((arb_json_string(), inner), 0..4).prop_map(Json::Obj),
-        ]
-    })
+/// and fractions only. Up to `depth` levels of arrays and objects.
+fn json(g: &mut Gen, depth: u32) -> Json {
+    if depth == 0 || g.below(3) == 0 {
+        return match g.below(6) {
+            0 => Json::Null,
+            1 => Json::Bool(g.bool()),
+            2 => Json::UInt(g.u64(..)),
+            3 => Json::Num(-(g.u64(1..1_000_000) as f64)),
+            4 => Json::Num(g.u64(..2_000_000) as f64 - 1_000_000.0 + 0.5),
+            _ => Json::Str(json_string(g)),
+        };
+    }
+    match g.below(2) {
+        0 => Json::Arr(g.vec(0..4, |g| json(g, depth - 1))),
+        _ => Json::Obj(g.vec(0..4, |g| (json_string(g), json(g, depth - 1)))),
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn json_strings_round_trip(s in arb_json_string()) {
+#[test]
+fn json_strings_round_trip() {
+    check("json_strings_round_trip", 256, json_string, |s| {
         let line = Json::Str(s.clone()).to_string();
-        prop_assert!(!line.contains('\n'), "a line must stay one line: {line:?}");
-        prop_assert_eq!(parse_json(&line).expect("own output parses"), Json::Str(s));
-    }
+        assert!(!line.contains('\n'), "a line must stay one line: {line:?}");
+        assert_eq!(parse_json(&line).expect("own output parses"), Json::Str(s));
+    });
+}
 
-    #[test]
-    fn json_trees_round_trip(v in arb_json()) {
-        prop_assert_eq!(parse_json(&v.to_string()).expect("own output parses"), v);
-    }
+#[test]
+fn json_trees_round_trip() {
+    let gen = |g: &mut Gen| json(g, 3);
+    check("json_trees_round_trip", 256, gen, |v| {
+        assert_eq!(parse_json(&v.to_string()).expect("own output parses"), v);
+    });
+}
 
-    #[test]
-    fn cut_or_corrupted_request_lines_never_panic(
-        req in arb_request(),
-        pos in any::<usize>(),
-        bit in 0u8..8,
-    ) {
+#[test]
+fn cut_or_corrupted_request_lines_never_panic() {
+    let gen = |g: &mut Gen| (request(g), g.u64(..) as usize, g.below(8));
+    check("cut_or_corrupted_request_lines_never_panic", 256, gen, |(req, pos, bit)| {
         let line = req.to_json_line();
-        prop_assert_eq!(
-            Request::from_json_line(&line).expect("own output parses").to_json_line(),
+        assert_eq!(
+            Request::from_json_line(&line)
+                .expect("own output parses")
+                .to_json_line(),
             line.clone()
         );
         // No strict prefix of an object is a complete document.
         let cut = &line.as_bytes()[..pos % line.len()];
         if let Ok(prefix) = std::str::from_utf8(cut) {
-            prop_assert!(Request::from_json_line(prefix).is_err(), "accepted {prefix:?}");
+            assert!(
+                Request::from_json_line(prefix).is_err(),
+                "accepted {prefix:?}"
+            );
         }
         let mut corrupt = line.into_bytes();
         let idx = pos % corrupt.len();
@@ -482,7 +505,7 @@ proptest! {
             let _ = parse_json(text);
             let _ = Request::from_json_line(text);
         }
-    }
+    });
 }
 
 /// Profile text that needs every writer escape: `\n` per line, `"` and
@@ -587,20 +610,20 @@ fn textual(req: Request) -> Request {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn both_encodings_decode_every_request_alike(req in arb_request()) {
+#[test]
+fn both_encodings_decode_every_request_alike() {
+    check("both_encodings_decode_every_request_alike", 256, request, |req| {
         let over_json = Request::from_json_line(&req.to_json_line()).expect("own line parses");
         let over_bin = decode_request(&encode_request(&req)).expect("own payload decodes");
-        prop_assert_eq!(textual(over_json), textual(over_bin));
-    }
+        assert_eq!(textual(over_json), textual(over_bin));
+    });
+}
 
-    #[test]
-    fn both_encodings_decode_every_response_alike(resp in arb_response()) {
+#[test]
+fn both_encodings_decode_every_response_alike() {
+    check("both_encodings_decode_every_response_alike", 256, response, |resp| {
         let over_json = Response::from_json_line(&resp.to_json_line());
         let over_bin = decode_response(&encode_response(&resp)).map_err(|e| e.to_string());
-        prop_assert_eq!(over_json, over_bin);
-    }
+        assert_eq!(over_json, over_bin);
+    });
 }

@@ -7,11 +7,10 @@
 //! `TASKPROF_EXPLORE_SEEDS` scales the per-workload sweep (CI smoke uses
 //! a small value; the default here is the acceptance bar).
 
-use proptest::strategy::Strategy;
-use proptest::test_runner::TestRng;
 use simsched::workloads::{fib_like, flat, mixed};
 use simsched::{explore_dfs, explore_seeds, run_workload, SimConfig};
-use test_util::shape::{shape_strategy, tree_workload};
+use test_util::prop::Gen;
+use test_util::shape::{shape, tree_workload};
 
 fn seeds_per_workload(default: u64) -> u64 {
     std::env::var("TASKPROF_EXPLORE_SEEDS")
@@ -50,12 +49,11 @@ fn built_in_workloads_survive_a_seed_sweep() {
 fn generated_shapes_survive_a_seed_sweep() {
     // Draw task-graph shapes from the same generator the runtime property
     // tests use, with a fixed generator seed so the corpus is stable.
-    let mut rng = TestRng::from_seed(0x5EED_5EED_5EED_5EED);
-    let strategy = shape_strategy();
+    let mut g = Gen::seeded(0x5EED_5EED_5EED_5EED);
     let per = seeds_per_workload(32);
     let mut total_runs = 0usize;
     for _ in 0..8 {
-        let shape = strategy.generate(&mut rng);
+        let shape = shape(&mut g);
         let w = tree_workload(&shape);
         let report = explore_seeds(&w, 2, 0..per);
         total_runs += report.runs;
