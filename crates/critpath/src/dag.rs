@@ -30,17 +30,34 @@
 //! # Storage
 //!
 //! Everything is addressed by index; nothing is allocated or hashed per
-//! vertex. The walk keeps one table of [`Task`]s (implicit tasks
-//! included) with the current task an index into it; the one `TaskId` map
-//! is consulted only where an event *names* a task. A vertex is 16 bytes
-//! and carries its program-order predecessor, the one logical edge almost
-//! every vertex has; the others go to one `(to, from)` list as they are
-//! found and are bucketed, stably, into compressed rows ([`Csr`]), so each
-//! vertex keeps its predecessors in discovery order (the order the
-//! critical-path walk breaks ties in). Streams are walked one after
-//! another, so schedule edges are not stored: the schedule predecessor of
-//! `v` is `v - 1` unless `v` opens a stream. Regions are interned, which
-//! makes every per-region fold an array sum.
+//! vertex, and nothing is allocated per task. The walk keeps one table of
+//! [`Task`]s (implicit tasks included) with the current task an index
+//! into it; the one `TaskId` map is consulted only where an event *names*
+//! a task. A task's unjoined children and the undeferred children whose
+//! ends wait for its next vertex are lists threaded through the table
+//! ([`Chain`]). A vertex is 16 bytes and carries its program-order
+//! predecessor, the one logical edge almost every vertex has; the others
+//! go to one `(to, from)` list as they are found and are bucketed,
+//! stably, into compressed rows ([`Csr`]), so each vertex keeps its
+//! predecessors in discovery order (the order the critical-path walk
+//! breaks ties in). Streams are walked one after another, so schedule
+//! edges are not stored: the schedule predecessor of `v` is `v - 1`
+//! unless `v` opens a stream. Regions are interned, which makes every
+//! per-region fold an array sum.
+//!
+//! # Order
+//!
+//! Vertices are appended, so a program-order or schedule predecessor
+//! always has the smaller index, and each stream is in order as it
+//! stands. Only a vertex with a predecessor outside the stretch of its
+//! own stream before it can be held back; the walk lists those *blocked*
+//! vertices as it makes them. The topological order the solver follows
+//! is a list of index runs: the streams are merged round-robin, each
+//! advancing to its first blocked vertex with a predecessor not yet
+//! placed. One stream, or streams whose cross-stream edges all point
+//! forward, give the single run `[0, n)`; a round in which no stream
+//! advances is a cycle. Finish times do not depend on which topological
+//! order is followed.
 //!
 //! # Undeferred creation carving
 //!
@@ -146,6 +163,9 @@ impl Hasher for IdHasher {
     fn write_u64(&mut self, id: u64) {
         self.0 = (self.0 ^ id).wrapping_mul(pomp::GOLDEN_GAMMA);
     }
+    fn write_usize(&mut self, id: usize) {
+        self.write_u64(id as u64);
+    }
     fn finish(&self) -> u64 {
         self.0.rotate_left(26)
     }
@@ -183,6 +203,13 @@ impl Node {
     fn region(&self) -> u32 {
         self.attr & !OPENS_STREAM
     }
+
+    /// Streams are walked one after another and every vertex chains to
+    /// the previous one of its thread, so the schedule predecessor of
+    /// vertex `v` is `v - 1` unless `v` opens a stream.
+    fn chained(&self) -> bool {
+        self.attr & OPENS_STREAM == 0
+    }
 }
 
 /// Adjacency in compressed rows: the neighbours of `v` are
@@ -195,25 +222,33 @@ struct Csr {
 
 impl Csr {
     /// Bucket `(row, item)` pairs by row, keeping each row's items in the
-    /// order the pairs come (a counting sort).
+    /// order the pairs come (a counting sort). `start[row + 1]` is the
+    /// row's fill cursor, from its first slot to its last, which is where
+    /// the next row begins.
     fn bucket(rows: usize, pairs: &[(u32, u32)]) -> Csr {
         let mut start = vec![0u32; rows + 1];
         for &(row, _) in pairs {
             start[row as usize + 1] += 1;
         }
-        for row in 0..rows {
-            start[row + 1] += start[row];
+        let mut first = 0;
+        for slot in &mut start[1..] {
+            (*slot, first) = (first, first + *slot);
         }
-        let (mut cursor, mut items) = (start.clone(), vec![0u32; pairs.len()]);
+        let mut items = vec![0u32; pairs.len()];
         for &(row, item) in pairs {
-            items[cursor[row as usize] as usize] = item;
-            cursor[row as usize] += 1;
+            let cursor = &mut start[row as usize + 1];
+            items[*cursor as usize] = item;
+            *cursor += 1;
         }
         Csr { start, items }
     }
 
     fn row(&self, v: usize) -> &[u32] {
         &self.items[self.start[v] as usize..self.start[v + 1] as usize]
+    }
+
+    fn rows(&self) -> impl Iterator<Item = &[u32]> {
+        (0..self.start.len() - 1).map(|row| self.row(row))
     }
 }
 
@@ -225,8 +260,9 @@ pub struct TaskDag {
     /// barrier), each row in discovery order.
     joins: Csr,
     /// Topological order of the full (logical + schedule) graph — also a
-    /// valid order for the logical subgraph.
-    topo: Vec<u32>,
+    /// valid order for the logical subgraph — as `[start, end)` index
+    /// runs (see the module docs).
+    runs: Vec<(u32, u32)>,
     /// The regions work is attributed to; `Node::attr` indexes this.
     regions: Vec<RegionId>,
     /// Longest path over logical + schedule edges, solved once, when
@@ -250,12 +286,14 @@ struct Task {
     frames: Option<FrameStack>,
     /// Last vertex of the task's program-order chain.
     last: u32,
-    /// Join edges waiting to attach to the task's *next* vertex (ends of
-    /// its undeferred children).
-    pending_join: Vec<u32>,
-    /// Children (task indices) created and not yet joined at a taskwait.
-    unjoined: Vec<u32>,
-    /// `task_create_end` vertex (deferred tasks).
+    /// By [`Chain`]: the list of children the task owns.
+    lists: [List; 2],
+    /// By [`Chain`]: the next task on the list this task is on, `NONE`
+    /// at its tail, `UNLISTED` on none.
+    next: [u32; 2],
+    /// `task_create_end` vertex (deferred tasks) and end vertex: the
+    /// first of each, so an edge resolved after the walk leaves the vertex
+    /// the walk saw.
     create_vertex: u32,
     end_vertex: u32,
     /// Threads (stream positions) that created and first ran the task.
@@ -273,8 +311,8 @@ impl Task {
             id,
             frames,
             last: NONE,
-            pending_join: Vec::new(),
-            unjoined: Vec::new(),
+            lists: [List::EMPTY; 2],
+            next: [UNLISTED; 2],
             create_vertex: NONE,
             end_vertex: NONE,
             creator: NONE,
@@ -289,6 +327,29 @@ impl Task {
         DagError::MissingTask { id, what }
     }
 }
+
+/// The lists threaded through the task table, each owned by a parent.
+#[derive(Clone, Copy)]
+enum Chain {
+    /// Children created and not yet joined at a taskwait.
+    Unjoined,
+    /// Undeferred children whose ends join the parent's *next* vertex.
+    Pending,
+}
+
+/// A list's first and last task, `NONE` when empty.
+#[derive(Clone, Copy)]
+struct List {
+    head: u32,
+    tail: u32,
+}
+
+impl List {
+    const EMPTY: List = List { head: NONE, tail: NONE };
+}
+
+/// `Task::next` of a task on no list of that chain.
+const UNLISTED: u32 = NONE - 1;
 
 /// An interned region.
 struct Region {
@@ -322,10 +383,6 @@ pub(crate) trait Reader {
 /// The DAG alone.
 impl Reader for () {}
 
-/// One thread's exit from a barrier occurrence: the vertex preceding
-/// the exit (if the thread did anything before it) and the exit vertex.
-type BarrierExit = (Option<u32>, u32);
-
 #[derive(Default)]
 pub(crate) struct Builder {
     nodes: Vec<Node>,
@@ -337,6 +394,11 @@ pub(crate) struct Builder {
     tid: usize,
     stream_start: u32,
     pending: u64,
+    /// First vertex of each stream.
+    starts: Vec<u32>,
+    /// Vertices that may wait for one outside the stretch of their own
+    /// stream before them, ascending (see the module docs).
+    blocked: Vec<u32>,
     tasks: Vec<Task>,
     /// The one lookup keyed by `TaskId`, consulted only where an event
     /// names a task.
@@ -348,9 +410,11 @@ pub(crate) struct Builder {
     /// Unresolved cross-thread edges: (child task, target vertex).
     create_edges: Vec<(u32, u32)>,
     join_edges: Vec<(u32, u32)>,
-    /// Barrier exits grouped by (barrier region, occurrence).
-    barrier_exits: HashMap<(RegionId, usize), Vec<BarrierExit>>,
-    barrier_count: HashMap<(usize, RegionId), usize>,
+    /// Barrier exits as `(occurrence, exit vertex)`; an occurrence is a
+    /// (barrier region, per-thread count) pair, numbered as first met.
+    barrier_exits: Vec<(u32, u32)>,
+    barrier_occurrences: IdMap<(RegionId, u32)>,
+    barrier_count: IdMap<(usize, RegionId)>,
     begun: u64,
     resumes: u64,
     /// Tasks created and work done by each thread, by stream position.
@@ -363,12 +427,63 @@ impl Builder {
     /// inline joins that waited for the task's next vertex.
     fn vertex(&mut self, task: usize, weight: u64, attr: u32) -> u32 {
         let v = self.nodes.len() as u32;
-        let task = &mut self.tasks[task];
-        let prog = std::mem::replace(&mut task.last, v);
+        let prog = std::mem::replace(&mut self.tasks[task].last, v);
         let attr = if v == self.stream_start { attr | OPENS_STREAM } else { attr };
         self.nodes.push(Node { weight, attr, prog });
-        self.edges.extend(task.pending_join.drain(..).map(|end| (v, end)));
+        if prog < self.stream_start {
+            self.block(v);
+        }
+        while let Some(child) = self.pop(Chain::Pending, task) {
+            self.edge(v, self.tasks[child].end_vertex);
+        }
         v
+    }
+
+    /// A logical edge into the newest vertex `to` from an older one.
+    fn edge(&mut self, to: u32, from: u32) {
+        self.edges.push((to, from));
+        if from < self.stream_start {
+            self.block(to);
+        }
+    }
+
+    /// Mark the newest vertex `v` as blocked.
+    fn block(&mut self, v: u32) {
+        if self.blocked.last() != Some(&v) {
+            self.blocked.push(v);
+        }
+    }
+
+    /// Append `child` to `owner`'s list of `chain`. A task already on a
+    /// list of that chain stays where it is, so an event doubled in a
+    /// damaged stream cannot close a list into a loop.
+    fn append(&mut self, chain: Chain, owner: usize, child: usize) {
+        let c = chain as usize;
+        if self.tasks[child].next[c] != UNLISTED {
+            return;
+        }
+        self.tasks[child].next[c] = NONE;
+        let list = &mut self.tasks[owner].lists[c];
+        match std::mem::replace(&mut list.tail, child as u32) {
+            NONE => list.head = child as u32,
+            tail => self.tasks[tail as usize].next[c] = child as u32,
+        }
+    }
+
+    /// Take the first task off `owner`'s list of `chain`.
+    fn pop(&mut self, chain: Chain, owner: usize) -> Option<usize> {
+        let c = chain as usize;
+        let head = self.tasks[owner].lists[c].head;
+        if head == NONE {
+            return None;
+        }
+        let next = std::mem::replace(&mut self.tasks[head as usize].next[c], UNLISTED);
+        let list = &mut self.tasks[owner].lists[c];
+        list.head = next;
+        if next == NONE {
+            list.tail = NONE;
+        }
+        Some(head as usize)
     }
 
     /// Weight-0 anchor vertex for an event belonging to `task`.
@@ -481,42 +596,50 @@ impl Builder {
         let mut b = Builder::default();
         let parallel = Frame::Region(parallel_region, b.region(parallel_region));
 
-        // At most a vertex per event — an anchor per hook, an interval per
-        // advance — and one more per begin when creations are carved: each
-        // array is allocated once, at its size. (Each pass decodes the words
-        // again; `for_each` keeps the decoder's loop inside each stream.)
-        let (mut events, mut begins) = (0, 0);
+        // One decode before the walk, across ALL streams — a stolen task's
+        // creation lives in a different stream than its execution. It
+        // counts the vertices to come (at most one per event — an anchor
+        // per hook, an interval per advance — and one more per begin when
+        // creations are carved), so each array is allocated once, at its
+        // size; and it learns which tasks are deferred (announced by a
+        // create event) and each construct's creation region. The deferred
+        // ids wait in a list until the task table and its map are sized.
+        // (`for_each` keeps the decoder's loop inside each stream.)
+        let (mut events, mut begins, mut deferred) = (0, 0, Vec::new());
         each_event(streams, |ev| {
             events += 1;
-            begins += usize::from(matches!(ev, Event::TaskBegin { .. }));
-        });
-        let carved = if opts.undeferred_spawn_cost.is_some() { begins } else { 0 };
-        b.nodes.reserve_exact(events + carved);
-        b.tasks.reserve_exact(begins + streams.len());
-        b.task_index.reserve(begins);
-
-        // Pre-pass: learn which tasks are deferred (announced by a create
-        // event) and each construct's creation region, across ALL streams —
-        // a stolen task's creation lives in a different stream than its
-        // execution.
-        each_event(streams, |ev| {
-            if let Event::CreateBegin { create, task_region, id } = ev {
-                let task = b.task(id);
-                b.tasks[task].deferred = true;
-                let (create, task_region) = (b.region(create), b.region(task_region));
-                b.regions[task_region as usize].create = create;
+            match ev {
+                Event::TaskBegin { .. } => begins += 1,
+                Event::CreateBegin { create, task_region, id } => {
+                    deferred.push(id);
+                    let (create, task_region) = (b.region(create), b.region(task_region));
+                    b.regions[task_region as usize].create = create;
+                }
+                _ => {}
             }
         });
+        b.tasks.reserve_exact(begins + streams.len());
+        b.task_index.reserve(begins);
+        for id in deferred {
+            let task = b.task(id);
+            b.tasks[task].deferred = true;
+        }
+        let carved = if opts.undeferred_spawn_cost.is_some() { begins } else { 0 };
+        b.nodes.reserve_exact(events + carved);
 
+        b.starts.reserve_exact(streams.len());
         b.creates_by.reserve_exact(streams.len());
         b.work_by_thread.reserve_exact(streams.len());
         for (position, (tid, stream)) in streams.iter().enumerate() {
             reader.stream(stream.origin());
             let thread = position as u32;
             (b.tid, b.stream_start) = (*tid, b.nodes.len() as u32);
+            b.starts.push(b.stream_start);
             let implicit = b.tasks.len();
             b.tasks.push(Task::new(None, Some(vec![parallel])));
             let (mut current, mut creates) = (implicit, 0);
+            // The child the open create frame announced, for its end.
+            let mut creating: Option<(TaskId, usize)> = None;
             for ev in stream.events() {
                 // The task the event names and the region it opens or
                 // closes, for the reader.
@@ -532,21 +655,32 @@ impl Builder {
                     }
                     Event::Exit(r) => {
                         b.interval(current, None)?;
-                        // The thread's previous vertex, if it has made one.
-                        let pre = b.nodes.len() as u32;
-                        let pre = (pre != b.stream_start).then(|| pre - 1);
                         let v = b.anchor(current);
                         let region = b.close(current, Some(r), &ev)?;
                         match b.regions[region as usize].kind() {
                             RegionKind::Taskwait => {
-                                let children = b.tasks[current].unjoined.drain(..);
-                                b.join_edges.extend(children.map(|child| (child, v)));
+                                // Resolved after the walk; `v` is blocked unless
+                                // every child ended earlier on this stream.
+                                let mut wait = false;
+                                while let Some(child) = b.pop(Chain::Unjoined, current) {
+                                    b.join_edges.push((child as u32, v));
+                                    wait |= !(b.stream_start..v).contains(&b.tasks[child].end_vertex);
+                                }
+                                if wait {
+                                    b.block(v);
+                                }
                             }
                             RegionKind::ImplicitBarrier | RegionKind::ExplicitBarrier => {
                                 let k = b.barrier_count.entry((b.tid, r)).or_insert(0);
                                 let occurrence = *k;
                                 *k += 1;
-                                b.barrier_exits.entry((r, occurrence)).or_default().push((pre, v));
+                                let next = b.barrier_occurrences.len() as u32;
+                                let at = *b.barrier_occurrences.entry((r, occurrence)).or_insert(next);
+                                b.barrier_exits.push((at, v));
+                                // Every other thread's pre-exit vertex joins it.
+                                if streams.len() > 1 {
+                                    b.block(v);
+                                }
                             }
                             _ => {}
                         }
@@ -558,7 +692,8 @@ impl Builder {
                         b.open(current, create)?;
                         let child = b.task(id);
                         b.tasks[child].creator = thread;
-                        b.tasks[current].unjoined.push(child as u32);
+                        b.append(Chain::Unjoined, current, child);
+                        creating = Some((id, child));
                         creates += 1;
                         (child, NONE)
                     }
@@ -566,8 +701,14 @@ impl Builder {
                         b.interval(current, None)?;
                         let v = b.anchor(current);
                         b.close(current, Some(create), &ev)?;
-                        let child = b.task(id);
-                        b.tasks[child].create_vertex = v;
+                        let child = match creating.take() {
+                            Some((announced, child)) if announced == id => child,
+                            _ => b.task(id),
+                        };
+                        let child_vertex = &mut b.tasks[child].create_vertex;
+                        if *child_vertex == NONE {
+                            *child_vertex = v;
+                        }
                         (child, NONE)
                     }
                     Event::TaskBegin { region, id } => {
@@ -589,13 +730,20 @@ impl Builder {
                         b.tasks[task].frames = Some(frames);
                         let v = b.anchor(task);
                         if undeferred {
-                            b.edges.extend(carved.or(creator_last).map(|src| (v, src)));
-                            b.tasks[current].unjoined.push(task as u32);
+                            if let Some(src) = carved.or(creator_last) {
+                                b.edge(v, src);
+                            }
+                            b.append(Chain::Unjoined, current, task);
                             b.tasks[task].inline_parent = current as u32;
                             b.tasks[task].creator = thread;
                             creates += 1;
                         } else {
+                            // Resolved after the walk; `v` is blocked unless
+                            // the creation came earlier on this stream.
                             b.create_edges.push((task as u32, v));
+                            if !(b.stream_start..v).contains(&b.tasks[task].create_vertex) {
+                                b.block(v);
+                            }
                         }
                         b.tasks[task].first = thread;
                         b.begun += 1;
@@ -609,10 +757,13 @@ impl Builder {
                         };
                         b.interval(task, None)?;
                         let v = b.anchor(task);
-                        b.tasks[task].end_vertex = v;
+                        let end = &mut b.tasks[task].end_vertex;
+                        if *end == NONE {
+                            *end = v;
+                        }
                         let parent = std::mem::replace(&mut b.tasks[task].inline_parent, NONE);
                         if parent != NONE {
-                            b.tasks[parent as usize].pending_join.push(v);
+                            b.append(Chain::Pending, parent as usize, task);
                         }
                         b.spare_frames.extend(b.tasks[task].frames.take());
                         current = implicit;
@@ -667,7 +818,8 @@ impl TaskDag {
         opts: &DagOptions,
     ) -> Result<TaskDag, DagError> {
         let mut b = Builder::walk(streams, parallel_region, opts, &mut ())?;
-        let barrier_edges = b.barrier_exits.values().map(|exits| exits.len() * exits.len());
+        let barriers = Csr::bucket(b.barrier_occurrences.len(), &b.barrier_exits);
+        let barrier_edges = barriers.rows().map(|exits| exits.len() * exits.len());
         b.edges.reserve_exact(b.create_edges.len() + b.join_edges.len() + barrier_edges.sum::<usize>());
         // Resolve cross-thread creation edges.
         for &(task, target) in &b.create_edges {
@@ -687,13 +839,15 @@ impl TaskDag {
         // barrier releases only after every thread arrived and every
         // outstanding task completed, and everything a thread did before
         // exiting happened before the release — so every thread's last
-        // pre-exit vertex precedes every thread's exit.
-        for exits in b.barrier_exits.values() {
-            for &(_, exit) in exits {
-                let pres = exits.iter().filter_map(|(pre, _)| *pre);
-                b.edges.extend(pres.map(|pre| (exit, pre)));
+        // pre-exit vertex (its schedule predecessor, if the thread did
+        // anything before it) precedes every thread's exit.
+        for exits in barriers.rows() {
+            for &exit in exits {
+                let pres = exits.iter().filter(|&&v| b.nodes[v as usize].chained());
+                b.edges.extend(pres.map(|pre| (exit, pre - 1)));
             }
         }
+        drop(barriers);
 
         // Steal counting: a deferred task whose first fragment ran on a
         // different thread than its creator.
@@ -704,10 +858,11 @@ impl TaskDag {
         // and the maps go before the arrays below are allocated, the edge
         // list as soon as it is bucketed.
         let (nodes, edges) = (std::mem::take(&mut b.nodes), std::mem::take(&mut b.edges));
+        let (starts, blocked) = (std::mem::take(&mut b.starts), std::mem::take(&mut b.blocked));
         let mut dag = TaskDag {
             joins: Csr { start: Vec::new(), items: Vec::new() },
             nodes,
-            topo: Vec::new(),
+            runs: Vec::new(),
             regions: b.regions.iter().map(|r| r.id).collect(),
             makespan_ns: OnceLock::new(),
             tasks: b.begun,
@@ -719,7 +874,7 @@ impl TaskDag {
         drop(b);
         dag.joins = Csr::bucket(dag.nodes.len(), &edges);
         drop(edges);
-        dag.topo = dag.toposort()?;
+        dag.runs = dag.order(&starts, &blocked)?;
         Ok(dag)
     }
 
@@ -730,40 +885,51 @@ impl TaskDag {
         prog.into_iter().chain(self.joins.row(v).iter().copied()).map(|p| p as usize)
     }
 
-    /// Streams are walked one after another and every vertex chains to
-    /// the previous one of its thread, so the schedule predecessor of `v`
-    /// is `v - 1` unless `v` opens a stream.
-    fn sched_pred(&self, v: usize) -> Option<usize> {
-        let chained = self.nodes.get(v).is_some_and(|n| n.attr & OPENS_STREAM == 0);
-        v.checked_sub(1).filter(|_| chained)
-    }
-
-    /// Kahn's algorithm over the full (logical + schedule) graph, run
-    /// from the sinks so that the predecessor rows are all the adjacency
-    /// it needs; the order under construction is its own work queue.
-    fn toposort(&self) -> Result<Vec<u32>, DagError> {
-        let n = self.nodes.len();
-        let all_preds = |v: usize| self.preds(v).chain(self.sched_pred(v));
-        // Successors of each vertex that are not in the order yet.
-        let mut waiting = vec![0u32; n];
-        (0..n).flat_map(all_preds).for_each(|p| waiting[p] += 1);
-        let mut order = Vec::with_capacity(n);
-        order.extend((0..n as u32).filter(|&v| waiting[v as usize] == 0));
-        let mut done = 0;
-        while let Some(&v) = order.get(done) {
-            done += 1;
-            for p in all_preds(v as usize) {
-                waiting[p] -= 1;
-                if waiting[p] == 0 {
-                    order.push(p as u32);
+    /// A topological order of the full (logical + schedule) graph as
+    /// index runs: the streams starting at `starts`, merged round-robin.
+    /// Each stream advances to its first `blocked` vertex with a
+    /// predecessor not yet placed — one of another stream past that
+    /// stream's cursor, or one of its own at or after the vertex — and the
+    /// stretch it passed becomes a run, joined to the run before if they
+    /// touch.
+    fn order(&self, starts: &[u32], blocked: &[u32]) -> Result<Vec<(u32, u32)>, DagError> {
+        let n = self.nodes.len() as u32;
+        let ends: Vec<u32> = starts.iter().skip(1).copied().chain([n]).take(starts.len()).collect();
+        let stream = |v: u32| starts.partition_point(|&start| start <= v) - 1;
+        // Per stream: the first vertex not placed, the first blocked one not
+        // passed.
+        let mut placed = starts.to_vec();
+        let mut next: Vec<usize> = starts.iter().map(|&s| blocked.partition_point(|&v| v < s)).collect();
+        let mut runs: Vec<(u32, u32)> = Vec::new();
+        while placed != ends {
+            let mut advanced = false;
+            for k in 0..starts.len() {
+                let (from, end) = (placed[k], ends[k]);
+                let mut to = from;
+                while to < end {
+                    to = blocked.get(next[k]).copied().filter(|&v| v < end).unwrap_or(end);
+                    let ready = |p: usize| match stream(p as u32) {
+                        j if j == k => p < to as usize,
+                        j => p < placed[j] as usize,
+                    };
+                    if to == end || !self.preds(to as usize).all(ready) {
+                        break;
+                    }
+                    (to, next[k]) = (to + 1, next[k] + 1);
+                }
+                if to > from {
+                    match runs.last_mut() {
+                        Some((_, last)) if *last == from => *last = to,
+                        _ => runs.push((from, to)),
+                    }
+                    (placed[k], advanced) = (to, true);
                 }
             }
+            if !advanced {
+                return Err(DagError::Cycle);
+            }
         }
-        if order.len() != n {
-            return Err(DagError::Cycle);
-        }
-        order.reverse();
-        Ok(order)
+        Ok(runs)
     }
 
     /// Longest weighted path (finish times) with every vertex weighing
@@ -772,20 +938,20 @@ impl TaskDag {
     fn solve(&self, weight: impl Fn(&Node) -> u64, with_sched: bool) -> (Vec<u64>, u64) {
         let mut finish = vec![0u64; self.nodes.len()];
         let mut max = 0;
-        for &v in &self.topo {
-            let v = v as usize;
-            let n = &self.nodes[v];
-            let mut start = if n.prog != NONE { finish[n.prog as usize] } else { 0 };
-            for &p in self.joins.row(v) {
-                start = start.max(finish[p as usize]);
-            }
-            if with_sched {
-                if let Some(p) = self.sched_pred(v) {
-                    start = start.max(finish[p]);
+        for &(first, end) in &self.runs {
+            let (first, end) = (first as usize, end as usize);
+            let rows = self.joins.start[first..=end].windows(2);
+            for ((v, n), row) in (first..end).zip(&self.nodes[first..end]).zip(rows) {
+                let mut start = if n.prog != NONE { finish[n.prog as usize] } else { 0 };
+                for &p in &self.joins.items[row[0] as usize..row[1] as usize] {
+                    start = start.max(finish[p as usize]);
                 }
+                if with_sched && n.chained() {
+                    start = start.max(finish[v - 1]);
+                }
+                finish[v] = start + weight(n);
+                max = max.max(finish[v]);
             }
-            finish[v] = start + weight(n);
-            max = max.max(finish[v]);
         }
         (finish, max)
     }
@@ -898,7 +1064,7 @@ impl TaskDag {
     }
 
     /// Per-region time along one logical critical path (ties broken by
-    /// topological order, deterministically).
+    /// vertex index and predecessor discovery order, deterministically).
     pub fn span_by_region(&self) -> Vec<(RegionId, u64)> {
         self.rows(&self.critical_path().1)
     }
@@ -993,6 +1159,97 @@ mod tests {
         assert_eq!(dag.region_work_ns(task), 25);
         assert_eq!(dag.region_work_ns(create), 40);
         assert_eq!(dag.region_work_ns(par), 15);
+    }
+
+    #[test]
+    fn no_stream_is_an_empty_dag() {
+        let par = region("dag12-par", RegionKind::Parallel);
+        let dag = TaskDag::from_streams(&[], par, &DagOptions::default()).unwrap();
+        assert!(dag.runs.is_empty());
+        assert_eq!((dag.work_ns(), dag.span_ns(), dag.makespan_ns(), dag.threads()), (0, 0, 0, 0));
+    }
+
+    #[test]
+    fn one_stream_is_one_run() {
+        let (streams, par, _, _) = one_thread_stream();
+        let dag = TaskDag::from_streams(&streams, par, &DagOptions::default()).unwrap();
+        assert_eq!(dag.runs, [(0, dag.nodes.len() as u32)]);
+    }
+
+    #[test]
+    fn a_creation_later_in_index_order_splits_the_runs() {
+        // Thread 1, walked second, creates a task (40ns) after 10ns of
+        // work, then works 100ns; thread 0 runs the task for 200ns inside
+        // its barrier wait. The task's begin (vertex 1) waits for its
+        // creation (vertex 8), so the order must leave stream 0 after its
+        // first vertex and come back once stream 1 has created the task.
+        let par = region("dag10-par", RegionKind::Parallel);
+        let task = region("dag10-task", RegionKind::Task);
+        let create = region("dag10-create", RegionKind::TaskCreate);
+        let bar = region("dag10-bar", RegionKind::ImplicitBarrier);
+        let id = TaskIdAllocator::new().alloc();
+        let s0 = vec![
+            Event::Enter(bar),
+            Event::TaskBegin { region: task, id },
+            Event::Advance(200),
+            Event::TaskEnd { region: task, id },
+            Event::Exit(bar),
+        ];
+        let s1 = vec![
+            Event::Advance(10),
+            Event::CreateBegin {
+                create,
+                task_region: task,
+                id,
+            },
+            Event::Advance(40),
+            Event::CreateEnd { create, id },
+            Event::Advance(100),
+            Event::Enter(bar),
+            Event::Exit(bar),
+        ];
+        let dag =
+            TaskDag::from_streams(&encoded([(0, s0), (1, s1)]), par, &DagOptions::default()).unwrap();
+        // Stream 0 holds vertices 0..5, stream 1 5..12; the barrier exits
+        // (4 and 11) wait for both threads.
+        assert_eq!(dag.runs, [(0, 1), (5, 11), (1, 5), (11, 12)]);
+        assert_eq!(dag.work_ns(), 10 + 40 + 100 + 200);
+        // 10 → create 40 → task 200 → barrier; the 100 after the creation
+        // runs beside the task.
+        assert_eq!(dag.span_ns(), 250);
+        // Thread 0 idles until the creation ends at 50.
+        assert_eq!(dag.makespan_ns(), 250);
+        assert_eq!(dag.steals(), 1);
+    }
+
+    #[test]
+    fn a_cyclic_wait_across_two_streams_is_a_cycle() {
+        // Each thread first runs the task the other creates only later.
+        let par = region("dag11-par", RegionKind::Parallel);
+        let task = region("dag11-task", RegionKind::Task);
+        let create = region("dag11-create", RegionKind::TaskCreate);
+        let ids = TaskIdAllocator::new();
+        let (a, c) = (ids.alloc(), ids.alloc());
+        let runs_then_creates = |runs, creates| {
+            vec![
+                Event::TaskBegin { region: task, id: runs },
+                Event::Advance(5),
+                Event::TaskEnd { region: task, id: runs },
+                Event::CreateBegin {
+                    create,
+                    task_region: task,
+                    id: creates,
+                },
+                Event::CreateEnd { create, id: creates },
+            ]
+        };
+        let streams = encoded([(0, runs_then_creates(c, a)), (1, runs_then_creates(a, c))]);
+        let err = TaskDag::from_streams(&streams, par, &DagOptions::default()).unwrap_err();
+        assert_eq!(err, DagError::Cycle);
+        // Either stream alone is the same wait within one thread.
+        let alone = encoded([(0, runs_then_creates(a, a))]);
+        let err = TaskDag::from_streams(&alone, par, &DagOptions::default()).unwrap_err();
+        assert_eq!(err, DagError::Cycle);
     }
 
     #[test]

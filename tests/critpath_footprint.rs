@@ -1,8 +1,8 @@
 //! The critical-path DAG's footprint as counts: allocations and peak
-//! live bytes of `TaskDag::from_streams` + `report` on one deterministic
-//! simulated stream, and of the same run from the drain on. Counts, not
+//! live bytes of `TaskDag::from_streams` + `report` on deterministic
+//! simulated streams, and of one run from the drain on. Counts, not
 //! times, so they are exact for a seed; the figures are in EXPERIMENTS.md
-//! ("The causal report", "One form of the edge log").
+//! ("The causal report", "One form of the edge log", "PR 40").
 
 use critpath::{DagOptions, TaskDag};
 use simsched::{workloads, SimScheduler};
@@ -22,13 +22,19 @@ fn events(streams: &Streams) -> usize {
 }
 
 /// What the builder with a `Vec` pair per vertex and nine hash maps
-/// measured on `stream()`: peak live bytes per decoded event.
+/// measured on `stream(10)`: peak live bytes per decoded event.
 const PARENT_PEAK_BYTES_PER_EVENT: usize = 186;
 
-/// fib-like tree of depth 10 on two simulated threads (2 047 tasks),
-/// recorded and not yet drained, and its parallel region.
-fn recorded() -> (ProfMonitor<simsched::SimClock>, pomp::RegionId) {
-    let w = workloads::fib_like(10);
+/// What the builder that kept a topological order array (from Kahn's
+/// sort) and two `Vec`s per task measured on `stream(10)`: 45 live bytes
+/// per event, from the build and from the drain on. The run order and
+/// the lists threaded through the task table measure 40.
+const PEAK_BYTES_PER_EVENT: usize = 40;
+
+/// fib-like tree of `depth` on two simulated threads (2 047 tasks at
+/// depth 10), recorded and not yet drained, and its parallel region.
+fn recorded(depth: usize) -> (ProfMonitor<simsched::SimClock>, pomp::RegionId) {
+    let w = workloads::fib_like(depth);
     let sched = SimScheduler::new(7).with_spawn_cost(simsched::DEFAULT_SPAWN_COST_NS);
     let clock = sched.clock().clone();
     let team = Team::new(2).with_policy(Arc::new(sched));
@@ -42,8 +48,8 @@ fn recorded() -> (ProfMonitor<simsched::SimClock>, pomp::RegionId) {
 }
 
 /// The same run, drained.
-fn stream() -> (Streams, pomp::RegionId) {
-    let (monitor, par) = recorded();
+fn stream(depth: usize) -> (Streams, pomp::RegionId) {
+    let (monitor, par) = recorded(depth);
     (monitor.take_edge_streams().expect("region finished"), par)
 }
 
@@ -105,8 +111,8 @@ const ARRAY_NET_OF_WORDS: usize = 12;
 
 #[test]
 fn drain_build_and_report_peak_bytes_per_event() {
-    let events = events(&stream().0);
-    let (monitor, _) = recorded();
+    let events = events(&stream(10).0);
+    let (monitor, _) = recorded(10);
     let opts = DagOptions {
         undeferred_spawn_cost: Some(simsched::DEFAULT_SPAWN_COST_NS),
     };
@@ -125,26 +131,43 @@ fn drain_build_and_report_peak_bytes_per_event() {
         per_event + ARRAY_NET_OF_WORDS <= PARENT_DRAIN_PEAK_BYTES_PER_EVENT,
         "{per_event} B live per event from the drain on: an event array is back"
     );
+    assert!(
+        per_event <= PEAK_BYTES_PER_EVENT,
+        "{per_event} B live per event from the drain on: an order array or per-task lists are back"
+    );
 }
 
 #[test]
-fn dag_allocations_follow_tasks_not_vertices_and_bytes_stay_flat() {
-    let (streams, par) = stream();
+fn dag_allocations_follow_neither_tasks_nor_vertices_and_bytes_stay_flat() {
+    let (streams, par) = stream(10);
     let events = events(&streams);
     assert!(events >= 10_000, "{events} events");
 
     let (plain, tasks) = footprint(&streams, par);
     assert_eq!(tasks, 2047);
-    assert!(
-        plain.allocs <= 4 * tasks + 256,
-        "{} allocations for {tasks} tasks",
-        plain.allocs
-    );
     let per_event = plain.peak_live_bytes / events;
-    assert!(per_event <= 128, "{per_event} B live per decoded event");
+    assert!(
+        per_event <= PEAK_BYTES_PER_EVENT,
+        "{per_event} B live per decoded event: an order array or per-task lists are back"
+    );
     assert!(
         2 * per_event <= PARENT_PEAK_BYTES_PER_EVENT,
         "{per_event} B per event is not half of {PARENT_PEAK_BYTES_PER_EVENT}"
+    );
+
+    // No allocation per task: twice the tasks may only move the count by
+    // a few `Vec` doublings (the builder with a `Vec` pair per task made
+    // 1 840 more allocations here).
+    let (doubled, doubled_tasks) = {
+        let (streams, par) = stream(11);
+        footprint(&streams, par)
+    };
+    assert_eq!(doubled_tasks, 4095);
+    assert!(
+        doubled.allocs <= plain.allocs + 16,
+        "{} allocations for {doubled_tasks} tasks, {} for {tasks}",
+        doubled.allocs,
+        plain.allocs
     );
 
     // No allocation per vertex: 16 more vertices per task may only move
