@@ -51,13 +51,15 @@
 //! always has the smaller index, and each stream is in order as it
 //! stands. Only a vertex with a predecessor outside the stretch of its
 //! own stream before it can be held back; the walk lists those *blocked*
-//! vertices as it makes them. The topological order the solver follows
-//! is a list of index runs: the streams are merged round-robin, each
-//! advancing to its first blocked vertex with a predecessor not yet
-//! placed. One stream, or streams whose cross-stream edges all point
-//! forward, give the single run `[0, n)`; a round in which no stream
-//! advances is a cycle. Finish times do not depend on which topological
-//! order is followed.
+//! vertices as it makes them (debug builds check that none is missed).
+//! The topological order the solver follows is a list of index runs: the
+//! streams are merged from a queue, each advancing to its first blocked
+//! vertex with a predecessor not yet placed, then waiting off the queue
+//! until the stream that holds that predecessor has placed it. One
+//! stream, or streams whose cross-stream edges all point forward, give
+//! the single run `[0, n)`; streams left waiting when the queue empties
+//! are a cycle. Finish times do not depend on which topological order is
+//! followed.
 //!
 //! # Undeferred creation carving
 //!
@@ -80,7 +82,8 @@
 //! (`()`); the trace analysis (`crate::analysis`) is the second reader.
 
 use pomp::{registry, RegionId, RegionKind, TaskId, TaskRef};
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::OnceLock;
 use taskprof::{EdgeStream, Event};
@@ -886,50 +889,97 @@ impl TaskDag {
     }
 
     /// A topological order of the full (logical + schedule) graph as
-    /// index runs: the streams starting at `starts`, merged round-robin.
-    /// Each stream advances to its first `blocked` vertex with a
-    /// predecessor not yet placed — one of another stream past that
-    /// stream's cursor, or one of its own at or after the vertex — and the
-    /// stretch it passed becomes a run, joined to the run before if they
-    /// touch.
+    /// index runs over the streams starting at `starts`. Streams are taken
+    /// from a queue, first to last. Each advances to its first `blocked`
+    /// vertex with a predecessor not yet placed, and the stretch it passed
+    /// becomes a run, joined to the run before if they touch. A stream
+    /// held back by another stream's vertex leaves the queue until that
+    /// vertex is placed. One held back by a later vertex of its own never
+    /// returns, and a stream left out is a cycle. A predecessor is checked
+    /// once while it is unplaced and once after, against one bit per
+    /// vertex, so the order costs O(V / 64 + B + E log T) for V vertices,
+    /// B blocked ones, E edges into those and T streams, however the
+    /// streams interleave.
     fn order(&self, starts: &[u32], blocked: &[u32]) -> Result<Vec<(u32, u32)>, DagError> {
         let n = self.nodes.len() as u32;
         let ends: Vec<u32> = starts.iter().skip(1).copied().chain([n]).take(starts.len()).collect();
-        let stream = |v: u32| starts.partition_point(|&start| start <= v) - 1;
+        debug_assert!(
+            self.only_blocked_wait(starts, &ends, blocked),
+            "a vertex waits for one outside its own stream's past but is not blocked"
+        );
+        let stream = |v: usize| starts.partition_point(|&start| start as usize <= v) - 1;
         // Per stream: the first vertex not placed, the first blocked one not
-        // passed.
+        // passed, and how many of that one's predecessors are placed.
         let mut placed = starts.to_vec();
         let mut next: Vec<usize> = starts.iter().map(|&s| blocked.partition_point(|&v| v < s)).collect();
+        let mut passed = vec![0; starts.len()];
+        // The placed vertices, a bit each, for predecessors in other streams.
+        let mut done = vec![0u64; (n as usize).div_ceil(64)];
+        // Per stream: the streams waiting for it, as (vertex awaited,
+        // stream), soonest first.
+        let mut waiting: Vec<BinaryHeap<Reverse<(u32, usize)>>> = vec![BinaryHeap::new(); starts.len()];
+        let mut queue: VecDeque<usize> = (0..starts.len()).collect();
         let mut runs: Vec<(u32, u32)> = Vec::new();
-        while placed != ends {
-            let mut advanced = false;
-            for k in 0..starts.len() {
-                let (from, end) = (placed[k], ends[k]);
-                let mut to = from;
-                while to < end {
-                    to = blocked.get(next[k]).copied().filter(|&v| v < end).unwrap_or(end);
-                    let ready = |p: usize| match stream(p as u32) {
-                        j if j == k => p < to as usize,
-                        j => p < placed[j] as usize,
-                    };
-                    if to == end || !self.preds(to as usize).all(ready) {
+        while let Some(k) = queue.pop_front() {
+            let (from, end) = (placed[k], ends[k]);
+            let mut to;
+            let held = loop {
+                to = blocked.get(next[k]).copied().filter(|&v| v < end).unwrap_or(end);
+                if to == end {
+                    break None;
+                }
+                let unplaced = |&(_, p): &(usize, usize)| {
+                    !(from as usize..to as usize).contains(&p) && done[p / 64] >> (p % 64) & 1 == 0
+                };
+                match self.preds(to as usize).skip(passed[k]).enumerate().find(unplaced) {
+                    Some((ready, p)) => break Some((passed[k] + ready, p)),
+                    None => (next[k], passed[k]) = (next[k] + 1, 0),
+                }
+            };
+            if to > from {
+                match runs.last_mut() {
+                    Some((_, last)) if *last == from => *last = to,
+                    _ => runs.push((from, to)),
+                }
+                placed[k] = to;
+                let mut v = from as usize;
+                while v < to as usize {
+                    let len = (64 - v % 64).min(to as usize - v);
+                    done[v / 64] |= u64::MAX >> (64 - len) << (v % 64);
+                    v += len;
+                }
+                while let Some(&Reverse((v, w))) = waiting[k].peek() {
+                    if v >= to {
                         break;
                     }
-                    (to, next[k]) = (to + 1, next[k] + 1);
-                }
-                if to > from {
-                    match runs.last_mut() {
-                        Some((_, last)) if *last == from => *last = to,
-                        _ => runs.push((from, to)),
-                    }
-                    (placed[k], advanced) = (to, true);
+                    waiting[k].pop();
+                    queue.push_back(w);
                 }
             }
-            if !advanced {
-                return Err(DagError::Cycle);
+            if let Some((ready, p)) = held {
+                passed[k] = ready;
+                match stream(p) {
+                    j if j == k => {}
+                    j => waiting[j].push(Reverse((p as u32, k))),
+                }
             }
         }
+        if placed != ends {
+            return Err(DagError::Cycle);
+        }
         Ok(runs)
+    }
+
+    /// Whether every vertex `order` passes unchecked — one not in
+    /// `blocked` — has all its predecessors earlier in its own stream.
+    fn only_blocked_wait(&self, starts: &[u32], ends: &[u32], blocked: &[u32]) -> bool {
+        let mut blocked = blocked.iter().copied().peekable();
+        starts.iter().zip(ends).all(|(&start, &end)| {
+            (start..end).all(|v| {
+                let own_past = start as usize..v as usize;
+                blocked.next_if_eq(&v).is_some() || self.preds(v as usize).all(|p| own_past.contains(&p))
+            })
+        })
     }
 
     /// Longest weighted path (finish times) with every vertex weighing
@@ -1220,6 +1270,55 @@ mod tests {
         // Thread 0 idles until the creation ends at 50.
         assert_eq!(dag.makespan_ns(), 250);
         assert_eq!(dag.steals(), 1);
+    }
+
+    #[test]
+    fn a_chain_of_stolen_tasks_wakes_each_stream_in_turn() {
+        // Thread 2 creates a (5ns) after 10ns of work; thread 1 runs a for
+        // 20ns, then a creates b (5ns); thread 0 runs b for 20ns. Each
+        // thread waits in its barrier, so each stream waits for the one
+        // after it, walked later.
+        let par = region("dag13-par", RegionKind::Parallel);
+        let task = region("dag13-task", RegionKind::Task);
+        let create = region("dag13-create", RegionKind::TaskCreate);
+        let bar = region("dag13-bar", RegionKind::ImplicitBarrier);
+        let ids = TaskIdAllocator::new();
+        let (a, b) = (ids.alloc(), ids.alloc());
+        let creates = |id| {
+            [
+                Event::CreateBegin {
+                    create,
+                    task_region: task,
+                    id,
+                },
+                Event::Advance(5),
+                Event::CreateEnd { create, id },
+            ]
+        };
+        let s0 = vec![
+            Event::Enter(bar),
+            Event::TaskBegin { region: task, id: b },
+            Event::Advance(20),
+            Event::TaskEnd { region: task, id: b },
+            Event::Exit(bar),
+        ];
+        let mut s1 = vec![Event::Enter(bar), Event::TaskBegin { region: task, id: a }, Event::Advance(20)];
+        s1.extend(creates(b));
+        s1.extend([Event::TaskEnd { region: task, id: a }, Event::Exit(bar)]);
+        let mut s2 = vec![Event::Advance(10)];
+        s2.extend(creates(a));
+        s2.extend([Event::Enter(bar), Event::Exit(bar)]);
+        let dag = TaskDag::from_streams(&encoded([(0, s0), (1, s1), (2, s2)]), par, &DagOptions::default())
+            .unwrap();
+        // Streams hold vertices 0..5, 5..13 and 13..19. Each stops at the
+        // begin it cannot yet run (1, 6) or at its barrier exit (18, 12)
+        // and resumes once the stream it waits for has placed the vertex.
+        assert_eq!(dag.runs, [(0, 1), (5, 6), (13, 18), (6, 12), (1, 5), (12, 13), (18, 19)]);
+        assert_eq!(dag.work_ns(), 10 + 5 + 20 + 5 + 20);
+        // 10 → create a → a → create b → b: nothing runs beside the chain.
+        assert_eq!(dag.span_ns(), 60);
+        assert_eq!(dag.makespan_ns(), 60);
+        assert_eq!(dag.steals(), 2);
     }
 
     #[test]
