@@ -5,6 +5,7 @@
 # of the edge log, a second store read path and a hand-written wire codec beside the one declaration per
 # message, a second metric writer beside the one declaration per metric,
 # architecture-specific code outside the clock read and the CRC fold,
+# a lock-free hand-off or unsafe code outside the monitor in the profiler,
 # a second readiness backend in the daemon,
 # a second task completion sequence in the runtime, a second seeded
 # generator or a property-test library beside the one choice stream, a
@@ -118,6 +119,21 @@ if git grep -nE 'core::arch|std::arch|target_feature|is_x86_feature_detected' --
 fi
 if git grep -n 'unsafe' -- crates/profstore/src ':!crates/profstore/src/crc.rs'; then
     echo "unsafe code in the store outside crates/profstore/src/crc.rs"; exit 1
+fi
+
+echo "=== one hand-off in core ==="
+# Profiler threads share state only at fork, join, thread begin and thread
+# end, a few times per thread per region, and crates/core/src/monitor.rs
+# does all of it under one std::sync::Mutex. The Treiber stack and three
+# atomics it replaced were seven unsafe lines and three memory orderings
+# to reason about, and let a drain check for live threads and take the
+# snapshots in two steps. The crate's remaining unsafe code is the
+# per-thread shard access and the edge log's write, both in monitor.rs.
+if git grep -nE 'HandoffStack|AtomicPtr|std::sync::atomic' -- crates/core/src; then
+    echo "a lock-free hand-off is back in crates/core"; exit 1
+fi
+if git grep -n 'unsafe' -- crates/core/src ':!crates/core/src/monitor.rs'; then
+    echo "unsafe code in crates/core outside crates/core/src/monitor.rs"; exit 1
 fi
 
 echo "=== one readiness backend ==="

@@ -44,7 +44,6 @@ pub mod migrate;
 pub mod monitor;
 pub mod profiler;
 pub mod replay;
-pub mod shard;
 pub mod snapshot;
 pub mod tree;
 
@@ -55,7 +54,6 @@ pub use monitor::{
     ConfigError, EdgeStream, ProfMonitor, ProfMonitorBuilder, ProfThread, RegionEdges,
     SessionActiveError, DEFAULT_PREALLOC_NODES,
 };
-pub use shard::HandoffStack;
 pub use profiler::{AssignPolicy, ThreadProfile};
 pub use replay::{replay, Event, Replayer, TeamReplayer};
 pub use snapshot::{Profile, SnapNode, ThreadSnapshot};

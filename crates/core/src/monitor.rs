@@ -14,14 +14,16 @@
 //! ([`pomp::ClockSource::thread_reader`]) and a [`ThreadProfile`] whose
 //! arena was preallocated (and is recycled across regions). No lock, no
 //! atomic, no shared `Arc` dereference — and no `RefCell` borrow flag —
-//! is on that path. Cross-thread hand-off happens only at region end
-//! ([`pomp::Monitor::thread_end`]): the finished snapshot is published
-//! with a single CAS push onto a lock-free [`HandoffStack`], and the
-//! shard's arena goes onto a spare pool the next region steals from.
+//! is on that path. Threads share state only at fork, join, thread begin
+//! and thread end, a few times per thread per region: each takes the
+//! monitor's one lock once, to publish the finished snapshot, return the
+//! shard's arena to the spare pool the next region pops from, and count
+//! live threads and regions. The drains check that nothing is live and
+//! take everything under that same lock, so no region can end halfway
+//! through a drain.
 
 use crate::profiler::{AssignPolicy, ThreadProfile};
 use crate::replay::Event;
-use crate::shard::HandoffStack;
 use crate::snapshot::{Profile, ThreadSnapshot};
 use crate::tree::Arena;
 use pomp::{
@@ -29,8 +31,7 @@ use pomp::{
     TaskRef, ThreadHooks,
 };
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use taskprof_telemetry::{TelemetryConfig, TelemetryCore, ThreadTelemetry};
 
 /// Arena slots preallocated per thread shard. Sized generously for
@@ -106,24 +107,58 @@ struct Inner<C: ClockSource> {
     policy: AssignPolicy,
     max_depth: Option<usize>,
     max_live_trees: Option<usize>,
-    /// Completed per-thread snapshots, published lock-free at thread end.
-    collected: HandoffStack<ThreadSnapshot>,
-    /// Recycled arenas: a thread beginning a region steals one instead of
-    /// allocating fresh node storage.
-    spare_arenas: HandoffStack<Arena>,
-    live_threads: AtomicUsize,
-    live_regions: AtomicUsize,
     /// Live telemetry counters, when enabled. `None` keeps the event fast
     /// path to a single never-taken branch per hook.
     telemetry: Option<Arc<TelemetryCore>>,
     /// Record the create/join edge stream for critical-path analysis.
     record_edges: bool,
-    /// Per-thread edge streams, published lock-free at thread end and
-    /// handed over as they are by [`ProfMonitor::take_edge_log`].
-    edge_streams: HandoffStack<(usize, EdgeStream)>,
+    /// Everything the threads share; see [`Shared`].
+    shared: Mutex<Shared>,
+}
+
+/// The monitor's cross-thread state, behind one lock that fork, join,
+/// thread begin, thread end and the drains each take once. Nothing that
+/// can panic or block runs under it: clock reads, snapshots and telemetry
+/// happen outside.
+#[derive(Default)]
+struct Shared {
+    /// Completed per-thread snapshots, in the order their threads ended.
+    collected: Vec<ThreadSnapshot>,
+    /// Recycled arenas: a thread beginning a region pops the most recently
+    /// returned one instead of allocating fresh node storage.
+    spare_arenas: Vec<Arena>,
+    /// Per-thread edge streams, in the order their threads ended, handed
+    /// over as they are by [`ProfMonitor::take_edge_log`].
+    edge_streams: Vec<(usize, EdgeStream)>,
+    /// Threads between `thread_begin` and `thread_end`.
+    live_threads: usize,
+    /// Parallel regions between fork and join.
+    live_regions: usize,
     /// Parallel regions forked so far: stamped on each edge log at thread
     /// begin, so the drain can tell two regions' streams apart.
-    regions_forked: AtomicU64,
+    regions_forked: u64,
+}
+
+impl Shared {
+    /// Every drain refuses mid-measurement: it would hand back a torn run.
+    fn ensure_idle(&self) -> Result<(), SessionActiveError> {
+        if self.live_threads > 0 || self.live_regions > 0 {
+            return Err(SessionActiveError {
+                live_threads: self.live_threads,
+                live_regions: self.live_regions,
+            });
+        }
+        Ok(())
+    }
+}
+
+impl<C: ClockSource> Inner<C> {
+    /// The shared state. Every critical section is a few pushes, pops and
+    /// counter steps that cannot panic, so a poisoned lock still guards
+    /// consistent state and is taken as is.
+    fn shared(&self) -> MutexGuard<'_, Shared> {
+        self.shared.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 // Edge-record tags (low 4 bits of the first word of every record).
@@ -531,16 +566,9 @@ impl<C: ClockSource> ProfMonitorBuilder<C> {
                 policy: self.policy,
                 max_depth: self.max_depth,
                 max_live_trees: self.max_live_trees,
-                collected: HandoffStack::new(),
-                spare_arenas: HandoffStack::new(),
-                live_threads: AtomicUsize::new(0),
-                live_regions: AtomicUsize::new(0),
-                telemetry: self
-                    .telemetry
-                    .map(|cfg| Arc::new(TelemetryCore::new(cfg))),
+                telemetry: self.telemetry.map(|cfg| Arc::new(TelemetryCore::new(cfg))),
                 record_edges: self.record_edges,
-                edge_streams: HandoffStack::new(),
-                regions_forked: AtomicU64::new(0),
+                shared: Mutex::default(),
             }),
         })
     }
@@ -553,18 +581,16 @@ pub struct ProfMonitor<C: ClockSource = MonotonicClock> {
 
 impl<C: ClockSource> std::fmt::Debug for ProfMonitor<C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (live_threads, live_regions) = {
+            let shared = self.inner.shared();
+            (shared.live_threads, shared.live_regions)
+        };
         f.debug_struct("ProfMonitor")
             .field("policy", &self.inner.policy)
             .field("max_depth", &self.inner.max_depth)
             .field("max_live_trees", &self.inner.max_live_trees)
-            .field(
-                "live_threads",
-                &self.inner.live_threads.load(Ordering::Relaxed),
-            )
-            .field(
-                "live_regions",
-                &self.inner.live_regions.load(Ordering::Relaxed),
-            )
+            .field("live_threads", &live_threads)
+            .field("live_regions", &live_regions)
             .finish_non_exhaustive()
     }
 }
@@ -610,26 +636,19 @@ impl<C: ClockSource> ProfMonitor<C> {
         self.inner.telemetry.clone()
     }
 
-    /// Every drain refuses mid-measurement: it would hand back a torn run.
-    fn ensure_idle(&self) -> Result<(), SessionActiveError> {
-        let live_threads = self.inner.live_threads.load(Ordering::Acquire);
-        let live_regions = self.inner.live_regions.load(Ordering::Acquire);
-        if live_threads > 0 || live_regions > 0 {
-            return Err(SessionActiveError {
-                live_threads,
-                live_regions,
-            });
-        }
-        Ok(())
-    }
-
     /// Drain the snapshots collected since the last call, as one profile
     /// sorted by thread id. Call after the parallel region(s) complete;
     /// while threads are still measuring, the profile would be half-merged,
     /// so a [`SessionActiveError`] is returned instead.
     pub fn take_profile(&self) -> Result<Profile, SessionActiveError> {
-        self.ensure_idle()?;
-        let mut threads = self.inner.collected.take_all();
+        let mut threads = {
+            let mut shared = self.inner.shared();
+            shared.ensure_idle()?;
+            std::mem::take(&mut shared.collected)
+        };
+        // Newest first before the stable sort: a tid that ran several
+        // regions lists its latest snapshot first.
+        threads.reverse();
         threads.sort_by_key(|t| t.tid);
         if let Some(tc) = &self.inner.telemetry {
             tc.note_snapshots_collected(threads.len() as u64);
@@ -647,8 +666,13 @@ impl<C: ClockSource> ProfMonitor<C> {
     /// built with [`ProfMonitorBuilder::record_task_edges`]; refused
     /// mid-measurement like [`ProfMonitor::take_profile`].
     pub fn take_edge_log(&self) -> Result<Vec<RegionEdges>, SessionActiveError> {
-        self.ensure_idle()?;
-        let mut sealed = self.inner.edge_streams.take_all();
+        let mut sealed = {
+            let mut shared = self.inner.shared();
+            shared.ensure_idle()?;
+            std::mem::take(&mut shared.edge_streams)
+        };
+        // Newest first before the stable sort, as `take_profile` does.
+        sealed.reverse();
         // Below the origin, the header `EdgeLog::new` wrote holds the
         // region and its occurrence.
         sealed.sort_by_key(|(tid, stream)| (stream.words[2], *tid));
@@ -789,21 +813,28 @@ impl<C: ClockSource + 'static> Monitor for ProfMonitor<C> {
     type Thread = ProfThread<C>;
 
     fn parallel_fork(&self, _region: RegionId, _nthreads: usize) {
-        self.inner.live_regions.fetch_add(1, Ordering::AcqRel);
-        // Pairs with the Acquire load in `thread_begin`.
-        self.inner.regions_forked.fetch_add(1, Ordering::Release);
+        let mut shared = self.inner.shared();
+        shared.live_regions += 1;
+        shared.regions_forked += 1;
     }
 
     fn parallel_join(&self, _region: RegionId) {
-        self.inner.live_regions.fetch_sub(1, Ordering::AcqRel);
+        // Saturating, here and in `thread_end`: an unmatched call must not
+        // panic under the lock.
+        let mut shared = self.inner.shared();
+        shared.live_regions = shared.live_regions.saturating_sub(1);
     }
 
     fn thread_begin(&self, tid: usize, _nthreads: usize, region: RegionId) -> ProfThread<C> {
-        self.inner.live_threads.fetch_add(1, Ordering::AcqRel);
-        // Steal a recycled arena from an earlier region if one is spare;
+        let (spare, occurrence) = {
+            let mut shared = self.inner.shared();
+            shared.live_threads += 1;
+            (shared.spare_arenas.pop(), shared.regions_forked)
+        };
+        // Reuse a recycled arena from an earlier region if one is spare;
         // otherwise preallocate. Either way the event path that follows
         // does not allocate until the preallocation is exhausted.
-        let (arena, recycled) = match self.inner.spare_arenas.steal_one() {
+        let (arena, recycled) = match spare {
             Some(a) => (a, true),
             None => (Arena::with_capacity(DEFAULT_PREALLOC_NODES), false),
         };
@@ -825,10 +856,10 @@ impl<C: ClockSource + 'static> Monitor for ProfMonitor<C> {
             tid,
             prof: UnsafeCell::new(prof),
             telem,
-            edges: self.inner.record_edges.then(|| {
-                let occurrence = self.inner.regions_forked.load(Ordering::Acquire);
-                UnsafeCell::new(EdgeLog::new(t, region, occurrence))
-            }),
+            edges: self
+                .inner
+                .record_edges
+                .then(|| UnsafeCell::new(EdgeLog::new(t, region, occurrence))),
         }
     }
 
@@ -836,20 +867,23 @@ impl<C: ClockSource + 'static> Monitor for ProfMonitor<C> {
         let t = thread.reader.now();
         let mut prof = thread.prof.into_inner();
         prof.finish(t);
-        if let Some(cell) = thread.edges {
-            let log = cell.into_inner();
-            self.inner.edge_streams.push((tid, log.finish(t)));
-        }
-        // Lock-free hand-off: one CAS publishes the snapshot, one more
-        // returns the arena to the spare pool.
-        self.inner.collected.push(prof.snapshot(tid));
-        self.inner.spare_arenas.push(prof.into_arena());
+        let edges = thread.edges.map(|cell| (tid, cell.into_inner().finish(t)));
+        let snapshot = prof.snapshot(tid);
+        let arena = prof.into_arena();
+        // Telemetry before the hand-off: a drain that takes the lock after
+        // it sees this thread's final counts.
         if let Some(tm) = &thread.telem {
             tm.thread_end(t);
             tm.core().note_snapshot_published();
             tm.core().note_arena_returned();
         }
-        self.inner.live_threads.fetch_sub(1, Ordering::AcqRel);
+        // One hand-off: the snapshot, the arena, the edge stream and the
+        // thread's end are published together.
+        let mut shared = self.inner.shared();
+        shared.edge_streams.extend(edges);
+        shared.collected.push(snapshot);
+        shared.spare_arenas.push(arena);
+        shared.live_threads = shared.live_threads.saturating_sub(1);
     }
 }
 
@@ -1341,11 +1375,108 @@ mod tests {
         }
         // Exactly one thread ran each region, so exactly one arena
         // circulates through the spare pool.
-        assert!(!m.inner.spare_arenas.is_empty());
-        let spares = m.inner.spare_arenas.take_all();
-        assert_eq!(spares.len(), 1, "one arena recycled, not re-allocated");
+        let spares = m.inner.shared().spare_arenas.len();
+        assert_eq!(spares, 1, "one arena recycled, not re-allocated");
         let p = m.take_profile().unwrap();
         assert_eq!(p.num_threads(), 3, "three rounds collected");
+    }
+
+    /// Eight threads hand off concurrently through one monitor, each
+    /// running many regions of its own: every snapshot and edge stream
+    /// arrives exactly once, the arena counts balance, and a monitor
+    /// dropped with undrained state releases it.
+    #[test]
+    fn concurrent_hand_offs_arrive_exactly_once() {
+        const THREADS: usize = 8;
+        const ROUNDS: u32 = 200;
+        let m = ProfMonitor::builder()
+            .record_task_edges()
+            .telemetry()
+            .build()
+            .unwrap();
+        // Each thread's round `r` runs "region" `r`, which marks its
+        // snapshot and its edge stream. The barrier starts all eight
+        // together, so their hand-offs overlap.
+        let run_all = |m: &ProfMonitor| {
+            let start = std::sync::Barrier::new(THREADS);
+            std::thread::scope(|scope| {
+                for tid in 0..THREADS {
+                    let start = &start;
+                    scope.spawn(move || {
+                        let ids = TaskIdAllocator::new();
+                        start.wait();
+                        for r in 0..ROUNDS {
+                            let th = m.thread_begin(tid, THREADS, RegionId(r));
+                            let id = ids.alloc();
+                            th.task_create_begin(RegionId(1), RegionId(2), id);
+                            th.task_create_end(RegionId(1), id);
+                            th.task_begin(RegionId(2), id);
+                            th.enter(RegionId(3));
+                            th.exit(RegionId(3));
+                            th.task_end(RegionId(2), id);
+                            m.thread_end(tid, th);
+                        }
+                    });
+                }
+            })
+        };
+        run_all(&m);
+        let want: Vec<(usize, u32)> = (0..THREADS)
+            .flat_map(|tid| (0..ROUNDS).map(move |r| (tid, r)))
+            .collect();
+
+        let tc = m.telemetry_core().unwrap();
+        let t = tc.snapshot();
+        let ends = (THREADS as u64) * u64::from(ROUNDS);
+        assert_eq!(
+            t.arenas_allocated + t.arenas_recycled,
+            ends,
+            "one arena per begin"
+        );
+        // `spare_arenas` is returned minus recycled: every arena allocated
+        // came back and waits in the pool.
+        assert_eq!(
+            t.spare_arenas + t.arenas_recycled,
+            ends,
+            "one arena back per end"
+        );
+        assert_eq!(t.spare_arenas, t.arenas_allocated);
+        assert_eq!(
+            m.inner.shared().spare_arenas.len() as u64,
+            t.arenas_allocated
+        );
+        assert!(t.arenas_allocated <= THREADS as u64, "{t:?}");
+        assert_eq!(t.handoff_depth, ends);
+
+        let mut got: Vec<_> = m
+            .take_edge_streams()
+            .unwrap()
+            .iter()
+            .map(|(tid, s)| (*tid, s.words[1] as u32))
+            .collect();
+        got.sort_unstable();
+        assert_eq!(got, want, "every edge stream exactly once");
+        let mut got: Vec<_> = m
+            .take_profile()
+            .unwrap()
+            .threads
+            .iter()
+            .map(|s| (s.tid, s.parallel_region.0))
+            .collect();
+        got.sort_unstable();
+        assert_eq!(got, want, "every snapshot exactly once");
+        assert_eq!(tc.snapshot().handoff_depth, 0);
+
+        // Undrained again, then dropped: nothing else holds the shared
+        // state, so the snapshots, streams and arenas go with it.
+        run_all(&m);
+        assert_eq!(m.inner.shared().collected.len(), want.len());
+        let shared = Arc::downgrade(&m.inner);
+        drop(m);
+        assert!(
+            shared.upgrade().is_none(),
+            "the monitor's state outlived it"
+        );
     }
 
     #[test]

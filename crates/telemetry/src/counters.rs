@@ -14,9 +14,9 @@
 //!   counted as created but not yet completed — which is also the truth a
 //!   moment earlier);
 //! * once the session quiesces (threads ended), the thread-end hand-off
-//!   in the profiling monitor provides the release/acquire edge (its
-//!   snapshot CAS publishes with `Release`), so final counter reads are
-//!   exact.
+//!   in the profiling monitor provides the release/acquire edge (a
+//!   thread's last counter updates come before it releases the monitor's
+//!   lock, which the drain then takes), so final counter reads are exact.
 //!
 //! # Why plain load+store instead of `fetch_add`
 //!

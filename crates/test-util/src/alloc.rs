@@ -26,6 +26,10 @@ pub struct AllocStats {
     /// High-water mark of bytes allocated and not yet freed, counted from
     /// the start of the measurement.
     pub peak_live_bytes: usize,
+    /// Bytes allocated and not yet freed when the measured code returned,
+    /// counted from the start of the measurement: 0 when it freed all it
+    /// allocated, negative when it freed what was allocated before.
+    pub live_bytes: isize,
 }
 
 #[derive(Clone, Copy)]
@@ -108,5 +112,6 @@ pub fn measure(f: impl FnOnce()) -> AllocStats {
     AllocStats {
         allocs: end.allocs - start.allocs,
         peak_live_bytes: end.peak as usize,
+        live_bytes: end.live,
     }
 }
