@@ -6,7 +6,8 @@
 # message, a second metric writer beside the one declaration per metric,
 # architecture-specific code outside the clock read and the CRC fold,
 # a lock-free hand-off or unsafe code outside the monitor in the profiler,
-# a second readiness backend in the daemon,
+# a second readiness backend in the daemon, a query that decodes the
+# runs it folds,
 # a second task completion sequence in the runtime, a second seeded
 # generator or a property-test library beside the one choice stream, a
 # vendored stub as a workspace member, the repo benchmark's own smoke
@@ -180,6 +181,26 @@ ingest_path() {
 if ingest_path crates/profserve/src/{server,protocol}.rs crates/profstore/src/{codec,store,shard,repo}.rs \
     | grep -E 'decode_record|\.decode\(|read_node'; then
     echo "TPF1 ingest decodes the profile again"; exit 1
+fi
+
+echo "=== queries fold record bytes ==="
+# Compaction, the windowed aggregate, the trend and a regress candidate
+# sent as a record reduce each run straight from its record bytes
+# (RunSummary::from_record). Decoding every folded run into a Profile
+# first made ~1 000 allocations per coarse_large record, was most of a
+# windowed regress, and interned every stored name into the never-freed
+# registry. Prints the body of every function on that path and the
+# daemon's QUERY regress arm.
+query_fold_path() {
+    awk '/fn (stream_entries|compact|aggregate|aggregate_window|trend)[<(]|Request::QueryRegress \{/ {
+             on = 1; match($0, /^ */); end = substr($0, 1, RLENGTH) "}"
+         }
+         on { print FILENAME ":" FNR ": " $0 }
+         on && $0 == end { on = 0 }' "$@"
+}
+if query_fold_path crates/profstore/src/{store,shard}.rs crates/profserve/src/server.rs \
+    | grep -E 'decode_record|\.decode\(|\.load\(|from_profile|registry'; then
+    echo "a query decodes the runs it folds again"; exit 1
 fi
 
 echo "=== one task completion sequence ==="

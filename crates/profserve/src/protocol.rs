@@ -61,11 +61,12 @@
 //! store format (`cube::write_profile`) inside a JSON string; over TPF1
 //! they travel as the store's binary record payload. [`ProfilePayload`]
 //! carries either form. The server parses text; it verifies a record and
-//! stores its bytes without decoding them.
+//! stores its bytes, or summarises a regress candidate from them, without
+//! decoding them.
 
 use profstore::{
-    BenchAgg, CodecError, MetricAgg, Regression, RunMeta, RunWindow, StoreStats, TrendBucket,
-    VerifiedBody,
+    BenchAgg, CodecError, MetricAgg, Regression, RunMeta, RunSummary, RunWindow, StoreStats,
+    TrendBucket, VerifiedBody,
 };
 use std::borrow::Cow;
 use taskprof::Profile;
@@ -249,6 +250,21 @@ impl ProfilePayload {
         }
     }
 
+    /// The run a `QUERY regress` candidate spells, reduced as the store
+    /// reduces the runs it folds; `Err` is what
+    /// [`ProfilePayload::decode`] refuses, word for word. A record is
+    /// summarised from its bytes ([`RunSummary::from_record`]): it is
+    /// never decoded, so its names stay out of the registry.
+    pub fn summary(&self) -> Result<RunSummary, String> {
+        match self {
+            ProfilePayload::Text(text) => parse_text(text).map(|p| RunSummary::from_profile(&p)),
+            ProfilePayload::Record(bytes) => match RunSummary::from_record(bytes) {
+                Ok(summary) if summary.root.is_none() => Err(NO_THREADS.to_string()),
+                other => other.map_err(bad_record),
+            },
+        }
+    }
+
     /// Render as text-store format (re-encoding a binary record if
     /// needed) — what the JSON codec puts on the wire.
     pub fn to_text(&self) -> Result<Cow<'_, str>, String> {
@@ -279,9 +295,11 @@ fn parse_text(text: &str) -> Result<Profile, String> {
         .and_then(with_threads)
 }
 
+const NO_THREADS: &str = "bad profile: no threads";
+
 fn with_threads(profile: Profile) -> Result<Profile, String> {
     if profile.threads.is_empty() {
-        return Err("bad profile: no threads".to_string());
+        return Err(NO_THREADS.to_string());
     }
     Ok(profile)
 }
@@ -984,6 +1002,28 @@ mod tests {
         for payload in [record, text] {
             let err = payload.decode().expect_err("no threads, no profile");
             assert!(err.contains("no threads"), "{err}");
+            assert_eq!(payload.summary().expect_err("no threads, no summary"), err);
         }
+    }
+
+    #[test]
+    fn a_candidate_summarises_as_it_decodes() {
+        let reg = pomp::registry();
+        let par = reg.register("summary-par", pomp::RegionKind::Parallel, file!(), line!());
+        let mut team = taskprof::TeamReplayer::new(2, par, taskprof::AssignPolicy::Executing);
+        team.advance(40);
+        let profile = team.finish();
+        let record = Record::from_profile("fib", 2, None, &profile).profile;
+        let text = ProfilePayload::Text(cube::write_profile(&profile));
+        for payload in [record.clone(), text] {
+            let decoded = payload.decode().expect("decode");
+            assert_eq!(payload.summary(), Ok(RunSummary::from_profile(&decoded)));
+        }
+        let ProfilePayload::Record(mut bytes) = record else {
+            unreachable!("Record::from_profile encodes a record")
+        };
+        bytes.pop();
+        let torn = ProfilePayload::Record(bytes);
+        assert_eq!(torn.summary().err(), torn.decode().err());
     }
 }

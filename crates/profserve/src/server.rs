@@ -37,7 +37,7 @@ use crate::protocol::{
 };
 use crate::trace::{verb_index, ReqProto, RequestLatency};
 use crate::wire;
-use profstore::{is_enospc, RegressConfig, Repo, RetentionPolicy, RunSummary, StoreError};
+use profstore::{is_enospc, RegressConfig, Repo, RetentionPolicy, StoreError};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -574,8 +574,8 @@ pub(crate) fn respond(shared: &Shared, request: Request) -> Response {
             if threshold.is_some_and(|t| !t.is_finite()) {
                 return error(ErrorKind::BadRequest, "threshold must be a finite number");
             }
-            let profile = match profile.decode() {
-                Ok(p) => p,
+            let summary = match profile.summary() {
+                Ok(s) => s,
                 Err(e) => return error(ErrorKind::BadRequest, format!("profile: {e}")),
             };
             let config = RegressConfig {
@@ -584,12 +584,9 @@ pub(crate) fn respond(shared: &Shared, request: Request) -> Response {
                 min_delta_ns: min_delta_ns.unwrap_or(shared.config.regress.min_delta_ns),
             };
             match aggregate_group(shared, &benchmark, threads, &window) {
-                Ok(agg) => {
-                    let summary = RunSummary::from_profile(&profile);
-                    Response::Regress(RegressReport::from_verdict(
-                        &agg.check_regression(&summary, &config),
-                    ))
-                }
+                Ok(agg) => Response::Regress(RegressReport::from_verdict(
+                    &agg.check_regression(&summary, &config),
+                )),
                 Err(resp) => resp,
             }
         }

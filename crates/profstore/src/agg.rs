@@ -3,11 +3,14 @@
 //! `cube::agg` merges the threads of *one* run; this module folds *many
 //! runs* of the same benchmark into one aggregate: per-construct
 //! min/max/mean/sum over runs (the paper's per-node statistics, lifted
-//! one level up). The fold is strictly one-run-at-a-time so the store's
-//! streaming merge never holds more than one decoded profile.
+//! one level up). The fold is strictly one-run-at-a-time, over a
+//! [`RunSummary`] per run. The store makes each one straight from the
+//! record's bytes ([`RunSummary::from_record`]): a query, a trend or a
+//! compaction decodes no profile and names nothing in the registry.
 
-use pomp::registry;
-use std::collections::BTreeMap;
+use crate::codec::{walk_record, CodecError, NodeRef};
+use pomp::{registry, RegionKind};
+use std::collections::{BTreeMap, HashMap};
 use taskprof::{NodeKind, Profile};
 
 /// min/max/mean/sum of one metric over runs.
@@ -65,6 +68,31 @@ impl MetricAgg {
     }
 }
 
+/// What a node stands for, owned: [`NodeRef`] with its names copied out
+/// of the record or the registry.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Construct {
+    /// A region of this kind and name.
+    Region(RegionKind, String),
+    /// The stub of the task region of this name.
+    Stub(String),
+    /// A parameter of this name at this value.
+    Param(String, i64),
+    /// A truncation marker.
+    Truncated,
+}
+
+impl From<NodeRef<'_>> for Construct {
+    fn from(node: NodeRef<'_>) -> Self {
+        match node {
+            NodeRef::Region(kind, name) => Construct::Region(kind, name.to_owned()),
+            NodeRef::Stub(name) => Construct::Stub(name.to_owned()),
+            NodeRef::Param(name, v) => Construct::Param(name.to_owned(), v),
+            NodeRef::Truncated => Construct::Truncated,
+        }
+    }
+}
+
 /// One run reduced to the per-construct totals the cross-run statistics
 /// are built from: inclusive nanoseconds summed per region name over
 /// every thread's trees (task trees included, parameter nodes skipped).
@@ -75,6 +103,10 @@ pub struct RunSummary {
     /// Per-construct inclusive nanoseconds, keyed by display name
     /// (stub nodes get a ` (stub)` suffix to stay distinct).
     pub regions: BTreeMap<String, u64>,
+    /// The root of the first thread's main tree (`None`: no threads).
+    /// The registry dedups regions by (name, kind), so two runs' roots
+    /// are the same node kind exactly when they are spelled alike.
+    pub root: Option<Construct>,
 }
 
 impl RunSummary {
@@ -100,19 +132,64 @@ impl RunSummary {
         }
         nodes.sort_unstable_by_key(|&(key, _)| key);
         let names = registry().view();
+        let root = p
+            .threads
+            .first()
+            .map(|t| NodeRef::of(t.main.kind, &names).into());
         let mut regions = BTreeMap::new();
         for same in nodes.chunk_by(|a, b| a.0 == b.0) {
             let (id, stub) = same[0].0;
-            let name = &names.info(id).name;
-            let key = if stub {
-                format!("{name} (stub)")
-            } else {
-                name.clone()
-            };
+            let key = display_name(&names.info(id).name, stub);
             // Two region ids may share one display name.
             *regions.entry(key).or_insert(0) += same.iter().map(|&(_, ns)| ns).sum::<u64>();
         }
-        Self { total_ns, regions }
+        Self {
+            total_ns,
+            regions,
+            root,
+        }
+    }
+
+    /// Reduce one record payload as [`RunSummary::from_profile`] reduces
+    /// the profile it spells, straight from its bytes: one walk, no tree,
+    /// no registry. Refuses exactly what
+    /// [`decode_record`](crate::decode_record) refuses, with its error.
+    pub fn from_record(payload: &[u8]) -> Result<Self, CodecError> {
+        let mut total_ns = 0;
+        let mut root = None;
+        // (name, is stub) -> inclusive ns, names borrowed from the payload.
+        let mut nodes: HashMap<(&str, bool), u64> = HashMap::new();
+        walk_record(payload, false, |node, sum_ns, main_root| {
+            if main_root {
+                total_ns += sum_ns;
+                root.get_or_insert_with(|| Construct::from(node));
+            }
+            let key = match node {
+                NodeRef::Region(_, name) => (name, false),
+                NodeRef::Stub(name) => (name, true),
+                NodeRef::Param(..) | NodeRef::Truncated => return,
+            };
+            *nodes.entry(key).or_insert(0) += sum_ns;
+        })?;
+        let mut regions = BTreeMap::new();
+        for ((name, stub), ns) in nodes {
+            *regions.entry(display_name(name, stub)).or_insert(0) += ns;
+        }
+        Ok(Self {
+            total_ns,
+            regions,
+            root,
+        })
+    }
+}
+
+/// The [`RunSummary::regions`] key of a construct: stubs get a ` (stub)`
+/// suffix to stay distinct from their task region.
+fn display_name(name: &str, stub: bool) -> String {
+    if stub {
+        format!("{name} (stub)")
+    } else {
+        name.to_owned()
     }
 }
 
@@ -130,7 +207,7 @@ pub struct BenchAgg {
     /// (their scalar statistics still count).
     pub tree_mismatches: u64,
     /// Root construct of the first run folded that had one.
-    first_root: Option<NodeKind>,
+    first_root: Option<Construct>,
 }
 
 impl BenchAgg {
@@ -139,17 +216,23 @@ impl BenchAgg {
         Self::default()
     }
 
-    /// Fold one run.
+    /// Fold one run's profile ([`BenchAgg::fold_summary`] of its
+    /// [`RunSummary::from_profile`]).
     pub fn fold(&mut self, profile: &Profile) {
-        let summary = RunSummary::from_profile(profile);
+        self.fold_summary(RunSummary::from_profile(profile));
+    }
+
+    /// Fold one run.
+    pub fn fold_summary(&mut self, run: RunSummary) {
         self.runs += 1;
-        self.total_ns.fold(summary.total_ns);
-        for (key, ns) in summary.regions {
+        self.total_ns.fold(run.total_ns);
+        for (key, ns) in run.regions {
             self.regions.entry(key).or_default().fold(ns);
         }
-        if let Some(root) = profile.threads.first().map(|t| t.main.kind) {
-            if *self.first_root.get_or_insert(root) != root {
-                self.tree_mismatches += 1;
+        if let Some(root) = run.root {
+            match &self.first_root {
+                Some(first) => self.tree_mismatches += u64::from(*first != root),
+                None => self.first_root = Some(root),
             }
         }
     }

@@ -3,13 +3,18 @@
 //! A record is `RunMeta` + `Profile`, serialized with LEB128 varints and
 //! length-prefixed UTF-8 strings, prefixed by a single version byte.
 //! [`crate::frame`] (not this module) frames the payload with a length
-//! word and a CRC-32. Region and parameter names are stored by name (+kind)
-//! and re-interned on decode, exactly like the text store, so records
-//! written by one process are readable by any other. [`verify_record`]
-//! checks an untrusted record without decoding it: it accepts exactly the
-//! bytes [`encode_record`] writes, so a store can stamp a header on the
-//! body and append it as is. [`check_record`] is the same walk with the
-//! decoder's leniency: it accepts exactly what [`decode_record`] accepts.
+//! word and a CRC-32. Region and parameter names are stored by name (+kind),
+//! exactly like the text store, so records written by one process are
+//! readable by any other; [`decode_record`] re-interns them into the
+//! process-wide registry, and it is the only reader that does.
+//! [`verify_record`] checks an untrusted record without decoding it: it
+//! accepts exactly the bytes [`encode_record`] writes, so a store can stamp
+//! a header on the body and append it as is. [`check_record`] is the same
+//! walk with the decoder's leniency: it accepts exactly what
+//! [`decode_record`] accepts, with the same error. The walk shows each node
+//! it passes to a visitor as a [`NodeRef`] borrowed from the payload, which
+//! is how [`crate::RunSummary::from_record`] folds a stored run without
+//! building a tree or naming anything in the registry.
 //!
 //! The `Stats` no-samples minimum keeps the text-format convention: the
 //! in-memory `u64::MAX` sentinel is encoded as 0 and restored on decode
@@ -193,6 +198,35 @@ const TAG_STUB: u8 = 1;
 const TAG_PARAM: u8 = 2;
 const TAG_TRUNCATED: u8 = 3;
 
+/// What a node stands for, as a record spells it: borrowed from the
+/// payload on the read side, from a registry view on the write side.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum NodeRef<'a> {
+    /// A region of this kind and name.
+    Region(RegionKind, &'a str),
+    /// The stub of the task region of this name.
+    Stub(&'a str),
+    /// A parameter of this name at this value.
+    Param(&'a str, i64),
+    /// A truncation marker.
+    Truncated,
+}
+
+impl<'a> NodeRef<'a> {
+    /// What [`encode_record`] writes for a node of `kind`.
+    pub fn of(kind: NodeKind, reg: &'a RegistryView<'_>) -> Self {
+        match kind {
+            NodeKind::Region(id) => {
+                let info = reg.info(id);
+                NodeRef::Region(info.kind, &info.name)
+            }
+            NodeKind::Stub(id) => NodeRef::Stub(&reg.info(id).name),
+            NodeKind::Param(p, v) => NodeRef::Param(reg.param_name(p), v),
+            NodeKind::Truncated => NodeRef::Truncated,
+        }
+    }
+}
+
 fn put_stats(out: &mut Vec<u8>, s: &Stats) {
     put_uv(out, s.visits);
     put_uv(out, s.sum_ns);
@@ -217,23 +251,22 @@ fn read_stats(r: &mut Reader<'_>) -> Result<Stats, CodecError> {
 }
 
 fn put_node(out: &mut Vec<u8>, reg: &RegistryView<'_>, node: &SnapNode) {
-    match node.kind {
-        NodeKind::Region(id) => {
+    match NodeRef::of(node.kind, reg) {
+        NodeRef::Region(kind, name) => {
             out.push(TAG_REGION);
-            let info = reg.info(id);
-            out.push(info.kind as u8);
-            put_str(out, &info.name);
+            out.push(kind as u8);
+            put_str(out, name);
         }
-        NodeKind::Stub(id) => {
+        NodeRef::Stub(name) => {
             out.push(TAG_STUB);
-            put_str(out, &reg.info(id).name);
+            put_str(out, name);
         }
-        NodeKind::Param(p, v) => {
+        NodeRef::Param(name, v) => {
             out.push(TAG_PARAM);
-            put_str(out, reg.param_name(p));
+            put_str(out, name);
             put_iv(out, v);
         }
-        NodeKind::Truncated => out.push(TAG_TRUNCATED),
+        NodeRef::Truncated => out.push(TAG_TRUNCATED),
     }
     put_stats(out, &node.stats);
     put_uv(out, node.children.len() as u64);
@@ -282,41 +315,48 @@ fn read_node(r: &mut Reader<'_>, depth: usize) -> Result<SnapNode, CodecError> {
 
 /// [`read_node`]'s walk without building anything: the same checks, plus,
 /// on a canonical reader, the one form [`put_stats`] never writes — a
-/// minimum on a node without samples.
-fn verify_node(r: &mut Reader<'_>, depth: usize) -> Result<(), CodecError> {
+/// minimum on a node without samples. Each node is shown to `visit`, in
+/// pre-order, with its inclusive nanoseconds and whether it is a thread's
+/// main root.
+fn verify_node<'a>(
+    r: &mut Reader<'a>,
+    depth: usize,
+    main_root: bool,
+    visit: &mut impl FnMut(NodeRef<'a>, u64, bool),
+) -> Result<(), CodecError> {
     if depth > 4096 {
         return Err(CodecError::Malformed("tree deeper than 4096"));
     }
-    match r.byte()? {
+    let node = match r.byte()? {
         TAG_REGION => {
-            RegionKind::from_u8(r.byte()?).ok_or(CodecError::Malformed("bad region kind"))?;
-            r.str_ref()?;
+            let kind =
+                RegionKind::from_u8(r.byte()?).ok_or(CodecError::Malformed("bad region kind"))?;
+            NodeRef::Region(kind, r.str_ref()?)
         }
-        TAG_STUB => {
-            r.str_ref()?;
-        }
+        TAG_STUB => NodeRef::Stub(r.str_ref()?),
         TAG_PARAM => {
-            r.str_ref()?;
-            r.iv()?;
+            let name = r.str_ref()?;
+            NodeRef::Param(name, r.iv()?)
         }
-        TAG_TRUNCATED => {}
+        TAG_TRUNCATED => NodeRef::Truncated,
         _ => return Err(CodecError::Malformed("unknown node tag")),
-    }
+    };
     // visits, sum, min, max, samples, aborted: the order of `put_stats`.
     let mut stats = [0u64; 6];
     for v in &mut stats {
         *v = r.uv()?;
     }
-    let [_, _, min, _, samples, _] = stats;
+    let [_, sum_ns, min, _, samples, _] = stats;
     if r.canonical && samples == 0 && min != 0 {
         return Err(CodecError::Malformed("minimum without samples"));
     }
+    visit(node, sum_ns, main_root);
     let nchildren = r.uv()?;
     if nchildren > r.remaining() as u64 {
         return Err(CodecError::Truncated);
     }
     for _ in 0..nchildren {
-        verify_node(r, depth + 1)?;
+        verify_node(r, depth + 1, false, visit)?;
     }
     Ok(())
 }
@@ -469,20 +509,27 @@ impl VerifiedBody<'_> {
 /// body it accepts is therefore canonical: stamping a new header on it
 /// gives exactly the bytes decoding and re-encoding would.
 pub fn verify_record(payload: &[u8]) -> Result<VerifiedBody<'_>, CodecError> {
-    let body = walk_record(payload, true)?;
+    let body = walk_record(payload, true, |_, _, _| {})?;
     Ok(VerifiedBody(&payload[body..]))
 }
 
 /// Check that [`decode_record`] would accept `payload`, without decoding
 /// it: [`verify_record`]'s walk, with the decoder's leniency towards an
-/// overlong varint, a profile without threads and a minimum without samples.
+/// overlong varint, a profile without threads and a minimum without
+/// samples. What it refuses, it refuses with the decoder's error.
 pub fn check_record(payload: &[u8]) -> Result<(), CodecError> {
-    walk_record(payload, false).map(drop)
+    walk_record(payload, false, |_, _, _| {}).map(drop)
 }
 
-/// The walk of [`verify_record`] (`canonical`) and [`check_record`]:
-/// returns where the profile body starts.
-fn walk_record(payload: &[u8], canonical: bool) -> Result<usize, CodecError> {
+/// The walk of [`verify_record`] (`canonical`), [`check_record`] and
+/// [`crate::RunSummary::from_record`]: shows every node to `visit` (see
+/// [`verify_node`]) and returns where the profile body starts. A caller
+/// that ignores the nodes passes a no-op closure, which compiles away.
+pub(crate) fn walk_record<'a>(
+    payload: &'a [u8],
+    canonical: bool,
+    mut visit: impl FnMut(NodeRef<'a>, u64, bool),
+) -> Result<usize, CodecError> {
     let mut r = Reader {
         canonical,
         ..Reader::new(payload)
@@ -516,13 +563,13 @@ fn walk_record(payload: &[u8], canonical: bool) -> Result<usize, CodecError> {
         for _ in 0..ndiag {
             r.str_ref()?;
         }
-        verify_node(&mut r, 0)?;
+        verify_node(&mut r, 0, true, &mut visit)?;
         let ntrees = r.uv()?;
         if ntrees > most {
             return Err(CodecError::Truncated);
         }
         for _ in 0..ntrees {
-            verify_node(&mut r, 0)?;
+            verify_node(&mut r, 0, false, &mut visit)?;
         }
     }
     if !r.done() {
@@ -653,19 +700,18 @@ mod tests {
             timestamp_ns: 7,
         };
         let payload = encode_record(&meta, &sample_profile("codec-check"));
+        let truncations = (0..payload.len()).map(|cut| (payload[..cut].to_vec(), format!("cut at {cut}")));
+        let flips = (0..payload.len() * 8).map(|i| {
+            let (at, bit) = (i / 8, i % 8);
+            let mut mutated = payload.clone();
+            mutated[at] ^= 1 << bit;
+            (mutated, format!("bit {bit} of byte {at} flipped"))
+        });
         let mut agreed = [0usize; 2];
-        for at in 0..payload.len() {
-            for bit in 0..8 {
-                let mut mutated = payload.clone();
-                mutated[at] ^= 1 << bit;
-                let decodes = decode_record(&mutated).is_ok();
-                assert_eq!(
-                    check_record(&mutated).is_ok(),
-                    decodes,
-                    "bit {bit} of byte {at} flipped"
-                );
-                agreed[usize::from(decodes)] += 1;
-            }
+        for (mutated, how) in truncations.chain(flips) {
+            let decoded = decode_record(&mutated).err();
+            assert_eq!(check_record(&mutated).err(), decoded, "{how}");
+            agreed[usize::from(decoded.is_none())] += 1;
         }
         assert!(
             agreed.iter().all(|&n| n > 0),

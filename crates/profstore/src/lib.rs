@@ -22,8 +22,9 @@
 //!   aggregation visits runs one at a time in (timestamp, run id) order
 //!   and never materializes every profile at once.
 //! * [`agg`] — the cross-run statistics themselves: min/max/mean/sum of
-//!   the paper's per-construct metrics over runs, plus the regression
-//!   check a serving daemon runs against a freshly ingested profile.
+//!   the paper's per-construct metrics over runs, folded from each
+//!   record's bytes, plus the regression check a serving daemon runs
+//!   against a freshly ingested profile.
 //! * [`io`] — the injectable I/O seam: every file operation goes through
 //!   a [`StoreIo`] handle ([`RealIo`] in production, a zero-cost
 //!   passthrough), so [`FaultIo`] can deterministically inject short
@@ -57,10 +58,12 @@ pub mod segment;
 mod shard;
 mod store;
 
-pub use agg::{BenchAgg, MetricAgg, RegressConfig, Regression, RegressionFinding, RunSummary};
+pub use agg::{
+    BenchAgg, Construct, MetricAgg, RegressConfig, Regression, RegressionFinding, RunSummary,
+};
 pub use codec::{
     check_record, decode_meta, decode_record, encode_record, put_iv, put_meta, put_str, put_uv, verify_record,
-    CodecError, Reader as PayloadReader, RunMeta, VerifiedBody, CODEC_VERSION, MAX_RECORD_BYTES,
+    CodecError, NodeRef, Reader as PayloadReader, RunMeta, VerifiedBody, CODEC_VERSION, MAX_RECORD_BYTES,
 };
 pub use io::{
     is_enospc, FaultHandle, FaultIo, FaultKind, FaultMode, FaultPlan, RealIo, StoreFile, StoreIo,

@@ -27,8 +27,8 @@
 //! the single-owner starvation the detrimental-pattern literature warns
 //! about is bounded to one shard, not the whole repository.
 
-use crate::agg::BenchAgg;
-use crate::codec::{RunMeta, VerifiedBody};
+use crate::agg::{BenchAgg, RunSummary};
+use crate::codec::{CodecError, RunMeta, VerifiedBody};
 use crate::io::{RealIo, StoreIo};
 use crate::merge::KWayMerge;
 use crate::store::{
@@ -324,12 +324,12 @@ impl ShardedStore {
     }
 
     /// Stream shard-tagged entries in (timestamp, run id) order through
-    /// the k-way merge — one read cursor per shard, one decoded profile
-    /// at a time, exactly the single-store streaming discipline.
+    /// the k-way merge — one read cursor per shard, one record at a time,
+    /// each handed to `f` as the single store's `stream_entries` does.
     fn stream_entries(
         shards: &[MutexGuard<'_, ProfileStore>],
         entries: &[(usize, &IndexEntry)],
-        mut f: impl FnMut(&RunMeta, &Profile),
+        mut f: impl FnMut(&IndexEntry, &[u8]) -> Result<(), CodecError>,
     ) -> Result<(), StoreError> {
         let mut per_shard: BTreeMap<usize, Vec<(usize, &IndexEntry)>> = BTreeMap::new();
         for &item in entries {
@@ -345,8 +345,7 @@ impl ShardedStore {
         let merged = KWayMerge::new(sources, |(_, e)| (e.timestamp_ns, e.run_id));
         let mut cursors: Vec<_> = shards.iter().map(|store| store.cursor()).collect();
         for (k, entry) in merged {
-            let (meta, profile) = cursors[k].load(entry)?;
-            f(&meta, &profile);
+            cursors[k].read(entry, &mut f)?;
         }
         Ok(())
     }
@@ -368,7 +367,10 @@ impl ShardedStore {
         let shards = self.lock_all();
         let entries = Self::window_entries(&shards, benchmark, threads, window);
         let mut agg = BenchAgg::default();
-        Self::stream_entries(&shards, &entries, |_, profile| agg.fold(profile))?;
+        Self::stream_entries(&shards, &entries, |_, payload| {
+            agg.fold_summary(RunSummary::from_record(payload)?);
+            Ok(())
+        })?;
         Ok(agg)
     }
 
@@ -405,12 +407,9 @@ impl ShardedStore {
                 last_timestamp_ns: span.last().map(|(_, e)| e.timestamp_ns).unwrap_or(0),
                 ..TrendBucket::default()
             };
-            Self::stream_entries(&shards, span, |_, profile| {
-                let total = crate::agg::RunSummary::from_profile(profile).total_ns;
-                bucket.runs += 1;
-                bucket.sum_ns += total;
-                bucket.min_ns = bucket.min_ns.min(total);
-                bucket.max_ns = bucket.max_ns.max(total);
+            Self::stream_entries(&shards, span, |_, payload| {
+                bucket.add(RunSummary::from_record(payload)?.total_ns);
+                Ok(())
             })?;
             if bucket.runs == 0 {
                 bucket.min_ns = 0;

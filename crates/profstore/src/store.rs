@@ -1,6 +1,6 @@
 //! The profile repository: segments + index + recovery + compaction.
 
-use crate::agg::BenchAgg;
+use crate::agg::{BenchAgg, RunSummary};
 use crate::codec::{
     check_record, decode_meta, decode_record, encode_record, CodecError, RunMeta, VerifiedBody,
     MAX_RECORD_BYTES,
@@ -217,6 +217,14 @@ impl TrendBucket {
     pub fn mean_ns(&self) -> u64 {
         self.sum_ns.checked_div(self.runs).unwrap_or(0)
     }
+
+    /// Fold one run's total.
+    pub(crate) fn add(&mut self, total_ns: u64) {
+        self.runs += 1;
+        self.sum_ns += total_ns;
+        self.min_ns = self.min_ns.min(total_ns);
+        self.max_ns = self.max_ns.max(total_ns);
+    }
 }
 
 /// One `EXPORT` page: record frames in ascending run-id order, plus the
@@ -319,6 +327,8 @@ pub struct ProfileStore {
     active_segment: u64,
     index: Vec<IndexEntry>,
     next_run_id: u64,
+    /// Highest run id in `index` (0 when empty), kept as entries come and go.
+    max_run_id: u64,
     recovered_tail_bytes: u64,
     agg_cache: BTreeMap<(String, u32), BenchAgg>,
     compacted_through: u64,
@@ -451,6 +461,7 @@ impl ProfileStore {
             next_run_id += 1;
         }
 
+        let max_run_id = index.iter().map(|e| e.run_id).max().unwrap_or(0);
         let (writer, active_segment) = match numbers.last() {
             Some(&last) => (
                 SegmentWriter::recover(
@@ -475,6 +486,7 @@ impl ProfileStore {
             active_segment,
             index,
             next_run_id,
+            max_run_id,
             recovered_tail_bytes,
             agg_cache: BTreeMap::new(),
             compacted_through: 0,
@@ -590,6 +602,7 @@ impl ProfileStore {
         }
         let offset = write(&mut self.writer)?;
         self.next_run_id = self.next_run_id.max(meta.run_id + 1);
+        self.max_run_id = self.max_run_id.max(meta.run_id);
         self.index.push(IndexEntry {
             run_id: meta.run_id,
             benchmark: meta.benchmark,
@@ -617,7 +630,7 @@ impl ProfileStore {
     /// that never durably landed, and a cursor derived from it would
     /// silently skip the legitimate re-send of that frame.
     pub fn max_run_id(&self) -> u64 {
-        self.index.iter().map(|e| e.run_id).max().unwrap_or(0)
+        self.max_run_id
     }
 
     fn rotate(&mut self) -> Result<(), StoreError> {
@@ -653,7 +666,7 @@ impl ProfileStore {
             .iter()
             .find(|e| e.run_id == run_id)
             .ok_or(StoreError::NotFound(run_id))?;
-        self.cursor().load(entry)
+        self.cursor().read(entry, |_, payload| decode_record(payload))
     }
 
     /// A fresh read cursor over this store's segments.
@@ -683,14 +696,15 @@ impl ProfileStore {
     }
 
     /// Stream every run of a set of entries in (timestamp, run id) order,
-    /// one decoded profile at a time, applying `f` to each. This is the
-    /// k-way path: entries are grouped per segment, each group sorted by
-    /// key, and [`KWayMerge`] interleaves the groups; only one profile is
-    /// ever decoded at once.
+    /// handing `f` each entry with its record payload, borrowed from the
+    /// read buffer; an error `f` returns is that record's
+    /// [`StoreError::Codec`]. This is the k-way path: entries are grouped
+    /// per segment, each group sorted by key, and [`KWayMerge`]
+    /// interleaves the groups; only one record is ever read at once.
     fn stream_entries(
         &self,
         entries: &[&IndexEntry],
-        mut f: impl FnMut(&RunMeta, &Profile),
+        mut f: impl FnMut(&IndexEntry, &[u8]) -> Result<(), CodecError>,
     ) -> Result<(), StoreError> {
         let mut per_segment: BTreeMap<u64, Vec<&IndexEntry>> = BTreeMap::new();
         for e in entries {
@@ -706,15 +720,14 @@ impl ProfileStore {
         let merged = KWayMerge::new(sources, |e| (e.timestamp_ns, e.run_id));
         let mut cursor = self.cursor();
         for entry in merged {
-            let (meta, profile) = cursor.load(entry)?;
-            f(&meta, &profile);
+            cursor.read(entry, &mut f)?;
         }
         Ok(())
     }
 
     /// Fold every record of every *closed* segment (all but the active
     /// one) into the per-benchmark aggregate cache. Returns how many runs
-    /// were newly folded. Queries after this only decode the active
+    /// were newly folded. Queries after this only fold the active
     /// segment's tail on demand.
     ///
     /// All-or-nothing: on a mid-stream I/O or decode error nothing is
@@ -733,11 +746,12 @@ impl ProfileStore {
             .collect();
         let mut cache = self.agg_cache.clone();
         let folded = entries.len() as u64;
-        self.stream_entries(&entries, |meta, profile| {
+        self.stream_entries(&entries, |entry, payload| {
             cache
-                .entry((meta.benchmark.clone(), meta.threads))
+                .entry((entry.benchmark.clone(), entry.threads))
                 .or_default()
-                .fold(profile);
+                .fold_summary(RunSummary::from_record(payload)?);
+            Ok(())
         })?;
         self.agg_cache = cache;
         self.compacted_through = upto;
@@ -763,7 +777,10 @@ impl ProfileStore {
                     && e.threads == threads
             })
             .collect();
-        self.stream_entries(&tail, |_, profile| agg.fold(profile))?;
+        self.stream_entries(&tail, |_, payload| {
+            agg.fold_summary(RunSummary::from_record(payload)?);
+            Ok(())
+        })?;
         Ok(agg)
     }
 
@@ -809,7 +826,10 @@ impl ProfileStore {
         }
         let entries = self.runs_in_window(benchmark, threads, window);
         let mut agg = BenchAgg::default();
-        self.stream_entries(&entries, |_, profile| agg.fold(profile))?;
+        self.stream_entries(&entries, |_, payload| {
+            agg.fold_summary(RunSummary::from_record(payload)?);
+            Ok(())
+        })?;
         Ok(agg)
     }
 
@@ -817,7 +837,7 @@ impl ProfileStore {
     /// ingest-order spans of run-total statistics — the data behind a
     /// sparkline. Earlier buckets absorb the remainder when the run
     /// count does not divide evenly, so the newest bucket is never
-    /// artificially small. Streams one decoded profile at a time.
+    /// artificially small. Streams one record at a time.
     pub fn trend(
         &self,
         benchmark: &str,
@@ -848,12 +868,9 @@ impl ProfileStore {
             bucket.min_ns = u64::MAX;
             bucket.first_timestamp_ns = span.first().map(|e| e.timestamp_ns).unwrap_or(0);
             bucket.last_timestamp_ns = span.last().map(|e| e.timestamp_ns).unwrap_or(0);
-            self.stream_entries(span, |_, profile| {
-                let total = crate::agg::RunSummary::from_profile(profile).total_ns;
-                bucket.runs += 1;
-                bucket.sum_ns += total;
-                bucket.min_ns = bucket.min_ns.min(total);
-                bucket.max_ns = bucket.max_ns.max(total);
+            self.stream_entries(span, |_, payload| {
+                bucket.add(RunSummary::from_record(payload)?.total_ns);
+                Ok(())
             })?;
             if bucket.runs == 0 {
                 bucket.min_ns = 0;
@@ -1029,6 +1046,8 @@ impl ProfileStore {
                 .retain(|e| e.segment != seg || !dead.contains(&e.run_id));
             report.dropped_runs += (before - self.index.len()) as u64;
         }
+        // The newest run may have been among the dead.
+        self.max_run_id = self.index.iter().map(|e| e.run_id).max().unwrap_or(0);
         // The aggregate cache may have folded now-dropped runs; rebuild
         // it from scratch on the next compaction pass.
         self.agg_cache.clear();
@@ -1080,10 +1099,15 @@ impl SegmentCursor<'_> {
             })
     }
 
-    /// Read and decode the run of `entry`.
-    pub(crate) fn load(&mut self, entry: &IndexEntry) -> Result<(RunMeta, Profile), StoreError> {
+    /// Read the record of `entry` and hand its payload to `f`; an error
+    /// `f` returns is the record's [`StoreError::Codec`].
+    pub(crate) fn read<T>(
+        &mut self,
+        entry: &IndexEntry,
+        f: impl FnOnce(&IndexEntry, &[u8]) -> Result<T, CodecError>,
+    ) -> Result<T, StoreError> {
         let frame = self.frame(entry)?;
-        decode_record(frame.payload()).map_err(|source| StoreError::Codec {
+        f(entry, frame.payload()).map_err(|source| StoreError::Codec {
             segment: segment_name(entry.segment),
             offset: entry.offset,
             source,
@@ -1484,6 +1508,37 @@ mod tests {
         // A no-op policy is free.
         let report = store.gc(&RetentionPolicy::default()).expect("noop");
         assert_eq!(report, GcReport::default());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn max_run_id_survives_a_gc_of_the_newest_run_and_a_reopen() {
+        let dir = tmpdir("max-id");
+        let mut store = ProfileStore::open(&dir).expect("open");
+        assert_eq!(store.max_run_id(), 0);
+        // Run 3 is the newest id but carries the oldest timestamp.
+        for ts in [200, 300, 100] {
+            store
+                .ingest("fib", 2, ts, &profile("store-max-id", 10))
+                .expect("ingest");
+        }
+        assert_eq!(store.max_run_id(), 3);
+        let policy = RetentionPolicy {
+            keep_last: None,
+            min_timestamp_ns: Some(150),
+        };
+        assert_eq!(store.gc(&policy).expect("gc").dropped_runs, 1);
+        assert_eq!(store.max_run_id(), 2);
+        assert_eq!(store.next_run_id(), 4, "a dropped id is never handed out again");
+        drop(store);
+        let mut store = ProfileStore::open(&dir).expect("reopen");
+        assert_eq!(store.max_run_id(), 2);
+        store
+            .ingest_with_id(9, "fib", 2, 400, &profile("store-max-id", 10))
+            .expect("ingest");
+        assert_eq!(store.max_run_id(), 9);
+        drop(store);
+        assert_eq!(ProfileStore::open(&dir).expect("reopen").max_run_id(), 9);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -12,7 +12,10 @@ use profserve::{
     Client, ClientError, ClientTimeouts, ErrorKind, ProfilePayload, Record, ServeConfig, Server,
     ServerHandle, WireProtocol,
 };
-use profstore::{put_iv, put_meta, put_str, put_uv, verify_record, ProfileStore, RunMeta};
+use profstore::{
+    put_iv, put_meta, put_str, put_uv, verify_record, ProfileStore, RunMeta, RunWindow,
+    ShardedStore, StoreConfig,
+};
 use std::path::PathBuf;
 use std::thread::JoinHandle;
 use taskprof_session::{drain_spool, DrainReport, ExportPolicy};
@@ -206,6 +209,97 @@ fn spool_drain_interns_no_name() {
     );
     let _ = std::fs::remove_dir_all(&spool);
     stop(daemon, client);
+}
+
+/// Fails unless no name of `record(tag, nodes)` is in the registry.
+fn assert_never_interned(tag: &str, nodes: usize) {
+    let registry = pomp::registry();
+    let mut regions = vec![(format!("{tag} par"), RegionKind::Parallel)];
+    let mut params = Vec::new();
+    for k in 1..nodes {
+        match k % 3 {
+            0 => regions.push((format!("{tag} fn {k}"), RegionKind::Function)),
+            // A stub names its task region.
+            1 => regions.push((format!("{tag} task {k}"), RegionKind::Task)),
+            _ => params.push(format!("{tag} depth {k}")),
+        }
+    }
+    for (name, kind) in &regions {
+        assert_eq!(registry.lookup(name, *kind), None, "{name} was interned");
+    }
+    let view = registry.view();
+    for id in 0..registry.param_count() {
+        let name = view.param_name(pomp::ParamId(id as u32));
+        assert!(!params.iter().any(|p| p == name), "{name} was interned");
+    }
+}
+
+/// The readers that fold stored runs — compaction, a windowed aggregate
+/// and a trend, on a single store and through a sharded store's fan-in,
+/// and a `QUERY regress` whose candidate is a record — read the names out
+/// of the record bytes and intern none of them.
+#[test]
+fn folding_stored_runs_interns_no_name() {
+    const TAG: &str = "fold-never-interned";
+    const NODES: usize = 12;
+    let payload = record(TAG, NODES);
+    let body = verify_record(&payload).expect("the record verifies");
+    let window = RunWindow {
+        last: Some(3),
+        since_ns: None,
+    };
+
+    let dir = temp_dir("fold-single");
+    // One record per segment, so compaction has closed segments to fold.
+    let config = StoreConfig {
+        segment_max_bytes: 1,
+        ..StoreConfig::default()
+    };
+    let mut store = ProfileStore::open_with(&dir, config).expect("open");
+    for ts in 0..4 {
+        store.ingest_record("fold", 1, ts, body).expect("ingest");
+    }
+    assert_eq!(store.compact().expect("compact"), 3);
+    assert_eq!(store.aggregate_window("fold", 1, &window).expect("window").runs, 3);
+    assert_eq!(store.aggregate("fold", 1).expect("aggregate").runs, 4);
+    let trend = store.trend("fold", 1, &RunWindow::default(), 2).expect("trend");
+    assert_eq!(trend.iter().map(|b| b.runs).sum::<u64>(), 4);
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // An unnamed group is spread over the shards and fanned back in.
+    let dir = temp_dir("fold-sharded");
+    let sharded = ShardedStore::open(&dir, 2).expect("open sharded");
+    for ts in 0..4 {
+        sharded.ingest_record("", 1, ts, body).expect("ingest");
+    }
+    assert_eq!(sharded.aggregate_window("", 1, &window).expect("window").runs, 3);
+    let trend = sharded.trend("", 1, &window, 2).expect("trend");
+    assert_eq!(trend.iter().map(|b| b.runs).sum::<u64>(), 3);
+    drop(sharded);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let (daemon, mut client) = serve("fold-daemon");
+    let records: Vec<Record> = (0..4).map(|ts| tpf1(payload.clone(), ts)).collect();
+    client.ingest_batch(&records).expect("ingest");
+    for window in [RunWindow::default(), window] {
+        let report = client
+            .query_regress_window(
+                "verify",
+                1,
+                ProfilePayload::Record(payload.clone()),
+                None,
+                None,
+                None,
+                window,
+            )
+            .expect("regress");
+        assert_eq!(report.baseline_runs, window.last.unwrap_or(4));
+        assert!(!report.regressed, "{report:?}");
+    }
+    stop(daemon, client);
+
+    assert_never_interned(TAG, NODES);
 }
 
 #[test]

@@ -9,8 +9,8 @@ use taskprof::{
 
 use profstore::segment::{SegmentReader, SegmentWriter};
 use profstore::{
-    decode_meta, decode_record, encode_record, verify_record, ProfileStore, RealIo, RunMeta,
-    RunSummary, ShardedStore,
+    decode_meta, decode_record, encode_record, verify_record, BenchAgg, NodeRef, ProfileStore,
+    RealIo, RunMeta, RunSummary, ShardedStore,
 };
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -136,6 +136,9 @@ fn summary_of_the_thread_merge(p: &Profile) -> RunSummary {
     RunSummary {
         total_ns: merged.main.stats.sum_ns,
         regions,
+        root: p.threads.first().map(|t| {
+            NodeRef::of(t.main.kind, &reg.view()).into()
+        }),
     }
 }
 
@@ -158,6 +161,74 @@ fn run_summary_equals_the_sum_over_the_thread_merge() {
             summary_of_the_thread_merge(&grown)
         );
     });
+}
+
+/// Roots a run's first main tree may have: the parallel regions of both
+/// generators, a region of another kind, the stubs of two constructs
+/// that share one display name, a parameter at two values and a
+/// truncation marker.
+fn root_kinds() -> Vec<NodeKind> {
+    let reg = pomp::registry();
+    let work_task = reg.register("ps-sum-work", pomp::RegionKind::Task, "t", 0);
+    let work_fn = reg.register("ps-sum-work", pomp::RegionKind::Function, "t", 0);
+    let param = reg.register_param("ps-sum-depth");
+    vec![
+        NodeKind::Region(reg.register("ps-par", pomp::RegionKind::Parallel, "t", 0)),
+        NodeKind::Region(reg.register("ps-sum-par", pomp::RegionKind::Parallel, "t", 0)),
+        NodeKind::Region(work_task),
+        NodeKind::Region(work_fn),
+        NodeKind::Stub(work_task),
+        NodeKind::Stub(work_fn),
+        NodeKind::Param(param, 0),
+        NodeKind::Param(param, 7),
+        NodeKind::Truncated,
+    ]
+}
+
+/// A record reduces to the summary of the profile it spells, and a
+/// cross-run aggregate folded from records is the one folded from the
+/// profiles — on replayed and grown profiles, over sequences whose
+/// roots differ.
+#[test]
+fn a_record_summarises_and_folds_as_the_profile_it_spells() {
+    let gen = |g: &mut Gen| {
+        let roots = root_kinds();
+        g.vec(1..7, |g| {
+            let mut p = if g.bool() {
+                profile(g)
+            } else {
+                let nthreads = g.u64(1..5) as usize;
+                grown_profile(g, nthreads)
+            };
+            if let Some(root) = g.option(|g| g.pick(&roots)) {
+                p.threads[0].main.kind = root;
+            }
+            p
+        })
+    };
+    let mismatched = std::cell::Cell::new(0);
+    check("a_record_summarises_and_folds_as_the_profile_it_spells", 64, gen, |runs| {
+        let mut from_records = BenchAgg::new();
+        let mut from_profiles = BenchAgg::new();
+        for (i, p) in runs.iter().enumerate() {
+            let meta = RunMeta {
+                run_id: i as u64 + 1,
+                benchmark: "proptest".to_string(),
+                threads: p.threads.len() as u32,
+                timestamp_ns: i as u64,
+            };
+            let summary = RunSummary::from_record(&encode_record(&meta, p)).expect("own record");
+            assert_eq!(summary, RunSummary::from_profile(p));
+            from_records.fold_summary(summary);
+            from_profiles.fold(p);
+        }
+        assert_eq!(from_records.runs, from_profiles.runs);
+        assert_eq!(from_records.total_ns, from_profiles.total_ns);
+        assert_eq!(from_records.regions, from_profiles.regions);
+        assert_eq!(from_records.tree_mismatches, from_profiles.tree_mismatches);
+        mismatched.set(mismatched.get() + usize::from(from_records.tree_mismatches > 0));
+    });
+    assert!(mismatched.get() > 0, "no case folded runs whose roots differ");
 }
 
 #[test]
