@@ -16,7 +16,12 @@ fn scenario(policy: AssignPolicy) -> AggProfile {
     let par = reg.register("fig3!parallel", RegionKind::Parallel, file!(), line!());
     let task = reg.register("fig3_task", RegionKind::Task, file!(), line!());
     let create = reg.register("fig3_task!create", RegionKind::TaskCreate, file!(), line!());
-    let barrier = reg.register("fig3!ibarrier", RegionKind::ImplicitBarrier, file!(), line!());
+    let barrier = reg.register(
+        "fig3!ibarrier",
+        RegionKind::ImplicitBarrier,
+        file!(),
+        line!(),
+    );
     let ids = TaskIdAllocator::new();
     let t1 = ids.alloc();
     // Fig. 3 numbers: parallel start 2, creation 2, task body 5, barrier
@@ -26,25 +31,43 @@ fn scenario(policy: AssignPolicy) -> AggProfile {
         policy,
         [
             Event::Advance(2),
-            Event::CreateBegin { create, task_region: task, id: t1 },
+            Event::CreateBegin {
+                create,
+                task_region: task,
+                id: t1,
+            },
             Event::Advance(2),
             Event::CreateEnd { create, id: t1 },
             Event::Enter(barrier),
-            Event::TaskBegin { region: task, id: t1 },
+            Event::TaskBegin {
+                region: task,
+                id: t1,
+            },
             Event::Advance(5),
-            Event::TaskEnd { region: task, id: t1 },
+            Event::TaskEnd {
+                region: task,
+                id: t1,
+            },
             Event::Advance(2),
             Event::Exit(barrier),
         ],
     );
-    AggProfile::from_profile(&Profile { threads: vec![snap] })
+    AggProfile::from_profile(&Profile {
+        threads: vec![snap],
+    })
 }
 
 fn main() {
     println!("== Ablation — task attribution policy (paper Fig. 3) ==\n");
     for (policy, name) in [
-        (AssignPolicy::Creating, "assign to CREATING node (rejected by the paper)"),
-        (AssignPolicy::Executing, "assign to EXECUTING node (the paper's design)"),
+        (
+            AssignPolicy::Creating,
+            "assign to CREATING node (rejected by the paper)",
+        ),
+        (
+            AssignPolicy::Executing,
+            "assign to EXECUTING node (the paper's design)",
+        ),
     ] {
         println!("--- {name} ---");
         let prof = scenario(policy);

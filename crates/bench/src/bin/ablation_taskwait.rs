@@ -16,10 +16,7 @@ use std::time::Instant;
 use taskprof::ProfMonitor;
 use taskprof_session::{MeasurementSession, SessionBuilder};
 
-fn run_nqueens(
-    session: &MeasurementSession<ProfMonitor>,
-    n: usize,
-) -> (std::time::Duration, u64) {
+fn run_nqueens(session: &MeasurementSession<ProfMonitor>, n: usize) -> (std::time::Duration, u64) {
     let r = nqueens::regions();
     let count = AtomicU64::new(0);
     let count_ref = &count;
@@ -54,7 +51,9 @@ fn nqueens_spawn<'e, M: pomp::Monitor>(
         if ok {
             let mut b2 = board.clone();
             b2[row] = col;
-            ctx.task(&r.task, move |ctx| nqueens_spawn(ctx, n, row + 1, b2, count));
+            ctx.task(&r.task, move |ctx| {
+                nqueens_spawn(ctx, n, row + 1, b2, count)
+            });
         }
     }
     ctx.taskwait(r.tw);

@@ -11,7 +11,10 @@ fn main() {
     println!("clock read cost        : {:.1} ns", c.clock_read_ns);
     println!("clock resolution bound : {} ns", c.clock_resolution_ns);
     println!("enter/exit pair cost   : {:.1} ns", c.enter_exit_ns);
-    println!("task begin/end cycle   : {:.1} ns (instance tree + stub + merge)", c.task_cycle_ns);
+    println!(
+        "task begin/end cycle   : {:.1} ns (instance tree + stub + merge)",
+        c.task_cycle_ns
+    );
     println!();
     println!("predicted profiling overhead by mean task size:");
     println!("  {:>12}  {:>10}", "task size", "overhead");

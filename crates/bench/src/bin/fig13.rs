@@ -6,7 +6,10 @@
 //! fft 10–17 %; health 6–32 % (shrinking with threads); fib ≈ 310 %
 //! (pathological: tasks are a single addition).
 
-use bench::{banner, fmt_pct, fmt_secs, instrumented_time, overhead_pct, print_table, Config, uninstrumented_time};
+use bench::{
+    banner, fmt_pct, fmt_secs, instrumented_time, overhead_pct, print_table, uninstrumented_time,
+    Config,
+};
 use bots::{Variant, ALL_APPS};
 
 fn main() {

@@ -6,12 +6,18 @@
 //! internal task-management contention shadows the measurement cost.
 //! strassen is the exception: always low overhead (its tasks are big).
 
-use bench::{banner, fmt_pct, fmt_secs, instrumented_time, overhead_pct, print_table, Config, uninstrumented_time};
+use bench::{
+    banner, fmt_pct, fmt_secs, instrumented_time, overhead_pct, print_table, uninstrumented_time,
+    Config,
+};
 use bots::{Variant, ALL_APPS};
 
 fn main() {
     let cfg = Config::from_env();
-    banner("Fig. 14 — profiling overhead, versions without cut-off", &cfg);
+    banner(
+        "Fig. 14 — profiling overhead, versions without cut-off",
+        &cfg,
+    );
     let mut rows = Vec::new();
     for app in ALL_APPS {
         let mut row = vec![app.name().to_string()];

@@ -13,7 +13,9 @@ fn main() {
     let cfg = Config::from_env();
     banner("Fig. 5 — profile call-tree view with stub nodes", &cfg);
     let threads = cfg.threads.iter().copied().max().unwrap_or(4);
-    let opts = RunOpts::new(threads).scale(cfg.scale).variant(Variant::Cutoff);
+    let opts = RunOpts::new(threads)
+        .scale(cfg.scale)
+        .variant(Variant::Cutoff);
     let (_, prof) = instrumented_run(AppId::Fib, &opts);
     let text = render_profile(
         &prof,

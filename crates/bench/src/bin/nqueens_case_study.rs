@@ -37,14 +37,19 @@ fn main() {
     println!("\nstep 2: profile of the no-cut-off version on {threads} threads");
     let (_, prof) = instrumented_run(
         AppId::Nqueens,
-        &RunOpts::new(threads).scale(cfg.scale).variant(Variant::NoCutoff),
+        &RunOpts::new(threads)
+            .scale(cfg.scale)
+            .variant(Variant::NoCutoff),
     );
     let stats = &task_stats(&prof)[0];
     let create_excl = region_excl_by_name(&prof, "nqueens!create") as f64;
     let task_excl = region_excl_by_name(&prof, "nqueens") as f64;
     let creations = stats.instances.max(1) as f64;
     println!("  completed task instances : {}", stats.instances);
-    println!("  mean inclusive task time : {}", format_ns(stats.mean_ns as u64));
+    println!(
+        "  mean inclusive task time : {}",
+        format_ns(stats.mean_ns as u64)
+    );
     println!(
         "  mean EXCLUSIVE task time : {} (useful work per task)",
         format_ns((task_excl / creations) as u64)
@@ -61,8 +66,20 @@ fn main() {
 
     // Step 3: the fix — cut-off at level 3.
     println!("\nstep 3: apply the cut-off (stop task creation at level 3)");
-    let base = uninstrumented_time(AppId::Nqueens, threads, cfg.scale, Variant::NoCutoff, cfg.reps);
-    let cut = uninstrumented_time(AppId::Nqueens, threads, cfg.scale, Variant::Cutoff, cfg.reps);
+    let base = uninstrumented_time(
+        AppId::Nqueens,
+        threads,
+        cfg.scale,
+        Variant::NoCutoff,
+        cfg.reps,
+    );
+    let cut = uninstrumented_time(
+        AppId::Nqueens,
+        threads,
+        cfg.scale,
+        Variant::Cutoff,
+        cfg.reps,
+    );
     println!(
         "  {} threads: {}s -> {}s  (speedup {:.1}x; paper: 187s -> 11.5s, 16x)",
         threads,

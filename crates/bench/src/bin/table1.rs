@@ -13,7 +13,10 @@ use cube::{format_ns, task_stats};
 
 fn main() {
     let cfg = Config::from_env();
-    banner("Table I — mean task execution time / number of tasks (no cut-off)", &cfg);
+    banner(
+        "Table I — mean task execution time / number of tasks (no cut-off)",
+        &cfg,
+    );
     let apps = [
         AppId::Fib,
         AppId::Floorplan,

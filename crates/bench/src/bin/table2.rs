@@ -10,12 +10,18 @@ use bots::{Variant, ALL_APPS};
 
 fn main() {
     let cfg = Config::from_env();
-    banner("Table II — max concurrently executing tasks per thread", &cfg);
+    banner(
+        "Table II — max concurrently executing tasks per thread",
+        &cfg,
+    );
     let threads = cfg.threads.iter().copied().max().unwrap_or(4);
     let mut rows = Vec::new();
     for app in ALL_APPS {
         let (_, prof) = instrumented_time(app, threads, cfg.scale, Variant::NoCutoff, 1);
-        rows.push(vec![app.name().to_string(), prof.max_live_trees.to_string()]);
+        rows.push(vec![
+            app.name().to_string(),
+            prof.max_live_trees.to_string(),
+        ]);
         if app.has_cutoff() {
             let (_, prof) = instrumented_time(app, threads, cfg.scale, Variant::Cutoff, 1);
             rows.push(vec![

@@ -19,10 +19,14 @@ fn row_for(label: &str, values: Vec<f64>) -> Vec<String> {
 
 fn main() {
     let cfg = Config::from_env();
-    banner("Table III — nqueens exclusive times by region (no cut-off)", &cfg);
+    banner(
+        "Table III — nqueens exclusive times by region (no cut-off)",
+        &cfg,
+    );
     let mut profiles: Vec<(usize, AggProfile)> = Vec::new();
     for &t in &cfg.threads {
-        let (_, prof) = instrumented_time(AppId::Nqueens, t, cfg.scale, Variant::NoCutoff, cfg.reps);
+        let (_, prof) =
+            instrumented_time(AppId::Nqueens, t, cfg.scale, Variant::NoCutoff, cfg.reps);
         profiles.push((t, prof));
     }
     let excl = |name: &str| -> Vec<f64> {

@@ -13,7 +13,10 @@ use cube::{format_ns, param_table};
 
 fn main() {
     let cfg = Config::from_env();
-    banner("Table IV — nqueens inclusive task time per recursion level", &cfg);
+    banner(
+        "Table IV — nqueens inclusive task time per recursion level",
+        &cfg,
+    );
     let threads = cfg.threads.iter().copied().max().unwrap_or(4);
     let opts = RunOpts::new(threads)
         .scale(cfg.scale)
@@ -40,7 +43,10 @@ fn main() {
             ]
         })
         .collect();
-    print_table(&["depth level", "mean time", "sum", "number of tasks"], &rows);
+    print_table(
+        &["depth level", "mean time", "sum", "number of tasks"],
+        &rows,
+    );
     println!();
     println!("shape check vs paper: mean time falls monotonically with depth; most of the");
     println!("total time sits in the deepest few levels; counts peak near the bottom");

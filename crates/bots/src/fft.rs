@@ -107,7 +107,14 @@ pub fn gen_input(len: usize, seed: u64) -> Vec<Complex> {
 
 /// Sequential recursive FFT: transform `src[s0], src[s0+stride], ...`
 /// (n elements) into `dst[d0 .. d0+n)`.
-pub fn fft_seq(src: &[Complex], dst: &mut [Complex], s0: usize, d0: usize, n: usize, stride: usize) {
+pub fn fft_seq(
+    src: &[Complex],
+    dst: &mut [Complex],
+    s0: usize,
+    d0: usize,
+    n: usize,
+    stride: usize,
+) {
     if n == 1 {
         dst[d0] = src[s0];
         return;

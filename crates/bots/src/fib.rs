@@ -135,10 +135,7 @@ mod tests {
     #[test]
     fn task_fib_matches_serial_across_threads() {
         for threads in [1, 2, 4] {
-            let out = run(
-                &NullMonitor,
-                &RunOpts::new(threads).scale(Scale::Test),
-            );
+            let out = run(&NullMonitor, &RunOpts::new(threads).scale(Scale::Test));
             assert!(out.verified);
             assert_eq!(out.checksum, fib_serial(input_n(Scale::Test)));
         }

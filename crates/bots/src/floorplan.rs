@@ -271,10 +271,7 @@ mod tests {
     #[test]
     fn serial_best_two_unit_cells() {
         // Two 1×1 cells: optimum packs them into a 1×2 box (area 2).
-        let cells = vec![
-            Cell { alts: vec![(1, 1)] },
-            Cell { alts: vec![(1, 1)] },
-        ];
+        let cells = vec![Cell { alts: vec![(1, 1)] }, Cell { alts: vec![(1, 1)] }];
         assert_eq!(serial_best(&cells), 2);
     }
 

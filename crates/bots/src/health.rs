@@ -216,7 +216,11 @@ impl Village {
             + self.assess.len()
             + self.inside.len()
             + self.refer_up.len()
-            + self.children.iter().map(Village::total_patients).sum::<usize>()
+            + self
+                .children
+                .iter()
+                .map(Village::total_patients)
+                .sum::<usize>()
     }
 
     /// Deterministic state checksum.
@@ -284,8 +288,7 @@ pub fn run<M: Monitor>(monitor: &M, opts: &RunOpts) -> Outcome {
     for _ in 0..p.steps {
         reference.step_serial(true);
     }
-    let verified =
-        root.checksum() == reference.checksum() && root.total_patients() == initial;
+    let verified = root.checksum() == reference.checksum() && root.total_patients() == initial;
     Outcome {
         kernel,
         checksum: root.checksum(),

@@ -184,7 +184,12 @@ fn par_sort<'e, M: Monitor>(
     }
     let r = regions();
     let q = len / 4;
-    let quarters = [(lo, q), (lo + q, q), (lo + 2 * q, q), (lo + 3 * q, len - 3 * q)];
+    let quarters = [
+        (lo, q),
+        (lo + q, q),
+        (lo + 2 * q, q),
+        (lo + 3 * q, len - 3 * q),
+    ];
     for (qlo, qlen) in quarters {
         ctx.task(&r.task_sort, move |ctx| par_sort(ctx, data, tmp, qlo, qlen));
     }
@@ -194,7 +199,16 @@ fn par_sort<'e, M: Monitor>(
         par_merge(ctx, data, lo, q, lo + q, q, tmp, lo);
     });
     ctx.task(&r.task_merge, move |ctx| {
-        par_merge(ctx, data, lo + 2 * q, q, lo + 3 * q, len - 3 * q, tmp, lo + 2 * q);
+        par_merge(
+            ctx,
+            data,
+            lo + 2 * q,
+            q,
+            lo + 3 * q,
+            len - 3 * q,
+            tmp,
+            lo + 2 * q,
+        );
     });
     ctx.taskwait(r.tw);
     // Merge halves back into data.

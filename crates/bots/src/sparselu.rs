@@ -75,17 +75,17 @@ impl SparseMat {
                     null_entry = false;
                 }
                 blocks.push((!null_entry).then(|| {
-                    let mut rng =
-                        SplitMix64::new(seed ^ ((ii as u64) << 32) ^ jj as u64);
+                    let mut rng = SplitMix64::new(seed ^ ((ii as u64) << 32) ^ jj as u64);
                     let mut b = vec![0.0f64; bs * bs].into_boxed_slice();
                     for (k, v) in b.iter_mut().enumerate() {
-                        *v = rng.unit_f64() + if ii == jj && k % (bs + 1) == 0 {
-                            // Diagonal dominance keeps the factorization
-                            // numerically tame.
-                            bs as f64
-                        } else {
-                            0.0
-                        };
+                        *v = rng.unit_f64()
+                            + if ii == jj && k % (bs + 1) == 0 {
+                                // Diagonal dominance keeps the factorization
+                                // numerically tame.
+                                bs as f64
+                            } else {
+                                0.0
+                            };
                     }
                     b
                 }));

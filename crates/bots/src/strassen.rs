@@ -214,7 +214,12 @@ unsafe fn combine(m: &[Mat; 7], c: Mat, half: usize) {
     );
     for i in 0..half {
         for j in 0..half {
-            let (m1, m2, m3, m4) = (*m[0].at(i, j), *m[1].at(i, j), *m[2].at(i, j), *m[3].at(i, j));
+            let (m1, m2, m3, m4) = (
+                *m[0].at(i, j),
+                *m[1].at(i, j),
+                *m[2].at(i, j),
+                *m[3].at(i, j),
+            );
             let (m5, m6, m7) = (*m[4].at(i, j), *m[5].at(i, j), *m[6].at(i, j));
             *c11.at(i, j) = m1 + m4 - m5 + m7;
             *c12.at(i, j) = m3 + m5;
@@ -301,12 +306,18 @@ pub fn run<M: Monitor>(monitor: &M, opts: &RunOpts) -> Outcome {
     let mut a = gen_matrix(n, 0x5712_A55E);
     let mut b = gen_matrix(n, 0x5712_A55F);
     let mut c = vec![0.0f64; n * n];
-    let (ma, mb, mc) = (Mat::new(&mut a, n), Mat::new(&mut b, n), Mat::new(&mut c, n));
+    let (ma, mb, mc) = (
+        Mat::new(&mut a, n),
+        Mat::new(&mut b, n),
+        Mat::new(&mut c, n),
+    );
     let r = regions();
     let team = Team::new(opts.threads);
     let start = Instant::now();
     team.parallel(monitor, &r.par, |ctx| {
-        ctx.single(&r.single, |ctx| strassen_task(ctx, ma, mb, mc, n, leaf, 0, cutoff));
+        ctx.single(&r.single, |ctx| {
+            strassen_task(ctx, ma, mb, mc, n, leaf, 0, cutoff)
+        });
     });
     let kernel = start.elapsed();
     // Serial Strassen has the identical operation order per element, so
@@ -356,7 +367,13 @@ mod tests {
         let want = naive(&a, &b, n);
         let mut c = vec![0.0; n * n];
         unsafe {
-            strassen_serial(Mat::new(&mut a, n), Mat::new(&mut b, n), Mat::new(&mut c, n), n, 16)
+            strassen_serial(
+                Mat::new(&mut a, n),
+                Mat::new(&mut b, n),
+                Mat::new(&mut c, n),
+                n,
+                16,
+            )
         };
         for (x, y) in c.iter().zip(&want) {
             assert!((x - y).abs() < 1e-9, "{x} vs {y}");

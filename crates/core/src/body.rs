@@ -44,7 +44,11 @@ impl Frame {
     /// Rebuild a paused frame (task migration): `acc` holds the full
     /// accumulated time, `since` is irrelevant until the next resume.
     pub(crate) fn rebuilt_paused(node: NodeId, acc: u64) -> Self {
-        Self { node, acc, since: 0 }
+        Self {
+            node,
+            acc,
+            since: 0,
+        }
     }
 }
 

@@ -57,5 +57,5 @@ pub use monitor::{
 pub use profiler::{AssignPolicy, ThreadProfile};
 pub use replay::{replay, Event, Replayer, TeamReplayer};
 pub use snapshot::{Profile, SnapNode, ThreadSnapshot};
-pub use tree::NodeKind;
 pub use taskprof_telemetry::{TelemetryConfig, TelemetryCore, TelemetrySnapshot};
+pub use tree::NodeKind;

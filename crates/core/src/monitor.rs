@@ -686,7 +686,10 @@ impl<C: ClockSource> ProfMonitor<C> {
                     streams: Vec::new(),
                 });
             }
-            log.last_mut().expect("pushed above").streams.push((tid, stream));
+            log.last_mut()
+                .expect("pushed above")
+                .streams
+                .push((tid, stream));
         }
         Ok(log)
     }
@@ -694,7 +697,11 @@ impl<C: ClockSource> ProfMonitor<C> {
     /// [`ProfMonitor::take_edge_log`] as bare `(tid, stream)` pairs,
     /// sorted by thread id within each region.
     pub fn take_edge_streams(&self) -> Result<Vec<(usize, EdgeStream)>, SessionActiveError> {
-        Ok(self.take_edge_log()?.into_iter().flat_map(|r| r.streams).collect())
+        Ok(self
+            .take_edge_log()?
+            .into_iter()
+            .flat_map(|r| r.streams)
+            .collect())
     }
 }
 
@@ -926,8 +933,7 @@ impl<C: ClockSource> ThreadHooks for ProfThread<C> {
     #[inline]
     fn task_create_end(&self, create_region: RegionId, new_task: TaskId) {
         let t = self.now();
-        self.prof()
-            .task_create_end(create_region, new_task, t);
+        self.prof().task_create_end(create_region, new_task, t);
         self.edge(
             t,
             Event::CreateEnd {
@@ -1014,7 +1020,11 @@ impl<C: ClockSource> ThreadHooks for ProfThread<C> {
         // own work, as it did when the two were separate hooks.
         let end_timed = tm.tick(EventClass::TaskEnd);
         let switch_timed = tm.tick(EventClass::TaskSwitch);
-        let t_mid = if end_timed || switch_timed { self.now() } else { t };
+        let t_mid = if end_timed || switch_timed {
+            self.now()
+        } else {
+            t
+        };
         if end_timed {
             tm.record_cost(EventClass::TaskEnd, t_mid.saturating_sub(t));
         }
@@ -1049,10 +1059,7 @@ mod tests {
 
     fn virtual_monitor() -> (VirtualClock, ProfMonitor<VirtualClock>) {
         let clock = VirtualClock::new();
-        let m = ProfMonitor::builder()
-            .clock(clock.clone())
-            .build()
-            .unwrap();
+        let m = ProfMonitor::builder().clock(clock.clone()).build().unwrap();
         (clock, m)
     }
 
@@ -1115,7 +1122,10 @@ mod tests {
         m.thread_end(3, a);
         m.thread_end(1, b);
         let p = m.take_profile().unwrap();
-        assert_eq!(p.threads.iter().map(|t| t.tid).collect::<Vec<_>>(), vec![1, 3]);
+        assert_eq!(
+            p.threads.iter().map(|t| t.tid).collect::<Vec<_>>(),
+            vec![1, 3]
+        );
     }
 
     #[test]
@@ -1184,11 +1194,25 @@ mod tests {
         let got: Vec<_> = log
             .iter()
             .map(|r| {
-                let [(tid, s)] = &r.streams[..] else { panic!("one stream per region") };
-                (r.occurrence, r.region, *tid, s.origin(), s.events().collect::<Vec<_>>())
+                let [(tid, s)] = &r.streams[..] else {
+                    panic!("one stream per region")
+                };
+                (
+                    r.occurrence,
+                    r.region,
+                    *tid,
+                    s.origin(),
+                    s.events().collect::<Vec<_>>(),
+                )
             })
             .collect();
-        assert_eq!(got, [(1, RegionId(0), 0, 2, stream.clone()), (2, RegionId(7), 0, 102, stream)]);
+        assert_eq!(
+            got,
+            [
+                (1, RegionId(0), 0, 2, stream.clone()),
+                (2, RegionId(7), 0, 102, stream)
+            ]
+        );
         // Drained: second take is empty, and the profile still collected.
         assert!(m.take_edge_streams().unwrap().is_empty());
         assert_eq!(m.take_profile().unwrap().num_threads(), 2);
@@ -1206,7 +1230,12 @@ mod tests {
         log.emit(105, Event::Enter(r));
         let sealed = log.finish(103);
         assert_eq!(sealed.origin(), 100, "the origin is the thread-begin time");
-        let want = [Event::Enter(r), Event::Exit(r), Event::Advance(5), Event::Enter(r)];
+        let want = [
+            Event::Enter(r),
+            Event::Exit(r),
+            Event::Advance(5),
+            Event::Enter(r),
+        ];
         assert!(sealed.events().eq(want));
     }
 
@@ -1256,7 +1285,10 @@ mod tests {
             },
             Event::Advance(under),
             Event::CreateEnd { create, id: a },
-            Event::TaskBegin { region: task, id: a },
+            Event::TaskBegin {
+                region: task,
+                id: a,
+            },
             Event::Advance(at),
             Event::Enter(work),
             Event::ParamBegin {
@@ -1266,11 +1298,20 @@ mod tests {
             Event::ParamEnd { param },
             Event::Advance(over),
             Event::Exit(work),
-            Event::TaskEnd { region: task, id: a },
-            Event::TaskBegin { region: task, id: b },
+            Event::TaskEnd {
+                region: task,
+                id: a,
+            },
+            Event::TaskBegin {
+                region: task,
+                id: b,
+            },
             Event::Switch(TaskRef::Implicit),
             Event::Switch(TaskRef::Explicit(b)),
-            Event::TaskAbort { region: task, id: b },
+            Event::TaskAbort {
+                region: task,
+                id: b,
+            },
         ];
         let streams = m.take_edge_streams().unwrap();
         assert_eq!(streams[0].1.events().collect::<Vec<_>>(), want);
@@ -1296,7 +1337,10 @@ mod tests {
             6 => Event::TaskAbort { region, id },
             7 => Event::Switch(TaskRef::Implicit),
             8 => Event::Switch(TaskRef::Explicit(id)),
-            9 => Event::ParamBegin { param, value: raw as i64 },
+            9 => Event::ParamBegin {
+                param,
+                value: raw as i64,
+            },
             10 => Event::ParamEnd { param },
             11 => Event::Advance(0),
             _ => Event::Advance(dt),
@@ -1348,7 +1392,10 @@ mod tests {
         let err = ProfMonitor::builder().max_depth(0).build().unwrap_err();
         assert_eq!(err.setting(), "max_depth");
         assert!(matches!(err, ConfigError::InvalidValue { value: 0, .. }));
-        let err = ProfMonitor::builder().max_live_trees(0).build().unwrap_err();
+        let err = ProfMonitor::builder()
+            .max_live_trees(0)
+            .build()
+            .unwrap_err();
         assert_eq!(err.setting(), "max_live_trees");
         assert!(err.to_string().contains("max_live_trees"), "{err}");
         assert!(ProfMonitor::builder()

@@ -121,7 +121,12 @@ impl ThreadProfile {
     /// supplied (typically recycled) `arena`, so a thread beginning a new
     /// parallel region reuses the node capacity of an earlier one instead
     /// of allocating. The arena is reset first.
-    pub fn new_in(mut arena: Arena, parallel_region: RegionId, t: u64, policy: AssignPolicy) -> Self {
+    pub fn new_in(
+        mut arena: Arena,
+        parallel_region: RegionId,
+        t: u64,
+        policy: AssignPolicy,
+    ) -> Self {
         arena.reset();
         let root = arena.alloc(NodeKind::Region(parallel_region), None);
         arena.node_mut(root).stats.add_visit();
@@ -401,7 +406,10 @@ impl ThreadProfile {
             AssignPolicy::Executing => None,
             AssignPolicy::Creating => self.creation_nodes.remove(&id),
         };
-        if self.max_live_limit.is_some_and(|cap| self.live_trees >= cap) {
+        if self
+            .max_live_limit
+            .is_some_and(|cap| self.live_trees >= cap)
+        {
             // Overload shedding: the cap on concurrently live instance
             // trees is reached. Degrade this instance to counting-only —
             // it is still tracked as the current task (the event stream
@@ -744,7 +752,10 @@ mod tests {
         assert_eq!(barrier.stats.sum_ns, 60);
         let stub = child(barrier, NodeKind::Stub(rid(TASK_A)));
         assert_eq!(stub.stats.visits, 1, "one fragment executed");
-        assert_eq!(stub.stats.sum_ns, 50, "time executing the task in the barrier");
+        assert_eq!(
+            stub.stats.sum_ns, 50,
+            "time executing the task in the barrier"
+        );
         // Barrier exclusive = 60 - 50 = 10 (management/idle), the Fig. 5 split.
 
         // Task tree beside the main tree.
@@ -1107,7 +1118,11 @@ mod tests {
         p.finish(4);
         assert!(p.is_finished());
         assert_eq!(p.diagnostics().len(), 1);
-        assert!(p.diagnostics()[0].contains("force-closed"), "{:?}", p.diagnostics());
+        assert!(
+            p.diagnostics()[0].contains("force-closed"),
+            "{:?}",
+            p.diagnostics()
+        );
         assert_eq!(p.live_instance_trees(), 0, "instance tree was released");
         let s = p.snapshot(0);
         assert_eq!(s.diagnostics, p.diagnostics());

@@ -125,10 +125,10 @@ impl Replayer {
                 create,
                 task_region,
                 id,
-            } => self.profile.task_create_begin(create, task_region, id, self.t),
-            Event::CreateEnd { create, id } => {
-                self.profile.task_create_end(create, id, self.t)
-            }
+            } => self
+                .profile
+                .task_create_begin(create, task_region, id, self.t),
+            Event::CreateEnd { create, id } => self.profile.task_create_end(create, id, self.t),
             Event::TaskBegin { region, id } => self.profile.task_begin(region, id, self.t),
             Event::TaskEnd { region, id } => self.profile.task_end(region, id, self.t),
             Event::TaskAbort { region, id } => self.profile.task_abort(region, id, self.t),
@@ -313,18 +313,30 @@ mod tests {
             AssignPolicy::Executing,
             [
                 Event::Enter(barrier),
-                Event::TaskBegin { region: task, id: t1 },
+                Event::TaskBegin {
+                    region: task,
+                    id: t1,
+                },
                 Event::Advance(10),
                 Event::Enter(tw), // t1 waits for children
                 Event::Advance(1),
-                Event::TaskBegin { region: task, id: t2 }, // t1 suspended
+                Event::TaskBegin {
+                    region: task,
+                    id: t2,
+                }, // t1 suspended
                 Event::Advance(20),
-                Event::TaskEnd { region: task, id: t2 },
+                Event::TaskEnd {
+                    region: task,
+                    id: t2,
+                },
                 Event::Switch(TaskRef::Explicit(t1)), // t1 resumes
                 Event::Advance(2),
                 Event::Exit(tw),
                 Event::Advance(3),
-                Event::TaskEnd { region: task, id: t1 },
+                Event::TaskEnd {
+                    region: task,
+                    id: t1,
+                },
                 Event::Exit(barrier),
             ],
         );
@@ -398,11 +410,17 @@ mod tests {
         let mut r = Replayer::new(par, AssignPolicy::Executing);
         r.run([
             Event::Enter(barrier),
-            Event::TaskBegin { region: task, id: t1 },
+            Event::TaskBegin {
+                region: task,
+                id: t1,
+            },
         ]);
         assert_eq!(r.profile().live_instance_trees(), 1);
         r.run([
-            Event::TaskEnd { region: task, id: t1 },
+            Event::TaskEnd {
+                region: task,
+                id: t1,
+            },
             Event::Exit(barrier),
         ]);
         assert_eq!(r.profile().live_instance_trees(), 0);

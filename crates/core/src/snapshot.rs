@@ -24,7 +24,12 @@ impl SnapNode {
     /// Signed — the `Creating` attribution policy can make it negative
     /// (paper Fig. 3).
     pub fn exclusive_ns(&self) -> i64 {
-        self.stats.sum_ns as i64 - self.children.iter().map(|c| c.stats.sum_ns as i64).sum::<i64>()
+        self.stats.sum_ns as i64
+            - self
+                .children
+                .iter()
+                .map(|c| c.stats.sum_ns as i64)
+                .sum::<i64>()
     }
 
     /// First child with the given identity.
@@ -106,7 +111,11 @@ impl Profile {
     /// Maximum over threads of the concurrent-instance-tree high-water
     /// mark — the per-code value of the paper's Table II.
     pub fn max_live_trees(&self) -> usize {
-        self.threads.iter().map(|t| t.max_live_trees).max().unwrap_or(0)
+        self.threads
+            .iter()
+            .map(|t| t.max_live_trees)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Total task instances shed (degraded to counting-only) across all

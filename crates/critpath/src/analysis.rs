@@ -95,7 +95,12 @@ pub fn analyze_trace(log: &[RegionEdges]) -> Result<TraceAnalysis, DagError> {
     let mut reader = TraceReader::default();
     for region in log {
         let first = reader.instances.len();
-        Builder::walk(&region.streams, region.region, &DagOptions::default(), &mut reader)?;
+        Builder::walk(
+            &region.streams,
+            region.region,
+            &DagOptions::default(),
+            &mut reader,
+        )?;
         reader.end_region(first);
     }
     Ok(reader.finish())
@@ -214,7 +219,8 @@ impl TraceReader {
     }
 
     fn finish(mut self) -> TraceAnalysis {
-        self.by_kind.sort_by_key(|b| (Reverse(b.dwell_ns), b.kind as u8));
+        self.by_kind
+            .sort_by_key(|b| (Reverse(b.dwell_ns), b.kind as u8));
         let management = self.creation.saturating_add(self.sched_nonexec);
         let ratio = match self.task_exec {
             0 => f64::INFINITY,
@@ -321,7 +327,11 @@ mod tests {
     /// One region of one stream starting at `origin`.
     fn log(par: RegionId, occurrence: u64, origin: u64, events: Vec<Event>) -> RegionEdges {
         let streams = vec![(0, EdgeStream::from_events(origin, events))];
-        RegionEdges { occurrence, region: par, streams }
+        RegionEdges {
+            occurrence,
+            region: par,
+            streams,
+        }
     }
 
     #[test]
@@ -390,14 +400,26 @@ mod tests {
             vec![
                 Event::Enter(barrier),
                 Event::Advance(2),
-                Event::TaskBegin { region: task, id: t1 },
+                Event::TaskBegin {
+                    region: task,
+                    id: t1,
+                },
                 Event::Advance(3),
-                Event::TaskBegin { region: task, id: t2 }, // t1 suspends
+                Event::TaskBegin {
+                    region: task,
+                    id: t2,
+                }, // t1 suspends
                 Event::Advance(4),
-                Event::TaskEnd { region: task, id: t2 },
+                Event::TaskEnd {
+                    region: task,
+                    id: t2,
+                },
                 Event::Switch(TaskRef::Explicit(t1)),
                 Event::Advance(3),
-                Event::TaskEnd { region: task, id: t1 },
+                Event::TaskEnd {
+                    region: task,
+                    id: t1,
+                },
                 Event::Advance(3),
                 Event::Exit(barrier),
             ],
@@ -430,7 +452,10 @@ mod tests {
                 .iter()
                 .map(|b| (b.kind, b.dwell_ns))
                 .collect();
-            assert_eq!(kinds, [(RegionKind::Taskwait, 5), (RegionKind::ImplicitBarrier, 5)]);
+            assert_eq!(
+                kinds,
+                [(RegionKind::Taskwait, 5), (RegionKind::ImplicitBarrier, 5)]
+            );
         }
     }
 

@@ -158,7 +158,9 @@ struct IdHasher(u64);
 
 impl Hasher for IdHasher {
     fn write(&mut self, bytes: &[u8]) {
-        bytes.iter().for_each(|&byte| self.write_u64(u64::from(byte)));
+        bytes
+            .iter()
+            .for_each(|&byte| self.write_u64(u64::from(byte)));
     }
     fn write_u32(&mut self, id: u32) {
         self.write_u64(u64::from(id));
@@ -326,7 +328,9 @@ impl Task {
     }
 
     fn missing(&self, what: &'static str) -> DagError {
-        let id = self.id.expect("only explicit tasks lack a begin, a creation or an end");
+        let id = self
+            .id
+            .expect("only explicit tasks lack a begin, a creation or an end");
         DagError::MissingTask { id, what }
     }
 }
@@ -348,7 +352,10 @@ struct List {
 }
 
 impl List {
-    const EMPTY: List = List { head: NONE, tail: NONE };
+    const EMPTY: List = List {
+        head: NONE,
+        tail: NONE,
+    };
 }
 
 /// `Task::next` of a task on no list of that chain.
@@ -431,7 +438,11 @@ impl Builder {
     fn vertex(&mut self, task: usize, weight: u64, attr: u32) -> u32 {
         let v = self.nodes.len() as u32;
         let prog = std::mem::replace(&mut self.tasks[task].last, v);
-        let attr = if v == self.stream_start { attr | OPENS_STREAM } else { attr };
+        let attr = if v == self.stream_start {
+            attr | OPENS_STREAM
+        } else {
+            attr
+        };
         self.nodes.push(Node { weight, attr, prog });
         if prog < self.stream_start {
             self.block(v);
@@ -533,7 +544,12 @@ impl Builder {
 
     /// Close `task`'s innermost frame, which must be region `closes` (a
     /// parameter scope for `None`); returns the region's index.
-    fn close(&mut self, task: usize, closes: Option<RegionId>, ev: &Event) -> Result<u32, DagError> {
+    fn close(
+        &mut self,
+        task: usize,
+        closes: Option<RegionId>,
+        ev: &Event,
+    ) -> Result<u32, DagError> {
         match self.frames(task)?.pop() {
             Some(Frame::Region(open, index)) if Some(open) == closes => Ok(index),
             Some(Frame::Param) if closes.is_none() => Ok(NONE),
@@ -542,7 +558,10 @@ impl Builder {
     }
 
     fn unbalanced(&self, detail: String) -> DagError {
-        DagError::UnbalancedFrame { thread: self.tid, detail }
+        DagError::UnbalancedFrame {
+            thread: self.tid,
+            detail,
+        }
     }
 
     /// The innermost open region of `task`: parameter scopes are
@@ -559,7 +578,11 @@ impl Builder {
     /// optionally carving `carve` ns off its tail into a vertex attributed
     /// to the given region. Returns the carved vertex for use as a
     /// creation-edge source.
-    fn interval(&mut self, task: usize, carve: Option<(u64, u32)>) -> Result<Option<u32>, DagError> {
+    fn interval(
+        &mut self,
+        task: usize,
+        carve: Option<(u64, u32)>,
+    ) -> Result<Option<u32>, DagError> {
         let (carve_ns, carve_attr) = match carve {
             Some((ns, attr)) => (ns.min(self.pending), attr),
             None => (0, NONE),
@@ -575,7 +598,9 @@ impl Builder {
 
 /// Every event of `streams`, decoded inside each stream's own loop.
 fn each_event(streams: &[(usize, EdgeStream)], mut f: impl FnMut(Event)) {
-    streams.iter().for_each(|(_, stream)| stream.events().for_each(&mut f));
+    streams
+        .iter()
+        .for_each(|(_, stream)| stream.events().for_each(&mut f));
 }
 
 /// Work / span: 1.0 for an empty DAG.
@@ -613,7 +638,11 @@ impl Builder {
             events += 1;
             match ev {
                 Event::TaskBegin { .. } => begins += 1,
-                Event::CreateBegin { create, task_region, id } => {
+                Event::CreateBegin {
+                    create,
+                    task_region,
+                    id,
+                } => {
                     deferred.push(id);
                     let (create, task_region) = (b.region(create), b.region(task_region));
                     b.regions[task_region as usize].create = create;
@@ -627,7 +656,11 @@ impl Builder {
             let task = b.task(id);
             b.tasks[task].deferred = true;
         }
-        let carved = if opts.undeferred_spawn_cost.is_some() { begins } else { 0 };
+        let carved = if opts.undeferred_spawn_cost.is_some() {
+            begins
+        } else {
+            0
+        };
         b.nodes.reserve_exact(events + carved);
 
         b.starts.reserve_exact(streams.len());
@@ -667,7 +700,8 @@ impl Builder {
                                 let mut wait = false;
                                 while let Some(child) = b.pop(Chain::Unjoined, current) {
                                     b.join_edges.push((child as u32, v));
-                                    wait |= !(b.stream_start..v).contains(&b.tasks[child].end_vertex);
+                                    wait |=
+                                        !(b.stream_start..v).contains(&b.tasks[child].end_vertex);
                                 }
                                 if wait {
                                     b.block(v);
@@ -678,7 +712,8 @@ impl Builder {
                                 let occurrence = *k;
                                 *k += 1;
                                 let next = b.barrier_occurrences.len() as u32;
-                                let at = *b.barrier_occurrences.entry((r, occurrence)).or_insert(next);
+                                let at =
+                                    *b.barrier_occurrences.entry((r, occurrence)).or_insert(next);
                                 b.barrier_exits.push((at, v));
                                 // Every other thread's pre-exit vertex joins it.
                                 if streams.len() > 1 {
@@ -689,7 +724,11 @@ impl Builder {
                         }
                         (current, region)
                     }
-                    Event::CreateBegin { create, task_region: _, id } => {
+                    Event::CreateBegin {
+                        create,
+                        task_region: _,
+                        id,
+                    } => {
                         b.interval(current, None)?;
                         b.anchor(current);
                         b.open(current, create)?;
@@ -803,7 +842,10 @@ impl Builder {
             // Trailing time between the last hook and thread end.
             b.interval(current, None)?;
             b.creates_by.push(creates);
-            let work = b.nodes[b.stream_start as usize..].iter().map(|n| n.weight).sum();
+            let work = b.nodes[b.stream_start as usize..]
+                .iter()
+                .map(|n| n.weight)
+                .sum();
             b.work_by_thread.push(work);
         }
         Ok(b)
@@ -823,7 +865,9 @@ impl TaskDag {
         let mut b = Builder::walk(streams, parallel_region, opts, &mut ())?;
         let barriers = Csr::bucket(b.barrier_occurrences.len(), &b.barrier_exits);
         let barrier_edges = barriers.rows().map(|exits| exits.len() * exits.len());
-        b.edges.reserve_exact(b.create_edges.len() + b.join_edges.len() + barrier_edges.sum::<usize>());
+        b.edges.reserve_exact(
+            b.create_edges.len() + b.join_edges.len() + barrier_edges.sum::<usize>(),
+        );
         // Resolve cross-thread creation edges.
         for &(task, target) in &b.create_edges {
             match b.tasks[task as usize].create_vertex {
@@ -854,16 +898,23 @@ impl TaskDag {
 
         // Steal counting: a deferred task whose first fragment ran on a
         // different thread than its creator.
-        let stolen = |t: &&Task| t.deferred && t.creator != NONE && t.first != NONE && t.creator != t.first;
+        let stolen =
+            |t: &&Task| t.deferred && t.creator != NONE && t.first != NONE && t.creator != t.first;
         let steals = b.tasks.iter().filter(stolen).count() as u64;
 
         // Only what the DAG is made of outlives the walk: the task table
         // and the maps go before the arrays below are allocated, the edge
         // list as soon as it is bucketed.
         let (nodes, edges) = (std::mem::take(&mut b.nodes), std::mem::take(&mut b.edges));
-        let (starts, blocked) = (std::mem::take(&mut b.starts), std::mem::take(&mut b.blocked));
+        let (starts, blocked) = (
+            std::mem::take(&mut b.starts),
+            std::mem::take(&mut b.blocked),
+        );
         let mut dag = TaskDag {
-            joins: Csr { start: Vec::new(), items: Vec::new() },
+            joins: Csr {
+                start: Vec::new(),
+                items: Vec::new(),
+            },
             nodes,
             runs: Vec::new(),
             regions: b.regions.iter().map(|r| r.id).collect(),
@@ -885,7 +936,9 @@ impl TaskDag {
     /// first.
     fn preds(&self, v: usize) -> impl Iterator<Item = usize> + '_ {
         let prog = Some(self.nodes[v].prog).filter(|&p| p != NONE);
-        prog.into_iter().chain(self.joins.row(v).iter().copied()).map(|p| p as usize)
+        prog.into_iter()
+            .chain(self.joins.row(v).iter().copied())
+            .map(|p| p as usize)
     }
 
     /// A topological order of the full (logical + schedule) graph as
@@ -902,7 +955,13 @@ impl TaskDag {
     /// streams interleave.
     fn order(&self, starts: &[u32], blocked: &[u32]) -> Result<Vec<(u32, u32)>, DagError> {
         let n = self.nodes.len() as u32;
-        let ends: Vec<u32> = starts.iter().skip(1).copied().chain([n]).take(starts.len()).collect();
+        let ends: Vec<u32> = starts
+            .iter()
+            .skip(1)
+            .copied()
+            .chain([n])
+            .take(starts.len())
+            .collect();
         debug_assert!(
             self.only_blocked_wait(starts, &ends, blocked),
             "a vertex waits for one outside its own stream's past but is not blocked"
@@ -911,27 +970,40 @@ impl TaskDag {
         // Per stream: the first vertex not placed, the first blocked one not
         // passed, and how many of that one's predecessors are placed.
         let mut placed = starts.to_vec();
-        let mut next: Vec<usize> = starts.iter().map(|&s| blocked.partition_point(|&v| v < s)).collect();
+        let mut next: Vec<usize> = starts
+            .iter()
+            .map(|&s| blocked.partition_point(|&v| v < s))
+            .collect();
         let mut passed = vec![0; starts.len()];
         // The placed vertices, a bit each, for predecessors in other streams.
         let mut done = vec![0u64; (n as usize).div_ceil(64)];
         // Per stream: the streams waiting for it, as (vertex awaited,
         // stream), soonest first.
-        let mut waiting: Vec<BinaryHeap<Reverse<(u32, usize)>>> = vec![BinaryHeap::new(); starts.len()];
+        let mut waiting: Vec<BinaryHeap<Reverse<(u32, usize)>>> =
+            vec![BinaryHeap::new(); starts.len()];
         let mut queue: VecDeque<usize> = (0..starts.len()).collect();
         let mut runs: Vec<(u32, u32)> = Vec::new();
         while let Some(k) = queue.pop_front() {
             let (from, end) = (placed[k], ends[k]);
             let mut to;
             let held = loop {
-                to = blocked.get(next[k]).copied().filter(|&v| v < end).unwrap_or(end);
+                to = blocked
+                    .get(next[k])
+                    .copied()
+                    .filter(|&v| v < end)
+                    .unwrap_or(end);
                 if to == end {
                     break None;
                 }
                 let unplaced = |&(_, p): &(usize, usize)| {
                     !(from as usize..to as usize).contains(&p) && done[p / 64] >> (p % 64) & 1 == 0
                 };
-                match self.preds(to as usize).skip(passed[k]).enumerate().find(unplaced) {
+                match self
+                    .preds(to as usize)
+                    .skip(passed[k])
+                    .enumerate()
+                    .find(unplaced)
+                {
                     Some((ready, p)) => break Some((passed[k] + ready, p)),
                     None => (next[k], passed[k]) = (next[k] + 1, 0),
                 }
@@ -977,7 +1049,8 @@ impl TaskDag {
         starts.iter().zip(ends).all(|(&start, &end)| {
             (start..end).all(|v| {
                 let own_past = start as usize..v as usize;
-                blocked.next_if_eq(&v).is_some() || self.preds(v as usize).all(|p| own_past.contains(&p))
+                blocked.next_if_eq(&v).is_some()
+                    || self.preds(v as usize).all(|p| own_past.contains(&p))
             })
         })
     }
@@ -992,7 +1065,11 @@ impl TaskDag {
             let (first, end) = (first as usize, end as usize);
             let rows = self.joins.start[first..=end].windows(2);
             for ((v, n), row) in (first..end).zip(&self.nodes[first..end]).zip(rows) {
-                let mut start = if n.prog != NONE { finish[n.prog as usize] } else { 0 };
+                let mut start = if n.prog != NONE {
+                    finish[n.prog as usize]
+                } else {
+                    0
+                };
                 for &p in &self.joins.items[row[0] as usize..row[1] as usize] {
                     start = start.max(finish[p as usize]);
                 }
@@ -1052,7 +1129,9 @@ impl TaskDag {
         let (span_ns, span) = self.critical_path();
         let shares = self.regions.iter().zip(self.work_by_index()).zip(span);
         let worked = shares.filter(|&((_, work), _)| work > 0);
-        let mut shares: Vec<_> = worked.map(|((&region, work), span)| (region, work, span)).collect();
+        let mut shares: Vec<_> = worked
+            .map(|((&region, work), span)| (region, work, span))
+            .collect();
         shares.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         (span_ns, shares)
     }
@@ -1073,7 +1152,9 @@ impl TaskDag {
     /// additionally pinned after its thread's previous fragment — the
     /// modeled runtime of the observed schedule.
     pub fn makespan_ns(&self) -> u64 {
-        *self.makespan_ns.get_or_init(|| self.solve(|n| n.weight, true).1)
+        *self
+            .makespan_ns
+            .get_or_init(|| self.solve(|n| n.weight, true).1)
     }
 
     /// Work / span: the parallelism ceiling. 1.0 for an empty DAG.
@@ -1137,7 +1218,13 @@ impl TaskDag {
     pub fn what_if(&self, region: RegionId, speedup: u64) -> crate::WhatIfPrediction {
         assert!(speedup >= 1, "speedup factor must be >= 1");
         let index = self.region_index(region);
-        let scaled = |n: &Node| if n.region() == index { n.weight / speedup } else { n.weight };
+        let scaled = |n: &Node| {
+            if n.region() == index {
+                n.weight / speedup
+            } else {
+                n.weight
+            }
+        };
         crate::WhatIfPrediction {
             region,
             speedup,
@@ -1150,7 +1237,11 @@ impl TaskDag {
     /// Sum of weights currently attributed to `region`.
     pub fn region_work_ns(&self, region: RegionId) -> u64 {
         let index = self.region_index(region);
-        self.nodes.iter().filter(|n| n.region() == index).map(|n| n.weight).sum()
+        self.nodes
+            .iter()
+            .filter(|n| n.region() == index)
+            .map(|n| n.weight)
+            .sum()
     }
 }
 
@@ -1165,7 +1256,9 @@ mod tests {
 
     /// Hand-written streams, each from clock 0.
     fn encoded<const N: usize>(streams: [(usize, Vec<Event>); N]) -> Vec<(usize, EdgeStream)> {
-        streams.map(|(tid, events)| (tid, EdgeStream::from_events(0, events))).into()
+        streams
+            .map(|(tid, events)| (tid, EdgeStream::from_events(0, events)))
+            .into()
     }
 
     /// Single thread, one deferred task executed at a taskwait:
@@ -1216,7 +1309,15 @@ mod tests {
         let par = region("dag12-par", RegionKind::Parallel);
         let dag = TaskDag::from_streams(&[], par, &DagOptions::default()).unwrap();
         assert!(dag.runs.is_empty());
-        assert_eq!((dag.work_ns(), dag.span_ns(), dag.makespan_ns(), dag.threads()), (0, 0, 0, 0));
+        assert_eq!(
+            (
+                dag.work_ns(),
+                dag.span_ns(),
+                dag.makespan_ns(),
+                dag.threads()
+            ),
+            (0, 0, 0, 0)
+        );
     }
 
     #[test]
@@ -1258,8 +1359,8 @@ mod tests {
             Event::Enter(bar),
             Event::Exit(bar),
         ];
-        let dag =
-            TaskDag::from_streams(&encoded([(0, s0), (1, s1)]), par, &DagOptions::default()).unwrap();
+        let dag = TaskDag::from_streams(&encoded([(0, s0), (1, s1)]), par, &DagOptions::default())
+            .unwrap();
         // Stream 0 holds vertices 0..5, stream 1 5..12; the barrier exits
         // (4 and 11) wait for both threads.
         assert_eq!(dag.runs, [(0, 1), (5, 11), (1, 5), (11, 12)]);
@@ -1297,23 +1398,57 @@ mod tests {
         };
         let s0 = vec![
             Event::Enter(bar),
-            Event::TaskBegin { region: task, id: b },
+            Event::TaskBegin {
+                region: task,
+                id: b,
+            },
             Event::Advance(20),
-            Event::TaskEnd { region: task, id: b },
+            Event::TaskEnd {
+                region: task,
+                id: b,
+            },
             Event::Exit(bar),
         ];
-        let mut s1 = vec![Event::Enter(bar), Event::TaskBegin { region: task, id: a }, Event::Advance(20)];
+        let mut s1 = vec![
+            Event::Enter(bar),
+            Event::TaskBegin {
+                region: task,
+                id: a,
+            },
+            Event::Advance(20),
+        ];
         s1.extend(creates(b));
-        s1.extend([Event::TaskEnd { region: task, id: a }, Event::Exit(bar)]);
+        s1.extend([
+            Event::TaskEnd {
+                region: task,
+                id: a,
+            },
+            Event::Exit(bar),
+        ]);
         let mut s2 = vec![Event::Advance(10)];
         s2.extend(creates(a));
         s2.extend([Event::Enter(bar), Event::Exit(bar)]);
-        let dag = TaskDag::from_streams(&encoded([(0, s0), (1, s1), (2, s2)]), par, &DagOptions::default())
-            .unwrap();
+        let dag = TaskDag::from_streams(
+            &encoded([(0, s0), (1, s1), (2, s2)]),
+            par,
+            &DagOptions::default(),
+        )
+        .unwrap();
         // Streams hold vertices 0..5, 5..13 and 13..19. Each stops at the
         // begin it cannot yet run (1, 6) or at its barrier exit (18, 12)
         // and resumes once the stream it waits for has placed the vertex.
-        assert_eq!(dag.runs, [(0, 1), (5, 6), (13, 18), (6, 12), (1, 5), (12, 13), (18, 19)]);
+        assert_eq!(
+            dag.runs,
+            [
+                (0, 1),
+                (5, 6),
+                (13, 18),
+                (6, 12),
+                (1, 5),
+                (12, 13),
+                (18, 19)
+            ]
+        );
         assert_eq!(dag.work_ns(), 10 + 5 + 20 + 5 + 20);
         // 10 → create a → a → create b → b: nothing runs beside the chain.
         assert_eq!(dag.span_ns(), 60);
@@ -1331,15 +1466,24 @@ mod tests {
         let (a, c) = (ids.alloc(), ids.alloc());
         let runs_then_creates = |runs, creates| {
             vec![
-                Event::TaskBegin { region: task, id: runs },
+                Event::TaskBegin {
+                    region: task,
+                    id: runs,
+                },
                 Event::Advance(5),
-                Event::TaskEnd { region: task, id: runs },
+                Event::TaskEnd {
+                    region: task,
+                    id: runs,
+                },
                 Event::CreateBegin {
                     create,
                     task_region: task,
                     id: creates,
                 },
-                Event::CreateEnd { create, id: creates },
+                Event::CreateEnd {
+                    create,
+                    id: creates,
+                },
             ]
         };
         let streams = encoded([(0, runs_then_creates(c, a)), (1, runs_then_creates(a, c))]);
@@ -1393,8 +1537,8 @@ mod tests {
             Event::TaskEnd { region: task, id },
             Event::Exit(bar),
         ];
-        let dag =
-            TaskDag::from_streams(&encoded([(0, s0), (1, s1)]), par, &DagOptions::default()).unwrap();
+        let dag = TaskDag::from_streams(&encoded([(0, s0), (1, s1)]), par, &DagOptions::default())
+            .unwrap();
         assert_eq!(dag.work_ns(), 200);
         // Span: create(40) → task(60) → barrier vs create(40) → work(100)
         // → barrier: 140.
@@ -1507,16 +1651,28 @@ mod tests {
         ];
         let s1 = vec![
             Event::Enter(bar),
-            Event::TaskBegin { region: task, id: a },
+            Event::TaskBegin {
+                region: task,
+                id: a,
+            },
             Event::Advance(100),
-            Event::TaskEnd { region: task, id: a },
-            Event::TaskBegin { region: task, id: c },
+            Event::TaskEnd {
+                region: task,
+                id: a,
+            },
+            Event::TaskBegin {
+                region: task,
+                id: c,
+            },
             Event::Advance(50),
-            Event::TaskEnd { region: task, id: c },
+            Event::TaskEnd {
+                region: task,
+                id: c,
+            },
             Event::Exit(bar),
         ];
-        let dag =
-            TaskDag::from_streams(&encoded([(0, s0), (1, s1)]), par, &DagOptions::default()).unwrap();
+        let dag = TaskDag::from_streams(&encoded([(0, s0), (1, s1)]), par, &DagOptions::default())
+            .unwrap();
         // Logical span: create a (10) → a (100) → taskwait exit → 7 = 117
         // (a does not depend on c's creation; c's chain 10+10+50+7 is
         // shorter).
@@ -1551,12 +1707,25 @@ mod tests {
             },
             Event::CreateEnd { create, id: ghost },
             Event::Enter(tw),
-            Event::TaskBegin { region: task, id: a },
-            Event::TaskEnd { region: task, id: a },
+            Event::TaskBegin {
+                region: task,
+                id: a,
+            },
+            Event::TaskEnd {
+                region: task,
+                id: a,
+            },
             Event::Exit(tw),
         ];
-        let err = TaskDag::from_streams(&encoded([(0, s0)]), par, &DagOptions::default()).unwrap_err();
-        assert!(matches!(err, DagError::MissingTask { what: "completion", .. }));
+        let err =
+            TaskDag::from_streams(&encoded([(0, s0)]), par, &DagOptions::default()).unwrap_err();
+        assert!(matches!(
+            err,
+            DagError::MissingTask {
+                what: "completion",
+                ..
+            }
+        ));
         assert!(err.to_string().contains("missing completion"), "{err}");
     }
 
@@ -1603,7 +1772,8 @@ mod tests {
             Event::Advance(5),
             Event::Exit(f),
         ];
-        let err = TaskDag::from_streams(&encoded([(0, already_ended)]), par, &DagOptions::default());
+        let err =
+            TaskDag::from_streams(&encoded([(0, already_ended)]), par, &DagOptions::default());
         assert_eq!(
             err.unwrap_err().to_string(),
             format!("task {}: missing begin", done.get())
@@ -1616,8 +1786,12 @@ mod tests {
         // a stream may (wrongly) close it, but not then spend time.
         let par = region("dag8-par", RegionKind::Parallel);
         let s0 = vec![Event::Exit(par), Event::Advance(5), Event::Exit(par)];
-        let err = TaskDag::from_streams(&encoded([(4, s0)]), par, &DagOptions::default()).unwrap_err();
-        assert!(matches!(err, DagError::UnbalancedFrame { thread: 4, .. }), "{err:?}");
+        let err =
+            TaskDag::from_streams(&encoded([(4, s0)]), par, &DagOptions::default()).unwrap_err();
+        assert!(
+            matches!(err, DagError::UnbalancedFrame { thread: 4, .. }),
+            "{err:?}"
+        );
     }
 
     #[test]
@@ -1647,8 +1821,8 @@ mod tests {
             Event::TaskEnd { region: task, id },
             Event::Exit(bar),
         ];
-        let dag =
-            TaskDag::from_streams(&encoded([(3, s3), (7, s7)]), par, &DagOptions::default()).unwrap();
+        let dag = TaskDag::from_streams(&encoded([(3, s3), (7, s7)]), par, &DagOptions::default())
+            .unwrap();
         assert_eq!(dag.work_ns(), 40);
         assert_eq!(dag.work_by_thread(), [10, 30]);
         assert_eq!(dag.steals(), 1);
@@ -1662,7 +1836,11 @@ mod tests {
         let par = region("dag6-par", RegionKind::Parallel);
         let r = region("dag6-r", RegionKind::Function);
         let s0 = vec![Event::Exit(r)];
-        let err = TaskDag::from_streams(&encoded([(0, s0)]), par, &DagOptions::default()).unwrap_err();
-        assert!(matches!(err, DagError::UnbalancedFrame { thread: 0, .. }), "{err:?}");
+        let err =
+            TaskDag::from_streams(&encoded([(0, s0)]), par, &DagOptions::default()).unwrap_err();
+        assert!(
+            matches!(err, DagError::UnbalancedFrame { thread: 0, .. }),
+            "{err:?}"
+        );
     }
 }

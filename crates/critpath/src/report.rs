@@ -287,7 +287,9 @@ mod tests {
             s1.push(Event::TaskEnd { region: task, id });
         }
         s1.push(Event::Exit(bar));
-        let streams = [s0, s1].into_iter().map(|events| EdgeStream::from_events(0, events));
+        let streams = [s0, s1]
+            .into_iter()
+            .map(|events| EdgeStream::from_events(0, events));
         (streams.enumerate().collect(), par)
     }
 
@@ -333,7 +335,10 @@ mod tests {
         let dag = TaskDag::from_streams(&streams, par, &DagOptions::default()).unwrap();
         let report = dag.report();
         assert!(!report.regions.is_empty());
-        assert!(report.regions.windows(2).all(|w| w[0].work_ns >= w[1].work_ns));
+        assert!(report
+            .regions
+            .windows(2)
+            .all(|w| w[0].work_ns >= w[1].work_ns));
         assert_eq!(report.regions[0].name, "rep-create");
         assert_eq!(report.regions[0].work_ns, 320);
         assert!(report.regions[0].span_ns > 0, "creation is on the span");

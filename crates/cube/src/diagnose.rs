@@ -96,8 +96,10 @@ pub fn diagnose(profile: &Profile, cfg: &DiagnoseConfig) -> Vec<Finding> {
             continue;
         }
         if (s.mean_ns as u64) < cfg.small_task_ns {
-            let severity =
-                (cfg.small_task_ns as f64 / s.mean_ns.max(1.0)).log10().min(4.0) / 4.0;
+            let severity = (cfg.small_task_ns as f64 / s.mean_ns.max(1.0))
+                .log10()
+                .min(4.0)
+                / 4.0;
             findings.push(Finding {
                 kind: IssueKind::TasksTooSmall,
                 severity,
@@ -253,12 +255,19 @@ mod tests {
         // each on thread 1.
         for _ in 0..100 {
             let id = ids.alloc();
-            team.apply(0, Event::CreateBegin { create, task_region: task, id })
-                .advance(1_000)
-                .apply(0, Event::CreateEnd { create, id })
-                .apply(1, Event::TaskBegin { region: task, id })
-                .advance(200)
-                .apply(1, Event::TaskEnd { region: task, id });
+            team.apply(
+                0,
+                Event::CreateBegin {
+                    create,
+                    task_region: task,
+                    id,
+                },
+            )
+            .advance(1_000)
+            .apply(0, Event::CreateEnd { create, id })
+            .apply(1, Event::TaskBegin { region: task, id })
+            .advance(200)
+            .apply(1, Event::TaskEnd { region: task, id });
         }
         for tid in 0..2 {
             team.apply(tid, Event::Exit(barrier));
@@ -267,7 +276,10 @@ mod tests {
         let findings = diagnose(&profile, &DiagnoseConfig::default());
         assert!(has(&findings, IssueKind::TasksTooSmall), "{findings:#?}");
         assert!(has(&findings, IssueKind::CreationOverhead), "{findings:#?}");
-        assert!(has(&findings, IssueKind::CreationBottleneck), "{findings:#?}");
+        assert!(
+            has(&findings, IssueKind::CreationBottleneck),
+            "{findings:#?}"
+        );
         assert!(
             has(&findings, IssueKind::SchedulingPointsDominate),
             "thread 1 idles while thread 0 creates: {findings:#?}"
@@ -288,13 +300,37 @@ mod tests {
         }
         // One giant task (80 ms) and one small; thread 1 idles.
         let a = ids.alloc();
-        team.apply(0, Event::TaskBegin { region: task, id: a })
-            .advance(80_000_000)
-            .apply(0, Event::TaskEnd { region: task, id: a });
+        team.apply(
+            0,
+            Event::TaskBegin {
+                region: task,
+                id: a,
+            },
+        )
+        .advance(80_000_000)
+        .apply(
+            0,
+            Event::TaskEnd {
+                region: task,
+                id: a,
+            },
+        );
         let b = ids.alloc();
-        team.apply(1, Event::TaskBegin { region: task, id: b })
-            .advance(1_000_000)
-            .apply(1, Event::TaskEnd { region: task, id: b });
+        team.apply(
+            1,
+            Event::TaskBegin {
+                region: task,
+                id: b,
+            },
+        )
+        .advance(1_000_000)
+        .apply(
+            1,
+            Event::TaskEnd {
+                region: task,
+                id: b,
+            },
+        );
         for tid in 0..2 {
             team.apply(tid, Event::Exit(barrier));
         }
@@ -321,8 +357,20 @@ mod tests {
             team.advance(100_000);
             // End both tasks (each thread has exactly one running).
             let n = ids.allocated();
-            team.apply(0, Event::TaskEnd { region: task, id: pomp::TaskId::from_raw(n - 1).unwrap() });
-            team.apply(1, Event::TaskEnd { region: task, id: pomp::TaskId::from_raw(n).unwrap() });
+            team.apply(
+                0,
+                Event::TaskEnd {
+                    region: task,
+                    id: pomp::TaskId::from_raw(n - 1).unwrap(),
+                },
+            );
+            team.apply(
+                1,
+                Event::TaskEnd {
+                    region: task,
+                    id: pomp::TaskId::from_raw(n).unwrap(),
+                },
+            );
         }
         for tid in 0..2 {
             team.apply(tid, Event::Exit(barrier));

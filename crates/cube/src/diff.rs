@@ -80,7 +80,9 @@ mod tests {
                 Event::Exit(work),
             ],
         );
-        AggProfile::from_profile(&Profile { threads: vec![snap] })
+        AggProfile::from_profile(&Profile {
+            threads: vec![snap],
+        })
     }
 
     #[test]
@@ -104,10 +106,18 @@ mod tests {
         let snap_b = replay(
             par,
             AssignPolicy::Executing,
-            [Event::Enter(only_b), Event::Advance(10), Event::Exit(only_b)],
+            [
+                Event::Enter(only_b),
+                Event::Advance(10),
+                Event::Exit(only_b),
+            ],
         );
-        let a = AggProfile::from_profile(&Profile { threads: vec![snap_a] });
-        let b = AggProfile::from_profile(&Profile { threads: vec![snap_b] });
+        let a = AggProfile::from_profile(&Profile {
+            threads: vec![snap_a],
+        });
+        let b = AggProfile::from_profile(&Profile {
+            threads: vec![snap_b],
+        });
         let d = diff_profiles(&a, &b);
         let row = d.iter().find(|r| r.path.ends_with("d2-only-b")).unwrap();
         assert_eq!(row.a_incl_ns, 0);

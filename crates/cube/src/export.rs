@@ -99,19 +99,16 @@ pub fn to_csv(p: &AggProfile) -> String {
 /// labels carrying inclusive/exclusive times and visits.
 pub fn to_dot(p: &AggProfile) -> String {
     use std::fmt::Write;
-    let mut out = String::from("digraph profile {\n  rankdir=TB;\n  node [shape=box, fontname=\"monospace\"];\n");
+    let mut out = String::from(
+        "digraph profile {\n  rankdir=TB;\n  node [shape=box, fontname=\"monospace\"];\n",
+    );
     let mut counter = 0usize;
 
     fn esc_dot(s: &str) -> String {
         s.replace('\\', "\\\\").replace('"', "\\\"")
     }
 
-    fn emit(
-        out: &mut String,
-        node: &SnapNode,
-        counter: &mut usize,
-        parent: Option<usize>,
-    ) {
+    fn emit(out: &mut String, node: &SnapNode, counter: &mut usize, parent: Option<usize>) {
         let my = *counter;
         *counter += 1;
         let style = match node.kind {
@@ -170,7 +167,9 @@ mod tests {
                 Event::Exit(barrier),
             ],
         );
-        let p = crate::AggProfile::from_profile(&Profile { threads: vec![snap] });
+        let p = crate::AggProfile::from_profile(&Profile {
+            threads: vec![snap],
+        });
         let dot = to_dot(&p);
         assert!(dot.starts_with("digraph profile {"));
         assert!(dot.contains("dot-par"));
@@ -199,7 +198,9 @@ mod tests {
                 Event::Exit(barrier),
             ],
         );
-        let p = crate::AggProfile::from_profile(&Profile { threads: vec![snap] });
+        let p = crate::AggProfile::from_profile(&Profile {
+            threads: vec![snap],
+        });
         let csv = to_csv(&p);
         let mut lines = csv.lines();
         assert_eq!(
@@ -216,7 +217,9 @@ mod tests {
         let reg = registry();
         let par = reg.register("e2,par", RegionKind::Parallel, "t", 0);
         let snap = replay(par, AssignPolicy::Executing, [Event::Advance(1)]);
-        let p = crate::AggProfile::from_profile(&Profile { threads: vec![snap] });
+        let p = crate::AggProfile::from_profile(&Profile {
+            threads: vec![snap],
+        });
         let csv = to_csv(&p);
         assert!(csv.contains("\"e2,par\""), "{csv}");
     }

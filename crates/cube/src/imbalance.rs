@@ -111,7 +111,11 @@ pub fn render_loads(loads: &[ThreadLoad]) -> String {
             100.0 * l.work_ns() as f64 / l.wall_ns.max(1) as f64,
         );
     }
-    let _ = writeln!(out, "imbalance factor (max/mean work): {:.2}", imbalance_factor(loads));
+    let _ = writeln!(
+        out,
+        "imbalance factor (max/mean work): {:.2}",
+        imbalance_factor(loads)
+    );
     out
 }
 
@@ -138,15 +142,39 @@ mod tests {
         let mut team = TeamReplayer::new(2, par, AssignPolicy::Executing);
         team.apply(0, Event::Enter(bar)).apply(1, Event::Enter(bar));
         let a = ids.alloc();
-        team.apply(0, Event::TaskBegin { region: task, id: a })
-            .advance(90)
-            .apply(0, Event::TaskEnd { region: task, id: a });
+        team.apply(
+            0,
+            Event::TaskBegin {
+                region: task,
+                id: a,
+            },
+        )
+        .advance(90)
+        .apply(
+            0,
+            Event::TaskEnd {
+                region: task,
+                id: a,
+            },
+        );
         let b = ids.alloc();
-        team.apply(1, Event::TaskBegin { region: task, id: b });
+        team.apply(
+            1,
+            Event::TaskBegin {
+                region: task,
+                id: b,
+            },
+        );
         // Only 10ns of work for thread 1; it began at t=90 though — use
         // switch bookkeeping: end at 100.
         team.advance(10)
-            .apply(1, Event::TaskEnd { region: task, id: b })
+            .apply(
+                1,
+                Event::TaskEnd {
+                    region: task,
+                    id: b,
+                },
+            )
             .apply(0, Event::Exit(bar))
             .apply(1, Event::Exit(bar));
         let p = team.finish();

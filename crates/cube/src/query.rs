@@ -156,12 +156,24 @@ mod tests {
             [
                 Event::Advance(5),
                 Event::Enter(barrier),
-                Event::TaskBegin { region: task, id: t1 },
+                Event::TaskBegin {
+                    region: task,
+                    id: t1,
+                },
                 Event::Advance(10),
-                Event::TaskEnd { region: task, id: t1 },
-                Event::TaskBegin { region: task, id: t2 },
+                Event::TaskEnd {
+                    region: task,
+                    id: t1,
+                },
+                Event::TaskBegin {
+                    region: task,
+                    id: t2,
+                },
                 Event::Advance(30),
-                Event::TaskEnd { region: task, id: t2 },
+                Event::TaskEnd {
+                    region: task,
+                    id: t2,
+                },
                 Event::Advance(5),
                 Event::Exit(barrier),
             ],
@@ -194,7 +206,10 @@ mod tests {
             let id = ids.alloc();
             events.extend([
                 Event::TaskBegin { region: task, id },
-                Event::ParamBegin { param: depth, value: d },
+                Event::ParamBegin {
+                    param: depth,
+                    value: d,
+                },
                 Event::Advance(dur),
                 Event::ParamEnd { param: depth },
                 Event::TaskEnd { region: task, id },

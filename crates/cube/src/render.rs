@@ -64,7 +64,14 @@ fn param_name(p: ParamId) -> String {
     registry().param_name(p)
 }
 
-fn render_node(out: &mut String, node: &SnapNode, prefix: &str, last: bool, root: bool, o: &RenderOpts) {
+fn render_node(
+    out: &mut String,
+    node: &SnapNode,
+    prefix: &str,
+    last: bool,
+    root: bool,
+    o: &RenderOpts,
+) {
     if node.stats.sum_ns < o.min_time_ns && !root {
         return;
     }
@@ -147,7 +154,11 @@ pub fn render_profile(p: &AggProfile, opts: &RenderOpts) -> String {
         );
         out.push_str(&render_tree(t, opts));
     }
-    let _ = writeln!(out, "max concurrent task trees per thread: {}", p.max_live_trees);
+    let _ = writeln!(
+        out,
+        "max concurrent task trees per thread: {}",
+        p.max_live_trees
+    );
     if p.shed_instances > 0 {
         let _ = writeln!(
             out,
@@ -167,7 +178,10 @@ pub fn render_profile(p: &AggProfile, opts: &RenderOpts) -> String {
 /// Render a live telemetry snapshot as a compact ASCII dashboard — the
 /// observability companion of [`render_profile`]. `elapsed_ns` (when
 /// known) turns the perturbation estimate into an overhead percentage.
-pub fn render_telemetry(s: &taskprof_telemetry::TelemetrySnapshot, elapsed_ns: Option<u64>) -> String {
+pub fn render_telemetry(
+    s: &taskprof_telemetry::TelemetrySnapshot,
+    elapsed_ns: Option<u64>,
+) -> String {
     use pomp::EventClass;
     let mut out = String::new();
     let _ = writeln!(out, "=== session telemetry ===");
@@ -208,7 +222,11 @@ pub fn render_telemetry(s: &taskprof_telemetry::TelemetrySnapshot, elapsed_ns: O
             continue;
         }
         let cost = match s.per_event_cost_ns(class) {
-            Some(c) => format!("  ~{} each ({} sampled)", format_ns(c as u64), s.perturb_samples[class.index()]),
+            Some(c) => format!(
+                "  ~{} each ({} sampled)",
+                format_ns(c as u64),
+                s.perturb_samples[class.index()]
+            ),
             None => String::new(),
         };
         let _ = writeln!(out, "  {:<12} {n}{cost}", class.label());
@@ -300,12 +318,12 @@ pub fn render_critpath(r: &critpath::CritPathReport) -> String {
 /// would be …". The caller resolves the region name.
 pub fn render_whatif(p: &critpath::WhatIfPrediction, name: &str) -> String {
     let mut out = String::new();
+    let _ = writeln!(out, "=== what-if: {name} {}x faster ===", p.speedup);
     let _ = writeln!(
         out,
-        "=== what-if: {name} {}x faster ===",
-        p.speedup
+        "baseline makespan:  {}",
+        format_ns(p.baseline_makespan_ns)
     );
-    let _ = writeln!(out, "baseline makespan:  {}", format_ns(p.baseline_makespan_ns));
     let _ = writeln!(
         out,
         "predicted makespan: {}  ({:.2}x whole-program speedup)",
@@ -390,14 +408,22 @@ mod tests {
             AssignPolicy::Executing,
             [
                 Event::Enter(barrier),
-                Event::TaskBegin { region: task, id: t1 },
+                Event::TaskBegin {
+                    region: task,
+                    id: t1,
+                },
                 Event::Advance(113),
-                Event::TaskEnd { region: task, id: t1 },
+                Event::TaskEnd {
+                    region: task,
+                    id: t1,
+                },
                 Event::Advance(103),
                 Event::Exit(barrier),
             ],
         );
-        let p = AggProfile::from_profile(&Profile { threads: vec![snap] });
+        let p = AggProfile::from_profile(&Profile {
+            threads: vec![snap],
+        });
         let s = render_profile(&p, &RenderOpts::default());
         assert!(s.contains("r-bar"), "{s}");
         assert!(s.contains("task r-task0 (stub)"), "{s}");
@@ -419,12 +445,20 @@ mod tests {
             par,
             AssignPolicy::Executing,
             [
-                Event::TaskBegin { region: task, id: t1 },
+                Event::TaskBegin {
+                    region: task,
+                    id: t1,
+                },
                 Event::Advance(7),
-                Event::TaskAbort { region: task, id: t1 },
+                Event::TaskAbort {
+                    region: task,
+                    id: t1,
+                },
             ],
         );
-        let p = AggProfile::from_profile(&Profile { threads: vec![snap] });
+        let p = AggProfile::from_profile(&Profile {
+            threads: vec![snap],
+        });
         assert_eq!(p.aborted_instances, 1);
         let s = render_profile(&p, &RenderOpts::default());
         assert!(s.contains("aborted 1"), "{s}");
@@ -471,7 +505,9 @@ mod tests {
                 Event::Advance(1000),
             ],
         );
-        let p = AggProfile::from_profile(&Profile { threads: vec![snap] });
+        let p = AggProfile::from_profile(&Profile {
+            threads: vec![snap],
+        });
         let full = render_profile(&p, &RenderOpts::default());
         assert!(full.contains("r2-small"));
         let pruned = render_profile(

@@ -35,7 +35,11 @@ impl std::fmt::Display for ParseError {
                 self.line, self.column, self.message
             )
         } else {
-            write!(f, "profile parse error at line {}: {}", self.line, self.message)
+            write!(
+                f,
+                "profile parse error at line {}: {}",
+                self.line, self.message
+            )
         }
     }
 }
@@ -171,7 +175,9 @@ pub fn write_profile_to(path: &std::path::Path, p: &Profile) -> std::io::Result<
     }
     let file_name = path
         .file_name()
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidInput, "path has no file name"))?
+        .ok_or_else(|| {
+            std::io::Error::new(std::io::ErrorKind::InvalidInput, "path has no file name")
+        })?
         .to_string_lossy()
         .into_owned();
     let tmp = path.with_file_name(format!(".{file_name}.tmp-{}", std::process::id()));
@@ -268,8 +274,8 @@ impl<'a> Parser<'a> {
                 _ => i += 1,
             }
         }
-        let end = end
-            .ok_or_else(|| Self::err_at(lineno, indent + head.len() + 1, "unterminated name"))?;
+        let end =
+            end.ok_or_else(|| Self::err_at(lineno, indent + head.len() + 1, "unterminated name"))?;
         let name = &rest[..end];
         let tail = &rest[end + 1..];
         // 1-based column where the post-name tail of the line starts.
@@ -306,7 +312,11 @@ impl<'a> Parser<'a> {
                 ));
             }
         };
-        Ok((depth, kind, Self::parse_stats(lineno, tail_col, stats_tokens)?))
+        Ok((
+            depth,
+            kind,
+            Self::parse_stats(lineno, tail_col, stats_tokens)?,
+        ))
     }
 
     fn parse_stats<'t>(
@@ -450,18 +460,20 @@ pub fn read_profile(text: &str) -> Result<Profile, ParseError> {
         let mut toks = Tokens(header);
         let toks: [Option<&str>; 9] = std::array::from_fn(|_| toks.next());
         let (tid, max_live, arena, shed) = match toks {
-            [Some("thread"), Some(tid), Some("max_live"), Some(ml), Some("arena"), Some(ar), shed @ ..] => (
-                tid.parse().map_err(|_| Parser::err(n, "bad tid"))?,
-                ml.parse().map_err(|_| Parser::err(n, "bad max_live"))?,
-                ar.parse().map_err(|_| Parser::err(n, "bad arena"))?,
-                match shed {
-                    [None, ..] => 0u64,
-                    [Some("shed"), Some(sh), None] => {
-                        sh.parse().map_err(|_| Parser::err(n, "bad shed count"))?
-                    }
-                    _ => return Err(Parser::err(n, "malformed thread header")),
-                },
-            ),
+            [Some("thread"), Some(tid), Some("max_live"), Some(ml), Some("arena"), Some(ar), shed @ ..] => {
+                (
+                    tid.parse().map_err(|_| Parser::err(n, "bad tid"))?,
+                    ml.parse().map_err(|_| Parser::err(n, "bad max_live"))?,
+                    ar.parse().map_err(|_| Parser::err(n, "bad arena"))?,
+                    match shed {
+                        [None, ..] => 0u64,
+                        [Some("shed"), Some(sh), None] => {
+                            sh.parse().map_err(|_| Parser::err(n, "bad shed count"))?
+                        }
+                        _ => return Err(Parser::err(n, "malformed thread header")),
+                    },
+                )
+            }
             _ => return Err(Parser::err(n, "malformed thread header")),
         };
         // Optional self-healing diagnostics recorded with the thread.
@@ -545,7 +557,13 @@ mod tests {
         for k in 0..3 {
             let id = ids.alloc();
             team.apply(0, Event::TaskBegin { region: task, id })
-                .apply(0, Event::ParamBegin { param: depth, value: k })
+                .apply(
+                    0,
+                    Event::ParamBegin {
+                        param: depth,
+                        value: k,
+                    },
+                )
                 .advance(10 + k as u64)
                 .apply(0, Event::ParamEnd { param: depth })
                 .apply(0, Event::TaskEnd { region: task, id });
@@ -614,16 +632,31 @@ mod tests {
         r.set_max_live_trees(Some(1));
         r.run([
             Event::Enter(barrier),
-            Event::TaskBegin { region: task, id: t1 },
+            Event::TaskBegin {
+                region: task,
+                id: t1,
+            },
             Event::Advance(5),
             Event::Switch(TaskRef::Implicit), // t1 suspended, 1 live tree
-            Event::TaskBegin { region: task, id: t2 }, // cap hit: shed
+            Event::TaskBegin {
+                region: task,
+                id: t2,
+            }, // cap hit: shed
             Event::Advance(3),
-            Event::TaskEnd { region: task, id: t2 },
+            Event::TaskEnd {
+                region: task,
+                id: t2,
+            },
             Event::Switch(TaskRef::Explicit(t1)),
             Event::Advance(2),
-            Event::TaskAbort { region: task, id: t1 }, // panicked body
-            Event::TaskBegin { region: task, id: t3 },
+            Event::TaskAbort {
+                region: task,
+                id: t1,
+            }, // panicked body
+            Event::TaskBegin {
+                region: task,
+                id: t3,
+            },
             Event::Advance(1),
             Event::Switch(TaskRef::Implicit), // t3 left open at finish
             Event::Exit(barrier),
@@ -631,7 +664,9 @@ mod tests {
         let snap = r.finish(0);
         assert_eq!(snap.shed_instances, 1);
         assert_eq!(snap.diagnostics.len(), 1);
-        let p = Profile { threads: vec![snap] };
+        let p = Profile {
+            threads: vec![snap],
+        };
         let text = write_profile(&p);
         assert!(text.contains("shed 1"), "{text}");
         assert!(text.contains("aborted 2"), "{text}"); // t1 + force-closed t3
@@ -654,7 +689,9 @@ mod tests {
         let reg = registry();
         let par = reg.register("ms-par", RegionKind::Parallel, "t", 0);
         let snap = taskprof::replay(par, AssignPolicy::Executing, [Event::Advance(5)]);
-        let mut p = Profile { threads: vec![snap] };
+        let mut p = Profile {
+            threads: vec![snap],
+        };
         // Forge a visited-but-never-sampled child to pin the convention.
         let mut stats = Stats::new();
         stats.add_visit();
@@ -682,7 +719,10 @@ mod tests {
         // normalize on the next write).
         let legacy = text.replace("min 0", &format!("min {}", u64::MAX));
         let ql = read_profile(&legacy).expect("legacy parse");
-        assert_eq!(ql.threads[0].main.children.last().unwrap().stats.min(), None);
+        assert_eq!(
+            ql.threads[0].main.children.last().unwrap().stats.min(),
+            None
+        );
         assert_eq!(write_profile(&ql), text);
     }
 
@@ -722,7 +762,9 @@ mod tests {
         let reg = registry();
         let par = reg.register("weird \"name\"\\x", RegionKind::Parallel, "t", 0);
         let snap = taskprof::replay(par, AssignPolicy::Executing, [Event::Advance(5)]);
-        let p = Profile { threads: vec![snap] };
+        let p = Profile {
+            threads: vec![snap],
+        };
         let q = read_profile(&write_profile(&p)).expect("parse");
         assert_eq!(p.threads[0].main, q.threads[0].main);
     }

@@ -246,7 +246,10 @@ impl VirtualClock {
 
     /// Jump to an absolute time. Must not go backwards (debug-asserted).
     pub fn set(&self, t: u64) {
-        debug_assert!(t >= self.t.load(Ordering::Relaxed), "virtual clock moved backwards");
+        debug_assert!(
+            t >= self.t.load(Ordering::Relaxed),
+            "virtual clock moved backwards"
+        );
         self.t.store(t, Ordering::Relaxed);
     }
 
@@ -322,7 +325,10 @@ mod tests {
         // read, so bound the skew in either direction instead of assuming
         // the reader always lands second.
         let skew = a.abs_diff(b);
-        assert!(skew < 1_000_000_000, "reader diverged from source: {skew}ns");
+        assert!(
+            skew < 1_000_000_000,
+            "reader diverged from source: {skew}ns"
+        );
     }
 
     #[test]

@@ -210,8 +210,7 @@ pub trait Monitor: Sync {
     }
 
     /// Thread `tid` (0-based) of the team starts; returns its hooks.
-    fn thread_begin(&self, tid: usize, nthreads: usize, parallel_region: RegionId)
-        -> Self::Thread;
+    fn thread_begin(&self, tid: usize, nthreads: usize, parallel_region: RegionId) -> Self::Thread;
 
     /// Thread `tid` finished the parallel region; its hooks are returned to
     /// the monitor (this is where a profiler collects the thread's data).
@@ -289,8 +288,10 @@ impl<A: ThreadHooks, B: ThreadHooks> ThreadHooks for (A, B) {
 
     #[inline]
     fn task_create_begin(&self, create_region: RegionId, task_region: RegionId, new_task: TaskId) {
-        self.0.task_create_begin(create_region, task_region, new_task);
-        self.1.task_create_begin(create_region, task_region, new_task);
+        self.0
+            .task_create_begin(create_region, task_region, new_task);
+        self.1
+            .task_create_begin(create_region, task_region, new_task);
     }
 
     #[inline]
@@ -405,10 +406,14 @@ mod tests {
             self.0.borrow_mut().push(format!("exit {}", r.0));
         }
         fn task_begin(&self, r: RegionId, t: TaskId) {
-            self.0.borrow_mut().push(format!("begin {} #{}", r.0, t.get()));
+            self.0
+                .borrow_mut()
+                .push(format!("begin {} #{}", r.0, t.get()));
         }
         fn task_end(&self, r: RegionId, t: TaskId) {
-            self.0.borrow_mut().push(format!("end {} #{}", r.0, t.get()));
+            self.0
+                .borrow_mut()
+                .push(format!("end {} #{}", r.0, t.get()));
         }
         fn task_switch(&self, resumed: TaskRef) {
             self.0.borrow_mut().push(format!("switch {resumed:?}"));
@@ -444,7 +449,10 @@ mod tests {
         rec.task_end_resume(RegionId(4), child, parent);
         assert_eq!(
             rec.0.into_inner(),
-            vec!["end 4 #2".to_string(), format!("switch {:?}", TaskRef::Explicit(parent))]
+            vec![
+                "end 4 #2".to_string(),
+                format!("switch {:?}", TaskRef::Explicit(parent))
+            ]
         );
     }
 
@@ -454,7 +462,10 @@ mod tests {
         let (parent, child) = (alloc.alloc(), alloc.alloc());
         let pair = (recorder(), recorder());
         pair.task_end_resume(RegionId(5), child, parent);
-        let want = vec!["end 5 #2".to_string(), format!("switch {:?}", TaskRef::Explicit(parent))];
+        let want = vec![
+            "end 5 #2".to_string(),
+            format!("switch {:?}", TaskRef::Explicit(parent)),
+        ];
         assert_eq!(pair.0 .0.into_inner(), want);
         assert_eq!(pair.1 .0.into_inner(), want);
     }

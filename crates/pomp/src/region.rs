@@ -335,8 +335,7 @@ macro_rules! region {
 #[macro_export]
 macro_rules! param {
     ($name:expr) => {{
-        static __POMP_PARAM: ::std::sync::OnceLock<$crate::ParamId> =
-            ::std::sync::OnceLock::new();
+        static __POMP_PARAM: ::std::sync::OnceLock<$crate::ParamId> = ::std::sync::OnceLock::new();
         *__POMP_PARAM.get_or_init(|| $crate::registry().register_param($name))
     }};
 }

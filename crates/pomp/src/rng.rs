@@ -74,9 +74,30 @@ mod tests {
             let mut r = SplitMix64::new(seed);
             [r.next_u64(), r.next_u64(), r.next_u64()]
         };
-        assert_eq!(first(0), [0xE220_A839_7B1D_CDAF, 0x6E78_9E6A_A1B9_65F4, 0x06C4_5D18_8009_454F]);
-        assert_eq!(first(7), [0x63CB_E1E4_5932_0DD7, 0x044C_3CD7_F43C_661C, 0xE698_4080_BAB1_2A02]);
-        assert_eq!(first(42), [0xBDD7_3226_2FEB_6E95, 0x28EF_E333_B266_F103, 0x4752_6757_130F_9F52]);
+        assert_eq!(
+            first(0),
+            [
+                0xE220_A839_7B1D_CDAF,
+                0x6E78_9E6A_A1B9_65F4,
+                0x06C4_5D18_8009_454F
+            ]
+        );
+        assert_eq!(
+            first(7),
+            [
+                0x63CB_E1E4_5932_0DD7,
+                0x044C_3CD7_F43C_661C,
+                0xE698_4080_BAB1_2A02
+            ]
+        );
+        assert_eq!(
+            first(42),
+            [
+                0xBDD7_3226_2FEB_6E95,
+                0x28EF_E333_B266_F103,
+                0x4752_6757_130F_9F52
+            ]
+        );
     }
 
     #[test]

@@ -109,7 +109,10 @@ impl std::fmt::Display for Defect {
             Defect::ExitWithoutEnter { region } => {
                 write!(f, "exit of region {} without matching enter", region.0)
             }
-            Defect::UnbalancedExit { region, force_closed } => write!(
+            Defect::UnbalancedExit {
+                region,
+                force_closed,
+            } => write!(
                 f,
                 "exit of region {} skipped {force_closed} still-open inner frame(s)",
                 region.0
@@ -117,7 +120,10 @@ impl std::fmt::Display for Defect {
             Defect::ParamEndWithoutBegin { param } => {
                 write!(f, "parameter_end of {} without matching begin", param.0)
             }
-            Defect::UnbalancedParamEnd { param, force_closed } => write!(
+            Defect::UnbalancedParamEnd {
+                param,
+                force_closed,
+            } => write!(
                 f,
                 "parameter_end of {} skipped {force_closed} still-open inner frame(s)",
                 param.0

@@ -60,9 +60,7 @@ impl Json {
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             Json::UInt(n) => Some(*n),
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => {
-                Some(*n as u64)
-            }
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => Some(*n as u64),
             _ => None,
         }
     }
@@ -429,10 +427,7 @@ impl<'a> P<'a> {
 
 /// Parse one JSON document; trailing garbage is an error.
 pub fn parse(text: &str) -> Result<Json, JsonError> {
-    let mut p = P {
-        text,
-        pos: 0,
-    };
+    let mut p = P { text, pos: 0 };
     let v = p.value(0)?;
     p.skip_ws();
     if p.pos != p.text.len() {
@@ -445,7 +440,12 @@ pub fn parse(text: &str) -> Result<Json, JsonError> {
 impl Json {
     /// An object from key/value pairs.
     pub fn obj(members: Vec<(&str, Json)>) -> Json {
-        Json::Obj(members.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+        Json::Obj(
+            members
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
     }
 
     /// A string value.

@@ -55,9 +55,7 @@ pub mod server;
 mod trace;
 pub mod wire;
 
-pub use client::{
-    ApplyAck, Client, ClientError, ClientTimeouts, ExportPage, Subscription,
-};
+pub use client::{ApplyAck, Client, ClientError, ClientTimeouts, ExportPage, Subscription};
 pub use json::{parse as parse_json, Json, JsonError};
 pub use protocol::{
     render_fleet, ErrorKind, IngestReceipt, LatencyStat, Notification, ProfilePayload, Record,

@@ -405,7 +405,11 @@ mod tests {
         let verdict = agg.check_regression(&bad, &config);
         assert!(verdict.regressed);
         assert!(verdict.findings.iter().any(|f| f.region == "agg-r-task"));
-        let f = verdict.findings.iter().find(|f| f.region == "agg-r-task").unwrap();
+        let f = verdict
+            .findings
+            .iter()
+            .find(|f| f.region == "agg-r-task")
+            .unwrap();
         assert!((f.ratio - 2.0).abs() < 1e-9);
     }
 

@@ -594,7 +594,13 @@ mod tests {
         for k in 0..3 {
             let id = ids.alloc();
             team.apply(0, Event::TaskBegin { region: task, id })
-                .apply(0, Event::ParamBegin { param: depth, value: k - 1 })
+                .apply(
+                    0,
+                    Event::ParamBegin {
+                        param: depth,
+                        value: k - 1,
+                    },
+                )
                 .advance(10 + k as u64)
                 .apply(0, Event::ParamEnd { param: depth })
                 .apply(0, Event::TaskEnd { region: task, id });
@@ -700,7 +706,8 @@ mod tests {
             timestamp_ns: 7,
         };
         let payload = encode_record(&meta, &sample_profile("codec-check"));
-        let truncations = (0..payload.len()).map(|cut| (payload[..cut].to_vec(), format!("cut at {cut}")));
+        let truncations =
+            (0..payload.len()).map(|cut| (payload[..cut].to_vec(), format!("cut at {cut}")));
         let flips = (0..payload.len() * 8).map(|i| {
             let (at, bit) = (i / 8, i % 8);
             let mut mutated = payload.clone();

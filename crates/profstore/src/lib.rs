@@ -62,8 +62,9 @@ pub use agg::{
     BenchAgg, Construct, MetricAgg, RegressConfig, Regression, RegressionFinding, RunSummary,
 };
 pub use codec::{
-    check_record, decode_meta, decode_record, encode_record, put_iv, put_meta, put_str, put_uv, verify_record,
-    CodecError, NodeRef, Reader as PayloadReader, RunMeta, VerifiedBody, CODEC_VERSION, MAX_RECORD_BYTES,
+    check_record, decode_meta, decode_record, encode_record, put_iv, put_meta, put_str, put_uv,
+    verify_record, CodecError, NodeRef, Reader as PayloadReader, RunMeta, VerifiedBody,
+    CODEC_VERSION, MAX_RECORD_BYTES,
 };
 pub use io::{
     is_enospc, FaultHandle, FaultIo, FaultKind, FaultMode, FaultPlan, RealIo, StoreFile, StoreIo,

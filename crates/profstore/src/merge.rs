@@ -54,12 +54,12 @@ mod tests {
         let a = vec![(1u64, "a1"), (4, "a4"), (9, "a9")];
         let b = vec![(2u64, "b2"), (3, "b3")];
         let c = vec![(0u64, "c0"), (9, "c9")];
-        let merged: Vec<&str> = KWayMerge::new(
-            vec![a.into_iter(), b.into_iter(), c.into_iter()],
-            |item| (item.0, 0),
-        )
-        .map(|(_, tag)| tag)
-        .collect();
+        let merged: Vec<&str> =
+            KWayMerge::new(vec![a.into_iter(), b.into_iter(), c.into_iter()], |item| {
+                (item.0, 0)
+            })
+            .map(|(_, tag)| tag)
+            .collect();
         assert_eq!(merged, ["c0", "a1", "b2", "b3", "a4", "a9", "c9"]);
     }
 
@@ -79,11 +79,11 @@ mod tests {
         let merged: Vec<u64> =
             KWayMerge::new(Vec::<std::vec::IntoIter<u64>>::new(), |&v| (v, 0)).collect();
         assert!(merged.is_empty());
-        let merged: Vec<u64> = KWayMerge::new(
-            vec![Vec::new().into_iter(), vec![7u64].into_iter()],
-            |&v| (v, 0),
-        )
-        .collect();
+        let merged: Vec<u64> =
+            KWayMerge::new(vec![Vec::new().into_iter(), vec![7u64].into_iter()], |&v| {
+                (v, 0)
+            })
+            .collect();
         assert_eq!(merged, [7]);
     }
 }

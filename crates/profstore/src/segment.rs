@@ -85,7 +85,8 @@ impl SegmentReader<'_> {
     fn window(&mut self, offset: u64, n: usize) -> std::io::Result<&[u8]> {
         let held = self.base + self.frame.len() as u64;
         if offset < self.base || offset + n as u64 > held {
-            self.file.read_at(offset, n.max(SCAN_WINDOW), &mut self.frame)?;
+            self.file
+                .read_at(offset, n.max(SCAN_WINDOW), &mut self.frame)?;
             self.base = offset;
         }
         Ok(&self.frame[(offset - self.base) as usize..])
@@ -268,7 +269,9 @@ mod tests {
     /// `path`'s scan, and every valid record's offset and payload.
     fn scan_all(io: &dyn StoreIo, path: &Path) -> (SegmentScan, Vec<(u64, Vec<u8>)>) {
         let mut records = Vec::new();
-        let scan = SegmentReader::scan(io, path, |offset, payload| records.push((offset, payload.to_vec())));
+        let scan = SegmentReader::scan(io, path, |offset, payload| {
+            records.push((offset, payload.to_vec()))
+        });
         (scan.expect("scan"), records)
     }
 
@@ -385,7 +388,9 @@ mod tests {
         let (io, _handle) = FaultIo::with_plan(FaultPlan::fail_at(11, 3, FaultKind::Enospc));
         let mut w = SegmentWriter::create(&*io, &path, false).expect("create");
         let a = w.append(b"survives").expect("append");
-        let err = w.append(b"hits the full disk").expect_err("injected enospc");
+        let err = w
+            .append(b"hits the full disk")
+            .expect_err("injected enospc");
         assert!(crate::io::is_enospc(&err), "{err}");
         // The repair truncated the torn prefix: the file is well-formed
         // and the next append lands cleanly at the same offset.
@@ -394,7 +399,13 @@ mod tests {
         drop(w);
         let (scan, records) = scan_all(&RealIo, &path);
         assert_eq!(scan.tail_defect, None, "repair left no torn tail");
-        assert_eq!(records, [(a, b"survives".to_vec()), (b, b"after the disk recovered".to_vec())]);
+        assert_eq!(
+            records,
+            [
+                (a, b"survives".to_vec()),
+                (b, b"after the disk recovered".to_vec())
+            ]
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -405,7 +416,13 @@ mod tests {
         let path = dir.join("seg-000001.log");
         let io = RealIo;
         let mut w = SegmentWriter::create(&io, &path, false).expect("create");
-        let sizes = [SCAN_WINDOW / 3, SCAN_WINDOW / 2, 2 * SCAN_WINDOW + 5, 7, SCAN_WINDOW - 3];
+        let sizes = [
+            SCAN_WINDOW / 3,
+            SCAN_WINDOW / 2,
+            2 * SCAN_WINDOW + 5,
+            7,
+            SCAN_WINDOW - 3,
+        ];
         let want: Vec<_> = (0u8..)
             .zip(sizes)
             .map(|(i, len)| (w.append(&vec![i; len]).expect("append"), vec![i; len]))
@@ -413,7 +430,10 @@ mod tests {
         let (scan, records) = scan_all(&io, &path);
         assert_eq!(scan.tail_defect, None);
         assert_eq!(scan.valid_len, w.len());
-        assert!(records == want, "the scan returned other frames than were appended");
+        assert!(
+            records == want,
+            "the scan returned other frames than were appended"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -428,7 +448,10 @@ mod tests {
         drop(w);
         let (a_bytes, b_bytes) = (5 + OVERHEAD, 13 + OVERHEAD);
         assert_eq!(read(&io, &path, a, a_bytes), Some(b"first".to_vec()));
-        assert_eq!(read(&io, &path, b, b_bytes), Some(b"second record".to_vec()));
+        assert_eq!(
+            read(&io, &path, b, b_bytes),
+            Some(b"second record".to_vec())
+        );
         // The length word disagrees with the indexed size (both ways).
         assert_eq!(read(&io, &path, a, a_bytes + 4), None);
         assert_eq!(read(&io, &path, b, b_bytes - 1), None);

@@ -32,8 +32,8 @@ use crate::codec::{CodecError, RunMeta, VerifiedBody};
 use crate::io::{RealIo, StoreIo};
 use crate::merge::KWayMerge;
 use crate::store::{
-    replica, ExportBatch, GcReport, IndexEntry, IngestReceipt, ProfileStore, RetentionPolicy, RunWindow,
-    StoreConfig, StoreError, StoreStats, TrendBucket,
+    replica, ExportBatch, GcReport, IndexEntry, IngestReceipt, ProfileStore, RetentionPolicy,
+    RunWindow, StoreConfig, StoreError, StoreStats, TrendBucket,
 };
 use pomp::fnv1a;
 use std::collections::BTreeMap;

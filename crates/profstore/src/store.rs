@@ -420,24 +420,29 @@ impl ProfileStore {
             let is_last = i + 1 == numbers.len();
             let path = dir.join(segment_name(n));
             let mut codec_error = None;
-            let scan = SegmentReader::scan(&*io, &path, |offset, payload| match decode_meta(payload) {
-                Ok(meta) => {
-                    next_run_id = next_run_id.max(meta.run_id + 1);
-                    index.push(IndexEntry {
-                        run_id: meta.run_id,
-                        benchmark: meta.benchmark,
-                        threads: meta.threads,
-                        timestamp_ns: meta.timestamp_ns,
-                        segment: n,
-                        offset,
-                        bytes: (payload.len() + frame::OVERHEAD) as u64,
-                    });
-                }
-                Err(source) => {
-                    let segment = segment_name(n);
-                    codec_error.get_or_insert(StoreError::Codec { segment, offset, source });
-                }
-            })?;
+            let scan =
+                SegmentReader::scan(&*io, &path, |offset, payload| match decode_meta(payload) {
+                    Ok(meta) => {
+                        next_run_id = next_run_id.max(meta.run_id + 1);
+                        index.push(IndexEntry {
+                            run_id: meta.run_id,
+                            benchmark: meta.benchmark,
+                            threads: meta.threads,
+                            timestamp_ns: meta.timestamp_ns,
+                            segment: n,
+                            offset,
+                            bytes: (payload.len() + frame::OVERHEAD) as u64,
+                        });
+                    }
+                    Err(source) => {
+                        let segment = segment_name(n);
+                        codec_error.get_or_insert(StoreError::Codec {
+                            segment,
+                            offset,
+                            source,
+                        });
+                    }
+                })?;
             if let Some(defect) = &scan.tail_defect {
                 if !is_last {
                     return Err(StoreError::Corrupt {
@@ -666,7 +671,8 @@ impl ProfileStore {
             .iter()
             .find(|e| e.run_id == run_id)
             .ok_or(StoreError::NotFound(run_id))?;
-        self.cursor().read(entry, |_, payload| decode_record(payload))
+        self.cursor()
+            .read(entry, |_, payload| decode_record(payload))
     }
 
     /// A fresh read cursor over this store's segments.
@@ -1529,7 +1535,11 @@ mod tests {
         };
         assert_eq!(store.gc(&policy).expect("gc").dropped_runs, 1);
         assert_eq!(store.max_run_id(), 2);
-        assert_eq!(store.next_run_id(), 4, "a dropped id is never handed out again");
+        assert_eq!(
+            store.next_run_id(),
+            4,
+            "a dropped id is never handed out again"
+        );
         drop(store);
         let mut store = ProfileStore::open(&dir).expect("reopen");
         assert_eq!(store.max_run_id(), 2);

@@ -49,9 +49,7 @@ fn check_run(
             if *expected != fp {
                 found.push(Violation {
                     context: "fingerprint".to_string(),
-                    message: format!(
-                        "schedule-variant profile: expected {expected:?}, got {fp:?}"
-                    ),
+                    message: format!("schedule-variant profile: expected {expected:?}, got {fp:?}"),
                 });
             }
         }

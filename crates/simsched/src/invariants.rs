@@ -146,7 +146,10 @@ pub fn check_profile(
         violation(
             &mut out,
             "profile",
-            format!("{} thread snapshots, expected {nthreads}", profile.num_threads()),
+            format!(
+                "{} thread snapshots, expected {nthreads}",
+                profile.num_threads()
+            ),
         );
         return out;
     }
@@ -216,7 +219,10 @@ pub fn check_profile(
             violation(
                 &mut out,
                 &ctx,
-                format!("{} instances shed without a configured cap", thread.shed_instances),
+                format!(
+                    "{} instances shed without a configured cap",
+                    thread.shed_instances
+                ),
             );
         }
         if !thread.diagnostics.is_empty() {

@@ -234,12 +234,7 @@ impl TreeWorkload {
 
     /// Run the workload on `team` under `monitor`, spending virtual time
     /// on `clock` (the simulation scheduler's clock).
-    pub fn run<M: Monitor>(
-        &self,
-        team: &Team,
-        monitor: &M,
-        clock: &SimClock,
-    ) -> ParallelOutcome {
+    pub fn run<M: Monitor>(&self, team: &Team, monitor: &M, clock: &SimClock) -> ParallelOutcome {
         team.parallel(monitor, &self.par, |ctx| {
             self.exec(ctx, clock, &self.prologue);
             ctx.single(&self.single, |c| self.exec(c, clock, &self.single_body));
@@ -296,7 +291,9 @@ pub fn divisible(depth: usize) -> TreeWorkload {
 /// Flat producer: the single winner spawns `n` leaf tasks of varied sizes
 /// and taskwaits — the classic single-producer pattern (paper Fig. 5).
 pub fn flat(n: usize) -> TreeWorkload {
-    let mut body: Vec<Step> = (0..n).map(|i| Step::leaf(10 + (i as u64 % 7) * 3)).collect();
+    let mut body: Vec<Step> = (0..n)
+        .map(|i| Step::leaf(10 + (i as u64 % 7) * 3))
+        .collect();
     body.push(Step::Taskwait);
     TreeWorkload::new(&format!("sim-flat-{n}"), vec![], body)
 }
@@ -317,10 +314,13 @@ pub fn mixed() -> TreeWorkload {
     ];
     let single_body = vec![
         Step::Region(vec![
-            Step::Param(1, vec![Step::Task(vec![
-                Step::Work(5),
-                Step::Param(2, vec![Step::Task(vec![Step::Work(9)]), Step::Taskwait]),
-            ])]),
+            Step::Param(
+                1,
+                vec![Step::Task(vec![
+                    Step::Work(5),
+                    Step::Param(2, vec![Step::Task(vec![Step::Work(9)]), Step::Taskwait]),
+                ])],
+            ),
             Step::Task(vec![Step::Work(11)]),
             Step::Taskwait,
         ]),

@@ -24,7 +24,12 @@ impl TaskConstruct {
         let r = registry();
         Self {
             task: r.register(name, RegionKind::Task, file!(), line!()),
-            create: r.register(&format!("{name}!create"), RegionKind::TaskCreate, file!(), line!()),
+            create: r.register(
+                &format!("{name}!create"),
+                RegionKind::TaskCreate,
+                file!(),
+                line!(),
+            ),
         }
     }
 }

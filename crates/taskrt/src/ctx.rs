@@ -176,7 +176,10 @@ impl<'w, 'env, M: Monitor> TaskCtx<'w, 'env, M> {
         F: Fn(usize),
     {
         self.assert_current();
-        assert!(self.node.is_implicit(), "worksharing inside an explicit task");
+        assert!(
+            self.node.is_implicit(),
+            "worksharing inside an explicit task"
+        );
         assert!(chunk > 0, "chunk must be positive");
         // Keep the per-thread encounter counters aligned with for_dynamic.
         let k = self.worker.workshare_count.get();
@@ -213,14 +216,18 @@ impl<'w, 'env, M: Monitor> TaskCtx<'w, 'env, M> {
         F: Fn(usize),
     {
         self.assert_current();
-        assert!(self.node.is_implicit(), "worksharing inside an explicit task");
+        assert!(
+            self.node.is_implicit(),
+            "worksharing inside an explicit task"
+        );
         assert!(chunk > 0, "chunk must be positive");
         let k = self.worker.workshare_count.get();
         self.worker.workshare_count.set(k + 1);
         let counter = self.worker.shared.workshares.counter(k);
         self.worker.hooks.enter(construct.region);
         loop {
-            let start = range.start + counter.fetch_add(chunk, std::sync::atomic::Ordering::Relaxed);
+            let start =
+                range.start + counter.fetch_add(chunk, std::sync::atomic::Ordering::Relaxed);
             if start >= range.end {
                 break;
             }

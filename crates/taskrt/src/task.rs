@@ -102,7 +102,11 @@ mod tests {
         assert_eq!(a.pending(), 1);
         aa.complete();
         assert_eq!(a.pending(), 0);
-        assert_eq!(root.pending(), 2, "grandchild completion is invisible to root");
+        assert_eq!(
+            root.pending(),
+            2,
+            "grandchild completion is invisible to root"
+        );
         a.complete();
         assert_eq!(root.pending(), 1);
     }
@@ -120,7 +124,10 @@ mod tests {
         assert!(is_descendant_of(&aa, &a));
         assert!(!is_descendant_of(&a, &aa));
         assert!(!is_descendant_of(&b, &root));
-        assert!(!is_descendant_of(&root, &root), "a task is not its own descendant");
+        assert!(
+            !is_descendant_of(&root, &root),
+            "a task is not its own descendant"
+        );
     }
 
     #[test]

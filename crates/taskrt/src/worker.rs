@@ -280,7 +280,11 @@ impl<'s, M: Monitor> WorkerState<'s, M> {
                 continue;
             }
             if b.all_arrived(gen, self.shared.nthreads)
-                && self.shared.outstanding.load(std::sync::atomic::Ordering::Acquire) == 0
+                && self
+                    .shared
+                    .outstanding
+                    .load(std::sync::atomic::Ordering::Acquire)
+                    == 0
             {
                 if b.try_release(gen) {
                     // Releasing is a state change the other waiters cannot

@@ -434,7 +434,10 @@ mod tests {
         let c = core();
         let t = c.thread_handle(0);
         let elected: Vec<bool> = (0..8).map(|_| t.tick(EventClass::Enter)).collect();
-        assert_eq!(elected, vec![false, false, false, true, false, false, false, true]);
+        assert_eq!(
+            elected,
+            vec![false, false, false, true, false, false, false, true]
+        );
         let s = c.snapshot();
         assert_eq!(s.events[EventClass::Enter.index()], 8);
         assert_eq!(s.total_events(), 8);
@@ -527,7 +530,9 @@ mod tests {
     fn overflow_handles_share_a_slot_and_stay_exact() {
         let c = core();
         // Claim every exclusive slot...
-        let team: Vec<_> = (0..MAX_TELEMETRY_SHARDS).map(|t| c.thread_handle(t)).collect();
+        let team: Vec<_> = (0..MAX_TELEMETRY_SHARDS)
+            .map(|t| c.thread_handle(t))
+            .collect();
         // ...so the next two handles share the RMW overflow slot.
         let x = c.thread_handle(MAX_TELEMETRY_SHARDS);
         let y = c.thread_handle(MAX_TELEMETRY_SHARDS + 1);
@@ -544,7 +549,9 @@ mod tests {
     #[test]
     fn dropped_handles_release_their_slot_for_reuse() {
         let c = core();
-        let team: Vec<_> = (0..MAX_TELEMETRY_SHARDS).map(|t| c.thread_handle(t)).collect();
+        let team: Vec<_> = (0..MAX_TELEMETRY_SHARDS)
+            .map(|t| c.thread_handle(t))
+            .collect();
         drop(team);
         // A fresh team claims exclusive slots again (its counters keep
         // accumulating on top of the previous owners' totals).

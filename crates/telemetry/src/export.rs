@@ -27,7 +27,11 @@ pub struct ExportParseError {
 
 impl std::fmt::Display for ExportParseError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "telemetry parse error at line {}: {}", self.line, self.message)
+        write!(
+            f,
+            "telemetry parse error at line {}: {}",
+            self.line, self.message
+        )
     }
 }
 
@@ -262,10 +266,18 @@ pub fn parse_prometheus(text: &str) -> Result<Vec<PromSample>, ExportParseError>
                 (name.to_string(), labels)
             }
         };
-        if name.is_empty() || !name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':') {
+        if name.is_empty()
+            || !name
+                .chars()
+                .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
+        {
             return Err(err(lineno, format!("invalid metric name '{name}'")));
         }
-        out.push(PromSample { name, labels, value });
+        out.push(PromSample {
+            name,
+            labels,
+            value,
+        });
     }
     Ok(out)
 }

@@ -7,8 +7,8 @@
 //! time: the profiler's [`taskprof::Replayer`], the Fig. 12 reference
 //! ([`crate::fig12::Oracle`]), or both at once.
 
-use pomp::{RegionId, TaskIdAllocator, TaskRef};
 use crate::prop::Gen;
+use pomp::{RegionId, TaskIdAllocator, TaskRef};
 use taskprof::{Event, Replayer, SnapNode};
 
 /// What [`emit`] drives.
@@ -44,13 +44,21 @@ impl<A: Sink, B: Sink> Sink for (A, B) {
 
     fn current_task(&self) -> TaskRef {
         let current = self.0.current_task();
-        assert_eq!(current, self.1.current_task(), "the sinks disagree on the current task");
+        assert_eq!(
+            current,
+            self.1.current_task(),
+            "the sinks disagree on the current task"
+        );
         current
     }
 
     fn live_instance_trees(&self) -> usize {
         let live = self.0.live_instance_trees();
-        assert_eq!(live, self.1.live_instance_trees(), "the sinks disagree on the live trees");
+        assert_eq!(
+            live,
+            self.1.live_instance_trees(),
+            "the sinks disagree on the live trees"
+        );
         live
     }
 }
@@ -125,15 +133,24 @@ pub fn emit(r: &mut impl Sink, ids: &TaskIdAllocator, body: &[Body], max_live: &
                     id,
                 });
                 r.apply(Event::Advance(1));
-                r.apply(Event::CreateEnd { create: CREATE_A, id });
+                r.apply(Event::CreateEnd {
+                    create: CREATE_A,
+                    id,
+                });
                 // Execute it right away at this (creation) scheduling
                 // point; the current task suspends meanwhile.
                 let resumed = r.current_task();
-                r.apply(Event::TaskBegin { region: *region, id });
+                r.apply(Event::TaskBegin {
+                    region: *region,
+                    id,
+                });
                 *max_live = (*max_live).max(r.live_instance_trees());
                 emit(r, ids, inner, max_live);
                 r.apply(Event::Advance(1));
-                r.apply(Event::TaskEnd { region: *region, id });
+                r.apply(Event::TaskEnd {
+                    region: *region,
+                    id,
+                });
                 if let TaskRef::Explicit(_) = resumed {
                     r.apply(Event::Switch(resumed));
                 }

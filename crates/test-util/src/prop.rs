@@ -44,12 +44,18 @@ pub struct Gen {
 impl Gen {
     /// A generator drawing from splitmix64 over `seed`.
     pub fn seeded(seed: u64) -> Self {
-        Self { stream: ChoiceStream::seeded(seed), vecs: Vec::new() }
+        Self {
+            stream: ChoiceStream::seeded(seed),
+            vecs: Vec::new(),
+        }
     }
 
     /// A generator replaying `script` (see [`ChoiceStream::scripted`]).
     fn scripted(script: Vec<usize>) -> Self {
-        Self { stream: ChoiceStream::scripted(script), vecs: Vec::new() }
+        Self {
+            stream: ChoiceStream::scripted(script),
+            vecs: Vec::new(),
+        }
     }
 
     /// The decisions taken so far: replaying them rebuilds what was drawn.
@@ -59,7 +65,8 @@ impl Gen {
 
     /// A value in `0..n` (`n` must be nonzero).
     pub fn below(&mut self, n: u64) -> u64 {
-        self.stream.choose(usize::try_from(n).expect("a choice count fits in usize")) as u64
+        self.stream
+            .choose(usize::try_from(n).expect("a choice count fits in usize")) as u64
     }
 
     /// A value in `range`; its lower end is the simplest.
@@ -131,7 +138,6 @@ pub fn line(g: &mut Gen, len: Range<usize>) -> String {
     g.vec(len, char).into_iter().collect()
 }
 
-
 /// The value `gen` builds from `script`.
 pub fn replay<T>(script: &[usize], gen: impl FnOnce(&mut Gen) -> T) -> T {
     gen(&mut Gen::scripted(script.to_vec()))
@@ -174,9 +180,20 @@ fn find_failure<T: Debug>(
     let mut seeds = SplitMix64::new(fnv1a(name.as_bytes()));
     let (case, best) = (0..cases)
         .find_map(|case| Some((case, run(Gen::seeded(seeds.next_u64()), &gen, &prop).err()?)))?;
-    let shrunk = Shrinker { gen: &gen, prop: &prop, best, runs_left: SHRINK_RUNS }.shrink();
+    let shrunk = Shrinker {
+        gen: &gen,
+        prop: &prop,
+        best,
+        runs_left: SHRINK_RUNS,
+    }
+    .shrink();
     let input = format!("{:?}", replay(&shrunk.script, &gen));
-    Some(Failure { case, script: shrunk.script, input, message: shrunk.message })
+    Some(Failure {
+        case,
+        script: shrunk.script,
+        input,
+        message: shrunk.message,
+    })
 }
 
 /// A failing run: its script, its collections and its panic message.
@@ -292,7 +309,9 @@ impl<T, G: Fn(&mut Gen) -> T, P: Fn(T)> Shrinker<'_, G, P> {
         for i in 0..self.best.script.len() {
             for j in i + 1..i + 1 + MOVE_WINDOW {
                 let script = &self.best.script;
-                let (Some(&value), true) = (script.get(i), j < script.len()) else { break };
+                let (Some(&value), true) = (script.get(i), j < script.len()) else {
+                    break;
+                };
                 if value == 0 {
                     break;
                 }
@@ -315,7 +334,9 @@ mod tests {
     fn drawn(name: &str) -> Vec<String> {
         let seen = Mutex::new(Vec::new());
         let gen = |g: &mut Gen| g.vec(0..8, |g| g.u64(..));
-        check(name, 32, gen, |v| seen.lock().unwrap().push(format!("{v:?}")));
+        check(name, 32, gen, |v| {
+            seen.lock().unwrap().push(format!("{v:?}"))
+        });
         seen.into_inner().unwrap()
     }
 
@@ -343,7 +364,12 @@ mod tests {
             let [n2, c2, nested2, depth2] = census(inner, inside || child);
             let nested_here = usize::from(child && inside);
             let c = c + usize::from(child) + c2;
-            [n + 1 + n2, c, nested + nested_here + nested2, depth.max(1 + depth2)]
+            [
+                n + 1 + n2,
+                c,
+                nested + nested_here + nested2,
+                depth.max(1 + depth2),
+            ]
         })
     }
 
@@ -355,7 +381,10 @@ mod tests {
         .expect("some plan nests a child in a child");
         let [nodes, children, ..] = census(&replay(&failure.script, plan), false);
         assert!(nodes <= 3 && children == 2, "{failure:?}");
-        assert!(failure.message.contains("a child in a child"), "{failure:?}");
+        assert!(
+            failure.message.contains("a child in a child"),
+            "{failure:?}"
+        );
     }
 
     fn numbers(g: &mut Gen) -> Vec<u64> {
@@ -365,7 +394,8 @@ mod tests {
     #[test]
     fn a_large_sum_shrinks_to_one_element() {
         let sum_below = |v: Vec<u64>| assert!(v.iter().sum::<u64>() < 1000);
-        let failure = find_failure("sum below 1000", 256, numbers, sum_below).expect("a sum past it");
+        let failure =
+            find_failure("sum below 1000", 256, numbers, sum_below).expect("a sum past it");
         assert_eq!(replay(&failure.script, numbers), [1000], "{failure:?}");
     }
 
@@ -373,12 +403,18 @@ mod tests {
     fn a_reported_script_replays_to_the_reported_input() {
         let short = |v: Vec<u64>| assert!(v.len() < 15);
         let failure = find_failure("short vectors", 256, numbers, short).expect("a long one");
-        assert_eq!(format!("{:?}", replay(&failure.script, numbers)), failure.input);
+        assert_eq!(
+            format!("{:?}", replay(&failure.script, numbers)),
+            failure.input
+        );
         assert_eq!(replay(&failure.script, numbers).len(), 15, "{failure:?}");
         // A seeded draw replays from its own script too.
         let mut g = Gen::seeded(7);
         let drawn = plan(&mut g);
-        assert_eq!(format!("{:?}", replay(&g.script(), plan)), format!("{drawn:?}"));
+        assert_eq!(
+            format!("{:?}", replay(&g.script(), plan)),
+            format!("{drawn:?}")
+        );
     }
 
     #[test]
@@ -417,7 +453,9 @@ mod tests {
 
     #[test]
     fn recursion_stops_at_its_depth() {
-        check("plan depth", 256, plan, |p| assert!(census(&p, false)[3] <= 5, "{p:?}"));
+        check("plan depth", 256, plan, |p| {
+            assert!(census(&p, false)[3] <= 5, "{p:?}")
+        });
     }
 
     #[test]
@@ -426,7 +464,9 @@ mod tests {
         assert_eq!(format!("{:?}", replay(&zeros, plan)), "[Work(0)]");
         assert_eq!(replay(&zeros, numbers), Vec::<u64>::new());
         assert_eq!(replay(&zeros, |g| line(g, 2..9)), "  ");
-        let simplest = replay(&zeros, |g| (g.bool(), g.u64(5..), g.unit_f64(), g.option(Gen::bool)));
+        let simplest = replay(&zeros, |g| {
+            (g.bool(), g.u64(5..), g.unit_f64(), g.option(Gen::bool))
+        });
         assert_eq!(simplest, (false, 5, 0.0, None));
     }
 
@@ -448,7 +488,13 @@ mod tests {
         let panic = catch_unwind(|| check("always fails", 4, |g| g.u64(..9), |_| panic!("no")))
             .expect_err("a failing property panics");
         let report = panic.downcast_ref::<String>().expect("a formatted report");
-        assert!(report.starts_with("property `always fails` failed on case 0 of 4: no"), "{report}");
-        assert!(report.contains("shrunk input: 0\n  choice script: [0]"), "{report}");
+        assert!(
+            report.starts_with("property `always fails` failed on case 0 of 4: no"),
+            "{report}"
+        );
+        assert!(
+            report.contains("shrunk input: 0\n  choice script: [0]"),
+            "{report}"
+        );
     }
 }

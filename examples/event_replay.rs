@@ -22,7 +22,9 @@ fn reg(name: &str, kind: RegionKind) -> pomp::RegionId {
 
 fn show(title: &str, snap: taskprof::ThreadSnapshot) {
     println!("--- {title} ---");
-    let p = AggProfile::from_profile(&Profile { threads: vec![snap] });
+    let p = AggProfile::from_profile(&Profile {
+        threads: vec![snap],
+    });
     println!("{}", render_profile(&p, &RenderOpts::default()));
 }
 
@@ -66,26 +68,38 @@ fn fig2_and_4() {
         AssignPolicy::Executing,
         [
             Event::Enter(barrier),
-            Event::TaskBegin { region: task, id: t1 },
+            Event::TaskBegin {
+                region: task,
+                id: t1,
+            },
             Event::Advance(10),
             Event::Enter(foo), // task1 enters foo
             Event::Advance(10),
             Event::Enter(tw), // suspension point inside foo
             Event::Advance(2),
-            Event::TaskBegin { region: task, id: t2 }, // task1 suspended
+            Event::TaskBegin {
+                region: task,
+                id: t2,
+            }, // task1 suspended
             Event::Advance(5),
             Event::Enter(foo), // task2 enters foo too
             Event::Advance(15),
             Event::Exit(foo), // belongs to task2's foo
             Event::Advance(5),
-            Event::TaskEnd { region: task, id: t2 },
+            Event::TaskEnd {
+                region: task,
+                id: t2,
+            },
             Event::Switch(TaskRef::Explicit(t1)), // task1 resumes
             Event::Advance(3),
             Event::Exit(tw),
             Event::Advance(5),
             Event::Exit(foo), // belongs to task1's foo
             Event::Advance(2),
-            Event::TaskEnd { region: task, id: t1 },
+            Event::TaskEnd {
+                region: task,
+                id: t1,
+            },
             Event::Exit(barrier),
         ],
     );
@@ -109,13 +123,23 @@ fn fig5() {
     let first = ids.alloc();
     let mut events = vec![
         Event::Advance(2 * s),
-        Event::CreateBegin { create, task_region: task0, id: first },
+        Event::CreateBegin {
+            create,
+            task_region: task0,
+            id: first,
+        },
         Event::Advance(s / 2),
         Event::CreateEnd { create, id: first },
         Event::Enter(barrier),
-        Event::TaskBegin { region: task0, id: first },
+        Event::TaskBegin {
+            region: task0,
+            id: first,
+        },
         Event::Advance(30 * s - 7 * s),
-        Event::TaskEnd { region: task0, id: first },
+        Event::TaskEnd {
+            region: task0,
+            id: first,
+        },
     ];
     // Three more instances executing inside the barrier (113 s of task
     // work in total), each spending part of its time creating new tasks.
@@ -125,7 +149,11 @@ fn fig5() {
         events.extend([
             Event::TaskBegin { region: task0, id },
             Event::Advance((dur - create_dur) * s / 2),
-            Event::CreateBegin { create, task_region: task0, id: nested },
+            Event::CreateBegin {
+                create,
+                task_region: task0,
+                id: nested,
+            },
             Event::Advance(create_dur * s),
             Event::CreateEnd { create, id: nested },
             Event::Advance((dur - create_dur) * s / 2),
@@ -135,7 +163,10 @@ fn fig5() {
     events.push(Event::Advance(103 * s)); // management / idle remainder
     events.push(Event::Exit(barrier));
     let snap = replay(par, AssignPolicy::Executing, events);
-    show("Fig. 5 — stub node splits barrier time into task work vs. idle", snap);
+    show(
+        "Fig. 5 — stub node splits barrier time into task work vs. idle",
+        snap,
+    );
     println!("matches the screenshot: 113 s of task execution inside the barrier,");
     println!("103 s left as the barrier's exclusive time; the task tree shows the");
     println!("tasks' own creation time.\n");

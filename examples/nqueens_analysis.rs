@@ -19,11 +19,7 @@ fn main() {
     // --- 1. Something is wrong: the task version doesn't get faster. ---
     println!("1) uninstrumented kernel times (no cut-off):");
     for t in [1, threads] {
-        let out = run_app(
-            AppId::Nqueens,
-            &NullMonitor,
-            &RunOpts::new(t).scale(scale),
-        );
+        let out = run_app(AppId::Nqueens, &NullMonitor, &RunOpts::new(t).scale(scale));
         println!("   {t} threads: {:?}", out.kernel);
     }
 
@@ -43,7 +39,10 @@ fn main() {
     let stats = &task_stats(&prof)[0];
     println!("\n2) the profile says:");
     println!("   task instances        : {}", stats.instances);
-    println!("   mean inclusive time   : {}", format_ns(stats.mean_ns as u64));
+    println!(
+        "   mean inclusive time   : {}",
+        format_ns(stats.mean_ns as u64)
+    );
     let create = region_excl_by_name(&prof, "nqueens!create") as f64;
     let task_excl = region_excl_by_name(&prof, "nqueens") as f64;
     println!(

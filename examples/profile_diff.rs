@@ -29,10 +29,7 @@ fn main() {
     let b = profile_at(4);
     println!("nqueens (no cut-off): 1-thread profile vs 4-thread profile");
     println!("biggest inclusive-time changes (B = 4 threads, A = 1 thread):\n");
-    println!(
-        "{:>12} {:>12} {:>8}  path",
-        "A incl", "B incl", "ratio"
-    );
+    println!("{:>12} {:>12} {:>8}  path", "A incl", "B incl", "ratio");
     for row in diff_profiles(&a, &b).into_iter().take(12) {
         println!(
             "{:>12} {:>12} {:>8}  {}",

@@ -81,6 +81,10 @@ fn main() {
     let mut rows: Vec<_> = by_region.into_iter().collect();
     rows.sort();
     for (name, (sum, n)) in rows {
-        println!("    {:<16} {:>10}  ({n} instances)", name, format_ns(sum / n.max(1)));
+        println!(
+            "    {:<16} {:>10}  ({n} instances)",
+            name,
+            format_ns(sum / n.max(1))
+        );
     }
 }

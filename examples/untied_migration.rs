@@ -19,7 +19,12 @@ use taskprof::{AssignPolicy, Event, TeamReplayer};
 fn main() {
     let reg = registry();
     let par = reg.register("untied!parallel", RegionKind::Parallel, file!(), line!());
-    let barrier = reg.register("untied!ibarrier", RegionKind::ImplicitBarrier, file!(), line!());
+    let barrier = reg.register(
+        "untied!ibarrier",
+        RegionKind::ImplicitBarrier,
+        file!(),
+        line!(),
+    );
     let task = reg.register("untied_task", RegionKind::Task, file!(), line!());
     let phase1 = reg.register("phase1", RegionKind::Function, file!(), line!());
     let phase2 = reg.register("phase2", RegionKind::Function, file!(), line!());

@@ -138,7 +138,9 @@ fn usage() -> ! {
 
 /// The value after a flag, parsed; usage on a missing or unparsable one.
 fn value<T: std::str::FromStr>(it: &mut std::slice::Iter<'_, String>) -> T {
-    it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
+    it.next()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| usage())
 }
 
 /// The value of `--scale`.
@@ -259,7 +261,9 @@ fn cmd_run(args: &[String]) {
         });
         let streams = edge_log.iter().flat_map(|r| &r.streams);
         let events = streams.flat_map(|(_, stream)| stream.events());
-        let events = events.filter(|e| !matches!(e, taskprof::Event::Advance(_))).count();
+        let events = events
+            .filter(|e| !matches!(e, taskprof::Event::Advance(_)))
+            .count();
         println!("\ntrace analysis ({events} events):");
         println!(
             "  task execution {}   creation {}   sched-point non-exec {}",
@@ -663,7 +667,9 @@ impl DagSource {
                     .unwrap_or_else(|e| die_dag(workload.name(), &e))
             }
             _ => {
-                eprintln!("exactly one of --app fib|nqueens or --workload fib|flat|mixed|div is required");
+                eprintln!(
+                    "exactly one of --app fib|nqueens or --workload fib|flat|mixed|div is required"
+                );
                 std::process::exit(2);
             }
         }
@@ -773,7 +779,9 @@ fn cmd_whatif(args: &[String]) {
             }
         }
     }
-    let (Some(region_name), Some(speedup)) = (region_name, speedup) else { usage() };
+    let (Some(region_name), Some(speedup)) = (region_name, speedup) else {
+        usage()
+    };
     if speedup == 0 {
         eprintln!("--speedup must be at least 1");
         std::process::exit(2);
@@ -795,7 +803,9 @@ fn cmd_whatif(args: &[String]) {
         return;
     }
     let Some(wname) = src.workload.as_deref() else {
-        eprintln!("--validate requires --workload (BOTS app bodies cannot be rebuilt with scaled work)");
+        eprintln!(
+            "--validate requires --workload (BOTS app bodies cannot be rebuilt with scaled work)"
+        );
         std::process::exit(2);
     };
     let workload = DagSource::workload_by_name(wname);
@@ -812,7 +822,11 @@ fn cmd_whatif(args: &[String]) {
             println!(
                 "validation: replayed makespan {}  choice trace {}",
                 format_ns(v.replayed_makespan_ns),
-                if v.traces_match { "matched" } else { "DIVERGED" }
+                if v.traces_match {
+                    "matched"
+                } else {
+                    "DIVERGED"
+                }
             );
             if v.exact() {
                 println!("replay reproduced the prediction exactly");

@@ -30,12 +30,26 @@ fn figs_6_to_11_state_walkthrough() {
     // exists yet (trees are created at *execution start*, Section V-B).
     r.run([
         Event::Advance(2),
-        Event::CreateBegin { create: CREATE_A, task_region: TASK_A, id: i1 },
+        Event::CreateBegin {
+            create: CREATE_A,
+            task_region: TASK_A,
+            id: i1,
+        },
         Event::Advance(1),
-        Event::CreateEnd { create: CREATE_A, id: i1 },
-        Event::CreateBegin { create: CREATE_A, task_region: TASK_A, id: i2 },
+        Event::CreateEnd {
+            create: CREATE_A,
+            id: i1,
+        },
+        Event::CreateBegin {
+            create: CREATE_A,
+            task_region: TASK_A,
+            id: i2,
+        },
         Event::Advance(1),
-        Event::CreateEnd { create: CREATE_A, id: i2 },
+        Event::CreateEnd {
+            create: CREATE_A,
+            id: i2,
+        },
         Event::Enter(BARRIER),
     ]);
     assert_eq!(r.profile().live_instance_trees(), 0);
@@ -44,7 +58,13 @@ fn figs_6_to_11_state_walkthrough() {
     // Fig. 8: inside the barrier, execution of instance 1 starts: the
     // instance table gains an entry, the current task pointer moves to
     // it, and a stub node appears under the barrier.
-    r.run([Event::Advance(1), Event::TaskBegin { region: TASK_A, id: i1 }]);
+    r.run([
+        Event::Advance(1),
+        Event::TaskBegin {
+            region: TASK_A,
+            id: i1,
+        },
+    ]);
     assert_eq!(r.profile().live_instance_trees(), 1);
     assert_eq!(r.profile().current_task(), TaskRef::Explicit(i1));
 
@@ -55,14 +75,23 @@ fn figs_6_to_11_state_walkthrough() {
         Event::Advance(5),
         Event::Enter(TW),
         Event::Advance(1),
-        Event::TaskBegin { region: TASK_A, id: i2 },
+        Event::TaskBegin {
+            region: TASK_A,
+            id: i2,
+        },
     ]);
     assert_eq!(r.profile().live_instance_trees(), 2);
     assert_eq!(r.profile().current_task(), TaskRef::Explicit(i2));
 
     // Fig. 10: instance 2 completes without entering any other region; it
     // is merged into the thread's profile before instance 1 continues.
-    r.run([Event::Advance(7), Event::TaskEnd { region: TASK_A, id: i2 }]);
+    r.run([
+        Event::Advance(7),
+        Event::TaskEnd {
+            region: TASK_A,
+            id: i2,
+        },
+    ]);
     assert_eq!(r.profile().live_instance_trees(), 1);
     assert_eq!(r.profile().current_task(), TaskRef::Implicit);
     r.run([Event::Switch(TaskRef::Explicit(i1))]);
@@ -74,7 +103,10 @@ fn figs_6_to_11_state_walkthrough() {
         Event::Advance(1),
         Event::Exit(TW),
         Event::Advance(2),
-        Event::TaskEnd { region: TASK_A, id: i1 },
+        Event::TaskEnd {
+            region: TASK_A,
+            id: i1,
+        },
         Event::Advance(3),
         Event::Exit(BARRIER),
     ]);

@@ -18,7 +18,10 @@ type Streams = Vec<(usize, EdgeStream)>;
 
 /// Recorded events, `Advance`s included.
 fn events(streams: &Streams) -> usize {
-    streams.iter().map(|(_, stream)| stream.events().count()).sum()
+    streams
+        .iter()
+        .map(|(_, stream)| stream.events().count())
+        .sum()
 }
 
 /// What the builder with a `Vec` pair per vertex and nine hash maps
@@ -95,7 +98,10 @@ fn wrapped(streams: &Streams) -> Streams {
         }
         EdgeStream::from_events(stream.origin(), out)
     };
-    streams.iter().map(|(tid, stream)| (*tid, wrap(stream))).collect()
+    streams
+        .iter()
+        .map(|(tid, stream)| (*tid, wrap(stream)))
+        .collect()
 }
 
 /// What the drain that decoded every stream into an event array measured

@@ -33,8 +33,14 @@ fn fig1_sequential_nesting() {
     );
     assert_eq!(snap.main.stats.sum_ns, 45);
     assert_eq!(snap.main.exclusive_ns(), 15);
-    assert_eq!(snap.main.child(NodeKind::Region(FOO)).unwrap().stats.sum_ns, 20);
-    assert_eq!(snap.main.child(NodeKind::Region(BAR)).unwrap().stats.sum_ns, 10);
+    assert_eq!(
+        snap.main.child(NodeKind::Region(FOO)).unwrap().stats.sum_ns,
+        20
+    );
+    assert_eq!(
+        snap.main.child(NodeKind::Region(BAR)).unwrap().stats.sum_ns,
+        10
+    );
     assert!(snap.task_trees.is_empty());
     assert_eq!(snap.max_live_trees, 0);
 }
@@ -50,14 +56,20 @@ fn fig2_exits_of_interleaved_foo_calls_are_not_confused() {
         PAR,
         [
             Event::Enter(BARRIER),
-            Event::TaskBegin { region: TASK, id: t1 },
+            Event::TaskBegin {
+                region: TASK,
+                id: t1,
+            },
             Event::Advance(4),
             Event::Enter(FOO),
             Event::Advance(6),
             Event::Enter(TW),
             Event::Advance(1),
             // t1 suspends inside foo; t2 starts and also enters foo.
-            Event::TaskBegin { region: TASK, id: t2 },
+            Event::TaskBegin {
+                region: TASK,
+                id: t2,
+            },
             Event::Advance(3),
             Event::Enter(FOO),
             Event::Advance(8),
@@ -70,13 +82,19 @@ fn fig2_exits_of_interleaved_foo_calls_are_not_confused() {
             Event::Advance(1),
             Event::Exit(FOO), // t1's foo closes
             Event::Advance(1),
-            Event::TaskEnd { region: TASK, id: t1 },
+            Event::TaskEnd {
+                region: TASK,
+                id: t1,
+            },
             // t2 resumes and closes its own foo.
             Event::Switch(TaskRef::Explicit(t2)),
             Event::Advance(5),
             Event::Exit(TW),
             Event::Exit(FOO), // t2's foo closes
-            Event::TaskEnd { region: TASK, id: t2 },
+            Event::TaskEnd {
+                region: TASK,
+                id: t2,
+            },
             Event::Exit(BARRIER),
         ],
     );
@@ -106,18 +124,30 @@ fn fig4_resumed_task_keeps_single_statistics_location() {
         PAR,
         [
             Event::Enter(BARRIER),
-            Event::TaskBegin { region: TASK, id: t1 },
+            Event::TaskBegin {
+                region: TASK,
+                id: t1,
+            },
             Event::Advance(10),
             Event::Enter(TW),
             Event::Advance(2),
-            Event::TaskBegin { region: TASK, id: t2 },
+            Event::TaskBegin {
+                region: TASK,
+                id: t2,
+            },
             Event::Advance(7),
-            Event::TaskEnd { region: TASK, id: t2 },
+            Event::TaskEnd {
+                region: TASK,
+                id: t2,
+            },
             Event::Switch(TaskRef::Explicit(t1)),
             Event::Advance(1),
             Event::Exit(TW),
             Event::Advance(4),
-            Event::TaskEnd { region: TASK, id: t1 },
+            Event::TaskEnd {
+                region: TASK,
+                id: t1,
+            },
             Event::Exit(BARRIER),
         ],
     );
@@ -149,18 +179,30 @@ fn call_tree_structure_is_schedule_independent() {
             PAR,
             [
                 Event::Enter(BARRIER),
-                Event::TaskBegin { region: TASK, id: first },
+                Event::TaskBegin {
+                    region: TASK,
+                    id: first,
+                },
                 Event::Advance(10),
                 Event::Enter(FOO),
                 Event::Advance(5),
                 Event::Exit(FOO),
-                Event::TaskEnd { region: TASK, id: first },
-                Event::TaskBegin { region: TASK, id: second },
+                Event::TaskEnd {
+                    region: TASK,
+                    id: first,
+                },
+                Event::TaskBegin {
+                    region: TASK,
+                    id: second,
+                },
                 Event::Advance(10),
                 Event::Enter(FOO),
                 Event::Advance(5),
                 Event::Exit(FOO),
-                Event::TaskEnd { region: TASK, id: second },
+                Event::TaskEnd {
+                    region: TASK,
+                    id: second,
+                },
                 Event::Exit(BARRIER),
             ],
         )

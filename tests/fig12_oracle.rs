@@ -19,7 +19,10 @@ fn generated_plans_profile_as_fig12_says() {
     let gen = |g: &mut Gen| g.vec(1..6, |g| body(g, 4));
     check("generated_plans_profile_as_fig12_says", 512, gen, |plan| {
         let ids = TaskIdAllocator::new();
-        let mut both = (Replayer::new(PAR, AssignPolicy::Executing), Oracle::new(PAR));
+        let mut both = (
+            Replayer::new(PAR, AssignPolicy::Executing),
+            Oracle::new(PAR),
+        );
         let mut max_live = 0;
         both.apply(Event::Enter(BARRIER));
         emit(&mut both, &ids, &plan, &mut max_live);
@@ -40,33 +43,57 @@ fn aborts_and_instances_left_open_profile_as_fig12_says() {
         PAR,
         [
             Event::Enter(BARRIER),
-            Event::TaskBegin { region: TASK_A, id: t1 },
+            Event::TaskBegin {
+                region: TASK_A,
+                id: t1,
+            },
             Event::Advance(3),
             Event::Enter(FOO),
             Event::Enter(TW),
             Event::Advance(2),
             // t1 suspends inside two regions; t2 runs and dies inside one.
-            Event::TaskBegin { region: TASK_B, id: t2 },
+            Event::TaskBegin {
+                region: TASK_B,
+                id: t2,
+            },
             Event::Advance(4),
             Event::Enter(FOO),
             Event::Advance(5),
-            Event::TaskAbort { region: TASK_B, id: t2 },
+            Event::TaskAbort {
+                region: TASK_B,
+                id: t2,
+            },
             // t3 begins from the implicit task and aborts t1, which is
             // suspended, before it ends itself.
             Event::Advance(1),
-            Event::TaskBegin { region: TASK_A, id: t3 },
+            Event::TaskBegin {
+                region: TASK_A,
+                id: t3,
+            },
             Event::Advance(2),
-            Event::TaskAbort { region: TASK_A, id: t1 },
+            Event::TaskAbort {
+                region: TASK_A,
+                id: t1,
+            },
             Event::Advance(1),
             Event::Switch(TaskRef::Explicit(t3)),
             Event::Advance(6),
-            Event::TaskEnd { region: TASK_A, id: t3 },
+            Event::TaskEnd {
+                region: TASK_A,
+                id: t3,
+            },
             // t4 is left suspended in a region and t5 running in one: the
             // region end force-closes both.
-            Event::TaskBegin { region: TASK_B, id: t4 },
+            Event::TaskBegin {
+                region: TASK_B,
+                id: t4,
+            },
             Event::Enter(FOO),
             Event::Advance(7),
-            Event::TaskBegin { region: TASK_A, id: t5 },
+            Event::TaskBegin {
+                region: TASK_A,
+                id: t5,
+            },
             Event::Enter(TW),
             Event::Advance(8),
         ],

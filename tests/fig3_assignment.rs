@@ -18,13 +18,26 @@ fn scenario(policy: AssignPolicy) -> ThreadSnapshot {
         policy,
         [
             Event::Advance(2), // parallel region start
-            Event::CreateBegin { create: CREATE, task_region: TASK, id: t1 },
+            Event::CreateBegin {
+                create: CREATE,
+                task_region: TASK,
+                id: t1,
+            },
             Event::Advance(2), // creation takes 2
-            Event::CreateEnd { create: CREATE, id: t1 },
+            Event::CreateEnd {
+                create: CREATE,
+                id: t1,
+            },
             Event::Enter(BARRIER),
-            Event::TaskBegin { region: TASK, id: t1 },
+            Event::TaskBegin {
+                region: TASK,
+                id: t1,
+            },
             Event::Advance(5), // the actual work
-            Event::TaskEnd { region: TASK, id: t1 },
+            Event::TaskEnd {
+                region: TASK,
+                id: t1,
+            },
             Event::Advance(2), // residual wait
             Event::Exit(BARRIER),
         ],
@@ -63,6 +76,7 @@ fn executing_node_policy_keeps_metrics_meaningful() {
     assert_eq!(snap.task_trees[0].stats.sum_ns, 5);
     // Nothing anywhere is negative.
     let mut all_nonneg = true;
-    snap.main.walk(&mut |_, n| all_nonneg &= n.exclusive_ns() >= 0);
+    snap.main
+        .walk(&mut |_, n| all_nonneg &= n.exclusive_ns() >= 0);
     assert!(all_nonneg);
 }

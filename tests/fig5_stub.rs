@@ -36,9 +36,16 @@ fn fig5_stub_splits_barrier_and_task_tree_shows_creation() {
         events.extend([
             Event::TaskBegin { region: TASK0, id },
             Event::Advance(rest / 2 * S / 10),
-            Event::CreateBegin { create: CREATE, task_region: TASK0, id: nested },
+            Event::CreateBegin {
+                create: CREATE,
+                task_region: TASK0,
+                id: nested,
+            },
             Event::Advance(creating * S / 10),
-            Event::CreateEnd { create: CREATE, id: nested },
+            Event::CreateEnd {
+                create: CREATE,
+                id: nested,
+            },
             Event::Advance((rest - rest / 2) * S / 10),
             Event::TaskEnd { region: TASK0, id },
         ]);

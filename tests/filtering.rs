@@ -22,7 +22,10 @@ fn filtering_taskwaits_removes_them_but_keeps_task_stats() {
     });
     let out = run_app(AppId::Fib, &filtered, &RunOpts::new(2).scale(Scale::Test));
     assert!(out.verified);
-    let filtered_profile = filtered.inner().take_profile().expect("no region in flight");
+    let filtered_profile = filtered
+        .inner()
+        .take_profile()
+        .expect("no region in flight");
 
     let tw = reg.lookup("fib!taskwait", RegionKind::Taskwait).unwrap();
     let count_tw = |p: &taskprof::Profile| -> u64 {
@@ -38,7 +41,10 @@ fn filtering_taskwaits_removes_them_but_keeps_task_stats() {
         }
         v
     };
-    assert!(count_tw(&full_profile) > 0, "reference must contain taskwaits");
+    assert!(
+        count_tw(&full_profile) > 0,
+        "reference must contain taskwaits"
+    );
     assert_eq!(count_tw(&filtered_profile), 0, "filter must remove them");
 
     // Task statistics survive filtering identically (same instance count).
@@ -59,9 +65,16 @@ fn filtering_user_regions_by_name() {
     let filtered = FilteredMonitor::new(ProfMonitor::new(), move |r: RegionId| {
         registry().name(r) != drop_name
     });
-    let out = run_app(AppId::SparseLu, &filtered, &RunOpts::new(2).scale(Scale::Test));
+    let out = run_app(
+        AppId::SparseLu,
+        &filtered,
+        &RunOpts::new(2).scale(Scale::Test),
+    );
     assert!(out.verified);
-    let p = filtered.inner().take_profile().expect("no region in flight");
+    let p = filtered
+        .inner()
+        .take_profile()
+        .expect("no region in flight");
     let reg = registry();
     let dropped = reg.lookup(drop_name, RegionKind::TaskCreate).unwrap();
     for t in &p.threads {

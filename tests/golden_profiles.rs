@@ -9,7 +9,7 @@
 use pomp::{RegionId, RegionKind, TaskIdAllocator};
 use std::path::PathBuf;
 use std::sync::Arc;
-use taskprof::{Event, Profile, ProfMonitor};
+use taskprof::{Event, ProfMonitor, Profile};
 use taskrt::Team;
 use test_util::fig12::replay_checked;
 
@@ -33,8 +33,7 @@ fn check_golden(name: &str, actual: &str) {
         )
     });
     assert_eq!(
-        actual,
-        expected,
+        actual, expected,
         "golden '{name}' differs; regenerate with BLESS=1 if the change is intentional"
     );
 }
@@ -106,28 +105,46 @@ fn golden_figs6_11_walkthrough_stream() {
             id: i1,
         },
         Event::Advance(1),
-        Event::CreateEnd { create: create_a, id: i1 },
+        Event::CreateEnd {
+            create: create_a,
+            id: i1,
+        },
         Event::CreateBegin {
             create: create_a,
             task_region: task_a,
             id: i2,
         },
         Event::Advance(1),
-        Event::CreateEnd { create: create_a, id: i2 },
+        Event::CreateEnd {
+            create: create_a,
+            id: i2,
+        },
         Event::Enter(barrier),
         Event::Advance(1),
-        Event::TaskBegin { region: task_a, id: i1 },
+        Event::TaskBegin {
+            region: task_a,
+            id: i1,
+        },
         Event::Advance(5),
         Event::Enter(tw),
         Event::Advance(1),
-        Event::TaskBegin { region: task_a, id: i2 },
+        Event::TaskBegin {
+            region: task_a,
+            id: i2,
+        },
         Event::Advance(7),
-        Event::TaskEnd { region: task_a, id: i2 },
+        Event::TaskEnd {
+            region: task_a,
+            id: i2,
+        },
         Event::Switch(pomp::TaskRef::Explicit(i1)),
         Event::Advance(1),
         Event::Exit(tw),
         Event::Advance(2),
-        Event::TaskEnd { region: task_a, id: i1 },
+        Event::TaskEnd {
+            region: task_a,
+            id: i1,
+        },
         Event::Advance(3),
         Event::Exit(barrier),
     ];
@@ -175,7 +192,10 @@ fn golden_nqueens_tiny_fixed_seed() {
         |monitor, team| bots::nqueens::run_with_team(monitor, team, &opts),
         42,
     );
-    assert!(out.verified, "simulated nqueens found a wrong solution count");
+    assert!(
+        out.verified,
+        "simulated nqueens found a wrong solution count"
+    );
     check_golden("nqueens_test_seed42", &cube::write_profile(&profile));
 }
 
@@ -286,8 +306,9 @@ fn golden_critpath_exact_outputs() {
                     let opts = critpath::DagOptions {
                         undeferred_spawn_cost: spawn_cost,
                     };
-                    let dag = critpath::TaskDag::from_streams(&run.streams, w.parallel_region(), &opts)
-                        .expect("simulated streams form a DAG");
+                    let dag =
+                        critpath::TaskDag::from_streams(&run.streams, w.parallel_region(), &opts)
+                            .expect("simulated streams form a DAG");
                     let r = dag.report();
                     write!(
                         out,
@@ -305,7 +326,8 @@ fn golden_critpath_exact_outputs() {
                         for k in [2, 3] {
                             let p = dag.what_if(row.region, k);
                             assert_eq!(p.baseline_makespan_ns, r.makespan_ns);
-                            write!(out, " {}/{}", p.predicted_makespan_ns, p.predicted_span_ns).unwrap();
+                            write!(out, " {}/{}", p.predicted_makespan_ns, p.predicted_span_ns)
+                                .unwrap();
                         }
                     }
                     out.push('\n');
@@ -318,7 +340,11 @@ fn golden_critpath_exact_outputs() {
 
 /// The seeded run of `w` as the session drains it: the whole edge log,
 /// regions included (`SimRun::streams` drops them).
-fn sim_edge_log(w: &simsched::TreeWorkload, threads: usize, seed: u64) -> Vec<taskprof::RegionEdges> {
+fn sim_edge_log(
+    w: &simsched::TreeWorkload,
+    threads: usize,
+    seed: u64,
+) -> Vec<taskprof::RegionEdges> {
     let sched = simsched::SimScheduler::new(seed).with_spawn_cost(simsched::DEFAULT_SPAWN_COST_NS);
     let clock = sched.clock().clone();
     let team = Team::new(threads).with_policy(Arc::new(sched));
@@ -340,7 +366,9 @@ fn debug_by_name(ev: &Event) -> String {
         out += &rest[..at];
         rest = &rest[at + "RegionId(".len()..];
         let close = rest.find(')').expect("a RegionId closes");
-        out += &pomp::registry().name(RegionId(rest[..close].parse().expect("a RegionId is a number")));
+        out += &pomp::registry().name(RegionId(
+            rest[..close].parse().expect("a RegionId is a number"),
+        ));
         rest = &rest[close + 1..];
     }
     out + rest
@@ -407,13 +435,21 @@ fn golden_trace_analysis_exact_outputs() {
                 let a = critpath::analyze_trace(&log).expect("a recorded run reads");
                 let (mut fragments, mut tasks) = (0, 0);
                 for region in &log {
-                    let dag = critpath::TaskDag::from_streams(&region.streams, region.region, &Default::default())
-                        .expect("simulated streams form a DAG");
+                    let dag = critpath::TaskDag::from_streams(
+                        &region.streams,
+                        region.region,
+                        &Default::default(),
+                    )
+                    .expect("simulated streams form a DAG");
                     let report = dag.report();
                     (fragments, tasks) = (fragments + report.fragments, tasks + report.tasks);
                 }
                 assert_eq!(a.switches, fragments, "{label} t{threads} s{seed}");
-                assert_eq!(a.instances.len() as u64, tasks, "{label} t{threads} s{seed}");
+                assert_eq!(
+                    a.instances.len() as u64,
+                    tasks,
+                    "{label} t{threads} s{seed}"
+                );
                 write!(
                     out,
                     "{label} t{threads} s{seed} task_exec={} creation={} sched_nonexec={} switches={} ratio={}",
@@ -443,7 +479,14 @@ fn golden_trace_analysis_exact_outputs() {
                     let name = pomp::registry().name(i.region);
                     let short = name.rsplit('!').next().unwrap();
                     let queue = i.queue_ns.map_or("-".to_string(), |q| q.to_string());
-                    write!(out, " ; {} {short} {queue} {} {}", i.id.get(), i.span_ns, i.fragments).unwrap();
+                    write!(
+                        out,
+                        " ; {} {short} {queue} {} {}",
+                        i.id.get(),
+                        i.span_ns,
+                        i.fragments
+                    )
+                    .unwrap();
                 }
                 out.push('\n');
             }

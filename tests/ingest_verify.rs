@@ -260,9 +260,17 @@ fn folding_stored_runs_interns_no_name() {
         store.ingest_record("fold", 1, ts, body).expect("ingest");
     }
     assert_eq!(store.compact().expect("compact"), 3);
-    assert_eq!(store.aggregate_window("fold", 1, &window).expect("window").runs, 3);
+    assert_eq!(
+        store
+            .aggregate_window("fold", 1, &window)
+            .expect("window")
+            .runs,
+        3
+    );
     assert_eq!(store.aggregate("fold", 1).expect("aggregate").runs, 4);
-    let trend = store.trend("fold", 1, &RunWindow::default(), 2).expect("trend");
+    let trend = store
+        .trend("fold", 1, &RunWindow::default(), 2)
+        .expect("trend");
     assert_eq!(trend.iter().map(|b| b.runs).sum::<u64>(), 4);
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);
@@ -273,7 +281,13 @@ fn folding_stored_runs_interns_no_name() {
     for ts in 0..4 {
         sharded.ingest_record("", 1, ts, body).expect("ingest");
     }
-    assert_eq!(sharded.aggregate_window("", 1, &window).expect("window").runs, 3);
+    assert_eq!(
+        sharded
+            .aggregate_window("", 1, &window)
+            .expect("window")
+            .runs,
+        3
+    );
     let trend = sharded.trend("", 1, &window, 2).expect("trend");
     assert_eq!(trend.iter().map(|b| b.runs).sum::<u64>(), 3);
     drop(sharded);

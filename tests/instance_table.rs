@@ -170,7 +170,10 @@ fn a_fused_end_and_resume_profiles_records_and_counts_as_the_pair() {
             .record_task_edges()
             .build()
             .expect("valid configuration");
-        let (ids, mut rng) = (TaskIdAllocator::new(), SplitMix64::new(0xF05E_D0E5_0000_0030));
+        let (ids, mut rng) = (
+            TaskIdAllocator::new(),
+            SplitMix64::new(0xF05E_D0E5_0000_0030),
+        );
         monitor.parallel_fork(PAR, 1);
         let th = monitor.thread_begin(0, 1, PAR);
         th.enter(BARRIER);
@@ -180,14 +183,20 @@ fn a_fused_end_and_resume_profiles_records_and_counts_as_the_pair() {
         th.exit(BARRIER);
         monitor.thread_end(0, th);
         monitor.parallel_join(PAR);
-        let telemetry = monitor.telemetry_core().expect("telemetry is on").snapshot();
+        let telemetry = monitor
+            .telemetry_core()
+            .expect("telemetry is on")
+            .snapshot();
         let profile = monitor.take_profile().expect("no region in flight");
         let edges = monitor.take_edge_log().expect("no region in flight");
         (format!("{profile:?}"), edges, telemetry)
     };
     let (fused, pair) = (run(true), run(false));
     let resumes = fused.2.events[EventClass::TaskSwitch.index()];
-    assert!(resumes > 1_000, "the stream was meant to resume parents: {resumes}");
+    assert!(
+        resumes > 1_000,
+        "the stream was meant to resume parents: {resumes}"
+    );
     assert!(fused.2.perturb_samples[EventClass::TaskSwitch.index()] > 0);
     assert_eq!(fused.0, pair.0, "profiles differ");
     assert_eq!(fused.1, pair.1, "edge logs differ");
@@ -326,7 +335,12 @@ fn ten_thousand_instances_in_arbitrary_resume_order_match_model_and_replay() {
                 let region = TASKS[below(&mut rng, TASKS.len())];
                 th.task_create_begin(CREATE, region, id);
                 th.task_create_end(CREATE, id);
-                suspend(&mut live, &mut suspended, &mut current, below(&mut rng, 2) == 0);
+                suspend(
+                    &mut live,
+                    &mut suspended,
+                    &mut current,
+                    below(&mut rng, 2) == 0,
+                );
                 th.task_begin(region, id);
                 live.insert(
                     id,
@@ -347,7 +361,12 @@ fn ten_thousand_instances_in_arbitrary_resume_order_match_model_and_replay() {
                     resumed_out_of_order += 1;
                 }
                 let id = suspended.swap_remove(pick);
-                suspend(&mut live, &mut suspended, &mut current, below(&mut rng, 2) == 0);
+                suspend(
+                    &mut live,
+                    &mut suspended,
+                    &mut current,
+                    below(&mut rng, 2) == 0,
+                );
                 th.task_switch(TaskRef::Explicit(id));
                 live.get_mut(&id).expect("suspended instance is live").since = now;
                 current = Some(id);

@@ -32,7 +32,10 @@ fn arena_grows_with_depth_not_task_count() {
     let arena = |p: &taskprof::Profile| -> usize {
         p.threads.iter().map(|t| t.arena_capacity).max().unwrap()
     };
-    assert!(tasks(&big) > 10 * tasks(&small), "inputs should differ a lot");
+    assert!(
+        tasks(&big) > 10 * tasks(&small),
+        "inputs should differ a lot"
+    );
     // Task count explodes; arena stays the same order of magnitude.
     assert!(
         arena(&big) < 4 * arena(&small),

@@ -111,9 +111,7 @@ fn mixed_constructs_profile_cleanly() {
         assert_eq!(count(task), (8 + threads as u64) * 2);
         assert_eq!(count(nested), 32 * 2);
         // The workshare region shows up in the main trees.
-        let ws = reg
-            .lookup("mix!for", pomp::RegionKind::Workshare)
-            .unwrap();
+        let ws = reg.lookup("mix!for", pomp::RegionKind::Workshare).unwrap();
         let ws_visits: u64 = profile
             .threads
             .iter()

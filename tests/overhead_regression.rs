@@ -98,7 +98,11 @@ fn telemetry_per_event_overhead_is_bounded() {
 
     fn drive(telemetry: bool) -> Duration {
         let builder = ProfMonitor::builder();
-        let builder = if telemetry { builder.telemetry() } else { builder };
+        let builder = if telemetry {
+            builder.telemetry()
+        } else {
+            builder
+        };
         let monitor = builder.build().expect("valid configuration");
         let par = RegionId(9100);
         let work = RegionId(9101);

@@ -41,13 +41,16 @@ fn sibling_panic_is_isolated_and_profiled() {
     assert_eq!(outcome.failed_tasks(), 1, "exactly one instance failed");
     let msg = outcome.panic_message().expect("payload preserved");
     assert!(msg.contains("task 5 exploded"), "{msg}");
-    assert_eq!(ran.load(Ordering::Relaxed), 15, "the 15 healthy siblings ran");
+    assert_eq!(
+        ran.load(Ordering::Relaxed),
+        15,
+        "the 15 healthy siblings ran"
+    );
 
     // The profile still merged: 16 instances counted, one tagged aborted,
     // and the observed time of the aborted instance was kept.
     let p = m.take_profile().expect("no region in flight");
-    let trees: Vec<&taskprof::SnapNode> =
-        p.threads.iter().flat_map(|t| &t.task_trees).collect();
+    let trees: Vec<&taskprof::SnapNode> = p.threads.iter().flat_map(|t| &t.task_trees).collect();
     assert!(!trees.is_empty(), "task trees survived the panic");
     let visits: u64 = trees.iter().map(|t| t.stats.visits).sum();
     let aborted: u64 = trees.iter().map(|t| t.stats.aborted).sum();

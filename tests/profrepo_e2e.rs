@@ -126,19 +126,21 @@ fn sweep(tag: &str) -> Vec<String> {
     for seed in 0..20u64 {
         let text = deterministic_profile_text(seed);
         client
-            .ingest_record(&Record::from_text("sweep-bench", 2, Some(seed * 1_000), &text))
+            .ingest_record(&Record::from_text(
+                "sweep-bench",
+                2,
+                Some(seed * 1_000),
+                &text,
+            ))
             .expect("ingest");
     }
 
     // Serialize each typed report to its canonical JSON response line so
     // "byte-identical" stays a meaningful cross-sweep assertion.
     let mut lines = Vec::new();
-    lines.push(
-        Response::Top(client.query_top("sweep-bench", 2, 10).expect("top")).to_json_line(),
-    );
-    lines.push(
-        Response::Stats(client.query_stats("sweep-bench", 2).expect("stats")).to_json_line(),
-    );
+    lines.push(Response::Top(client.query_top("sweep-bench", 2, 10).expect("top")).to_json_line());
+    lines
+        .push(Response::Stats(client.query_stats("sweep-bench", 2).expect("stats")).to_json_line());
     // Candidate from a seed outside the baseline: deterministic, so the
     // verdict (and its serialized form) is identical across sweeps.
     let candidate = deterministic_profile_text(777);

@@ -15,12 +15,17 @@ fn parallel_sort_sorts_anything() {
             g.u64(1..4) as usize,
         )
     };
-    check("parallel_sort_sorts_anything", 24, gen, |(mut data, threads)| {
-        let mut expect = data.clone();
-        expect.sort_unstable();
-        sort_slice(&NullMonitor, threads, &mut data);
-        assert_eq!(data, expect);
-    });
+    check(
+        "parallel_sort_sorts_anything",
+        24,
+        gen,
+        |(mut data, threads)| {
+            let mut expect = data.clone();
+            expect.sort_unstable();
+            sort_slice(&NullMonitor, threads, &mut data);
+            assert_eq!(data, expect);
+        },
+    );
 }
 
 #[test]

@@ -128,23 +128,34 @@ fn plans(depth: u32, len: Range<usize>) -> impl Fn(&mut Gen) -> Vec<Body> {
 
 #[test]
 fn executing_policy_invariants() {
-    check("executing_policy_invariants", 256, plans(4, 1..6), |p| invariants_hold(&p));
+    check("executing_policy_invariants", 256, plans(4, 1..6), |p| {
+        invariants_hold(&p)
+    });
 }
 
 #[test]
 fn node_reuse_bounds_arena() {
-    check("node_reuse_bounds_arena", 256, plans(3, 1..5), |p| arena_is_reused(&p));
+    check("node_reuse_bounds_arena", 256, plans(3, 1..5), |p| {
+        arena_is_reused(&p)
+    });
 }
 
 #[test]
 fn policies_agree_on_wall_time() {
-    check("policies_agree_on_wall_time", 256, plans(3, 1..5), |p| policies_agree(&p));
+    check("policies_agree_on_wall_time", 256, plans(3, 1..5), |p| {
+        policies_agree(&p)
+    });
 }
 
 #[test]
 fn merge_is_associative_for_thread_aggregation() {
     let merge = |p: Vec<Body>| merge_is_associative(&p);
-    check("merge_is_associative_for_thread_aggregation", 256, plans(3, 1..4), merge);
+    check(
+        "merge_is_associative_for_thread_aggregation",
+        256,
+        plans(3, 1..4),
+        merge,
+    );
 }
 
 /// The one failure ever persisted for these properties, kept as the

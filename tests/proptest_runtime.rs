@@ -14,10 +14,15 @@ use test_util::shape::{expected_tasks, run_shape, shape};
 #[test]
 fn every_task_executes_exactly_once() {
     let gen = |g: &mut Gen| (shape(g), g.u64(1..5) as usize);
-    check("every_task_executes_exactly_once", 48, gen, |(shape, threads)| {
-        let got = run_shape(&NullMonitor, &shape, threads);
-        assert_eq!(got, expected_tasks(&shape));
-    });
+    check(
+        "every_task_executes_exactly_once",
+        48,
+        gen,
+        |(shape, threads)| {
+            let got = run_shape(&NullMonitor, &shape, threads);
+            assert_eq!(got, expected_tasks(&shape));
+        },
+    );
 }
 
 #[test]

@@ -27,7 +27,6 @@ fn scratch_path(tag: &str) -> std::path::PathBuf {
     ))
 }
 
-
 /// A valid random profile, made by replay.
 fn profile(g: &mut Gen) -> Profile {
     let nthreads = g.u64(1..4) as usize;
@@ -136,9 +135,10 @@ fn summary_of_the_thread_merge(p: &Profile) -> RunSummary {
     RunSummary {
         total_ns: merged.main.stats.sum_ns,
         regions,
-        root: p.threads.first().map(|t| {
-            NodeRef::of(t.main.kind, &reg.view()).into()
-        }),
+        root: p
+            .threads
+            .first()
+            .map(|t| NodeRef::of(t.main.kind, &reg.view()).into()),
     }
 }
 
@@ -151,16 +151,21 @@ fn run_summary_equals_the_sum_over_the_thread_merge() {
         let nthreads = g.u64(1..5) as usize;
         (profile(g), grown_profile(g, nthreads))
     };
-    check("run_summary_equals_the_sum_over_the_thread_merge", 64, gen, |(replayed, grown)| {
-        assert_eq!(
-            RunSummary::from_profile(&replayed),
-            summary_of_the_thread_merge(&replayed)
-        );
-        assert_eq!(
-            RunSummary::from_profile(&grown),
-            summary_of_the_thread_merge(&grown)
-        );
-    });
+    check(
+        "run_summary_equals_the_sum_over_the_thread_merge",
+        64,
+        gen,
+        |(replayed, grown)| {
+            assert_eq!(
+                RunSummary::from_profile(&replayed),
+                summary_of_the_thread_merge(&replayed)
+            );
+            assert_eq!(
+                RunSummary::from_profile(&grown),
+                summary_of_the_thread_merge(&grown)
+            );
+        },
+    );
 }
 
 /// Roots a run's first main tree may have: the parallel regions of both
@@ -207,28 +212,37 @@ fn a_record_summarises_and_folds_as_the_profile_it_spells() {
         })
     };
     let mismatched = std::cell::Cell::new(0);
-    check("a_record_summarises_and_folds_as_the_profile_it_spells", 64, gen, |runs| {
-        let mut from_records = BenchAgg::new();
-        let mut from_profiles = BenchAgg::new();
-        for (i, p) in runs.iter().enumerate() {
-            let meta = RunMeta {
-                run_id: i as u64 + 1,
-                benchmark: "proptest".to_string(),
-                threads: p.threads.len() as u32,
-                timestamp_ns: i as u64,
-            };
-            let summary = RunSummary::from_record(&encode_record(&meta, p)).expect("own record");
-            assert_eq!(summary, RunSummary::from_profile(p));
-            from_records.fold_summary(summary);
-            from_profiles.fold(p);
-        }
-        assert_eq!(from_records.runs, from_profiles.runs);
-        assert_eq!(from_records.total_ns, from_profiles.total_ns);
-        assert_eq!(from_records.regions, from_profiles.regions);
-        assert_eq!(from_records.tree_mismatches, from_profiles.tree_mismatches);
-        mismatched.set(mismatched.get() + usize::from(from_records.tree_mismatches > 0));
-    });
-    assert!(mismatched.get() > 0, "no case folded runs whose roots differ");
+    check(
+        "a_record_summarises_and_folds_as_the_profile_it_spells",
+        64,
+        gen,
+        |runs| {
+            let mut from_records = BenchAgg::new();
+            let mut from_profiles = BenchAgg::new();
+            for (i, p) in runs.iter().enumerate() {
+                let meta = RunMeta {
+                    run_id: i as u64 + 1,
+                    benchmark: "proptest".to_string(),
+                    threads: p.threads.len() as u32,
+                    timestamp_ns: i as u64,
+                };
+                let summary =
+                    RunSummary::from_record(&encode_record(&meta, p)).expect("own record");
+                assert_eq!(summary, RunSummary::from_profile(p));
+                from_records.fold_summary(summary);
+                from_profiles.fold(p);
+            }
+            assert_eq!(from_records.runs, from_profiles.runs);
+            assert_eq!(from_records.total_ns, from_profiles.total_ns);
+            assert_eq!(from_records.regions, from_profiles.regions);
+            assert_eq!(from_records.tree_mismatches, from_profiles.tree_mismatches);
+            mismatched.set(mismatched.get() + usize::from(from_records.tree_mismatches > 0));
+        },
+    );
+    assert!(
+        mismatched.get() > 0,
+        "no case folded runs whose roots differ"
+    );
 }
 
 #[test]
@@ -242,11 +256,16 @@ fn profile_parser_never_panics() {
 #[test]
 fn profile_parser_never_panics_on_mutated_valid_input() {
     let gen = |g: &mut Gen| (profile(g), g.unit_f64());
-    check("profile_parser_never_panics_on_mutated_valid_input", 64, gen, |(p, cut)| {
-        let text = write_profile(&p);
-        let keep = (text.len() as f64 * cut) as usize;
-        let _ = read_profile(&text[..keep.min(text.len())]);
-    });
+    check(
+        "profile_parser_never_panics_on_mutated_valid_input",
+        64,
+        gen,
+        |(p, cut)| {
+            let text = write_profile(&p);
+            let keep = (text.len() as f64 * cut) as usize;
+            let _ = read_profile(&text[..keep.min(text.len())]);
+        },
+    );
 }
 
 #[test]
@@ -268,21 +287,26 @@ fn generated_profiles_round_trip() {
 #[test]
 fn record_codec_truncation_is_always_a_typed_error() {
     let gen = |g: &mut Gen| (profile(g), g.unit_f64());
-    check("record_codec_truncation_is_always_a_typed_error", 64, gen, |(p, cut)| {
-        let meta = RunMeta {
-            run_id: 7,
-            benchmark: "proptest".to_string(),
-            threads: p.threads.len() as u32,
-            timestamp_ns: 1234,
-        };
-        let payload = encode_record(&meta, &p);
-        let keep = ((payload.len() as f64 * cut) as usize).min(payload.len() - 1);
-        assert!(
-            decode_record(&payload[..keep]).is_err(),
-            "a {keep}-byte prefix of a {}-byte record decoded successfully",
-            payload.len()
-        );
-    });
+    check(
+        "record_codec_truncation_is_always_a_typed_error",
+        64,
+        gen,
+        |(p, cut)| {
+            let meta = RunMeta {
+                run_id: 7,
+                benchmark: "proptest".to_string(),
+                threads: p.threads.len() as u32,
+                timestamp_ns: 1234,
+            };
+            let payload = encode_record(&meta, &p);
+            let keep = ((payload.len() as f64 * cut) as usize).min(payload.len() - 1);
+            assert!(
+                decode_record(&payload[..keep]).is_err(),
+                "a {keep}-byte prefix of a {}-byte record decoded successfully",
+                payload.len()
+            );
+        },
+    );
 }
 
 /// A single flipped bit anywhere in a record payload must not panic
@@ -292,18 +316,23 @@ fn record_codec_truncation_is_always_a_typed_error() {
 #[test]
 fn record_codec_bit_flip_never_panics() {
     let gen = |g: &mut Gen| (profile(g), g.unit_f64(), g.below(8));
-    check("record_codec_bit_flip_never_panics", 64, gen, |(p, pos, bit)| {
-        let meta = RunMeta {
-            run_id: 1,
-            benchmark: "proptest-flip".to_string(),
-            threads: p.threads.len() as u32,
-            timestamp_ns: 1,
-        };
-        let mut payload = encode_record(&meta, &p);
-        let at = ((payload.len() as f64 * pos) as usize).min(payload.len() - 1);
-        payload[at] ^= 1 << bit;
-        let _ = decode_record(&payload);
-    });
+    check(
+        "record_codec_bit_flip_never_panics",
+        64,
+        gen,
+        |(p, pos, bit)| {
+            let meta = RunMeta {
+                run_id: 1,
+                benchmark: "proptest-flip".to_string(),
+                threads: p.threads.len() as u32,
+                timestamp_ns: 1,
+            };
+            let mut payload = encode_record(&meta, &p);
+            let at = ((payload.len() as f64 * pos) as usize).min(payload.len() - 1);
+            payload[at] ^= 1 << bit;
+            let _ = decode_record(&payload);
+        },
+    );
 }
 
 /// A verified body stamped with the store's header is byte for byte
@@ -317,26 +346,31 @@ fn a_stamped_body_is_the_re_encoded_record() {
         (profiles, nthreads, [g.u64(..), g.u64(..)])
     };
     let name = "a_stamped_body_is_the_re_encoded_record";
-    check(name, 64, gen, |(profiles, nthreads, [run_id, timestamp_ns])| {
-        let sent = RunMeta {
-            run_id: 0,
-            benchmark: "sender".to_string(),
-            threads: 3,
-            timestamp_ns: 0,
-        };
-        let stored = RunMeta {
-            run_id,
-            benchmark: "stored".to_string(),
-            threads: nthreads as u32,
-            timestamp_ns,
-        };
-        for p in profiles {
-            let payload = encode_record(&sent, &p);
-            let body = verify_record(&payload).expect("the encoder's bytes verify");
-            let (_, decoded) = decode_record(&payload).expect("the encoder's bytes decode");
-            assert_eq!(body.stamp(&stored), encode_record(&stored, &decoded));
-        }
-    });
+    check(
+        name,
+        64,
+        gen,
+        |(profiles, nthreads, [run_id, timestamp_ns])| {
+            let sent = RunMeta {
+                run_id: 0,
+                benchmark: "sender".to_string(),
+                threads: 3,
+                timestamp_ns: 0,
+            };
+            let stored = RunMeta {
+                run_id,
+                benchmark: "stored".to_string(),
+                threads: nthreads as u32,
+                timestamp_ns,
+            };
+            for p in profiles {
+                let payload = encode_record(&sent, &p);
+                let body = verify_record(&payload).expect("the encoder's bytes verify");
+                let (_, decoded) = decode_record(&payload).expect("the encoder's bytes decode");
+                assert_eq!(body.stamp(&stored), encode_record(&stored, &decoded));
+            }
+        },
+    );
 }
 
 /// Where a payload is damaged and how: a fraction of its length, a bit,
@@ -362,31 +396,36 @@ fn apply_damage(payload: &mut Vec<u8>, (pos, bit, byte, mutation): (f64, u64, u8
 #[test]
 fn verify_accepts_exactly_the_canonical_records() {
     let gen = |g: &mut Gen| ([profile(g), grown_profile(g, 2)], damage(g));
-    check("verify_accepts_exactly_the_canonical_records", 64, gen, |(profiles, damage)| {
-        let meta = RunMeta {
-            run_id: 5,
-            benchmark: "proptest-verify".to_string(),
-            threads: 2,
-            timestamp_ns: 9,
-        };
-        for p in profiles {
-            let mut payload = encode_record(&meta, &p);
-            let at = apply_damage(&mut payload, damage);
-            let canonical = match decode_record(&payload) {
-                Ok((m, q)) => !q.threads.is_empty() && encode_record(&m, &q) == payload,
-                Err(_) => false,
+    check(
+        "verify_accepts_exactly_the_canonical_records",
+        64,
+        gen,
+        |(profiles, damage)| {
+            let meta = RunMeta {
+                run_id: 5,
+                benchmark: "proptest-verify".to_string(),
+                threads: 2,
+                timestamp_ns: 9,
             };
-            let verified = verify_record(&payload);
-            assert_eq!(
-                verified.is_ok(),
-                canonical,
-                "mutation {} at {}: verify said {:?}",
-                damage.3,
-                at,
-                verified.err()
-            );
-        }
-    });
+            for p in profiles {
+                let mut payload = encode_record(&meta, &p);
+                let at = apply_damage(&mut payload, damage);
+                let canonical = match decode_record(&payload) {
+                    Ok((m, q)) => !q.threads.is_empty() && encode_record(&m, &q) == payload,
+                    Err(_) => false,
+                };
+                let verified = verify_record(&payload);
+                assert_eq!(
+                    verified.is_ok(),
+                    canonical,
+                    "mutation {} at {}: verify said {:?}",
+                    damage.3,
+                    at,
+                    verified.err()
+                );
+            }
+        },
+    );
 }
 
 /// `APPLY` stores a replicated record exactly when `decode_record`
@@ -397,43 +436,50 @@ fn verify_accepts_exactly_the_canonical_records() {
 #[test]
 fn apply_accepts_exactly_what_decodes() {
     let gen = |g: &mut Gen| (profile(g), damage(g));
-    check("apply_accepts_exactly_what_decodes", 64, gen, |(p, damage)| {
-        let meta = RunMeta {
-            run_id: 5,
-            benchmark: "proptest-apply".to_string(),
-            threads: 2,
-            timestamp_ns: 9,
-        };
-        let mut payload = encode_record(&meta, &p);
-        let at = apply_damage(&mut payload, damage);
-        let mut frame = Vec::new();
-        profstore::frame::encode(&payload, &mut frame);
-        let decoded = decode_record(&payload).ok();
-        let skipped = matches!(decode_meta(&payload), Ok(m) if m.run_id == 0);
-        let dir = scratch_path("apply");
-        let mut single = ProfileStore::open(&dir.join("single")).expect("open");
-        let sharded = ShardedStore::open(&dir.join("sharded"), 2).expect("open");
-        let applied = [single.apply_frame(&frame), sharded.apply_frame(&frame)];
-        let stored = decoded.as_ref().filter(|_| !skipped);
-        for applied in &applied {
-            assert_eq!(
-                matches!(applied, Ok(Some(_))),
-                stored.is_some(),
-                "mutation {} at {}: apply said {:?}",
-                damage.3,
-                at,
-                applied
-            );
-            assert!(!skipped || matches!(applied, Ok(None)));
-        }
-        if let Some((m, q)) = stored {
-            for (lm, lq) in [single.load(m.run_id), sharded.load(m.run_id)].map(|l| l.expect("load")) {
-                assert_eq!(encode_record(&lm, &lq), encode_record(m, q));
+    check(
+        "apply_accepts_exactly_what_decodes",
+        64,
+        gen,
+        |(p, damage)| {
+            let meta = RunMeta {
+                run_id: 5,
+                benchmark: "proptest-apply".to_string(),
+                threads: 2,
+                timestamp_ns: 9,
+            };
+            let mut payload = encode_record(&meta, &p);
+            let at = apply_damage(&mut payload, damage);
+            let mut frame = Vec::new();
+            profstore::frame::encode(&payload, &mut frame);
+            let decoded = decode_record(&payload).ok();
+            let skipped = matches!(decode_meta(&payload), Ok(m) if m.run_id == 0);
+            let dir = scratch_path("apply");
+            let mut single = ProfileStore::open(&dir.join("single")).expect("open");
+            let sharded = ShardedStore::open(&dir.join("sharded"), 2).expect("open");
+            let applied = [single.apply_frame(&frame), sharded.apply_frame(&frame)];
+            let stored = decoded.as_ref().filter(|_| !skipped);
+            for applied in &applied {
+                assert_eq!(
+                    matches!(applied, Ok(Some(_))),
+                    stored.is_some(),
+                    "mutation {} at {}: apply said {:?}",
+                    damage.3,
+                    at,
+                    applied
+                );
+                assert!(!skipped || matches!(applied, Ok(None)));
             }
-        }
-        drop((single, sharded));
-        let _ = std::fs::remove_dir_all(&dir);
-    });
+            if let Some((m, q)) = stored {
+                for (lm, lq) in
+                    [single.load(m.run_id), sharded.load(m.run_id)].map(|l| l.expect("load"))
+                {
+                    assert_eq!(encode_record(&lm, &lq), encode_record(m, q));
+                }
+            }
+            drop((single, sharded));
+            let _ = std::fs::remove_dir_all(&dir);
+        },
+    );
 }
 
 /// A single flipped bit in a CRC-framed segment is always detected:
@@ -442,31 +488,36 @@ fn apply_accepts_exactly_what_decodes() {
 #[test]
 fn segment_bit_flip_is_always_detected_by_scan() {
     let gen = |g: &mut Gen| (payloads(g), g.unit_f64(), g.below(8));
-    check("segment_bit_flip_is_always_detected_by_scan", 64, gen, |(payloads, pos, bit)| {
-        let path = scratch_path("flip");
-        let io = RealIo;
-        {
-            let mut w = SegmentWriter::create(&io, &path, false).expect("create");
-            for p in &payloads {
-                w.append(p).expect("append");
+    check(
+        "segment_bit_flip_is_always_detected_by_scan",
+        64,
+        gen,
+        |(payloads, pos, bit)| {
+            let path = scratch_path("flip");
+            let io = RealIo;
+            {
+                let mut w = SegmentWriter::create(&io, &path, false).expect("create");
+                for p in &payloads {
+                    w.append(p).expect("append");
+                }
             }
-        }
-        let mut bytes = std::fs::read(&path).expect("read");
-        let at = ((bytes.len() as f64 * pos) as usize).min(bytes.len() - 1);
-        bytes[at] ^= 1 << bit;
-        std::fs::write(&path, &bytes).expect("rewrite");
+            let mut bytes = std::fs::read(&path).expect("read");
+            let at = ((bytes.len() as f64 * pos) as usize).min(bytes.len() - 1);
+            bytes[at] ^= 1 << bit;
+            std::fs::write(&path, &bytes).expect("rewrite");
 
-        let mut records = 0;
-        let scan = SegmentReader::scan(&io, &path, |_, _| records += 1).expect("scan is total");
-        assert!(
-            scan.tail_defect.is_some(),
-            "flipped bit {bit} at byte {at} went undetected \
+            let mut records = 0;
+            let scan = SegmentReader::scan(&io, &path, |_, _| records += 1).expect("scan is total");
+            assert!(
+                scan.tail_defect.is_some(),
+                "flipped bit {bit} at byte {at} went undetected \
              ({records} of {} records scanned clean)",
-            payloads.len()
-        );
-        assert!(records < payloads.len() || scan.valid_len == 0);
-        let _ = std::fs::remove_file(&path);
-    });
+                payloads.len()
+            );
+            assert!(records < payloads.len() || scan.valid_len == 0);
+            let _ = std::fs::remove_file(&path);
+        },
+    );
 }
 
 /// Truncating a segment at any byte never panics the scan, never
@@ -475,24 +526,29 @@ fn segment_bit_flip_is_always_detected_by_scan() {
 #[test]
 fn segment_truncation_never_panics_scan() {
     let gen = |g: &mut Gen| (payloads(g), g.unit_f64());
-    check("segment_truncation_never_panics_scan", 64, gen, |(payloads, cut)| {
-        let path = scratch_path("trunc");
-        let io = RealIo;
-        {
-            let mut w = SegmentWriter::create(&io, &path, false).expect("create");
-            for p in &payloads {
-                w.append(p).expect("append");
+    check(
+        "segment_truncation_never_panics_scan",
+        64,
+        gen,
+        |(payloads, cut)| {
+            let path = scratch_path("trunc");
+            let io = RealIo;
+            {
+                let mut w = SegmentWriter::create(&io, &path, false).expect("create");
+                for p in &payloads {
+                    w.append(p).expect("append");
+                }
             }
-        }
-        let bytes = std::fs::read(&path).expect("read");
-        let keep = ((bytes.len() as f64 * cut) as usize).min(bytes.len() - 1);
-        std::fs::write(&path, &bytes[..keep]).expect("rewrite");
+            let bytes = std::fs::read(&path).expect("read");
+            let keep = ((bytes.len() as f64 * cut) as usize).min(bytes.len() - 1);
+            std::fs::write(&path, &bytes[..keep]).expect("rewrite");
 
-        let mut records = 0;
-        let scan = SegmentReader::scan(&io, &path, |_, _| records += 1).expect("scan is total");
-        assert!(records < payloads.len());
-        assert!(scan.valid_len <= keep as u64);
-        assert!(scan.tail_defect.is_some() || scan.valid_len == keep as u64);
-        let _ = std::fs::remove_file(&path);
-    });
+            let mut records = 0;
+            let scan = SegmentReader::scan(&io, &path, |_, _| records += 1).expect("scan is total");
+            assert!(records < payloads.len());
+            assert!(scan.valid_len <= keep as u64);
+            assert!(scan.tail_defect.is_some() || scan.valid_len == keep as u64);
+            let _ = std::fs::remove_file(&path);
+        },
+    );
 }

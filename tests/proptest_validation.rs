@@ -66,26 +66,31 @@ fn apply(th: &impl ThreadHooks, regions: &[pomp::RegionId; 3], o: RawOp) {
 /// profile finalizes (no live instances leak past thread_end).
 #[test]
 fn validated_arbitrary_streams_never_panic_the_profiler() {
-    check("validated_arbitrary_streams_never_panic_the_profiler", 256, ops, |ops| {
-        let regions = fixture_regions();
-        let v = ValidatingMonitor::new(ProfMonitor::new());
-        let th = v.thread_begin(0, 1, regions[0]);
-        for o in ops {
-            apply(&th, &regions, o);
-        }
-        v.thread_end(0, th);
-        let p = v.inner().take_profile().expect("no region in flight");
-        assert_eq!(p.threads.len(), 1);
-        // Finalized: the implicit root's time is accounted and no
-        // negative exclusive time appears anywhere.
-        let mut ok = true;
-        p.threads[0].main.walk(&mut |_, n| {
-            if n.exclusive_ns() < 0 {
-                ok = false;
+    check(
+        "validated_arbitrary_streams_never_panic_the_profiler",
+        256,
+        ops,
+        |ops| {
+            let regions = fixture_regions();
+            let v = ValidatingMonitor::new(ProfMonitor::new());
+            let th = v.thread_begin(0, 1, regions[0]);
+            for o in ops {
+                apply(&th, &regions, o);
             }
-        });
-        assert!(ok, "negative exclusive time in healed profile");
-    });
+            v.thread_end(0, th);
+            let p = v.inner().take_profile().expect("no region in flight");
+            assert_eq!(p.threads.len(), 1);
+            // Finalized: the implicit root's time is accounted and no
+            // negative exclusive time appears anywhere.
+            let mut ok = true;
+            p.threads[0].main.walk(&mut |_, n| {
+                if n.exclusive_ns() < 0 {
+                    ok = false;
+                }
+            });
+            assert!(ok, "negative exclusive time in healed profile");
+        },
+    );
 }
 
 /// The validator itself never panics on arbitrary streams, and every
@@ -132,17 +137,22 @@ fn repaired_streams_validate_clean() {
 #[test]
 fn corrupted_profile_files_fail_with_position() {
     let gen = |g: &mut Gen| g.vec(1..6, |g| (g.u64(..), g.below(0x5e)));
-    check("corrupted_profile_files_fail_with_position", 256, gen, |flips| {
-        let corrupted = corrupt(&sample_profile_text(), &flips);
-        match cube::read_profile(&corrupted) {
-            Ok(_) => {}
-            Err(e) => {
-                assert!(e.line <= corrupted.lines().count() + 1, "{e}");
-                let shown = e.to_string();
-                assert!(shown.contains("line"), "{shown}");
+    check(
+        "corrupted_profile_files_fail_with_position",
+        256,
+        gen,
+        |flips| {
+            let corrupted = corrupt(&sample_profile_text(), &flips);
+            match cube::read_profile(&corrupted) {
+                Ok(_) => {}
+                Err(e) => {
+                    assert!(e.line <= corrupted.lines().count() + 1, "{e}");
+                    let shown = e.to_string();
+                    assert!(shown.contains("line"), "{shown}");
+                }
             }
-        }
-    });
+        },
+    );
 }
 
 /// Substitute one byte per flip — at the flip's position modulo the

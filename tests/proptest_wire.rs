@@ -295,102 +295,137 @@ fn response(g: &mut Gen) -> Response {
 #[test]
 fn frame_parser_never_panics_on_arbitrary_bytes() {
     let gen = |g: &mut Gen| bytes(g, 0..600);
-    check("frame_parser_never_panics_on_arbitrary_bytes", 64, gen, |bytes| {
-        let _ = try_frame(&bytes, MAX_PAYLOAD);
-    });
+    check(
+        "frame_parser_never_panics_on_arbitrary_bytes",
+        64,
+        gen,
+        |bytes| {
+            let _ = try_frame(&bytes, MAX_PAYLOAD);
+        },
+    );
 }
 
 #[test]
 fn payload_decoders_never_panic_on_arbitrary_bytes() {
     let gen = |g: &mut Gen| bytes(g, 0..600);
-    check("payload_decoders_never_panic_on_arbitrary_bytes", 64, gen, |bytes| {
-        let _ = decode_request(&bytes);
-        let _ = decode_response(&bytes);
-    });
+    check(
+        "payload_decoders_never_panic_on_arbitrary_bytes",
+        64,
+        gen,
+        |bytes| {
+            let _ = decode_request(&bytes);
+            let _ = decode_response(&bytes);
+        },
+    );
 }
 
 #[test]
 fn requests_round_trip_through_frame_and_codec() {
-    check("requests_round_trip_through_frame_and_codec", 64, request, |req| {
-        let framed = frame(&encode_request(&req));
-        let (payload, consumed) = try_frame(&framed, MAX_PAYLOAD)
-            .expect("valid frame")
-            .expect("complete frame");
-        assert_eq!(consumed, framed.len());
-        assert_eq!(decode_request(payload).expect("valid payload"), req);
-    });
+    check(
+        "requests_round_trip_through_frame_and_codec",
+        64,
+        request,
+        |req| {
+            let framed = frame(&encode_request(&req));
+            let (payload, consumed) = try_frame(&framed, MAX_PAYLOAD)
+                .expect("valid frame")
+                .expect("complete frame");
+            assert_eq!(consumed, framed.len());
+            assert_eq!(decode_request(payload).expect("valid payload"), req);
+        },
+    );
 }
 
 #[test]
 fn responses_round_trip_through_frame_and_codec() {
-    check("responses_round_trip_through_frame_and_codec", 64, response, |resp| {
-        let framed = frame(&encode_response(&resp));
-        let (payload, consumed) = try_frame(&framed, MAX_PAYLOAD)
-            .expect("valid frame")
-            .expect("complete frame");
-        assert_eq!(consumed, framed.len());
-        assert_eq!(decode_response(payload).expect("valid payload"), resp);
-    });
+    check(
+        "responses_round_trip_through_frame_and_codec",
+        64,
+        response,
+        |resp| {
+            let framed = frame(&encode_response(&resp));
+            let (payload, consumed) = try_frame(&framed, MAX_PAYLOAD)
+                .expect("valid frame")
+                .expect("complete frame");
+            assert_eq!(consumed, framed.len());
+            assert_eq!(decode_response(payload).expect("valid payload"), resp);
+        },
+    );
 }
 
 #[test]
 fn truncated_frames_wait_for_more_data() {
     let gen = |g: &mut Gen| (request(g), g.unit_f64());
-    check("truncated_frames_wait_for_more_data", 64, gen, |(req, cut)| {
-        // Any strict prefix of a valid frame is an incomplete read, never
-        // a decoded frame and never an error: the reactor must keep the
-        // connection open and wait for the remaining bytes.
-        let framed = frame(&encode_request(&req));
-        let keep = ((framed.len() as f64 * cut) as usize).min(framed.len() - 1);
-        assert!(matches!(try_frame(&framed[..keep], MAX_PAYLOAD), Ok(None)));
-    });
+    check(
+        "truncated_frames_wait_for_more_data",
+        64,
+        gen,
+        |(req, cut)| {
+            // Any strict prefix of a valid frame is an incomplete read, never
+            // a decoded frame and never an error: the reactor must keep the
+            // connection open and wait for the remaining bytes.
+            let framed = frame(&encode_request(&req));
+            let keep = ((framed.len() as f64 * cut) as usize).min(framed.len() - 1);
+            assert!(matches!(try_frame(&framed[..keep], MAX_PAYLOAD), Ok(None)));
+        },
+    );
 }
 
 #[test]
 fn bit_flips_never_pass_undetected() {
     let gen = |g: &mut Gen| (request(g), g.u64(..) as usize, g.below(8));
-    check("bit_flips_never_pass_undetected", 64, gen, |(req, pos, bit)| {
-        let framed = frame(&encode_request(&req));
-        let original = try_frame(&framed, MAX_PAYLOAD)
-            .expect("valid frame")
-            .expect("complete frame")
-            .0;
-        let mut corrupt = framed.clone();
-        let idx = pos % corrupt.len();
-        corrupt[idx] ^= 1 << bit;
-        // A flipped length header may legitimately look like an
-        // incomplete frame (Ok(None)) or an oversized one (Err); a
-        // flipped payload or checksum must fail the CRC. What must never
-        // happen is the original payload coming back as if intact.
-        if let Ok(Some((payload, _))) = try_frame(&corrupt, MAX_PAYLOAD) {
-            assert!(
-                payload != original,
-                "bit flip at byte {} went undetected",
-                idx
-            );
-        }
-    });
+    check(
+        "bit_flips_never_pass_undetected",
+        64,
+        gen,
+        |(req, pos, bit)| {
+            let framed = frame(&encode_request(&req));
+            let original = try_frame(&framed, MAX_PAYLOAD)
+                .expect("valid frame")
+                .expect("complete frame")
+                .0;
+            let mut corrupt = framed.clone();
+            let idx = pos % corrupt.len();
+            corrupt[idx] ^= 1 << bit;
+            // A flipped length header may legitimately look like an
+            // incomplete frame (Ok(None)) or an oversized one (Err); a
+            // flipped payload or checksum must fail the CRC. What must never
+            // happen is the original payload coming back as if intact.
+            if let Ok(Some((payload, _))) = try_frame(&corrupt, MAX_PAYLOAD) {
+                assert!(
+                    payload != original,
+                    "bit flip at byte {} went undetected",
+                    idx
+                );
+            }
+        },
+    );
 }
 
 #[test]
 fn truncated_payloads_never_decode_to_the_original() {
     let gen = |g: &mut Gen| (request(g), g.unit_f64());
-    check("truncated_payloads_never_decode_to_the_original", 64, gen, |(req, cut)| {
-        let payload = encode_request(&req);
-        // One deliberate exception: the HELLO auth extension is a trailing
-        // optional field, and the decoder accepts a pre-auth HELLO that
-        // ends after `features` as auth: None. Dropping exactly the
-        // presence byte of an auth-less HELLO therefore round-trips.
-        let compat_hello = matches!(&req, Request::Hello { auth: None, .. });
-        if payload.len() > 1 {
-            let keep = ((payload.len() as f64 * cut) as usize).min(payload.len() - 1);
-            if !(compat_hello && keep == payload.len() - 1) {
-                if let Ok(decoded) = decode_request(&payload[..keep]) {
-                    assert_ne!(decoded, req);
+    check(
+        "truncated_payloads_never_decode_to_the_original",
+        64,
+        gen,
+        |(req, cut)| {
+            let payload = encode_request(&req);
+            // One deliberate exception: the HELLO auth extension is a trailing
+            // optional field, and the decoder accepts a pre-auth HELLO that
+            // ends after `features` as auth: None. Dropping exactly the
+            // presence byte of an auth-less HELLO therefore round-trips.
+            let compat_hello = matches!(&req, Request::Hello { auth: None, .. });
+            if payload.len() > 1 {
+                let keep = ((payload.len() as f64 * cut) as usize).min(payload.len() - 1);
+                if !(compat_hello && keep == payload.len() - 1) {
+                    if let Ok(decoded) = decode_request(&payload[..keep]) {
+                        assert_ne!(decoded, req);
+                    }
                 }
             }
-        }
-    });
+        },
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -482,30 +517,35 @@ fn json_trees_round_trip() {
 #[test]
 fn cut_or_corrupted_request_lines_never_panic() {
     let gen = |g: &mut Gen| (request(g), g.u64(..) as usize, g.below(8));
-    check("cut_or_corrupted_request_lines_never_panic", 256, gen, |(req, pos, bit)| {
-        let line = req.to_json_line();
-        assert_eq!(
-            Request::from_json_line(&line)
-                .expect("own output parses")
-                .to_json_line(),
-            line.clone()
-        );
-        // No strict prefix of an object is a complete document.
-        let cut = &line.as_bytes()[..pos % line.len()];
-        if let Ok(prefix) = std::str::from_utf8(cut) {
-            assert!(
-                Request::from_json_line(prefix).is_err(),
-                "accepted {prefix:?}"
+    check(
+        "cut_or_corrupted_request_lines_never_panic",
+        256,
+        gen,
+        |(req, pos, bit)| {
+            let line = req.to_json_line();
+            assert_eq!(
+                Request::from_json_line(&line)
+                    .expect("own output parses")
+                    .to_json_line(),
+                line.clone()
             );
-        }
-        let mut corrupt = line.into_bytes();
-        let idx = pos % corrupt.len();
-        corrupt[idx] ^= 1 << bit;
-        if let Ok(text) = std::str::from_utf8(&corrupt) {
-            let _ = parse_json(text);
-            let _ = Request::from_json_line(text);
-        }
-    });
+            // No strict prefix of an object is a complete document.
+            let cut = &line.as_bytes()[..pos % line.len()];
+            if let Ok(prefix) = std::str::from_utf8(cut) {
+                assert!(
+                    Request::from_json_line(prefix).is_err(),
+                    "accepted {prefix:?}"
+                );
+            }
+            let mut corrupt = line.into_bytes();
+            let idx = pos % corrupt.len();
+            corrupt[idx] ^= 1 << bit;
+            if let Ok(text) = std::str::from_utf8(&corrupt) {
+                let _ = parse_json(text);
+                let _ = Request::from_json_line(text);
+            }
+        },
+    );
 }
 
 /// Profile text that needs every writer escape: `\n` per line, `"` and
@@ -612,18 +652,28 @@ fn textual(req: Request) -> Request {
 
 #[test]
 fn both_encodings_decode_every_request_alike() {
-    check("both_encodings_decode_every_request_alike", 256, request, |req| {
-        let over_json = Request::from_json_line(&req.to_json_line()).expect("own line parses");
-        let over_bin = decode_request(&encode_request(&req)).expect("own payload decodes");
-        assert_eq!(textual(over_json), textual(over_bin));
-    });
+    check(
+        "both_encodings_decode_every_request_alike",
+        256,
+        request,
+        |req| {
+            let over_json = Request::from_json_line(&req.to_json_line()).expect("own line parses");
+            let over_bin = decode_request(&encode_request(&req)).expect("own payload decodes");
+            assert_eq!(textual(over_json), textual(over_bin));
+        },
+    );
 }
 
 #[test]
 fn both_encodings_decode_every_response_alike() {
-    check("both_encodings_decode_every_response_alike", 256, response, |resp| {
-        let over_json = Response::from_json_line(&resp.to_json_line());
-        let over_bin = decode_response(&encode_response(&resp)).map_err(|e| e.to_string());
-        assert_eq!(over_json, over_bin);
-    });
+    check(
+        "both_encodings_decode_every_response_alike",
+        256,
+        response,
+        |resp| {
+            let over_json = Response::from_json_line(&resp.to_json_line());
+            let over_bin = decode_response(&encode_response(&resp)).map_err(|e| e.to_string());
+            assert_eq!(over_json, over_bin);
+        },
+    );
 }

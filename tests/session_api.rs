@@ -94,7 +94,9 @@ fn filtered_session_drops_regions_before_the_profiler() {
         .build()
         .expect("default configuration is valid")
         .filtered(|r: pomp::RegionId| pomp::registry().kind(r) != RegionKind::Taskwait);
-    let opts = RunOpts::new(2).scale(Scale::Test).variant(Variant::NoCutoff);
+    let opts = RunOpts::new(2)
+        .scale(Scale::Test)
+        .variant(Variant::NoCutoff);
     let out = run_app(AppId::Fib, session.monitor(), &opts);
     assert!(out.verified, "filtering must not affect program results");
 
@@ -207,14 +209,20 @@ fn causal_session_composes_the_regions_it_ran() {
     // and `finish()` used to panic. The one-region report is unchanged.
     let once = causal_session(1).finish();
     let once = once.critpath();
-    assert_eq!((once.work_ns, once.span_ns, once.makespan_ns), (240, 120, 120));
+    assert_eq!(
+        (once.work_ns, once.span_ns, once.makespan_ns),
+        (240, 120, 120)
+    );
     assert_eq!((once.tasks, once.fragments, once.steals), (6, 6, 1));
     assert_eq!(once.thread_work_ns, vec![120, 120]);
 
     let twice = causal_session(2).finish();
     let cp = twice.critpath();
     assert_eq!(cp.tasks, 12);
-    assert!(cp.span_ns <= cp.makespan_ns && cp.makespan_ns <= cp.work_ns, "{cp:?}");
+    assert!(
+        cp.span_ns <= cp.makespan_ns && cp.makespan_ns <= cp.work_ns,
+        "{cp:?}"
+    );
     // The seeded scheduler's choice stream runs on into the second region,
     // so only schedule-invariant quantities double; the exact reference is
     // each region's own DAG (the same seeded session, its log drained
@@ -248,8 +256,17 @@ fn causal_session_attributes_each_region_to_its_own_construct() {
     session.run(|_| clock.work(7)).unwrap();
     session.run_in(&other, |_| clock.work(11)).unwrap();
     let own = session.construct().region;
-    let regions = session.finish().critpath.expect("edges were recorded").regions;
-    let work_of = |region| regions.iter().find(|r| r.region == region).map(|r| r.work_ns);
+    let regions = session
+        .finish()
+        .critpath
+        .expect("edges were recorded")
+        .regions;
+    let work_of = |region| {
+        regions
+            .iter()
+            .find(|r| r.region == region)
+            .map(|r| r.work_ns)
+    };
     assert_eq!(work_of(own), Some(2 * 7));
     assert_eq!(work_of(other.region), Some(2 * 11));
 }

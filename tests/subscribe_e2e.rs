@@ -8,8 +8,7 @@ use std::time::{Duration, Instant};
 
 use pomp::{registry, RegionKind, TaskIdAllocator};
 use profserve::{
-    Client, ClientTimeouts, Notification, ProfilePayload, Record, ServeConfig, Server,
-    WireProtocol,
+    Client, ClientTimeouts, Notification, ProfilePayload, Record, ServeConfig, Server, WireProtocol,
 };
 use profstore::{ProfileStore, RunWindow};
 use taskprof::{AssignPolicy, Event, Profile, TeamReplayer};
@@ -27,7 +26,10 @@ fn temp_dir(tag: &str) -> PathBuf {
 fn spawn_server(
     dir: &std::path::Path,
     config: ServeConfig,
-) -> (profserve::ServerHandle, std::thread::JoinHandle<std::io::Result<()>>) {
+) -> (
+    profserve::ServerHandle,
+    std::thread::JoinHandle<std::io::Result<()>>,
+) {
     let store = ProfileStore::open(dir).expect("open store");
     Server::spawn("127.0.0.1:0", store, config).expect("spawn server")
 }

@@ -71,12 +71,19 @@ fn final_gauges_agree_with_session_report() {
 
     // Session quiesced: every boundary gauge drained.
     assert_eq!(t.threads_active, 0);
-    assert_eq!(t.handoff_depth, 0, "take_profile drained the hand-off stack");
+    assert_eq!(
+        t.handoff_depth, 0,
+        "take_profile drained the hand-off stack"
+    );
     assert_eq!(t.arenas_recycled + t.arenas_allocated, 4);
 
     // Fragments: at least one per executed task (suspensions add more),
     // and the stub-time gauge observed real execution.
-    assert!(t.fragments >= expected, "fragments {} < tasks {expected}", t.fragments);
+    assert!(
+        t.fragments >= expected,
+        "fragments {} < tasks {expected}",
+        t.fragments
+    );
     assert!(t.stub_time_ns > 0);
 }
 
@@ -163,7 +170,10 @@ fn polling_mid_run_is_safe_and_monotone() {
         assert!(snap.total_events() <= final_t.total_events());
         assert!(snap.live_trees_hwm <= final_t.live_trees_hwm);
     }
-    assert_eq!(final_t.live_trees_hwm, report.profile.max_live_trees() as u64);
+    assert_eq!(
+        final_t.live_trees_hwm,
+        report.profile.max_live_trees() as u64
+    );
 }
 
 #[test]
@@ -218,7 +228,9 @@ fn session_exports_round_trip_mid_run_and_after() {
                 }
                 // Export *during* the region, from a measurement thread.
                 let prom = telemetry.prometheus();
-                assert!(!parse_prometheus(&prom).expect("mid-run export parses").is_empty());
+                assert!(!parse_prometheus(&prom)
+                    .expect("mid-run export parses")
+                    .is_empty());
             });
         })
         .unwrap();

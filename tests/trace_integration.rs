@@ -34,7 +34,9 @@ fn elapsed(stream: &EdgeStream) -> u64 {
 /// Every event of the log except the `Advance`s between them.
 fn events(log: &[RegionEdges]) -> impl Iterator<Item = Event> + '_ {
     let streams = log.iter().flat_map(|r| &r.streams);
-    streams.flat_map(|(_, stream)| stream.events()).filter(|e| !matches!(e, Event::Advance(_)))
+    streams
+        .flat_map(|(_, stream)| stream.events())
+        .filter(|e| !matches!(e, Event::Advance(_)))
 }
 
 #[test]
@@ -109,7 +111,11 @@ fn analysis_of_real_run_is_consistent() {
     // Switch count covers at least one per instance.
     assert!(a.switches >= a.instances.len() as u64);
     // Totals are bounded by the threads' summed spans.
-    let spans: u64 = log.iter().flat_map(|r| &r.streams).map(|(_, stream)| elapsed(stream)).sum();
+    let spans: u64 = log
+        .iter()
+        .flat_map(|r| &r.streams)
+        .map(|(_, stream)| elapsed(stream))
+        .sum();
     assert!(a.total_task_exec_ns <= spans);
     assert!(a.total_sched_nonexec_ns <= spans);
     // nqueens without cut-off is creation-heavy.
@@ -200,7 +206,12 @@ fn analysis_of_malformed_edge_logs_is_a_typed_error() {
     let reg = pomp::registry();
     let par = reg.register("ti-bad-par", pomp::RegionKind::Parallel, file!(), line!());
     let tw = reg.register("ti-bad-tw", pomp::RegionKind::Taskwait, file!(), line!());
-    let bar = reg.register("ti-bad-bar", pomp::RegionKind::ImplicitBarrier, file!(), line!());
+    let bar = reg.register(
+        "ti-bad-bar",
+        pomp::RegionKind::ImplicitBarrier,
+        file!(),
+        line!(),
+    );
     let one = |events| {
         [RegionEdges {
             occurrence: 1,
@@ -210,9 +221,15 @@ fn analysis_of_malformed_edge_logs_is_a_typed_error() {
     };
     // A scheduling-point exit nobody entered, and an exit that names
     // another scheduling point than the one open.
-    for events in [vec![Event::Exit(tw)], vec![Event::Enter(tw), Event::Exit(bar)]] {
+    for events in [
+        vec![Event::Exit(tw)],
+        vec![Event::Enter(tw), Event::Exit(bar)],
+    ] {
         let err = analyze_trace(&one(events)).unwrap_err();
-        assert!(matches!(err, DagError::UnbalancedFrame { thread: 0, .. }), "{err:?}");
+        assert!(
+            matches!(err, DagError::UnbalancedFrame { thread: 0, .. }),
+            "{err:?}"
+        );
     }
 }
 
@@ -223,11 +240,21 @@ fn analysis_groups_by_the_thread_ids_it_sees_not_the_header() {
     let reg = pomp::registry();
     let par = reg.register("ti-huge-par", pomp::RegionKind::Parallel, file!(), line!());
     let tw = reg.register("ti-huge-tw", pomp::RegionKind::Taskwait, file!(), line!());
-    let dwell = |ns| vec![Event::Advance(1), Event::Enter(tw), Event::Advance(ns), Event::Exit(tw)];
+    let dwell = |ns| {
+        vec![
+            Event::Advance(1),
+            Event::Enter(tw),
+            Event::Advance(ns),
+            Event::Exit(tw),
+        ]
+    };
     let log = [RegionEdges {
         occurrence: 1,
         region: par,
-        streams: vec![(7, EdgeStream::from_events(0, dwell(3))), (900_000, EdgeStream::from_events(1, dwell(7)))],
+        streams: vec![
+            (7, EdgeStream::from_events(0, dwell(3))),
+            (900_000, EdgeStream::from_events(1, dwell(7))),
+        ],
     }];
     let a = analyze_trace(&log).expect("well-formed");
     assert_eq!(a.by_kind.len(), 1);

@@ -83,7 +83,8 @@ fn from_bin(request: bool, payload: &[u8]) -> Result<Decoded, String> {
 
 fn from_json(request: bool, line: &str) -> Result<Decoded, String> {
     if request {
-        Request::from_json_line(line).map(|r| Decoded::of(&r, encode_request, Request::to_json_line))
+        Request::from_json_line(line)
+            .map(|r| Decoded::of(&r, encode_request, Request::to_json_line))
     } else {
         Response::from_json_line(line)
             .map(|r| Decoded::of(&r, encode_response, Response::to_json_line))
@@ -137,9 +138,17 @@ fn both_encoders_write_the_canonical_bytes() {
         seen += 1;
         let d = from_bin(e.request, bin).expect("canonical payload");
         assert_eq!(d.bin, bin, "{}: TPF1 encoding", e.label);
-        assert_eq!(d.json, json, "{}: JSON encoding of the payload's value", e.label);
+        assert_eq!(
+            d.json, json,
+            "{}: JSON encoding of the payload's value",
+            e.label
+        );
         let d = from_json(e.request, json).expect("canonical line");
-        assert_eq!(d.json, json, "{}: JSON encoding of the line's value", e.label);
+        assert_eq!(
+            d.json, json,
+            "{}: JSON encoding of the line's value",
+            e.label
+        );
     }
     assert!(seen >= 60, "only {seen} canonical entries");
 }
@@ -163,7 +172,10 @@ fn cut_and_padded_canonical_lines_are_refused() {
             }
         }
         let padded = [bin, &[0]].concat();
-        assert!(from_bin(e.request, &padded).is_err(), "{label}: trailing byte accepted");
+        assert!(
+            from_bin(e.request, &padded).is_err(),
+            "{label}: trailing byte accepted"
+        );
         for cut in (0..json.len()).filter(|&i| json.is_char_boundary(i)) {
             assert!(
                 from_json(e.request, &json[..cut]).is_err(),
