@@ -8,7 +8,7 @@
 //! record's bytes ([`RunSummary::from_record`]): a query, a trend or a
 //! compaction decodes no profile and names nothing in the registry.
 
-use crate::codec::{walk_record, CodecError, NodeRef};
+use crate::codec::{walk_record, CodecError, NodeRef, Visit};
 use pomp::{registry, RegionKind};
 use std::collections::{BTreeMap, HashMap};
 use taskprof::{NodeKind, Profile};
@@ -155,22 +155,13 @@ impl RunSummary {
     /// no registry. Refuses exactly what
     /// [`decode_record`](crate::decode_record) refuses, with its error.
     pub fn from_record(payload: &[u8]) -> Result<Self, CodecError> {
-        let mut total_ns = 0;
-        let mut root = None;
-        // (name, is stub) -> inclusive ns, names borrowed from the payload.
-        let mut nodes: HashMap<(&str, bool), u64> = HashMap::new();
-        walk_record(payload, false, |node, sum_ns, main_root| {
-            if main_root {
-                total_ns += sum_ns;
-                root.get_or_insert_with(|| Construct::from(node));
-            }
-            let key = match node {
-                NodeRef::Region(_, name) => (name, false),
-                NodeRef::Stub(name) => (name, true),
-                NodeRef::Param(..) | NodeRef::Truncated => return,
-            };
-            *nodes.entry(key).or_insert(0) += sum_ns;
-        })?;
+        let mut fold = Fold::default();
+        walk_record(payload, false, &mut fold)?;
+        let Fold {
+            total_ns,
+            root,
+            nodes,
+        } = fold;
         let mut regions = BTreeMap::new();
         for ((name, stub), ns) in nodes {
             *regions.entry(display_name(name, stub)).or_insert(0) += ns;
@@ -180,6 +171,31 @@ impl RunSummary {
             regions,
             root,
         })
+    }
+}
+
+/// The visitor of [`RunSummary::from_record`]: inclusive ns per
+/// (name, is stub), names borrowed from the payload.
+#[derive(Default)]
+struct Fold<'a> {
+    total_ns: u64,
+    root: Option<Construct>,
+    nodes: HashMap<(&'a str, bool), u64>,
+}
+
+impl<'a> Visit<'a> for Fold<'a> {
+    fn node(&mut self, node: NodeRef<'a>, stats: &[u64; 6], _children: u64, main_root: bool) {
+        let sum_ns = stats[1];
+        if main_root {
+            self.total_ns += sum_ns;
+            self.root.get_or_insert_with(|| Construct::from(node));
+        }
+        let key = match node {
+            NodeRef::Region(_, name) => (name, false),
+            NodeRef::Stub(name) => (name, true),
+            NodeRef::Param(..) | NodeRef::Truncated => return,
+        };
+        *self.nodes.entry(key).or_insert(0) += sum_ns;
     }
 }
 

@@ -556,6 +556,27 @@ impl StoreIo for FaultIo {
     }
 }
 
+/// Replace the small file at `path` with `bytes` through `io`, so that a
+/// crash leaves either the old file or the new one: the bytes go to a
+/// `.tmp` sibling (a leftover one is removed first), are synced, and the
+/// sibling is renamed over `path`.
+pub(crate) fn replace_file(io: &dyn StoreIo, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    match io.remove_file(&tmp) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+        Err(e) => return Err(e),
+    }
+    let mut file = io.create_new(&tmp)?;
+    file.write_all(bytes)?;
+    file.flush()?;
+    file.sync_all()?;
+    drop(file);
+    io.rename(&tmp, path)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

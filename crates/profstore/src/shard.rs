@@ -29,7 +29,7 @@
 
 use crate::agg::{BenchAgg, RunSummary};
 use crate::codec::{CodecError, RunMeta, VerifiedBody};
-use crate::io::{RealIo, StoreIo};
+use crate::io::{replace_file, RealIo, StoreIo};
 use crate::merge::KWayMerge;
 use crate::store::{
     replica, ExportBatch, GcReport, IndexEntry, IngestReceipt, ProfileStore, RetentionPolicy,
@@ -104,18 +104,7 @@ impl ShardedStore {
                 // First open: record the count durably before any shard
                 // exists, tmp + rename so a crash never leaves a torn
                 // count that would mis-route every future run.
-                let tmp = dir.join("SHARDS.tmp");
-                match io.remove_file(&tmp) {
-                    Ok(()) => {}
-                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                    Err(e) => return Err(e.into()),
-                }
-                let mut file = io.create_new(&tmp)?;
-                file.write_all(format!("{shards}\n").as_bytes())?;
-                file.flush()?;
-                file.sync_all()?;
-                drop(file);
-                io.rename(&tmp, &meta_path)?;
+                replace_file(&*io, &meta_path, format!("{shards}\n").as_bytes())?;
                 shards
             }
         };

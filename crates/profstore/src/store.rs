@@ -6,7 +6,7 @@ use crate::codec::{
     MAX_RECORD_BYTES,
 };
 use crate::frame::{self, Checked, FrameError};
-use crate::io::{RealIo, StoreIo};
+use crate::io::{replace_file, RealIo, StoreIo};
 use crate::merge::KWayMerge;
 use crate::segment::{SegmentReader, SegmentWriter};
 use std::collections::BTreeMap;
@@ -306,6 +306,12 @@ impl GcReport {
 /// second concurrent writer.
 const LOCK_FILE: &str = "LOCK";
 
+/// Name of the run-id high-water mark: the decimal id the next ingest may
+/// take at the least. Ids are otherwise rebuilt from the frames on disk,
+/// so GC writes the mark (tmp + rename) before it drops the newest run;
+/// a store without the file opens from its frames alone.
+const ID_MARK_FILE: &str = "NEXT_RUN_ID";
+
 fn segment_name(n: u64) -> String {
     format!("seg-{n:06}.log")
 }
@@ -327,6 +333,8 @@ pub struct ProfileStore {
     active_segment: u64,
     index: Vec<IndexEntry>,
     next_run_id: u64,
+    /// The persisted [`ID_MARK_FILE`] value (0 when there is none).
+    id_mark: u64,
     /// Highest run id in `index` (0 when empty), kept as entries come and go.
     max_run_id: u64,
     recovered_tail_bytes: u64,
@@ -459,6 +467,9 @@ impl ProfileStore {
             last_valid_len = scan.valid_len;
         }
 
+        // Ids of runs GC dropped are beyond the frames' reach.
+        let id_mark = read_id_mark(&*io, dir)?;
+        next_run_id = next_run_id.max(id_mark);
         // A torn tail is one in-flight record whose id was already handed
         // out in an ingest receipt. Skip it so the id is never recycled:
         // external references to the lost run must not alias a new one.
@@ -491,6 +502,7 @@ impl ProfileStore {
             active_segment,
             index,
             next_run_id,
+            id_mark,
             max_run_id,
             recovered_tail_bytes,
             agg_cache: BTreeMap::new(),
@@ -988,6 +1000,20 @@ impl ProfileStore {
         if dead.is_empty() {
             return Ok(GcReport::default());
         }
+        // Without the runs about to go, a reopen would rebuild a lower
+        // next id from the frames: persist this one before any goes.
+        let survivors_max = self
+            .index
+            .iter()
+            .filter(|e| !dead.contains(&e.run_id))
+            .map(|e| e.run_id)
+            .max()
+            .unwrap_or(0);
+        if survivors_max + 1 < self.next_run_id && self.id_mark < self.next_run_id {
+            let mark = format!("{}\n", self.next_run_id);
+            replace_file(&*self.io, &self.dir.join(ID_MARK_FILE), mark.as_bytes())?;
+            self.id_mark = self.next_run_id;
+        }
         if self
             .index
             .iter()
@@ -1060,6 +1086,22 @@ impl ProfileStore {
         self.compacted_through = 0;
         Ok(report)
     }
+}
+
+/// The [`ID_MARK_FILE`] value in `dir`, or 0 when there is none.
+fn read_id_mark(io: &dyn StoreIo, dir: &Path) -> Result<u64, StoreError> {
+    let bytes = match io.read_all(&dir.join(ID_MARK_FILE)) {
+        Ok(bytes) => bytes,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
+        Err(e) => return Err(e.into()),
+    };
+    let text = String::from_utf8_lossy(&bytes);
+    text.trim().parse().map_err(|_| {
+        StoreError::Io(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("{ID_MARK_FILE} holds no run id: {text:?}"),
+        ))
+    })
 }
 
 /// The run header and checked frame of a replicated `frame`, or `None`
@@ -1543,6 +1585,11 @@ mod tests {
         drop(store);
         let mut store = ProfileStore::open(&dir).expect("reopen");
         assert_eq!(store.max_run_id(), 2);
+        assert_eq!(
+            store.next_run_id(),
+            4,
+            "nor after a reopen: the mark outlives the dropped frame"
+        );
         store
             .ingest_with_id(9, "fib", 2, 400, &profile("store-max-id", 10))
             .expect("ingest");

@@ -574,57 +574,70 @@ pub(crate) fn export_profile(
                 drained: 0,
             })
         }
-        ExportTarget::Server(addr) => {
-            let timestamp_ns = wall_clock_ns();
-            // The compact record payload travels either way: a binary
-            // connection forwards it verbatim; a JSON fallback re-renders
-            // it as text inside the codec.
-            let record =
-                Record::from_profile(&plan.benchmark, plan.threads, Some(timestamp_ns), profile);
-            let start = Instant::now();
-            match deliver_to_server(addr, &record, &plan.policy, start) {
-                Ok((ack, attempts)) => {
-                    let drained = match &plan.policy.spool_dir {
-                        Some(dir) if dir.is_dir() => {
-                            drain_spool_since(dir, addr, &plan.policy, start).delivered
-                        }
-                        _ => 0,
-                    };
-                    Ok(ExportReceipt {
-                        run_id: Some(ack.run_id()),
-                        bytes: ack.bytes,
-                        target: plan.target.clone(),
-                        attempts,
-                        spooled: false,
-                        spool_path: None,
-                        drained,
-                    })
-                }
-                Err((err, attempts)) => match &plan.policy.spool_dir {
-                    Some(dir) if is_transport(&err) => {
-                        let path = spool_profile(
-                            dir,
-                            &plan.benchmark,
-                            plan.threads,
-                            timestamp_ns,
-                            profile,
-                        )
-                        .map_err(ExportError::Spool)?;
-                        let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-                        Ok(ExportReceipt {
-                            run_id: None,
-                            bytes,
-                            target: plan.target.clone(),
-                            attempts,
-                            spooled: true,
-                            spool_path: Some(path),
-                            drained: 0,
-                        })
-                    }
-                    _ => Err(ExportError::Client(err)),
-                },
-            }
+        ExportTarget::Server(addr) => export_to_server(
+            addr,
+            &plan.benchmark,
+            plan.threads,
+            wall_clock_ns(),
+            profile,
+            &plan.policy,
+        ),
+    }
+}
+
+/// Deliver one profile stamped `timestamp_ns` to the daemon at `addr`:
+/// the campaign `finish()` runs for an [`ExportTarget::Server`]. It makes
+/// at most three attempts with seeded backoff, all within
+/// [`ExportPolicy::deadline`], and on success drains the policy's spool
+/// of earlier frames. When the daemon stays unreachable and a spool is
+/// configured, the profile goes to the spool instead.
+pub fn export_to_server(
+    addr: &str,
+    benchmark: &str,
+    threads: u32,
+    timestamp_ns: u64,
+    profile: &Profile,
+    policy: &ExportPolicy,
+) -> Result<ExportReceipt, ExportError> {
+    let target = ExportTarget::Server(addr.to_string());
+    // The compact record payload travels either way: a binary connection
+    // forwards it verbatim; a JSON fallback re-renders it as text inside
+    // the codec.
+    let record = Record::from_profile(benchmark, threads, Some(timestamp_ns), profile);
+    let start = Instant::now();
+    match deliver_to_server(addr, &record, policy, start) {
+        Ok((ack, attempts)) => {
+            let drained = match &policy.spool_dir {
+                Some(dir) if dir.is_dir() => drain_spool_since(dir, addr, policy, start).delivered,
+                _ => 0,
+            };
+            Ok(ExportReceipt {
+                run_id: Some(ack.run_id()),
+                bytes: ack.bytes,
+                target,
+                attempts,
+                spooled: false,
+                spool_path: None,
+                drained,
+            })
         }
+        Err((err, attempts)) => match &policy.spool_dir {
+            Some(dir) if is_transport(&err) => {
+                let path = spool_profile(dir, benchmark, threads, timestamp_ns, profile)
+                    .map_err(ExportError::Spool)?;
+                let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
+                Ok(ExportReceipt {
+                    run_id: None,
+                    bytes,
+                    target,
+                    attempts,
+                    spooled: true,
+                    spool_path: Some(path),
+                    drained: 0,
+                })
+            }
+            _ => Err(ExportError::Client(err)),
+        },
     }
 }
 

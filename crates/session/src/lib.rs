@@ -185,7 +185,8 @@ impl SessionTelemetry {
 pub mod export;
 
 pub use export::{
-    drain_spool, spool_profile, DrainReport, ExportError, ExportPolicy, ExportReceipt, ExportTarget,
+    drain_spool, export_to_server, spool_profile, DrainReport, ExportError, ExportPolicy,
+    ExportReceipt, ExportTarget,
 };
 pub use profserve::WireProtocol;
 

@@ -104,7 +104,7 @@
 //! resumable from the follower's own cursor, exactly-once under retries.
 //!
 //! `explore --seeds` defaults to the `TASKPROF_EXPLORE_SEEDS`
-//! environment variable (or 64), which is how CI scales the sweep.
+//! environment variable (or 64).
 
 use bots::{run_app, AppId, RunOpts, Scale, Variant, ALL_APPS};
 use cube::{
@@ -870,7 +870,6 @@ fn delivery_policy(
     policy
 }
 
-#[allow(clippy::too_many_lines)]
 fn cmd_ingest(args: &[String]) {
     let mut addr: Option<String> = None;
     let mut files: Vec<String> = Vec::new();
@@ -903,9 +902,7 @@ fn cmd_ingest(args: &[String]) {
     let Some(addr) = addr else { usage() };
     let policy = delivery_policy(deadline_ms, spool.as_ref(), proto, auth);
 
-    // Collect (bench, timestamp, profile) upfront so a dead daemon can
-    // still spool every one of them.
-    let mut items: Vec<(String, Option<u64>, taskprof::Profile)> = Vec::new();
+    let mut items: Vec<(String, u64, taskprof::Profile)> = Vec::new();
     if let Some(app) = app {
         // Deterministic seeded runs: timestamps derive from the seed so
         // identical sweeps produce byte-identical stored indexes.
@@ -913,7 +910,7 @@ fn cmd_ingest(args: &[String]) {
             let run_seed = seed + k;
             let profile = deterministic_profile(&app, run_seed, threads);
             let bench_name = bench.clone().unwrap_or_else(|| app.clone());
-            items.push((bench_name, Some(run_seed * 1_000), profile));
+            items.push((bench_name, run_seed * 1_000, profile));
         }
     } else if !files.is_empty() {
         let Some(bench) = bench else {
@@ -929,85 +926,47 @@ fn cmd_ingest(args: &[String]) {
                 eprintln!("cannot parse {f}: {e}");
                 std::process::exit(1);
             });
-            items.push((bench.clone(), None, profile));
+            let now_ns = std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .map(|d| d.as_nanos() as u64)
+                .unwrap_or(0);
+            items.push((bench.clone(), now_ns, profile));
         }
     } else {
         usage();
     }
 
-    // Degrade the whole batch to the spool when the daemon is down.
-    let spool_item = |bench: &str, ts: Option<u64>, profile: &taskprof::Profile| {
-        let dir = policy.spool_dir.as_deref().expect("spool configured");
-        let ts = ts.unwrap_or_else(|| {
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_nanos() as u64)
-                .unwrap_or(0)
-        });
-        match taskprof_session::spool_profile(dir, bench, threads as u32, ts, profile) {
-            Ok(path) => println!("daemon unreachable; spooled {bench} to {}", path.display()),
-            Err(e) => {
-                eprintln!("cannot spool {bench}: {e}");
-                std::process::exit(1);
-            }
-        }
-    };
-
-    let mut client = match profserve::Client::connect_proto_auth(
-        &addr,
-        proto,
-        policy.client_timeouts(policy.deadline),
-        policy.auth.as_deref(),
-    ) {
-        Ok(c) => Some(c),
-        Err(e) if policy.spool_dir.is_some() => {
-            eprintln!("cannot connect to {addr}: {e}");
-            None
-        }
-        Err(e) => {
-            eprintln!("cannot connect to {addr}: {e}");
-            std::process::exit(1);
-        }
-    };
+    // Each item takes the session's delivery campaign: bounded retries,
+    // the spool when the daemon stays down, and a drain of earlier
+    // spooled frames once one delivery succeeds.
     for (bench_name, ts, profile) in &items {
-        match client.as_mut() {
-            Some(c) => {
-                let record =
-                    profserve::Record::from_profile(bench_name, threads as u32, *ts, profile);
-                match c.ingest_record(&record) {
-                    Ok(receipt) => println!(
-                        "ingested {bench_name} as run {} ({} bytes, segment {})",
-                        receipt.run_id(),
-                        receipt.bytes,
-                        receipt.segment
-                    ),
-                    Err(profserve::ClientError::Io(e)) if policy.spool_dir.is_some() => {
-                        eprintln!("ingest transport failed: {e}");
-                        client = None;
-                        spool_item(bench_name, *ts, profile);
-                    }
-                    Err(e) => {
-                        eprintln!("ingest of {bench_name} failed: {e}");
-                        std::process::exit(1);
-                    }
-                }
+        let receipt = taskprof_session::export_to_server(
+            &addr,
+            bench_name,
+            threads as u32,
+            *ts,
+            profile,
+            &policy,
+        )
+        .unwrap_or_else(|e| {
+            eprintln!("ingest of {bench_name} failed: {e}");
+            std::process::exit(1);
+        });
+        match (receipt.run_id, &receipt.spool_path) {
+            (Some(run_id), _) => println!(
+                "ingested {bench_name} as run {run_id} ({} bytes)",
+                receipt.bytes
+            ),
+            (None, Some(path)) => {
+                println!(
+                    "daemon unreachable; spooled {bench_name} to {}",
+                    path.display()
+                )
             }
-            None => spool_item(bench_name, *ts, profile),
+            (None, None) => unreachable!("an export is stored or spooled"),
         }
-    }
-    // Drain-on-success: a reachable daemon also gets anything spooled
-    // by earlier, less lucky invocations.
-    if client.is_some() {
-        if let Some(dir) = policy.spool_dir.as_deref() {
-            if dir.is_dir() {
-                let report = taskprof_session::drain_spool(dir, &addr, &policy);
-                if report.delivered > 0 || report.quarantined > 0 {
-                    println!(
-                        "drained {} spooled frame(s), {} quarantined, {} remaining",
-                        report.delivered, report.quarantined, report.remaining
-                    );
-                }
-            }
+        if receipt.drained > 0 {
+            println!("drained {} spooled frame(s)", receipt.drained);
         }
     }
 }

@@ -4,7 +4,7 @@
 //! survives, byte-exact, and the store keeps accepting ingests.
 
 use pomp::{registry, RegionKind, TaskIdAllocator};
-use profstore::{ProfileStore, StoreConfig, StoreError};
+use profstore::{ProfileStore, RetentionPolicy, ShardedStore, StoreConfig, StoreError};
 use std::path::PathBuf;
 use taskprof::{AssignPolicy, Event, Profile, TeamReplayer};
 
@@ -221,4 +221,80 @@ fn corruption_in_a_closed_segment_is_an_error_not_a_silent_drop() {
         Err(StoreError::Corrupt { .. }) => {}
         other => panic!("expected Corrupt, got {other:?}"),
     }
+}
+
+/// Drops every run stamped before 150: of runs stamped 200, 300 and 100,
+/// the newest.
+fn drop_the_newest() -> RetentionPolicy {
+    RetentionPolicy {
+        keep_last: None,
+        min_timestamp_ns: Some(150),
+    }
+}
+
+#[test]
+fn a_sharded_store_hands_out_no_id_a_dropped_run_held_after_a_reopen() {
+    let dir = temp_dir("sharded-id-mark");
+    {
+        let store = ShardedStore::open(&dir, 2).expect("open");
+        // Three benchmarks, so the runs spread over the shards.
+        for (bench, ts) in [("fib", 200), ("nqueens", 300), ("sort", 100)] {
+            store
+                .ingest(bench, 2, ts, &deterministic_profile("shard-mark", ts))
+                .expect("ingest");
+        }
+        assert_eq!(store.gc(&drop_the_newest()).expect("gc").dropped_runs, 1);
+        assert_eq!(store.max_run_id(), 2);
+    }
+    let store = ShardedStore::open(&dir, 2).expect("reopen");
+    assert_eq!(store.next_run_id(), 4);
+    let receipt = store
+        .ingest("sort", 2, 400, &deterministic_profile("shard-mark", 400))
+        .expect("ingest after reopen");
+    assert_eq!(receipt.run_id, 4);
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_follower_past_a_dropped_id_receives_the_next_run() {
+    let leader_dir = temp_dir("mark-leader");
+    let follower_dir = temp_dir("mark-follower");
+    let mut follower = ProfileStore::open(&follower_dir).expect("follower");
+    let pump = |leader: &ProfileStore, follower: &mut ProfileStore| {
+        let batch = leader
+            .export_frames(follower.max_run_id(), 100)
+            .expect("export");
+        assert!(batch.done);
+        batch
+            .frames
+            .iter()
+            .filter_map(|f| follower.apply_frame(f).expect("apply"))
+            .map(|receipt| receipt.run_id)
+            .collect::<Vec<u64>>()
+    };
+    {
+        let mut leader = ProfileStore::open(&leader_dir).expect("leader");
+        for ts in [200, 300, 100] {
+            leader
+                .ingest("fib", 2, ts, &deterministic_profile("mark-repl", ts))
+                .expect("ingest");
+        }
+        assert_eq!(pump(&leader, &mut follower), [1, 2, 3]);
+        assert_eq!(leader.gc(&drop_the_newest()).expect("gc").dropped_runs, 1);
+    }
+    // The follower's cursor is 3. Were the leader to reuse id 3 after its
+    // reopen, the follower would skip the new run as already applied.
+    let mut leader = ProfileStore::open(&leader_dir).expect("reopen leader");
+    let receipt = leader
+        .ingest("fib", 2, 400, &deterministic_profile("mark-repl", 400))
+        .expect("ingest after reopen");
+    assert_eq!(receipt.run_id, 4);
+    assert_eq!(pump(&leader, &mut follower), [4]);
+    let (meta, _) = follower.load(4).expect("the follower holds the new run");
+    assert_eq!(meta.timestamp_ns, 400);
+    drop(leader);
+    drop(follower);
+    let _ = std::fs::remove_dir_all(&leader_dir);
+    let _ = std::fs::remove_dir_all(&follower_dir);
 }

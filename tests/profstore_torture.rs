@@ -266,6 +266,96 @@ fn persistently_full_disk_never_loses_acked_runs() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Stamps of the id-mark workload, by ingest slot: the third run is the
+/// newest id but the oldest stamp, so [`drop_the_newest`] removes it.
+const MARK_STAMPS: [u64; 4] = [200, 300, 100, 400];
+
+fn drop_the_newest() -> RetentionPolicy {
+    RetentionPolicy {
+        keep_last: None,
+        min_timestamp_ns: Some(150),
+    }
+}
+
+/// Ingest three runs, GC the newest, ingest a fourth, stopping at the
+/// first failure. Returns the acked (run id, slot) receipts, the dropped
+/// run's included.
+fn run_gc_newest_workload(
+    dir: &std::path::Path,
+    io: std::sync::Arc<dyn profstore::StoreIo>,
+    profiles: &[Profile],
+) -> Vec<(u64, usize)> {
+    let mut acked = Vec::new();
+    let Ok(mut store) = ProfileStore::open_with_io(dir, torture_config(), io) else {
+        return acked;
+    };
+    for slot in 0..MARK_STAMPS.len() {
+        if slot == 3 && store.gc(&drop_the_newest()).is_err() {
+            break;
+        }
+        match store.ingest("torture", 2, MARK_STAMPS[slot], &profiles[slot]) {
+            Ok(receipt) => acked.push((receipt.run_id, slot)),
+            Err(_) => break,
+        }
+    }
+    acked
+}
+
+#[test]
+fn crash_around_a_gc_of_the_newest_run_never_recycles_its_id() {
+    let profiles = workload_profiles();
+    let dir = temp_dir("mark-observe");
+    let (io, handle) = FaultIo::with_plan(FaultPlan::observe());
+    let acked = run_gc_newest_workload(&dir, io, &profiles);
+    assert_eq!(
+        acked.len(),
+        MARK_STAMPS.len(),
+        "fault-free workload acks all"
+    );
+    let total_ops = handle.ops();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    for &seed in &torture_seeds() {
+        for point in 0..total_ops {
+            let ctx = format!("seed {seed} point {point}");
+            let dir = temp_dir("mark-crash");
+            let (io, handle) = FaultIo::with_plan(FaultPlan::crash_at(seed, point));
+            let acked = run_gc_newest_workload(&dir, io, &profiles);
+            assert!(handle.crashed(), "{ctx}: the crash point must fire");
+
+            // The first open truncates a torn tail and skips its id in
+            // memory only; the second sees what a later restart would.
+            drop(
+                ProfileStore::open(&dir).unwrap_or_else(|e| panic!("{ctx}: recovering open: {e}")),
+            );
+            let mut store =
+                ProfileStore::open(&dir).unwrap_or_else(|e| panic!("{ctx}: second open: {e}"));
+            for &(run_id, slot) in &acked {
+                if MARK_STAMPS[slot] < 150 {
+                    continue; // the run the sweep drops
+                }
+                let (meta, _) = store
+                    .load(run_id)
+                    .unwrap_or_else(|e| panic!("{ctx}: acked run {run_id} lost: {e}"));
+                assert_eq!(meta.timestamp_ns, MARK_STAMPS[slot], "{ctx}: run {run_id}");
+            }
+            // No id ever acked is handed out again, the dropped run's
+            // included.
+            let max_acked = acked.iter().map(|&(id, _)| id).max().unwrap_or(0);
+            let receipt = store
+                .ingest("torture", 2, 999, &profiles[0])
+                .unwrap_or_else(|e| panic!("{ctx}: post-recovery ingest: {e}"));
+            assert!(
+                receipt.run_id > max_acked,
+                "{ctx}: recycled id {} (max acked {max_acked})",
+                receipt.run_id
+            );
+            drop(store);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Replicated sharded repository torture: the same crash-at-every-point
 // discipline, but against a leader/follower pair — first crashing the

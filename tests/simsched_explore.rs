@@ -4,8 +4,8 @@
 //! hundreds of seeded schedules, checking the paper's profile invariants
 //! after every run and that same-seed runs are byte-reproducible.
 //!
-//! `TASKPROF_EXPLORE_SEEDS` scales the per-workload sweep (CI smoke uses
-//! a small value; the default here is the acceptance bar).
+//! `TASKPROF_EXPLORE_SEEDS` scales the per-workload sweep (the default
+//! here is the acceptance bar).
 
 use simsched::workloads::{fib_like, flat, mixed};
 use simsched::{explore_dfs, explore_seeds, run_workload, SimConfig};

@@ -254,3 +254,55 @@ fn session_exports_round_trip_mid_run_and_after() {
     assert_eq!(parsed, telemetry.snapshot());
     session.finish();
 }
+
+/// The `live_telemetry` example's checks: nqueens on four threads, its
+/// gauges polled from a foreign thread throughout, then both exports and
+/// the profile's live-tree bound.
+#[test]
+fn nqueens_polled_while_running_exports_and_matches_its_profile() {
+    let threads = 4;
+    let session = MeasurementSession::builder("tl-nqueens")
+        .threads(threads)
+        .telemetry()
+        .build()
+        .expect("telemetry configuration is valid");
+    let telemetry = session.telemetry().expect("telemetry enabled");
+    let done = AtomicBool::new(false);
+    let (out, polls) = std::thread::scope(|s| {
+        let watcher_telemetry = telemetry.clone();
+        let done = &done;
+        let watcher = s.spawn(move || {
+            let mut polls = 0u32;
+            while !done.load(Ordering::Acquire) {
+                std::hint::black_box(watcher_telemetry.snapshot().tasks_in_flight());
+                polls += 1;
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            polls
+        });
+        let out = run_app(
+            AppId::Nqueens,
+            session.monitor(),
+            &RunOpts::new(threads).scale(Scale::Small),
+        );
+        done.store(true, Ordering::Release);
+        (out, watcher.join().expect("watcher thread"))
+    });
+    assert!(out.verified, "nqueens must verify");
+    assert!(polls > 0);
+
+    let snapshot = telemetry.snapshot();
+    let samples = parse_prometheus(&telemetry.prometheus()).expect("Prometheus export parses");
+    let created = samples
+        .iter()
+        .find(|p| p.name == "taskprof_tasks_created_total")
+        .expect("task counter exported");
+    assert!(created.value > 0.0, "nqueens creates tasks");
+    let (_, parsed) = parse_jsonl_line(&telemetry.jsonl_line()).expect("JSONL parses");
+    assert_eq!(parsed.tasks_created, snapshot.tasks_created);
+
+    let report = session.finish();
+    let t = report.telemetry.expect("telemetry enabled");
+    assert_eq!(t.live_trees_hwm, report.profile.max_live_trees() as u64);
+    assert_eq!(t.live_trees, 0, "all trees retired at finish");
+}
