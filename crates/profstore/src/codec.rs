@@ -114,10 +114,6 @@ pub struct Reader<'a> {
     canonical: bool,
 }
 
-// The reads a record walk makes per node are `#[inline]`: otherwise
-// whether they inline into a walk depends on the codegen unit the walk
-// lands in, and an edit elsewhere in the crate slowed `verify_record`
-// by 15 % (scratch microbenchmark, 19 KB record, best of 35 runs).
 impl<'a> Reader<'a> {
     /// Start reading at the beginning of `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
@@ -129,7 +125,6 @@ impl<'a> Reader<'a> {
     }
 
     /// Read one raw byte.
-    #[inline]
     pub fn byte(&mut self) -> Result<u8, CodecError> {
         let b = *self.buf.get(self.pos).ok_or(CodecError::Truncated)?;
         self.pos += 1;
@@ -137,7 +132,6 @@ impl<'a> Reader<'a> {
     }
 
     /// Read a LEB128 unsigned varint (see [`put_uv`]).
-    #[inline]
     pub fn uv(&mut self) -> Result<u64, CodecError> {
         let mut v = 0u64;
         let mut shift = 0u32;
@@ -161,7 +155,6 @@ impl<'a> Reader<'a> {
     }
 
     /// Read a ZigZag signed varint (see [`put_iv`]).
-    #[inline]
     pub fn iv(&mut self) -> Result<i64, CodecError> {
         let z = self.uv()?;
         Ok(((z >> 1) as i64) ^ -((z & 1) as i64))
@@ -173,7 +166,6 @@ impl<'a> Reader<'a> {
     }
 
     /// [`Reader::str`], borrowed from the payload.
-    #[inline]
     fn str_ref(&mut self) -> Result<&'a str, CodecError> {
         let len = self.uv()? as usize;
         let bytes = self.bytes(len)?;
@@ -186,13 +178,11 @@ impl<'a> Reader<'a> {
     }
 
     /// Bytes left to read.
-    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
     /// Read exactly `len` raw bytes.
-    #[inline]
     pub fn bytes(&mut self, len: usize) -> Result<&'a [u8], CodecError> {
         if len > self.remaining() {
             return Err(CodecError::Truncated);
