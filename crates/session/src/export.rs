@@ -208,9 +208,10 @@ pub struct ExportReceipt {
     pub spooled: bool,
     /// The spool frame file, when `spooled`.
     pub spool_path: Option<PathBuf>,
-    /// Previously spooled profiles this export drained to the daemon
-    /// (drain-on-next-success).
-    pub drained: u64,
+    /// What the drain of previously spooled profiles that followed a
+    /// successful delivery did (drain-on-next-success); all zero when
+    /// the profile was spooled or the spool was empty.
+    pub drained: DrainReport,
 }
 
 /// Outcome of draining a spool directory via [`drain_spool`].
@@ -571,14 +572,14 @@ pub(crate) fn export_profile(
                 attempts: 1,
                 spooled: false,
                 spool_path: None,
-                drained: 0,
+                drained: DrainReport::default(),
             })
         }
         ExportTarget::Server(addr) => export_to_server(
             addr,
             &plan.benchmark,
             plan.threads,
-            wall_clock_ns(),
+            Some(wall_clock_ns()),
             profile,
             &plan.policy,
         ),
@@ -590,12 +591,14 @@ pub(crate) fn export_profile(
 /// at most three attempts with seeded backoff, all within
 /// [`ExportPolicy::deadline`], and on success drains the policy's spool
 /// of earlier frames. When the daemon stays unreachable and a spool is
-/// configured, the profile goes to the spool instead.
+/// configured, the profile goes to the spool instead. A `timestamp_ns`
+/// of `None` lets the daemon stamp the run with its clock; a spooled
+/// frame then carries this host's.
 pub fn export_to_server(
     addr: &str,
     benchmark: &str,
     threads: u32,
-    timestamp_ns: u64,
+    timestamp_ns: Option<u64>,
     profile: &Profile,
     policy: &ExportPolicy,
 ) -> Result<ExportReceipt, ExportError> {
@@ -603,13 +606,13 @@ pub fn export_to_server(
     // The compact record payload travels either way: a binary connection
     // forwards it verbatim; a JSON fallback re-renders it as text inside
     // the codec.
-    let record = Record::from_profile(benchmark, threads, Some(timestamp_ns), profile);
+    let record = Record::from_profile(benchmark, threads, timestamp_ns, profile);
     let start = Instant::now();
     match deliver_to_server(addr, &record, policy, start) {
         Ok((ack, attempts)) => {
             let drained = match &policy.spool_dir {
-                Some(dir) if dir.is_dir() => drain_spool_since(dir, addr, policy, start).delivered,
-                _ => 0,
+                Some(dir) if dir.is_dir() => drain_spool_since(dir, addr, policy, start),
+                _ => DrainReport::default(),
             };
             Ok(ExportReceipt {
                 run_id: Some(ack.run_id()),
@@ -623,6 +626,7 @@ pub fn export_to_server(
         }
         Err((err, attempts)) => match &policy.spool_dir {
             Some(dir) if is_transport(&err) => {
+                let timestamp_ns = timestamp_ns.unwrap_or_else(wall_clock_ns);
                 let path = spool_profile(dir, benchmark, threads, timestamp_ns, profile)
                     .map_err(ExportError::Spool)?;
                 let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
@@ -633,7 +637,7 @@ pub fn export_to_server(
                     attempts,
                     spooled: true,
                     spool_path: Some(path),
-                    drained: 0,
+                    drained: DrainReport::default(),
                 })
             }
             _ => Err(ExportError::Client(err)),

@@ -881,7 +881,7 @@ mod tests {
         assert_eq!(receipt.run_id, Some(1));
         assert_eq!(receipt.attempts, 1);
         assert!(!receipt.spooled);
-        assert_eq!(receipt.drained, 0);
+        assert_eq!(receipt.drained, DrainReport::default());
 
         handle.stop();
         join.join().expect("join").expect("run");

@@ -9,8 +9,10 @@
 //! live instance trees, perturbation estimate) while `nqueens` executes;
 //! afterwards the final counters are printed as a dashboard, as
 //! Prometheus text exposition (what a `/metrics` endpoint would serve),
-//! and as one JSON line. The example asserts the exports parse back, so
-//! it doubles as the CI smoke test for the telemetry pipeline.
+//! and as one JSON line. The same run with its checks (the exports parse
+//! back, the live-tree high-water mark equals the profile's) is the test
+//! `nqueens_polled_while_running_exports_and_matches_its_profile` in
+//! `tests/telemetry_live.rs`.
 
 use bots::{run_app, AppId, RunOpts, Scale};
 use cube::render_telemetry;
@@ -56,7 +58,7 @@ fn main() {
         println!("watcher: {polls} polls during the run, peak tasks in flight {peak}");
         out
     });
-    assert!(out.verified, "nqueens must verify");
+    println!("nqueens verified: {}", out.verified);
 
     // --- Final counters: human dashboard. ---
     let elapsed = telemetry.elapsed_ns();
@@ -66,12 +68,10 @@ fn main() {
     // --- Prometheus text exposition, as a /metrics endpoint would serve. ---
     let prom = telemetry.prometheus();
     let samples = parse_prometheus(&prom).expect("own Prometheus output parses");
-    assert!(!samples.is_empty(), "Prometheus export must not be empty");
     let created = samples
         .iter()
         .find(|p| p.name == "taskprof_tasks_created_total")
         .expect("task counter exported");
-    assert!(created.value > 0.0, "nqueens creates tasks");
     println!(
         "\nPrometheus export: {} samples, {} bytes (e.g. taskprof_tasks_created_total {})",
         samples.len(),
@@ -82,22 +82,20 @@ fn main() {
     // --- JSONL time-series line, as a log shipper would collect. ---
     let line = telemetry.jsonl_line();
     let (t_ns, parsed) = parse_jsonl_line(&line).expect("own JSONL output parses");
-    assert_eq!(parsed.tasks_created, snapshot.tasks_created);
-    println!("JSONL point at t={t_ns}ns: {} bytes", line.len());
+    println!(
+        "JSONL point at t={t_ns}ns: {} bytes, {} tasks created",
+        line.len(),
+        parsed.tasks_created
+    );
 
-    // --- The live gauges agree with the post-mortem report. ---
+    // --- The live gauges beside the post-mortem report: the high-water
+    // mark of live instance trees is the profile's Table II bound. ---
     let report = session.finish();
     let final_telemetry = report.telemetry.expect("telemetry-enabled session");
-    assert_eq!(
-        final_telemetry.live_trees_hwm,
-        report.profile.max_live_trees() as u64,
-        "telemetry high-water mark matches the profile's Table II bound"
-    );
-    assert_eq!(final_telemetry.live_trees, 0, "all trees retired at finish");
     println!(
-        "final check: telemetry HWM {} == profile max_live_trees {}",
+        "telemetry HWM {}, profile max_live_trees {}, live trees at finish {}",
         final_telemetry.live_trees_hwm,
-        report.profile.max_live_trees()
+        report.profile.max_live_trees(),
+        final_telemetry.live_trees
     );
-    println!("LIVE_TELEMETRY_OK");
 }

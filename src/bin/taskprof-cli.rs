@@ -902,7 +902,7 @@ fn cmd_ingest(args: &[String]) {
     let Some(addr) = addr else { usage() };
     let policy = delivery_policy(deadline_ms, spool.as_ref(), proto, auth);
 
-    let mut items: Vec<(String, u64, taskprof::Profile)> = Vec::new();
+    let mut items: Vec<(String, Option<u64>, taskprof::Profile)> = Vec::new();
     if let Some(app) = app {
         // Deterministic seeded runs: timestamps derive from the seed so
         // identical sweeps produce byte-identical stored indexes.
@@ -910,7 +910,7 @@ fn cmd_ingest(args: &[String]) {
             let run_seed = seed + k;
             let profile = deterministic_profile(&app, run_seed, threads);
             let bench_name = bench.clone().unwrap_or_else(|| app.clone());
-            items.push((bench_name, run_seed * 1_000, profile));
+            items.push((bench_name, Some(run_seed * 1_000), profile));
         }
     } else if !files.is_empty() {
         let Some(bench) = bench else {
@@ -926,11 +926,8 @@ fn cmd_ingest(args: &[String]) {
                 eprintln!("cannot parse {f}: {e}");
                 std::process::exit(1);
             });
-            let now_ns = std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_nanos() as u64)
-                .unwrap_or(0);
-            items.push((bench.clone(), now_ns, profile));
+            // The daemon stamps a file's run with its own clock.
+            items.push((bench.clone(), None, profile));
         }
     } else {
         usage();
@@ -938,8 +935,31 @@ fn cmd_ingest(args: &[String]) {
 
     // Each item takes the session's delivery campaign: bounded retries,
     // the spool when the daemon stays down, and a drain of earlier
-    // spooled frames once one delivery succeeds.
+    // spooled frames once one delivery succeeds. Once one item has
+    // spooled, the rest go straight to the spool instead of each waiting
+    // out a campaign of its own against a daemon that is down.
+    let mut down = false;
     for (bench_name, ts, profile) in &items {
+        if down {
+            let dir = policy.spool_dir.as_deref().expect("only a spool sets down");
+            let ts = ts.unwrap_or_else(|| {
+                std::time::SystemTime::now()
+                    .duration_since(std::time::UNIX_EPOCH)
+                    .map(|d| d.as_nanos() as u64)
+                    .unwrap_or(0)
+            });
+            match taskprof_session::spool_profile(dir, bench_name, threads as u32, ts, profile) {
+                Ok(path) => println!(
+                    "daemon unreachable; spooled {bench_name} to {}",
+                    path.display()
+                ),
+                Err(e) => {
+                    eprintln!("cannot spool {bench_name}: {e}");
+                    std::process::exit(1);
+                }
+            }
+            continue;
+        }
         let receipt = taskprof_session::export_to_server(
             &addr,
             bench_name,
@@ -961,12 +981,17 @@ fn cmd_ingest(args: &[String]) {
                 println!(
                     "daemon unreachable; spooled {bench_name} to {}",
                     path.display()
-                )
+                );
+                down = true;
             }
             (None, None) => unreachable!("an export is stored or spooled"),
         }
-        if receipt.drained > 0 {
-            println!("drained {} spooled frame(s)", receipt.drained);
+        let drain = receipt.drained;
+        if drain.delivered > 0 || drain.quarantined > 0 {
+            println!(
+                "drained {} spooled frame(s), {} quarantined, {} remaining",
+                drain.delivered, drain.quarantined, drain.remaining
+            );
         }
     }
 }

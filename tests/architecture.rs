@@ -10,8 +10,9 @@
 //!
 //! The tree is read with `std::fs` from the package root. Directories
 //! named `target` or starting with `.`, and this file, are skipped. A
-//! needle is a plain substring of one line; a path is a prefix
-//! (`crates/critpath/src/`), a suffix (`*.rs`) or both
+//! needle is a plain substring of one line, or of the line with its `_`
+//! removed and its letters lowercased for a [`Check::Folded`] row; a path
+//! is a prefix (`crates/critpath/src/`), a suffix (`*.rs`) or both
 //! (`crates/*.rs`).
 
 use std::path::Path;
@@ -29,6 +30,14 @@ struct Shape {
 enum Check {
     /// A needle on a line of a covered file outside the allowed ones.
     Text {
+        needles: &'static [&'static str],
+        paths: &'static [&'static str],
+        allowed: &'static [&'static str],
+    },
+    /// [`Check::Text`] on each line with its `_` removed and its letters
+    /// lowercased, so one lowercase needle stands for every spelling of a
+    /// name or a number literal.
+    Folded {
         needles: &'static [&'static str],
         paths: &'static [&'static str],
         allowed: &'static [&'static str],
@@ -232,8 +241,8 @@ const SHAPES: &[Shape] = &[
               unsafe sites, and reactor.rs's one poll call is the crate's only foreign call",
         removed_in: "0206c1f",
         checks: &[
-            Check::Text {
-                needles: &["epoll", "Epoll", "EPOLL"],
+            Check::Folded {
+                needles: &["epoll"],
                 paths: &["crates/", "src/", "tests/"],
                 allowed: &[],
             },
@@ -348,13 +357,8 @@ const SHAPES: &[Shape] = &[
               that seeded each run at random stood beside it",
         removed_in: "95685d2",
         checks: &[
-            Check::Text {
-                needles: &[
-                    "9E3779B97F4A7C15",
-                    "9E37_79B9_7F4A_7C15",
-                    "9e3779b97f4a7c15",
-                    "9e37_79b9_7f4a_7c15",
-                ],
+            Check::Folded {
+                needles: &["9e3779b97f4a7c15"],
                 paths: &["*.rs"],
                 allowed: &["crates/pomp/src/rng.rs"],
             },
@@ -486,10 +490,25 @@ fn item_lines(text: &str, items: &[&str]) -> Vec<bool> {
     inside
 }
 
-/// Lines of `file` holding a needle, where `keep(line index)` holds.
-fn hits(file: &File, needles: &[&str], keep: impl Fn(usize) -> bool, out: &mut Vec<String>) {
+/// Lines of `file` holding a needle, where `keep(line index)` holds; with
+/// `fold`, a line is searched with its `_` removed and its letters
+/// lowercased.
+fn hits(
+    file: &File,
+    needles: &[&str],
+    fold: bool,
+    keep: impl Fn(usize) -> bool,
+    out: &mut Vec<String>,
+) {
     for (i, line) in file.text.lines().enumerate() {
-        if keep(i) && needles.iter().any(|n| line.contains(n)) {
+        let folded;
+        let text = if fold {
+            folded = line.replace('_', "").to_lowercase();
+            folded.as_str()
+        } else {
+            line
+        };
+        if keep(i) && needles.iter().any(|n| text.contains(n)) {
             out.push(format!("{}:{}: {}", file.path, i + 1, line.trim()));
         }
     }
@@ -562,7 +581,16 @@ fn violations(check: &Check, files: &[File]) -> Vec<String> {
             allowed,
         } => {
             for f in covered(files, paths, allowed) {
-                hits(f, needles, |_| true, &mut out);
+                hits(f, needles, false, |_| true, &mut out);
+            }
+        }
+        Check::Folded {
+            needles,
+            paths,
+            allowed,
+        } => {
+            for f in covered(files, paths, allowed) {
+                hits(f, needles, true, |_| true, &mut out);
             }
         }
         Check::InItems {
@@ -572,7 +600,7 @@ fn violations(check: &Check, files: &[File]) -> Vec<String> {
         } => {
             for f in covered(files, paths, &[]) {
                 let inside = item_lines(&f.text, items);
-                hits(f, needles, |i| inside[i], &mut out);
+                hits(f, needles, false, |i| inside[i], &mut out);
             }
         }
         Check::OutsideItems {
@@ -582,7 +610,7 @@ fn violations(check: &Check, files: &[File]) -> Vec<String> {
         } => {
             for f in covered(files, paths, &[]) {
                 let inside = item_lines(&f.text, items);
-                hits(f, needles, |i| !inside[i], &mut out);
+                hits(f, needles, false, |i| !inside[i], &mut out);
             }
         }
         Check::Exists(dirs) => {
@@ -655,6 +683,56 @@ match request {
     assert!(item_lines("fn run_tasks() {\n}\n", &["run_task"])
         .iter()
         .all(|&b| !b));
+}
+
+#[test]
+fn a_folded_row_matches_every_case_and_underscore_placement() {
+    let rows = |name: &str| {
+        SHAPES
+            .iter()
+            .find(|s| s.name == name)
+            .expect("a row of SHAPES")
+            .checks
+    };
+    let brought_back = |name: &str, path: &str, line: &str| {
+        let tree = [File {
+            path: path.into(),
+            text: format!("fn f() {{}}\n{line}\n"),
+        }];
+        rows(name).iter().any(|c| !violations(c, &tree).is_empty())
+    };
+    for line in [
+        "const GOLDEN: u64 = 0x9E3779B97F4A7C15;",
+        "const GOLDEN: u64 = 0x9E3779B9_7F4A7C15;",
+        "const GOLDEN: u64 = 0x9e3779b97F4A7C15;",
+        "const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15_u64;",
+    ] {
+        assert!(
+            brought_back("one seeded generator", "crates/bots/src/x.rs", line),
+            "{line}"
+        );
+    }
+    assert!(!brought_back(
+        "one seeded generator",
+        "crates/pomp/src/rng.rs",
+        "const GOLDEN: u64 = 0x9E3779B9_7F4A7C15;"
+    ));
+    for line in [
+        "use epoll;",
+        "struct EPoll;",
+        "EPOLL_CTL_ADD",
+        "e_poll_wait()",
+    ] {
+        assert!(
+            brought_back("one readiness backend", "crates/profserve/src/x.rs", line),
+            "{line}"
+        );
+    }
+    assert!(!brought_back(
+        "one readiness backend",
+        "crates/profserve/src/x.rs",
+        "libc::poll(fds.as_mut_ptr(), n, timeout)"
+    ));
 }
 
 #[test]

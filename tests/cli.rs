@@ -444,6 +444,56 @@ fn ingest_spools_while_the_daemon_is_down_and_drains_exactly_once() {
 }
 
 #[test]
+fn a_batch_spools_whole_after_one_campaign_against_a_daemon_that_is_down() {
+    let scratch = Scratch::new("spool-batch");
+    let spool = scratch.path("spool");
+    let spool_arg = spool.to_str().expect("utf-8 path");
+    let profile = scratch.path("one.profile");
+    std::fs::write(
+        &profile,
+        "taskprof-profile v1\nthreads 1\nthread 0 max_live 0 arena 1\nmain\n  \
+         region parallel \"batch par\" visits 1 sum 5 min 5 max 5 samples 1\nend\n",
+    )
+    .expect("write profile");
+    let file = profile.to_str().expect("utf-8 path");
+    let ingest = |to: &str| {
+        let start = Instant::now();
+        let out = ok(&[
+            "ingest",
+            "--addr",
+            to,
+            "--bench",
+            "batch",
+            "--file",
+            file,
+            "--file",
+            file,
+            "--file",
+            file,
+            "--spool",
+            spool_arg,
+            "--deadline-ms",
+            "1500",
+        ]);
+        (out, start.elapsed())
+    };
+    // Nothing listens on port 1: every item lands in the spool.
+    let (out, _) = ingest("127.0.0.1:1");
+    assert_eq!(out.matches("spooled batch").count(), 3, "{out}");
+    assert_eq!(spooled(&spool).len(), 3);
+    // A listener that never accepts holds each attempt until its timeout,
+    // so one delivery campaign lasts about the 1.5 s deadline (2 s
+    // measured). The first item's campaign spools it; the other two go
+    // straight to the spool instead of waiting out two more campaigns.
+    let stalled = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = stalled.local_addr().expect("local addr").to_string();
+    let (out, took) = ingest(&addr);
+    assert_eq!(out.matches("spooled batch").count(), 3, "{out}");
+    assert_eq!(spooled(&spool).len(), 6);
+    assert!(took < Duration::from_secs(4), "took {took:?}");
+}
+
+#[test]
 fn a_sharded_follower_replicates_byte_identically_and_exactly_once() {
     let scratch = Scratch::new("replica");
     let auth = ["--auth", "hunter2"];

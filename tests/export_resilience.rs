@@ -101,7 +101,10 @@ fn daemon_down_spools_and_next_success_drains_exactly_once() {
         .expect("live daemon accepts");
     assert!(!receipt.spooled);
     assert!(receipt.run_id.is_some());
-    assert_eq!(receipt.drained, 1, "the spooled frame must ride along");
+    assert_eq!(
+        receipt.drained.delivered, 1,
+        "the spooled frame must ride along"
+    );
     assert!(spool_frames(&spool).is_empty(), "drained frame is deleted");
 
     // Phase 3: exactly-once — draining again delivers nothing, and the

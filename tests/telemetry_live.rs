@@ -255,9 +255,9 @@ fn session_exports_round_trip_mid_run_and_after() {
     session.finish();
 }
 
-/// The `live_telemetry` example's checks: nqueens on four threads, its
-/// gauges polled from a foreign thread throughout, then both exports and
-/// the profile's live-tree bound.
+/// The run the `live_telemetry` example shows, with its checks: nqueens
+/// on four threads, its gauges polled from a foreign thread throughout,
+/// then both exports and the profile's live-tree bound.
 #[test]
 fn nqueens_polled_while_running_exports_and_matches_its_profile() {
     let threads = 4;
