@@ -29,4 +29,7 @@ pub use render::{
     format_ns, render_critpath, render_profile, render_telemetry, render_tree, render_whatif,
     RenderOpts,
 };
-pub use store::{read_profile, write_profile, write_profile_to, ParseError};
+pub use store::{
+    read_profile, walk_profile, write_profile, write_profile_to, Escaped, ParseError, TextNode,
+    TextVisit,
+};

@@ -3,8 +3,18 @@
 //! Score-P writes `.cubex` archives that CUBE reads later; this is the
 //! reproduction's equivalent: a line-oriented, diff-friendly text format
 //! that round-trips a whole per-thread [`Profile`]. Region and parameter
-//! names are stored by name+kind and re-interned on load, so profiles can
-//! be compared across processes and machines.
+//! names are stored by name+kind, so profiles can be compared across
+//! processes and machines.
+//!
+//! Every reader is one walk of the text grammar, [`walk_profile`], which
+//! checks the text line by line and shows what it passes — the thread
+//! count, thread headers, diagnostics, and each node with its name
+//! borrowed from the text ([`TextNode`], [`Escaped`]) — to a
+//! [`TextVisit`]or. A node line is read left to right in one pass over
+//! its bytes. [`read_profile`] is the walk with a visitor that builds the
+//! trees and re-interns the names into the process-wide registry;
+//! `profstore::transcode_text` is the walk with a visitor that writes the
+//! record body the store appends, and names nothing in the registry.
 
 use pomp::{registry, ParamId, RegionId, RegionKind, RegistryView};
 use std::borrow::Cow;
@@ -58,25 +68,6 @@ fn push_escaped(out: &mut String, name: &str) {
         }
     }
     out.push_str(&name[clean..]);
-}
-
-/// Inverse of [`push_escaped`]; borrows when there is nothing to undo.
-fn unescape(s: &str) -> Cow<'_, str> {
-    if !s.contains('\\') {
-        return Cow::Borrowed(s);
-    }
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c == '\\' {
-            if let Some(n) = chars.next() {
-                out.push(n);
-            }
-        } else {
-            out.push(c);
-        }
-    }
-    Cow::Owned(out)
 }
 
 fn write_node(out: &mut String, reg: &RegistryView<'_>, node: &SnapNode, depth: usize) {
@@ -193,348 +184,531 @@ pub fn write_profile_to(path: &std::path::Path, p: &Profile) -> std::io::Result<
     result
 }
 
-/// `str::split_whitespace`, token for token, as a bare cursor over the
-/// rest of the line: a token of printable ASCII that ends at a space —
-/// every token this format writes — is cut on a byte scan, and only one
-/// that meets anything else is settled scalar by scalar.
-struct Tokens<'a>(&'a str);
+/// A name or diagnostic as the text spells it: `\` escapes still in.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Escaped<'a>(&'a str);
 
-impl<'a> Iterator for Tokens<'a> {
-    type Item = &'a str;
+impl<'a> Escaped<'a> {
+    /// The spelling, escapes and all.
+    pub fn raw(self) -> &'a str {
+        self.0
+    }
+
+    /// The text the spelling stands for; borrowed when there is nothing
+    /// to undo. Each `\` takes the character after it as it is, and a
+    /// `\` that ends the spelling is dropped.
+    pub fn unescape(self) -> Cow<'a, str> {
+        if !self.0.contains('\\') {
+            return Cow::Borrowed(self.0);
+        }
+        let mut out = Vec::with_capacity(self.0.len());
+        self.unescape_into(&mut out);
+        // Only whole `\` bytes are dropped, never part of a character.
+        Cow::Owned(String::from_utf8(out).expect("unescaping keeps UTF-8"))
+    }
+
+    /// Append [`Escaped::unescape`]'s bytes to `out`.
+    pub fn unescape_into(self, out: &mut Vec<u8>) {
+        let mut escaped = false;
+        for &b in self.0.as_bytes() {
+            if b == b'\\' && !escaped {
+                escaped = true;
+            } else {
+                out.push(b);
+                escaped = false;
+            }
+        }
+    }
+}
+
+/// What a node line stands for, as the text spells it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TextNode<'a> {
+    /// A region of this kind and name.
+    Region(RegionKind, Escaped<'a>),
+    /// The stub of the task region of this name.
+    Stub(Escaped<'a>),
+    /// A parameter of this name at this value.
+    Param(Escaped<'a>, i64),
+    /// A truncation marker (whatever name the line spells).
+    Truncated,
+}
+
+/// What the walk of profile text shows, in text order. Every method has
+/// a no-op default, so a visitor takes only the steps it needs.
+pub trait TextVisit<'a> {
+    /// The thread count the text declares; that many threads follow.
+    fn threads(&mut self, _count: usize) {}
+    /// A thread's header: tid, max live trees, arena capacity and shed
+    /// instances. Its diagnostics, main tree and task trees follow.
+    fn thread(&mut self, _header: [u64; 4]) {}
+    /// One diagnostic line of the current thread.
+    fn diagnostic(&mut self, _text: Escaped<'a>) {}
+    /// A node, in pre-order: what it stands for, its statistics (visits,
+    /// sum, min, max, samples, aborted; the minimum is 0 on a node
+    /// without samples, whatever the line spells), and whether it is a
+    /// thread's main root.
+    fn node(&mut self, _node: TextNode<'a>, _stats: &[u64; 6], _main_root: bool) {}
+    /// The end of the last node not yet ended, after its children.
+    fn end(&mut self, _main_root: bool) {}
+    /// The end of the current thread, after its last task tree.
+    fn thread_end(&mut self) {}
+}
+
+impl TextVisit<'_> for () {}
+
+fn err(line: usize, message: impl Into<String>) -> ParseError {
+    err_at(line, 0, message)
+}
+
+/// The error at the 0-based `line`, 1-based `column` (0: the whole line).
+fn err_at(line: usize, column: usize, message: impl Into<String>) -> ParseError {
+    ParseError {
+        line: line + 1,
+        column,
+        message: message.into(),
+    }
+}
+
+/// The character at byte `i` of `s` (a character boundary): its length
+/// in bytes, and whether it is whitespace as `char::is_whitespace` says,
+/// decided on the byte alone for ASCII.
+fn char_at(s: &str, i: usize) -> (usize, bool) {
+    match s.as_bytes()[i] {
+        b @ 0..=0x7f => (1, b == b' ' || (b'\t'..=b'\r').contains(&b)),
+        _ => {
+            let c = s[i..].chars().next().expect("a character boundary");
+            (c.len_utf8(), c.is_whitespace())
+        }
+    }
+}
+
+/// Where the run of whitespace (`space`) or of anything else (`!space`)
+/// that starts at byte `i` of `s` ends.
+fn run_end(s: &str, mut i: usize, space: bool) -> usize {
+    while i < s.len() {
+        let (len, is_space) = char_at(s, i);
+        if is_space != space {
+            break;
+        }
+        i += len;
+    }
+    i
+}
+
+/// Where the whitespace that starts at byte `i` of `s` ends: the
+/// indentation of a line, for `i = 0`, as `str::trim_start` cuts it.
+fn skip_spaces(s: &str, i: usize) -> usize {
+    run_end(s, i, true)
+}
+
+/// `str::split_whitespace`, token for token, as a cursor over `s`.
+struct Tokens<'a> {
+    s: &'a str,
+    at: usize,
+}
+
+impl<'a> Tokens<'a> {
+    fn new(s: &'a str) -> Self {
+        Tokens { s, at: 0 }
+    }
 
     fn next(&mut self) -> Option<&'a str> {
-        let rest = self.0.trim_start();
-        if rest.is_empty() {
-            return None;
-        }
-        let end = match rest.bytes().position(|b| !b.is_ascii_graphic()) {
-            None => rest.len(),
-            Some(i) if rest.as_bytes()[i] == b' ' => i,
-            Some(_) => rest.find(char::is_whitespace).unwrap_or(rest.len()),
-        };
-        let (token, rest) = rest.split_at(end);
-        self.0 = rest;
-        Some(token)
+        let start = skip_spaces(self.s, self.at);
+        self.at = run_end(self.s, start, false);
+        (self.at > start).then(|| &self.s[start..self.at])
     }
 }
 
-struct Parser<'a> {
-    lines: std::iter::Peekable<std::iter::Enumerate<std::str::Lines<'a>>>,
-    /// Ids of the names this parse has met, keyed by the name as it is
-    /// spelled in the text (still escaped): the global registry is asked
-    /// once per distinct name, not once per node line.
-    regions: HashMap<(&'a str, RegionKind), RegionId>,
-    params: HashMap<&'a str, ParamId>,
+/// `str::parse::<u64>`: an optional `+`, then one or more ASCII digits.
+fn parse_u64(token: &str) -> Option<u64> {
+    let digits = match token.as_bytes() {
+        [b'+', rest @ ..] if !rest.is_empty() => rest,
+        digits => digits,
+    };
+    if digits.is_empty() {
+        return None;
+    }
+    digits.iter().try_fold(0u64, |v, &b| {
+        let d = b.wrapping_sub(b'0');
+        (d < 10).then_some(())?;
+        v.checked_mul(10)?.checked_add(u64::from(d))
+    })
 }
 
-impl<'a> Parser<'a> {
-    fn err(line: usize, message: impl Into<String>) -> ParseError {
-        Self::err_at(line, 0, message)
-    }
+/// `str::parse::<usize>`.
+fn parse_usize(token: &str) -> Option<usize> {
+    parse_u64(token).and_then(|v| usize::try_from(v).ok())
+}
 
-    fn err_at(line: usize, column: usize, message: impl Into<String>) -> ParseError {
-        ParseError {
-            line: line + 1,
-            column,
-            message: message.into(),
-        }
+/// `str::parse::<i64>`: an optional sign, then one or more ASCII digits.
+fn parse_i64(token: &str) -> Option<i64> {
+    let (negative, digits) = match token.as_bytes() {
+        [b'-', rest @ ..] if !rest.is_empty() => (true, rest),
+        [b'+', rest @ ..] if !rest.is_empty() => (false, rest),
+        digits => (false, digits),
+    };
+    if digits.is_empty() {
+        return None;
     }
+    digits.iter().try_fold(0i64, |v, &b| {
+        let d = b.wrapping_sub(b'0');
+        (d < 10).then_some(())?;
+        let v = v.checked_mul(10)?;
+        if negative {
+            v.checked_sub(i64::from(d))
+        } else {
+            v.checked_add(i64::from(d))
+        }
+    })
+}
 
-    fn region(&mut self, raw_name: &'a str, kind: RegionKind) -> RegionId {
-        *self
-            .regions
-            .entry((raw_name, kind))
-            .or_insert_with(|| registry().register(&unescape(raw_name), kind, "loaded", 0))
+/// The statistic keys of a node line, in the order `write_node` spells
+/// them.
+const STAT_KEYS: [&str; 5] = ["visits", "sum", "min", "max", "samples"];
+
+/// One node line that starts with `indent` bytes of whitespace: what it
+/// stands for and its statistics, read left to right in one pass.
+fn node_line<'a>(
+    lineno: usize,
+    raw: &'a str,
+    indent: usize,
+) -> Result<(TextNode<'a>, [u64; 6]), ParseError> {
+    let bytes = raw.as_bytes();
+    let quote = bytes[indent..]
+        .iter()
+        .position(|&b| b == b'"')
+        .map(|q| indent + q)
+        .ok_or_else(|| err_at(lineno, indent + 1, "missing name quote"))?;
+    let head = &raw[indent..quote];
+    // The closing quote: a `\` takes the byte after it along.
+    let mut close = quote + 1;
+    while close < bytes.len() && bytes[close] != b'"' {
+        close += if bytes[close] == b'\\' { 2 } else { 1 };
     }
-
-    /// Parse one node line: returns (depth, kind, stats).
-    fn parse_node_line(
-        &mut self,
-        lineno: usize,
-        raw: &'a str,
-    ) -> Result<(usize, NodeKind, Stats), ParseError> {
-        let trimmed = raw.trim_start();
-        let indent = raw.len() - trimmed.len();
-        let depth = indent / 2;
-        // Split the quoted name out first.
-        let (head, rest) = trimmed
-            .split_once('"')
-            .ok_or_else(|| Self::err_at(lineno, indent + 1, "missing name quote"))?;
-        // Find the closing quote honoring escapes.
-        let mut end = None;
-        let bytes = rest.as_bytes();
-        let mut i = 0;
-        while i < bytes.len() {
-            match bytes[i] {
-                b'\\' => i += 2,
-                b'"' => {
-                    end = Some(i);
-                    break;
-                }
-                _ => i += 1,
-            }
-        }
-        let end =
-            end.ok_or_else(|| Self::err_at(lineno, indent + head.len() + 1, "unterminated name"))?;
-        let name = &rest[..end];
-        let tail = &rest[end + 1..];
-        // 1-based column where the post-name tail of the line starts.
-        let tail_col = raw.len() - tail.len() + 1;
-        let mut head_tokens = Tokens(head);
-        let mut stats_tokens = Tokens(tail);
-        let kind = match (head_tokens.next(), head_tokens.next(), head_tokens.next()) {
-            (Some("region"), Some(ktag), None) => {
-                let k = RegionKind::from_tag(ktag).ok_or_else(|| {
-                    Self::err_at(lineno, indent + 1, format!("unknown region kind {ktag}"))
-                })?;
-                NodeKind::Region(self.region(name, k))
-            }
-            // Stubs always refer to task constructs.
-            (Some("stub"), None, _) => NodeKind::Stub(self.region(name, RegionKind::Task)),
-            (Some("truncated"), None, _) => NodeKind::Truncated,
-            (Some("param"), None, _) => {
-                let v: i64 = stats_tokens
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| Self::err_at(lineno, tail_col, "param missing value"))?;
-                let id = *self
-                    .params
-                    .entry(name)
-                    .or_insert_with(|| registry().register_param(&unescape(name)));
-                NodeKind::Param(id, v)
-            }
-            _ => {
-                let other: Vec<&str> = head.split_whitespace().collect();
-                return Err(Self::err_at(
-                    lineno,
-                    indent + 1,
-                    format!("unknown node head {other:?}"),
-                ));
-            }
-        };
-        Ok((
-            depth,
-            kind,
-            Self::parse_stats(lineno, tail_col, stats_tokens)?,
-        ))
+    if close >= bytes.len() {
+        return Err(err_at(lineno, quote + 1, "unterminated name"));
     }
-
-    fn parse_stats<'t>(
-        lineno: usize,
-        col: usize,
-        mut tokens: impl Iterator<Item = &'t str>,
-    ) -> Result<Stats, ParseError> {
-        let mut stats = Stats::new();
-        let mut grab = |key: &str| match (tokens.next(), tokens.next()) {
-            (Some(k), Some(v)) if k == key => v
-                .parse::<u64>()
-                .map_err(|_| Self::err_at(lineno, col, format!("bad {key} value"))),
-            _ => Err(Self::err_at(lineno, col, format!("expected '{key} <n>'"))),
-        };
-        stats.visits = grab("visits")?;
-        stats.sum_ns = grab("sum")?;
-        stats.min_ns = grab("min")?;
-        stats.max_ns = grab("max")?;
-        stats.samples = grab("samples")?;
-        if stats.samples == 0 {
-            // Restore the internal no-samples sentinel so a re-loaded
-            // profile is indistinguishable from a live one (`Stats::min`
-            // returns `None`, `record` still folds correctly). Also
-            // normalizes legacy files that serialized the raw sentinel.
-            stats.min_ns = u64::MAX;
+    let name = Escaped(&raw[quote + 1..close]);
+    // 1-based column where the post-name tail of the line starts.
+    let tail_col = close + 2;
+    let mut tail = Tokens::new(&raw[close + 1..]);
+    let mut words = Tokens::new(head);
+    let node = match (words.next(), words.next(), words.next()) {
+        (Some("region"), Some(tag), None) => {
+            let kind = RegionKind::from_tag(tag)
+                .ok_or_else(|| err_at(lineno, indent + 1, format!("unknown region kind {tag}")))?;
+            TextNode::Region(kind, name)
         }
-        // Optional fault-tolerance annotation (absent in clean and in
-        // older profiles).
-        match tokens.next() {
-            None => {}
-            Some("aborted") => {
-                stats.aborted = tokens
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| Self::err_at(lineno, col, "bad aborted value"))?;
-            }
-            Some(other) => {
-                return Err(Self::err_at(
-                    lineno,
-                    col,
-                    format!("unexpected trailing token '{other}'"),
-                ))
-            }
+        // Stubs always refer to task constructs.
+        (Some("stub"), None, _) => TextNode::Stub(name),
+        (Some("truncated"), None, _) => TextNode::Truncated,
+        (Some("param"), None, _) => {
+            let value = tail
+                .next()
+                .and_then(parse_i64)
+                .ok_or_else(|| err_at(lineno, tail_col, "param missing value"))?;
+            TextNode::Param(name, value)
         }
-        if let Some(extra) = tokens.next() {
-            return Err(Self::err_at(
+        _ => {
+            let other: Vec<&str> = head.split_whitespace().collect();
+            return Err(err_at(
                 lineno,
-                col,
-                format!("unexpected trailing token '{extra}'"),
+                indent + 1,
+                format!("unknown node head {other:?}"),
             ));
         }
-        Ok(stats)
+    };
+    let mut stats = [0u64; 6];
+    for (key, v) in STAT_KEYS.into_iter().zip(&mut stats) {
+        *v = match (tail.next(), tail.next()) {
+            (Some(k), Some(n)) if k == key => {
+                parse_u64(n).ok_or_else(|| err_at(lineno, tail_col, format!("bad {key} value")))?
+            }
+            _ => return Err(err_at(lineno, tail_col, format!("expected '{key} <n>'"))),
+        };
     }
+    let [_, _, min, _, samples, aborted] = &mut stats;
+    if *samples == 0 {
+        // The export convention: no minimum without samples (this also
+        // reads legacy files that spelled the `u64::MAX` sentinel).
+        *min = 0;
+    }
+    // Optional fault-tolerance annotation (absent in clean and in older
+    // profiles).
+    match tail.next() {
+        None => {}
+        Some("aborted") => {
+            *aborted = tail
+                .next()
+                .and_then(parse_u64)
+                .ok_or_else(|| err_at(lineno, tail_col, "bad aborted value"))?;
+        }
+        Some(other) => {
+            return Err(err_at(
+                lineno,
+                tail_col,
+                format!("unexpected trailing token '{other}'"),
+            ))
+        }
+    }
+    if let Some(extra) = tail.next() {
+        return Err(err_at(
+            lineno,
+            tail_col,
+            format!("unexpected trailing token '{extra}'"),
+        ));
+    }
+    Ok((node, stats))
+}
 
-    /// Parse an indented node block starting at the current position.
-    fn parse_tree(&mut self) -> Result<SnapNode, ParseError> {
+/// The walk's state: the lines not yet read, and the depths of the nodes
+/// below the current tree's root begun and not yet ended.
+struct Walk<'a> {
+    lines: std::iter::Peekable<std::iter::Enumerate<std::str::Lines<'a>>>,
+    open: Vec<usize>,
+}
+
+impl<'a> Walk<'a> {
+    /// One tree: its root line, then every following line indented
+    /// deeper than the root, up to a section keyword or a blank line.
+    /// A node's parent is the nearest node above it that is indented
+    /// less deeply.
+    fn tree(&mut self, main_root: bool, visit: &mut impl TextVisit<'a>) -> Result<(), ParseError> {
         let (lineno, first) = self
             .lines
             .next()
-            .ok_or_else(|| Self::err(0, "unexpected end of file in tree"))?;
-        let (depth, kind, stats) = self.parse_node_line(lineno, first)?;
-        let mut root = SnapNode {
-            kind,
-            stats,
-            children: vec![],
-        };
-        let mut stack: Vec<(usize, SnapNode)> = vec![];
-        let base = depth;
-        // Collect subsequent deeper lines.
-        while let Some(&(lineno, peek)) = self.lines.peek() {
-            let trimmed = peek.trim_start();
+            .ok_or_else(|| err(0, "unexpected end of file in tree"))?;
+        let indent = skip_spaces(first, 0);
+        let (node, stats) = node_line(lineno, first, indent)?;
+        visit.node(node, &stats, main_root);
+        let base = indent / 2;
+        self.open.clear();
+        while let Some(&(lineno, line)) = self.lines.peek() {
+            let indent = skip_spaces(line, 0);
+            let trimmed = &line[indent..];
+            let depth = indent / 2;
             if trimmed.is_empty()
                 || trimmed.starts_with("main")
                 || trimmed.starts_with("tasktree")
                 || trimmed.starts_with("thread ")
                 || trimmed.starts_with("end")
+                || depth <= base
             {
                 break;
             }
-            let d = (peek.len() - trimmed.len()) / 2;
-            if d <= base {
-                break;
-            }
             self.lines.next();
-            let (_, kind, stats) = self.parse_node_line(lineno, peek)?;
-            let node = SnapNode {
-                kind,
-                stats,
-                children: vec![],
-            };
-            // Pop completed siblings/ancestors.
-            while let Some(&(sd, _)) = stack.last() {
-                if sd >= d {
-                    let (_, done) = stack.pop().expect("non-empty");
-                    match stack.last_mut() {
-                        Some((_, parent)) => parent.children.push(done),
-                        None => root.children.push(done),
-                    }
-                } else {
-                    break;
-                }
+            let (node, stats) = node_line(lineno, line, indent)?;
+            while self.open.last().is_some_and(|&open| open >= depth) {
+                self.open.pop();
+                visit.end(false);
             }
-            stack.push((d, node));
+            visit.node(node, &stats, false);
+            self.open.push(depth);
         }
-        while let Some((_, done)) = stack.pop() {
-            match stack.last_mut() {
-                Some((_, parent)) => parent.children.push(done),
-                None => root.children.push(done),
-            }
+        for _ in self.open.drain(..) {
+            visit.end(false);
         }
-        Ok(root)
+        visit.end(main_root);
+        Ok(())
     }
-}
 
-/// Parse a profile from the text format.
-pub fn read_profile(text: &str) -> Result<Profile, ParseError> {
-    let mut p = Parser {
-        lines: text.lines().enumerate().peekable(),
-        regions: HashMap::new(),
-        params: HashMap::new(),
-    };
-    match p.lines.next() {
-        Some((_, l)) if l.trim() == MAGIC => {}
-        Some((n, l)) => return Err(Parser::err(n, format!("bad magic '{l}'"))),
-        None => return Err(Parser::err(0, "empty input")),
-    }
-    let nthreads = match p.lines.next() {
-        Some((n, l)) => l
-            .trim()
-            .strip_prefix("threads ")
-            .and_then(|v| v.parse::<usize>().ok())
-            .ok_or_else(|| Parser::err(n, "expected 'threads <n>'"))?,
-        None => return Err(Parser::err(1, "missing thread count")),
-    };
-    let mut threads = Vec::with_capacity(nthreads);
-    for _ in 0..nthreads {
-        let (n, header) = p
+    /// One thread: its header line, diagnostics, main tree and task
+    /// trees, up to its `end`.
+    fn thread(&mut self, visit: &mut impl TextVisit<'a>) -> Result<(), ParseError> {
+        let (n, header) = self
             .lines
             .next()
-            .ok_or_else(|| Parser::err(0, "missing thread header"))?;
-        let mut toks = Tokens(header);
-        let toks: [Option<&str>; 9] = std::array::from_fn(|_| toks.next());
-        let (tid, max_live, arena, shed) = match toks {
-            [Some("thread"), Some(tid), Some("max_live"), Some(ml), Some("arena"), Some(ar), shed @ ..] => {
-                (
-                    tid.parse().map_err(|_| Parser::err(n, "bad tid"))?,
-                    ml.parse().map_err(|_| Parser::err(n, "bad max_live"))?,
-                    ar.parse().map_err(|_| Parser::err(n, "bad arena"))?,
-                    match shed {
-                        [None, ..] => 0u64,
-                        [Some("shed"), Some(sh), None] => {
-                            sh.parse().map_err(|_| Parser::err(n, "bad shed count"))?
-                        }
-                        _ => return Err(Parser::err(n, "malformed thread header")),
-                    },
-                )
+            .ok_or_else(|| err(0, "missing thread header"))?;
+        let mut tokens = Tokens::new(header);
+        let tokens: [Option<&str>; 9] = std::array::from_fn(|_| tokens.next());
+        let header = match tokens {
+            [Some("thread"), Some(tid), Some("max_live"), Some(ml), Some("arena"), Some(ar), shed @ ..] =>
+            {
+                let tid = parse_usize(tid).ok_or_else(|| err(n, "bad tid"))?;
+                let max_live = parse_usize(ml).ok_or_else(|| err(n, "bad max_live"))?;
+                let arena = parse_usize(ar).ok_or_else(|| err(n, "bad arena"))?;
+                let shed = match shed {
+                    [None, ..] => 0,
+                    [Some("shed"), Some(sh), None] => {
+                        parse_u64(sh).ok_or_else(|| err(n, "bad shed count"))?
+                    }
+                    _ => return Err(err(n, "malformed thread header")),
+                };
+                [tid as u64, max_live as u64, arena as u64, shed]
             }
-            _ => return Err(Parser::err(n, "malformed thread header")),
+            _ => return Err(err(n, "malformed thread header")),
         };
+        visit.thread(header);
         // Optional self-healing diagnostics recorded with the thread.
-        let mut diagnostics = Vec::new();
-        while let Some(&(dn, l)) = p.lines.peek() {
-            let Some(rest) = l.trim().strip_prefix("diag ") else {
+        while let Some(&(dn, line)) = self.lines.peek() {
+            let Some(rest) = line.trim().strip_prefix("diag ") else {
                 break;
             };
-            p.lines.next();
+            self.lines.next();
             let inner = rest
                 .trim()
                 .strip_prefix('"')
                 .and_then(|r| r.strip_suffix('"'))
-                .ok_or_else(|| Parser::err(dn, "malformed diag line"))?;
-            diagnostics.push(unescape(inner).into_owned());
+                .ok_or_else(|| err(dn, "malformed diag line"))?;
+            visit.diagnostic(Escaped(inner));
         }
-        match p.lines.next() {
-            Some((_, l)) if l.trim() == "main" => {}
-            Some((n, l)) => return Err(Parser::err(n, format!("expected 'main', got '{l}'"))),
-            None => return Err(Parser::err(n, "missing main section")),
+        match self.lines.next() {
+            Some((_, line)) if line.trim() == "main" => {}
+            Some((m, line)) => return Err(err(m, format!("expected 'main', got '{line}'"))),
+            None => return Err(err(n, "missing main section")),
         }
-        let main = p.parse_tree()?;
-        let mut task_trees = Vec::new();
+        self.tree(true, visit)?;
         loop {
-            match p.lines.peek().copied() {
-                Some((_, l)) if l.trim() == "tasktree" => {
-                    p.lines.next();
-                    task_trees.push(p.parse_tree()?);
+            match self.lines.next() {
+                Some((_, line)) if line.trim() == "tasktree" => self.tree(false, visit)?,
+                Some((_, line)) if line.trim() == "end" => break,
+                Some((m, line)) => {
+                    return Err(err(m, format!("expected tasktree/end, got '{line}'")))
                 }
-                Some((_, l)) if l.trim() == "end" => {
-                    p.lines.next();
-                    break;
-                }
-                Some((n, l)) => {
-                    return Err(Parser::err(n, format!("expected tasktree/end, got '{l}'")))
-                }
-                None => return Err(Parser::err(0, "missing 'end'")),
+                None => return Err(err(0, "missing 'end'")),
             }
         }
-        let parallel_region = match main.kind {
-            NodeKind::Region(r) => r,
-            _ => RegionId(0),
-        };
-        threads.push(ThreadSnapshot {
-            tid,
-            parallel_region,
-            main,
-            task_trees,
-            max_live_trees: max_live,
-            arena_capacity: arena,
-            shed_instances: shed,
-            diagnostics,
-        });
+        visit.thread_end();
+        Ok(())
     }
-    Ok(Profile { threads })
 }
 
-/// The parameter-name interning used on load.
-#[allow(dead_code)]
-fn _assert_param_api(p: ParamId) -> ParamId {
-    p
+/// The one walk of the text grammar, behind [`read_profile`] and every
+/// other reader of profile text: checks `text` line by line and shows
+/// each step to `visit`. What it refuses, it refuses before `visit` sees
+/// the step that failed; lines after the last thread's `end` are not
+/// read.
+pub fn walk_profile<'a>(text: &'a str, visit: &mut impl TextVisit<'a>) -> Result<(), ParseError> {
+    let mut walk = Walk {
+        lines: text.lines().enumerate().peekable(),
+        open: Vec::new(),
+    };
+    match walk.lines.next() {
+        Some((_, line)) if line.trim() == MAGIC => {}
+        Some((n, line)) => return Err(err(n, format!("bad magic '{line}'"))),
+        None => return Err(err(0, "empty input")),
+    }
+    let count = match walk.lines.next() {
+        Some((n, line)) => line
+            .trim()
+            .strip_prefix("threads ")
+            .and_then(parse_usize)
+            .ok_or_else(|| err(n, "expected 'threads <n>'"))?,
+        None => return Err(err(1, "missing thread count")),
+    };
+    visit.threads(count);
+    for _ in 0..count {
+        walk.thread(visit)?;
+    }
+    Ok(())
+}
+
+/// The visitor of [`read_profile`]: each thread, with its trees built on
+/// a stack of the nodes begun and not yet ended, outermost first, and the
+/// registry asked once per distinct name as the text spells it.
+#[derive(Default)]
+struct Build<'a> {
+    threads: Vec<ThreadSnapshot>,
+    open: Vec<SnapNode>,
+    regions: HashMap<(&'a str, RegionKind), RegionId>,
+    params: HashMap<&'a str, ParamId>,
+}
+
+impl<'a> Build<'a> {
+    fn region(&mut self, name: Escaped<'a>, kind: RegionKind) -> RegionId {
+        *self
+            .regions
+            .entry((name.raw(), kind))
+            .or_insert_with(|| registry().register(&name.unescape(), kind, "loaded", 0))
+    }
+}
+
+impl<'a> TextVisit<'a> for Build<'a> {
+    fn threads(&mut self, count: usize) {
+        // The count is the text's word: room for more threads than it
+        // has lines is not taken on trust.
+        self.threads.reserve(count.min(64));
+    }
+
+    fn thread(&mut self, [tid, max_live_trees, arena_capacity, shed_instances]: [u64; 4]) {
+        self.threads.push(ThreadSnapshot {
+            tid: tid as usize,
+            parallel_region: RegionId(0),
+            main: SnapNode {
+                kind: NodeKind::Truncated,
+                stats: Stats::new(),
+                children: Vec::new(),
+            },
+            task_trees: Vec::new(),
+            max_live_trees: max_live_trees as usize,
+            arena_capacity: arena_capacity as usize,
+            shed_instances,
+            diagnostics: Vec::new(),
+        });
+    }
+
+    fn diagnostic(&mut self, text: Escaped<'a>) {
+        let thread = self.threads.last_mut().expect("a thread header first");
+        thread.diagnostics.push(text.unescape().into_owned());
+    }
+
+    fn node(&mut self, node: TextNode<'a>, stats: &[u64; 6], _main_root: bool) {
+        let kind = match node {
+            TextNode::Region(kind, name) => NodeKind::Region(self.region(name, kind)),
+            TextNode::Stub(name) => NodeKind::Stub(self.region(name, RegionKind::Task)),
+            TextNode::Param(name, value) => {
+                let id = *self
+                    .params
+                    .entry(name.raw())
+                    .or_insert_with(|| registry().register_param(&name.unescape()));
+                NodeKind::Param(id, value)
+            }
+            TextNode::Truncated => NodeKind::Truncated,
+        };
+        let &[visits, sum_ns, min_ns, max_ns, samples, aborted] = stats;
+        self.open.push(SnapNode {
+            kind,
+            stats: Stats {
+                visits,
+                sum_ns,
+                // Restore the internal no-samples sentinel so a re-loaded
+                // profile is indistinguishable from a live one.
+                min_ns: if samples == 0 { u64::MAX } else { min_ns },
+                max_ns,
+                samples,
+                aborted,
+            },
+            children: Vec::new(),
+        });
+    }
+
+    fn end(&mut self, main_root: bool) {
+        let node = self.open.pop().expect("an end follows its node");
+        if let Some(parent) = self.open.last_mut() {
+            parent.children.push(node);
+            return;
+        }
+        let thread = self.threads.last_mut().expect("a thread header first");
+        if main_root {
+            if let NodeKind::Region(id) = node.kind {
+                thread.parallel_region = id;
+            }
+            thread.main = node;
+        } else {
+            thread.task_trees.push(node);
+        }
+    }
+}
+
+/// Parse a profile from the text format: [`walk_profile`] with a visitor
+/// that builds the trees and interns their names.
+pub fn read_profile(text: &str) -> Result<Profile, ParseError> {
+    let mut build = Build::default();
+    walk_profile(text, &mut build)?;
+    Ok(Profile {
+        threads: build.threads,
+    })
 }
 
 #[cfg(test)]
@@ -753,7 +927,10 @@ mod tests {
             "\u{a0}\u{a0}",
         ] {
             let expected: Vec<&str> = line.split_whitespace().collect();
-            assert_eq!(Tokens(line).collect::<Vec<_>>(), expected, "{line:?}");
+            let mut tokens = Tokens::new(line);
+            let got: Vec<&str> = std::iter::from_fn(|| tokens.next()).collect();
+            assert_eq!(got, expected, "{line:?}");
+            assert_eq!(skip_spaces(line, 0), line.len() - line.trim_start().len());
         }
     }
 

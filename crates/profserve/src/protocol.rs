@@ -60,9 +60,11 @@
 //! `read_only`, `unauthorized`. Over JSON, profiles travel as the text
 //! store format (`cube::write_profile`) inside a JSON string; over TPF1
 //! they travel as the store's binary record payload. [`ProfilePayload`]
-//! carries either form. The server parses text; it verifies a record and
-//! stores its bytes, or summarises a regress candidate from them, without
-//! decoding them.
+//! carries either form. The server transcodes text to the record body
+//! it spells (`profstore::transcode_text`) and verifies a record
+//! (`profstore::verify_record`); it stores those bytes, or summarises a
+//! regress candidate from them, without building a [`Profile`] or naming
+//! anything in the region registry.
 
 use profstore::{
     BenchAgg, CodecError, MetricAgg, Regression, RunMeta, RunSummary, RunWindow, StoreStats,
@@ -216,52 +218,50 @@ impl Default for ProfilePayload {
     }
 }
 
-/// A payload checked at the ingest door, in the form the store appends.
-pub(crate) enum Checked<'a> {
-    /// Parsed text; the store encodes it.
-    Profile(Profile),
-    /// A verified record body; the store stamps a header on it.
-    Body(VerifiedBody<'a>),
-}
-
 impl ProfilePayload {
     /// Decode to an in-memory [`Profile`]; `Err` carries a `bad_request`
     /// explanation. Both encodings can spell a profile without threads;
     /// no measurement produces one, so it is refused here, at the door.
     pub fn decode(&self) -> Result<Profile, String> {
         match self {
-            ProfilePayload::Text(text) => parse_text(text),
+            ProfilePayload::Text(text) => cube::read_profile(text)
+                .map_err(bad_text)
+                .and_then(with_threads),
             ProfilePayload::Record(bytes) => profstore::decode_record(bytes)
                 .map_err(bad_record)
                 .and_then(|(_, p)| with_threads(p)),
         }
     }
 
-    /// What ingest needs of a payload, refusing at least what
-    /// [`ProfilePayload::decode`] refuses: text is parsed, since the store
-    /// can only encode a [`Profile`]; a record is verified in place and
-    /// never decoded (see [`profstore::verify_record`]).
-    pub(crate) fn check(&self) -> Result<Checked<'_>, String> {
+    /// The record body ingest appends, refusing at least what
+    /// [`ProfilePayload::decode`] refuses: text is transcoded
+    /// ([`profstore::transcode_text`]), a record is verified in place
+    /// ([`profstore::verify_record`]). Neither is decoded, so no name in
+    /// either reaches the registry.
+    pub(crate) fn check(&self) -> Result<VerifiedBody<'_>, String> {
         match self {
-            ProfilePayload::Text(text) => parse_text(text).map(Checked::Profile),
-            ProfilePayload::Record(bytes) => profstore::verify_record(bytes)
-                .map(Checked::Body)
-                .map_err(bad_record),
+            ProfilePayload::Text(text) => match profstore::transcode_text(text) {
+                Ok(body) if !body.has_threads() => Err(NO_THREADS.to_string()),
+                other => other.map_err(bad_text),
+            },
+            ProfilePayload::Record(bytes) => profstore::verify_record(bytes).map_err(bad_record),
         }
     }
 
     /// The run a `QUERY regress` candidate spells, reduced as the store
     /// reduces the runs it folds; `Err` is what
-    /// [`ProfilePayload::decode`] refuses, word for word. A record is
-    /// summarised from its bytes ([`RunSummary::from_record`]): it is
-    /// never decoded, so its names stay out of the registry.
+    /// [`ProfilePayload::decode`] refuses, word for word. Both forms are
+    /// summarised from record bytes ([`RunSummary::from_record`]), text
+    /// once it is transcoded: neither is decoded, so their names stay
+    /// out of the registry.
     pub fn summary(&self) -> Result<RunSummary, String> {
-        match self {
-            ProfilePayload::Text(text) => parse_text(text).map(|p| RunSummary::from_profile(&p)),
-            ProfilePayload::Record(bytes) => match RunSummary::from_record(bytes) {
-                Ok(summary) if summary.root.is_none() => Err(NO_THREADS.to_string()),
-                other => other.map_err(bad_record),
-            },
+        let record = match self {
+            ProfilePayload::Text(_) => Cow::Owned(self.check()?.stamp(&RunMeta::default())),
+            ProfilePayload::Record(bytes) => Cow::Borrowed(bytes),
+        };
+        match RunSummary::from_record(&record) {
+            Ok(summary) if summary.root.is_none() => Err(NO_THREADS.to_string()),
+            other => other.map_err(bad_record),
         }
     }
 
@@ -289,10 +289,8 @@ impl ProfilePayload {
     }
 }
 
-fn parse_text(text: &str) -> Result<Profile, String> {
-    cube::read_profile(text)
-        .map_err(|e| format!("bad profile: {e}"))
-        .and_then(with_threads)
+fn bad_text(e: cube::ParseError) -> String {
+    format!("bad profile: {e}")
 }
 
 const NO_THREADS: &str = "bad profile: no threads";

@@ -32,7 +32,7 @@
 //!   so operators see the degradation instead of a crash loop.
 
 use crate::protocol::{
-    Checked, ErrorKind, IngestReceipt, Notification, Record, RegressReport, Request, Response,
+    ErrorKind, IngestReceipt, Notification, Record, RegressReport, Request, Response,
     ServerStatsReport, StatsReport, TopReport, TrendReport, WireProtocol,
 };
 use crate::trace::{verb_index, ReqProto, RequestLatency};
@@ -459,8 +459,9 @@ fn stats_prometheus(shared: &Shared) -> String {
 /// Ingest a slice of records under one receipt. Items are stored in
 /// order; validation happens up front so a malformed item refuses the
 /// whole batch before anything lands, while a mid-batch store failure
-/// reports how many records were already durable. A TPF1 record is
-/// verified, stamped with its run id and appended; no `Profile` is built.
+/// reports how many records were already durable. Every item is a record
+/// body by then — text transcoded, a TPF1 record verified — which is
+/// stamped with its run id and appended; no `Profile` is built.
 fn ingest_records(shared: &Shared, items: &[Record]) -> Response {
     let mut checked = Vec::with_capacity(items.len());
     for (index, record) in items.iter().enumerate() {
@@ -482,11 +483,7 @@ fn ingest_records(shared: &Shared, items: &[Record]) -> Response {
     for (record, item) in items.iter().zip(&checked) {
         let (benchmark, threads) = (&record.benchmark, record.threads);
         let timestamp = record.timestamp_ns.unwrap_or_else(now_ns);
-        let stored = match item {
-            Checked::Profile(profile) => store.ingest(benchmark, threads, timestamp, profile),
-            Checked::Body(body) => store.ingest_record(benchmark, threads, timestamp, *body),
-        };
-        match stored {
+        match store.ingest_record(benchmark, threads, timestamp, item) {
             Ok(r) => {
                 shared.counters.add(|c| &c.ingests, 1);
                 shared.counters.add(|c| &c.ingest_bytes, r.bytes);

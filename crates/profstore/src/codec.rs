@@ -24,7 +24,9 @@
 //! in-memory `u64::MAX` sentinel is encoded as 0 and restored on decode
 //! (which also keeps the varint short).
 
+use cube::{Escaped, ParseError, TextNode, TextVisit};
 use pomp::{registry, RegionId, RegionKind, RegistryView};
+use std::borrow::Cow;
 use taskprof::{NodeKind, Profile, SnapNode, Stats, ThreadSnapshot};
 
 /// Current payload format version (the first payload byte).
@@ -35,7 +37,7 @@ pub const CODEC_VERSION: u8 = 1;
 pub const MAX_RECORD_BYTES: usize = 256 << 20;
 
 /// Identity and provenance of one stored run.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RunMeta {
     /// Store-assigned, strictly increasing run identifier.
     pub run_id: u64,
@@ -488,22 +490,31 @@ impl<'a> Visit<'a> for Trees {
     }
 }
 
-/// The profile body of a payload [`verify_record`] accepted: bytes
-/// [`encode_record`] could have written after some header.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct VerifiedBody<'a>(&'a [u8]);
+/// A profile body the store can stamp and append as it is: bytes
+/// [`encode_record`] could have written after some header. It is a
+/// payload's tail that [`verify_record`] accepted, or the body
+/// [`transcode_text`] wrote for profile text.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct VerifiedBody<'a>(Cow<'a, [u8]>);
 
 impl VerifiedBody<'_> {
     /// The record payload `meta` names: [`put_meta`] followed by the
     /// body, byte for byte what `encode_record(meta, profile)` writes for
     /// the profile the body spells.
-    pub fn stamp(self, meta: &RunMeta) -> Vec<u8> {
+    pub fn stamp(&self, meta: &RunMeta) -> Vec<u8> {
         // The version byte and the varints around the name take at most
         // 1 + 10 + 10 + 5 + 10 bytes.
         let mut out = Vec::with_capacity(36 + meta.benchmark.len() + self.0.len());
         put_meta(&mut out, meta);
-        out.extend_from_slice(self.0);
+        out.extend_from_slice(&self.0);
         out
+    }
+
+    /// False for the body of a profile without threads, which only
+    /// [`transcode_text`] hands out: the thread count, its first varint,
+    /// is 0.
+    pub fn has_threads(&self) -> bool {
+        self.0.first() != Some(&0)
     }
 }
 
@@ -520,7 +531,139 @@ impl VerifiedBody<'_> {
 /// gives exactly the bytes decoding and re-encoding would.
 pub fn verify_record(payload: &[u8]) -> Result<VerifiedBody<'_>, CodecError> {
     let body = walk_record(payload, true, &mut ())?;
-    Ok(VerifiedBody(&payload[body..]))
+    Ok(VerifiedBody(Cow::Borrowed(&payload[body..])))
+}
+
+/// The record body of profile text: what `encode_record` writes after
+/// [`put_meta`] for `cube::read_profile(text)`, byte for byte, written
+/// from the walk of the text without building a tree or naming anything
+/// in the registry. Refuses exactly what `cube::read_profile` refuses,
+/// with its error; a profile without threads is a body all the same
+/// ([`VerifiedBody::has_threads`]).
+pub fn transcode_text(text: &str) -> Result<VerifiedBody<'static>, ParseError> {
+    let mut body = TextBody::default();
+    cube::walk_profile(text, &mut body)?;
+    Ok(VerifiedBody(Cow::Owned(body.out)))
+}
+
+/// The visitor of [`transcode_text`]. A record spells each node's child
+/// count, and each thread's diagnostic and task tree counts, before what
+/// they count, and the text tells them only after: so a thread's
+/// diagnostics and nodes are written to `diags` and `flat` first, and
+/// copied to `out` behind their counts at the thread's end.
+#[derive(Default)]
+struct TextBody {
+    out: Vec<u8>,
+    diags: Vec<u8>,
+    ndiags: u64,
+    /// The encoded nodes of the current thread, in pre-order, without
+    /// their child counts.
+    flat: Vec<u8>,
+    /// Per node of `flat`: where its bytes end and how many children it
+    /// has.
+    nodes: Vec<(usize, u64)>,
+    /// Indices into `nodes` of the nodes begun and not yet ended.
+    open: Vec<usize>,
+    /// How many of `nodes` are the main tree's.
+    main_nodes: usize,
+    task_trees: u64,
+}
+
+impl TextBody {
+    /// Append `nodes[range]` to `out`, each followed by its child count.
+    fn flush_nodes(&mut self, range: std::ops::Range<usize>) {
+        let mut start = range.start.checked_sub(1).map_or(0, |i| self.nodes[i].0);
+        for &(end, children) in &self.nodes[range] {
+            self.out.extend_from_slice(&self.flat[start..end]);
+            put_uv(&mut self.out, children);
+            start = end;
+        }
+    }
+}
+
+/// Append `name` as [`put_str`] does, its escapes undone.
+fn put_escaped(out: &mut Vec<u8>, name: Escaped<'_>) {
+    let raw = name.raw().as_bytes();
+    if !raw.contains(&b'\\') {
+        put_uv(out, raw.len() as u64);
+        out.extend_from_slice(raw);
+        return;
+    }
+    let mut unescaped = Vec::with_capacity(raw.len());
+    name.unescape_into(&mut unescaped);
+    put_uv(out, unescaped.len() as u64);
+    out.extend_from_slice(&unescaped);
+}
+
+impl<'a> TextVisit<'a> for TextBody {
+    fn threads(&mut self, count: usize) {
+        put_uv(&mut self.out, count as u64);
+    }
+
+    fn thread(&mut self, header: [u64; 4]) {
+        for v in header {
+            put_uv(&mut self.out, v);
+        }
+        self.diags.clear();
+        self.ndiags = 0;
+        self.flat.clear();
+        self.nodes.clear();
+        self.task_trees = 0;
+    }
+
+    fn diagnostic(&mut self, text: Escaped<'a>) {
+        put_escaped(&mut self.diags, text);
+        self.ndiags += 1;
+    }
+
+    fn node(&mut self, node: TextNode<'a>, stats: &[u64; 6], _main_root: bool) {
+        let flat = &mut self.flat;
+        match node {
+            TextNode::Region(kind, name) => {
+                flat.push(TAG_REGION);
+                flat.push(kind as u8);
+                put_escaped(flat, name);
+            }
+            TextNode::Stub(name) => {
+                flat.push(TAG_STUB);
+                put_escaped(flat, name);
+            }
+            TextNode::Param(name, value) => {
+                flat.push(TAG_PARAM);
+                put_escaped(flat, name);
+                put_iv(flat, value);
+            }
+            TextNode::Truncated => flat.push(TAG_TRUNCATED),
+        }
+        for &v in stats {
+            put_uv(flat, v);
+        }
+        if let Some(&parent) = self.open.last() {
+            self.nodes[parent].1 += 1;
+        }
+        self.open.push(self.nodes.len());
+        self.nodes.push((flat.len(), 0));
+    }
+
+    fn end(&mut self, main_root: bool) {
+        self.open.pop();
+        if !self.open.is_empty() {
+            return;
+        }
+        if main_root {
+            self.main_nodes = self.nodes.len();
+        } else {
+            self.task_trees += 1;
+        }
+    }
+
+    fn thread_end(&mut self) {
+        put_uv(&mut self.out, self.ndiags);
+        self.out.extend_from_slice(&self.diags);
+        self.flush_nodes(0..self.main_nodes);
+        put_uv(&mut self.out, self.task_trees);
+        self.flush_nodes(self.main_nodes..self.nodes.len());
+    }
 }
 
 /// Check that [`decode_record`] would accept `payload`, without decoding

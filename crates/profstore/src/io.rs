@@ -21,9 +21,9 @@
 //!   against the exact bytes a crash would have left behind.
 //!
 //! Only *mutating* operations (`create_new`, `open_rw`, `write_all`,
-//! `set_len`, `sync_*`) count as injection points: a crash during a read
-//! changes nothing on disk, so such points would be no-ops by
-//! construction. The plan is pure state + splitmix64, so a torture run is
+//! `set_len`, `sync_*`, `rename`, `remove_file`, `sync_dir`) count as
+//! injection points: a crash during a read changes nothing on disk, so
+//! such points would be no-ops by construction. The plan is pure state + splitmix64, so a torture run is
 //! byte-reproducible from its seed.
 
 use pomp::SplitMix64;
@@ -105,6 +105,13 @@ pub trait StoreIo: Send + Sync + std::fmt::Debug {
     fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()>;
     /// Unlink a file (reclaiming a fully-dead segment).
     fn remove_file(&self, path: &Path) -> std::io::Result<()>;
+    /// Make the entries of directory `dir` durable: a create, rename or
+    /// unlink in it survives a power loss only once this returns. The
+    /// default `fsync`s the real directory, so an implementor written
+    /// before this existed keeps compiling and syncs what it wrote.
+    fn sync_dir(&self, dir: &Path) -> std::io::Result<()> {
+        File::open(dir)?.sync_all()
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -554,12 +561,24 @@ impl StoreIo for FaultIo {
         }
         RealIo.remove_file(path)
     }
+
+    fn sync_dir(&self, dir: &Path) -> std::io::Result<()> {
+        // A crash before fsync(2) returns may lose the entries it would
+        // have made durable; the real filesystem keeps them, so the fault
+        // only stops every later operation, as a crash would.
+        match self.state.mutate(0) {
+            Verdict::Proceed => {}
+            Verdict::Tear(_, err) => return Err(err),
+        }
+        RealIo.sync_dir(dir)
+    }
 }
 
 /// Replace the small file at `path` with `bytes` through `io`, so that a
 /// crash leaves either the old file or the new one: the bytes go to a
-/// `.tmp` sibling (a leftover one is removed first), are synced, and the
-/// sibling is renamed over `path`.
+/// `.tmp` sibling (a leftover one is removed first), are synced, the
+/// sibling is renamed over `path`, and the directory is synced so the
+/// rename itself is durable.
 pub(crate) fn replace_file(io: &dyn StoreIo, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
@@ -574,7 +593,16 @@ pub(crate) fn replace_file(io: &dyn StoreIo, path: &Path, bytes: &[u8]) -> std::
     file.flush()?;
     file.sync_all()?;
     drop(file);
-    io.rename(&tmp, path)
+    io.rename(&tmp, path)?;
+    io.sync_dir(parent_dir(path))
+}
+
+/// The directory holding `path` (`.` for a bare file name).
+pub(crate) fn parent_dir(path: &Path) -> &Path {
+    match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    }
 }
 
 #[cfg(test)]
@@ -659,6 +687,25 @@ mod tests {
         f.write_all(b"fine").expect("op 3 proceeds");
         drop(f);
         assert_eq!(RealIo.read_all(&path).expect("read"), b"fine");
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    #[test]
+    fn a_replacement_ends_with_a_directory_sync_that_can_crash() {
+        let path = tmpfile("replace");
+        let (io, handle) = FaultIo::with_plan(FaultPlan::observe());
+        replace_file(&*io, &path, b"1\n").expect("replace");
+        // Remove a leftover tmp, create, write, sync, rename, sync the
+        // directory.
+        let ops = handle.ops();
+        assert_eq!(ops, 6);
+        // A crash at the last point: the rename happened, its directory
+        // entry was never made durable, and the writer hears of it.
+        let (io, handle) = FaultIo::with_plan(FaultPlan::crash_at(5, ops - 1));
+        let err = replace_file(&*io, &path, b"2\n").expect_err("the directory sync crashes");
+        assert!(err.to_string().contains("simulated crash"), "{err}");
+        assert!(handle.crashed());
+        assert_eq!(RealIo.read_all(&path).expect("read"), b"2\n");
         let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
 

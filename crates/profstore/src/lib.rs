@@ -63,8 +63,8 @@ pub use agg::{
 };
 pub use codec::{
     check_record, decode_meta, decode_record, encode_record, put_iv, put_meta, put_str, put_uv,
-    verify_record, CodecError, NodeRef, Reader as PayloadReader, RunMeta, VerifiedBody,
-    CODEC_VERSION, MAX_RECORD_BYTES,
+    transcode_text, verify_record, CodecError, NodeRef, Reader as PayloadReader, RunMeta,
+    VerifiedBody, CODEC_VERSION, MAX_RECORD_BYTES,
 };
 pub use io::{
     is_enospc, FaultHandle, FaultIo, FaultKind, FaultMode, FaultPlan, RealIo, StoreFile, StoreIo,

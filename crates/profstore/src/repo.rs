@@ -73,7 +73,7 @@ impl Repo {
         benchmark: &str,
         threads: u32,
         timestamp_ns: u64,
-        body: VerifiedBody<'_>,
+        body: &VerifiedBody<'_>,
     ) -> Result<IngestReceipt, StoreError> {
         match self {
             Repo::Single(s) => s.ingest_record(benchmark, threads, timestamp_ns, body),

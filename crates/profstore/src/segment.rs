@@ -21,7 +21,7 @@
 
 use crate::codec::MAX_RECORD_BYTES;
 use crate::frame::{self, Checked, FrameError};
-use crate::io::{StoreFile, StoreIo, StoreRead};
+use crate::io::{parent_dir, StoreFile, StoreIo, StoreRead};
 use std::path::{Path, PathBuf};
 
 /// First 8 bytes of every segment file.
@@ -148,13 +148,16 @@ pub struct SegmentWriter {
 }
 
 impl SegmentWriter {
-    /// Create a fresh segment (fails if `path` exists).
+    /// Create a fresh segment (fails if `path` exists). With `sync`, its
+    /// header and its directory entry are durable when this returns.
     pub fn create(io: &dyn StoreIo, path: &Path, sync: bool) -> std::io::Result<Self> {
         let mut file = io.create_new(path)?;
         file.write_all(SEGMENT_MAGIC)?;
         file.flush()?;
         if sync {
+            // The file's bytes, then its name in the directory.
             file.sync_all()?;
+            io.sync_dir(parent_dir(path))?;
         }
         Ok(Self {
             file,

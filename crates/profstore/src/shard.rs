@@ -175,7 +175,7 @@ impl ShardedStore {
         benchmark: &str,
         threads: u32,
         timestamp_ns: u64,
-        body: VerifiedBody<'_>,
+        body: &VerifiedBody<'_>,
     ) -> Result<IngestReceipt, StoreError> {
         let run_id = self.next_run_id.fetch_add(1, Ordering::SeqCst);
         let k = Self::route(benchmark, run_id, self.shards.len());

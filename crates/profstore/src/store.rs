@@ -308,8 +308,10 @@ const LOCK_FILE: &str = "LOCK";
 
 /// Name of the run-id high-water mark: the decimal id the next ingest may
 /// take at the least. Ids are otherwise rebuilt from the frames on disk,
-/// so GC writes the mark (tmp + rename) before it drops the newest run;
-/// a store without the file opens from its frames alone.
+/// so the mark is written (tmp + rename) before an id leaves them: by GC
+/// before it drops the newest run, and by open before it truncates a
+/// torn tail whose id it skips. A store without the file opens from its
+/// frames alone.
 const ID_MARK_FILE: &str = "NEXT_RUN_ID";
 
 fn segment_name(n: u64) -> String {
@@ -468,13 +470,19 @@ impl ProfileStore {
         }
 
         // Ids of runs GC dropped are beyond the frames' reach.
-        let id_mark = read_id_mark(&*io, dir)?;
+        let mut id_mark = read_id_mark(&*io, dir)?;
         next_run_id = next_run_id.max(id_mark);
         // A torn tail is one in-flight record whose id was already handed
         // out in an ingest receipt. Skip it so the id is never recycled:
         // external references to the lost run must not alias a new one.
+        // The tail is truncated below, after which no frame remembers the
+        // id, so the skip goes into the mark first.
         if recovered_tail_bytes > 0 {
             next_run_id += 1;
+            if id_mark < next_run_id {
+                write_id_mark(&*io, dir, next_run_id)?;
+                id_mark = next_run_id;
+            }
         }
 
         let max_run_id = index.iter().map(|e| e.run_id).max().unwrap_or(0);
@@ -559,7 +567,7 @@ impl ProfileStore {
         benchmark: &str,
         threads: u32,
         timestamp_ns: u64,
-        body: VerifiedBody<'_>,
+        body: &VerifiedBody<'_>,
     ) -> Result<IngestReceipt, StoreError> {
         self.ingest_record_with_id(self.next_run_id, benchmark, threads, timestamp_ns, body)
     }
@@ -572,7 +580,7 @@ impl ProfileStore {
         benchmark: &str,
         threads: u32,
         timestamp_ns: u64,
-        body: VerifiedBody<'_>,
+        body: &VerifiedBody<'_>,
     ) -> Result<IngestReceipt, StoreError> {
         let meta = RunMeta {
             run_id,
@@ -1010,8 +1018,7 @@ impl ProfileStore {
             .max()
             .unwrap_or(0);
         if survivors_max + 1 < self.next_run_id && self.id_mark < self.next_run_id {
-            let mark = format!("{}\n", self.next_run_id);
-            replace_file(&*self.io, &self.dir.join(ID_MARK_FILE), mark.as_bytes())?;
+            write_id_mark(&*self.io, &self.dir, self.next_run_id)?;
             self.id_mark = self.next_run_id;
         }
         if self
@@ -1067,6 +1074,7 @@ impl ProfileStore {
                 let new_len = writer.len();
                 drop(writer);
                 self.io.rename(&tmp, &path)?;
+                self.io.sync_dir(&self.dir)?;
                 for (&i, &offset) in live.iter().zip(&new_offsets) {
                     self.index[i].offset = offset;
                 }
@@ -1086,6 +1094,15 @@ impl ProfileStore {
         self.compacted_through = 0;
         Ok(report)
     }
+}
+
+/// Make `next_run_id` the [`ID_MARK_FILE`] value in `dir`.
+fn write_id_mark(io: &dyn StoreIo, dir: &Path, next_run_id: u64) -> std::io::Result<()> {
+    replace_file(
+        io,
+        &dir.join(ID_MARK_FILE),
+        format!("{next_run_id}\n").as_bytes(),
+    )
 }
 
 /// The [`ID_MARK_FILE`] value in `dir`, or 0 when there is none.
@@ -1269,6 +1286,35 @@ mod tests {
         let store = ProfileStore::open(&dir).expect("clean reopen");
         assert_eq!(store.len(), 3);
         assert_eq!(store.recovered_tail_bytes(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_torn_tails_skipped_id_survives_a_second_open() {
+        let dir = tmpdir("torn-twice");
+        let p = profile("store-torn-twice", 10);
+        {
+            let mut store = ProfileStore::open(&dir).expect("open");
+            for i in 0..3 {
+                store.ingest("fib", 2, i, &p).expect("ingest");
+            }
+        }
+        let seg = dir.join(segment_name(1));
+        let data = std::fs::read(&seg).expect("read");
+        std::fs::write(&seg, &data[..data.len() - 3]).expect("write");
+        // Run 3 is torn: the first open skips its id.
+        let first = ProfileStore::open(&dir).expect("recovering open");
+        assert!(first.recovered_tail_bytes() > 0);
+        assert_eq!(first.next_run_id(), 4);
+        drop(first);
+        // The tail is gone, so only the mark remembers the skip.
+        let second = ProfileStore::open(&dir).expect("second open");
+        assert_eq!(second.recovered_tail_bytes(), 0);
+        assert_eq!(
+            second.next_run_id(),
+            4,
+            "the skipped id is handed out again"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

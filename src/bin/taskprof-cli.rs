@@ -103,8 +103,7 @@
 //! pumps every run a follower daemon is missing out of a leader —
 //! resumable from the follower's own cursor, exactly-once under retries.
 //!
-//! `explore --seeds` defaults to the `TASKPROF_EXPLORE_SEEDS`
-//! environment variable (or 64).
+//! `explore --seeds` sweeps 64 seeds per workload unless told otherwise.
 
 use bots::{run_app, AppId, RunOpts, Scale, Variant, ALL_APPS};
 use cube::{
@@ -376,10 +375,7 @@ fn cmd_telemetry(args: &[String]) {
 }
 
 fn cmd_explore(args: &[String]) {
-    let mut seeds: u64 = std::env::var("TASKPROF_EXPLORE_SEEDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(64);
+    let mut seeds: u64 = 64;
     let mut threads: usize = 2;
     let mut which = String::from("all");
     let mut dfs_budget: Option<usize> = None;

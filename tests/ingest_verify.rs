@@ -12,8 +12,9 @@ use profserve::{
     Client, ClientError, ClientTimeouts, ErrorKind, ProfilePayload, Record, ServeConfig, Server,
     ServerHandle, WireProtocol,
 };
+use profstore::segment::SegmentReader;
 use profstore::{
-    put_iv, put_meta, put_str, put_uv, verify_record, ProfileStore, RunMeta, RunWindow,
+    put_iv, put_meta, put_str, put_uv, verify_record, ProfileStore, RealIo, RunMeta, RunWindow,
     ShardedStore, StoreConfig,
 };
 use std::path::PathBuf;
@@ -88,6 +89,25 @@ fn record(tag: &str, nodes: usize) -> Vec<u8> {
         out.push(0); // no children
     }
     out.push(0); // no task trees
+    out
+}
+
+/// `record(tag, nodes)` as profile text: what a JSON client sends.
+fn text(tag: &str, nodes: usize) -> String {
+    use std::fmt::Write as _;
+    let stats = "visits 1 sum 10 min 10 max 10 samples 1";
+    let mut out = format!(
+        "taskprof-profile v1\nthreads 1\nthread 0 max_live 1 arena 64\nmain\n  \
+         region parallel \"{tag} par\" {stats}\n"
+    );
+    for k in 1..nodes {
+        let _ = match k % 3 {
+            0 => writeln!(out, "    region function \"{tag} fn {k}\" {stats}"),
+            1 => writeln!(out, "    stub \"{tag} task {k}\" {stats}"),
+            _ => writeln!(out, "    param \"{tag} depth {k}\" -{k} {stats}"),
+        };
+    }
+    out.push_str("end\n");
     out
 }
 
@@ -169,6 +189,88 @@ fn tpf1_ingest_interns_no_name() {
         "(regions, parameters) after {RECORDS} records of distinct names"
     );
     stop(daemon, client);
+}
+
+/// JSON ingest transcodes profile text to the record body it spells and
+/// appends that, and a text `QUERY regress` candidate is summarised from
+/// the same bytes: neither builds a `Profile`, so the names of a thousand
+/// distinct-name profiles stay out of the registry. The stored bytes are
+/// the ones a TPF1 ingest of the same profile stores.
+#[test]
+fn json_ingest_interns_no_name() {
+    const PROFILES: usize = 1_000;
+    const BATCH: usize = 50;
+    const TAG: &str = "json-never-interned";
+    let (daemon, bin) = serve("json");
+    let mut json = Client::connect_proto(
+        &daemon.handle.addr().to_string(),
+        WireProtocol::Json,
+        ClientTimeouts::unbounded(),
+    )
+    .expect("connect");
+    let registry = pomp::registry();
+    let before = (registry.len(), registry.param_count());
+    let from_text = |n: usize| {
+        let mut record =
+            Record::from_text("json", 1, Some(n as u64), text(&format!("{TAG} {n}"), 4));
+        record.benchmark = "verify".to_string();
+        record
+    };
+    let receipt = json.ingest_record(&from_text(0)).expect("ingest");
+    assert_eq!(receipt.run_id(), 1);
+    for start in (1..PROFILES).step_by(BATCH) {
+        let records: Vec<Record> = (start..(start + BATCH).min(PROFILES))
+            .map(from_text)
+            .collect();
+        let receipt = json.ingest_batch(&records).expect("ingest");
+        assert_eq!(receipt.count, records.len() as u64);
+    }
+    for n in 0..3 {
+        let report = json
+            .query_regress_window(
+                "verify",
+                1,
+                ProfilePayload::Text(text(&format!("{TAG} candidate {n}"), 4)),
+                None,
+                None,
+                None,
+                RunWindow::default(),
+            )
+            .expect("regress");
+        assert_eq!(report.baseline_runs, PROFILES as u64);
+    }
+    assert_eq!(
+        (registry.len(), registry.param_count()),
+        before,
+        "(regions, parameters) after {PROFILES} profiles of distinct names"
+    );
+    assert_never_interned(&format!("{TAG} 0"), 4);
+    drop(json);
+    stop(daemon, bin);
+
+    // One profile, sent as text and as a record: the same stored bytes.
+    let (daemon, mut bin) = serve("json-bytes");
+    let as_text = Record {
+        profile: ProfilePayload::Text(text(TAG, 12)),
+        ..tpf1(Vec::new(), 7)
+    };
+    bin.ingest_record(&as_text).expect("text ingest");
+    bin.ingest_record(&tpf1(record(TAG, 12), 7))
+        .expect("record ingest");
+    let mut payloads = Vec::new();
+    let segment = daemon.dir.join("seg-000001.log");
+    SegmentReader::scan(&RealIo, &segment, |_, payload| {
+        payloads.push(payload.to_vec())
+    })
+    .expect("scan");
+    stop(daemon, bin);
+    let bodies: Vec<_> = payloads
+        .iter()
+        .map(|p| verify_record(p).expect("a stored record verifies"))
+        .collect();
+    assert_eq!(bodies.len(), 2);
+    assert_eq!(bodies[0], bodies[1], "text and record store one body");
+    assert_never_interned(TAG, 12);
 }
 
 /// A spool drain verifies each frame and forwards its record payload: it
@@ -257,7 +359,7 @@ fn folding_stored_runs_interns_no_name() {
     };
     let mut store = ProfileStore::open_with(&dir, config).expect("open");
     for ts in 0..4 {
-        store.ingest_record("fold", 1, ts, body).expect("ingest");
+        store.ingest_record("fold", 1, ts, &body).expect("ingest");
     }
     assert_eq!(store.compact().expect("compact"), 3);
     assert_eq!(
@@ -279,7 +381,7 @@ fn folding_stored_runs_interns_no_name() {
     let dir = temp_dir("fold-sharded");
     let sharded = ShardedStore::open(&dir, 2).expect("open sharded");
     for ts in 0..4 {
-        sharded.ingest_record("", 1, ts, body).expect("ingest");
+        sharded.ingest_record("", 1, ts, &body).expect("ingest");
     }
     assert_eq!(
         sharded
@@ -331,9 +433,9 @@ fn one_ingest_allocates_the_same_for_any_record_size() {
         let dir = temp_dir(&format!("alloc-{nodes}"));
         let mut store = ProfileStore::open(&dir).expect("open");
         // The first append sizes the index; measure the second.
-        store.ingest_record("alloc", 1, 1, body).expect("ingest");
+        store.ingest_record("alloc", 1, 1, &body).expect("ingest");
         let allocs = measure(|| {
-            store.ingest_record("alloc", 1, 2, body).expect("ingest");
+            store.ingest_record("alloc", 1, 2, &body).expect("ingest");
         })
         .allocs;
         drop(store);

@@ -8,7 +8,7 @@
 //! file is never regenerated; its header states the format.
 
 use pomp::fnv1a;
-use profstore::{encode_record, put_meta, RunMeta};
+use profstore::{encode_record, put_meta, transcode_text, RunMeta};
 
 /// The record body after the header of the payload `record` for `meta`.
 fn body_of<'r>(record: &'r [u8], meta: &RunMeta) -> &'r [u8] {
@@ -27,12 +27,7 @@ fn read(input: &str) -> String {
     match cube::read_profile(input) {
         Ok(profile) => {
             let text = cube::write_profile(&profile);
-            let meta = RunMeta {
-                run_id: 0,
-                benchmark: String::new(),
-                threads: 0,
-                timestamp_ns: 0,
-            };
+            let meta = RunMeta::default();
             let record = encode_record(&meta, &profile);
             let body = body_of(&record, &meta);
             format!(
@@ -44,6 +39,32 @@ fn read(input: &str) -> String {
             )
         }
         Err(e) => refused(e),
+    }
+}
+
+/// What `transcode_text` made of one input: the verdict's body length
+/// and hash, or the error.
+fn transcode(input: &str) -> String {
+    match transcode_text(input) {
+        Ok(body) => {
+            let meta = RunMeta::default();
+            let record = body.stamp(&meta);
+            let body = body_of(&record, &meta);
+            format!("ok {} {:016x}", body.len(), fnv1a(body))
+        }
+        Err(e) => refused(e),
+    }
+}
+
+/// A corpus verdict without what only `read_profile` reports: the
+/// length and hash of the text it writes back.
+fn body_verdict(verdict: &str) -> String {
+    match verdict.strip_prefix("ok ") {
+        Some(rest) => {
+            let fields: Vec<&str> = rest.split(' ').collect();
+            format!("ok {} {}", fields[2], fields[3])
+        }
+        None => verdict.to_string(),
     }
 }
 
@@ -137,5 +158,14 @@ fn the_reader_gives_every_frozen_verdict() {
     );
     for (what, input, want) in &cases {
         assert_eq!(&read(input), want, "{what}: {input:?}");
+    }
+}
+
+/// The transcoder accepts and refuses what the reader did, with the same
+/// error, and writes the body the encoder wrote for what the reader read.
+#[test]
+fn the_transcoder_gives_every_frozen_verdict() {
+    for (what, input, want) in corpus() {
+        assert_eq!(transcode(&input), body_verdict(&want), "{what}: {input:?}");
     }
 }

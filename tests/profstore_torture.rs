@@ -184,7 +184,18 @@ fn crash_at_every_injection_point_loses_no_acked_run() {
                 let _ = std::fs::remove_dir_all(&dir2);
             }
 
+            // The first open truncates a torn tail and skips its id; a
+            // second open, with no ingest in between, hands out none of
+            // the ids the first one skipped.
+            let first = verify_recovery(&dir, &acked, &profiles, &ctx);
+            let skipped_to = first.next_run_id();
+            drop(first);
             let mut store = verify_recovery(&dir, &acked, &profiles, &ctx);
+            assert!(
+                store.next_run_id() >= skipped_to,
+                "{ctx}: second open hands out id {} again (first open: {skipped_to})",
+                store.next_run_id()
+            );
             // The recovered log accepts appends again with a fresh id.
             let max_acked = acked.iter().map(|&(id, _)| id).max().unwrap_or(0);
             let receipt = store
@@ -323,13 +334,20 @@ fn crash_around_a_gc_of_the_newest_run_never_recycles_its_id() {
             let acked = run_gc_newest_workload(&dir, io, &profiles);
             assert!(handle.crashed(), "{ctx}: the crash point must fire");
 
-            // The first open truncates a torn tail and skips its id in
-            // memory only; the second sees what a later restart would.
-            drop(
-                ProfileStore::open(&dir).unwrap_or_else(|e| panic!("{ctx}: recovering open: {e}")),
-            );
+            // The first open truncates a torn tail and skips its id; the
+            // second sees what a later restart would, and hands out none
+            // of the ids the first one skipped.
+            let first =
+                ProfileStore::open(&dir).unwrap_or_else(|e| panic!("{ctx}: recovering open: {e}"));
+            let skipped_to = first.next_run_id();
+            drop(first);
             let mut store =
                 ProfileStore::open(&dir).unwrap_or_else(|e| panic!("{ctx}: second open: {e}"));
+            assert!(
+                store.next_run_id() >= skipped_to,
+                "{ctx}: second open hands out id {} again (first open: {skipped_to})",
+                store.next_run_id()
+            );
             for &(run_id, slot) in &acked {
                 if MARK_STAMPS[slot] < 150 {
                     continue; // the run the sweep drops

@@ -9,8 +9,8 @@ use taskprof::{
 
 use profstore::segment::{SegmentReader, SegmentWriter};
 use profstore::{
-    decode_meta, decode_record, encode_record, verify_record, BenchAgg, NodeRef, ProfileStore,
-    RealIo, RunMeta, RunSummary, ShardedStore,
+    decode_meta, decode_record, encode_record, transcode_text, verify_record, BenchAgg, NodeRef,
+    ProfileStore, RealIo, RunMeta, RunSummary, ShardedStore,
 };
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -279,6 +279,135 @@ fn generated_profiles_round_trip() {
             assert_eq!(&a.task_trees, &b.task_trees);
         }
     });
+}
+
+/// A value of a statistic or header field: small, or one of the edges a
+/// varint or the text spells longest.
+fn field(g: &mut Gen) -> u64 {
+    if g.bool() {
+        g.u64(..1_000)
+    } else {
+        g.pick(&[0, 1, 127, 128, 1 << 63, u64::MAX - 1, u64::MAX])
+    }
+}
+
+/// A profile of every shape the text and the record can spell: regions of
+/// every kind, stubs, parameters at the `i64` edges, truncation markers;
+/// statistics at the `u64` edges, with and without samples or aborted
+/// instances; shed counts and diagnostics; names and diagnostics with `\`,
+/// `"`, tabs and multi-byte characters.
+fn spelled_profile(g: &mut Gen) -> Profile {
+    use pomp::RegionKind::*;
+    let reg = pomp::registry();
+    let mut names = vec![
+        String::new(),
+        "ps-text \"quoted\" \\ back\\".to_string(),
+        "ps-text λ🦀".to_string(),
+    ];
+    names.extend(g.vec(1..4, |g| format!("ps-text {}", line(g, 0..12))));
+    let kinds = [
+        Function,
+        Parallel,
+        Task,
+        TaskCreate,
+        Taskwait,
+        ImplicitBarrier,
+        ExplicitBarrier,
+        Single,
+        Workshare,
+        Critical,
+        User,
+    ];
+    let node_kind = |g: &mut Gen| {
+        let name = g.pick(&names);
+        match g.below(4) {
+            0 => NodeKind::Region(reg.register(&name, g.pick(&kinds), "t", 0)),
+            1 => NodeKind::Stub(reg.register(&name, Task, "t", 0)),
+            2 => {
+                let value = g.pick(&[i64::MIN, -1, 0, 7, i64::MAX]);
+                NodeKind::Param(reg.register_param(&name), value)
+            }
+            _ => NodeKind::Truncated,
+        }
+    };
+    fn grow(g: &mut Gen, depth: usize, kind: &dyn Fn(&mut Gen) -> NodeKind) -> SnapNode {
+        let samples = g.pick(&[0, 1, u64::MAX]);
+        let stats = Stats {
+            visits: field(g),
+            sum_ns: field(g),
+            min_ns: if samples == 0 { u64::MAX } else { field(g) },
+            max_ns: field(g),
+            samples,
+            aborted: g.pick(&[0, 0, 1, u64::MAX]),
+        };
+        let fanout = if depth >= 4 { 0..1 } else { 0..4 };
+        SnapNode {
+            kind: kind(g),
+            stats,
+            children: g.vec(fanout, |g| grow(g, depth + 1, kind)),
+        }
+    }
+    let threads = g.vec(1..4, |g| ThreadSnapshot {
+        tid: field(g) as usize,
+        parallel_region: pomp::RegionId(0),
+        main: grow(g, 0, &node_kind),
+        task_trees: g.vec(0..3, |g| grow(g, 1, &node_kind)),
+        max_live_trees: field(g) as usize,
+        arena_capacity: field(g) as usize,
+        shed_instances: field(g),
+        diagnostics: g.vec(0..3, |g| line(g, 0..20)),
+    });
+    Profile { threads }
+}
+
+/// The body `transcode_text` writes for `text`, stamped with `meta`.
+fn transcoded(text: &str, meta: &RunMeta) -> Vec<u8> {
+    transcode_text(text)
+        .unwrap_or_else(|e| panic!("{e}:\n{text}"))
+        .stamp(meta)
+}
+
+/// Profile text transcodes to the record the encoder writes for the
+/// profile: byte for byte, without building the profile again.
+#[test]
+fn text_transcodes_to_the_encoders_record() {
+    let meta = RunMeta {
+        run_id: u64::MAX,
+        benchmark: "transcoded".to_string(),
+        threads: 3,
+        timestamp_ns: 11,
+    };
+    check(
+        "text_transcodes_to_the_encoders_record",
+        64,
+        spelled_profile,
+        |p| {
+            let text = write_profile(&p);
+            assert_eq!(transcoded(&text, &meta), encode_record(&meta, &p), "{text}");
+        },
+    );
+}
+
+/// So does every golden profile under `tests/golden/`.
+#[test]
+fn golden_profiles_transcode_to_the_encoders_record() {
+    let meta = RunMeta::default();
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    let mut goldens = 0;
+    for entry in std::fs::read_dir(&dir).expect("golden dir") {
+        let text = std::fs::read_to_string(entry.expect("entry").path()).unwrap_or_default();
+        if !text.starts_with("taskprof-profile v1\n") {
+            continue;
+        }
+        let p = read_profile(&text).expect("a golden profile reads");
+        assert_eq!(transcoded(&text, &meta), encode_record(&meta, &p));
+        assert_eq!(
+            transcoded(&write_profile(&p), &meta),
+            encode_record(&meta, &p)
+        );
+        goldens += 1;
+    }
+    assert!(goldens >= 4, "{goldens} golden profiles");
 }
 
 /// Every proper prefix of an encoded record (LEB128 varints + length

@@ -2,26 +2,17 @@
 //! simulator (`simsched`) runs real `taskrt` task graphs — including
 //! graphs drawn from the runtime property-test shape generator — across
 //! hundreds of seeded schedules, checking the paper's profile invariants
-//! after every run and that same-seed runs are byte-reproducible.
-//!
-//! `TASKPROF_EXPLORE_SEEDS` scales the per-workload sweep (the default
-//! here is the acceptance bar).
+//! after every run and that same-seed runs are byte-reproducible. The
+//! seed counts per workload are the acceptance bar.
 
 use simsched::workloads::{fib_like, flat, mixed};
 use simsched::{explore_dfs, explore_seeds, run_workload, SimConfig};
 use test_util::prop::Gen;
 use test_util::shape::{shape, tree_workload};
 
-fn seeds_per_workload(default: u64) -> u64 {
-    std::env::var("TASKPROF_EXPLORE_SEEDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 #[test]
 fn built_in_workloads_survive_a_seed_sweep() {
-    let per = seeds_per_workload(64);
+    let per = 64;
     for (threads, w) in [
         (2, fib_like(3)),
         (3, flat(6)),
@@ -50,7 +41,7 @@ fn generated_shapes_survive_a_seed_sweep() {
     // Draw task-graph shapes from the same generator the runtime property
     // tests use, with a fixed generator seed so the corpus is stable.
     let mut g = Gen::seeded(0x5EED_5EED_5EED_5EED);
-    let per = seeds_per_workload(32);
+    let per = 32;
     let mut total_runs = 0usize;
     for _ in 0..8 {
         let shape = shape(&mut g);
