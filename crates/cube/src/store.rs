@@ -284,8 +284,20 @@ fn char_at(s: &str, i: usize) -> (usize, bool) {
 }
 
 /// Where the run of whitespace (`space`) or of anything else (`!space`)
-/// that starts at byte `i` of `s` ends.
+/// that starts at byte `i` of `s` ends. Spaces, and the printable ASCII
+/// of a token, are skipped a byte at a time before anything is decoded.
 fn run_end(s: &str, mut i: usize, space: bool) -> usize {
+    let bytes = s.as_bytes();
+    let plain = |b: u8| {
+        if space {
+            b == b' '
+        } else {
+            b.is_ascii_graphic()
+        }
+    };
+    while i < bytes.len() && plain(bytes[i]) {
+        i += 1;
+    }
     while i < s.len() {
         let (len, is_space) = char_at(s, i);
         if is_space != space {
@@ -317,6 +329,11 @@ impl<'a> Tokens<'a> {
         let start = skip_spaces(self.s, self.at);
         self.at = run_end(self.s, start, false);
         (self.at > start).then(|| &self.s[start..self.at])
+    }
+
+    /// What the cursor has not read yet.
+    fn rest(&self) -> &'a str {
+        &self.s[self.at..]
     }
 }
 
@@ -393,8 +410,7 @@ fn node_line<'a>(
     // 1-based column where the post-name tail of the line starts.
     let tail_col = close + 2;
     let mut tail = Tokens::new(&raw[close + 1..]);
-    let mut words = Tokens::new(head);
-    let node = match (words.next(), words.next(), words.next()) {
+    let node = match head_words(head) {
         (Some("region"), Some(tag), None) => {
             let kind = RegionKind::from_tag(tag)
                 .ok_or_else(|| err_at(lineno, indent + 1, format!("unknown region kind {tag}")))?;
@@ -419,6 +435,89 @@ fn node_line<'a>(
             ));
         }
     };
+    let mut stats = match written_stats(tail.rest().as_bytes()) {
+        Some(stats) => stats,
+        None => stats_tokens(lineno, tail_col, tail)?,
+    };
+    let [_, _, min, _, samples, _] = &mut stats;
+    if *samples == 0 {
+        // The export convention: no minimum without samples (this also
+        // reads legacy files that spelled the `u64::MAX` sentinel).
+        *min = 0;
+    }
+    Ok((node, stats))
+}
+
+/// The first three of `head`'s `str::split_whitespace` words, read
+/// straight off the bytes for a head spelled as `write_node` spells it:
+/// one or two lowercase words, each followed by one space.
+fn head_words(head: &str) -> (Option<&str>, Option<&str>, Option<&str>) {
+    let word = |w: &str| !w.is_empty() && w.bytes().all(|b| b.is_ascii_lowercase());
+    if let Some(words) = head.strip_suffix(' ') {
+        match words.split_once(' ') {
+            None if word(words) => return (Some(words), None, None),
+            Some((first, second)) if word(first) && word(second) => {
+                return (Some(first), Some(second), None)
+            }
+            _ => {}
+        }
+    }
+    let mut words = Tokens::new(head);
+    (words.next(), words.next(), words.next())
+}
+
+/// The statistics of the rest of a node line spelled as `write_node`
+/// spells them — ` visits V sum S min M max X samples N`, then
+/// ` aborted A` or nothing, single spaces, each value plain digits — read
+/// in one pass over its bytes. `None` for any other spelling, which
+/// [`stats_tokens`] reads (or refuses) instead.
+fn written_stats(rest: &[u8]) -> Option<[u64; 6]> {
+    const KEYS: [&[u8]; 6] = [
+        b" visits ",
+        b" sum ",
+        b" min ",
+        b" max ",
+        b" samples ",
+        b" aborted ",
+    ];
+    let mut stats = [0u64; 6];
+    let mut at = 0;
+    for (i, key) in KEYS.iter().enumerate() {
+        if i == 5 && at == rest.len() {
+            break;
+        }
+        if rest.get(at..at + key.len())? != *key {
+            return None;
+        }
+        at += key.len();
+        let start = at;
+        let mut v = 0u64;
+        while let Some(d) = rest
+            .get(at)
+            .map(|b| b.wrapping_sub(b'0'))
+            .filter(|&d| d < 10)
+        {
+            v = v.wrapping_mul(10).wrapping_add(u64::from(d));
+            at += 1;
+        }
+        // Up to 19 digits cannot overflow; longer values take the
+        // checked path.
+        if at == start || at - start > 19 {
+            return None;
+        }
+        stats[i] = v;
+    }
+    (at == rest.len()).then_some(stats)
+}
+
+/// The statistics the rest of a node line spells, token by token: the
+/// five [`STAT_KEYS`] each followed by its value, then an optional
+/// `aborted` and its value, and nothing after.
+fn stats_tokens(
+    lineno: usize,
+    tail_col: usize,
+    mut tail: Tokens<'_>,
+) -> Result<[u64; 6], ParseError> {
     let mut stats = [0u64; 6];
     for (key, v) in STAT_KEYS.into_iter().zip(&mut stats) {
         *v = match (tail.next(), tail.next()) {
@@ -428,18 +527,12 @@ fn node_line<'a>(
             _ => return Err(err_at(lineno, tail_col, format!("expected '{key} <n>'"))),
         };
     }
-    let [_, _, min, _, samples, aborted] = &mut stats;
-    if *samples == 0 {
-        // The export convention: no minimum without samples (this also
-        // reads legacy files that spelled the `u64::MAX` sentinel).
-        *min = 0;
-    }
     // Optional fault-tolerance annotation (absent in clean and in older
     // profiles).
     match tail.next() {
         None => {}
         Some("aborted") => {
-            *aborted = tail
+            stats[5] = tail
                 .next()
                 .and_then(parse_u64)
                 .ok_or_else(|| err_at(lineno, tail_col, "bad aborted value"))?;
@@ -459,7 +552,7 @@ fn node_line<'a>(
             format!("unexpected trailing token '{extra}'"),
         ));
     }
-    Ok((node, stats))
+    Ok(stats)
 }
 
 /// The walk's state: the lines not yet read, and the depths of the nodes

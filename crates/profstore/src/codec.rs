@@ -8,6 +8,14 @@
 //! readable by any other; [`decode_record`] re-interns them into the
 //! process-wide registry, and it is the only reader that does.
 //!
+//! Profile text becomes a record without a tree in between:
+//! [`transcode_text`] is the walk of the text grammar
+//! (`cube::walk_profile`) with a visitor that writes the record body
+//! [`encode_record`] would write for `cube::read_profile(text)`, byte for
+//! byte, and names nothing in the registry. Both that body and the one
+//! [`verify_record`] returns are a [`VerifiedBody`], which a store stamps
+//! with a header and appends as it is.
+//!
 //! Every reader is one walk of the record grammar, which checks the bytes
 //! and shows what it passes — thread headers, diagnostics, and each node
 //! as a [`NodeRef`] borrowed from the payload — to a visitor.
@@ -541,7 +549,11 @@ pub fn verify_record(payload: &[u8]) -> Result<VerifiedBody<'_>, CodecError> {
 /// with its error; a profile without threads is a body all the same
 /// ([`VerifiedBody::has_threads`]).
 pub fn transcode_text(text: &str) -> Result<VerifiedBody<'static>, ParseError> {
-    let mut body = TextBody::default();
+    // A body takes about a third of its text's bytes.
+    let mut body = TextBody {
+        out: Vec::with_capacity(text.len() / 2),
+        ..TextBody::default()
+    };
     cube::walk_profile(text, &mut body)?;
     Ok(VerifiedBody(Cow::Owned(body.out)))
 }
