@@ -30,6 +30,6 @@ pub use render::{
     RenderOpts,
 };
 pub use store::{
-    read_profile, walk_profile, write_profile, write_profile_to, Escaped, ParseError, TextNode,
-    TextVisit,
+    read_profile, walk_profile, write_profile, write_profile_to, Escaped, ParseError,
+    ProfileBuilder, TextNode, TextVisit,
 };

@@ -697,34 +697,21 @@ pub fn walk_profile<'a>(text: &'a str, visit: &mut impl TextVisit<'a>) -> Result
     Ok(())
 }
 
-/// The visitor of [`read_profile`]: each thread, with its trees built on
-/// a stack of the nodes begun and not yet ended, outermost first, and the
-/// registry asked once per distinct name as the text spells it.
+/// A [`Profile`] built from a pre-order walk of one: each thread's
+/// header, its diagnostics, and each node begun and then ended after its
+/// children. The trees grow on a stack of the nodes begun and not yet
+/// ended, outermost first. [`read_profile`] and
+/// `profstore::decode_record` both build with it.
 #[derive(Default)]
-struct Build<'a> {
+pub struct ProfileBuilder {
     threads: Vec<ThreadSnapshot>,
     open: Vec<SnapNode>,
-    regions: HashMap<(&'a str, RegionKind), RegionId>,
-    params: HashMap<&'a str, ParamId>,
 }
 
-impl<'a> Build<'a> {
-    fn region(&mut self, name: Escaped<'a>, kind: RegionKind) -> RegionId {
-        *self
-            .regions
-            .entry((name.raw(), kind))
-            .or_insert_with(|| registry().register(&name.unescape(), kind, "loaded", 0))
-    }
-}
-
-impl<'a> TextVisit<'a> for Build<'a> {
-    fn threads(&mut self, count: usize) {
-        // The count is the text's word: room for more threads than it
-        // has lines is not taken on trust.
-        self.threads.reserve(count.min(64));
-    }
-
-    fn thread(&mut self, [tid, max_live_trees, arena_capacity, shed_instances]: [u64; 4]) {
+impl ProfileBuilder {
+    /// Begin a thread: tid, max live trees, arena capacity and shed
+    /// instances.
+    pub fn thread(&mut self, [tid, max_live_trees, arena_capacity, shed_instances]: [u64; 4]) {
         self.threads.push(ThreadSnapshot {
             tid: tid as usize,
             parallel_region: RegionId(0),
@@ -741,24 +728,16 @@ impl<'a> TextVisit<'a> for Build<'a> {
         });
     }
 
-    fn diagnostic(&mut self, text: Escaped<'a>) {
+    /// One diagnostic of the current thread.
+    pub fn diagnostic(&mut self, text: String) {
         let thread = self.threads.last_mut().expect("a thread header first");
-        thread.diagnostics.push(text.unescape().into_owned());
+        thread.diagnostics.push(text);
     }
 
-    fn node(&mut self, node: TextNode<'a>, stats: &[u64; 6], _main_root: bool) {
-        let kind = match node {
-            TextNode::Region(kind, name) => NodeKind::Region(self.region(name, kind)),
-            TextNode::Stub(name) => NodeKind::Stub(self.region(name, RegionKind::Task)),
-            TextNode::Param(name, value) => {
-                let id = *self
-                    .params
-                    .entry(name.raw())
-                    .or_insert_with(|| registry().register_param(&name.unescape()));
-                NodeKind::Param(id, value)
-            }
-            TextNode::Truncated => NodeKind::Truncated,
-        };
+    /// Begin a node of `kind` with room for `children`. `stats` are
+    /// visits, sum, min, max, samples and aborted, the minimum 0 on a
+    /// node without samples, as the text and the record spell them.
+    pub fn node(&mut self, kind: NodeKind, stats: &[u64; 6], children: usize) {
         let &[visits, sum_ns, min_ns, max_ns, samples, aborted] = stats;
         self.open.push(SnapNode {
             kind,
@@ -772,11 +751,14 @@ impl<'a> TextVisit<'a> for Build<'a> {
                 samples,
                 aborted,
             },
-            children: Vec::new(),
+            children: Vec::with_capacity(children),
         });
     }
 
-    fn end(&mut self, main_root: bool) {
+    /// End the last node begun and not yet ended: a child of the node
+    /// below it, or else a tree of the current thread, its main tree when
+    /// `main_root`.
+    pub fn end(&mut self, main_root: bool) {
         let node = self.open.pop().expect("an end follows its node");
         if let Some(parent) = self.open.last_mut() {
             parent.children.push(node);
@@ -792,6 +774,61 @@ impl<'a> TextVisit<'a> for Build<'a> {
             thread.task_trees.push(node);
         }
     }
+
+    /// The profile built.
+    pub fn finish(self) -> Profile {
+        Profile {
+            threads: self.threads,
+        }
+    }
+}
+
+/// The visitor of [`read_profile`]: a [`ProfileBuilder`], with the
+/// registry asked once per distinct name as the text spells it.
+#[derive(Default)]
+struct Build<'a> {
+    profile: ProfileBuilder,
+    regions: HashMap<(&'a str, RegionKind), RegionId>,
+    params: HashMap<&'a str, ParamId>,
+}
+
+impl<'a> Build<'a> {
+    fn region(&mut self, name: Escaped<'a>, kind: RegionKind) -> RegionId {
+        *self
+            .regions
+            .entry((name.raw(), kind))
+            .or_insert_with(|| registry().register(&name.unescape(), kind, "loaded", 0))
+    }
+}
+
+impl<'a> TextVisit<'a> for Build<'a> {
+    fn thread(&mut self, header: [u64; 4]) {
+        self.profile.thread(header);
+    }
+
+    fn diagnostic(&mut self, text: Escaped<'a>) {
+        self.profile.diagnostic(text.unescape().into_owned());
+    }
+
+    fn node(&mut self, node: TextNode<'a>, stats: &[u64; 6], _main_root: bool) {
+        let kind = match node {
+            TextNode::Region(kind, name) => NodeKind::Region(self.region(name, kind)),
+            TextNode::Stub(name) => NodeKind::Stub(self.region(name, RegionKind::Task)),
+            TextNode::Param(name, value) => {
+                let id = *self
+                    .params
+                    .entry(name.raw())
+                    .or_insert_with(|| registry().register_param(&name.unescape()));
+                NodeKind::Param(id, value)
+            }
+            TextNode::Truncated => NodeKind::Truncated,
+        };
+        self.profile.node(kind, stats, 0);
+    }
+
+    fn end(&mut self, main_root: bool) {
+        self.profile.end(main_root);
+    }
 }
 
 /// Parse a profile from the text format: [`walk_profile`] with a visitor
@@ -799,9 +836,7 @@ impl<'a> TextVisit<'a> for Build<'a> {
 pub fn read_profile(text: &str) -> Result<Profile, ParseError> {
     let mut build = Build::default();
     walk_profile(text, &mut build)?;
-    Ok(Profile {
-        threads: build.threads,
-    })
+    Ok(build.profile.finish())
 }
 
 #[cfg(test)]

@@ -32,10 +32,10 @@
 //! in-memory `u64::MAX` sentinel is encoded as 0 and restored on decode
 //! (which also keeps the varint short).
 
-use cube::{Escaped, ParseError, TextNode, TextVisit};
-use pomp::{registry, RegionId, RegionKind, RegistryView};
+use cube::{Escaped, ParseError, ProfileBuilder, TextNode, TextVisit};
+use pomp::{registry, RegionKind, RegistryView};
 use std::borrow::Cow;
-use taskprof::{NodeKind, Profile, SnapNode, Stats, ThreadSnapshot};
+use taskprof::{NodeKind, Profile, SnapNode, Stats};
 
 /// Current payload format version (the first payload byte).
 pub const CODEC_VERSION: u8 = 1;
@@ -283,19 +283,6 @@ fn put_stats(out: &mut Vec<u8>, s: &Stats) {
     put_uv(out, s.aborted);
 }
 
-/// The statistics `put_stats` wrote as `fields`.
-fn stats_of(fields: &[u64; 6]) -> Stats {
-    let &[visits, sum_ns, min_ns, max_ns, samples, aborted] = fields;
-    Stats {
-        visits,
-        sum_ns,
-        min_ns: if samples == 0 { u64::MAX } else { min_ns },
-        max_ns,
-        samples,
-        aborted,
-    }
-}
-
 fn put_node(out: &mut Vec<u8>, reg: &RegistryView<'_>, node: &SnapNode) {
     match NodeRef::of(node.kind, reg) {
         NodeRef::Region(kind, name) => {
@@ -430,71 +417,28 @@ pub fn decode_meta(payload: &[u8]) -> Result<RunMeta, CodecError> {
 /// [`check_record`], with a visitor that builds each thread's trees and
 /// interns their names.
 pub fn decode_record(payload: &[u8]) -> Result<(RunMeta, Profile), CodecError> {
-    let mut trees = Trees::default();
-    walk_record(payload, false, &mut trees)?;
-    let meta = decode_meta(payload)?;
-    Ok((
-        meta,
-        Profile {
-            threads: trees.threads,
-        },
-    ))
+    let mut profile = ProfileBuilder::default();
+    walk_record(payload, false, &mut profile)?;
+    Ok((decode_meta(payload)?, profile.finish()))
 }
 
-/// The visitor of [`decode_record`]: each thread, with its trees built
-/// on a stack of the nodes begun and not yet ended, outermost first.
-#[derive(Default)]
-struct Trees {
-    threads: Vec<ThreadSnapshot>,
-    open: Vec<SnapNode>,
-}
-
-impl<'a> Visit<'a> for Trees {
-    fn thread(&mut self, [tid, max_live_trees, arena_capacity, shed_instances]: [u64; 4]) {
-        self.threads.push(ThreadSnapshot {
-            tid: tid as usize,
-            parallel_region: RegionId(0),
-            main: SnapNode {
-                kind: NodeKind::Truncated,
-                stats: Stats::new(),
-                children: Vec::new(),
-            },
-            task_trees: Vec::new(),
-            max_live_trees: max_live_trees as usize,
-            arena_capacity: arena_capacity as usize,
-            shed_instances,
-            diagnostics: Vec::new(),
-        });
+/// The visitor of [`decode_record`]: each thread's trees built, their
+/// names interned.
+impl<'a> Visit<'a> for ProfileBuilder {
+    fn thread(&mut self, header: [u64; 4]) {
+        ProfileBuilder::thread(self, header);
     }
 
     fn diagnostic(&mut self, text: &'a str) {
-        let thread = self.threads.last_mut().expect("a thread header first");
-        thread.diagnostics.push(text.to_owned());
+        ProfileBuilder::diagnostic(self, text.to_owned());
     }
 
     fn node(&mut self, node: NodeRef<'a>, stats: &[u64; 6], children: u64, _main_root: bool) {
-        self.open.push(SnapNode {
-            kind: node.intern(),
-            stats: stats_of(stats),
-            children: Vec::with_capacity(children as usize),
-        });
+        ProfileBuilder::node(self, node.intern(), stats, children as usize);
     }
 
     fn end(&mut self, main_root: bool) {
-        let node = self.open.pop().expect("an end follows its node");
-        if let Some(parent) = self.open.last_mut() {
-            parent.children.push(node);
-            return;
-        }
-        let thread = self.threads.last_mut().expect("a thread header first");
-        if main_root {
-            if let NodeKind::Region(id) = node.kind {
-                thread.parallel_region = id;
-            }
-            thread.main = node;
-        } else {
-            thread.task_trees.push(node);
-        }
+        ProfileBuilder::end(self, main_root);
     }
 }
 

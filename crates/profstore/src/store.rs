@@ -1086,6 +1086,10 @@ impl ProfileStore {
                 .retain(|e| e.segment != seg || !dead.contains(&e.run_id));
             report.dropped_runs += (before - self.index.len()) as u64;
         }
+        if report.removed_segments > 0 {
+            // Make the unlinks durable too (each rewrite synced its own).
+            self.io.sync_dir(&self.dir)?;
+        }
         // The newest run may have been among the dead.
         self.max_run_id = self.index.iter().map(|e| e.run_id).max().unwrap_or(0);
         // The aggregate cache may have folded now-dropped runs; rebuild

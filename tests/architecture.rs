@@ -308,6 +308,27 @@ const SHAPES: &[Shape] = &[
         }],
     },
     Shape {
+        name: "text ingest builds no Profile",
+        why: "JSON profile text is transcoded straight to the record body it spells \
+              (profstore::transcode_text) and appended like a TPF1 record; parsing it into \
+              SnapNode trees to encode them again was the largest term of a coarse_large JSON \
+              ingest and interned every name of untrusted text into the never-freed registry",
+        removed_in: "7eee832",
+        checks: &[Check::InItems {
+            items: &[
+                "ingest_records",
+                "check",
+                "summary",
+                "Request::QueryRegress {",
+            ],
+            needles: &["parse_text", "read_profile", "Checked::Profile", ".decode("],
+            paths: &[
+                "crates/profserve/src/server.rs",
+                "crates/profserve/src/protocol.rs",
+            ],
+        }],
+    },
+    Shape {
         name: "queries fold record bytes",
         why: "compaction, the windowed aggregate, the trend and a regress candidate sent as a \
               record reduce each run straight from its bytes (RunSummary::from_record); decoding \
