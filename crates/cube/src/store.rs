@@ -10,7 +10,7 @@
 //! checks the text line by line and shows what it passes — the thread
 //! count, thread headers, diagnostics, and each node with its name
 //! borrowed from the text ([`TextNode`], [`Escaped`]) — to a
-//! [`TextVisit`]or. A node line is read left to right in one pass over
+//! [`TextVisit`]. A node line is read left to right in one pass over
 //! its bytes. [`read_profile`] is the walk with a visitor that builds the
 //! trees and re-interns the names into the process-wide registry;
 //! `profstore::transcode_text` is the walk with a visitor that writes the
