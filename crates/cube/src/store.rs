@@ -201,23 +201,12 @@ impl<'a> Escaped<'a> {
         if !self.0.contains('\\') {
             return Cow::Borrowed(self.0);
         }
-        let mut out = Vec::with_capacity(self.0.len());
-        self.unescape_into(&mut out);
-        // Only whole `\` bytes are dropped, never part of a character.
-        Cow::Owned(String::from_utf8(out).expect("unescaping keeps UTF-8"))
-    }
-
-    /// Append [`Escaped::unescape`]'s bytes to `out`.
-    pub fn unescape_into(self, out: &mut Vec<u8>) {
-        let mut escaped = false;
-        for &b in self.0.as_bytes() {
-            if b == b'\\' && !escaped {
-                escaped = true;
-            } else {
-                out.push(b);
-                escaped = false;
-            }
+        let mut out = String::with_capacity(self.0.len());
+        let mut chars = self.0.chars();
+        while let Some(c) = chars.next() {
+            out.extend(if c == '\\' { chars.next() } else { Some(c) });
         }
+        Cow::Owned(out)
     }
 }
 

@@ -537,20 +537,6 @@ impl TextBody {
     }
 }
 
-/// Append `name` as [`put_str`] does, its escapes undone.
-fn put_escaped(out: &mut Vec<u8>, name: Escaped<'_>) {
-    let raw = name.raw().as_bytes();
-    if !raw.contains(&b'\\') {
-        put_uv(out, raw.len() as u64);
-        out.extend_from_slice(raw);
-        return;
-    }
-    let mut unescaped = Vec::with_capacity(raw.len());
-    name.unescape_into(&mut unescaped);
-    put_uv(out, unescaped.len() as u64);
-    out.extend_from_slice(&unescaped);
-}
-
 impl<'a> TextVisit<'a> for TextBody {
     fn threads(&mut self, count: usize) {
         put_uv(&mut self.out, count as u64);
@@ -568,7 +554,7 @@ impl<'a> TextVisit<'a> for TextBody {
     }
 
     fn diagnostic(&mut self, text: Escaped<'a>) {
-        put_escaped(&mut self.diags, text);
+        put_str(&mut self.diags, &text.unescape());
         self.ndiags += 1;
     }
 
@@ -578,15 +564,15 @@ impl<'a> TextVisit<'a> for TextBody {
             TextNode::Region(kind, name) => {
                 flat.push(TAG_REGION);
                 flat.push(kind as u8);
-                put_escaped(flat, name);
+                put_str(flat, &name.unescape());
             }
             TextNode::Stub(name) => {
                 flat.push(TAG_STUB);
-                put_escaped(flat, name);
+                put_str(flat, &name.unescape());
             }
             TextNode::Param(name, value) => {
                 flat.push(TAG_PARAM);
-                put_escaped(flat, name);
+                put_str(flat, &name.unescape());
                 put_iv(flat, value);
             }
             TextNode::Truncated => flat.push(TAG_TRUNCATED),
