@@ -671,36 +671,31 @@ pub(crate) fn respond(shared: &Shared, request: Request) -> Response {
                     "store degraded to read-only after ENOSPC; applies refused",
                 );
             }
-            let mut applied = 0u64;
-            let mut skipped = 0u64;
             let mut store = shared.store.write().expect("store lock");
-            for frame in &frames {
-                match store.apply_frame(frame) {
-                    Ok(Some(receipt)) => {
-                        applied += 1;
-                        shared.counters.add(|c| &c.ingests, 1);
-                        shared.counters.add(|c| &c.ingest_bytes, receipt.bytes);
-                        shared.applied_frames.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Ok(None) => skipped += 1,
-                    Err(StoreError::Io(e)) if is_enospc(&e) => {
-                        shared.read_only.store(true, Ordering::SeqCst);
-                        return error(
-                            ErrorKind::ReadOnly,
-                            format!(
-                                "disk full (ENOSPC): store degraded to read-only \
-                                 ({applied} of {} frames applied)",
-                                frames.len()
-                            ),
-                        );
-                    }
-                    Err(e) => return store_error(&e),
+            let page = store.apply_frames(&frames);
+            let applied = page.applied.len() as u64;
+            let bytes = page.applied.iter().map(|r| r.bytes).sum();
+            shared.counters.add(|c| &c.ingests, applied);
+            shared.counters.add(|c| &c.ingest_bytes, bytes);
+            shared.applied_frames.fetch_add(applied, Ordering::Relaxed);
+            match page.error {
+                None => Response::Applied {
+                    applied,
+                    skipped: page.skipped,
+                    watermark: store.max_run_id(),
+                },
+                Some(StoreError::Io(e)) if is_enospc(&e) => {
+                    shared.read_only.store(true, Ordering::SeqCst);
+                    error(
+                        ErrorKind::ReadOnly,
+                        format!(
+                            "disk full (ENOSPC): store degraded to read-only \
+                             ({applied} of {} frames applied)",
+                            frames.len()
+                        ),
+                    )
                 }
-            }
-            Response::Applied {
-                applied,
-                skipped,
-                watermark: store.max_run_id(),
+                Some(e) => store_error(&e),
             }
         }
     }

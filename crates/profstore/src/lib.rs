@@ -75,6 +75,6 @@ pub use repo::Repo;
 pub use segment::{SegmentReader, SegmentWriter, SEGMENT_MAGIC};
 pub use shard::ShardedStore;
 pub use store::{
-    ExportBatch, GcReport, IndexEntry, IngestReceipt, ProfileStore, RetentionPolicy, RunWindow,
-    StoreConfig, StoreError, StoreStats, TrendBucket,
+    ExportBatch, GcReport, IndexEntry, IngestReceipt, PageApply, ProfileStore, RetentionPolicy,
+    RunWindow, StoreConfig, StoreError, StoreStats, TrendBucket,
 };

@@ -7,8 +7,8 @@ use crate::agg::BenchAgg;
 use crate::codec::{RunMeta, VerifiedBody};
 use crate::shard::ShardedStore;
 use crate::store::{
-    ExportBatch, GcReport, IngestReceipt, ProfileStore, RetentionPolicy, RunWindow, StoreError,
-    StoreStats, TrendBucket,
+    ExportBatch, GcReport, IngestReceipt, PageApply, ProfileStore, RetentionPolicy, RunWindow,
+    StoreError, StoreStats, TrendBucket,
 };
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -165,12 +165,18 @@ impl Repo {
         }
     }
 
-    /// Apply one replicated frame exactly-once (None = already applied).
-    pub fn apply_frame(&mut self, frame: &[u8]) -> Result<Option<IngestReceipt>, StoreError> {
+    /// Apply one page of replicated frames exactly-once (see
+    /// [`ProfileStore::apply_frames`]).
+    pub fn apply_frames<F: AsRef<[u8]>>(&mut self, frames: &[F]) -> PageApply {
         match self {
-            Repo::Single(s) => s.apply_frame(frame),
-            Repo::Sharded(s) => s.apply_frame(frame),
+            Repo::Single(s) => s.apply_frames(frames),
+            Repo::Sharded(s) => s.apply_frames(frames),
         }
+    }
+
+    /// [`Repo::apply_frames`] over one frame (None = already applied).
+    pub fn apply_frame(&mut self, frame: &[u8]) -> Result<Option<IngestReceipt>, StoreError> {
+        self.apply_frames(&[frame]).into_frame()
     }
 
     /// Highest run id indexed (the replication cursor).

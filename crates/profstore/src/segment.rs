@@ -12,8 +12,12 @@
 //! crash the file is a valid prefix plus at most one torn frame.
 //! [`SegmentReader::scan`] checks every frame and reports where the valid
 //! prefix ends so the store can truncate the tail on open; an opened
-//! [`SegmentReader`] reads indexed frames back, one positioned read each,
-//! through the one handle it holds.
+//! [`SegmentReader`] reads indexed frames back through the one handle it
+//! holds: one positioned read for one frame, or for a run of adjacent
+//! frames ([`SegmentReader::read_frames`], an export page), each of
+//! which is then checked on its own. A replicated page is appended the
+//! same way, each segment's share of it in one write
+//! ([`SegmentWriter::append_checked_frames`]).
 //!
 //! Every file operation goes through a [`StoreIo`] handle so the fault
 //! injector ([`crate::FaultIo`]) can tear or fail any of them; production
@@ -66,16 +70,56 @@ impl<'io> SegmentReader<'io> {
     /// at most [`MAX_RECORD_BYTES`] payload bytes; the frame is valid
     /// until the next read.
     pub fn read_frame(&mut self, offset: u64, bytes: u64) -> std::io::Result<Option<Checked<'_>>> {
-        if bytes > (MAX_RECORD_BYTES + frame::OVERHEAD) as u64 {
+        if bytes > MAX_FRAME_BYTES {
             return Ok(None);
         }
         self.file.read_at(offset, bytes as usize, &mut self.frame)?;
         self.base = offset;
-        if self.frame.len() as u64 != bytes {
-            return Ok(None);
-        }
-        Ok(frame::check(&self.frame, MAX_RECORD_BYTES).ok())
+        Ok(frame_at(&self.frame, 0, bytes))
     }
+
+    /// Read the run of adjacent frames a store index places from `offset`
+    /// on, with `sizes[i]` framed bytes for frame `i`, in one read. Item
+    /// `i` of the result is frame `i` as [`SegmentReader::read_frame`]
+    /// would return it; the read stops before the first size past the
+    /// record limit, so no buffer is sized by one. The frames are valid
+    /// until the next read.
+    pub fn read_frames(
+        &mut self,
+        offset: u64,
+        sizes: &[u64],
+    ) -> std::io::Result<Vec<Option<Checked<'_>>>> {
+        let total: u64 = sizes
+            .iter()
+            .take_while(|&&bytes| bytes <= MAX_FRAME_BYTES)
+            .sum();
+        self.file.read_at(offset, total as usize, &mut self.frame)?;
+        self.base = offset;
+        let mut at = 0u64;
+        Ok(sizes
+            .iter()
+            .map(|&bytes| {
+                let frame = frame_at(&self.frame, at, bytes);
+                at = at.saturating_add(bytes);
+                frame
+            })
+            .collect())
+    }
+}
+
+/// Framed bytes of the largest record frame a segment holds.
+const MAX_FRAME_BYTES: u64 = (MAX_RECORD_BYTES + frame::OVERHEAD) as u64;
+
+/// The `bytes` bytes of `buf` from `at` on, if `buf` holds them all and
+/// they are one [`frame::check`]ed frame of at most [`MAX_RECORD_BYTES`]
+/// payload bytes.
+fn frame_at(buf: &[u8], at: u64, bytes: u64) -> Option<Checked<'_>> {
+    if bytes > MAX_FRAME_BYTES {
+        return None;
+    }
+    let start = usize::try_from(at).ok()?;
+    let frame = buf.get(start..start.checked_add(bytes as usize)?)?;
+    frame::check(frame, MAX_RECORD_BYTES).ok()
 }
 
 impl SegmentReader<'_> {
@@ -221,10 +265,25 @@ impl SegmentWriter {
         self.write(frame.bytes())
     }
 
-    fn write(&mut self, frame: &[u8]) -> std::io::Result<u64> {
+    /// [`SegmentWriter::append_checked`] several frames, in order, with
+    /// one write (and, with `sync`, one `fdatasync`); returns the first
+    /// frame's offset. On failure the repair drops all of them.
+    pub fn append_checked_frames(&mut self, frames: &[Checked<'_>]) -> std::io::Result<u64> {
+        if let [frame] = frames {
+            return self.write(frame.bytes());
+        }
+        let mut bytes = Vec::with_capacity(frames.iter().map(|f| f.bytes().len()).sum());
+        for frame in frames {
+            bytes.extend_from_slice(frame.bytes());
+        }
+        self.write(&bytes)
+    }
+
+    /// Write `bytes`, whole frames, at the end of the file.
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<u64> {
         let offset = self.len;
         let result = (|| {
-            self.file.write_all(frame)?;
+            self.file.write_all(bytes)?;
             self.file.flush()?;
             if self.sync {
                 self.file.sync_data()?;
@@ -236,7 +295,7 @@ impl SegmentWriter {
             let _ = self.file.seek_to(self.len);
             return Err(e);
         }
-        self.len += frame.len() as u64;
+        self.len += bytes.len() as u64;
         Ok(offset)
     }
 

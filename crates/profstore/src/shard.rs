@@ -32,8 +32,8 @@ use crate::codec::{CodecError, RunMeta, VerifiedBody};
 use crate::io::{replace_file, RealIo, StoreIo};
 use crate::merge::KWayMerge;
 use crate::store::{
-    replica, ExportBatch, GcReport, IndexEntry, IngestReceipt, ProfileStore, RetentionPolicy,
-    RunWindow, StoreConfig, StoreError, StoreStats, TrendBucket,
+    choose_page, CheckedPage, ExportBatch, GcReport, IndexEntry, IngestReceipt, PageApply,
+    ProfileStore, RetentionPolicy, RunWindow, StoreConfig, StoreError, StoreStats, TrendBucket,
 };
 use pomp::fnv1a;
 use std::collections::BTreeMap;
@@ -409,36 +409,66 @@ impl ShardedStore {
     }
 
     /// One page of the replication stream in global ascending run-id
-    /// order: per-shard pages (each already ascending) interleaved by
-    /// the k-way merge, truncated to `max`.
+    /// order. The page is chosen from the shards' indexes alone — the
+    /// `max` smallest run ids above `after` across all shards — and only
+    /// its frames are read, one positioned read per run of adjacent
+    /// frames. Every shard stays locked from the choice to the last read,
+    /// so no GC can move a chosen frame in between.
     pub fn export_frames(&self, after: u64, max: usize) -> Result<ExportBatch, StoreError> {
-        let mut pages = Vec::with_capacity(self.shards.len());
-        let mut all_done = true;
-        for k in 0..self.shards.len() {
-            let (page, done) = self.shard(k).export_page(after, max)?;
-            all_done &= done;
-            pages.push(page.into_iter());
-        }
-        let mut merged: Vec<_> = KWayMerge::new(pages, |(id, _)| (*id, 0)).collect();
-        let done = all_done && merged.len() <= max;
-        merged.truncate(max);
-        Ok(ExportBatch::page(after, merged, done))
+        let shards = self.lock_all();
+        let stores: Vec<&ProfileStore> = shards.iter().map(|s| &**s).collect();
+        let entries = stores
+            .iter()
+            .enumerate()
+            .flat_map(|(k, store)| store.index().iter().map(move |e| (k, e)));
+        let (page, done) = choose_page(entries, after, max);
+        ExportBatch::read(after, &stores, &page, done)
     }
 
-    /// Apply one replicated frame, routing it to the shard its identity
-    /// selects. Exactly-once across the whole repository: a frame at or
-    /// below the global [`ShardedStore::max_run_id`] is skipped. The
-    /// frame and its record are checked as [`ProfileStore::apply_frame`]
-    /// checks them, and the checked frame is appended as it is.
+    /// Apply one page of replicated frames, routing each to the shard its
+    /// identity selects. Exactly-once across the whole repository: the
+    /// cursor starts at the global [`ShardedStore::max_run_id`], taken
+    /// once with every shard locked, and the frames are checked as
+    /// [`ProfileStore::apply_frames`] checks them.
+    ///
+    /// Each run of consecutive page frames bound for one shard is
+    /// appended with one write per segment it lands in. A write never
+    /// takes a frame past one bound for another shard: if the process
+    /// died between the two writes, the later id would be on disk
+    /// without the earlier one, and the cursor would skip the earlier
+    /// one for good. So what a crash leaves is always a prefix of the
+    /// page.
+    pub fn apply_frames<F: AsRef<[u8]>>(&self, frames: &[F]) -> PageApply {
+        let mut shards = self.lock_all();
+        let cursor = shards.iter().map(|s| s.max_run_id()).max().unwrap_or(0);
+        let mut page = CheckedPage::check(frames, cursor);
+        let n = shards.len();
+        let shard_of = |meta: &RunMeta| Self::route(&meta.benchmark, meta.run_id, n);
+        let mut applied = Vec::new();
+        let mut written = Ok(());
+        let mut rest = &mut page.replicas[..];
+        while let Some(first) = rest.first() {
+            let k = shard_of(&first.meta);
+            let len = rest.iter().take_while(|r| shard_of(&r.meta) == k).count();
+            let (run, tail) = rest.split_at_mut(len);
+            written = shards[k].append_replicas(run, &mut applied);
+            if written.is_err() {
+                break;
+            }
+            rest = tail;
+        }
+        drop(shards);
+        if let Some(last) = applied.last() {
+            self.next_run_id
+                .fetch_max(last.run_id + 1, Ordering::SeqCst);
+        }
+        page.settle(applied, written)
+    }
+
+    /// [`ShardedStore::apply_frames`] over one frame: `Ok(None)` when it
+    /// is skipped as already applied.
     pub fn apply_frame(&self, frame: &[u8]) -> Result<Option<IngestReceipt>, StoreError> {
-        let Some((meta, checked)) = replica(frame, self.max_run_id())? else {
-            return Ok(None);
-        };
-        let k = Self::route(&meta.benchmark, meta.run_id, self.shards.len());
-        let run_id = meta.run_id;
-        let receipt = self.shard(k).append_checked(meta, checked)?;
-        self.next_run_id.fetch_max(run_id + 1, Ordering::SeqCst);
-        Ok(Some(receipt))
+        self.apply_frames(&[frame]).into_frame()
     }
 
     /// Sum of torn-tail bytes recovered by the last open, over shards.

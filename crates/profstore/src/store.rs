@@ -240,23 +240,150 @@ pub struct ExportBatch {
     pub done: bool,
 }
 
-/// The `(run id, frame)` pairs of one export page, in ascending run-id
-/// order.
-pub(crate) type Page = Vec<(u64, Vec<u8>)>;
-
 impl ExportBatch {
-    /// The page after cursor `after` holding `frames`.
-    pub(crate) fn page(after: u64, frames: Page, done: bool) -> Self {
-        let mut batch = ExportBatch {
-            frames: Vec::new(),
-            watermark: after,
-            done,
-        };
-        for (run_id, frame) in frames {
-            batch.watermark = run_id;
-            batch.frames.push(frame);
+    /// The page after cursor `after` holding the frames of `page`: index
+    /// entries tagged with their store in `stores`, in ascending run-id
+    /// order, as [`choose_page`] picks them. Each run of adjacent frames
+    /// in one segment is read with one positioned read, and each frame of
+    /// it is checked on its own.
+    pub(crate) fn read(
+        after: u64,
+        stores: &[&ProfileStore],
+        page: &[(usize, &IndexEntry)],
+        done: bool,
+    ) -> Result<Self, StoreError> {
+        let mut order: Vec<usize> = (0..page.len()).collect();
+        order.sort_unstable_by_key(|&i| {
+            let (k, e) = page[i];
+            (k, e.segment, e.offset)
+        });
+        let mut frames = vec![Vec::new(); page.len()];
+        let mut cursors: Vec<SegmentCursor<'_>> = stores.iter().map(|s| s.cursor()).collect();
+        for run in order.chunk_by(|&a, &b| {
+            let ((ka, a), (kb, b)) = (page[a], page[b]);
+            ka == kb && a.segment == b.segment && a.offset + a.bytes == b.offset
+        }) {
+            let entries: Vec<&IndexEntry> = run.iter().map(|&i| page[i].1).collect();
+            let checked = cursors[page[run[0]].0].frames(&entries)?;
+            for (&i, frame) in run.iter().zip(checked) {
+                frames[i] = frame.bytes().to_vec();
+            }
         }
-        batch
+        Ok(ExportBatch {
+            frames,
+            watermark: page.last().map_or(after, |(_, e)| e.run_id),
+            done,
+        })
+    }
+}
+
+/// The export page after cursor `after` among `entries`, index entries
+/// tagged with their store: the `max` with the smallest run ids above
+/// `after`, in ascending run-id order, and whether no entry is left
+/// beyond them. Only the index is read.
+pub(crate) fn choose_page<'a>(
+    entries: impl Iterator<Item = (usize, &'a IndexEntry)>,
+    after: u64,
+    max: usize,
+) -> (Vec<(usize, &'a IndexEntry)>, bool) {
+    let mut page: Vec<_> = entries.filter(|(_, e)| e.run_id > after).collect();
+    let done = page.len() <= max;
+    if !done {
+        page.select_nth_unstable_by_key(max, |(_, e)| e.run_id);
+        page.truncate(max);
+    }
+    page.sort_unstable_by_key(|(_, e)| e.run_id);
+    (page, done)
+}
+
+/// What applying one page of replicated frames did
+/// ([`ProfileStore::apply_frames`], `ShardedStore::apply_frames`).
+#[derive(Debug, Default)]
+pub struct PageApply {
+    /// Receipts of the frames appended, in page order.
+    pub applied: Vec<IngestReceipt>,
+    /// Frames skipped as already applied.
+    pub skipped: u64,
+    /// Why the page stopped short: the first frame refused, or the failed
+    /// write of the first frame not appended. Every frame before that one
+    /// was applied or skipped; none from it on was applied.
+    pub error: Option<StoreError>,
+}
+
+impl PageApply {
+    /// A one-frame page's outcome, as `apply_frame` reports it.
+    pub(crate) fn into_frame(mut self) -> Result<Option<IngestReceipt>, StoreError> {
+        match self.error {
+            Some(e) => Err(e),
+            None => Ok(self.applied.pop()),
+        }
+    }
+}
+
+/// One frame of a replicated page that [`replica`] let through: its
+/// place in the page, its run's header and the checked frame.
+pub(crate) struct Replica<'f> {
+    at: usize,
+    pub(crate) meta: RunMeta,
+    frame: Checked<'f>,
+}
+
+/// A replicated page after its checks: the frames to append and the
+/// first frame refused, if any.
+pub(crate) struct CheckedPage<'f> {
+    len: usize,
+    pub(crate) replicas: Vec<Replica<'f>>,
+    refused: Option<(usize, StoreError)>,
+}
+
+impl<'f> CheckedPage<'f> {
+    /// Check `frames` in order with [`replica`] up to the first one it
+    /// refuses. The exactly-once cursor starts at `applied`, the highest
+    /// run id already stored, and rises with each frame let through, so a
+    /// repeated or out-of-order id is skipped as it would be had every
+    /// frame before it been applied on its own.
+    pub(crate) fn check<F: AsRef<[u8]>>(frames: &'f [F], mut applied: u64) -> Self {
+        let mut replicas = Vec::new();
+        for (at, frame) in frames.iter().enumerate() {
+            match replica(frame.as_ref(), applied) {
+                Ok(Some((meta, frame))) => {
+                    applied = meta.run_id;
+                    replicas.push(Replica { at, meta, frame });
+                }
+                Ok(None) => {}
+                Err(e) => {
+                    return Self {
+                        len: frames.len(),
+                        replicas,
+                        refused: Some((at, e)),
+                    }
+                }
+            }
+        }
+        Self {
+            len: frames.len(),
+            replicas,
+            refused: None,
+        }
+    }
+
+    /// The page's outcome once the first `applied.len()` replicas are
+    /// appended and `written` says whether the rest were too.
+    pub(crate) fn settle(
+        self,
+        applied: Vec<IngestReceipt>,
+        written: Result<(), StoreError>,
+    ) -> PageApply {
+        let (stop, error) = match (written, self.refused) {
+            (Err(e), _) => (self.replicas[applied.len()].at, Some(e)),
+            (Ok(()), Some((at, e))) => (at, Some(e)),
+            (Ok(()), None) => (self.len, None),
+        };
+        PageApply {
+            skipped: (stop - applied.len()) as u64,
+            applied,
+            error,
+        }
     }
 }
 
@@ -602,14 +729,41 @@ impl ProfileStore {
         self.append_with(meta, frame_bytes, |writer| writer.append(payload))
     }
 
-    /// Append a checked frame under `meta`, its run's identity, as it is.
-    pub(crate) fn append_checked(
+    /// Append the checked frames of `replicas` as they are, in order,
+    /// under their runs' identities: the frames bound for one segment
+    /// with one write, the active segment rotating before the same frames
+    /// [`ProfileStore::ingest`] would rotate it before. Each appended
+    /// frame's receipt goes to `receipts`; a failed write appends none of
+    /// its frames.
+    pub(crate) fn append_replicas(
         &mut self,
-        meta: RunMeta,
-        frame: Checked<'_>,
-    ) -> Result<IngestReceipt, StoreError> {
-        let frame_bytes = frame.bytes().len() as u64;
-        self.append_with(meta, frame_bytes, |writer| writer.append_checked(frame))
+        replicas: &mut [Replica<'_>],
+        receipts: &mut Vec<IngestReceipt>,
+    ) -> Result<(), StoreError> {
+        let frame_bytes = |r: &Replica<'_>| r.frame.bytes().len() as u64;
+        let mut rest = replicas;
+        while let Some(first) = rest.first() {
+            self.rotate_for(frame_bytes(first))?;
+            let mut end = self.writer.len() + frame_bytes(first);
+            let mut n = 1;
+            while let Some(next) = rest.get(n) {
+                if end + frame_bytes(next) > self.config.segment_max_bytes {
+                    break;
+                }
+                end += frame_bytes(next);
+                n += 1;
+            }
+            let (segment, tail) = rest.split_at_mut(n);
+            let frames: Vec<Checked<'_>> = segment.iter().map(|r| r.frame).collect();
+            let mut offset = self.writer.append_checked_frames(&frames)?;
+            for r in segment {
+                let bytes = frame_bytes(r);
+                receipts.push(self.index_frame(std::mem::take(&mut r.meta), offset, bytes));
+                offset += bytes;
+            }
+            rest = tail;
+        }
+        Ok(())
     }
 
     /// Index the `frame_bytes` frame of `meta`'s run that `write` appends,
@@ -620,12 +774,25 @@ impl ProfileStore {
         frame_bytes: u64,
         write: impl FnOnce(&mut SegmentWriter) -> std::io::Result<u64>,
     ) -> Result<IngestReceipt, StoreError> {
+        self.rotate_for(frame_bytes)?;
+        let offset = write(&mut self.writer)?;
+        Ok(self.index_frame(meta, offset, frame_bytes))
+    }
+
+    /// Rotate the active segment if a `frame_bytes` frame would take it
+    /// past `segment_max_bytes`; an empty segment takes any frame.
+    fn rotate_for(&mut self, frame_bytes: u64) -> Result<(), StoreError> {
         if !self.writer.is_empty()
             && self.writer.len() + frame_bytes > self.config.segment_max_bytes
         {
             self.rotate()?;
         }
-        let offset = write(&mut self.writer)?;
+        Ok(())
+    }
+
+    /// Index the `frame_bytes` frame of `meta`'s run that the active
+    /// segment now holds at `offset`.
+    fn index_frame(&mut self, meta: RunMeta, offset: u64, frame_bytes: u64) -> IngestReceipt {
         self.next_run_id = self.next_run_id.max(meta.run_id + 1);
         self.max_run_id = self.max_run_id.max(meta.run_id);
         self.index.push(IndexEntry {
@@ -637,11 +804,11 @@ impl ProfileStore {
             offset,
             bytes: frame_bytes,
         });
-        Ok(IngestReceipt {
+        IngestReceipt {
             run_id: meta.run_id,
             bytes: frame_bytes,
             segment: self.active_segment,
-        })
+        }
     }
 
     /// The id the next [`ProfileStore::ingest`] will assign.
@@ -931,40 +1098,34 @@ impl ProfileStore {
     /// One page of the replication stream: up to `max` frames for runs
     /// with `run_id > after`, in ascending run-id order. The frames are
     /// byte-identical to the leader's on disk, so a follower's
-    /// [`ProfileStore::apply_frame`] re-verifies the same CRC the leader
-    /// wrote.
+    /// [`ProfileStore::apply_frames`] re-verifies the same CRC the leader
+    /// wrote. The page is chosen from the index, then only its frames are
+    /// read: one positioned read per run of adjacent frames.
     pub fn export_frames(&self, after: u64, max: usize) -> Result<ExportBatch, StoreError> {
-        let (frames, done) = self.export_page(after, max)?;
-        Ok(ExportBatch::page(after, frames, done))
+        let (page, done) = choose_page(self.index.iter().map(|e| (0, e)), after, max);
+        ExportBatch::read(after, &[self], &page, done)
     }
 
-    /// [`ProfileStore::export_frames`]' page, and whether it is the last.
-    pub(crate) fn export_page(&self, after: u64, max: usize) -> Result<(Page, bool), StoreError> {
-        let mut entries: Vec<&IndexEntry> =
-            self.index.iter().filter(|e| e.run_id > after).collect();
-        entries.sort_by_key(|e| e.run_id);
-        let done = entries.len() <= max;
-        entries.truncate(max);
-        let mut cursor = self.cursor();
-        let frames = entries
-            .into_iter()
-            .map(|entry| Ok((entry.run_id, cursor.frame(entry)?.bytes().to_vec())))
-            .collect::<Result<_, StoreError>>()?;
-        Ok((frames, done))
+    /// Apply one page of replicated frames, keeping the leader's run ids.
+    /// Exactly-once by construction: a frame whose id is at or below the
+    /// highest one indexed or applied before it in the page — which an
+    /// in-order stream implies was applied already, perhaps before a
+    /// crash — is skipped. Before anything touches disk each frame is
+    /// checked and its record must be one [`decode_record`] accepts
+    /// ([`check_record`]); the frames before the first one refused are
+    /// then appended as they are, one write per segment they land in
+    /// (and, with `sync_writes`, one `fdatasync` per segment).
+    pub fn apply_frames<F: AsRef<[u8]>>(&mut self, frames: &[F]) -> PageApply {
+        let mut page = CheckedPage::check(frames, self.max_run_id);
+        let mut applied = Vec::new();
+        let written = self.append_replicas(&mut page.replicas, &mut applied);
+        page.settle(applied, written)
     }
 
-    /// Apply one replicated frame, keeping the leader's run id.
-    /// Exactly-once by construction: a frame whose id is already
-    /// indexed — or at or below the highest indexed id, which an
-    /// in-order stream implies was applied before a crash — is skipped
-    /// with `Ok(None)`. Before anything touches disk the frame is checked
-    /// and its record must be one [`decode_record`] accepts
-    /// ([`check_record`]); the checked frame is then appended as it is.
+    /// [`ProfileStore::apply_frames`] over one frame: `Ok(None)` when it
+    /// is skipped as already applied.
     pub fn apply_frame(&mut self, frame: &[u8]) -> Result<Option<IngestReceipt>, StoreError> {
-        match replica(frame, self.max_run_id())? {
-            Some((meta, checked)) => self.append_checked(meta, checked).map(Some),
-            None => Ok(None),
-        }
+        self.apply_frames(&[frame]).into_frame()
     }
 
     /// Garbage-collect runs the retention `policy` rejects, reclaiming
@@ -1152,20 +1313,34 @@ pub(crate) struct SegmentCursor<'a> {
     open: Option<(u64, SegmentReader<'a>)>,
 }
 
-impl SegmentCursor<'_> {
+impl<'a> SegmentCursor<'a> {
+    /// The reader of segment `n`, opened unless it is the one last read.
+    fn reader(&mut self, n: u64) -> Result<&mut SegmentReader<'a>, StoreError> {
+        if self.open.as_ref().is_none_or(|(open, _)| *open != n) {
+            let path = self.dir.join(segment_name(n));
+            self.open = Some((n, SegmentReader::open(self.io, path)?));
+        }
+        Ok(&mut self.open.as_mut().expect("opened above").1)
+    }
+
     /// The checked on-disk frame of `entry`, valid until the next read.
     pub(crate) fn frame(&mut self, entry: &IndexEntry) -> Result<Checked<'_>, StoreError> {
-        if self.open.as_ref().is_none_or(|(n, _)| *n != entry.segment) {
-            let path = self.dir.join(segment_name(entry.segment));
-            self.open = Some((entry.segment, SegmentReader::open(self.io, path)?));
-        }
-        let (_, reader) = self.open.as_mut().expect("opened above");
-        reader
+        self.reader(entry.segment)?
             .read_frame(entry.offset, entry.bytes)?
-            .ok_or_else(|| StoreError::Corrupt {
-                segment: segment_name(entry.segment),
-                detail: format!("indexed record at offset {} unreadable", entry.offset),
-            })
+            .ok_or_else(|| unreadable(entry))
+    }
+
+    /// The checked on-disk frames of `run`, the entries of adjacent frames
+    /// in one segment in file order, read with one positioned read; valid
+    /// until the next read.
+    pub(crate) fn frames(&mut self, run: &[&IndexEntry]) -> Result<Vec<Checked<'_>>, StoreError> {
+        let sizes: Vec<u64> = run.iter().map(|e| e.bytes).collect();
+        self.reader(run[0].segment)?
+            .read_frames(run[0].offset, &sizes)?
+            .into_iter()
+            .zip(run)
+            .map(|(frame, entry)| frame.ok_or_else(|| unreadable(entry)))
+            .collect()
     }
 
     /// Read the record of `entry` and hand its payload to `f`; an error
@@ -1181,6 +1356,14 @@ impl SegmentCursor<'_> {
             offset: entry.offset,
             source,
         })
+    }
+}
+
+/// The error of an index entry whose frame does not read back.
+fn unreadable(entry: &IndexEntry) -> StoreError {
+    StoreError::Corrupt {
+        segment: segment_name(entry.segment),
+        detail: format!("indexed record at offset {} unreadable", entry.offset),
     }
 }
 

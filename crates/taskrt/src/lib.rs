@@ -78,6 +78,7 @@ mod tests {
     use pomp::NullMonitor;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
+    use std::time::{Duration, Instant};
 
     fn constructs(name: &str) -> (ParallelConstruct, TaskConstruct, pomp::RegionId) {
         (
@@ -147,7 +148,7 @@ mod tests {
             if ctx.tid() == 0 {
                 for i in 0..8 {
                     ctx.task(&task, move |_| {
-                        std::thread::sleep(std::time::Duration::from_micros(50));
+                        std::thread::sleep(Duration::from_micros(50));
                         order_ref.lock().unwrap().push(format!("child{i}"));
                     });
                 }
@@ -251,21 +252,29 @@ mod tests {
         let (par, task, _) = constructs("t-creator");
         let single = SingleConstruct::new("t-creator-s");
         let executed_by = Mutex::new(std::collections::HashSet::new());
+        let held = std::sync::atomic::AtomicBool::new(false);
         Team::new(4).parallel(&NullMonitor, &par, |ctx| {
             ctx.single(&single, |sctx| {
                 for _ in 0..400 {
                     sctx.task(&task, |ictx| {
-                        // Busy work so stealing has a chance to kick in.
-                        std::hint::black_box((0..2000u64).sum::<u64>());
                         executed_by.lock().unwrap().insert(ictx.tid());
+                        // The first task to run holds its thread until
+                        // another worker has run a task, so the rest can
+                        // only drain by stealing, however little a task
+                        // body costs. The deadline is far past any steal.
+                        if !held.swap(true, Ordering::SeqCst) {
+                            let deadline = Instant::now() + Duration::from_secs(10);
+                            while executed_by.lock().unwrap().len() < 2 && Instant::now() < deadline
+                            {
+                                std::thread::yield_now();
+                            }
+                        }
                     });
                 }
             });
         });
         let set = executed_by.into_inner().unwrap();
         assert!(!set.is_empty());
-        // With 400 tasks × 4 threads stealing, more than one thread should
-        // participate (not guaranteed in theory, overwhelmingly likely).
         assert!(set.len() >= 2, "no stealing happened: {set:?}");
     }
 

@@ -182,8 +182,8 @@ fn a_window_opens_each_segment_once_and_reads_each_frame_once() {
     assert!(page.done);
     assert_eq!(
         counts.take(),
-        (2, 256, 0),
-        "an export page spanning two segments"
+        (2, 2, 0),
+        "an export page spanning two segments reads each segment's run once"
     );
 
     store.load(total).expect("load");
