@@ -396,6 +396,31 @@ const SHAPES: &[Shape] = &[
         ],
     },
     Shape {
+        name: "an export page reads only its frames",
+        why: "a sharded EXPORT chooses its page from the shards' indexes and reads only those \
+              frames; asking every shard for a whole page read, checked and copied up to \
+              shards x max frames to return max, and cost a coarse_large leader 44.6 us per \
+              exported frame against 11.7 us",
+        removed_in: "f76a1ec",
+        checks: &[Check::InItems {
+            items: &["export_frames"],
+            needles: &["export_page("],
+            paths: &["crates/profstore/src/shard.rs"],
+        }],
+    },
+    Shape {
+        name: "one apply path",
+        why: "the daemon's APPLY hands its whole page to apply_frames, which checks every frame \
+              and appends each segment's share with one write; a loop of apply_frame cost a \
+              write, an fsync under sync_writes and a lock of every shard per frame",
+        removed_in: "f76a1ec",
+        checks: &[Check::InItems {
+            items: &["Request::Apply {"],
+            needles: &["apply_frame("],
+            paths: &["crates/profserve/src/server.rs"],
+        }],
+    },
+    Shape {
         name: "no vendored stub is a workspace member",
         why: "the stubs under vendor/ stand in for registry crates and are built only as path \
               dependencies; cargo matches `exclude` by path prefix, not by glob, so \

@@ -1,7 +1,8 @@
 //! The store's read path, counted and cornered: how many files a
-//! windowed query or an export page opens, what an exported frame is,
-//! what a damaged one does to the export, and a record without threads
-//! that an older daemon let in.
+//! windowed query or an export page opens and how many reads it makes,
+//! how many writes and syncs an applied page costs, what an exported
+//! frame is, what a damaged one does to the export, and a record without
+//! threads that an older daemon let in.
 
 use pomp::{registry, RegionKind, TaskIdAllocator};
 use profserve::{
@@ -9,8 +10,8 @@ use profserve::{
     WireProtocol,
 };
 use profstore::{
-    encode_record, ProfileStore, RealIo, RegressConfig, RunMeta, RunSummary, RunWindow,
-    StoreConfig, StoreError, StoreFile, StoreIo, StoreRead,
+    encode_record, ProfileStore, RealIo, RegressConfig, Repo, RunMeta, RunSummary, RunWindow,
+    ShardedStore, StoreConfig, StoreError, StoreFile, StoreIo, StoreRead,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -43,18 +44,31 @@ fn profile(task_ns: u64) -> Profile {
     team.finish()
 }
 
+/// Framed bytes of the record of every [`profile`] of `benchmark`.
+fn frame_bytes(benchmark: &str) -> u64 {
+    let meta = RunMeta {
+        run_id: 1,
+        benchmark: benchmark.to_string(),
+        threads: 2,
+        timestamp_ns: 1,
+    };
+    (encode_record(&meta, &profile(1_000)).len() + profstore::frame::OVERHEAD) as u64
+}
+
 // ---------------------------------------------------------------------
-// A spy that overrides `open_read`
+// A spy that overrides `open_read` and counts writes
 // ---------------------------------------------------------------------
 
 #[derive(Debug, Default)]
-struct ReadCounts {
+struct IoCounts {
     opens: AtomicU64,
     reads: AtomicU64,
     path_reads: AtomicU64,
+    writes: AtomicU64,
+    data_syncs: AtomicU64,
 }
 
-impl ReadCounts {
+impl IoCounts {
     /// (handles opened, reads through them, `read_range` calls) since
     /// the last take.
     fn take(&self) -> (u64, u64, u64) {
@@ -64,15 +78,61 @@ impl ReadCounts {
             self.path_reads.swap(0, Ordering::SeqCst),
         )
     }
+
+    /// (`write_all` calls, `sync_data` calls) since the last take.
+    fn take_writes(&self) -> (u64, u64) {
+        (
+            self.writes.swap(0, Ordering::SeqCst),
+            self.data_syncs.swap(0, Ordering::SeqCst),
+        )
+    }
 }
 
-/// `RealIo` with every read handle and every read through one counted.
+/// `RealIo` with every read handle, every read through one, and every
+/// write and data sync of a writable file counted.
 #[derive(Debug)]
-struct SpyIo(Arc<ReadCounts>);
+struct SpyIo(Arc<IoCounts>);
+
+struct SpyFile {
+    inner: Box<dyn StoreFile>,
+    counts: Arc<IoCounts>,
+}
+
+impl StoreFile for SpyFile {
+    fn write_all(&mut self, buf: &[u8]) -> std::io::Result<()> {
+        self.counts.writes.fetch_add(1, Ordering::SeqCst);
+        self.inner.write_all(buf)
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.inner.flush()
+    }
+    fn sync_data(&mut self) -> std::io::Result<()> {
+        self.counts.data_syncs.fetch_add(1, Ordering::SeqCst);
+        self.inner.sync_data()
+    }
+    fn sync_all(&mut self) -> std::io::Result<()> {
+        self.inner.sync_all()
+    }
+    fn set_len(&mut self, len: u64) -> std::io::Result<()> {
+        self.inner.set_len(len)
+    }
+    fn seek_to(&mut self, pos: u64) -> std::io::Result<()> {
+        self.inner.seek_to(pos)
+    }
+}
+
+impl SpyIo {
+    fn file(&self, inner: Box<dyn StoreFile>) -> Box<dyn StoreFile> {
+        Box::new(SpyFile {
+            inner,
+            counts: Arc::clone(&self.0),
+        })
+    }
+}
 
 struct SpyRead<'a> {
     inner: Box<dyn StoreRead + 'a>,
-    counts: &'a ReadCounts,
+    counts: &'a IoCounts,
 }
 
 impl StoreRead for SpyRead<'_> {
@@ -84,10 +144,10 @@ impl StoreRead for SpyRead<'_> {
 
 impl StoreIo for SpyIo {
     fn create_new(&self, path: &Path) -> std::io::Result<Box<dyn StoreFile>> {
-        RealIo.create_new(path)
+        Ok(self.file(RealIo.create_new(path)?))
     }
     fn open_rw(&self, path: &Path) -> std::io::Result<Box<dyn StoreFile>> {
-        RealIo.open_rw(path)
+        Ok(self.file(RealIo.open_rw(path)?))
     }
     fn read_all(&self, path: &Path) -> std::io::Result<Vec<u8>> {
         RealIo.read_all(path)
@@ -123,19 +183,10 @@ impl StoreIo for SpyIo {
 #[test]
 fn a_window_opens_each_segment_once_and_reads_each_frame_once() {
     let dir = temp_dir("counts");
-    let counts = Arc::new(ReadCounts::default());
-    let frame_bytes = {
-        let meta = RunMeta {
-            run_id: 1,
-            benchmark: "fib".to_string(),
-            threads: 2,
-            timestamp_ns: 1,
-        };
-        (encode_record(&meta, &profile(1_000)).len() + profstore::frame::OVERHEAD) as u64
-    };
+    let counts = Arc::new(IoCounts::default());
     // Room for a little over 300 runs per segment.
     let config = StoreConfig {
-        segment_max_bytes: 300 * (frame_bytes + 2),
+        segment_max_bytes: 300 * (frame_bytes("fib") + 2),
         sync_writes: false,
     };
     let mut store = ProfileStore::open_with_io(&dir, config, Arc::new(SpyIo(Arc::clone(&counts))))
@@ -200,6 +251,133 @@ fn a_window_opens_each_segment_once_and_reads_each_frame_once() {
         "compaction reads segment 1 once"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `n` benchmark names of one length that the router sends to `n`
+/// distinct shards of `n`.
+fn one_name_per_shard(n: usize) -> Vec<String> {
+    let mut names: Vec<Option<String>> = vec![None; n];
+    for i in 100.. {
+        let name = format!("bench-{i}");
+        let k = ShardedStore::route(&name, 0, n);
+        names[k].get_or_insert(name);
+        if names.iter().all(Option::is_some) {
+            return names.into_iter().flatten().collect();
+        }
+    }
+    unreachable!()
+}
+
+/// An export page is chosen from the index and read one run of adjacent
+/// frames at a time: a page of N frames lying in S such runs costs S
+/// reads. On a sharded store, asking every shard for a whole page cost
+/// up to N reads per shard.
+#[test]
+fn an_export_page_costs_one_read_per_run_of_adjacent_frames() {
+    let dir = temp_dir("export-runs");
+    let counts = Arc::new(IoCounts::default());
+    let names = one_name_per_shard(4);
+    // Exactly seven frames fill a segment.
+    let config = StoreConfig {
+        segment_max_bytes: profstore::SEGMENT_MAGIC.len() as u64 + 7 * frame_bytes(&names[0]),
+        sync_writes: false,
+    };
+    let io = Arc::new(SpyIo(Arc::clone(&counts)));
+    let store = ShardedStore::open_with_io(&dir, 4, config, io).expect("open");
+    for i in 0..40u64 {
+        store
+            .ingest(&names[i as usize % 4], 2, i, &profile(1_000 + i))
+            .expect("ingest");
+    }
+    counts.take();
+
+    // Five frames of each shard, adjacent in its first segment.
+    let page = store.export_frames(0, 20).expect("export");
+    assert_eq!(page.frames.len(), 20);
+    assert_eq!(page.watermark, 20);
+    assert!(!page.done);
+    assert_eq!(counts.take(), (4, 4, 0), "20 frames in 4 runs");
+
+    // Ten frames of each shard: seven in its first segment, three in its
+    // second.
+    let page = store.export_frames(0, 40).expect("export");
+    assert_eq!(page.frames.len(), 40);
+    assert!(page.done);
+    assert_eq!(counts.take(), (8, 8, 0), "40 frames in 8 runs");
+
+    // The page is the one a per-frame read serves, frame for frame.
+    let mut from = 0;
+    for (i, frame) in page.frames.iter().enumerate() {
+        let one = store.export_frames(from, 1).expect("export one");
+        assert_eq!(one.frames, [frame.clone()], "frame {i}");
+        from = one.watermark;
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An applied page costs one write per segment it lands in, and with
+/// `sync_writes` one `fdatasync` per segment; frame by frame it cost one
+/// of each per frame. On a sharded follower a write holds a run of
+/// consecutive frames bound for one shard: it never passes a frame bound
+/// for another, so a crash leaves a prefix of the page.
+#[test]
+fn an_apply_page_costs_one_write_per_segment() {
+    let root = temp_dir("apply-writes");
+    let names = one_name_per_shard(2);
+    let mut leader = ProfileStore::open(&root.join("leader")).expect("leader");
+    for (i, k) in [0, 0, 1, 1, 0].into_iter().enumerate() {
+        leader
+            .ingest(&names[k], 2, i as u64, &profile(1_000 + i as u64))
+            .expect("ingest");
+    }
+    let frames = leader.export_frames(0, 100).expect("export").frames;
+    // Exactly three frames fill a segment.
+    let config = StoreConfig {
+        segment_max_bytes: profstore::SEGMENT_MAGIC.len() as u64 + 3 * frame_bytes(&names[0]),
+        sync_writes: true,
+    };
+    let counts = Arc::new(IoCounts::default());
+    let open = |name: &str, shards: u32| -> Repo {
+        let io = Arc::new(SpyIo(Arc::clone(&counts)));
+        let dir = root.join(name);
+        if shards == 0 {
+            ProfileStore::open_with_io(&dir, config, io)
+                .expect("open")
+                .into()
+        } else {
+            ShardedStore::open_with_io(&dir, shards, config, io)
+                .expect("open")
+                .into()
+        }
+    };
+
+    // Three frames into segment 1, two into segment 2 (whose magic is
+    // one more write).
+    let mut single = open("single", 0);
+    counts.take_writes();
+    let page = single.apply_frames(&frames);
+    assert_eq!((page.applied.len(), page.skipped), (5, 0));
+    assert!(page.error.is_none());
+    assert_eq!(counts.take_writes(), (3, 2), "a page over two segments");
+    assert_eq!(
+        page.applied.iter().map(|r| r.segment).collect::<Vec<_>>(),
+        [1, 1, 1, 2, 2]
+    );
+
+    let mut one_by_one = open("one-by-one", 0);
+    counts.take_writes();
+    for frame in &frames {
+        one_by_one.apply_frame(frame).expect("apply").expect("new");
+    }
+    assert_eq!(counts.take_writes(), (6, 5), "five frames one by one");
+
+    // Frames bound for shards 0, 0, 1, 1, 0: one write per run.
+    let mut sharded = open("sharded", 2);
+    counts.take_writes();
+    let page = sharded.apply_frames(&frames);
+    assert_eq!(page.applied.len(), 5);
+    assert_eq!(counts.take_writes(), (3, 3), "three runs of one shard");
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 // ---------------------------------------------------------------------

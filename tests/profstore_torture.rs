@@ -17,8 +17,8 @@
 
 use pomp::{registry, RegionKind, TaskIdAllocator};
 use profstore::{
-    is_enospc, FaultIo, FaultKind, FaultPlan, ProfileStore, RetentionPolicy, RunWindow,
-    ShardedStore, StoreConfig, StoreError,
+    decode_meta, is_enospc, ExportBatch, FaultIo, FaultKind, FaultPlan, ProfileStore, RealIo, Repo,
+    RetentionPolicy, RunWindow, ShardedStore, StoreConfig, StoreError, MAX_RECORD_BYTES,
 };
 use std::collections::HashSet;
 use std::path::PathBuf;
@@ -594,113 +594,196 @@ fn leader_crash_during_replicated_gc_workload_loses_no_acked_run() {
     );
 }
 
-/// Pump pages into a (possibly faulted) follower until the stream
-/// completes or the first apply fails; returns the acked applied ids.
-fn pump_until_failure(leader: &ShardedStore, follower: &ShardedStore) -> Vec<u64> {
+/// Frames per page of the follower sweep's pump: with the tiny segments
+/// of [`torture_config`], every page crosses a segment rotation.
+const PAGE: usize = 8;
+
+/// Open a follower of `shards` shards in `dir` through `io`; 0 shards
+/// is a single store.
+fn open_follower(
+    dir: &std::path::Path,
+    shards: u32,
+    io: std::sync::Arc<dyn profstore::StoreIo>,
+) -> Result<Repo, StoreError> {
+    if shards == 0 {
+        ProfileStore::open_with_io(dir, torture_config(), io).map(Repo::from)
+    } else {
+        ShardedStore::open_with_io(dir, shards, torture_config(), io).map(Repo::from)
+    }
+}
+
+/// Pump pages into a (possibly faulted) follower, each with one page
+/// apply, until the stream completes or a page stops short; returns the
+/// ids the follower acked as applied.
+fn pump_until_failure(leader: &Repo, follower: &mut Repo) -> Vec<u64> {
     let mut acked = Vec::new();
     let mut cursor = follower.max_run_id();
-    'outer: loop {
-        let batch = leader.export_frames(cursor, 4).expect("real-io export");
-        for frame in &batch.frames {
-            match follower.apply_frame(frame) {
-                Ok(Some(receipt)) => acked.push(receipt.run_id),
-                Ok(None) => {}
-                Err(_) => break 'outer, // the crash point (or aftermath)
-            }
-        }
-        cursor = batch.watermark;
-        if batch.done {
+    loop {
+        let batch = leader.export_frames(cursor, PAGE).expect("real-io export");
+        let page = follower.apply_frames(&batch.frames);
+        acked.extend(page.applied.iter().map(|r| r.run_id));
+        // A page error is the crash point (or its aftermath).
+        if page.error.is_some() || batch.done {
             break;
         }
+        cursor = batch.watermark;
     }
     acked
 }
 
+/// The replication stream `store` serves from the start, page by page.
+fn export_stream(store: &Repo) -> Vec<ExportBatch> {
+    let mut pages = Vec::new();
+    let mut cursor = 0;
+    loop {
+        let batch = store.export_frames(cursor, PAGE).expect("export");
+        cursor = batch.watermark;
+        let done = batch.done;
+        pages.push(batch);
+        if done {
+            return pages;
+        }
+    }
+}
+
+/// Every run id `store` holds, in the order its export streams them.
+fn held_ids(store: &Repo) -> Vec<u64> {
+    let batch = store.export_frames(0, usize::MAX).expect("export");
+    batch
+        .frames
+        .iter()
+        .map(|f| {
+            let frame = profstore::frame::check(f, MAX_RECORD_BYTES).expect("exported frame");
+            decode_meta(frame.payload())
+                .expect("exported record")
+                .run_id
+        })
+        .collect()
+}
+
+/// Every file under `dir`, by path relative to it, with its bytes.
+fn tree_bytes(dir: &std::path::Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut out = Vec::new();
+    let mut pending = vec![dir.to_path_buf()];
+    while let Some(at) = pending.pop() {
+        for entry in std::fs::read_dir(&at)
+            .expect("read_dir")
+            .filter_map(|e| e.ok())
+        {
+            let path = entry.path();
+            if path.is_dir() {
+                pending.push(path);
+            } else {
+                let bytes = std::fs::read(&path).expect("read file");
+                out.push((
+                    path.strip_prefix(dir).expect("under dir").to_path_buf(),
+                    bytes,
+                ));
+            }
+        }
+    }
+    out.sort();
+    out
+}
+
+/// A single and a sharded follower, each crashed at every mutating
+/// operation of a page-by-page pump. After every crash the reopened
+/// follower holds an ascending prefix of the leader's ids with no id
+/// twice — a crash mid-page leaves a prefix of the page — and a resumed
+/// pump leaves it serving the leader's export stream byte for byte. The
+/// fault-free pump writes the files the per-frame path writes.
 #[test]
 fn follower_crash_at_every_apply_point_loses_no_acked_frame() {
     let profiles = workload_profiles();
 
     // A fixed, real-filesystem leader shared by every iteration.
     let leader_dir = temp_dir("fapply-leader");
-    let leader =
-        ShardedStore::open_with(&leader_dir, SHARD_COUNT, replica_config()).expect("leader");
-    let mut slot_of = std::collections::BTreeMap::new();
+    let mut leader = Repo::from(
+        ShardedStore::open_with(&leader_dir, SHARD_COUNT, replica_config()).expect("leader"),
+    );
     for (i, p) in profiles.iter().enumerate() {
-        let r = leader
+        leader
             .ingest(&format!("torture-{}", i % 3), 2, i as u64, p)
             .expect("leader ingest");
-        slot_of.insert(r.run_id, i);
     }
+    let leader_ids = held_ids(&leader);
+    let leader_stream = export_stream(&leader);
+    let leader_frames = leader.export_frames(0, usize::MAX).expect("export").frames;
+    assert_eq!(leader_ids.len(), INGESTS);
 
-    // Pass 1: count the follower's mutating operations over a full pump.
-    let follower_dir = temp_dir("fapply-observe");
-    let (io, handle) = FaultIo::with_plan(FaultPlan::observe());
-    {
-        let follower = ShardedStore::open_with_io(&follower_dir, SHARD_COUNT, torture_config(), io)
-            .expect("observe follower");
-        let acked = pump_until_failure(&leader, &follower);
-        assert_eq!(acked.len(), INGESTS, "fault-free pump applies everything");
-    }
-    let total_ops = handle.ops();
-    assert!(
-        total_ops >= 67,
-        "pump too small to satisfy the 200-iteration floor: {total_ops} ops"
-    );
-    let _ = std::fs::remove_dir_all(&follower_dir);
-
-    // Pass 2: crash the follower at every apply-side point, every seed.
     let seeds = torture_seeds();
     let mut iterations = 0u64;
-    for &seed in &seeds {
-        for point in 0..total_ops {
-            iterations += 1;
-            let ctx = format!("follower seed {seed} point {point}");
-            let follower_dir = temp_dir("fapply-crash");
-            let (io, handle) = FaultIo::with_plan(FaultPlan::crash_at(seed, point));
-            let acked = match ShardedStore::open_with_io(
-                &follower_dir,
-                SHARD_COUNT,
-                torture_config(),
-                io,
-            ) {
-                Ok(follower) => pump_until_failure(&leader, &follower),
-                Err(_) => Vec::new(), // crashed during open
-            };
-            assert!(handle.crashed(), "{ctx}: the crash point must fire");
-            assert!(acked.len() < INGESTS, "{ctx}: crash must cut the pump");
+    for shards in [0, SHARD_COUNT] {
+        let shape = format!("{shards}-shard follower");
 
-            // Durability: unique ids, every acked frame present exactly.
-            assert_unique_ids(&follower_dir, &ctx);
-            let follower = ShardedStore::open(&follower_dir, SHARD_COUNT)
-                .unwrap_or_else(|e| panic!("{ctx}: recovering open: {e}"));
-            for &run_id in &acked {
-                let slot = slot_of[&run_id];
-                let (meta, profile) = follower
-                    .load(run_id)
-                    .unwrap_or_else(|e| panic!("{ctx}: acked frame {run_id} lost: {e}"));
-                assert_eq!(meta.timestamp_ns, slot as u64, "{ctx}: frame {run_id} meta");
-                assert_eq!(
-                    profile.threads[0].main, profiles[slot].threads[0].main,
-                    "{ctx}: frame {run_id} payload"
+        // Pass 1: count the follower's mutating operations over a full
+        // pump, and hold its files against the per-frame path's.
+        let follower_dir = temp_dir("fapply-observe");
+        let (io, handle) = FaultIo::with_plan(FaultPlan::observe());
+        let mut follower = open_follower(&follower_dir, shards, io).expect("observe follower");
+        let acked = pump_until_failure(&leader, &mut follower);
+        assert_eq!(
+            acked, leader_ids,
+            "{shape}: fault-free pump applies everything"
+        );
+        drop(follower);
+        let total_ops = handle.ops();
+        let per_frame_dir = temp_dir("fapply-per-frame");
+        let mut per_frame =
+            open_follower(&per_frame_dir, shards, RealIo::handle()).expect("per-frame follower");
+        for frame in &leader_frames {
+            per_frame.apply_frame(frame).expect("per-frame apply");
+        }
+        drop(per_frame);
+        assert!(
+            tree_bytes(&follower_dir) == tree_bytes(&per_frame_dir),
+            "{shape}: the page apply wrote other files than the per-frame apply"
+        );
+        let _ = std::fs::remove_dir_all(&follower_dir);
+        let _ = std::fs::remove_dir_all(&per_frame_dir);
+
+        // Pass 2: crash the follower at every apply-side point, every seed.
+        for &seed in &seeds {
+            for point in 0..total_ops {
+                iterations += 1;
+                let ctx = format!("{shape} seed {seed} point {point}");
+                let follower_dir = temp_dir("fapply-crash");
+                let (io, handle) = FaultIo::with_plan(FaultPlan::crash_at(seed, point));
+                let acked = match open_follower(&follower_dir, shards, io) {
+                    Ok(mut follower) => pump_until_failure(&leader, &mut follower),
+                    Err(_) => Vec::new(), // crashed during open
+                };
+                assert!(handle.crashed(), "{ctx}: the crash point must fire");
+                assert!(acked.len() < INGESTS, "{ctx}: crash must cut the pump");
+
+                // Durability: an ascending prefix of the leader's ids, no
+                // id twice (in any shard), every acked frame in it.
+                if shards > 0 {
+                    assert_unique_ids(&follower_dir, &ctx);
+                }
+                let mut follower = open_follower(&follower_dir, shards, RealIo::handle())
+                    .unwrap_or_else(|e| panic!("{ctx}: recovering open: {e}"));
+                let held = held_ids(&follower);
+                assert!(
+                    leader_ids.starts_with(&held),
+                    "{ctx}: the follower holds {held:?}, no prefix of the leader's ids"
                 );
-            }
+                assert!(
+                    held.starts_with(&acked),
+                    "{ctx}: acked {acked:?} but the follower holds {held:?}"
+                );
 
-            // Re-sync from the recovered cursor: exactly-once, and the
-            // replicas converge to byte-identical answers.
-            resync(&leader, &follower, &ctx);
-            assert_eq!(follower.len(), leader.len(), "{ctx}: replica sizes diverge");
-            assert_eq!(
-                follower.max_run_id(),
-                leader.max_run_id(),
-                "{ctx}: cursors diverge"
-            );
-            assert_eq!(
-                sharded_query_lines(&leader),
-                sharded_query_lines(&follower),
-                "{ctx}: replica answers diverge"
-            );
-            drop(follower);
-            let _ = std::fs::remove_dir_all(&follower_dir);
+                // Re-sync from the recovered cursor: exactly-once, and the
+                // follower serves the leader's stream byte for byte.
+                let resumed = pump_until_failure(&leader, &mut follower);
+                assert_eq!(resumed, leader_ids[held.len()..], "{ctx}: the resumed pump");
+                assert!(
+                    export_stream(&follower) == leader_stream,
+                    "{ctx}: the follower's export stream differs from the leader's"
+                );
+                drop(follower);
+                let _ = std::fs::remove_dir_all(&follower_dir);
+            }
         }
     }
     assert!(

@@ -10,7 +10,7 @@ use taskprof::{
 use profstore::segment::{SegmentReader, SegmentWriter};
 use profstore::{
     decode_meta, decode_record, encode_record, transcode_text, verify_record, BenchAgg, NodeRef,
-    ProfileStore, RealIo, RunMeta, RunSummary, ShardedStore,
+    ProfileStore, RealIo, Repo, RunMeta, RunSummary, ShardedStore, StoreConfig,
 };
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -606,6 +606,151 @@ fn apply_accepts_exactly_what_decodes() {
                 }
             }
             drop((single, sharded));
+            let _ = std::fs::remove_dir_all(&dir);
+        },
+    );
+}
+
+/// What one apply of a page did: the receipts, the frames skipped, and
+/// the error it stopped at.
+type PageOutcome = (Vec<String>, u64, Option<String>);
+
+/// `frames` applied to `store` as one page.
+fn apply_page(store: &mut Repo, frames: &[Vec<u8>]) -> PageOutcome {
+    let page = store.apply_frames(frames);
+    let receipts = page.applied.iter().map(|r| format!("{r:?}")).collect();
+    (receipts, page.skipped, page.error.map(|e| e.to_string()))
+}
+
+/// `frames` applied to `store` one `apply_frame` at a time, up to the
+/// first error.
+fn apply_one_by_one(store: &mut Repo, frames: &[Vec<u8>]) -> PageOutcome {
+    let mut out = (Vec::new(), 0, None);
+    for frame in frames {
+        match store.apply_frame(frame) {
+            Ok(Some(receipt)) => out.0.push(format!("{receipt:?}")),
+            Ok(None) => out.1 += 1,
+            Err(e) => {
+                out.2 = Some(e.to_string());
+                break;
+            }
+        }
+    }
+    out
+}
+
+/// Every file under `dir`, by path relative to it, with its bytes.
+fn tree_bytes(dir: &std::path::Path) -> Vec<(std::path::PathBuf, Vec<u8>)> {
+    let mut out = Vec::new();
+    let mut pending = vec![dir.to_path_buf()];
+    while let Some(at) = pending.pop() {
+        for entry in std::fs::read_dir(&at)
+            .expect("read_dir")
+            .filter_map(|e| e.ok())
+        {
+            let path = entry.path();
+            if path.is_dir() {
+                pending.push(path);
+            } else {
+                let bytes = std::fs::read(&path).expect("read file");
+                out.push((
+                    path.strip_prefix(dir).expect("under dir").to_path_buf(),
+                    bytes,
+                ));
+            }
+        }
+    }
+    out.sort();
+    out
+}
+
+/// A page of replicated frames applied at once leaves a follower as the
+/// same frames applied one by one leave it: the same receipts, skips and
+/// error, the same index and the same files, segment rotations included.
+/// Pages draw from a leader's frames with repeats, ids applied before the
+/// page and ids out of order, and hold at most one corrupt frame (a bit
+/// flipped anywhere in the frame, or a record cut or grown under a sound
+/// frame), on a single store and a two-shard one.
+#[test]
+fn a_page_applies_as_its_frames_do_one_by_one() {
+    let gen = |g: &mut Gen| {
+        let runs = g.u64(1..10);
+        let profiles = g.vec(runs as usize..runs as usize + 1, profile);
+        let before = g.u64(..=runs) as usize;
+        let page = g.vec(1..16, |g| g.below(runs) as usize);
+        let corrupt = g.option(|g| (g.unit_f64(), damage(g)));
+        let segment_max_bytes = g.u64(200..4000);
+        (profiles, before, page, corrupt, segment_max_bytes)
+    };
+    check(
+        "a_page_applies_as_its_frames_do_one_by_one",
+        64,
+        gen,
+        |(profiles, before, page, corrupt, segment_max_bytes)| {
+            let dir = scratch_path("page");
+            let mut leader = ProfileStore::open(&dir.join("leader")).expect("open leader");
+            for (i, p) in profiles.iter().enumerate() {
+                let bench = ["fib", "sort", "fft", ""][i % 4];
+                leader.ingest(bench, 2, i as u64, p).expect("ingest");
+            }
+            let frames = leader.export_frames(0, usize::MAX).expect("export").frames;
+            let mut page: Vec<Vec<u8>> = page.iter().map(|&i| frames[i].clone()).collect();
+            if let Some((pos, damage)) = corrupt {
+                let at = ((page.len() as f64 * pos) as usize).min(page.len() - 1);
+                let victim = &mut page[at];
+                if damage.3 == 0 {
+                    apply_damage(victim, damage);
+                } else {
+                    let mut payload = victim[4..victim.len() - 4].to_vec();
+                    apply_damage(&mut payload, damage);
+                    victim.clear();
+                    profstore::frame::encode(&payload, victim);
+                }
+            }
+            let config = StoreConfig {
+                segment_max_bytes,
+                sync_writes: false,
+            };
+            for shards in [0, 2] {
+                let open = |name: &str| -> Repo {
+                    let at = dir.join(format!("{name}-{shards}"));
+                    if shards == 0 {
+                        ProfileStore::open_with(&at, config).expect("open").into()
+                    } else {
+                        ShardedStore::open_with(&at, shards, config)
+                            .expect("open")
+                            .into()
+                    }
+                };
+                let (mut paged, mut one_by_one) = (open("paged"), open("one-by-one"));
+                for store in [&mut paged, &mut one_by_one] {
+                    for frame in &frames[..before] {
+                        store.apply_frame(frame).expect("apply before the page");
+                    }
+                }
+                let ctx = format!("{shards} shards, {before} applied before");
+                assert_eq!(
+                    apply_page(&mut paged, &page),
+                    apply_one_by_one(&mut one_by_one, &page),
+                    "{ctx}: the page's outcome"
+                );
+                if let (Repo::Single(a), Repo::Single(b)) = (&paged, &one_by_one) {
+                    assert_eq!(
+                        format!("{:?}", a.index()),
+                        format!("{:?}", b.index()),
+                        "{ctx}: the index"
+                    );
+                }
+                assert_eq!(
+                    paged.export_frames(0, usize::MAX).expect("export"),
+                    one_by_one.export_frames(0, usize::MAX).expect("export"),
+                    "{ctx}: the export stream"
+                );
+                let (a, b) = (paged.dir().to_path_buf(), one_by_one.dir().to_path_buf());
+                drop((paged, one_by_one));
+                assert!(tree_bytes(&a) == tree_bytes(&b), "{ctx}: the files");
+            }
+            drop(leader);
             let _ = std::fs::remove_dir_all(&dir);
         },
     );
