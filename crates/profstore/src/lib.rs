@@ -36,7 +36,9 @@
 //! Durability contract: a record is either fully on disk (length,
 //! payload, CRC all intact) or it is dropped at the next
 //! [`ProfileStore::open`]. A crash mid-append therefore loses at most the
-//! in-flight record; everything previously acknowledged survives.
+//! in-flight record — for a replicated page, the frames of the in-flight
+//! write and those after it, none of them acknowledged; everything
+//! previously acknowledged survives.
 //!
 //! Single-writer contract: opening a store takes an exclusive advisory
 //! lock on the directory (a `LOCK` file, held for the store's lifetime

@@ -17,7 +17,7 @@
 //! frames ([`SegmentReader::read_frames`], an export page), each of
 //! which is then checked on its own. A replicated page is appended the
 //! same way, each segment's share of it in one write
-//! ([`SegmentWriter::append_checked_frames`]).
+//! ([`SegmentWriter::append_checked`]).
 //!
 //! Every file operation goes through a [`StoreIo`] handle so the fault
 //! injector ([`crate::FaultIo`]) can tear or fail any of them; production
@@ -260,15 +260,10 @@ impl SegmentWriter {
         self.write(&bytes)
     }
 
-    /// [`SegmentWriter::append`] a frame already checked, as it is.
-    pub fn append_checked(&mut self, frame: Checked<'_>) -> std::io::Result<u64> {
-        self.write(frame.bytes())
-    }
-
-    /// [`SegmentWriter::append_checked`] several frames, in order, with
-    /// one write (and, with `sync`, one `fdatasync`); returns the first
-    /// frame's offset. On failure the repair drops all of them.
-    pub fn append_checked_frames(&mut self, frames: &[Checked<'_>]) -> std::io::Result<u64> {
+    /// [`SegmentWriter::append`] frames already checked, as they are, in
+    /// order, with one write (and, with `sync`, one `fdatasync`); returns
+    /// the first frame's offset. On failure the repair drops all of them.
+    pub fn append_checked(&mut self, frames: &[Checked<'_>]) -> std::io::Result<u64> {
         if let [frame] = frames {
             return self.write(frame.bytes());
         }

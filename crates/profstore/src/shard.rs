@@ -25,7 +25,16 @@
 //! behind its own mutex (and its own on-disk advisory `LOCK`), so
 //! ingest, compaction, and GC on different shards proceed in parallel —
 //! the single-owner starvation the detrimental-pattern literature warns
-//! about is bounded to one shard, not the whole repository.
+//! about is bounded to one shard, not the whole repository. A path that
+//! needs several shards at once — a fan-in query, an export page, an
+//! applied page — locks them all, in shard order.
+//!
+//! Replication: an export page is the `max` smallest run ids above the
+//! cursor across every shard's index, and only those frames are read. An
+//! applied page is checked once against the repository-wide cursor and
+//! written a run of consecutive frames bound for one shard at a time,
+//! so what a crash leaves on disk is always a prefix of the page
+//! ([`ShardedStore::apply_frames`]).
 
 use crate::agg::{BenchAgg, RunSummary};
 use crate::codec::{CodecError, RunMeta, VerifiedBody};

@@ -1,4 +1,14 @@
 //! The profile repository: segments + index + recovery + compaction.
+//!
+//! Replication moves pages. [`ProfileStore::export_frames`] chooses its
+//! page from the index alone and reads only those frames, one positioned
+//! read per run of adjacent frames ([`ExportBatch::read`]).
+//! [`ProfileStore::apply_frames`] checks each frame of a page against a
+//! running exactly-once cursor ([`CheckedPage`]) and appends the frames
+//! bound for one segment with one write, rotating where a per-frame
+//! append would, so the files are the same as if each frame had been
+//! applied on its own; [`ProfileStore::apply_frame`] is that path over
+//! one frame.
 
 use crate::agg::{BenchAgg, RunSummary};
 use crate::codec::{
@@ -755,7 +765,7 @@ impl ProfileStore {
             }
             let (segment, tail) = rest.split_at_mut(n);
             let frames: Vec<Checked<'_>> = segment.iter().map(|r| r.frame).collect();
-            let mut offset = self.writer.append_checked_frames(&frames)?;
+            let mut offset = self.writer.append_checked(&frames)?;
             for r in segment {
                 let bytes = frame_bytes(r);
                 receipts.push(self.index_frame(std::mem::take(&mut r.meta), offset, bytes));
@@ -1227,7 +1237,7 @@ impl ProfileStore {
                 let mut cursor = self.cursor();
                 for &i in &live {
                     let frame = cursor.frame(&self.index[i])?;
-                    new_offsets.push(writer.append_checked(frame)?);
+                    new_offsets.push(writer.append_checked(&[frame])?);
                 }
                 // Close the old file before the rewrite is renamed over it.
                 drop(cursor);

@@ -309,7 +309,7 @@ fn an_export_page_costs_one_read_per_run_of_adjacent_frames() {
     let mut from = 0;
     for (i, frame) in page.frames.iter().enumerate() {
         let one = store.export_frames(from, 1).expect("export one");
-        assert_eq!(one.frames, [frame.clone()], "frame {i}");
+        assert_eq!(one.frames, std::slice::from_ref(frame), "frame {i}");
         from = one.watermark;
     }
     let _ = std::fs::remove_dir_all(&dir);
