@@ -409,6 +409,59 @@ mod tests {
         join.join().expect("join").expect("run");
     }
 
+    /// An `APPLY` page whose second segment write fills the disk: the
+    /// frames of the first write are on disk, the reply counts exactly
+    /// them, and the daemon goes read-only.
+    #[test]
+    fn an_apply_that_fills_the_disk_counts_what_is_on_disk() {
+        use profstore::{transcode_text, FaultIo, FaultKind, FaultPlan};
+        let dir = temp_dir("apply-enospc");
+        let body = transcode_text(&sample_profile_text("apply-enospc", 700)).expect("text");
+        let mut leader = ProfileStore::open(&dir.join("leader")).expect("leader");
+        for ts in 1..=5 {
+            leader.ingest_record("fib", 2, ts, &body).expect("ingest");
+        }
+        let frames = leader.export_frames(0, 5).expect("export").frames;
+        // Three frames fill a segment, so the page is two writes.
+        let config = StoreConfig {
+            segment_max_bytes: profstore::SEGMENT_MAGIC.len() as u64 + 3 * frames[0].len() as u64,
+            sync_writes: false,
+        };
+        let (io, fault) = FaultIo::with_plan(FaultPlan::observe());
+        let follower =
+            ProfileStore::open_with_io(&dir.join("follower"), config, io).expect("follower");
+        let (handle, join) =
+            Server::spawn("127.0.0.1:0", follower, ServeConfig::default()).expect("spawn");
+        let mut client = Client::connect(&handle.addr().to_string()).expect("connect");
+
+        // Mutating ops of the page: the first write, the next segment's
+        // create and magic, then the second write, which fails.
+        fault.set_plan(FaultPlan::fail_at(1, fault.ops() + 3, FaultKind::Enospc));
+        match client.apply_frames(&frames) {
+            Err(ClientError::Server { kind, message }) => {
+                assert_eq!(kind, ErrorKind::ReadOnly);
+                assert!(message.contains("(3 of 5 frames applied)"), "{message}");
+            }
+            other => panic!("expected read_only, got {other:?}"),
+        }
+        assert!(handle.read_only());
+        let health = client.server_stats().expect("stats");
+        assert_eq!(health.store.runs, 3);
+        assert_eq!(health.service.ingests, 3);
+        assert_eq!(client.replication_cursor().expect("cursor"), 3);
+        handle.stop();
+        drop(client);
+        join.join().expect("join").expect("run");
+        drop(handle);
+        let follower = ProfileStore::open(&dir.join("follower")).expect("reopen");
+        assert_eq!(
+            follower.len(),
+            3,
+            "what the reply counted is what is on disk"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn enospc_degrades_the_daemon_to_read_only() {
         use profstore::{FaultIo, FaultKind, FaultPlan};
