@@ -21,6 +21,9 @@
 //! allocation tests, and [`alloc`] the counting allocator every
 //! allocation and footprint test counts with.
 //!
+//! [`dir_bytes`] is a directory tree's files with their bytes, what the
+//! store tests compare when two paths must write the same files.
+//!
 //! This is a dev-only crate: production crates must not depend on it.
 
 pub mod alloc;
@@ -54,4 +57,30 @@ pub fn sized_profile_text(nodes: usize, distinct: usize) -> String {
     }
     text.push_str("end\n");
     text
+}
+
+/// Every file under `dir`, by path relative to it, with its bytes,
+/// sorted by path.
+pub fn dir_bytes(dir: &std::path::Path) -> Vec<(std::path::PathBuf, Vec<u8>)> {
+    let mut out = Vec::new();
+    let mut pending = vec![dir.to_path_buf()];
+    while let Some(at) = pending.pop() {
+        for entry in std::fs::read_dir(&at)
+            .expect("read_dir")
+            .filter_map(|e| e.ok())
+        {
+            let path = entry.path();
+            if path.is_dir() {
+                pending.push(path);
+            } else {
+                let bytes = std::fs::read(&path).expect("read file");
+                out.push((
+                    path.strip_prefix(dir).expect("under dir").to_path_buf(),
+                    bytes,
+                ));
+            }
+        }
+    }
+    out.sort();
+    out
 }

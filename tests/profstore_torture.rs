@@ -23,6 +23,7 @@ use profstore::{
 use std::collections::HashSet;
 use std::path::PathBuf;
 use taskprof::{AssignPolicy, Event, Profile, TeamReplayer};
+use test_util::dir_bytes;
 
 const INGESTS: usize = 30;
 
@@ -122,21 +123,6 @@ fn torture_seeds() -> Vec<u64> {
         }
     }
     seeds
-}
-
-/// Every file in `dir` with its bytes, sorted by name.
-fn dir_bytes(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
-    let mut out: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
-        .expect("read_dir")
-        .filter_map(|e| e.ok())
-        .map(|e| {
-            let name = e.file_name().to_string_lossy().into_owned();
-            let bytes = std::fs::read(e.path()).expect("read file");
-            (name, bytes)
-        })
-        .collect();
-    out.sort();
-    out
 }
 
 #[test]
@@ -423,18 +409,22 @@ fn assert_unique_ids(dir: &std::path::Path, ctx: &str) {
 }
 
 /// Deterministic query answers (every group with its aggregate) — the
-/// lines a replica pair must agree on byte-for-byte.
-fn sharded_query_lines(store: &ShardedStore) -> Vec<String> {
-    store
-        .groups()
-        .iter()
-        .map(|((bench, threads), runs)| {
-            let agg = store
-                .aggregate_window(bench, *threads, &RunWindow::default())
-                .unwrap_or_else(|e| panic!("aggregate {bench}/{threads}: {e}"));
-            format!("{bench}/{threads}: {runs} runs, {agg:?}")
-        })
-        .collect()
+/// lines a replica pair must agree on byte-for-byte. A macro, so a
+/// `ShardedStore` and a `Repo` of either shape are asked alike.
+macro_rules! query_lines {
+    ($store:expr) => {{
+        let store = $store;
+        store
+            .groups()
+            .iter()
+            .map(|((bench, threads), runs)| {
+                let agg = store
+                    .aggregate_window(bench, *threads, &RunWindow::default())
+                    .unwrap_or_else(|e| panic!("aggregate {bench}/{threads}: {e}"));
+                format!("{bench}/{threads}: {runs} runs, {agg:?}")
+            })
+            .collect::<Vec<String>>()
+    }};
 }
 
 /// Pump the replication stream leader → follower to completion, both
@@ -577,8 +567,8 @@ fn leader_crash_during_replicated_gc_workload_loses_no_acked_run() {
                 "{ctx}: cursors diverge"
             );
             assert_eq!(
-                sharded_query_lines(&leader),
-                sharded_query_lines(&follower),
+                query_lines!(&leader),
+                query_lines!(&follower),
                 "{ctx}: replica answers diverge"
             );
 
@@ -661,36 +651,12 @@ fn held_ids(store: &Repo) -> Vec<u64> {
         .collect()
 }
 
-/// Every file under `dir`, by path relative to it, with its bytes.
-fn tree_bytes(dir: &std::path::Path) -> Vec<(PathBuf, Vec<u8>)> {
-    let mut out = Vec::new();
-    let mut pending = vec![dir.to_path_buf()];
-    while let Some(at) = pending.pop() {
-        for entry in std::fs::read_dir(&at)
-            .expect("read_dir")
-            .filter_map(|e| e.ok())
-        {
-            let path = entry.path();
-            if path.is_dir() {
-                pending.push(path);
-            } else {
-                let bytes = std::fs::read(&path).expect("read file");
-                out.push((
-                    path.strip_prefix(dir).expect("under dir").to_path_buf(),
-                    bytes,
-                ));
-            }
-        }
-    }
-    out.sort();
-    out
-}
-
 /// A single and a sharded follower, each crashed at every mutating
 /// operation of a page-by-page pump. After every crash the reopened
 /// follower holds an ascending prefix of the leader's ids with no id
 /// twice — a crash mid-page leaves a prefix of the page — and a resumed
-/// pump leaves it serving the leader's export stream byte for byte. The
+/// pump leaves it serving the leader's export stream byte for byte and
+/// the leader's query answers line for line. The
 /// fault-free pump writes the files the per-frame path writes.
 #[test]
 fn follower_crash_at_every_apply_point_loses_no_acked_frame() {
@@ -709,6 +675,7 @@ fn follower_crash_at_every_apply_point_loses_no_acked_frame() {
     let leader_ids = held_ids(&leader);
     let leader_stream = export_stream(&leader);
     let leader_frames = leader.export_frames(0, usize::MAX).expect("export").frames;
+    let leader_answers = query_lines!(&leader);
     assert_eq!(leader_ids.len(), INGESTS);
 
     let seeds = torture_seeds();
@@ -736,7 +703,7 @@ fn follower_crash_at_every_apply_point_loses_no_acked_frame() {
         }
         drop(per_frame);
         assert!(
-            tree_bytes(&follower_dir) == tree_bytes(&per_frame_dir),
+            dir_bytes(&follower_dir) == dir_bytes(&per_frame_dir),
             "{shape}: the page apply wrote other files than the per-frame apply"
         );
         let _ = std::fs::remove_dir_all(&follower_dir);
@@ -780,6 +747,18 @@ fn follower_crash_at_every_apply_point_loses_no_acked_frame() {
                 assert!(
                     export_stream(&follower) == leader_stream,
                     "{ctx}: the follower's export stream differs from the leader's"
+                );
+                // ... and answers every query as the leader does, through
+                // its index and aggregate cache rebuilt by the recovery.
+                assert_eq!(
+                    follower.max_run_id(),
+                    leader.max_run_id(),
+                    "{ctx}: cursors diverge"
+                );
+                assert_eq!(
+                    query_lines!(&follower),
+                    leader_answers,
+                    "{ctx}: replica answers diverge"
                 );
                 drop(follower);
                 let _ = std::fs::remove_dir_all(&follower_dir);

@@ -14,6 +14,7 @@ use profstore::{
 };
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use test_util::dir_bytes;
 use test_util::prop::{check, line, Gen};
 
 /// A unique scratch path per property case (cases run concurrently
@@ -639,31 +640,6 @@ fn apply_one_by_one(store: &mut Repo, frames: &[Vec<u8>]) -> PageOutcome {
     out
 }
 
-/// Every file under `dir`, by path relative to it, with its bytes.
-fn tree_bytes(dir: &std::path::Path) -> Vec<(std::path::PathBuf, Vec<u8>)> {
-    let mut out = Vec::new();
-    let mut pending = vec![dir.to_path_buf()];
-    while let Some(at) = pending.pop() {
-        for entry in std::fs::read_dir(&at)
-            .expect("read_dir")
-            .filter_map(|e| e.ok())
-        {
-            let path = entry.path();
-            if path.is_dir() {
-                pending.push(path);
-            } else {
-                let bytes = std::fs::read(&path).expect("read file");
-                out.push((
-                    path.strip_prefix(dir).expect("under dir").to_path_buf(),
-                    bytes,
-                ));
-            }
-        }
-    }
-    out.sort();
-    out
-}
-
 /// A page of replicated frames applied at once leaves a follower as the
 /// same frames applied one by one leave it: the same receipts, skips and
 /// error, the same index and the same files, segment rotations included.
@@ -748,7 +724,7 @@ fn a_page_applies_as_its_frames_do_one_by_one() {
                 );
                 let (a, b) = (paged.dir().to_path_buf(), one_by_one.dir().to_path_buf());
                 drop((paged, one_by_one));
-                assert!(tree_bytes(&a) == tree_bytes(&b), "{ctx}: the files");
+                assert!(dir_bytes(&a) == dir_bytes(&b), "{ctx}: the files");
             }
             drop(leader);
             let _ = std::fs::remove_dir_all(&dir);
