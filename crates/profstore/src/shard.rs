@@ -32,9 +32,8 @@
 //! Replication: an export page is the `max` smallest run ids above the
 //! cursor across every shard's index, and only those frames are read. An
 //! applied page is checked once against the repository-wide cursor and
-//! written a run of consecutive frames bound for one shard at a time,
-//! so what a crash leaves on disk is always a prefix of the page
-//! ([`ShardedStore::apply_frames`]).
+//! written a frame at a time, so what a crash leaves on disk is always a
+//! prefix of the page ([`ShardedStore::apply_frames`]).
 
 use crate::agg::{BenchAgg, RunSummary};
 use crate::codec::{CodecError, RunMeta, VerifiedBody};
@@ -440,32 +439,21 @@ impl ShardedStore {
     /// once with every shard locked, and the frames are checked as
     /// [`ProfileStore::apply_frames`] checks them.
     ///
-    /// Each run of consecutive page frames bound for one shard is
-    /// appended with one write per segment it lands in. A write never
-    /// takes a frame past one bound for another shard: if the process
-    /// died between the two writes, the later id would be on disk
-    /// without the earlier one, and the cursor would skip the earlier
-    /// one for good. So what a crash leaves is always a prefix of the
-    /// page.
+    /// Each frame is appended with a write of its own, in page order, so
+    /// what a crash leaves is always a prefix of the page: a write that
+    /// took a frame past one bound for another shard could leave the
+    /// later id on disk without the earlier one, and the cursor would
+    /// skip the earlier one for good.
     pub fn apply_frames<F: AsRef<[u8]>>(&self, frames: &[F]) -> PageApply {
         let mut shards = self.lock_all();
         let cursor = shards.iter().map(|s| s.max_run_id()).max().unwrap_or(0);
         let mut page = CheckedPage::check(frames, cursor);
         let n = shards.len();
-        let shard_of = |meta: &RunMeta| Self::route(&meta.benchmark, meta.run_id, n);
         let mut applied = Vec::new();
-        let mut written = Ok(());
-        let mut rest = &mut page.replicas[..];
-        while let Some(first) = rest.first() {
-            let k = shard_of(&first.meta);
-            let len = rest.iter().take_while(|r| shard_of(&r.meta) == k).count();
-            let (run, tail) = rest.split_at_mut(len);
-            written = shards[k].append_replicas(run, &mut applied);
-            if written.is_err() {
-                break;
-            }
-            rest = tail;
-        }
+        let written = page.replicas.iter_mut().try_for_each(|r| {
+            let k = Self::route(&r.meta.benchmark, r.meta.run_id, n);
+            shards[k].append_replicas(std::slice::from_mut(r), &mut applied)
+        });
         drop(shards);
         if let Some(last) = applied.last() {
             self.next_run_id

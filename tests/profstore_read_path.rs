@@ -317,9 +317,8 @@ fn an_export_page_costs_one_read_per_run_of_adjacent_frames() {
 
 /// An applied page costs one write per segment it lands in, and with
 /// `sync_writes` one `fdatasync` per segment; frame by frame it cost one
-/// of each per frame. On a sharded follower a write holds a run of
-/// consecutive frames bound for one shard: it never passes a frame bound
-/// for another, so a crash leaves a prefix of the page.
+/// of each per frame. A sharded follower writes each frame on its own,
+/// so a crash leaves a prefix of the page.
 #[test]
 fn an_apply_page_costs_one_write_per_segment() {
     let root = temp_dir("apply-writes");
@@ -371,12 +370,12 @@ fn an_apply_page_costs_one_write_per_segment() {
     }
     assert_eq!(counts.take_writes(), (6, 5), "five frames one by one");
 
-    // Frames bound for shards 0, 0, 1, 1, 0: one write per run.
+    // Frames bound for shards 0, 0, 1, 1, 0: one write per frame.
     let mut sharded = open("sharded", 2);
     counts.take_writes();
     let page = sharded.apply_frames(&frames);
     assert_eq!(page.applied.len(), 5);
-    assert_eq!(counts.take_writes(), (3, 3), "three runs of one shard");
+    assert_eq!(counts.take_writes(), (5, 5), "five frames, one write each");
     let _ = std::fs::remove_dir_all(&root);
 }
 
